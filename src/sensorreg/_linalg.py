@@ -8,17 +8,8 @@ from .errors import SingularMatrixError
 
 
 def symmetrize(mat: np.ndarray) -> np.ndarray:
-    """Return (M + M.T) / 2."""
-    return 0.5 * (mat + mat.T)
-
-
-def is_pd(mat: np.ndarray) -> bool:
-    """True when the symmetric part of ``mat`` admits a Cholesky factor."""
-    try:
-        np.linalg.cholesky(symmetrize(mat))
-        return True
-    except np.linalg.LinAlgError:
-        return False
+    """Return (M + M.T) / 2 for every matrix on the last two axes."""
+    return 0.5 * (mat + mat.swapaxes(-1, -2))
 
 
 def inv_sym(mat: np.ndarray, context: str = "matrix") -> np.ndarray:
@@ -52,21 +43,3 @@ def sym_cond(mat: np.ndarray) -> float:
         return np.inf
     return float(wmax / wmin)
 
-
-def psd_pinv(mat: np.ndarray, rtol: float = 1e-10) -> tuple[np.ndarray, int]:
-    """Pseudo-inverse of a symmetric PSD matrix via eigendecomposition.
-
-    Eigenvalues below ``rtol`` times the largest one are treated as zero, so
-    rank-deficient information matrices (e.g. position-only updates) invert
-    cleanly on their observable subspace.
-
-    Returns the pseudo-inverse and the numerical rank.
-    """
-    w, v = np.linalg.eigh(symmetrize(mat))
-    wmax = np.abs(w).max(initial=0.0)
-    keep = w > rtol * wmax
-    rank = int(np.count_nonzero(keep))
-    if rank == 0:
-        return np.zeros_like(mat), 0
-    vk = v[:, keep]
-    return (vk / w[keep]) @ vk.T, rank

@@ -89,14 +89,16 @@ class BiasVector:
 
 @dataclass
 class CartesianMeasurement:
-    """Converted position measurement ``z`` with covariance ``R``."""
+    """Converted position measurement ``z`` (..., 2) with covariance ``R``
+    (..., 2, 2); leading axes index a batch of measurements."""
 
     z: np.ndarray
     R: np.ndarray
 
     def __post_init__(self) -> None:
-        self.z = np.asarray(self.z, dtype=float).reshape(2)
-        self.R = np.asarray(self.R, dtype=float).reshape(2, 2)
+        z = np.asarray(self.z, dtype=float)
+        self.z = z.reshape(z.shape[:-1] + (2,))
+        self.R = np.asarray(self.R, dtype=float).reshape(self.z.shape + (2,))
 
 
 @dataclass

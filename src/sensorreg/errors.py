@@ -11,7 +11,15 @@ class NumericalError(SensorRegError):
 
 
 class SingularMatrixError(NumericalError):
-    """A matrix that must be inverted is singular or too ill-conditioned."""
+    """A matrix that must be inverted is singular or too ill-conditioned.
+
+    ``index`` locates the failing matrix on the leading batch axes of a
+    batched computation; it is None for a batch-free one.
+    """
+
+    def __init__(self, message: str, index: tuple[int, ...] | None = None) -> None:
+        super().__init__(message)
+        self.index = index
 
 
 class TrackletSingularError(SingularMatrixError):

@@ -9,7 +9,7 @@ reports to the fusion center at multiples of its lag.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -116,6 +116,10 @@ class Scenario:
             raise ScenarioError("dt must be positive")
         if self.process_noise_q < 0 or self.fusion_q < 0:
             raise ScenarioError("noise intensities must be non-negative")
+        if len(self.bias_prior_offset) != 2:
+            raise ScenarioError("bias_prior_offset needs a range and an azimuth sigma")
+        if min(self.bias_prior_offset) <= 0 or self.bias_prior_scale <= 0:
+            raise ScenarioError("bias prior sigmas must be positive")
         if self.local_filter.type not in LOCAL_FILTER_TYPES:
             raise ScenarioError(
                 f"unknown local filter type {self.local_filter.type!r}; "
@@ -161,38 +165,51 @@ class Scenario:
         return [i for i, s in enumerate(self.sensors) if k % s.lag == 0]
 
 
+def _known(doc: dict, spec: type, where: str) -> dict:
+    """Return ``doc`` after checking that every key names a field of the
+    dataclass ``spec``."""
+    unknown = sorted(set(doc) - {f.name for f in fields(spec)})
+    if unknown:
+        raise ScenarioError(f"{where}: unknown key {unknown[0]!r}")
+    return doc
+
+
 def _scenario_from_dict(doc: dict) -> Scenario:
     try:
-        sensors = [
-            SensorSpec(
-                position=s["position"],
-                sigma_r=float(s["sigma_r"]),
-                sigma_theta=float(s["sigma_theta"]),
-                bias=BiasVector(
-                    b_r=float(s["bias"].get("b_r", 0.0)),
-                    b_theta=float(s["bias"].get("b_theta", 0.0)),
-                    eps_r=float(s["bias"].get("eps_r", 0.0)),
-                    eps_theta=float(s["bias"].get("eps_theta", 0.0)),
-                ),
-                lag=int(s.get("lag", 1)),
+        _known(doc, Scenario, "scenario")
+        sensors = []
+        for i, s in enumerate(doc["sensors"]):
+            _known(s, SensorSpec, f"sensor {i}")
+            b = _known(s["bias"], BiasVector, f"sensor {i} bias")
+            sensors.append(
+                SensorSpec(
+                    position=s["position"],
+                    sigma_r=float(s["sigma_r"]),
+                    sigma_theta=float(s["sigma_theta"]),
+                    bias=BiasVector(
+                        b_r=float(b.get("b_r", 0.0)),
+                        b_theta=float(b.get("b_theta", 0.0)),
+                        eps_r=float(b.get("eps_r", 0.0)),
+                        eps_theta=float(b.get("eps_theta", 0.0)),
+                    ),
+                    lag=int(s.get("lag", 1)),
+                )
             )
-            for s in doc["sensors"]
-        ]
-        targets = [
-            TargetSpec(
-                initial_state=t["initial_state"],
-                segments=[
+        targets = []
+        for i, t in enumerate(doc["targets"]):
+            _known(t, TargetSpec, f"target {i}")
+            segments = []
+            for j, seg in enumerate(t["segments"]):
+                _known(seg, SegmentSpec, f"target {i} segment {j}")
+                segments.append(
                     SegmentSpec(
                         model=seg["model"],
                         frames=int(seg["frames"]),
                         omega=float(seg.get("omega", 0.0)),
                     )
-                    for seg in t["segments"]
-                ],
-            )
-            for t in doc["targets"]
-        ]
-        lf = doc.get("local_filter", {})
+                )
+            targets.append(TargetSpec(initial_state=t["initial_state"], segments=segments))
+        lf = _known(doc.get("local_filter", {}), LocalFilterSpec, "local_filter")
         scenario = Scenario(
             name=doc.get("name", "scenario"),
             sensors=sensors,
@@ -210,6 +227,10 @@ def _scenario_from_dict(doc: dict) -> Scenario:
             fusion_q=float(doc.get("fusion_q", 1.0)),
             estimate_scale_bias=bool(doc.get("estimate_scale_bias", False)),
             rng_seed=int(doc.get("rng_seed", 0)),
+            bias_prior_offset=tuple(
+                float(v) for v in doc.get("bias_prior_offset", Scenario.bias_prior_offset)
+            ),
+            bias_prior_scale=float(doc.get("bias_prior_scale", Scenario.bias_prior_scale)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ScenarioError):

@@ -37,7 +37,7 @@ from ..coords import (
     jacobians_at,
 )
 from ..dynamics import MotionModel, compose_steps, ncv_model, nca_model, turn_model
-from ..errors import NumericalError, ScenarioError
+from ..errors import NumericalError, ScenarioError, SingularMatrixError
 from ..fusion import (
     FusedTrack,
     SensorModel,
@@ -234,7 +234,12 @@ def _local_model(scenario: Scenario):
 
 
 def run_local_tracks(scenario: Scenario, truth: TruthData) -> LocalTracks:
-    """Run the configured local tracker on every (sensor, target) stream."""
+    """Run the configured local tracker on every (sensor, target) stream.
+
+    All streams advance in lockstep: each frame is one batched tracker call
+    over the (sensor, target) axes.  A singular matrix is reported with the
+    sensor, target and frame of the stream it occurred in.
+    """
     K = scenario.frames
     n_s = len(scenario.sensors)
     n_t = len(scenario.targets)
@@ -244,53 +249,28 @@ def run_local_tracks(scenario: Scenario, truth: TruthData) -> LocalTracks:
     gain = np.full((n_s, n_t, K + 1, 4, 2), np.nan) if is_kf else None
     models = _local_model(scenario)
 
-    for s in range(n_s):
-        for t in range(n_t):
-            z0 = CartesianMeasurement(z=truth.cart_z[s, t, 0], R=truth.cart_R[s, t, 0])
-            est = init_track(z0, frame=0)
-            mean[s, t, 0] = est.mean
-            cov[s, t, 0] = est.cov
+    est = init_track(CartesianMeasurement(z=truth.cart_z[:, :, 0], R=truth.cart_R[:, :, 0]))
+    mean[:, :, 0] = est.mean
+    cov[:, :, 0] = est.cov
+    if not is_kf:
+        state = ImmState.from_track(est, models, IMM_INITIAL_PROBS, IMM_TRANSITION)
+    for k in range(1, K + 1):
+        meas = CartesianMeasurement(z=truth.cart_z[:, :, k], R=truth.cart_R[:, :, k])
+        try:
             if is_kf:
-                for k in range(1, K + 1):
-                    est = kf_predict(est, models)
-                    meas = CartesianMeasurement(
-                        z=truth.cart_z[s, t, k], R=truth.cart_R[s, t, k]
-                    )
-                    est, rec = kf_update(est, meas)
-                    mean[s, t, k] = est.mean
-                    cov[s, t, k] = est.cov
-                    gain[s, t, k] = rec.gain
+                est, rec = kf_update(kf_predict(est, models), meas)
+                gain[:, :, k] = rec.gain
             else:
-                state = _init_imm(est, models)
-                for k in range(1, K + 1):
-                    meas = CartesianMeasurement(
-                        z=truth.cart_z[s, t, k], R=truth.cart_R[s, t, k]
-                    )
-                    state, combined = imm_step(state, meas)
-                    mean[s, t, k] = combined.mean
-                    cov[s, t, k] = combined.cov
+                state, est = imm_step(state, meas)
+        except SingularMatrixError as exc:
+            where = f"frame {k}"
+            if exc.index is not None:
+                s, t = exc.index
+                where = f"sensor {s}, target {t}, {where}"
+            raise SingularMatrixError(f"{where}: {exc}", index=exc.index) from exc
+        mean[:, :, k] = est.mean
+        cov[:, :, k] = est.cov
     return LocalTracks(mean=mean, cov=cov, gain=gain)
-
-
-def _init_imm(est: GaussianEstimate, models: list[MotionModel]) -> ImmState:
-    modes = []
-    for m in models:
-        if m.dim == 6:
-            mean6 = np.zeros(6)
-            cov6 = np.zeros((6, 6))
-            idx = np.array([0, 1, 3, 4])
-            mean6[idx] = est.mean
-            cov6[np.ix_(idx, idx)] = est.cov
-            cov6[2, 2] = cov6[5, 5] = 100.0
-            modes.append(GaussianEstimate(mean=mean6, cov=cov6, frame=est.frame))
-        else:
-            modes.append(GaussianEstimate(mean=est.mean.copy(), cov=est.cov.copy(), frame=est.frame))
-    return ImmState(
-        modes=modes,
-        models=models,
-        mode_probs=IMM_INITIAL_PROBS.copy(),
-        transition=IMM_TRANSITION.copy(),
-    )
 
 
 def _sensor_models(scenario: Scenario) -> dict[int, SensorModel]:
@@ -587,8 +567,8 @@ def run_single(scenario: Scenario, run_index: int, method: str) -> SingleRun:
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     truth = simulate_truth(scenario, run_index, zero_bias=(method == "baseline"))
-    tracks = run_local_tracks(scenario, truth)
     try:
+        tracks = run_local_tracks(scenario, truth)
         if method == "fbe":
             out = _run_fbe(scenario, truth, tracks)
         elif method in ("ex", "exl"):
@@ -597,19 +577,38 @@ def run_single(scenario: Scenario, run_index: int, method: str) -> SingleRun:
             out = _run_baseline(scenario, truth, tracks)
     except NumericalError as exc:
         raise NumericalError(f"run {run_index}: {exc}") from exc
-    _check_finite(out, run_index)
+    _check_finite(scenario, out, tracks, run_index)
     return out
 
 
-def _check_finite(run: SingleRun, run_index: int) -> None:
-    if run.b_series is not None and not np.all(np.isfinite(run.b_series)):
-        k, g = np.argwhere(~np.isfinite(run.b_series))[0][:2]
-        raise NumericalError(
-            f"run {run_index}: non-finite bias estimate at frame {k}, group {g}"
-        )
-    if not np.all(np.isfinite(run.local_sqerr)):
-        k = int(np.argwhere(~np.isfinite(run.local_sqerr))[0][0])
-        raise NumericalError(f"run {run_index}: non-finite local track error at frame {k}")
+def _check_finite(
+    scenario: Scenario, run: SingleRun, tracks: LocalTracks, run_index: int
+) -> None:
+    """Raise :class:`NumericalError` naming the first non-finite entry of any
+    run output or local track.  ``fused_sqerr`` is NaN between fusion epochs
+    by design and is checked only at frame 0 and the epochs."""
+    # fbe estimates one bias group per sensor, ex/exl one for the pair.
+    group = "sensor pair" if run.b_series is not None and run.b_series.shape[1] == 1 else "sensor"
+    checks = [
+        ("bias estimate", run.b_series, ("frame", group)),
+        ("bias covariance", run.sigma_series, ("frame", group)),
+        ("local track error", run.local_sqerr, ("frame",)),
+        ("local track mean", tracks.mean, ("sensor", "target", "frame")),
+        ("local track covariance", tracks.cov, ("sensor", "target", "frame")),
+    ]
+    if run.fused_sqerr is not None:
+        fused = np.zeros_like(run.fused_sqerr)
+        epochs = [0] + scenario.update_epochs()
+        fused[epochs] = run.fused_sqerr[epochs]
+        checks.append(("fused track error", fused, ("frame",)))
+    for what, arr, axes in checks:
+        if arr is None:
+            continue
+        bad = ~np.isfinite(arr)
+        if bad.any():
+            idx = np.argwhere(bad)[0]
+            where = ", ".join(f"{a} {i}" for a, i in zip(axes, idx))
+            raise NumericalError(f"run {run_index}: non-finite {what} at {where}")
 
 
 def _true_bias_groups(scenario: Scenario, method: str) -> np.ndarray:

@@ -4,6 +4,10 @@ Trackers consume converted Cartesian position measurements and are
 bias-ignorant: they model the measurement as position plus white noise.  The
 Kalman update also exposes its gain and innovation so that an oracle
 comparison path can consume the true gains.
+
+Every tracker function accepts leading batch axes on its estimates and
+measurements, so one call advances a whole batch of independent tracks; a
+single track is the batch-free case of the same code.
 """
 
 from __future__ import annotations
@@ -54,34 +58,70 @@ def _position_indices(dim: int) -> tuple[int, int]:
     return (0, 2) if dim == 4 else (0, 3)
 
 
+def _batch_index(bad: np.ndarray) -> tuple[int, ...] | None:
+    """Leading-axis index of the first True entry of ``bad`` (None if none)."""
+    hits = np.argwhere(bad)
+    return tuple(int(i) for i in hits[0]) if hits.size else None
+
+
+def _where(index: tuple[int, ...] | None) -> str:
+    return "" if not index else f" at batch index {list(index)}"
+
+
+def _solve(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
+    """Batched ``solve(a, b)``; a singular ``a`` raises
+    :class:`SingularMatrixError` naming the first failing batch index."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        # Error path only: find which matrix of the batch failed.
+        index = None
+        for idx in np.ndindex(a.shape[:-2]):
+            try:
+                np.linalg.solve(a[idx], np.eye(a.shape[-1]))
+            except np.linalg.LinAlgError:
+                index = idx or None
+                break
+        bad = a if index is None else a[index]
+        raise SingularMatrixError(
+            f"{what} singular{_where(index)} (cond ~ {sym_cond(bad):.3e})", index=index
+        ) from exc
+
+
 @dataclass
 class GaussianEstimate:
-    """State mean and covariance at an integer frame index."""
+    """State mean and covariance at an integer frame index.
+
+    ``mean`` has shape (..., n) and ``cov`` (..., n, n); leading axes index
+    a batch of independent estimates that share ``frame``.
+    """
 
     mean: np.ndarray
     cov: np.ndarray
     frame: int = 0
 
     def __post_init__(self) -> None:
-        self.mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        n = self.mean.shape[0]
-        self.cov = np.asarray(self.cov, dtype=float).reshape(n, n)
+        self.mean = np.asarray(self.mean, dtype=float)
+        n = self.mean.shape[-1]
+        self.cov = np.asarray(self.cov, dtype=float).reshape(self.mean.shape + (n,))
 
     @property
     def dim(self) -> int:
-        return self.mean.shape[0]
+        return self.mean.shape[-1]
 
     def position(self) -> np.ndarray:
         i, j = _position_indices(self.dim)
-        return self.mean[[i, j]]
+        return self.mean[..., [i, j]]
 
 
 @dataclass
 class KfStepRecord:
-    """Gain, innovation and predicted measurement of one Kalman update."""
+    """Gain, innovation, its covariance and the predicted measurement of one
+    Kalman update, with the batch axes of the updated estimate."""
 
     gain: np.ndarray
     innovation: np.ndarray
+    innovation_cov: np.ndarray
     predicted_meas: np.ndarray
 
 
@@ -91,16 +131,21 @@ def init_track(
     pos_sigma: float = INIT_POS_SIGMA,
     vel_sigma: float = INIT_VEL_SIGMA,
 ) -> GaussianEstimate:
-    """Start a track from a converted measurement with zero velocity."""
-    mean = np.array([z.z[0], 0.0, z.z[1], 0.0])
-    cov = np.diag([pos_sigma**2, vel_sigma**2, pos_sigma**2, vel_sigma**2])
+    """Start a track from a converted measurement with zero velocity (one
+    track per measurement of a batch)."""
+    mean = np.zeros(z.z.shape[:-1] + (4,))
+    mean[..., ::2] = z.z
+    cov = np.zeros(mean.shape + (4,))
+    cov[...] = np.diag([pos_sigma**2, vel_sigma**2, pos_sigma**2, vel_sigma**2])
     return GaussianEstimate(mean=mean, cov=cov, frame=frame)
 
 
 def kf_predict(est: GaussianEstimate, model: MotionModel | MultiStepModel) -> GaussianEstimate:
     """Propagate mean and covariance through the model."""
     steps = model.steps if isinstance(model, MultiStepModel) else 1
-    mean = model.F @ est.mean
+    # A stack of matrix-vector products, not ``mean @ F.T``: each element
+    # then sums in the same order as a batch-free call, bit for bit.
+    mean = (model.F @ est.mean[..., None])[..., 0]
     cov = symmetrize(model.F @ est.cov @ model.F.T + model.Q)
     return GaussianEstimate(mean=mean, cov=cov, frame=est.frame + steps)
 
@@ -108,51 +153,52 @@ def kf_predict(est: GaussianEstimate, model: MotionModel | MultiStepModel) -> Ga
 def kf_update(
     est: GaussianEstimate, z: CartesianMeasurement
 ) -> tuple[GaussianEstimate, KfStepRecord]:
-    """Kalman position update with a Joseph-form covariance step."""
+    """Kalman position update with a Joseph-form covariance step.
+
+    The batch axes of ``est`` and ``z`` broadcast against each other.
+    """
     n = est.dim
     H = position_selector(n)
-    i, j = _position_indices(n)
-    z_pred = est.mean[[i, j]]
+    pos = list(_position_indices(n))
+    z_pred = est.mean[..., pos]
     nu = z.z - z_pred
-    S = est.cov[np.ix_((i, j), (i, j))] + z.R
-    try:
-        W = np.linalg.solve(S.T, est.cov[:, (i, j)].T).T
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(
-            f"innovation covariance singular (cond ~ {sym_cond(S):.3e})"
-        ) from exc
-    mean = est.mean + W @ nu
+    PHt = est.cov[..., :, pos]
+    S = PHt[..., pos, :] + z.R
+    W = _solve(S.swapaxes(-1, -2), PHt.swapaxes(-1, -2), "innovation covariance")
+    W = W.swapaxes(-1, -2)
+    mean = est.mean + (W @ nu[..., None])[..., 0]
     M = np.eye(n) - W @ H
-    cov = symmetrize(M @ est.cov @ M.T + W @ z.R @ W.T)
-    rec = KfStepRecord(gain=W, innovation=nu, predicted_meas=z_pred)
+    cov = symmetrize(M @ est.cov @ M.swapaxes(-1, -2) + W @ z.R @ W.swapaxes(-1, -2))
+    rec = KfStepRecord(gain=W, innovation=nu, innovation_cov=S, predicted_meas=z_pred)
     return GaussianEstimate(mean=mean, cov=cov, frame=est.frame), rec
+
+
+_POS_VEL = np.array([0, 1, 3, 4])
 
 
 def marginal_position_velocity(est: GaussianEstimate) -> GaussianEstimate:
     """Marginalize a 6-dim (with accelerations) estimate to [x, xdot, y, ydot]."""
     if est.dim == 4:
         return est
-    idx = np.array([0, 1, 3, 4])
-    return GaussianEstimate(
-        mean=est.mean[idx], cov=est.cov[np.ix_(idx, idx)], frame=est.frame
-    )
+    mean, cov = _embed(est.mean, est.cov, 6, 4, 0.0)
+    return GaussianEstimate(mean=mean, cov=cov, frame=est.frame)
 
 
 def _embed(est_mean, est_cov, from_dim: int, to_dim: int, accel_var: float):
-    """Map a mode estimate between 4- and 6-dim state spaces."""
+    """Map a (batched) mode estimate between 4- and 6-dim state spaces."""
     if from_dim == to_dim:
         return est_mean, est_cov
+    idx = _POS_VEL
     if from_dim == 6 and to_dim == 4:
-        idx = np.array([0, 1, 3, 4])
-        return est_mean[idx], est_cov[np.ix_(idx, idx)]
+        return est_mean[..., idx], est_cov[..., idx[:, None], idx]
     if from_dim == 4 and to_dim == 6:
-        idx = np.array([0, 1, 3, 4])
-        mean = np.zeros(6)
-        mean[idx] = est_mean
-        cov = np.zeros((6, 6))
-        cov[np.ix_(idx, idx)] = est_cov
-        cov[2, 2] = accel_var
-        cov[5, 5] = accel_var
+        batch = est_mean.shape[:-1]
+        mean = np.zeros(batch + (6,))
+        mean[..., idx] = est_mean
+        cov = np.zeros(batch + (6, 6))
+        cov[..., idx[:, None], idx] = est_cov
+        cov[..., 2, 2] = accel_var
+        cov[..., 5, 5] = accel_var
         return mean, cov
     raise ValueError(f"cannot map dimension {from_dim} to {to_dim}")
 
@@ -165,6 +211,9 @@ class ImmState:
     switching probabilities out of each mode.  Modes of different state
     dimension (e.g. an accelerating mode) are mixed by embedding the smaller
     state with ``accel_prior_var`` on the unmodeled acceleration components.
+
+    The modes and ``mode_probs`` (..., n_modes) may carry leading batch axes
+    (one bank per element); ``models`` and ``transition`` are shared.
     """
 
     modes: list[GaussianEstimate]
@@ -174,25 +223,60 @@ class ImmState:
     accel_prior_var: float = 100.0
 
     def __post_init__(self) -> None:
-        self.mode_probs = np.asarray(self.mode_probs, dtype=float).reshape(-1)
+        self.mode_probs = np.asarray(self.mode_probs, dtype=float)
         n = len(self.modes)
         self.transition = np.asarray(self.transition, dtype=float).reshape(n, n)
-        if len(self.models) != n or self.mode_probs.shape[0] != n:
+        if len(self.models) != n or self.mode_probs.shape[-1] != n:
             raise ValueError("modes, models and mode_probs must have equal length")
-        if np.any(self.mode_probs < 0) or not math.isclose(
-            self.mode_probs.sum(), 1.0, rel_tol=0, abs_tol=1e-9
+        if np.any(self.mode_probs < 0) or np.any(
+            np.abs(self.mode_probs.sum(axis=-1) - 1.0) > 1e-9
         ):
             raise ValueError("mode probabilities must form a simplex vector")
         if not np.allclose(self.transition.sum(axis=1), 1.0, atol=1e-9):
             raise ValueError("transition matrix rows must sum to 1")
 
+    @classmethod
+    def from_track(
+        cls,
+        est: GaussianEstimate,
+        models: list[MotionModel],
+        mode_probs: np.ndarray,
+        transition: np.ndarray,
+    ) -> ImmState:
+        """Start every mode from one (batched) track estimate, embedded into
+        the mode's state space."""
+        modes = [
+            GaussianEstimate(
+                *_embed(est.mean, est.cov, est.dim, m.dim, cls.accel_prior_var),
+                frame=est.frame,
+            )
+            for m in models
+        ]
+        return cls(modes=modes, models=models, mode_probs=mode_probs, transition=transition)
 
-def _gauss_loglik(nu: np.ndarray, S: np.ndarray) -> float:
+
+def _gauss_loglik(nu: np.ndarray, S: np.ndarray) -> np.ndarray:
     sign, logdet = np.linalg.slogdet(S)
-    if sign <= 0:
-        raise SingularMatrixError("innovation covariance not positive definite")
-    maha = float(nu @ np.linalg.solve(S, nu))
-    return -0.5 * (maha + logdet + nu.shape[0] * math.log(2.0 * math.pi))
+    if np.any(sign <= 0):
+        index = _batch_index(sign <= 0)
+        raise SingularMatrixError(
+            f"innovation covariance not positive definite{_where(index)}", index=index
+        )
+    # matmul, not an elementwise product and sum, for the same reason as in
+    # kf_predict: it rounds like the batch-free dot product.
+    maha = (nu[..., None, :] @ _solve(S, nu[..., None], "innovation covariance"))[..., 0, 0]
+    return -0.5 * (maha + logdet + nu.shape[-1] * math.log(2.0 * math.pi))
+
+
+def _moments(weights: np.ndarray, means: list, covs: list) -> tuple[np.ndarray, np.ndarray]:
+    """Moment-matched mean and covariance of a (batched) Gaussian mixture;
+    ``weights[..., i]`` weighs ``means[i]`` and ``covs[i]``."""
+    x = sum(weights[..., i, None] * m for i, m in enumerate(means))
+    P = sum(
+        weights[..., i, None, None] * (P_i + (m - x)[..., :, None] * (m - x)[..., None, :])
+        for i, (m, P_i) in enumerate(zip(means, covs))
+    )
+    return x, symmetrize(P)
 
 
 def imm_step(
@@ -201,58 +285,39 @@ def imm_step(
     """One IMM cycle: mix, mode-matched predict/update, reweight, combine.
 
     Returns the new bank state and the moment-matched combined estimate on
-    the 4-dim position/velocity interface.
+    the 4-dim position/velocity interface.  Every bank of a batch advances
+    in the same call.
     """
-    n_modes = len(state.modes)
     mu = state.mode_probs
     Pi = state.transition
-    c_bar = Pi.T @ mu
+    c_bar = mu @ Pi
     if np.any(c_bar <= 0):
-        raise SingularMatrixError("unreachable mode in IMM transition matrix")
-
-    # Mixed initial conditions per destination mode.
-    mixed: list[GaussianEstimate] = []
-    for j in range(n_modes):
-        dim_j = state.models[j].dim
-        w = Pi[:, j] * mu / c_bar[j]
-        means = []
-        covs = []
-        for i in range(n_modes):
-            m, P = _embed(
-                state.modes[i].mean,
-                state.modes[i].cov,
-                state.modes[i].dim,
-                dim_j,
-                state.accel_prior_var,
-            )
-            means.append(m)
-            covs.append(P)
-        x0 = sum(w[i] * means[i] for i in range(n_modes))
-        P0 = sum(
-            w[i] * (covs[i] + np.outer(means[i] - x0, means[i] - x0))
-            for i in range(n_modes)
-        )
-        mixed.append(
-            GaussianEstimate(mean=x0, cov=symmetrize(P0), frame=state.modes[j].frame)
+        index = _batch_index(np.any(c_bar <= 0, axis=-1))
+        raise SingularMatrixError(
+            f"unreachable mode in IMM transition matrix{_where(index)}", index=index
         )
 
-    # Mode-matched predict and update.
+    # Mixed initial conditions per destination mode; w[..., i, j] weighs
+    # source mode i in destination mode j.
+    w = Pi * mu[..., :, None] / c_bar[..., None, :]
     new_modes: list[GaussianEstimate] = []
-    logliks = np.empty(n_modes)
-    for j in range(n_modes):
-        pred = kf_predict(mixed[j], state.models[j])
-        i, k = _position_indices(pred.dim)
-        S = pred.cov[np.ix_((i, k), (i, k))] + z.R
-        nu = z.z - pred.mean[[i, k]]
-        logliks[j] = _gauss_loglik(nu, S)
-        upd, _ = kf_update(pred, z)
+    logliks = []
+    for j, model in enumerate(state.models):
+        means, covs = zip(
+            *(_embed(m.mean, m.cov, m.dim, model.dim, state.accel_prior_var) for m in state.modes)
+        )
+        x0, P0 = _moments(w[..., j], means, covs)
+        mixed = GaussianEstimate(mean=x0, cov=P0, frame=state.modes[j].frame)
+        # Mode-matched predict and update.
+        upd, rec = kf_update(kf_predict(mixed, model), z)
+        logliks.append(_gauss_loglik(rec.innovation, rec.innovation_cov))
         new_modes.append(upd)
 
     # Mode probability update (log-domain for underflow safety).
-    log_mu = np.log(c_bar) + logliks
-    log_mu -= log_mu.max()
+    log_mu = np.log(c_bar) + np.stack(logliks, axis=-1)
+    log_mu -= log_mu.max(axis=-1, keepdims=True)
     mu_new = np.exp(log_mu)
-    mu_new /= mu_new.sum()
+    mu_new /= mu_new.sum(axis=-1, keepdims=True)
 
     new_state = ImmState(
         modes=new_modes,
@@ -264,10 +329,6 @@ def imm_step(
 
     # Moment-matched combined output on the 4-dim interface.
     outs = [marginal_position_velocity(m) for m in new_modes]
-    x = sum(mu_new[j] * outs[j].mean for j in range(n_modes))
-    P = sum(
-        mu_new[j] * (outs[j].cov + np.outer(outs[j].mean - x, outs[j].mean - x))
-        for j in range(n_modes)
-    )
-    combined = GaussianEstimate(mean=x, cov=symmetrize(P), frame=outs[0].frame)
+    x, P = _moments(mu_new, [o.mean for o in outs], [o.cov for o in outs])
+    combined = GaussianEstimate(mean=x, cov=P, frame=outs[0].frame)
     return new_state, combined

@@ -334,3 +334,109 @@ def test_scale_bias_scenario_runs():
     m = run_monte_carlo(sc, "fbe", mc_runs=2)
     assert m.bias_rmse.shape[2] == 4
     assert np.all(np.isfinite(m.bias_rmse))
+
+
+@pytest.mark.parametrize(
+    "path, where",
+    [
+        ((), "scenario"),
+        (("sensors", 1), "sensor 1"),
+        (("sensors", 0, "bias"), "sensor 0 bias"),
+        (("targets", 1), "target 1"),
+        (("targets", 1, "segments", 1), "target 1 segment 1"),
+        (("local_filter",), "local_filter"),
+    ],
+)
+def test_scenario_rejects_unknown_keys(path, where):
+    doc = _tiny_scenario()
+    node = doc
+    for key in path:
+        node = node[key]
+    node["colour"] = "red"
+    with pytest.raises(ScenarioError, match=f"{where}: unknown key 'colour'"):
+        load_scenario(doc)
+
+
+def test_scenario_loads_bias_prior():
+    sc = load_scenario(_tiny_scenario(bias_prior_offset=[5.0, 2e-3], bias_prior_scale=0.05))
+    assert sc.bias_prior_offset == (5.0, 2e-3)
+    assert sc.bias_prior_scale == 0.05
+    sc.estimate_scale_bias = True
+    np.testing.assert_array_equal(sc.bias_prior_sigma(), [5.0, 2e-3, 0.05, 0.05])
+    for bad in ({"bias_prior_offset": [5.0]}, {"bias_prior_scale": 0.0}):
+        with pytest.raises(ScenarioError):
+            load_scenario(_tiny_scenario(**bad))
+
+
+def _finite_run():
+    from sensorreg.harness.simulate import SingleRun
+
+    sc = load_scenario(_tiny_scenario())
+    tracks = run_local_tracks(sc, simulate_truth(sc, 0))
+    K1 = sc.frames + 1
+    fused = np.full(K1, np.nan)
+    fused[[0] + sc.update_epochs()] = 1.0
+    run = SingleRun(
+        b_series=np.zeros((K1, 3, 2)),
+        sigma_series=np.ones((K1, 3, 2, 2)),
+        local_sqerr=np.ones(K1),
+        fused_sqerr=fused,
+    )
+    return sc, run, tracks
+
+
+@pytest.mark.parametrize(
+    "owner, field, index, message",
+    [
+        ("run", "b_series", (4, 2, 1), "bias estimate at frame 4, sensor 2"),
+        ("run", "sigma_series", (2, 1, 0, 1), "bias covariance at frame 2, sensor 1"),
+        ("run", "local_sqerr", (3,), "local track error at frame 3"),
+        ("run", "fused_sqerr", (4,), "fused track error at frame 4"),
+        ("tracks", "mean", (1, 0, 5, 2), "local track mean at sensor 1, target 0, frame 5"),
+        ("tracks", "cov", (2, 1, 3, 0, 0), "local track covariance at sensor 2, target 1, frame 3"),
+    ],
+)
+def test_check_finite_names_location(owner, field, index, message):
+    from sensorreg.errors import NumericalError
+    from sensorreg.harness.simulate import _check_finite
+
+    sc, run, tracks = _finite_run()
+    _check_finite(sc, run, tracks, 7)  # NaN off the fusion epochs is by design
+    getattr(run if owner == "run" else tracks, field)[index] = np.inf
+    with pytest.raises(NumericalError, match=f"run 7: non-finite {message}"):
+        _check_finite(sc, run, tracks, 7)
+
+
+def _singular_truth(sc, s, t, k):
+    """Truth whose measurement noise cancels the predicted position
+    covariance of stream (s, t) at frame k, making its innovation
+    covariance exactly zero."""
+    from sensorreg.dynamics import ncv_model
+    from sensorreg.trackers import kf_predict
+
+    truth = simulate_truth(sc, 0)
+    tracks = run_local_tracks(sc, truth)
+    pred = kf_predict(tracks.estimate(s, t, k - 1), ncv_model(sc.dt, sc.local_filter.q))
+    truth.cart_R[s, t, k] = -pred.cov[np.ix_([0, 2], [0, 2])]
+    return truth
+
+
+def test_singular_stream_is_named(tmp_path, capsys, monkeypatch):
+    import sensorreg.harness.simulate as sim
+    from sensorreg.cli import main
+    from sensorreg.errors import SingularMatrixError
+
+    doc = _tiny_scenario()
+    sc = load_scenario(doc)
+    truth = _singular_truth(sc, 1, 0, 3)
+    with pytest.raises(SingularMatrixError, match="sensor 1, target 0, frame 3: ") as info:
+        run_local_tracks(sc, truth)
+    assert info.value.index == (1, 0)
+
+    # The CLI adds the run and exits 2.
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(sim, "simulate_truth", lambda *args, **kwargs: truth)
+    code = main(["simulate", "--scenario", str(path), "--runs", "1", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "run 0: sensor 1, target 0, frame 3: " in capsys.readouterr().err

@@ -228,3 +228,88 @@ def test_unbiased_track_nees_within_chi_square_band():
     hi = chi2.ppf(0.975, 4 * runs) / runs
     inside = np.sum((avg >= lo) & (avg <= hi))
     assert inside >= 0.9 * frames
+
+
+def test_batched_update_names_singular_element():
+    cov = np.stack([np.eye(4), np.zeros((4, 4)), np.eye(4)])
+    R = np.stack([np.eye(2), np.zeros((2, 2)), np.eye(2)])
+    est = GaussianEstimate(mean=np.zeros((3, 4)), cov=cov)
+    with pytest.raises(SingularMatrixError, match=r"batch index \[1\]") as info:
+        kf_update(est, CartesianMeasurement(z=np.zeros((3, 2)), R=R))
+    assert info.value.index == (1,)
+
+
+def test_batched_imm_names_unreachable_mode():
+    model = ncv_model(1.0, 1.0)
+    z0 = CartesianMeasurement(z=np.zeros((2, 2)), R=np.broadcast_to(np.eye(2), (2, 2, 2)))
+    state = ImmState.from_track(
+        init_track(z0), [model, model], np.array([[0.5, 0.5], [1.0, 0.0]]), np.eye(2)
+    )
+    with pytest.raises(SingularMatrixError, match="unreachable mode") as info:
+        imm_step(state, z0)
+    assert info.value.index == (1,)
+
+
+def test_imm_from_track_embeds_with_accel_prior():
+    from sensorreg.dynamics import nca_model
+
+    est = init_track(CartesianMeasurement(z=[3.0, 4.0], R=np.eye(2)))
+    state = ImmState.from_track(
+        est, [nca_model(1.0, 10.0), ncv_model(1.0, 2.0)], [0.5, 0.5], np.eye(2)
+    )
+    six, four = state.modes
+    idx = [0, 1, 3, 4]
+    np.testing.assert_array_equal(six.mean[idx], est.mean)
+    np.testing.assert_array_equal(six.cov[np.ix_(idx, idx)], est.cov)
+    assert six.cov[2, 2] == six.cov[5, 5] == ImmState.accel_prior_var
+    np.testing.assert_array_equal(four.mean, est.mean)
+
+
+def _per_stream_tracks(sc, truth):
+    """Reference: every (sensor, target) stream run alone through the
+    batch-free tracker calls."""
+    from sensorreg.harness.simulate import IMM_INITIAL_PROBS, IMM_TRANSITION, _local_model
+
+    models = _local_model(sc)
+    S, T, K1 = truth.cart_z.shape[:3]
+    mean = np.empty((S, T, K1, 4))
+    cov = np.empty((S, T, K1, 4, 4))
+    gain = np.full((S, T, K1, 4, 2), np.nan)
+    for s in range(S):
+        for t in range(T):
+            est = init_track(CartesianMeasurement(z=truth.cart_z[s, t, 0], R=truth.cart_R[s, t, 0]))
+            mean[s, t, 0], cov[s, t, 0] = est.mean, est.cov
+            if sc.local_filter.type != "kf":
+                state = ImmState.from_track(est, models, IMM_INITIAL_PROBS, IMM_TRANSITION)
+            for k in range(1, K1):
+                z = CartesianMeasurement(z=truth.cart_z[s, t, k], R=truth.cart_R[s, t, k])
+                if sc.local_filter.type == "kf":
+                    est, rec = kf_update(kf_predict(est, models), z)
+                    gain[s, t, k] = rec.gain
+                else:
+                    state, est = imm_step(state, z)
+                mean[s, t, k], cov[s, t, k] = est.mean, est.cov
+    return mean, cov, gain
+
+
+@pytest.mark.parametrize("filter_type", ["kf", "imm_ncv_ncv", "imm_nca_ncv"])
+def test_lockstep_tracks_match_per_stream_loop(filter_type):
+    # Tolerance stated in CHANGES.md: KF gains and covariances equal, KF means
+    # within 1e-11 relative; IMM means and covariances within 1e-12 of each
+    # array's largest magnitude.
+    from sensorreg.harness import load_scenario, run_local_tracks, simulate_truth
+
+    sc = load_scenario("two_sensor")
+    sc.frames = 12
+    sc.local_filter.type = filter_type
+    truth = simulate_truth(sc, 0)
+    tracks = run_local_tracks(sc, truth)
+    mean, cov, gain = _per_stream_tracks(sc, truth)
+    if filter_type == "kf":
+        np.testing.assert_array_equal(tracks.gain, gain)
+        np.testing.assert_array_equal(tracks.cov, cov)
+        np.testing.assert_allclose(tracks.mean, mean, rtol=1e-11, atol=0)
+    else:
+        assert tracks.gain is None
+        for got, want in ((tracks.mean, mean), (tracks.cov, cov)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())

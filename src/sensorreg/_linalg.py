@@ -25,21 +25,44 @@ def inv_sym(mat: np.ndarray, context: str = "matrix") -> np.ndarray:
     return out
 
 
+def first_index(bad: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first True entry of ``bad`` (None if there is none)."""
+    hits = np.argwhere(bad)
+    return tuple(int(i) for i in hits[0]) if hits.size else None
+
+
+def at_index(index: tuple[int, ...] | None) -> str:
+    """Message suffix naming a batch index; empty for a batch-free one."""
+    return "" if not index else f" at batch index {list(index)}"
+
+
 def solve_psd(mat: np.ndarray, rhs: np.ndarray, context: str = "matrix") -> np.ndarray:
-    """Solve ``mat @ x = rhs``; raise with a condition diagnostic on failure."""
+    """Solve ``mat @ x = rhs`` for every matrix on the leading batch axes.
+
+    A singular ``mat`` raises :class:`SingularMatrixError` carrying the
+    first failing batch index and a condition diagnostic.
+    """
     try:
         return np.linalg.solve(mat, rhs)
     except np.linalg.LinAlgError as exc:
-        cond = sym_cond(mat)
-        raise SingularMatrixError(f"{context} is singular (cond ~ {cond:.3e})") from exc
+        # Error path only: find which matrix of the batch failed.
+        index = None
+        for idx in np.ndindex(mat.shape[:-2]):
+            try:
+                np.linalg.solve(mat[idx], np.eye(mat.shape[-1]))
+            except np.linalg.LinAlgError:
+                index = idx or None
+                break
+        cond = sym_cond(mat if index is None else mat[index])
+        raise SingularMatrixError(
+            f"{context} is singular{at_index(index)} (cond ~ {cond:.3e})", index=index
+        ) from exc
 
 
 def sym_cond(mat: np.ndarray) -> float:
     """Spectral condition number of a symmetric matrix (inf when singular)."""
     w = np.abs(np.linalg.eigvalsh(symmetrize(mat)))
-    wmax = w.max(initial=0.0)
-    wmin = w.min(initial=0.0)
-    if wmin == 0.0:
+    if w.size == 0 or w.min() == 0.0:
         return np.inf
-    return float(wmax / wmin)
+    return float(w.max() / w.min())
 

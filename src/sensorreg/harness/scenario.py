@@ -37,6 +37,11 @@ BUILTIN_SCENARIOS = (
 
 LOCAL_FILTER_TYPES = ("kf", "imm_ncv_ncv", "imm_nca_ncv")
 
+# Prior standard deviations of the bias filters: range offset (m), azimuth
+# offset (rad), and each scale bias.
+BIAS_PRIOR_OFFSET_SIGMA = (20.0, 1e-3)
+BIAS_PRIOR_SCALE_SIGMA = 0.01
+
 
 @dataclass
 class SensorSpec:
@@ -97,8 +102,6 @@ class Scenario:
     fusion_q: float = 1.0
     estimate_scale_bias: bool = False
     rng_seed: int = 0
-    bias_prior_offset: tuple[float, float] = (20.0, 1e-3)
-    bias_prior_scale: float = 0.01
 
     def __post_init__(self) -> None:
         self.validate()
@@ -116,10 +119,6 @@ class Scenario:
             raise ScenarioError("dt must be positive")
         if self.process_noise_q < 0 or self.fusion_q < 0:
             raise ScenarioError("noise intensities must be non-negative")
-        if len(self.bias_prior_offset) != 2:
-            raise ScenarioError("bias_prior_offset needs a range and an azimuth sigma")
-        if min(self.bias_prior_offset) <= 0 or self.bias_prior_scale <= 0:
-            raise ScenarioError("bias prior sigmas must be positive")
         if self.local_filter.type not in LOCAL_FILTER_TYPES:
             raise ScenarioError(
                 f"unknown local filter type {self.local_filter.type!r}; "
@@ -146,9 +145,9 @@ class Scenario:
         return 4 if self.estimate_scale_bias else 2
 
     def bias_prior_sigma(self) -> np.ndarray:
-        off = np.array(self.bias_prior_offset, dtype=float)
+        off = np.array(BIAS_PRIOR_OFFSET_SIGMA, dtype=float)
         if self.estimate_scale_bias:
-            return np.concatenate([off, [self.bias_prior_scale, self.bias_prior_scale]])
+            return np.concatenate([off, [BIAS_PRIOR_SCALE_SIGMA, BIAS_PRIOR_SCALE_SIGMA]])
         return off
 
     def update_epochs(self) -> list[int]:
@@ -227,10 +226,6 @@ def _scenario_from_dict(doc: dict) -> Scenario:
             fusion_q=float(doc.get("fusion_q", 1.0)),
             estimate_scale_bias=bool(doc.get("estimate_scale_bias", False)),
             rng_seed=int(doc.get("rng_seed", 0)),
-            bias_prior_offset=tuple(
-                float(v) for v in doc.get("bias_prior_offset", Scenario.bias_prior_offset)
-            ),
-            bias_prior_scale=float(doc.get("bias_prior_scale", Scenario.bias_prior_scale)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ScenarioError):

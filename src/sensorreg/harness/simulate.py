@@ -576,6 +576,9 @@ def run_single(scenario: Scenario, run_index: int, method: str) -> SingleRun:
         else:
             out = _run_baseline(scenario, truth, tracks)
     except NumericalError as exc:
+        # Keep the error type and the failing batch index.
+        if isinstance(exc, SingularMatrixError):
+            raise type(exc)(f"run {run_index}: {exc}", index=exc.index) from exc
         raise NumericalError(f"run {run_index}: {exc}") from exc
     _check_finite(scenario, out, tracks, run_index)
     return out

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import symmetrize, sym_cond
+from ._linalg import at_index, first_index, solve_psd, symmetrize
 from .coords import CartesianMeasurement
 from .dynamics import MotionModel, MultiStepModel
 from .errors import SingularMatrixError
@@ -56,36 +56,6 @@ def position_selector(dim: int) -> np.ndarray:
 
 def _position_indices(dim: int) -> tuple[int, int]:
     return (0, 2) if dim == 4 else (0, 3)
-
-
-def _batch_index(bad: np.ndarray) -> tuple[int, ...] | None:
-    """Leading-axis index of the first True entry of ``bad`` (None if none)."""
-    hits = np.argwhere(bad)
-    return tuple(int(i) for i in hits[0]) if hits.size else None
-
-
-def _where(index: tuple[int, ...] | None) -> str:
-    return "" if not index else f" at batch index {list(index)}"
-
-
-def _solve(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
-    """Batched ``solve(a, b)``; a singular ``a`` raises
-    :class:`SingularMatrixError` naming the first failing batch index."""
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        # Error path only: find which matrix of the batch failed.
-        index = None
-        for idx in np.ndindex(a.shape[:-2]):
-            try:
-                np.linalg.solve(a[idx], np.eye(a.shape[-1]))
-            except np.linalg.LinAlgError:
-                index = idx or None
-                break
-        bad = a if index is None else a[index]
-        raise SingularMatrixError(
-            f"{what} singular{_where(index)} (cond ~ {sym_cond(bad):.3e})", index=index
-        ) from exc
 
 
 @dataclass
@@ -164,7 +134,7 @@ def kf_update(
     nu = z.z - z_pred
     PHt = est.cov[..., :, pos]
     S = PHt[..., pos, :] + z.R
-    W = _solve(S.swapaxes(-1, -2), PHt.swapaxes(-1, -2), "innovation covariance")
+    W = solve_psd(S.swapaxes(-1, -2), PHt.swapaxes(-1, -2), "innovation covariance")
     W = W.swapaxes(-1, -2)
     mean = est.mean + (W @ nu[..., None])[..., 0]
     M = np.eye(n) - W @ H
@@ -223,9 +193,10 @@ class ImmState:
     accel_prior_var: float = 100.0
 
     def __post_init__(self) -> None:
-        self.mode_probs = np.asarray(self.mode_probs, dtype=float)
+        # Copies, so that no two states share (and can edit) these arrays.
+        self.mode_probs = np.array(self.mode_probs, dtype=float)
         n = len(self.modes)
-        self.transition = np.asarray(self.transition, dtype=float).reshape(n, n)
+        self.transition = np.array(self.transition, dtype=float).reshape(n, n)
         if len(self.models) != n or self.mode_probs.shape[-1] != n:
             raise ValueError("modes, models and mode_probs must have equal length")
         if np.any(self.mode_probs < 0) or np.any(
@@ -258,13 +229,13 @@ class ImmState:
 def _gauss_loglik(nu: np.ndarray, S: np.ndarray) -> np.ndarray:
     sign, logdet = np.linalg.slogdet(S)
     if np.any(sign <= 0):
-        index = _batch_index(sign <= 0)
+        index = first_index(sign <= 0)
         raise SingularMatrixError(
-            f"innovation covariance not positive definite{_where(index)}", index=index
+            f"innovation covariance not positive definite{at_index(index)}", index=index
         )
     # matmul, not an elementwise product and sum, for the same reason as in
     # kf_predict: it rounds like the batch-free dot product.
-    maha = (nu[..., None, :] @ _solve(S, nu[..., None], "innovation covariance"))[..., 0, 0]
+    maha = (nu[..., None, :] @ solve_psd(S, nu[..., None], "innovation covariance"))[..., 0, 0]
     return -0.5 * (maha + logdet + nu.shape[-1] * math.log(2.0 * math.pi))
 
 
@@ -292,9 +263,9 @@ def imm_step(
     Pi = state.transition
     c_bar = mu @ Pi
     if np.any(c_bar <= 0):
-        index = _batch_index(np.any(c_bar <= 0, axis=-1))
+        index = first_index(np.any(c_bar <= 0, axis=-1))
         raise SingularMatrixError(
-            f"unreachable mode in IMM transition matrix{_where(index)}", index=index
+            f"unreachable mode in IMM transition matrix{at_index(index)}", index=index
         )
 
     # Mixed initial conditions per destination mode; w[..., i, j] weighs

@@ -357,17 +357,6 @@ def test_scenario_rejects_unknown_keys(path, where):
         load_scenario(doc)
 
 
-def test_scenario_loads_bias_prior():
-    sc = load_scenario(_tiny_scenario(bias_prior_offset=[5.0, 2e-3], bias_prior_scale=0.05))
-    assert sc.bias_prior_offset == (5.0, 2e-3)
-    assert sc.bias_prior_scale == 0.05
-    sc.estimate_scale_bias = True
-    np.testing.assert_array_equal(sc.bias_prior_sigma(), [5.0, 2e-3, 0.05, 0.05])
-    for bad in ({"bias_prior_offset": [5.0]}, {"bias_prior_scale": 0.0}):
-        with pytest.raises(ScenarioError):
-            load_scenario(_tiny_scenario(**bad))
-
-
 def _finite_run():
     from sensorreg.harness.simulate import SingleRun
 
@@ -433,10 +422,15 @@ def test_singular_stream_is_named(tmp_path, capsys, monkeypatch):
         run_local_tracks(sc, truth)
     assert info.value.index == (1, 0)
 
-    # The CLI adds the run and exits 2.
+    # run_single adds the run and keeps the error type and index.
+    monkeypatch.setattr(sim, "simulate_truth", lambda *args, **kwargs: truth)
+    with pytest.raises(SingularMatrixError, match="run 0: sensor 1, target 0, frame 3: ") as info:
+        sim.run_single(sc, 0, "fbe")
+    assert info.value.index == (1, 0)
+
+    # The CLI exits 2 with the full location.
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(doc))
-    monkeypatch.setattr(sim, "simulate_truth", lambda *args, **kwargs: truth)
     code = main(["simulate", "--scenario", str(path), "--runs", "1", "--out", str(tmp_path / "o")])
     assert code == 2
     assert "run 0: sensor 1, target 0, frame 3: " in capsys.readouterr().err

@@ -230,6 +230,13 @@ def test_unbiased_track_nees_within_chi_square_band():
     assert inside >= 0.9 * frames
 
 
+def test_sym_cond_of_regular_and_singular_matrices():
+    from sensorreg._linalg import sym_cond
+
+    assert sym_cond(np.diag([1.0, 4.0])) == 4.0
+    assert sym_cond(np.diag([1.0, 0.0])) == np.inf
+
+
 def test_batched_update_names_singular_element():
     cov = np.stack([np.eye(4), np.zeros((4, 4)), np.eye(4)])
     R = np.stack([np.eye(2), np.zeros((2, 2)), np.eye(2)])
@@ -254,9 +261,11 @@ def test_imm_from_track_embeds_with_accel_prior():
     from sensorreg.dynamics import nca_model
 
     est = init_track(CartesianMeasurement(z=[3.0, 4.0], R=np.eye(2)))
-    state = ImmState.from_track(
-        est, [nca_model(1.0, 10.0), ncv_model(1.0, 2.0)], [0.5, 0.5], np.eye(2)
-    )
+    probs, Pi = np.array([0.5, 0.5]), np.eye(2)
+    state = ImmState.from_track(est, [nca_model(1.0, 10.0), ncv_model(1.0, 2.0)], probs, Pi)
+    # The state owns its arrays: editing them leaves the caller's intact.
+    assert not np.shares_memory(state.mode_probs, probs)
+    assert not np.shares_memory(state.transition, Pi)
     six, four = state.modes
     idx = [0, 1, 3, 4]
     np.testing.assert_array_equal(six.mean[idx], est.mean)

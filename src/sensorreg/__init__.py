@@ -61,7 +61,6 @@ from .fusion import (
     SensorModel,
     bias_correct,
     fbe_step,
-    reconstruct_fused_gain,
     reconstruct_local_gain,
     sfa,
 )
@@ -135,7 +134,6 @@ __all__ = [
     "omb_step",
     "polar_to_cart_unbiased",
     "position_selector",
-    "reconstruct_fused_gain",
     "reconstruct_local_gain",
     "rlsb_update",
     "sensor_pseudo_obs",

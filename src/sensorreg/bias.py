@@ -19,7 +19,7 @@ from ._linalg import symmetrize, sym_cond
 from .coords import BiasJacobians
 from .dynamics import MultiStepModel
 from .errors import SingularMatrixError
-from .trackers import GaussianEstimate, position_selector
+from .trackers import GaussianEstimate
 
 __all__ = [
     "PseudoMeasurement",
@@ -30,12 +30,6 @@ __all__ = [
     "rlsb_update",
     "omb_step",
 ]
-
-
-# H H^+ for the full-row-rank position-selection matrix: the identity, kept
-# as an explicit constant so the reference-projection step stays visible.
-_H_POS = position_selector(4)
-_HHDAG = _H_POS @ _H_POS.T @ np.linalg.inv(_H_POS @ _H_POS.T)
 
 
 @dataclass
@@ -121,11 +115,11 @@ def difference_pseudo_measurement(
     ``H = -B C`` (restricted to the offset columns when ``offset_only``).
     The noise covariance is the sum of both sources' covariances.
 
-    The reference term is passed through H H^+ with the position-selection
-    measurement matrix; for that full-row-rank matrix the product is the
-    identity, so the result reduces to a plain difference.
+    The projection H H^+ through which the differenced term passes is the
+    identity for the full-row-rank position-selection matrix H, so the
+    result is a plain difference.
     """
-    z = np.asarray(z1, dtype=float) - _HHDAG @ np.asarray(z2, dtype=float)
+    z = np.asarray(z1, dtype=float) - np.asarray(z2, dtype=float)
     cols = 2 if offset_only else 4
     Hcal = -jac.K[:, :cols]
     return PseudoMeasurement(z=z, H=Hcal, R=np.asarray(R1) + np.asarray(R2))

@@ -7,6 +7,7 @@ numerical failures (diagnostics go to stderr).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -61,7 +62,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "simulate":
             scenario = load_scenario(args.scenario)
             if args.seed is not None:
-                scenario.rng_seed = int(args.seed)
+                # replace() re-runs the scenario's validation on the new seed.
+                scenario = dataclasses.replace(scenario, rng_seed=args.seed)
             metrics = run_monte_carlo(
                 scenario, method=args.method, mc_runs=args.runs, workers=args.workers
             )

@@ -12,13 +12,14 @@ a sequence of two-sensor problems with a single biased side.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import solve_psd, symmetrize
+from ._linalg import at_index, first_index, solve_psd, symmetrize
 from .bias import (
     BiasEstimate,
     difference_pseudo_measurement,
@@ -38,7 +39,6 @@ __all__ = [
     "SensorModel",
     "FbeResult",
     "reconstruct_local_gain",
-    "reconstruct_fused_gain",
     "bias_correct",
     "sfa",
     "fbe_step",
@@ -92,11 +92,7 @@ class SensorModel:
 def _position_block(M: np.ndarray) -> np.ndarray:
     # Positions sit at indices 0 and 2 of the 4-dim state, so the block is a
     # strided view.
-    return M[::2, ::2]
-
-
-def _pd_2x2(R: np.ndarray) -> bool:
-    return R[0, 0] > 0.0 and R[0, 0] * R[1, 1] - R[0, 1] * R[1, 0] > 0.0
+    return M[..., ::2, ::2]
 
 
 def reconstruct_local_gain(t: Tracklet, pred_cov: np.ndarray) -> ReconstructedGain:
@@ -105,35 +101,32 @@ def reconstruct_local_gain(t: Tracklet, pred_cov: np.ndarray) -> ReconstructedGa
     The equivalent measurement model is linear in position, so the noise is
     the position block of the tracklet covariance and the gain follows from
     the predicted covariance exactly as in a position-updating filter.
+    Leading batch axes of the tracklet carry through to ``W`` (..., 4, 2),
+    ``R`` (..., 2, 2) and ``y`` (..., 2).
     """
     R = symmetrize(_position_block(t.U))
-    if not _pd_2x2(R):
-        raise NumericalError("tracklet position covariance not positive definite")
+    det = R[..., 0, 0] * R[..., 1, 1] - R[..., 0, 1] * R[..., 1, 0]
+    bad = ~((R[..., 0, 0] > 0.0) & (det > 0.0))
+    if bad.any():
+        raise NumericalError(
+            f"tracklet position covariance not positive definite{at_index(first_index(bad))}"
+        )
     S = _position_block(pred_cov) + R
-    det = S[0, 0] * S[1, 1] - S[0, 1] * S[1, 0]
-    if det <= 0.0 or S[0, 0] <= 0.0:
-        raise SingularMatrixError("gain innovation covariance not positive definite")
-    S_inv = np.array([[S[1, 1], -S[0, 1]], [-S[1, 0], S[0, 0]]]) / det
-    W = pred_cov[:, ::2] @ S_inv
-    y = t.u[::2].copy()
+    det = S[..., 0, 0] * S[..., 1, 1] - S[..., 0, 1] * S[..., 1, 0]
+    bad = (det <= 0.0) | (S[..., 0, 0] <= 0.0)
+    if bad.any():
+        index = first_index(bad)
+        raise SingularMatrixError(
+            f"gain innovation covariance not positive definite{at_index(index)}",
+            index=index or None,
+        )
+    S_inv = np.empty_like(S)
+    S_inv[..., 0, 0], S_inv[..., 1, 1] = S[..., 1, 1], S[..., 0, 0]
+    S_inv[..., 0, 1], S_inv[..., 1, 0] = -S[..., 0, 1], -S[..., 1, 0]
+    S_inv /= det[..., None, None]
+    W = pred_cov[..., :, ::2] @ S_inv
+    y = t.u[..., ::2].copy()
     return ReconstructedGain(W=W, R=R, y=y)
-
-
-def reconstruct_fused_gain(
-    tracklets: list[Tracklet], fused_pred_cov: np.ndarray
-) -> ReconstructedGain:
-    """Recover the fused track's equivalent noise and gain from the
-    information sum of the contributing tracklets."""
-    if not tracklets:
-        raise ValueError("need at least one tracklet")
-    Lam = sum(t.info for t in tracklets)
-    U_f = solve_psd(Lam, np.eye(Lam.shape[0]), context="tracklet information sum")
-    R = symmetrize(_position_block(U_f))
-    if not _pd_2x2(R):
-        raise SingularMatrixError("fused equivalent noise not positive definite")
-    S = _position_block(fused_pred_cov) + R
-    W = solve_psd(S.T, fused_pred_cov[:, ::2].T, context="fused innovation covariance").T
-    return ReconstructedGain(W=W, R=R, y=None)
 
 
 def _gain_from_measurement_noises(
@@ -254,8 +247,6 @@ def fbe_step(
     fused_prev: dict,
     model: MotionModel,
     sensors: dict,
-    tracklet_method: str = "auto",
-    fused_gain: str = "corrected",
 ) -> FbeResult:
     """One frame of fused bias estimation across all reporting sensors.
 
@@ -269,10 +260,6 @@ def fbe_step(
         model: fusion-center motion model (single-step); multi-step
             transitions are composed per report lag.
         sensors: ``{sensor_id: SensorModel}`` geometry and noise levels.
-        fused_gain: "corrected" derives the fused gain from the corrected
-            measurement covariances the reference actually fused (exact
-            deconvolution, noise model aware of the other sensors' bias
-            uncertainty); "tracklet" uses the raw tracklet information sum.
 
     Returns a :class:`FbeResult` with updated bias states, updated
     leave-one-out fused tracks, the sensors actually fused per reference,
@@ -283,8 +270,6 @@ def fbe_step(
     pseudo-measurements within one sensor are folded in ascending target
     order.
     """
-    if fused_gain not in ("corrected", "tracklet"):
-        raise ValueError(f"unknown fused_gain mode {fused_gain!r}")
     reporters = sorted(tracks)
     new_bias = dict(bias_states)
     new_fused = {s: dict(fused_prev.get(s, {})) for s in fused_prev}
@@ -300,21 +285,19 @@ def fbe_step(
 
     # Tracklets, gain data, and frame-start corrections, shared across the
     # sensor loop (a sensor's corrected measurement is the same in every
-    # leave-one-out set it belongs to).
+    # leave-one-out set it belongs to).  Multi-step models are composed once
+    # per lag.
     local_gain: dict = {}
     corrected: dict = {}
-    steps: dict = {}
+    steps = functools.cache(functools.partial(compose_steps, model))
     for s in reporters:
         tl[s] = {}
         local_gain[s] = {}
         corrected[s] = {}
         for tgt in sorted(tracks[s]):
             prev, curr = tracks[s][tgt]
-            lag = curr.frame - prev.frame
-            ms = compose_steps(model, lag)
-            steps[(s, tgt)] = ms
             try:
-                t = compute_tracklet(prev, curr, ms, method=tracklet_method)
+                t = compute_tracklet(prev, curr, steps(curr.frame - prev.frame))
                 tl[s][tgt] = t
                 local_gain[s][tgt] = reconstruct_local_gain(t, t.pred_cov)
                 corrected[s][tgt] = bias_correct(
@@ -334,33 +317,24 @@ def fbe_step(
             if not others:
                 continue
             prev, curr = tracks[s][tgt]
-            ms = steps[(s, tgt)]
             g_s = local_gain[s][tgt]
-            zb_s = sensor_pseudo_obs(curr, prev, g_s.W, ms)
+            zb_s = sensor_pseudo_obs(curr, prev, g_s.W, steps(curr.frame - prev.frame))
 
             # Leave-one-out fused reference from bias-corrected tracklets.
             ref_meas = [corrected[r][tgt] for r in others]
             fp = fused_prev[s][tgt]
-            lag_f = curr.frame - fp.state.frame
-            msf = compose_steps(model, lag_f)
+            msf = steps(curr.frame - fp.state.frame)
             fused_new = sfa(
                 fp, msf, [(c.y, c.R) for c in ref_meas], sensor_ids=tuple(others)
             )
             pred_cov_f = symmetrize(msf.F @ fp.state.cov @ msf.F.T + msf.Q)
-            if fused_gain == "corrected":
-                # The fused gain describes the update the reference actually
-                # received: its equivalent noise combines the corrected
-                # measurement covariances (bias-uncertainty inflation
-                # included), the deconvolution below recovers their
-                # information-weighted mean exactly, and the noise model
-                # stays honest while the other sensors' estimates settle.
-                g_f = _gain_from_measurement_noises(
-                    [c.R for c in ref_meas], pred_cov_f
-                )
-            else:
-                g_f = reconstruct_fused_gain(
-                    [tl[r][tgt] for r in others], pred_cov_f
-                )
+            # The fused gain describes the update the reference actually
+            # received: its equivalent noise combines the corrected
+            # measurement covariances (bias-uncertainty inflation included),
+            # the deconvolution below recovers their information-weighted
+            # mean exactly, and the noise model stays honest while the other
+            # sensors' estimates settle.
+            g_f = _gain_from_measurement_noises([c.R for c in ref_meas], pred_cov_f)
             zb_f = sensor_pseudo_obs(fused_new.state, fp.state, g_f.W, msf)
 
             # Observation matrix of sensor s at the tracklet's own polar

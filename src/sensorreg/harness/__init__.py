@@ -24,7 +24,6 @@ from .simulate import (
     LocalTracks,
     SingleRun,
     TruthData,
-    benchmark_gain_paths,
     nominal_geometry,
     run_local_tracks,
     run_monte_carlo,
@@ -45,7 +44,6 @@ __all__ = [
     "SingleRun",
     "TargetSpec",
     "TruthData",
-    "benchmark_gain_paths",
     "builtin_scenario_path",
     "chi2_band",
     "chi2_upper",

@@ -115,6 +115,8 @@ class Scenario:
             raise ScenarioError("scenario needs at least two frames")
         if self.mc_runs < 1:
             raise ScenarioError("mc_runs must be at least 1")
+        if self.rng_seed < 0:
+            raise ScenarioError(f"rng_seed must be non-negative, got {self.rng_seed}")
         if self.dt <= 0:
             raise ScenarioError("dt must be positive")
         if self.process_noise_q < 0 or self.fusion_q < 0:

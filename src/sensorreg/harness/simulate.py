@@ -18,8 +18,8 @@ independent of execution order.
 
 from __future__ import annotations
 
+import functools
 import math
-import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -67,7 +67,6 @@ __all__ = [
     "run_local_tracks",
     "run_single",
     "run_monte_carlo",
-    "benchmark_gain_paths",
 ]
 
 # Default IMM switching prior: sticky diagonal with equal initial weights.
@@ -102,7 +101,9 @@ class LocalTracks:
     cov: np.ndarray             # (n_sensors, n_targets, K+1, 4, 4)
     gain: np.ndarray | None     # (n_sensors, n_targets, K+1, 4, 2)
 
-    def estimate(self, s: int, t: int, k: int) -> GaussianEstimate:
+    def estimate(self, s, t, k: int) -> GaussianEstimate:
+        """Estimate of sensor ``s``, target ``t`` at frame ``k``; ``s`` and
+        ``t`` may be slices, which give a batched estimate."""
         return GaussianEstimate(mean=self.mean[s, t, k], cov=self.cov[s, t, k], frame=k)
 
 
@@ -294,14 +295,50 @@ def _initial_bias_states(scenario: Scenario) -> dict[int, BiasEstimate]:
     }
 
 
-def _position_sqerr(track_mean: np.ndarray, states: np.ndarray, k: int) -> float:
-    """Mean over targets of squared position error at frame k."""
-    dx = track_mean[:, k, 0] - states[:, k, 0]
-    dy = track_mean[:, k, 2] - states[:, k, 2]
+def _position_sqerr(mean: np.ndarray, states: np.ndarray) -> float:
+    """Mean over targets of the squared position error of (n_targets, 4)
+    estimates against (n_targets, 4) true states."""
+    dx = mean[:, 0] - states[:, 0]
+    dy = mean[:, 2] - states[:, 2]
     return float(np.mean(dx**2 + dy**2))
 
 
-def _run_fbe(scenario: Scenario, truth: TruthData, tracks: LocalTracks) -> SingleRun:
+def _fuse_all_sensors(
+    scenario: Scenario, truth: TruthData, tracks: LocalTracks, epoch_measurements
+) -> np.ndarray:
+    """Fuse every reporting sensor into one track per target.
+
+    Each fused track starts from sensor 0's frame-0 estimate.  At each fusion
+    epoch k, ``epoch_measurements(k, since)`` receives the frame each
+    reporting sensor last reported at (``{sensor: frame}``, ascending
+    sensors) and returns, per target, the sensor ids and their (y, R)
+    position measurements, which :func:`sfa` folds in.
+
+    Returns the fused squared position error (mean over targets) per frame,
+    NaN between epochs.
+    """
+    fusion_model = ncv_model(scenario.dt, scenario.fusion_q)
+    steps = functools.cache(functools.partial(compose_steps, fusion_model))
+    n_t = len(scenario.targets)
+    fused = [FusedTrack(state=tracks.estimate(0, t, 0), sensors=(0,)) for t in range(n_t)]
+    last_report = dict.fromkeys(range(len(scenario.sensors)), 0)
+    sqerr = np.full(scenario.frames + 1, np.nan)
+    for k in [0] + scenario.update_epochs():
+        if k > 0:
+            reporters = scenario.reporters_at(k)
+            per_target = epoch_measurements(k, {s: last_report[s] for s in reporters})
+            for t, (ids, meas) in enumerate(per_target):
+                lag = k - fused[t].state.frame
+                fused[t] = sfa(fused[t], steps(lag), meas, sensor_ids=ids)
+            last_report.update(dict.fromkeys(reporters, k))
+        mean = np.stack([f.state.mean for f in fused])
+        sqerr[k] = _position_sqerr(mean, truth.states[:, k])
+    return sqerr
+
+
+def _run_fbe(scenario: Scenario, truth: TruthData, tracks: LocalTracks):
+    """Fused bias estimation per sensor, then all-sensor fusion with the
+    freshly corrected tracklets."""
     K = scenario.frames
     n_s = len(scenario.sensors)
     n_t = len(scenario.targets)
@@ -317,143 +354,50 @@ def _run_fbe(scenario: Scenario, truth: TruthData, tracks: LocalTracks) -> Singl
             t: FusedTrack(state=tracks.estimate(ref, t, 0), sensors=(ref,))
             for t in range(n_t)
         }
-    fused_all = {
-        t: FusedTrack(state=tracks.estimate(0, t, 0), sensors=(0,)) for t in range(n_t)
-    }
-    last_report = {s: 0 for s in range(n_s)}
 
     b_series = np.empty((K + 1, n_s, d))
     sigma_series = np.empty((K + 1, n_s, d, d))
-    fused_sqerr = np.full(K + 1, np.nan)
-    for s in range(n_s):
-        b_series[0, s] = bias_states[s].b
-        sigma_series[0, s] = bias_states[s].Sigma
-    fused_sqerr[0] = _position_sqerr(
-        np.stack([fused_all[t].state.mean for t in range(n_t)])[:, None],
-        truth.states,
-        0,
-    )
 
-    for k in range(1, K + 1):
-        reporters = scenario.reporters_at(k)
-        if len(reporters) >= 2:
-            track_map = {
-                s: {
-                    t: (tracks.estimate(s, t, last_report[s]), tracks.estimate(s, t, k))
-                    for t in range(n_t)
-                }
-                for s in reporters
-            }
-            res = fbe_step(track_map, bias_states, fused_prev, fusion_model, sensors)
-            bias_states = res.bias_states
-            for s in res.fused:
-                fused_prev[s].update(res.fused[s])
-            # All-sensor fused track with the freshly updated biases.
-            for t in range(n_t):
-                corrected = []
-                ids = []
-                for s in reporters:
-                    if t not in res.tracklets.get(s, {}):
-                        continue
-                    c = bias_correct(
-                        res.tracklets[s][t],
-                        bias_states[s],
-                        (sensors[s].sigma_r, sensors[s].sigma_theta),
-                        origin=sensors[s].position,
-                    )
-                    corrected.append((c.y, c.R))
-                    ids.append(s)
-                lag_f = k - fused_all[t].state.frame
-                msf = compose_steps(fusion_model, lag_f)
-                fused_all[t] = sfa(fused_all[t], msf, corrected, sensor_ids=tuple(ids))
-            for s in reporters:
-                last_report[s] = k
-            fused_mean = np.stack([fused_all[t].state.mean for t in range(n_t)])
-            dxy = fused_mean[:, [0, 2]] - truth.states[:, k][:, [0, 2]]
-            fused_sqerr[k] = float(np.mean(np.sum(dxy**2, axis=1)))
+    def record(k: int) -> None:
+        # Estimates hold until the next epoch overwrites the later frames.
         for s in range(n_s):
-            b_series[k, s] = bias_states[s].b
-            sigma_series[k, s] = bias_states[s].Sigma
+            b_series[k:, s] = bias_states[s].b
+            sigma_series[k:, s] = bias_states[s].Sigma
 
-    local_sqerr = np.array(
-        [_position_sqerr(tracks.mean[0], truth.states, k) for k in range(K + 1)]
-    )
-    return SingleRun(
-        b_series=b_series,
-        sigma_series=sigma_series,
-        local_sqerr=local_sqerr,
-        fused_sqerr=fused_sqerr,
-    )
+    def epoch(k: int, since: dict[int, int]) -> list:
+        nonlocal bias_states
+        track_map = {
+            s: {t: (tracks.estimate(s, t, k0), tracks.estimate(s, t, k)) for t in range(n_t)}
+            for s, k0 in since.items()
+        }
+        res = fbe_step(track_map, bias_states, fused_prev, fusion_model, sensors)
+        bias_states = res.bias_states
+        for s in res.fused:
+            fused_prev[s].update(res.fused[s])
+        record(k)
+        per_target = []
+        for t in range(n_t):
+            ids = tuple(s for s in since if t in res.tracklets.get(s, {}))
+            corrected = [
+                bias_correct(
+                    res.tracklets[s][t],
+                    bias_states[s],
+                    (sensors[s].sigma_r, sensors[s].sigma_theta),
+                    origin=sensors[s].position,
+                )
+                for s in ids
+            ]
+            per_target.append((ids, [(c.y, c.R) for c in corrected]))
+        return per_target
 
-
-def _exl_gain_frame(tracks: LocalTracks, k: int, ms1) -> tuple:
-    """Single-step tracklet inversion and gain reconstruction for every
-    (sensor, target) pair at frame ``k``, batched over the pair axes.
-
-    Exploits the structure of per-frame position updates: the information
-    gained over one step lives in the position block, so the pseudo-inverse
-    reduces to a closed-form 2x2 inversion.  Pairs that violate that
-    structure fall back to the general scalar routine.
-
-    Returns (W, R, u) with shapes (S, T, 4, 2), (S, T, 2, 2), (S, T, 4).
-    """
-    mean_prev = tracks.mean[:, :, k - 1]
-    cov_prev = tracks.cov[:, :, k - 1]
-    mean_curr = tracks.mean[:, :, k]
-    cov_curr = tracks.cov[:, :, k]
-    F, Q = ms1.F, ms1.Q
-    x_pred = mean_prev @ F.T
-    P_pred = F @ cov_prev @ F.T + Q
-    J = np.linalg.inv(np.stack([cov_curr, P_pred]))
-    Lam = J[0] - J[1]
-    Lam = 0.5 * (Lam + np.swapaxes(Lam, -1, -2))
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = Lam[..., 0, 0]
-        b = Lam[..., 0, 2]
-        c = Lam[..., 2, 2]
-        det = a * c - b * b
-        dmax = np.abs(Lam).max(axis=(-1, -2))
-        leak = np.abs(Lam[..., :, 1::2]).max(axis=(-1, -2))
-        ok = (a > 0) & (det > 0) & (leak <= 1e-10 * dmax)
-
-        U = np.zeros_like(Lam)
-        U[..., 0, 0] = c / det
-        U[..., 2, 2] = a / det
-        U[..., 0, 2] = U[..., 2, 0] = -b / det
-        info_vec = (
-            np.einsum("stij,stj->sti", J[0], mean_curr)
-            - np.einsum("stij,stj->sti", J[1], x_pred)
-        )
-        u = np.einsum("stij,stj->sti", U, info_vec)
-        R = U[..., ::2, ::2].copy()
-        S_ = P_pred[..., ::2, ::2] + R
-        det_s = S_[..., 0, 0] * S_[..., 1, 1] - S_[..., 0, 1] * S_[..., 1, 0]
-        S_inv = np.empty_like(S_)
-        S_inv[..., 0, 0] = S_[..., 1, 1]
-        S_inv[..., 1, 1] = S_[..., 0, 0]
-        S_inv[..., 0, 1] = -S_[..., 0, 1]
-        S_inv[..., 1, 0] = -S_[..., 1, 0]
-        S_inv /= det_s[..., None, None]
-        W = P_pred[..., :, ::2] @ S_inv
-
-    if not np.all(ok):
-        for s, t in zip(*np.nonzero(~ok)):
-            trk = tracklet_decorrelated(
-                GaussianEstimate(mean=mean_prev[s, t], cov=cov_prev[s, t], frame=k - 1),
-                GaussianEstimate(mean=mean_curr[s, t], cov=cov_curr[s, t], frame=k),
-                ms1,
-            )
-            g = reconstruct_local_gain(trk, trk.pred_cov)
-            W[s, t] = g.W
-            R[s, t] = g.R
-            u[s, t] = trk.u
-    return W, R, u
+    record(0)
+    fused_sqerr = _fuse_all_sensors(scenario, truth, tracks, epoch)
+    return b_series, sigma_series, fused_sqerr
 
 
 def _run_stacked(
     scenario: Scenario, truth: TruthData, tracks: LocalTracks, reconstructed: bool
-) -> SingleRun:
+):
     """Two-sensor stacked-bias estimator with true or reconstructed gains."""
     if len(scenario.sensors) != 2:
         raise ScenarioError("the stacked estimator is defined for two sensors")
@@ -475,9 +419,14 @@ def _run_stacked(
     b_series[0, 0] = est.b
     sigma_series[0, 0] = est.Sigma
 
+    pairs = slice(None)
     for k in range(1, K + 1):
         if reconstructed:
-            W_all, R_all, u_all = _exl_gain_frame(tracks, k, ms1)
+            # One single-step tracklet and gain per (sensor, target) pair.
+            trk = tracklet_decorrelated(
+                tracks.estimate(pairs, pairs, k - 1), tracks.estimate(pairs, pairs, k), ms1
+            )
+            gain = reconstruct_local_gain(trk, trk.pred_cov)
         for t in range(n_t):
             zb = []
             B = []
@@ -486,9 +435,9 @@ def _run_stacked(
                 prev = tracks.estimate(s, t, k - 1)
                 curr = tracks.estimate(s, t, k)
                 if reconstructed:
-                    W, R_s = W_all[s, t], R_all[s, t]
+                    W, R_s = gain.W[s, t], gain.R[s, t]
                     pos = scenario.sensors[s].position
-                    ux, uy = u_all[s, t, 0] - pos[0], u_all[s, t, 2] - pos[1]
+                    ux, uy = trk.u[s, t, 0] - pos[0], trk.u[s, t, 2] - pos[1]
                     r_m, t_m = math.hypot(ux, uy), math.atan2(uy, ux)
                 else:
                     W = tracks.gain[s, t, k]
@@ -503,63 +452,29 @@ def _run_stacked(
             est = rlsb_update(est, pm)
         b_series[k, 0] = est.b
         sigma_series[k, 0] = est.Sigma
-
-    local_sqerr = np.array(
-        [_position_sqerr(tracks.mean[0], truth.states, k) for k in range(K + 1)]
-    )
-    return SingleRun(
-        b_series=b_series,
-        sigma_series=sigma_series,
-        local_sqerr=local_sqerr,
-        fused_sqerr=None,
-    )
+    return b_series, sigma_series, None
 
 
-def _run_baseline(scenario: Scenario, truth: TruthData, tracks: LocalTracks) -> SingleRun:
+def _run_baseline(scenario: Scenario, truth: TruthData, tracks: LocalTracks):
     """Plain tracklet fusion on an unbiased world; no bias estimation."""
-    K = scenario.frames
-    n_t = len(scenario.targets)
-    fusion_model = ncv_model(scenario.dt, scenario.fusion_q)
-    fused_all = {
-        t: FusedTrack(state=tracks.estimate(0, t, 0), sensors=(0,)) for t in range(n_t)
-    }
-    last_report = {s: 0 for s in range(len(scenario.sensors))}
-    fused_sqerr = np.full(K + 1, np.nan)
-    fused_sqerr[0] = _position_sqerr(
-        np.stack([fused_all[t].state.mean for t in range(n_t)])[:, None],
-        truth.states,
-        0,
+    steps = functools.cache(
+        functools.partial(compose_steps, ncv_model(scenario.dt, scenario.fusion_q))
     )
-    for k in range(1, K + 1):
-        reporters = scenario.reporters_at(k)
-        if len(reporters) < 2:
-            continue
-        for t in range(n_t):
+
+    def epoch(k: int, since: dict[int, int]) -> list:
+        per_target = []
+        for t in range(len(scenario.targets)):
             meas = []
-            ids = []
-            for s in reporters:
-                ms = compose_steps(fusion_model, k - last_report[s])
+            for s, k0 in since.items():
                 trk = compute_tracklet(
-                    tracks.estimate(s, t, last_report[s]),
-                    tracks.estimate(s, t, k),
-                    ms,
+                    tracks.estimate(s, t, k0), tracks.estimate(s, t, k), steps(k - k0)
                 )
                 g = reconstruct_local_gain(trk, trk.pred_cov)
                 meas.append((g.y, g.R))
-                ids.append(s)
-            msf = compose_steps(fusion_model, k - fused_all[t].state.frame)
-            fused_all[t] = sfa(fused_all[t], msf, meas, sensor_ids=tuple(ids))
-        for s in reporters:
-            last_report[s] = k
-        fused_mean = np.stack([fused_all[t].state.mean for t in range(n_t)])
-        dxy = fused_mean[:, [0, 2]] - truth.states[:, k][:, [0, 2]]
-        fused_sqerr[k] = float(np.mean(np.sum(dxy**2, axis=1)))
-    local_sqerr = np.array(
-        [_position_sqerr(tracks.mean[0], truth.states, k) for k in range(K + 1)]
-    )
-    return SingleRun(
-        b_series=None, sigma_series=None, local_sqerr=local_sqerr, fused_sqerr=fused_sqerr
-    )
+            per_target.append((tuple(since), meas))
+        return per_target
+
+    return None, None, _fuse_all_sensors(scenario, truth, tracks, epoch)
 
 
 def run_single(scenario: Scenario, run_index: int, method: str) -> SingleRun:
@@ -569,17 +484,33 @@ def run_single(scenario: Scenario, run_index: int, method: str) -> SingleRun:
     truth = simulate_truth(scenario, run_index, zero_bias=(method == "baseline"))
     try:
         tracks = run_local_tracks(scenario, truth)
+        # Each method returns (b_series, sigma_series, fused_sqerr), with
+        # None for the outputs it does not produce.
         if method == "fbe":
-            out = _run_fbe(scenario, truth, tracks)
+            b_series, sigma_series, fused_sqerr = _run_fbe(scenario, truth, tracks)
         elif method in ("ex", "exl"):
-            out = _run_stacked(scenario, truth, tracks, reconstructed=(method == "exl"))
+            b_series, sigma_series, fused_sqerr = _run_stacked(
+                scenario, truth, tracks, reconstructed=(method == "exl")
+            )
         else:
-            out = _run_baseline(scenario, truth, tracks)
+            b_series, sigma_series, fused_sqerr = _run_baseline(scenario, truth, tracks)
     except NumericalError as exc:
         # Keep the error type and the failing batch index.
         if isinstance(exc, SingularMatrixError):
             raise type(exc)(f"run {run_index}: {exc}", index=exc.index) from exc
         raise NumericalError(f"run {run_index}: {exc}") from exc
+    local_sqerr = np.array(
+        [
+            _position_sqerr(tracks.mean[0, :, k], truth.states[:, k])
+            for k in range(scenario.frames + 1)
+        ]
+    )
+    out = SingleRun(
+        b_series=b_series,
+        sigma_series=sigma_series,
+        local_sqerr=local_sqerr,
+        fused_sqerr=fused_sqerr,
+    )
     _check_finite(scenario, out, tracks, run_index)
     return out
 
@@ -652,63 +583,3 @@ def run_monte_carlo(
         outs = [run_single(scenario, i, method) for i in range(runs)]
     return aggregate_runs(scenario, method, outs, true_bias)
 
-
-def benchmark_gain_paths(
-    scenario: Scenario, iterations: int = 200, trials: int = 5
-) -> tuple[float, float]:
-    """Median per-iteration time of the bias update with true gains (oracle)
-    versus reconstructed gains, on identical inputs.
-
-    One iteration covers one frame's pseudo-measurement construction and
-    recursive update for every target and both sensors of a two-sensor
-    scenario.
-    """
-    truth = simulate_truth(scenario, 0)
-    tracks = run_local_tracks(scenario, truth)
-    if tracks.gain is None:
-        raise ScenarioError("benchmark requires the plain Kalman local tracker")
-    n_t = len(scenario.targets)
-    model = ncv_model(scenario.dt, scenario.fusion_q)
-    ms1 = compose_steps(model, 1)
-    sig = scenario.bias_prior_sigma()
-    prior = np.diag(np.concatenate([sig**2, sig**2]))
-    k = scenario.frames // 2
-
-    def one_frame(reconstructed: bool) -> None:
-        est = BiasEstimate(b=np.zeros(4), Sigma=prior.copy())
-        if reconstructed:
-            W_all, R_all, u_all = _exl_gain_frame(tracks, k, ms1)
-        for t in range(n_t):
-            zb, B, R = [], [], []
-            for s in (0, 1):
-                prev = tracks.estimate(s, t, k - 1)
-                curr = tracks.estimate(s, t, k)
-                if reconstructed:
-                    W, R_s = W_all[s, t], R_all[s, t]
-                    pos = scenario.sensors[s].position
-                    ux, uy = u_all[s, t, 0] - pos[0], u_all[s, t, 2] - pos[1]
-                    r_m, t_m = math.hypot(ux, uy), math.atan2(uy, ux)
-                else:
-                    W = tracks.gain[s, t, k]
-                    R_s = truth.cart_R[s, t, k]
-                    r_m, t_m = truth.polar_meas[s, t, k]
-                zb.append(sensor_pseudo_obs(curr, prev, W, ms1))
-                B.append(jacobians_at(r_m, t_m).B)
-                R.append(R_s)
-            pm = PseudoMeasurement(
-                z=zb[0] - zb[1], H=np.hstack([B[0], -B[1]]), R=R[0] + R[1]
-            )
-            est = rlsb_update(est, pm)
-
-    def timed(reconstructed: bool) -> float:
-        best = []
-        for _ in range(trials):
-            start = time.perf_counter()
-            for _ in range(iterations):
-                one_frame(reconstructed)
-            best.append((time.perf_counter() - start) / iterations)
-        return float(np.median(best))
-
-    one_frame(False)
-    one_frame(True)
-    return timed(False), timed(True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import inv_sym, symmetrize
+from ._linalg import at_index, inv_sym, symmetrize
 from .dynamics import MultiStepModel
 from .errors import NumericalError, TrackletSingularError
 from .trackers import GaussianEstimate
@@ -40,19 +40,18 @@ INFO_RTOL = 1e-10
 class Tracklet:
     """Equivalent measurement ``u`` with covariance ``U`` over (k', k].
 
-    ``info`` is the (pseudo-)inverse of ``U``: the information the local
-    track gained over the interval.  For the decorrelated form ``U`` is the
-    pseudo-inverse of a possibly rank-deficient information difference, so
-    only its observable subspace (positions, in the single-step case) is
-    meaningful.  ``A`` and ``D`` are the weighting and covariance-difference
-    matrices of the inverse-filter form (None for the decorrelated form).
-    ``pred_cov`` is the L-step predicted covariance used to build the
-    tracklet; gain reconstruction reuses it.
+    For the decorrelated form ``U`` is the pseudo-inverse of a possibly
+    rank-deficient information difference, so only its observable subspace
+    (positions, in the single-step case) is meaningful.  ``A`` and ``D`` are
+    the weighting and covariance-difference matrices of the inverse-filter
+    form (None for the decorrelated form).  ``pred_cov`` is the L-step
+    predicted covariance used to build the tracklet; gain reconstruction
+    reuses it.  ``u`` has shape (..., n) and ``U`` and ``pred_cov``
+    (..., n, n), with the leading batch axes of the snapshots.
     """
 
     u: np.ndarray
     U: np.ndarray
-    info: np.ndarray
     pred_cov: np.ndarray
     from_frame: int
     to_frame: int
@@ -61,63 +60,87 @@ class Tracklet:
     method: str = "inverse_kf"
 
 
+def _mv(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    # A stack of matrix-vector products; each element sums in the same order
+    # as a batch-free ``mat @ vec``.
+    return (mat @ vec[..., None])[..., 0]
+
+
 def _predict(prev: GaussianEstimate, model: MultiStepModel):
-    x_pred = model.F @ prev.mean
+    x_pred = _mv(model.F, prev.mean)
     P_pred = model.F @ prev.cov @ model.F.T + model.Q
     return x_pred, P_pred
 
 
-def _pinv_psd_pair(Lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pseudo-inverse and PSD-clipped form of an information difference.
+def _pinv_psd(Lam: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse of information differences on the last two axes.
 
     Contributions at rounding-noise level (below ``INFO_RTOL`` of the largest
     one) are zeroed so the observable subspace inverts cleanly.  The common
-    case of an axis-aligned deficiency (position-only updates leave whole
-    rows/columns near zero) short-circuits to a block inversion; anything
-    else goes through an eigendecomposition.
+    case of position-only information (whole velocity rows/columns near
+    zero) inverts the 2x2 position block in closed form over the whole
+    batch; every other element goes through :func:`_pinv_psd_one`.
 
-    Raises :class:`NumericalError` for an indefinite or empty difference.
+    Raises :class:`NumericalError` when any element is indefinite or empty.
+    """
+    n = Lam.shape[-1]
+    U = np.zeros_like(Lam)
+    pos = np.zeros(Lam.shape[:-2], dtype=bool)
+    if n == 4:
+        # Position-only information: both position entries of the diagonal
+        # above rounding level, every entry of the velocity columns at it.
+        d = np.diagonal(Lam, axis1=-2, axis2=-1)
+        tol = INFO_RTOL * d.max(axis=-1, initial=0.0)
+        a, b, c = Lam[..., 0, 0], Lam[..., 0, 2], Lam[..., 2, 2]
+        det = a * c - b * b
+        pos = (
+            (np.minimum(a, c) > tol)
+            & (np.abs(Lam[..., :, 1::2]).max(axis=(-2, -1)) <= tol)
+            & (det > 0.0)
+        )
+        # Elements outside the mask are overwritten below.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            U[..., 0, 0], U[..., 2, 2] = c / det, a / det
+            U[..., 0, 2] = U[..., 2, 0] = -b / det
+    for idx in np.argwhere(~pos).tolist():
+        idx = tuple(idx)
+        try:
+            U[idx] = _pinv_psd_one(Lam[idx])
+        except NumericalError as exc:
+            raise NumericalError(f"{exc}{at_index(idx)}") from exc
+    return U
+
+
+def _pinv_psd_one(Lam: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse of one information difference without the
+    position-only structure.
+
+    An axis-aligned deficiency (rows/columns near zero) short-circuits to a
+    block inversion; anything else goes through an eigendecomposition.
     """
     n = Lam.shape[0]
     d = Lam.ravel()[:: n + 1]
     dmax = d.max(initial=0.0)
     if dmax > 0.0 and d.min() >= -1e-8 * dmax:
         tol = INFO_RTOL * dmax
-        if n == 4 and d[0] > tol and d[2] > tol and d[1] <= tol and d[3] <= tol:
-            # Position-only information: whole velocity rows/columns sit at
-            # rounding level, so invert the 2x2 position block in place.
-            if np.abs(Lam[::2, 1::2]).max() <= tol and max(d[1], d[3], 0.0) <= tol:
-                a, b, c = Lam[0, 0], Lam[0, 2], Lam[2, 2]
-                det = a * c - b * b
-                if a > 0.0 and det > 0.0:
-                    U = np.zeros((4, 4))
-                    info = np.zeros((4, 4))
-                    U[0, 0], U[2, 2] = c / det, a / det
-                    U[0, 2] = U[2, 0] = -b / det
-                    info[0, 0], info[2, 2] = a, c
-                    info[0, 2] = info[2, 0] = b
-                    return U, info
-        else:
-            keep = d > tol
-            idx = np.flatnonzero(keep)
-            drop = np.flatnonzero(~keep)
-            off_small = (
-                drop.size == 0
-                or np.abs(Lam[idx[:, None], drop]).max(initial=0.0) <= tol
-            )
-            if off_small:
-                sub = Lam[idx[:, None], idx]
-                try:
-                    np.linalg.cholesky(sub)
-                    sub_inv = np.linalg.inv(sub)
-                except np.linalg.LinAlgError:
-                    sub_inv = None
-                if sub_inv is not None:
-                    U = np.zeros((n, n))
-                    info = np.zeros((n, n))
-                    U[idx[:, None], idx] = sub_inv
-                    info[idx[:, None], idx] = sub
-                    return U, info
+        keep = d > tol
+        idx = np.flatnonzero(keep)
+        drop = np.flatnonzero(~keep)
+        off_small = (
+            drop.size == 0
+            or np.abs(Lam[idx[:, None], drop]).max(initial=0.0) <= tol
+        )
+        if off_small:
+            sub = Lam[idx[:, None], idx]
+            try:
+                np.linalg.cholesky(sub)
+                sub_inv = np.linalg.inv(sub)
+            except np.linalg.LinAlgError:
+                sub_inv = None
+            if sub_inv is not None:
+                U = np.zeros((n, n))
+                U[idx[:, None], idx] = sub_inv
+                return U
     w, v = np.linalg.eigh(Lam)
     wmax = np.abs(w).max()
     if wmax == 0.0:
@@ -130,8 +153,7 @@ def _pinv_psd_pair(Lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not np.any(keep):
         raise NumericalError("track carried no new information over the interval")
     vk = v[:, keep]
-    wk = w[keep]
-    return symmetrize((vk / wk) @ vk.T), symmetrize((vk * wk) @ vk.T)
+    return symmetrize((vk / w[keep]) @ vk.T)
 
 
 def tracklet_inverse_kf(
@@ -142,7 +164,8 @@ def tracklet_inverse_kf(
     Raises :class:`TrackletSingularError` when the covariance difference
     D = P(k|k') - P(k|k) is singular or nearly so (e.g. single-step lags with
     position-only updates), signalling the caller to use the decorrelated
-    fallback.
+    fallback, and :class:`SingularMatrixError` when the resulting tracklet
+    covariance cannot be inverted.
     """
     x_pred, P_pred = _predict(prev, model)
     D = symmetrize(P_pred - curr.cov)
@@ -154,11 +177,11 @@ def tracklet_inverse_kf(
     A = np.linalg.solve(D.T, P_pred.T).T
     u = x_pred + A @ (curr.mean - x_pred)
     U = symmetrize(A @ curr.cov)
-    info = inv_sym(U, context="tracklet covariance")
+    # A tracklet whose covariance has no inverse carries no usable weight.
+    inv_sym(U, context="tracklet covariance")
     return Tracklet(
         u=u,
         U=U,
-        info=symmetrize(info),
         pred_cov=P_pred,
         from_frame=prev.frame,
         to_frame=curr.frame,
@@ -176,10 +199,11 @@ def tracklet_decorrelated(
     U^-1 = P(k|k)^-1 - P(k|k')^-1 is the information the track gained over
     the interval; it may be rank-deficient (a single position update informs
     only two state directions), in which case the pseudo-inverse restricts
-    ``u`` and ``U`` to the observable subspace.
+    ``u`` and ``U`` to the observable subspace.  The snapshots may carry
+    leading batch axes; one call then builds a tracklet per element.
 
-    Raises :class:`NumericalError` when the difference has a genuinely
-    negative eigenvalue or carries no information at all.
+    Raises :class:`NumericalError` when any element's difference has a
+    genuinely negative eigenvalue or carries no information at all.
     """
     x_pred, P_pred = _predict(prev, model)
     try:
@@ -188,14 +212,11 @@ def tracklet_decorrelated(
         raise NumericalError("track covariance not invertible") from exc
     if not np.isfinite(J_curr.sum() + J_pred.sum()):
         raise NumericalError("track covariance inverse not finite")
-    Lam = symmetrize(J_curr - J_pred)
-    U, info = _pinv_psd_pair(Lam)
-    info_vec = J_curr @ curr.mean - J_pred @ x_pred
-    u = U @ info_vec
+    U = _pinv_psd(symmetrize(J_curr - J_pred))
+    u = _mv(U, _mv(J_curr, curr.mean) - _mv(J_pred, x_pred))
     return Tracklet(
         u=u,
         U=U,
-        info=info,
         pred_cov=P_pred,
         from_frame=prev.frame,
         to_frame=curr.frame,
@@ -204,23 +225,10 @@ def tracklet_decorrelated(
 
 
 def compute_tracklet(
-    prev: GaussianEstimate,
-    curr: GaussianEstimate,
-    model: MultiStepModel,
-    method: str = "auto",
+    prev: GaussianEstimate, curr: GaussianEstimate, model: MultiStepModel
 ) -> Tracklet:
-    """Tracklet with automatic fallback to the decorrelated form.
-
-    ``method`` may pin one variant ("inverse_kf" / "decorrelated"); "auto"
-    tries the inverse-filter form first and falls back when its covariance
-    difference is near-singular.
-    """
-    if method == "inverse_kf":
-        return tracklet_inverse_kf(prev, curr, model)
-    if method == "decorrelated":
-        return tracklet_decorrelated(prev, curr, model)
-    if method != "auto":
-        raise ValueError(f"unknown tracklet method {method!r}")
+    """Tracklet in the inverse-filter form, falling back to the decorrelated
+    form when the covariance difference is near-singular."""
     try:
         return tracklet_inverse_kf(prev, curr, model)
     except TrackletSingularError:

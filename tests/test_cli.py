@@ -61,6 +61,13 @@ def test_simulate_overrides_runs_and_seed(tiny_scenario, tmp_path):
     assert meta["mc_runs"] == 3
 
 
+def test_negative_seed_is_a_scenario_error(tiny_scenario, tmp_path, capsys):
+    code = main(["simulate", "--scenario", str(tiny_scenario), "--out", str(tmp_path / "o"),
+                 "--seed", "-3"])
+    assert code == 1
+    assert "scenario error: rng_seed" in capsys.readouterr().err
+
+
 def test_simulate_methods_ex_exl(tiny_scenario, tmp_path):
     for method in ["ex", "exl", "baseline"]:
         out = tmp_path / method

@@ -1,4 +1,5 @@
-"""Demo scripts run to completion (demo 02 drives the batch-free tracker API)."""
+"""Demo scripts run to completion (demo 02 drives the batch-free tracker API,
+demo 03 the batched tracklet and gain step of the ``exl`` method)."""
 
 import os
 import subprocess
@@ -11,7 +12,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize(
-    "script", ["01_measurement_model.py", "02_tracklets_and_gain_reconstruction.py"]
+    "script",
+    [
+        "01_measurement_model.py",
+        "02_tracklets_and_gain_reconstruction.py",
+        "03_two_sensor_registration.py",
+    ],
 )
 def test_demo_runs(script):
     env = dict(os.environ)

@@ -21,7 +21,6 @@ from sensorreg.fusion import (
     SensorModel,
     bias_correct,
     fbe_step,
-    reconstruct_fused_gain,
     reconstruct_local_gain,
     sfa,
 )
@@ -34,7 +33,6 @@ def _tracklet_from(u, U, pred_cov=None, frame=1):
     return Tracklet(
         u=np.asarray(u, float),
         U=U,
-        info=np.linalg.inv(U),
         pred_cov=np.eye(4) if pred_cov is None else np.asarray(pred_cov, float),
         from_frame=0,
         to_frame=frame,
@@ -79,45 +77,6 @@ def test_local_gain_matches_true_kalman_gain_single_step():
     np.testing.assert_allclose(g.W, rec.gain, rtol=1e-6)
     np.testing.assert_allclose(g.R, z.R, rtol=1e-6)
     np.testing.assert_allclose(g.y, z.z, rtol=1e-6)
-
-
-def test_fused_gain_single_tracklet_reduces_to_local():
-    rng = np.random.default_rng(3)
-    A = rng.standard_normal((4, 4))
-    U = A @ A.T + np.eye(4)
-    pred = np.diag([30.0, 3.0, 30.0, 3.0])
-    t = _tracklet_from(rng.standard_normal(4), U, pred)
-    gl = reconstruct_local_gain(t, pred)
-    gf = reconstruct_fused_gain([t], pred)
-    np.testing.assert_allclose(gf.W, gl.W, rtol=1e-9)
-    np.testing.assert_allclose(gf.R, gl.R, rtol=1e-9)
-
-
-def test_fused_gain_information_doubling():
-    U = np.diag([8.0, 2.0, 8.0, 2.0])
-    pred = np.eye(4)
-    t = _tracklet_from(np.zeros(4), U, pred)
-    gf = reconstruct_fused_gain([t, t], pred)
-    np.testing.assert_allclose(gf.R, np.diag([4.0, 4.0]), rtol=1e-9)
-
-
-def test_fused_gain_matches_information_fusion_oracle():
-    rng = np.random.default_rng(4)
-    tracklets = []
-    for _ in range(4):
-        A = rng.standard_normal((4, 4))
-        U = A @ A.T + 0.5 * np.eye(4)
-        tracklets.append(_tracklet_from(rng.standard_normal(4), U))
-    pred = np.diag([25.0, 4.0, 25.0, 4.0])
-    gf = reconstruct_fused_gain(tracklets, pred)
-    Lam = sum(np.linalg.inv(t.U) for t in tracklets)
-    U_f = np.linalg.inv(Lam)
-    H = np.array([[1.0, 0, 0, 0], [0, 0, 1.0, 0]])
-    R_ref = H @ U_f @ H.T
-    np.testing.assert_allclose(gf.R, R_ref, rtol=1e-8)
-    S = H @ pred @ H.T + R_ref
-    W_ref = pred @ H.T @ np.linalg.inv(S)
-    np.testing.assert_allclose(gf.W, W_ref, rtol=1e-8)
 
 
 def test_bias_correct_null_correction():

@@ -7,6 +7,7 @@ import pytest
 from sensorreg.coords import CartesianMeasurement
 from sensorreg.dynamics import MultiStepModel, compose_steps, ncv_model
 from sensorreg.errors import NumericalError, TrackletSingularError
+from sensorreg.fusion import reconstruct_local_gain
 from sensorreg.trackers import GaussianEstimate, kf_predict, kf_update
 from sensorreg.tracklets import (
     compute_tracklet,
@@ -227,3 +228,70 @@ def test_fused_decorrelated_tracklets_match_centralized_filter():
 
     np.testing.assert_allclose(central.cov, reference.cov, rtol=1e-6)
     np.testing.assert_allclose(central.mean, reference.mean, rtol=1e-6, atol=1e-8)
+
+
+def _snapshot_pair(rng, model, kind):
+    """(prev, curr) one step apart: a position-only Kalman update ("pos"),
+    a full-state update ("full"), or a covariance that grew ("loss")."""
+    prev = GaussianEstimate(
+        mean=rng.standard_normal(4) * 100.0, cov=_random_spd(rng, 4, 5.0, 500.0), frame=0
+    )
+    if kind == "pos":
+        z = CartesianMeasurement(
+            z=rng.standard_normal(2) * 100.0, R=_random_spd(rng, 2, 50.0, 400.0)
+        )
+        curr, _ = kf_update(kf_predict(prev, model), z)
+        return prev, curr
+    P_pred = model.F @ prev.cov @ model.F.T + model.Q
+    if kind == "full":
+        P_curr = np.linalg.inv(np.linalg.inv(P_pred) + np.linalg.inv(_random_spd(rng, 4)))
+    else:
+        P_curr = 2.0 * P_pred
+    curr = GaussianEstimate(
+        mean=rng.standard_normal(4) * 100.0, cov=0.5 * (P_curr + P_curr.T), frame=1
+    )
+    return prev, curr
+
+
+def _stacked(pairs, shape):
+    def stack(which):
+        return GaussianEstimate(
+            mean=np.stack([p[which].mean for p in pairs]).reshape(shape + (4,)),
+            cov=np.stack([p[which].cov for p in pairs]).reshape(shape + (4, 4)),
+            frame=pairs[0][which].frame,
+        )
+
+    return stack(0), stack(1)
+
+
+def test_batched_tracklet_and_gain_match_per_pair_loop():
+    # A (2, 2) batch in which one element gained full-state information, so
+    # it takes the general pseudo-inverse branch while the others take the
+    # position-only closed form.
+    rng = np.random.default_rng(21)
+    ms1 = compose_steps(ncv_model(1.0, 0.3), 1)
+    kinds = ["pos", "pos", "full", "pos"]
+    pairs = [_snapshot_pair(rng, ms1, kind) for kind in kinds]
+    t = tracklet_decorrelated(*_stacked(pairs, (2, 2)), ms1)
+    g = reconstruct_local_gain(t, t.pred_cov)
+    assert t.u.shape == (2, 2, 4) and t.U.shape == t.pred_cov.shape == (2, 2, 4, 4)
+    assert g.W.shape == (2, 2, 4, 2) and g.R.shape == (2, 2, 2, 2) and g.y.shape == (2, 2, 2)
+    for i, (kind, (prev, curr)) in enumerate(zip(kinds, pairs)):
+        idx = divmod(i, 2)
+        t1 = tracklet_decorrelated(prev, curr, ms1)
+        g1 = reconstruct_local_gain(t1, t1.pred_cov)
+        # Position-only information leaves the velocity rows of U empty.
+        assert (np.abs(t1.U[1::2]).max() > 0.0) == (kind == "full")
+        for batched, single in [
+            (t.u, t1.u), (t.U, t1.U), (t.pred_cov, t1.pred_cov),
+            (g.W, g1.W), (g.R, g1.R), (g.y, g1.y),
+        ]:
+            np.testing.assert_allclose(batched[idx], single, rtol=1e-12, atol=0.0)
+
+
+def test_batched_tracklet_rejects_indefinite_element():
+    rng = np.random.default_rng(22)
+    ms1 = compose_steps(ncv_model(1.0, 0.3), 1)
+    pairs = [_snapshot_pair(rng, ms1, kind) for kind in ["pos", "loss", "full"]]
+    with pytest.raises(NumericalError, match=r"indefinite.* at batch index \[1\]"):
+        tracklet_decorrelated(*_stacked(pairs, (3,)), ms1)

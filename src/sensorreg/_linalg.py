@@ -7,21 +7,37 @@ import numpy as np
 from .errors import SingularMatrixError
 
 
+def mt(mat: np.ndarray) -> np.ndarray:
+    """Transpose of every matrix on the last two axes."""
+    return mat.swapaxes(-1, -2)
+
+
+def mv(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Stack of matrix-vector products over the leading batch axes.
+
+    A matmul on a trailing unit axis, not ``vec @ mat.T``: each element then
+    sums in the same order as a batch-free ``mat @ vec``, bit for bit.
+    """
+    return (mat @ vec[..., None])[..., 0]
+
+
 def symmetrize(mat: np.ndarray) -> np.ndarray:
     """Return (M + M.T) / 2 for every matrix on the last two axes."""
     return 0.5 * (mat + mat.swapaxes(-1, -2))
 
 
 def inv_sym(mat: np.ndarray, context: str = "matrix") -> np.ndarray:
-    """Invert a symmetric matrix, raising :class:`SingularMatrixError` with a
-    condition-number diagnostic on failure."""
+    """Invert symmetric matrices on the last two axes, raising
+    :class:`SingularMatrixError` naming the first failing batch index."""
     try:
         out = np.linalg.inv(mat)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"{context} is singular") from exc
+    except np.linalg.LinAlgError:
+        # Error path only: solve_psd raises naming the failing batch index.
+        out = solve_psd(mat, np.eye(mat.shape[-1]), context=context)
     # A single reduction flags any inf/nan the factorization let through.
     if not np.isfinite(out.sum()):
-        raise SingularMatrixError(f"{context} inverse is not finite")
+        bad = ~np.isfinite(out).all(axis=(-2, -1))
+        raise SingularMatrixError(f"{context} inverse is not finite", index=first_index(bad))
     return out
 
 
@@ -29,11 +45,6 @@ def first_index(bad: np.ndarray) -> tuple[int, ...] | None:
     """Index of the first True entry of ``bad`` (None if there is none)."""
     hits = np.argwhere(bad)
     return tuple(int(i) for i in hits[0]) if hits.size else None
-
-
-def at_index(index: tuple[int, ...] | None) -> str:
-    """Message suffix naming a batch index; empty for a batch-free one."""
-    return "" if not index else f" at batch index {list(index)}"
 
 
 def solve_psd(mat: np.ndarray, rhs: np.ndarray, context: str = "matrix") -> np.ndarray:
@@ -51,12 +62,10 @@ def solve_psd(mat: np.ndarray, rhs: np.ndarray, context: str = "matrix") -> np.n
             try:
                 np.linalg.solve(mat[idx], np.eye(mat.shape[-1]))
             except np.linalg.LinAlgError:
-                index = idx or None
+                index = idx
                 break
-        cond = sym_cond(mat if index is None else mat[index])
-        raise SingularMatrixError(
-            f"{context} is singular{at_index(index)} (cond ~ {cond:.3e})", index=index
-        ) from exc
+        cond = sym_cond(mat if not index else mat[index])
+        raise SingularMatrixError(f"{context} is singular (cond ~ {cond:.3e})", index=index) from exc
 
 
 def sym_cond(mat: np.ndarray) -> float:
@@ -65,4 +74,3 @@ def sym_cond(mat: np.ndarray) -> float:
     if w.size == 0 or w.min() == 0.0:
         return np.inf
     return float(w.max() / w.min())
-

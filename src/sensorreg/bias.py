@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import symmetrize, sym_cond
+from ._linalg import mt, mv, solve_psd, symmetrize
 from .coords import BiasJacobians
 from .dynamics import MultiStepModel
-from .errors import SingularMatrixError
 from .trackers import GaussianEstimate
 
 __all__ = [
@@ -34,14 +33,18 @@ __all__ = [
 
 @dataclass
 class PseudoMeasurement:
-    """Linear observation ``z = H b + w`` of a bias vector, cov(w) = R."""
+    """Linear observation ``z = H b + w`` of a bias vector, cov(w) = R.
+
+    ``z`` has shape (..., m), ``H`` (..., m, d) and ``R`` (..., m, m);
+    leading axes index a batch of observations.
+    """
 
     z: np.ndarray
     H: np.ndarray
     R: np.ndarray
 
     def __post_init__(self) -> None:
-        self.z = np.asarray(self.z, dtype=float).reshape(-1)
+        self.z = np.asarray(self.z, dtype=float)
         self.H = np.asarray(self.H, dtype=float)
         self.R = np.asarray(self.R, dtype=float)
 
@@ -49,19 +52,24 @@ class PseudoMeasurement:
 @dataclass
 class BiasEstimate:
     """Bias estimate and covariance; 2 parameters for offsets only, 4 with
-    scale factors."""
+    scale factors.  ``b`` has shape (..., d) and ``Sigma`` (..., d, d), with
+    leading axes for a batch of independent estimates (one per sensor)."""
 
     b: np.ndarray
     Sigma: np.ndarray
 
     def __post_init__(self) -> None:
-        self.b = np.asarray(self.b, dtype=float).reshape(-1)
-        d = self.b.shape[0]
-        self.Sigma = np.asarray(self.Sigma, dtype=float).reshape(d, d)
+        self.b = np.asarray(self.b, dtype=float)
+        d = self.b.shape[-1]
+        self.Sigma = np.asarray(self.Sigma, dtype=float).reshape(self.b.shape + (d,))
 
     @property
     def dim(self) -> int:
-        return self.b.shape[0]
+        return self.b.shape[-1]
+
+    def __getitem__(self, index) -> BiasEstimate:
+        """The estimates at ``index`` of the batch axes."""
+        return BiasEstimate(b=self.b[index], Sigma=self.Sigma[index])
 
 
 @dataclass
@@ -78,26 +86,23 @@ def sensor_pseudo_obs(
     gain: np.ndarray,
     model: MultiStepModel,
 ) -> np.ndarray:
-    """Deconvolve a track update into measurement space.
+    """Deconvolve track updates into measurement space.
 
     Applies the left pseudo-inverse of the gain to the difference between the
     updated state and its measurement-free propagation, recovering the
     (position-level) equivalent measurement the update responded to:
-    ``W^+ [x(k|k) - (I - W H) F_L x(k'|k')]``.
+    ``W^+ [x(k|k) - (I - W H) F_L x(k'|k')]``.  The estimates, the gains
+    (..., n, 2) and the model's ``F`` may carry leading batch axes; the
+    result has shape (..., 2).
 
-    Raises :class:`SingularMatrixError` for a rank-deficient gain.
+    Raises :class:`SingularMatrixError` naming the first rank-deficient gain.
     """
     W = np.asarray(gain, dtype=float)
-    G = W.T @ W
-    x_pred = model.F @ prev.mean
+    G = mt(W) @ W
+    x_pred = mv(model.F, prev.mean)
     # Positions sit at indices 0 and dim/2, so H x is a strided slice.
-    resid = curr.mean - x_pred + W @ x_pred[:: curr.dim // 2]
-    try:
-        return np.linalg.solve(G, W.T @ resid)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(
-            f"gain is rank deficient (cond ~ {sym_cond(G):.3e})"
-        ) from exc
+    resid = curr.mean - x_pred + mv(W, x_pred[..., :: curr.dim // 2])
+    return solve_psd(G, mt(W) @ resid[..., None], context="gain Gram matrix")[..., 0]
 
 
 def difference_pseudo_measurement(
@@ -113,7 +118,8 @@ def difference_pseudo_measurement(
     ``z1`` comes from the bias-free reference and ``z2`` from the sensor
     under estimation, whose Jacobians evaluate the observation matrix
     ``H = -B C`` (restricted to the offset columns when ``offset_only``).
-    The noise covariance is the sum of both sources' covariances.
+    The noise covariance is the sum of both sources' covariances.  Every
+    argument may carry the same leading batch axes.
 
     The projection H H^+ through which the differenced term passes is the
     identity for the full-row-rank position-selection matrix H, so the
@@ -121,27 +127,26 @@ def difference_pseudo_measurement(
     """
     z = np.asarray(z1, dtype=float) - np.asarray(z2, dtype=float)
     cols = 2 if offset_only else 4
-    Hcal = -jac.K[:, :cols]
+    Hcal = -jac.K[..., :cols]
     return PseudoMeasurement(z=z, H=Hcal, R=np.asarray(R1) + np.asarray(R2))
 
 
 def rlsb_update(est: BiasEstimate, pm: PseudoMeasurement) -> BiasEstimate:
     """Recursive least-squares measurement update with Joseph-form covariance.
 
-    Raises :class:`SingularMatrixError` when the innovation covariance
-    ``H Sigma H' + R`` cannot be inverted.
+    The estimate and the pseudo-measurement may carry the same leading batch
+    axes; each element is updated independently.
+
+    Raises :class:`SingularMatrixError` naming the first element whose
+    innovation covariance ``H Sigma H' + R`` cannot be inverted.
     """
     H = pm.H
-    S = H @ est.Sigma @ H.T + pm.R
-    try:
-        G = np.linalg.solve(S.T, (est.Sigma @ H.T).T).T
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(
-            f"pseudo-measurement innovation covariance singular (cond ~ {sym_cond(S):.3e})"
-        ) from exc
-    b = est.b + G @ (pm.z - H @ est.b)
+    S = H @ est.Sigma @ mt(H) + pm.R
+    SHt = est.Sigma @ mt(H)
+    G = mt(solve_psd(mt(S), mt(SHt), context="pseudo-measurement innovation covariance"))
+    b = est.b + mv(G, pm.z - mv(H, est.b))
     M = np.eye(est.dim) - G @ H
-    Sigma = symmetrize(M @ est.Sigma @ M.T + G @ pm.R @ G.T)
+    Sigma = symmetrize(M @ est.Sigma @ mt(M) + G @ pm.R @ mt(G))
     return BiasEstimate(b=b, Sigma=Sigma)
 
 

@@ -39,12 +39,35 @@ __all__ = [
 CONVERSION_VALIDITY_LIMIT = 0.4
 
 
-def wrap_angle(angle: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
-    wrapped = math.remainder(angle, 2.0 * math.pi)
-    if wrapped <= -math.pi:
-        wrapped = math.pi
-    return wrapped
+def wrap_angle(angle):
+    """Wrap angles to (-pi, pi], elementwise for arrays.
+
+    ``fmod`` and the single correction by 2*pi are exact, so the result is
+    the exact remainder, with -pi mapped to pi.
+    """
+    two_pi = 2.0 * math.pi
+    wrapped = np.fmod(angle, two_pi)
+    wrapped = np.where(
+        wrapped > math.pi,
+        wrapped - two_pi,
+        np.where(wrapped <= -math.pi, wrapped + two_pi, wrapped),
+    )
+    return wrapped if wrapped.ndim else float(wrapped)
+
+
+def _libm(fn, *args):
+    """Apply the scalar ``math`` function ``fn`` elementwise.
+
+    numpy's vectorised ``hypot``, ``arctan2`` and ``exp`` round differently
+    from the C library in the last bit on some CPUs (AVX-512 builds), so the
+    fusion-center formulas call ``math`` per element and a batch gives the
+    same bits as its batch-free elements.  Scalars give a float.
+    """
+    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+    if not arrays[0].ndim:
+        return fn(*(float(a) for a in arrays))
+    flat = (a.ravel().tolist() for a in arrays)
+    return np.array([fn(*v) for v in zip(*flat)]).reshape(arrays[0].shape)
 
 
 @dataclass
@@ -105,9 +128,10 @@ class CartesianMeasurement:
 class BiasJacobians:
     """Differentials of the measurement with respect to bias parameters.
 
-    ``C`` maps the bias vector into polar perturbations, ``B`` maps polar
-    perturbations into Cartesian ones, and ``K = B @ C`` is the combined
-    bias-to-Cartesian Jacobian.
+    ``C`` (..., 2, 4) maps the bias vector into polar perturbations, ``B``
+    (..., 2, 2) maps polar perturbations into Cartesian ones, and
+    ``K = B @ C`` is the combined bias-to-Cartesian Jacobian; leading axes
+    index a batch of measurements.
     """
 
     B: np.ndarray
@@ -115,8 +139,8 @@ class BiasJacobians:
     K: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        self.B = np.asarray(self.B, dtype=float).reshape(2, 2)
-        self.C = np.asarray(self.C, dtype=float).reshape(2, 4)
+        self.B = np.asarray(self.B, dtype=float)
+        self.C = np.asarray(self.C, dtype=float)
         self.K = self.B @ self.C
 
 
@@ -145,11 +169,17 @@ def _apply_bias_arrays(r, theta, bias: BiasVector, w_r, w_theta):
     return r_m, t_m
 
 
-def jacobians_at(r: float, theta: float) -> BiasJacobians:
-    """Bias Jacobians evaluated at a (measured) range/azimuth pair."""
-    c, s = math.cos(theta), math.sin(theta)
-    B = np.array([[c, -r * s], [s, r * c]])
-    C = np.array([[1.0, 0.0, r, 0.0], [0.0, 1.0, 0.0, theta]])
+def jacobians_at(r, theta) -> BiasJacobians:
+    """Bias Jacobians evaluated at (measured) range/azimuth pairs; array
+    arguments give a batch with their broadcast shape."""
+    r, theta = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(theta, dtype=float))
+    c, s = np.cos(theta), np.sin(theta)
+    B = np.empty(r.shape + (2, 2))
+    B[..., 0, 0], B[..., 0, 1] = c, -r * s
+    B[..., 1, 0], B[..., 1, 1] = s, r * c
+    C = np.zeros(r.shape + (2, 4))
+    C[..., 0, 0] = C[..., 1, 1] = 1.0
+    C[..., 0, 2], C[..., 1, 3] = r, theta
     return BiasJacobians(B=B, C=C)
 
 
@@ -158,10 +188,10 @@ def bias_jacobians(m: PolarMeasurement) -> BiasJacobians:
     return jacobians_at(m.r, m.theta)
 
 
-def conversion_gain(sigma_theta: float) -> float:
+def conversion_gain(sigma_theta):
     """Multiplicative compensation factor exp(-sigma_theta^2 / 2) applied to
-    the range during polar-to-Cartesian conversion."""
-    return math.exp(-0.5 * sigma_theta * sigma_theta)
+    the range during polar-to-Cartesian conversion (elementwise for arrays)."""
+    return _libm(lambda s: math.exp(-0.5 * s * s), sigma_theta)
 
 
 def polar_to_cart_unbiased(m: PolarMeasurement) -> CartesianMeasurement:
@@ -208,8 +238,10 @@ def _converted_covariance_arrays(r, theta, sigma_r, sigma_theta) -> np.ndarray:
     return symmetrize(out) if out.ndim == 2 else out
 
 
-def cart_to_polar(z: np.ndarray, origin=(0.0, 0.0)) -> tuple[float, float]:
-    """Range and azimuth of a Cartesian point relative to ``origin``."""
-    dx = float(z[0]) - origin[0]
-    dy = float(z[1]) - origin[1]
-    return math.hypot(dx, dy), math.atan2(dy, dx)
+def cart_to_polar(z: np.ndarray, origin=(0.0, 0.0)):
+    """Range and azimuth of Cartesian points (..., 2) relative to ``origin``
+    (broadcast against them); floats for a single point."""
+    z = np.asarray(z, dtype=float)
+    dx = z[..., 0] - np.asarray(origin, dtype=float)[..., 0]
+    dy = z[..., 1] - np.asarray(origin, dtype=float)[..., 1]
+    return _libm(math.hypot, dx, dy), _libm(math.atan2, dy, dx)

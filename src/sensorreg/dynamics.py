@@ -8,6 +8,7 @@ at the tracker interface.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ __all__ = [
     "nca_model",
     "turn_model",
     "compose_steps",
+    "compose_lags",
 ]
 
 
@@ -41,11 +43,23 @@ class MotionModel:
 
 @dataclass
 class MultiStepModel:
-    """Transition and accumulated process covariance over several steps."""
+    """Transition and accumulated process covariance over several steps.
+
+    ``F`` and ``Q`` are (n, n) for a model shared by a batch, or
+    (..., n, n) with ``steps`` an array for one model per element.
+    """
 
     F: np.ndarray
     Q: np.ndarray
-    steps: int
+    steps: int | np.ndarray
+
+    def __getitem__(self, index) -> MultiStepModel:
+        """The models at ``index`` of the batch axes; a shared model is
+        returned as is."""
+        if self.F.ndim == 2:
+            return self
+        steps = np.broadcast_to(self.steps, self.F.shape[:-2])[index]
+        return MultiStepModel(F=self.F[index], Q=self.Q[index], steps=steps)
 
 
 def _ncv_blocks(T: float, q: float) -> tuple[np.ndarray, np.ndarray]:
@@ -149,3 +163,21 @@ def compose_steps(model: MotionModel, steps: int) -> MultiStepModel:
         Q = F_step @ Q @ F_step.T + model.Q
         F = F_step @ F
     return MultiStepModel(F=F, Q=0.5 * (Q + Q.T), steps=steps)
+
+
+def compose_lags(steps: Callable[[int], MultiStepModel], lags) -> MultiStepModel:
+    """One multi-step model per element of the integer array ``lags``.
+
+    ``steps(L)`` composes the model of lag L (e.g. a cached
+    :func:`compose_steps`) and is called once per distinct lag; ``F`` and
+    ``Q`` get the shape ``lags.shape + (n, n)``.
+    """
+    lags = np.asarray(lags)
+    distinct, inverse = np.unique(lags, return_inverse=True)
+    models = [steps(int(L)) for L in distinct]
+    inverse = inverse.reshape(lags.shape)
+    return MultiStepModel(
+        F=np.stack([m.F for m in models])[inverse],
+        Q=np.stack([m.Q for m in models])[inverse],
+        steps=lags,
+    )

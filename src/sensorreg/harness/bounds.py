@@ -44,18 +44,21 @@ def crlb_series(scenario: Scenario) -> CrlbSeries:
     per_sensor = np.full((len(epochs), n_s, d), np.nan)
     stacked = np.full((len(epochs), 2 * d), np.nan) if n_s == 2 else None
 
+    positions = np.stack([s.position for s in scenario.sensors])
+    sigma_r = np.array([s.sigma_r for s in scenario.sensors])
+    sigma_theta = np.array([s.sigma_theta for s in scenario.sensors])
     for ei, k in enumerate(epochs):
         reporters = scenario.reporters_at(k)
+        # Observation blocks and noises of every (reporter, target) pair.
+        dx = states[None, :, k, 0] - positions[reporters, 0, None]
+        dy = states[None, :, k, 2] - positions[reporters, 1, None]
+        rng, az = np.hypot(dx, dy), np.arctan2(dy, dx)
+        K = jacobians_at(rng, az).K[..., :d]
+        R = _converted_covariance_arrays(
+            rng, az, sigma_r[reporters, None], sigma_theta[reporters, None]
+        )
         for t in range(n_t):
-            geom = {}
-            for s in reporters:
-                sensor = scenario.sensors[s]
-                dx = states[t, k, 0] - sensor.position[0]
-                dy = states[t, k, 2] - sensor.position[1]
-                r = float(np.hypot(dx, dy))
-                th = float(np.arctan2(dy, dx))
-                R = _converted_covariance_arrays(r, th, sensor.sigma_r, sensor.sigma_theta)
-                geom[s] = (jacobians_at(r, th).K[:, :d], np.asarray(R))
+            geom = {s: (K[i, t], R[i, t]) for i, s in enumerate(reporters)}
             for s in reporters:
                 others = [r for r in reporters if r != s]
                 if not others:

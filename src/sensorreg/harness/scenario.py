@@ -175,6 +175,16 @@ def _known(doc: dict, spec: type, where: str) -> dict:
     return doc
 
 
+def _integer(value, where: str) -> int:
+    """``value`` as an int; a bool, a non-number or a number with a fractional
+    part is rejected rather than truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
 def _scenario_from_dict(doc: dict) -> Scenario:
     try:
         _known(doc, Scenario, "scenario")
@@ -193,7 +203,7 @@ def _scenario_from_dict(doc: dict) -> Scenario:
                         eps_r=float(b.get("eps_r", 0.0)),
                         eps_theta=float(b.get("eps_theta", 0.0)),
                     ),
-                    lag=int(s.get("lag", 1)),
+                    lag=_integer(s.get("lag", 1), f"sensor {i} lag"),
                 )
             )
         targets = []
@@ -205,7 +215,7 @@ def _scenario_from_dict(doc: dict) -> Scenario:
                 segments.append(
                     SegmentSpec(
                         model=seg["model"],
-                        frames=int(seg["frames"]),
+                        frames=_integer(seg["frames"], f"target {i} segment {j} frames"),
                         omega=float(seg.get("omega", 0.0)),
                     )
                 )
@@ -215,8 +225,8 @@ def _scenario_from_dict(doc: dict) -> Scenario:
             name=doc.get("name", "scenario"),
             sensors=sensors,
             targets=targets,
-            frames=int(doc["frames"]),
-            mc_runs=int(doc.get("mc_runs", 1)),
+            frames=_integer(doc["frames"], "frames"),
+            mc_runs=_integer(doc.get("mc_runs", 1), "mc_runs"),
             dt=float(doc.get("dt", 1.0)),
             process_noise_q=float(doc.get("process_noise_q", 0.1)),
             local_filter=LocalFilterSpec(
@@ -227,7 +237,7 @@ def _scenario_from_dict(doc: dict) -> Scenario:
             ),
             fusion_q=float(doc.get("fusion_q", 1.0)),
             estimate_scale_bias=bool(doc.get("estimate_scale_bias", False)),
-            rng_seed=int(doc.get("rng_seed", 0)),
+            rng_seed=_integer(doc.get("rng_seed", 0), "rng_seed"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ScenarioError):

@@ -19,7 +19,6 @@ independent of execution order.
 from __future__ import annotations
 
 import functools
-import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -33,10 +32,18 @@ from ..coords import (
     CartesianMeasurement,
     _apply_bias_arrays,
     _converted_covariance_arrays,
+    cart_to_polar,
     conversion_gain,
     jacobians_at,
 )
-from ..dynamics import MotionModel, compose_steps, ncv_model, nca_model, turn_model
+from ..dynamics import (
+    MotionModel,
+    compose_lags,
+    compose_steps,
+    ncv_model,
+    nca_model,
+    turn_model,
+)
 from ..errors import NumericalError, ScenarioError, SingularMatrixError
 from ..fusion import (
     FusedTrack,
@@ -103,8 +110,16 @@ class LocalTracks:
 
     def estimate(self, s, t, k: int) -> GaussianEstimate:
         """Estimate of sensor ``s``, target ``t`` at frame ``k``; ``s`` and
-        ``t`` may be slices, which give a batched estimate."""
+        ``t`` may be slices or index arrays, which give a batched estimate."""
         return GaussianEstimate(mean=self.mean[s, t, k], cov=self.cov[s, t, k], frame=k)
+
+    def reports(self, frames: np.ndarray) -> GaussianEstimate:
+        """Estimates of every (sensor, target) pair, each sensor's at its own
+        frame ``frames[sensor]``; the batch axes are (sensor, target)."""
+        s = np.arange(len(frames))
+        return GaussianEstimate(
+            mean=self.mean[s, :, frames], cov=self.cov[s, :, frames], frame=frames[:, None]
+        )
 
 
 @dataclass
@@ -268,31 +283,26 @@ def run_local_tracks(scenario: Scenario, truth: TruthData) -> LocalTracks:
             if exc.index is not None:
                 s, t = exc.index
                 where = f"sensor {s}, target {t}, {where}"
-            raise SingularMatrixError(f"{where}: {exc}", index=exc.index) from exc
+            raise SingularMatrixError(f"{where}: {exc.reason}", index=exc.index) from exc
         mean[:, :, k] = est.mean
         cov[:, :, k] = est.cov
     return LocalTracks(mean=mean, cov=cov, gain=gain)
 
 
-def _sensor_models(scenario: Scenario) -> dict[int, SensorModel]:
-    return {
-        i: SensorModel(
-            sensor_id=i,
-            position=s.position,
-            sigma_r=s.sigma_r,
-            sigma_theta=s.sigma_theta,
-        )
-        for i, s in enumerate(scenario.sensors)
-    }
+def _sensor_models(scenario: Scenario) -> SensorModel:
+    return SensorModel(
+        position=np.stack([s.position for s in scenario.sensors]),
+        sigma_r=[s.sigma_r for s in scenario.sensors],
+        sigma_theta=[s.sigma_theta for s in scenario.sensors],
+    )
 
 
-def _initial_bias_states(scenario: Scenario) -> dict[int, BiasEstimate]:
-    sig = scenario.bias_prior_sigma()
-    prior = np.diag(sig**2)
-    return {
-        i: BiasEstimate(b=np.zeros(scenario.bias_dim), Sigma=prior.copy())
-        for i in range(len(scenario.sensors))
-    }
+def _initial_bias_states(scenario: Scenario) -> BiasEstimate:
+    n_s = len(scenario.sensors)
+    prior = np.diag(scenario.bias_prior_sigma() ** 2)
+    return BiasEstimate(
+        b=np.zeros((n_s, scenario.bias_dim)), Sigma=np.broadcast_to(prior, (n_s,) + prior.shape)
+    )
 
 
 def _position_sqerr(mean: np.ndarray, states: np.ndarray) -> float:
@@ -309,30 +319,30 @@ def _fuse_all_sensors(
     """Fuse every reporting sensor into one track per target.
 
     Each fused track starts from sensor 0's frame-0 estimate.  At each fusion
-    epoch k, ``epoch_measurements(k, since)`` receives the frame each
-    reporting sensor last reported at (``{sensor: frame}``, ascending
-    sensors) and returns, per target, the sensor ids and their (y, R)
-    position measurements, which :func:`sfa` folds in.
+    epoch k, ``epoch_measurements(k, last, reporting)`` receives the frame
+    each sensor last reported at (``last``, one per sensor) and the mask of
+    the sensors reporting at k.  It returns position measurements ``y``
+    (n_sensors, n_targets, 2) and ``R`` (n_sensors, n_targets, 2, 2) with
+    the mask of the (sensor, target) pairs that have one; one :func:`sfa`
+    call over the targets folds them in, in ascending sensor order.
 
     Returns the fused squared position error (mean over targets) per frame,
     NaN between epochs.
     """
     fusion_model = ncv_model(scenario.dt, scenario.fusion_q)
     steps = functools.cache(functools.partial(compose_steps, fusion_model))
-    n_t = len(scenario.targets)
-    fused = [FusedTrack(state=tracks.estimate(0, t, 0), sensors=(0,)) for t in range(n_t)]
-    last_report = dict.fromkeys(range(len(scenario.sensors)), 0)
+    n_s = len(scenario.sensors)
+    fused = FusedTrack(state=tracks.estimate(0, slice(None), 0))
+    last = np.zeros(n_s, dtype=int)
     sqerr = np.full(scenario.frames + 1, np.nan)
     for k in [0] + scenario.update_epochs():
         if k > 0:
-            reporters = scenario.reporters_at(k)
-            per_target = epoch_measurements(k, {s: last_report[s] for s in reporters})
-            for t, (ids, meas) in enumerate(per_target):
-                lag = k - fused[t].state.frame
-                fused[t] = sfa(fused[t], steps(lag), meas, sensor_ids=ids)
-            last_report.update(dict.fromkeys(reporters, k))
-        mean = np.stack([f.state.mean for f in fused])
-        sqerr[k] = _position_sqerr(mean, truth.states[:, k])
+            reporting = np.isin(np.arange(n_s), scenario.reporters_at(k))
+            y, R, present = epoch_measurements(k, last, reporting)
+            measurements = [(y[s], R[s]) for s in range(n_s)]
+            fused = sfa(fused, steps(k - fused.state.frame), measurements, present.T)
+            last[reporting] = k
+        sqerr[k] = _position_sqerr(fused.state.mean, truth.states[:, k])
     return sqerr
 
 
@@ -345,50 +355,44 @@ def _run_fbe(scenario: Scenario, truth: TruthData, tracks: LocalTracks):
     d = scenario.bias_dim
     fusion_model = ncv_model(scenario.dt, scenario.fusion_q)
     sensors = _sensor_models(scenario)
-    bias_states = _initial_bias_states(scenario)
-
-    fused_prev: dict[int, dict[int, FusedTrack]] = {}
-    for s in range(n_s):
-        ref = min(i for i in range(n_s) if i != s)
-        fused_prev[s] = {
-            t: FusedTrack(state=tracks.estimate(ref, t, 0), sensors=(ref,))
-            for t in range(n_t)
-        }
+    bias = _initial_bias_states(scenario)
+    # Each leave-one-out reference starts from the frame-0 estimate of the
+    # lowest-numbered other sensor.
+    ref = [min(i for i in range(n_s) if i != s) for s in range(n_s)]
+    fused = GaussianEstimate(mean=tracks.mean[ref, :, 0], cov=tracks.cov[ref, :, 0], frame=0)
 
     b_series = np.empty((K + 1, n_s, d))
     sigma_series = np.empty((K + 1, n_s, d, d))
 
     def record(k: int) -> None:
         # Estimates hold until the next epoch overwrites the later frames.
-        for s in range(n_s):
-            b_series[k:, s] = bias_states[s].b
-            sigma_series[k:, s] = bias_states[s].Sigma
+        b_series[k:] = bias.b
+        sigma_series[k:] = bias.Sigma
 
-    def epoch(k: int, since: dict[int, int]) -> list:
-        nonlocal bias_states
-        track_map = {
-            s: {t: (tracks.estimate(s, t, k0), tracks.estimate(s, t, k)) for t in range(n_t)}
-            for s, k0 in since.items()
-        }
-        res = fbe_step(track_map, bias_states, fused_prev, fusion_model, sensors)
-        bias_states = res.bias_states
-        for s in res.fused:
-            fused_prev[s].update(res.fused[s])
+    def epoch(k: int, last: np.ndarray, reporting: np.ndarray):
+        nonlocal bias, fused
+        all_pairs = slice(None)
+        res = fbe_step(
+            tracks.reports(last),
+            tracks.estimate(all_pairs, all_pairs, k),
+            np.broadcast_to(reporting[:, None], (n_s, n_t)),
+            bias,
+            fused,
+            fusion_model,
+            sensors,
+        )
+        bias, fused = res.bias_states, res.fused
         record(k)
-        per_target = []
-        for t in range(n_t):
-            ids = tuple(s for s in since if t in res.tracklets.get(s, {}))
-            corrected = [
-                bias_correct(
-                    res.tracklets[s][t],
-                    bias_states[s],
-                    (sensors[s].sigma_r, sensors[s].sigma_theta),
-                    origin=sensors[s].position,
-                )
-                for s in ids
-            ]
-            per_target.append((ids, [(c.y, c.R) for c in corrected]))
-        return per_target
+        y = np.zeros((n_s, n_t, 2))
+        R = np.zeros((n_s, n_t, 2, 2))
+        if res.tracklets is not None:
+            ls, lt = np.nonzero(res.live)
+            geo = sensors[ls]
+            c = bias_correct(
+                res.tracklets, bias[ls], (geo.sigma_r, geo.sigma_theta), origin=geo.position
+            )
+            y[ls, lt], R[ls, lt] = c.y, c.R
+        return y, R, res.live
 
     record(0)
     fused_sqerr = _fuse_all_sensors(scenario, truth, tracks, epoch)
@@ -413,6 +417,7 @@ def _run_stacked(
     sig = scenario.bias_prior_sigma()
     prior = np.diag(np.concatenate([sig**2, sig**2]))
     est = BiasEstimate(b=np.zeros(4), Sigma=prior)
+    positions = np.stack([s.position for s in scenario.sensors])[:, None]
 
     b_series = np.empty((K + 1, 1, 4))
     sigma_series = np.empty((K + 1, 1, 4, 4))
@@ -421,35 +426,22 @@ def _run_stacked(
 
     pairs = slice(None)
     for k in range(1, K + 1):
+        # Every (sensor, target) pair of the frame in one call per step.
+        prev = tracks.estimate(pairs, pairs, k - 1)
+        curr = tracks.estimate(pairs, pairs, k)
         if reconstructed:
-            # One single-step tracklet and gain per (sensor, target) pair.
-            trk = tracklet_decorrelated(
-                tracks.estimate(pairs, pairs, k - 1), tracks.estimate(pairs, pairs, k), ms1
-            )
+            trk = tracklet_decorrelated(prev, curr, ms1)
             gain = reconstruct_local_gain(trk, trk.pred_cov)
+            W, R = gain.W, gain.R
+            r_m, t_m = cart_to_polar(trk.u[..., ::2], positions)
+        else:
+            W, R = tracks.gain[:, :, k], truth.cart_R[:, :, k]
+            r_m, t_m = truth.polar_meas[:, :, k, 0], truth.polar_meas[:, :, k, 1]
+        zb = sensor_pseudo_obs(curr, prev, W, ms1)
+        B = jacobians_at(r_m, t_m).B
+        z, H, R = zb[0] - zb[1], np.concatenate([B[0], -B[1]], axis=-1), R[0] + R[1]
         for t in range(n_t):
-            zb = []
-            B = []
-            R = []
-            for s in (0, 1):
-                prev = tracks.estimate(s, t, k - 1)
-                curr = tracks.estimate(s, t, k)
-                if reconstructed:
-                    W, R_s = gain.W[s, t], gain.R[s, t]
-                    pos = scenario.sensors[s].position
-                    ux, uy = trk.u[s, t, 0] - pos[0], trk.u[s, t, 2] - pos[1]
-                    r_m, t_m = math.hypot(ux, uy), math.atan2(uy, ux)
-                else:
-                    W = tracks.gain[s, t, k]
-                    R_s = truth.cart_R[s, t, k]
-                    r_m, t_m = truth.polar_meas[s, t, k]
-                zb.append(sensor_pseudo_obs(curr, prev, W, ms1))
-                B.append(jacobians_at(r_m, t_m).B)
-                R.append(R_s)
-            pm = PseudoMeasurement(
-                z=zb[0] - zb[1], H=np.hstack([B[0], -B[1]]), R=R[0] + R[1]
-            )
-            est = rlsb_update(est, pm)
+            est = rlsb_update(est, PseudoMeasurement(z=z[t], H=H[t], R=R[t]))
         b_series[k, 0] = est.b
         sigma_series[k, 0] = est.Sigma
     return b_series, sigma_series, None
@@ -460,19 +452,22 @@ def _run_baseline(scenario: Scenario, truth: TruthData, tracks: LocalTracks):
     steps = functools.cache(
         functools.partial(compose_steps, ncv_model(scenario.dt, scenario.fusion_q))
     )
+    n_s = len(scenario.sensors)
+    n_t = len(scenario.targets)
 
-    def epoch(k: int, since: dict[int, int]) -> list:
-        per_target = []
-        for t in range(len(scenario.targets)):
-            meas = []
-            for s, k0 in since.items():
-                trk = compute_tracklet(
-                    tracks.estimate(s, t, k0), tracks.estimate(s, t, k), steps(k - k0)
-                )
-                g = reconstruct_local_gain(trk, trk.pred_cov)
-                meas.append((g.y, g.R))
-            per_target.append((tuple(since), meas))
-        return per_target
+    def epoch(k: int, last: np.ndarray, reporting: np.ndarray):
+        sel = np.flatnonzero(reporting)
+        lags = np.broadcast_to((k - last[sel])[:, None], (sel.size, n_t))
+        trk = compute_tracklet(
+            tracks.reports(last)[sel],
+            tracks.estimate(sel, slice(None), k),
+            compose_lags(steps, lags),
+        )
+        g = reconstruct_local_gain(trk, trk.pred_cov)
+        y = np.zeros((n_s, n_t, 2))
+        R = np.zeros((n_s, n_t, 2, 2))
+        y[sel], R[sel] = g.y, g.R
+        return y, R, np.broadcast_to(reporting[:, None], (n_s, n_t))
 
     return None, None, _fuse_all_sensors(scenario, truth, tracks, epoch)
 
@@ -496,9 +491,7 @@ def run_single(scenario: Scenario, run_index: int, method: str) -> SingleRun:
             b_series, sigma_series, fused_sqerr = _run_baseline(scenario, truth, tracks)
     except NumericalError as exc:
         # Keep the error type and the failing batch index.
-        if isinstance(exc, SingularMatrixError):
-            raise type(exc)(f"run {run_index}: {exc}", index=exc.index) from exc
-        raise NumericalError(f"run {run_index}: {exc}") from exc
+        raise type(exc)(f"run {run_index}: {exc.reason}", index=exc.index) from exc
     local_sqerr = np.array(
         [
             _position_sqerr(tracks.mean[0, :, k], truth.states[:, k])

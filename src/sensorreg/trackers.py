@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import at_index, first_index, solve_psd, symmetrize
+from ._linalg import first_index, mt, mv, solve_psd, symmetrize
 from .coords import CartesianMeasurement
 from .dynamics import MotionModel, MultiStepModel
 from .errors import SingularMatrixError
@@ -63,7 +63,8 @@ class GaussianEstimate:
     """State mean and covariance at an integer frame index.
 
     ``mean`` has shape (..., n) and ``cov`` (..., n, n); leading axes index
-    a batch of independent estimates that share ``frame``.
+    a batch of independent estimates.  ``frame`` is shared, or an integer
+    array broadcasting against the batch axes.
     """
 
     mean: np.ndarray
@@ -82,6 +83,14 @@ class GaussianEstimate:
     def position(self) -> np.ndarray:
         i, j = _position_indices(self.dim)
         return self.mean[..., [i, j]]
+
+    def __getitem__(self, index) -> GaussianEstimate:
+        """The estimates at ``index`` of the batch axes (``frame`` too when
+        it is an array broadcasting against them)."""
+        frame = self.frame
+        if np.ndim(frame):
+            frame = np.broadcast_to(frame, self.mean.shape[:-1])[index]
+        return GaussianEstimate(mean=self.mean[index], cov=self.cov[index], frame=frame)
 
 
 @dataclass
@@ -113,10 +122,8 @@ def init_track(
 def kf_predict(est: GaussianEstimate, model: MotionModel | MultiStepModel) -> GaussianEstimate:
     """Propagate mean and covariance through the model."""
     steps = model.steps if isinstance(model, MultiStepModel) else 1
-    # A stack of matrix-vector products, not ``mean @ F.T``: each element
-    # then sums in the same order as a batch-free call, bit for bit.
-    mean = (model.F @ est.mean[..., None])[..., 0]
-    cov = symmetrize(model.F @ est.cov @ model.F.T + model.Q)
+    mean = mv(model.F, est.mean)
+    cov = symmetrize(model.F @ est.cov @ mt(model.F) + model.Q)
     return GaussianEstimate(mean=mean, cov=cov, frame=est.frame + steps)
 
 
@@ -134,11 +141,10 @@ def kf_update(
     nu = z.z - z_pred
     PHt = est.cov[..., :, pos]
     S = PHt[..., pos, :] + z.R
-    W = solve_psd(S.swapaxes(-1, -2), PHt.swapaxes(-1, -2), "innovation covariance")
-    W = W.swapaxes(-1, -2)
-    mean = est.mean + (W @ nu[..., None])[..., 0]
+    W = mt(solve_psd(mt(S), mt(PHt), "innovation covariance"))
+    mean = est.mean + mv(W, nu)
     M = np.eye(n) - W @ H
-    cov = symmetrize(M @ est.cov @ M.swapaxes(-1, -2) + W @ z.R @ W.swapaxes(-1, -2))
+    cov = symmetrize(M @ est.cov @ mt(M) + W @ z.R @ mt(W))
     rec = KfStepRecord(gain=W, innovation=nu, innovation_cov=S, predicted_meas=z_pred)
     return GaussianEstimate(mean=mean, cov=cov, frame=est.frame), rec
 
@@ -229,12 +235,11 @@ class ImmState:
 def _gauss_loglik(nu: np.ndarray, S: np.ndarray) -> np.ndarray:
     sign, logdet = np.linalg.slogdet(S)
     if np.any(sign <= 0):
-        index = first_index(sign <= 0)
         raise SingularMatrixError(
-            f"innovation covariance not positive definite{at_index(index)}", index=index
+            "innovation covariance not positive definite", index=first_index(sign <= 0)
         )
     # matmul, not an elementwise product and sum, for the same reason as in
-    # kf_predict: it rounds like the batch-free dot product.
+    # ``mv``: it rounds like the batch-free dot product.
     maha = (nu[..., None, :] @ solve_psd(S, nu[..., None], "innovation covariance"))[..., 0, 0]
     return -0.5 * (maha + logdet + nu.shape[-1] * math.log(2.0 * math.pi))
 
@@ -263,9 +268,9 @@ def imm_step(
     Pi = state.transition
     c_bar = mu @ Pi
     if np.any(c_bar <= 0):
-        index = first_index(np.any(c_bar <= 0, axis=-1))
         raise SingularMatrixError(
-            f"unreachable mode in IMM transition matrix{at_index(index)}", index=index
+            "unreachable mode in IMM transition matrix",
+            index=first_index(np.any(c_bar <= 0, axis=-1)),
         )
 
     # Mixed initial conditions per destination mode; w[..., i, j] weighs

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import at_index, inv_sym, symmetrize
+from ._linalg import first_index, inv_sym, mt, mv, symmetrize
 from .dynamics import MultiStepModel
 from .errors import NumericalError, TrackletSingularError
 from .trackers import GaussianEstimate
@@ -47,7 +47,8 @@ class Tracklet:
     form (None for the decorrelated form).  ``pred_cov`` is the L-step
     predicted covariance used to build the tracklet; gain reconstruction
     reuses it.  ``u`` has shape (..., n) and ``U`` and ``pred_cov``
-    (..., n, n), with the leading batch axes of the snapshots.
+    (..., n, n), with the leading batch axes of the snapshots.  ``method``
+    names the form, per element (an array) when a batch mixes both.
     """
 
     u: np.ndarray
@@ -57,18 +58,12 @@ class Tracklet:
     to_frame: int
     A: np.ndarray | None = None
     D: np.ndarray | None = None
-    method: str = "inverse_kf"
-
-
-def _mv(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    # A stack of matrix-vector products; each element sums in the same order
-    # as a batch-free ``mat @ vec``.
-    return (mat @ vec[..., None])[..., 0]
+    method: str | np.ndarray = "inverse_kf"
 
 
 def _predict(prev: GaussianEstimate, model: MultiStepModel):
-    x_pred = _mv(model.F, prev.mean)
-    P_pred = model.F @ prev.cov @ model.F.T + model.Q
+    x_pred = mv(model.F, prev.mean)
+    P_pred = model.F @ prev.cov @ mt(model.F) + model.Q
     return x_pred, P_pred
 
 
@@ -107,7 +102,7 @@ def _pinv_psd(Lam: np.ndarray) -> np.ndarray:
         try:
             U[idx] = _pinv_psd_one(Lam[idx])
         except NumericalError as exc:
-            raise NumericalError(f"{exc}{at_index(idx)}") from exc
+            raise NumericalError(exc.reason, index=idx) from exc
     return U
 
 
@@ -161,21 +156,32 @@ def tracklet_inverse_kf(
 ) -> Tracklet:
     """Invert the filter update between two snapshots of the same track.
 
-    Raises :class:`TrackletSingularError` when the covariance difference
-    D = P(k|k') - P(k|k) is singular or nearly so (e.g. single-step lags with
-    position-only updates), signalling the caller to use the decorrelated
-    fallback, and :class:`SingularMatrixError` when the resulting tracklet
+    The snapshots and the model's ``F``/``Q`` may carry leading batch axes;
+    one call then builds a tracklet per element.
+
+    Raises :class:`TrackletSingularError` when any element's covariance
+    difference D = P(k|k') - P(k|k) is singular or nearly so (e.g.
+    single-step lags with position-only updates), signalling the caller to
+    use the decorrelated fallback; its ``failed`` mask marks every such
+    element.  Raises :class:`SingularMatrixError` when a resulting tracklet
     covariance cannot be inverted.
     """
     x_pred, P_pred = _predict(prev, model)
     D = symmetrize(P_pred - curr.cov)
     w = np.linalg.eigvalsh(D)
-    if w.min() <= 0.0 or w.max() / w.min() > COND_LIMIT:
+    lo, hi = w[..., 0], w[..., -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        failed = (lo <= 0.0) | (hi / lo > COND_LIMIT)
+    if failed.any():
+        index = first_index(failed)
+        at = index or ()
         raise TrackletSingularError(
-            f"covariance difference near-singular (eig range [{w.min():.3e}, {w.max():.3e}])"
+            f"covariance difference near-singular (eig range [{lo[at]:.3e}, {hi[at]:.3e}])",
+            index=index,
+            failed=failed,
         )
-    A = np.linalg.solve(D.T, P_pred.T).T
-    u = x_pred + A @ (curr.mean - x_pred)
+    A = mt(np.linalg.solve(mt(D), mt(P_pred)))
+    u = x_pred + mv(A, curr.mean - x_pred)
     U = symmetrize(A @ curr.cov)
     # A tracklet whose covariance has no inverse carries no usable weight.
     inv_sym(U, context="tracklet covariance")
@@ -206,14 +212,10 @@ def tracklet_decorrelated(
     genuinely negative eigenvalue or carries no information at all.
     """
     x_pred, P_pred = _predict(prev, model)
-    try:
-        J_curr, J_pred = np.linalg.inv(np.stack([curr.cov, P_pred]))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("track covariance not invertible") from exc
-    if not np.isfinite(J_curr.sum() + J_pred.sum()):
-        raise NumericalError("track covariance inverse not finite")
+    J_curr = inv_sym(curr.cov, context="track covariance")
+    J_pred = inv_sym(P_pred, context="predicted track covariance")
     U = _pinv_psd(symmetrize(J_curr - J_pred))
-    u = _mv(U, _mv(J_curr, curr.mean) - _mv(J_pred, x_pred))
+    u = mv(U, mv(J_curr, curr.mean) - mv(J_pred, x_pred))
     return Tracklet(
         u=u,
         U=U,
@@ -228,8 +230,39 @@ def compute_tracklet(
     prev: GaussianEstimate, curr: GaussianEstimate, model: MultiStepModel
 ) -> Tracklet:
     """Tracklet in the inverse-filter form, falling back to the decorrelated
-    form when the covariance difference is near-singular."""
+    form for the elements whose covariance difference is near-singular.
+
+    A batch that mixes both forms is built from one call of each on its
+    elements; its ``method`` then names the form per element and ``A`` and
+    ``D`` are None.  An error names its element's index in the full batch.
+    The snapshots carry the full batch shape; the model may be shared.
+    """
     try:
         return tracklet_inverse_kf(prev, curr, model)
-    except TrackletSingularError:
+    except TrackletSingularError as exc:
+        failed = exc.failed
+    if failed.all():
         return tracklet_decorrelated(prev, curr, model)
+
+    def part(build, sel):
+        try:
+            return build(prev[sel], curr[sel], model[sel])
+        except NumericalError as exc:
+            if exc.index is None:
+                raise
+            raise type(exc)(exc.reason, index=np.argwhere(sel)[exc.index[0]]) from exc
+
+    inv, dec = part(tracklet_inverse_kf, ~failed), part(tracklet_decorrelated, failed)
+    u = np.empty(failed.shape + inv.u.shape[-1:])
+    U = np.empty(failed.shape + inv.U.shape[-2:])
+    pred_cov = np.empty_like(U)
+    for t, sel in ((inv, ~failed), (dec, failed)):
+        u[sel], U[sel], pred_cov[sel] = t.u, t.U, t.pred_cov
+    return Tracklet(
+        u=u,
+        U=U,
+        pred_cov=pred_cov,
+        from_frame=prev.frame,
+        to_frame=curr.frame,
+        method=np.where(failed, "decorrelated", "inverse_kf"),
+    )

@@ -68,6 +68,28 @@ def test_negative_seed_is_a_scenario_error(tiny_scenario, tmp_path, capsys):
     assert "scenario error: rng_seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "path, key, where",
+    [
+        ((), "rng_seed", "rng_seed"),
+        ((), "frames", "frames"),
+        ((), "mc_runs", "mc_runs"),
+        (("sensors", 1), "lag", "sensor 1 lag"),
+        (("targets", 0, "segments", 0), "frames", "target 0 segment 0 frames"),
+    ],
+)
+def test_non_integer_count_is_a_scenario_error(tiny_scenario, tmp_path, capsys, path, key, where):
+    doc = json.loads(tiny_scenario.read_text())
+    node = doc
+    for k in path:
+        node = node[k]
+    node[key] = 2.5
+    tiny_scenario.write_text(json.dumps(doc))
+    code = main(["simulate", "--scenario", str(tiny_scenario), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert f"scenario error: {where} must be an integer, got 2.5" in capsys.readouterr().err
+
+
 def test_simulate_methods_ex_exl(tiny_scenario, tmp_path):
     for method in ["ex", "exl", "baseline"]:
         out = tmp_path / method

@@ -178,3 +178,44 @@ def test_wrap_angle_range(angle):
     w = wrap_angle(angle)
     assert -math.pi < w <= math.pi
     assert math.isclose(math.sin(w - angle), 0.0, abs_tol=1e-9)
+
+
+def _wrap_scalar(angle):
+    # The (-pi, pi] convention through the C library's IEEE remainder.
+    wrapped = math.remainder(angle, 2.0 * math.pi)
+    return math.pi if wrapped <= -math.pi else wrapped
+
+
+# Both sides of the cut: +-pi, one ulp either side, and odd multiples.
+CUT = [
+    x
+    for c in (math.pi, -math.pi, 3 * math.pi, -3 * math.pi)
+    for x in (c, math.nextafter(c, math.inf), math.nextafter(c, -math.inf))
+]
+
+
+@given(angles=st.lists(st.floats(min_value=-1e6, max_value=1e6), max_size=20))
+@settings(max_examples=200, deadline=None)
+def test_array_wrap_angle_matches_scalar_formula(angles):
+    arr = np.array(angles + CUT)
+    w = wrap_angle(arr)
+    assert np.all((w > -math.pi) & (w <= math.pi))
+    assert w.tolist() == [_wrap_scalar(a) for a in arr.tolist()]
+    assert [wrap_angle(a) for a in arr.tolist()] == w.tolist()
+    assert wrap_angle(-math.pi) == wrap_angle(math.pi) == math.pi
+
+
+@given(
+    offset=st.floats(min_value=-1e-4, max_value=1e-4),
+    b_theta=st.floats(min_value=-2e-3, max_value=2e-3),
+    eps_theta=st.floats(min_value=-1e-3, max_value=1e-3),
+)
+@settings(max_examples=200, deadline=None)
+def test_wrap_of_corrected_azimuth_near_cut(offset, b_theta, eps_theta):
+    # The bias correction's (theta - b_theta) / (1 + eps_theta) lands on
+    # either side of the cut for azimuths measured next to it.
+    theta = np.array([math.pi + offset, -math.pi + offset])
+    corrected = (theta - b_theta) / (1.0 + eps_theta)
+    w = wrap_angle(corrected)
+    assert np.all((w > -math.pi) & (w <= math.pi))
+    assert w.tolist() == [_wrap_scalar(a) for a in corrected.tolist()]

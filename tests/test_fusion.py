@@ -1,18 +1,26 @@
 """Fusion center: gain reconstruction, bias correction, sequential fusion,
 and the per-frame fused bias estimation step."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from sensorreg.bias import BiasEstimate
+from sensorreg.bias import (
+    BiasEstimate,
+    difference_pseudo_measurement,
+    rlsb_update,
+    sensor_pseudo_obs,
+)
 from sensorreg.coords import (
     BiasVector,
     CartesianMeasurement,
     PolarMeasurement,
     apply_bias,
+    cart_to_polar,
     conversion_gain,
+    jacobians_at,
 )
 from sensorreg.dynamics import compose_steps, ncv_model
 from sensorreg.errors import NumericalError
@@ -193,7 +201,7 @@ def test_sfa_empty_measurements_is_pure_prediction():
     np.testing.assert_allclose(out.state.mean, ms.F @ prev.state.mean)
     np.testing.assert_allclose(out.state.cov, ms.F @ np.eye(4) @ ms.F.T + ms.Q, rtol=1e-12)
     assert out.state.frame == 3
-    assert out.sensors == ()
+    assert out.sensors.shape == (0,)
 
 
 def test_sfa_equals_batch_update_any_order():
@@ -234,31 +242,27 @@ def test_sfa_equals_batch_update_any_order():
 
 
 def _small_fbe_inputs(bias0=(25.0, 2e-3), nonreporting=False):
-    """Two targets, three sensors; sensor 0 biased, others clean."""
+    """Two targets, three sensors; sensor 0 biased, others clean.  Report
+    pairs, bias states and leave-one-out references are arrays over
+    (sensor, target)."""
     rng = np.random.default_rng(11)
     model = ncv_model(1.0, 0.5)
-    sensors = {
-        i: SensorModel(sensor_id=i, position=p, sigma_r=10.0, sigma_theta=1e-3)
-        for i, p in enumerate([(0.0, 0.0), (15000.0, 0.0), (0.0, 15000.0)])
-    }
-    biases = {
-        0: BiasVector(b_r=bias0[0], b_theta=bias0[1]),
-        1: BiasVector(),
-        2: BiasVector(),
-    }
-    truths = {
-        0: np.array([6000.0, 30.0, 4000.0, -20.0]),
-        1: np.array([-3000.0, -10.0, 8000.0, 15.0]),
-    }
+    positions = [(0.0, 0.0), (15000.0, 0.0), (0.0, 15000.0)]
+    sensors = SensorModel(position=positions, sigma_r=[10.0] * 3, sigma_theta=[1e-3] * 3)
+    biases = [BiasVector(b_r=bias0[0], b_theta=bias0[1]), BiasVector(), BiasVector()]
+    truths = [
+        np.array([6000.0, 30.0, 4000.0, -20.0]),
+        np.array([-3000.0, -10.0, 8000.0, 15.0]),
+    ]
     L = 5
-    tracks = {s: {} for s in sensors}
-    for s, geo in sensors.items():
-        for tgt, x0 in truths.items():
+    prev = np.empty((3, 2), dtype=object)
+    curr = np.empty((3, 2), dtype=object)
+    for s, pos in enumerate(positions):
+        for tgt, x0 in enumerate(truths):
             est = None
             truth = x0.copy()
-            prev_snapshot = None
             for k in range(L + 1):
-                dx, dy = truth[0] - geo.position[0], truth[2] - geo.position[1]
+                dx, dy = truth[0] - pos[0], truth[2] - pos[1]
                 pm = PolarMeasurement(
                     r=math.hypot(dx, dy),
                     theta=math.atan2(dy, dx),
@@ -270,85 +274,185 @@ def _small_fbe_inputs(bias0=(25.0, 2e-3), nonreporting=False):
                 )
                 lam = conversion_gain(1e-3)
                 z = CartesianMeasurement(
-                    z=geo.position
+                    z=np.array(pos)
                     + lam * noisy.r * np.array([math.cos(noisy.theta), math.sin(noisy.theta)]),
                     R=np.diag([100.0, (noisy.r * 1e-3) ** 2]),
                 )
                 if est is None:
                     est = init_track(z, frame=0)
-                    prev_snapshot = est
+                    prev[s, tgt] = est
                 else:
                     est = kf_predict(est, model)
                     est, _ = kf_update(est, z)
                 if k < L:
                     truth = model.F @ truth
-            tracks[s][tgt] = (prev_snapshot, est)
+            curr[s, tgt] = est
+
+    def stack(ests):
+        return GaussianEstimate(
+            mean=[[e.mean for e in row] for row in ests],
+            cov=[[e.cov for e in row] for row in ests],
+            frame=ests[0, 0].frame,
+        )
+
+    reported = np.ones((3, 2), dtype=bool)
     if nonreporting:
-        del tracks[2]
-    bias_states = {
-        s: BiasEstimate(b=np.zeros(2), Sigma=np.diag([400.0, 1e-6])) for s in sensors
-    }
-    fused_prev = {
-        s: {
-            tgt: FusedTrack(
-                state=tracks_all_first(tracks, s, tgt), sensors=(min(r for r in sensors if r != s),)
-            )
-            for tgt in truths
-        }
-        for s in sensors
-    }
-    return tracks, bias_states, fused_prev, model, sensors
-
-
-def tracks_all_first(tracks, s, tgt):
-    ref = min(r for r in tracks if r != s)
-    prev, _ = tracks[ref][tgt]
-    return GaussianEstimate(mean=prev.mean.copy(), cov=prev.cov.copy(), frame=prev.frame)
+        reported[2] = False
+    bias_states = BiasEstimate(b=np.zeros((3, 2)), Sigma=np.tile(np.diag([400.0, 1e-6]), (3, 1, 1)))
+    # Each reference starts from the lowest-numbered other sensor's snapshot.
+    ref = [min(r for r in range(3) if r != s) for s in range(3)]
+    fused_prev = stack(prev[ref])
+    return (stack(prev), stack(curr), reported), bias_states, fused_prev, model, sensors
 
 
 def test_fbe_step_moves_biased_sensor_estimate():
     tracks, bias_states, fused_prev, model, sensors = _small_fbe_inputs()
-    res = fbe_step(tracks, bias_states, fused_prev, model, sensors)
+    res = fbe_step(*tracks, bias_states, fused_prev, model, sensors)
     # The biased sensor's range estimate moves decisively toward the truth.
-    assert res.bias_states[0].b[0] > 5.0
+    assert res.bias_states.b[0, 0] > 5.0
     # Clean sensors stay within a few sigma of zero.
     for s in (1, 2):
-        assert abs(res.bias_states[s].b[0]) < 3 * math.sqrt(res.bias_states[s].Sigma[0, 0]) + 3.0
+        assert abs(res.bias_states.b[s, 0]) < 3 * math.sqrt(res.bias_states.Sigma[s, 0, 0]) + 3.0
 
 
 def test_fbe_step_leave_one_out_structure():
     tracks, bias_states, fused_prev, model, sensors = _small_fbe_inputs()
-    res = fbe_step(tracks, bias_states, fused_prev, model, sensors)
-    for s, per_target in res.used.items():
-        for tgt, contributors in per_target.items():
-            assert s not in contributors
-            assert len(contributors) == len(sensors) - 1
+    res = fbe_step(*tracks, bias_states, fused_prev, model, sensors)
+    n_s, n_t = tracks[2].shape
+    for s in range(n_s):
+        for tgt in range(n_t):
+            assert not res.used[s, tgt, s]
+            assert res.used[s, tgt].sum() == n_s - 1
 
 
 def test_fbe_step_skips_frame_with_single_reporter():
-    tracks, bias_states, fused_prev, model, sensors = _small_fbe_inputs()
-    only = {0: tracks[0]}
-    res = fbe_step(only, bias_states, fused_prev, model, sensors)
-    for s in sensors:
-        np.testing.assert_allclose(res.bias_states[s].b, bias_states[s].b)
+    (prev, curr, reported), bias_states, fused_prev, model, sensors = _small_fbe_inputs()
+    only = np.zeros_like(reported)
+    only[0] = True
+    res = fbe_step(prev, curr, only, bias_states, fused_prev, model, sensors)
+    for s in range(3):
+        np.testing.assert_allclose(res.bias_states.b[s], bias_states.b[s])
 
 
 def test_fbe_step_nonreporting_sensor_carried_forward():
     tracks, bias_states, fused_prev, model, sensors = _small_fbe_inputs(nonreporting=True)
-    res = fbe_step(tracks, bias_states, fused_prev, model, sensors)
-    np.testing.assert_allclose(res.bias_states[2].b, bias_states[2].b)
-    np.testing.assert_allclose(res.bias_states[2].Sigma, bias_states[2].Sigma)
-    assert res.bias_states[0].b[0] > 5.0
-    for per_target in res.used[0].values():
-        assert per_target == (1,)
+    res = fbe_step(*tracks, bias_states, fused_prev, model, sensors)
+    np.testing.assert_allclose(res.bias_states.b[2], bias_states.b[2])
+    np.testing.assert_allclose(res.bias_states.Sigma[2], bias_states.Sigma[2])
+    assert res.bias_states.b[0, 0] > 5.0
+    for contributors in res.used[0]:
+        assert np.flatnonzero(contributors).tolist() == [1]
 
 
 def test_fbe_step_corrections_use_frame_start_estimates():
-    # Updating in a different sensor order must not change the result, since
-    # corrections snapshot the bias estimates at the start of the frame.
-    tracks, bias_states, fused_prev, model, sensors = _small_fbe_inputs()
-    res1 = fbe_step(tracks, bias_states, fused_prev, model, sensors)
-    reordered = {s: tracks[s] for s in sorted(tracks, reverse=True)}
-    res2 = fbe_step(reordered, bias_states, fused_prev, model, sensors)
-    for s in sensors:
-        np.testing.assert_allclose(res1.bias_states[s].b, res2.bias_states[s].b, rtol=1e-12)
+    # Presenting the sensors in reverse order must not change any sensor's
+    # result, since corrections snapshot the bias estimates at the start of
+    # the frame.
+    (prev, curr, reported), bias_states, fused_prev, model, sensors = _small_fbe_inputs()
+    res1 = fbe_step(prev, curr, reported, bias_states, fused_prev, model, sensors)
+    rev = slice(None, None, -1)
+    res2 = fbe_step(
+        prev[rev], curr[rev], reported[rev], bias_states[rev], fused_prev[rev], model, sensors[rev]
+    )
+    for s in range(3):
+        np.testing.assert_allclose(
+            res1.bias_states.b[s], res2.bias_states.b[2 - s], rtol=1e-12
+        )
+
+
+def test_fbe_step_skips_only_the_degenerate_pair():
+    # Sensor 1's report of target 0 carries no information (its update is
+    # the pure prediction), so its tracklet fails; the result must be that
+    # of the same frame without that pair.
+    (prev, curr, reported), bias_states, fused_prev, model, sensors = _small_fbe_inputs()
+    ms = compose_steps(model, curr.frame - prev.frame)
+    curr.mean[1, 0] = ms.F @ prev.mean[1, 0]
+    curr.cov[1, 0] = ms.F @ prev.cov[1, 0] @ ms.F.T + ms.Q
+    res = fbe_step(prev, curr, reported, bias_states, fused_prev, model, sensors)
+    assert res.skipped == [(1, 0, "track carried no new information over the interval")]
+
+    without = reported.copy()
+    without[1, 0] = False
+    ref = fbe_step(prev, curr, without, bias_states, fused_prev, model, sensors)
+    assert ref.skipped == []
+    np.testing.assert_array_equal(res.live, without)
+    np.testing.assert_array_equal(res.live, ref.live)
+    np.testing.assert_array_equal(res.used, ref.used)
+    np.testing.assert_array_equal(res.fused.frame, ref.fused.frame)
+    for got, want in [
+        (res.bias_states.b, ref.bias_states.b),
+        (res.bias_states.Sigma, ref.bias_states.Sigma),
+        (res.fused.mean, ref.fused.mean),
+        (res.fused.cov, ref.fused.cov),
+        (res.tracklets.u, ref.tracklets.u),
+        (res.tracklets.U, ref.tracklets.U),
+    ]:
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+    # The leave-one-out references of target 0 lost sensor 1.
+    assert res.used[0, 0].tolist() == [False, False, True]
+
+
+def test_batched_sfa_skips_only_the_singular_element(caplog):
+    model = ncv_model(1.0, 0.2)
+    ms = compose_steps(model, 2)
+    rng = np.random.default_rng(3)
+    n = 3
+    prev = FusedTrack(
+        state=GaussianEstimate(
+            mean=rng.standard_normal((n, 4)) * 10,
+            cov=np.diag([50.0, 5.0, 50.0, 5.0]) * rng.uniform(1.0, 2.0, (n, 1, 1)),
+            frame=0,
+        )
+    )
+    y = rng.standard_normal((2, n, 2))
+    R = np.tile(np.diag([10.0, 20.0]), (2, n, 1, 1))
+    # Element 1's first measurement cancels its predicted position
+    # covariance exactly, so its innovation covariance is zero.
+    P1 = ms.F @ prev.state.cov[1] @ ms.F.T + ms.Q
+    R[0, 1] = -0.5 * (P1 + P1.T)[::2, ::2]
+    with caplog.at_level(logging.WARNING, logger="sensorreg.fusion"):
+        out = sfa(prev, ms, [(y[0], R[0]), (y[1], R[1])])
+    assert len([r for r in caplog.records if r.name == "sensorreg.fusion"]) == 1
+    assert out.sensors.tolist() == [[True, True], [False, True], [True, True]]
+    for i in range(n):
+        one = FusedTrack(state=GaussianEstimate(prev.state.mean[i], prev.state.cov[i], frame=0))
+        meas = [(y[1, i], R[1, i])] if i == 1 else [(y[0, i], R[0, i]), (y[1, i], R[1, i])]
+        ref = sfa(one, ms, meas)
+        np.testing.assert_allclose(out.state.mean[i], ref.state.mean, rtol=1e-12)
+        np.testing.assert_allclose(out.state.cov[i], ref.state.cov, rtol=1e-12)
+        assert out.state.frame == ref.state.frame == 2
+
+
+def test_batched_fusion_formulas_match_batch_free_calls():
+    # One batched call of each fusion-center formula equals a loop of
+    # batch-free calls, bit for bit.
+    (prev, curr, _), _, _, model, sensors = _small_fbe_inputs()
+    ms = compose_steps(model, curr.frame - prev.frame)
+    t = compute_tracklet(prev, curr, ms)
+    g = reconstruct_local_gain(t, t.pred_cov)
+    rng = np.random.default_rng(8)
+    A = rng.standard_normal((3, 4, 4))
+    bias = BiasEstimate(b=rng.standard_normal((3, 4)) * [5.0, 1e-3, 1e-3, 1e-3], Sigma=A @ A.transpose(0, 2, 1))
+    geo = sensors[:, None]
+    c = bias_correct(t, bias[:, None], (geo.sigma_r, geo.sigma_theta), origin=geo.position)
+    zb = sensor_pseudo_obs(curr, prev, g.W, ms)
+    r, th = cart_to_polar(t.u[..., ::2], geo.position)
+    jac = jacobians_at(r, th)
+    pm = difference_pseudo_measurement(zb, c.y, jac, c.R, g.R, offset_only=False)
+    est = rlsb_update(bias[:, None], pm)
+    for s in range(3):
+        for tgt in range(2):
+            ts = Tracklet(u=t.u[s, tgt], U=t.U[s, tgt], pred_cov=t.pred_cov[s, tgt], from_frame=0, to_frame=5)
+            c1 = bias_correct(
+                ts, bias[s], (10.0, 1e-3), origin=tuple(sensors.position[s])
+            )
+            np.testing.assert_array_equal(c.y[s, tgt], c1.y)
+            np.testing.assert_array_equal(c.R[s, tgt], c1.R)
+            z1 = sensor_pseudo_obs(curr[s, tgt], prev[s, tgt], g.W[s, tgt], ms)
+            np.testing.assert_array_equal(zb[s, tgt], z1)
+            j1 = jacobians_at(*cart_to_polar(t.u[s, tgt, ::2], sensors.position[s]))
+            np.testing.assert_array_equal(jac.K[s, tgt], j1.K)
+            pm1 = difference_pseudo_measurement(z1, c1.y, j1, c1.R, g.R[s, tgt], offset_only=False)
+            e1 = rlsb_update(bias[s], pm1)
+            np.testing.assert_array_equal(est.b[s, tgt], e1.b)
+            np.testing.assert_array_equal(est.Sigma[s, tgt], e1.Sigma)

@@ -90,6 +90,30 @@ def test_scenario_rejects_negative_seed():
         load_scenario(_tiny_scenario(rng_seed=-3))
 
 
+INTEGER_FIELDS = [
+    ((), "rng_seed", "rng_seed"),
+    ((), "frames", "frames"),
+    ((), "mc_runs", "mc_runs"),
+    (("sensors", 1), "lag", "sensor 1 lag"),
+    (("targets", 1, "segments", 0), "frames", "target 1 segment 0 frames"),
+]
+
+
+@pytest.mark.parametrize("path, key, where", INTEGER_FIELDS)
+@pytest.mark.parametrize("value", [20.9, True, float("inf"), "3"])
+def test_scenario_rejects_non_integer_counts(path, key, where, value):
+    # int() would truncate 20.9 to 20 and read True as 1.
+    doc = _tiny_scenario()
+    node = doc
+    for k in path:
+        node = node[k]
+    node[key] = value
+    with pytest.raises(ScenarioError, match=f"{where} must be an integer, got {value!r}"):
+        load_scenario(doc)
+    node[key] = 3.0
+    assert load_scenario(doc) is not None
+
+
 def test_scenario_file_not_found():
     with pytest.raises(ScenarioError):
         load_scenario("/nonexistent/path.json")
@@ -415,3 +439,35 @@ def test_singular_stream_is_named(tmp_path, capsys, monkeypatch):
     code = main(["simulate", "--scenario", str(path), "--runs", "1", "--out", str(tmp_path / "o")])
     assert code == 2
     assert "run 0: sensor 1, target 0, frame 3: " in capsys.readouterr().err
+
+
+def test_fusion_center_runs_once_per_epoch(monkeypatch):
+    # The fusion-center formulas take (sensor, target) batch axes, so an fbe
+    # run calls each O(epochs) times, not once per (sensor, target) pair.
+    import sensorreg.fusion as fusion
+    import sensorreg.harness.simulate as sim
+
+    counts = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    names = ("compute_tracklet", "bias_correct", "sfa", "sensor_pseudo_obs", "rlsb_update")
+    for module in (fusion, sim):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    sc = load_scenario("five_sensor_offset_scale")
+    sim.run_single(sc, 0, "fbe")
+    epochs = len(sc.update_epochs())
+    n_s, n_t = len(sc.sensors), len(sc.targets)
+    assert set(counts) == set(names)
+    assert counts["compute_tracklet"] <= 2 * epochs
+    assert counts["bias_correct"] <= 2 * epochs
+    assert counts["sensor_pseudo_obs"] <= 2 * epochs
+    assert counts["sfa"] <= 2 * n_s * epochs
+    assert counts["rlsb_update"] <= n_t * epochs

@@ -3,7 +3,7 @@
 
 def at_index(index: tuple[int, ...] | None) -> str:
     """Message suffix naming a batch index; empty for a batch-free one."""
-    return "" if not index else f" at batch index {list(index)}"
+    return "" if not index else f" at batch index {[int(i) for i in index]}"
 
 
 class SensorRegError(Exception):

@@ -412,7 +412,8 @@ def test_batched_sfa_skips_only_the_singular_element(caplog):
     R[0, 1] = -0.5 * (P1 + P1.T)[::2, ::2]
     with caplog.at_level(logging.WARNING, logger="sensorreg.fusion"):
         out = sfa(prev, ms, [(y[0], R[0]), (y[1], R[1])])
-    assert len([r for r in caplog.records if r.name == "sensorreg.fusion"]) == 1
+    records = [r.getMessage() for r in caplog.records if r.name == "sensorreg.fusion"]
+    assert records == ["skipping measurement 0 at batch index [1]: singular innovation"]
     assert out.sensors.tolist() == [[True, True], [False, True], [True, True]]
     for i in range(n):
         one = FusedTrack(state=GaussianEstimate(prev.state.mean[i], prev.state.cov[i], frame=0))

@@ -65,7 +65,9 @@ def solve_psd(mat: np.ndarray, rhs: np.ndarray, context: str = "matrix") -> np.n
                 index = idx
                 break
         cond = sym_cond(mat if not index else mat[index])
-        raise SingularMatrixError(f"{context} is singular (cond ~ {cond:.3e})", index=index) from exc
+        raise SingularMatrixError(
+            f"{context} is singular (cond ~ {cond:.3e})", index=index
+        ) from exc
 
 
 def sym_cond(mat: np.ndarray) -> float:

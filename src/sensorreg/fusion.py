@@ -347,10 +347,14 @@ def fbe_step(
     order.
     """
     n_s, n_t = reported.shape
-    frame = np.array(np.broadcast_to(fused_prev.frame, (n_s, n_t)))
+    fused = GaussianEstimate(
+        mean=fused_prev.mean.copy(),
+        cov=fused_prev.cov.copy(),
+        frame=np.array(np.broadcast_to(fused_prev.frame, (n_s, n_t))),
+    )
     res = FbeResult(
         bias_states=BiasEstimate(b=bias_states.b.copy(), Sigma=bias_states.Sigma.copy()),
-        fused=GaussianEstimate(mean=fused_prev.mean.copy(), cov=fused_prev.cov.copy(), frame=frame),
+        fused=fused,
         used=np.zeros((n_s, n_t, n_s), dtype=bool),
         live=np.zeros((n_s, n_t), dtype=bool),
     )
@@ -372,7 +376,8 @@ def fbe_step(
         corrected = bias_correct(
             t, bias_states[pairs[0][k]], (geo.sigma_r, geo.sigma_theta), origin=geo.position
         )
-        return t, gain, corrected
+        info = inv_sym(corrected.R, context="corrected measurement covariance")
+        return t, gain, corrected, info
 
     def skip_pair(i, exc):
         res.skipped.append((int(pairs[0][i]), int(pairs[1][i]), exc.reason))
@@ -380,15 +385,14 @@ def fbe_step(
     keep, local_out = _without_failures(local, np.arange(pairs[0].size), skip_pair)
     if local_out is None:
         return res
-    tl, g_s, corrected = local_out
+    tl, g_s, corrected, info_live = local_out
     res.tracklets = tl
     ls, lt = pairs[0][keep], pairs[1][keep]
     res.live[ls, lt] = True
     y = np.zeros((n_s, n_t, 2))
     R = np.zeros((n_s, n_t, 2, 2))
     info = np.zeros((n_s, n_t, 2, 2))
-    y[ls, lt], R[ls, lt] = corrected.y, corrected.R
-    info[ls, lt] = inv_sym(corrected.R, context="corrected measurement covariance")
+    y[ls, lt], R[ls, lt], info[ls, lt] = corrected.y, corrected.R, info_live
 
     # Leave-one-out fused reference of every live pair from the other
     # sensors' bias-corrected tracklets of its target.
@@ -400,20 +404,28 @@ def fbe_step(
     present[np.arange(e.size), es] = False
     fp = res.fused[es, et]
     msf = compose_lags(steps, curr[k].frame - fp.frame)
-    fused_new = sfa(FusedTrack(state=fp), msf, [(y[r, et], R[r, et]) for r in range(n_s)], present)
-    pred_cov_f = kf_predict(fp, msf).cov
-    # The fused gain describes the update the reference actually received:
-    # its equivalent noise combines the corrected measurement covariances
-    # (bias-uncertainty inflation included), the deconvolution below
-    # recovers their information-weighted mean exactly, and the noise model
-    # stays honest while the other sensors' estimates settle.  Informations
-    # add in ascending sensor order.
-    info_f = np.zeros((e.size, 2, 2))
-    for r in range(n_s):
-        info_f = info_f + np.where(present[:, r, None, None], info[r, et], 0.0)
-    g_f = _gain_from_information(info_f, pred_cov_f)
-    zb_f = sensor_pseudo_obs(fused_new.state, fp, g_f.W, msf)
-    zb_s = sensor_pseudo_obs(curr[k], prev[k], g_s.W[e], lagged[k])
+    meas = [(y[r, et], R[r, et]) for r in range(n_s)]
+    try:
+        fused_new = sfa(FusedTrack(state=fp), msf, meas, present)
+        # The fused gain describes the update the reference actually
+        # received: its equivalent noise combines the corrected measurement
+        # covariances (bias-uncertainty inflation included), the
+        # deconvolution below recovers their information-weighted mean
+        # exactly, and the noise model stays honest while the other sensors'
+        # estimates settle.  Informations add in ascending sensor order.
+        info_f = np.zeros((e.size, 2, 2))
+        for r in range(n_s):
+            info_f = info_f + np.where(present[:, r, None, None], info[r, et], 0.0)
+        g_f = _gain_from_information(info_f, kf_predict(fp, msf).cov)
+        zb_f = sensor_pseudo_obs(fused_new.state, fp, g_f.W, msf)
+        zb_s = sensor_pseudo_obs(curr[k], prev[k], g_s.W[e], lagged[k])
+    except NumericalError as exc:
+        # Name the pair rather than its position among the references.
+        if exc.index is None:
+            raise
+        i = exc.index[0]
+        frame = np.broadcast_to(curr[k].frame, e.shape)[i]
+        raise type(exc)(f"frame {frame}, sensor {es[i]}, target {et[i]}: {exc.reason}") from exc
 
     # Observation matrix of each sensor at its tracklet's own polar
     # coordinates (the fusion center has no raw measurements).  Every

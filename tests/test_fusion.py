@@ -23,7 +23,7 @@ from sensorreg.coords import (
     jacobians_at,
 )
 from sensorreg.dynamics import compose_steps, ncv_model
-from sensorreg.errors import NumericalError
+from sensorreg.errors import NumericalError, SingularMatrixError
 from sensorreg.fusion import (
     FusedTrack,
     SensorModel,
@@ -298,7 +298,9 @@ def _small_fbe_inputs(bias0=(25.0, 2e-3), nonreporting=False):
     reported = np.ones((3, 2), dtype=bool)
     if nonreporting:
         reported[2] = False
-    bias_states = BiasEstimate(b=np.zeros((3, 2)), Sigma=np.tile(np.diag([400.0, 1e-6]), (3, 1, 1)))
+    bias_states = BiasEstimate(
+        b=np.zeros((3, 2)), Sigma=np.tile(np.diag([400.0, 1e-6]), (3, 1, 1))
+    )
     # Each reference starts from the lowest-numbered other sensor's snapshot.
     ref = [min(r for r in range(3) if r != s) for s in range(3)]
     fused_prev = stack(prev[ref])
@@ -433,7 +435,9 @@ def test_batched_fusion_formulas_match_batch_free_calls():
     g = reconstruct_local_gain(t, t.pred_cov)
     rng = np.random.default_rng(8)
     A = rng.standard_normal((3, 4, 4))
-    bias = BiasEstimate(b=rng.standard_normal((3, 4)) * [5.0, 1e-3, 1e-3, 1e-3], Sigma=A @ A.transpose(0, 2, 1))
+    bias = BiasEstimate(
+        b=rng.standard_normal((3, 4)) * [5.0, 1e-3, 1e-3, 1e-3], Sigma=A @ A.transpose(0, 2, 1)
+    )
     geo = sensors[:, None]
     c = bias_correct(t, bias[:, None], (geo.sigma_r, geo.sigma_theta), origin=geo.position)
     zb = sensor_pseudo_obs(curr, prev, g.W, ms)
@@ -443,7 +447,9 @@ def test_batched_fusion_formulas_match_batch_free_calls():
     est = rlsb_update(bias[:, None], pm)
     for s in range(3):
         for tgt in range(2):
-            ts = Tracklet(u=t.u[s, tgt], U=t.U[s, tgt], pred_cov=t.pred_cov[s, tgt], from_frame=0, to_frame=5)
+            ts = Tracklet(
+                u=t.u[s, tgt], U=t.U[s, tgt], pred_cov=t.pred_cov[s, tgt], from_frame=0, to_frame=5
+            )
             c1 = bias_correct(
                 ts, bias[s], (10.0, 1e-3), origin=tuple(sensors.position[s])
             )
@@ -457,3 +463,19 @@ def test_batched_fusion_formulas_match_batch_free_calls():
             e1 = rlsb_update(bias[s], pm1)
             np.testing.assert_array_equal(est.b[s, tgt], e1.b)
             np.testing.assert_array_equal(est.Sigma[s, tgt], e1.Sigma)
+
+
+def test_fbe_step_names_the_pair_of_a_reference_failure(monkeypatch):
+    # A failure after the per-pair stage names the frame, sensor and target
+    # of the failing reference, not its position among the references.
+    import sensorreg.fusion as fusion
+
+    def rank_deficient(*args):
+        raise SingularMatrixError("gain Gram matrix is singular (cond ~ inf)", index=(2,))
+
+    monkeypatch.setattr(fusion, "sensor_pseudo_obs", rank_deficient)
+    tracks, bias_states, fused_prev, model, sensors = _small_fbe_inputs()
+    match = r"^frame 5, sensor 1, target 0: gain Gram matrix is singular \(cond ~ inf\)$"
+    with pytest.raises(SingularMatrixError, match=match) as info:
+        fbe_step(*tracks, bias_states, fused_prev, model, sensors)
+    assert info.value.index is None

@@ -9,11 +9,9 @@ and lower-bound diagnostics.
 """
 
 from .bias import (
-    BiasDynamics,
     BiasEstimate,
     PseudoMeasurement,
     difference_pseudo_measurement,
-    omb_step,
     rlsb_update,
     sensor_pseudo_obs,
 )
@@ -21,17 +19,14 @@ from .coords import (
     BiasJacobians,
     BiasVector,
     CartesianMeasurement,
-    PolarMeasurement,
     apply_bias,
-    bias_jacobians,
     cart_to_polar,
     conversion_gain,
     converted_covariance,
-    polar_to_cart_unbiased,
+    polar_to_cart,
     wrap_angle,
 )
 from .crlb import (
-    CombinedSensor,
     FimAccumulator,
     FimProblem,
     build_fim,
@@ -85,12 +80,10 @@ from .tracklets import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BiasDynamics",
     "BiasEstimate",
     "BiasJacobians",
     "BiasVector",
     "CartesianMeasurement",
-    "CombinedSensor",
     "CorrectedMeasurement",
     "FbeResult",
     "FimAccumulator",
@@ -102,7 +95,6 @@ __all__ = [
     "MotionModel",
     "MultiStepModel",
     "NumericalError",
-    "PolarMeasurement",
     "PseudoMeasurement",
     "ReconstructedGain",
     "ScenarioError",
@@ -113,7 +105,6 @@ __all__ = [
     "TrackletSingularError",
     "apply_bias",
     "bias_correct",
-    "bias_jacobians",
     "build_fim",
     "cart_to_polar",
     "combine_sensors",
@@ -131,8 +122,7 @@ __all__ = [
     "marginal_position_velocity",
     "nca_model",
     "ncv_model",
-    "omb_step",
-    "polar_to_cart_unbiased",
+    "polar_to_cart",
     "position_selector",
     "reconstruct_local_gain",
     "rlsb_update",

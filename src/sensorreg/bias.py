@@ -4,9 +4,8 @@ A bias pseudo-measurement is obtained by deconvolving a track update with the
 (reconstructed or true) filter gain, which isolates the bias contribution plus
 measurement noise, and differencing the result against a reference that is
 free of the bias under estimation.  The recursive least-squares estimator
-handles constant biases; the MMSE variant adds a time update for slowly
-varying ones.  Covariance updates use the Joseph form, which preserves
-positive definiteness under ill-conditioned observation matrices.
+handles constant biases; its covariance update uses the Joseph form, which
+preserves positive definiteness under ill-conditioned observation matrices.
 """
 
 from __future__ import annotations
@@ -23,11 +22,9 @@ from .trackers import GaussianEstimate
 __all__ = [
     "PseudoMeasurement",
     "BiasEstimate",
-    "BiasDynamics",
     "sensor_pseudo_obs",
     "difference_pseudo_measurement",
     "rlsb_update",
-    "omb_step",
 ]
 
 
@@ -70,14 +67,6 @@ class BiasEstimate:
     def __getitem__(self, index) -> BiasEstimate:
         """The estimates at ``index`` of the batch axes."""
         return BiasEstimate(b=self.b[index], Sigma=self.Sigma[index])
-
-
-@dataclass
-class BiasDynamics:
-    """Transition and process noise for a time-varying bias model."""
-
-    F: np.ndarray
-    Q: np.ndarray
 
 
 def sensor_pseudo_obs(
@@ -147,16 +136,4 @@ def rlsb_update(est: BiasEstimate, pm: PseudoMeasurement) -> BiasEstimate:
     b = est.b + mv(G, pm.z - mv(H, est.b))
     M = np.eye(est.dim) - G @ H
     Sigma = symmetrize(M @ est.Sigma @ mt(M) + G @ pm.R @ mt(G))
-    return BiasEstimate(b=b, Sigma=Sigma)
-
-
-def omb_step(
-    est: BiasEstimate, pms: list[PseudoMeasurement], dyn: BiasDynamics
-) -> BiasEstimate:
-    """Measurement updates for every pseudo-measurement of the frame, then a
-    time update through the bias dynamics."""
-    for pm in pms:
-        est = rlsb_update(est, pm)
-    b = dyn.F @ est.b
-    Sigma = symmetrize(dyn.F @ est.Sigma @ dyn.F.T + dyn.Q)
     return BiasEstimate(b=b, Sigma=Sigma)

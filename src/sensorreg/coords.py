@@ -6,30 +6,29 @@ range scale, azimuth scale) applied to the true polar coordinates before the
 additive measurement noise.  This module generates biased measurements,
 converts them to Cartesian coordinates with the compensated (multiplicative)
 conversion factor, and provides the Jacobians that map bias parameters into
-Cartesian measurement space.
+Cartesian measurement space.  Every function takes arrays whose leading axes
+index a batch of measurements; scalars are the batch-free case.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import symmetrize
+from ._linalg import first_index
+from .errors import NumericalError
 
 __all__ = [
-    "PolarMeasurement",
     "BiasVector",
     "CartesianMeasurement",
     "BiasJacobians",
     "wrap_angle",
     "apply_bias",
-    "bias_jacobians",
     "jacobians_at",
     "conversion_gain",
-    "polar_to_cart_unbiased",
+    "polar_to_cart",
     "converted_covariance",
     "cart_to_polar",
 ]
@@ -68,27 +67,6 @@ def _libm(fn, *args):
         return fn(*(float(a) for a in arrays))
     flat = (a.ravel().tolist() for a in arrays)
     return np.array([fn(*v) for v in zip(*flat)]).reshape(arrays[0].shape)
-
-
-@dataclass
-class PolarMeasurement:
-    """Range/azimuth pair with the reporting sensor's noise levels.
-
-    Azimuth is normalized to (-pi, pi] on construction.  Sigmas may be zero
-    in noise-free synthetic settings.
-    """
-
-    r: float
-    theta: float
-    sigma_r: float
-    sigma_theta: float
-
-    def __post_init__(self) -> None:
-        if self.r <= 0.0:
-            raise ValueError(f"range must be positive, got {self.r}")
-        if self.sigma_r < 0.0 or self.sigma_theta < 0.0:
-            raise ValueError("noise standard deviations must be non-negative")
-        self.theta = wrap_angle(self.theta)
 
 
 @dataclass
@@ -144,28 +122,22 @@ class BiasJacobians:
         self.K = self.B @ self.C
 
 
-def apply_bias(
-    truth: PolarMeasurement,
-    bias: BiasVector,
-    noise: tuple[float, float] = (0.0, 0.0),
-) -> PolarMeasurement:
-    """Corrupt a true polar measurement with scale/offset biases and noise.
+def apply_bias(r, theta, bias: BiasVector, w_r=0.0, w_theta=0.0):
+    """Corrupt true ranges and azimuths with scale/offset biases and noise.
 
-    The noise sample is supplied by the caller so the function stays a
-    deterministic map of its inputs.
+    ``r``, ``theta`` and the noise samples ``w_r``, ``w_theta`` broadcast
+    against each other; the caller draws the noise, so the function stays a
+    deterministic map of its inputs.  Returns the measured ``(r, theta)``
+    arrays, with the azimuths left unwrapped.
+
+    Raises :class:`NumericalError` naming the batch index of the first
+    non-positive measured range.
     """
-    r, theta = _apply_bias_arrays(truth.r, truth.theta, bias, noise[0], noise[1])
-    if r <= 0.0:
-        raise ValueError(
-            f"bias/noise drove range non-positive ({r:.3f} m from {truth.r:.3f} m)"
-        )
-    return PolarMeasurement(float(r), wrap_angle(float(theta)), truth.sigma_r, truth.sigma_theta)
-
-
-def _apply_bias_arrays(r, theta, bias: BiasVector, w_r, w_theta):
-    """Vectorized core of :func:`apply_bias` (no validation)."""
     r_m = (1.0 + bias.eps_r) * np.asarray(r) + bias.b_r + np.asarray(w_r)
     t_m = (1.0 + bias.eps_theta) * np.asarray(theta) + bias.b_theta + np.asarray(w_theta)
+    bad = r_m <= 0.0
+    if bad.any():
+        raise NumericalError("bias and noise drove the range non-positive", index=first_index(bad))
     return r_m, t_m
 
 
@@ -183,47 +155,30 @@ def jacobians_at(r, theta) -> BiasJacobians:
     return BiasJacobians(B=B, C=C)
 
 
-def bias_jacobians(m: PolarMeasurement) -> BiasJacobians:
-    """Bias Jacobians at the measurement's own range/azimuth."""
-    return jacobians_at(m.r, m.theta)
-
-
 def conversion_gain(sigma_theta):
     """Multiplicative compensation factor exp(-sigma_theta^2 / 2) applied to
     the range during polar-to-Cartesian conversion (elementwise for arrays)."""
     return _libm(lambda s: math.exp(-0.5 * s * s), sigma_theta)
 
 
-def polar_to_cart_unbiased(m: PolarMeasurement) -> CartesianMeasurement:
-    """Convert a polar measurement to Cartesian with compensated range.
+def polar_to_cart(r, theta, sigma_theta, origin=(0.0, 0.0)) -> np.ndarray:
+    """Compensated Cartesian positions (..., 2) of ranges and azimuths
+    measured from ``origin`` (..., 2): ``origin + lam * r * (cos, sin)``
+    with ``lam = conversion_gain(sigma_theta)``.  Arguments broadcast.
 
-    Warns (but still converts) when the geometry violates the small-angle
-    validity check ``r * sigma_theta**2 / sigma_r < 0.4``.
+    The conversion is trustworthy while ``r * sigma_theta**2 / sigma_r``
+    stays below ``CONVERSION_VALIDITY_LIMIT``; callers check their geometry.
     """
-    if m.sigma_r > 0.0:
-        ratio = m.r * m.sigma_theta**2 / m.sigma_r
-        if ratio >= CONVERSION_VALIDITY_LIMIT:
-            warnings.warn(
-                f"conversion validity ratio {ratio:.3g} exceeds "
-                f"{CONVERSION_VALIDITY_LIMIT}; converted measurement may be biased",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    lam = conversion_gain(m.sigma_theta)
-    z = lam * m.r * np.array([math.cos(m.theta), math.sin(m.theta)])
-    return CartesianMeasurement(z=z, R=converted_covariance(m))
+    lam_r = conversion_gain(sigma_theta) * np.asarray(r)
+    origin = np.asarray(origin, dtype=float)
+    return np.stack(
+        [origin[..., 0] + lam_r * np.cos(theta), origin[..., 1] + lam_r * np.sin(theta)], axis=-1
+    )
 
 
-def converted_covariance(m: PolarMeasurement) -> np.ndarray:
-    """Covariance of the converted Cartesian measurement (linearized form)."""
-    return _converted_covariance_arrays(m.r, m.theta, m.sigma_r, m.sigma_theta)
-
-
-def _converted_covariance_arrays(r, theta, sigma_r, sigma_theta) -> np.ndarray:
-    """Vectorized core of :func:`converted_covariance`.
-
-    Accepts broadcastable arrays and returns shape (..., 2, 2).
-    """
+def converted_covariance(r, theta, sigma_r, sigma_theta) -> np.ndarray:
+    """Covariance (..., 2, 2) of converted Cartesian measurements
+    (linearized form); the arguments broadcast."""
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     c, s = np.cos(theta), np.sin(theta)
@@ -235,7 +190,7 @@ def _converted_covariance_arrays(r, theta, sigma_r, sigma_theta) -> np.ndarray:
     out[..., 0, 1] = off
     out[..., 1, 0] = off
     out[..., 1, 1] = vt * c**2 + vr * s**2
-    return symmetrize(out) if out.ndim == 2 else out
+    return out
 
 
 def cart_to_polar(z: np.ndarray, origin=(0.0, 0.0)):

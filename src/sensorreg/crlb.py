@@ -19,7 +19,6 @@ from .errors import NumericalError, SingularMatrixError
 
 __all__ = [
     "FimProblem",
-    "CombinedSensor",
     "FimAccumulator",
     "build_fim",
     "crlb_diag",
@@ -37,14 +36,6 @@ class FimProblem:
     @property
     def dim(self) -> int:
         return self.J.shape[0]
-
-
-@dataclass
-class CombinedSensor:
-    """Information-weighted combination of several sensors' measurements."""
-
-    z: np.ndarray
-    R: np.ndarray
 
 
 class FimAccumulator:
@@ -111,26 +102,18 @@ def crlb_diag(p: FimProblem) -> np.ndarray:
     return diag
 
 
-def combine_sensors(
-    measurements: list[tuple[np.ndarray, np.ndarray]],
-    target_noise: np.ndarray,
-) -> tuple[CombinedSensor, np.ndarray]:
-    """Collapse several sensors' measurements into one equivalent sensor.
+def combine_sensors(noises: list[np.ndarray], target_noise: np.ndarray) -> np.ndarray:
+    """Noise covariance of the difference between one sensor and the
+    equivalent sensor that collapses several others.
 
-    The combination is the information-weighted mean with covariance equal to
-    the inverse information sum; the returned total noise adds the excluded
-    sensor's covariance for use as a two-sensor difference noise.
+    The equivalent sensor is the information-weighted combination of the
+    others, with covariance equal to the inverse of their summed
+    informations; the result adds the excluded sensor's ``target_noise``.
     """
-    if not measurements:
-        raise ValueError("need at least one measurement to combine")
-    dim = np.asarray(measurements[0][0]).shape[0]
-    Lam = np.zeros((dim, dim))
-    vec = np.zeros(dim)
-    for z, R in measurements:
-        Rinv = inv_sym(np.asarray(R, dtype=float), context="sensor noise covariance")
-        Lam += Rinv
-        vec += Rinv @ np.asarray(z, dtype=float)
+    if not noises:
+        raise ValueError("need at least one noise covariance to combine")
+    Lam = np.zeros(np.shape(noises[0]))
+    for R in noises:
+        Lam += inv_sym(np.asarray(R, dtype=float), context="sensor noise covariance")
     R_comb = inv_sym(Lam, context="combined information")
-    z_comb = R_comb @ vec
-    total = symmetrize(R_comb + np.asarray(target_noise, dtype=float))
-    return CombinedSensor(z=z_comb, R=symmetrize(R_comb)), total
+    return symmetrize(R_comb + np.asarray(target_noise, dtype=float))

@@ -29,8 +29,8 @@ from .bias import (
 from .coords import (
     CartesianMeasurement,
     cart_to_polar,
-    conversion_gain,
     jacobians_at,
+    polar_to_cart,
     wrap_angle,
 )
 from .dynamics import MotionModel, MultiStepModel, compose_lags, compose_steps
@@ -66,11 +66,10 @@ class ReconstructedGain:
 @dataclass
 class CorrectedMeasurement:
     """Bias-corrected position measurements ``y`` (..., 2) with inflated
-    covariances ``R`` (..., 2, 2) and their conversion factors."""
+    covariances ``R`` (..., 2, 2)."""
 
     y: np.ndarray
     R: np.ndarray
-    lambda_theta: float | np.ndarray
 
 
 @dataclass
@@ -214,15 +213,11 @@ def bias_correct(
             f"corrected range non-positive ({r_bc[index or ()]:.3f} m)", index=index
         )
 
-    lam = conversion_gain(sigma_theta)
-    origin = np.asarray(origin, dtype=float)
-    y = np.empty(batch + (2,))
-    y[..., 0] = origin[..., 0] + lam * r_bc * np.cos(theta_bc)
-    y[..., 1] = origin[..., 1] + lam * r_bc * np.sin(theta_bc)
+    y = polar_to_cart(r_bc, theta_bc, sigma_theta, origin)
     jac = jacobians_at(r_bc, theta_bc)
     K = jac.K[..., : bias.dim]
     R = _position_block(t.U) + _noise_cov(jac.B, sigma_r, sigma_theta) + K @ bias.Sigma @ mt(K)
-    return CorrectedMeasurement(y=y, R=symmetrize(R), lambda_theta=lam)
+    return CorrectedMeasurement(y=y, R=symmetrize(R))
 
 
 def _without_failures(run, keep: np.ndarray, record):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..coords import _converted_covariance_arrays, jacobians_at
+from ..coords import converted_covariance, jacobians_at
 from ..crlb import FimAccumulator, combine_sensors, crlb_diag
 from ..errors import NumericalError
 from .scenario import Scenario
@@ -54,7 +54,7 @@ def crlb_series(scenario: Scenario) -> CrlbSeries:
         dy = states[None, :, k, 2] - positions[reporters, 1, None]
         rng, az = np.hypot(dx, dy), np.arctan2(dy, dx)
         K = jacobians_at(rng, az).K[..., :d]
-        R = _converted_covariance_arrays(
+        R = converted_covariance(
             rng, az, sigma_r[reporters, None], sigma_theta[reporters, None]
         )
         for t in range(n_t):
@@ -63,9 +63,7 @@ def crlb_series(scenario: Scenario) -> CrlbSeries:
                 others = [r for r in reporters if r != s]
                 if not others:
                     continue
-                _, total = combine_sensors(
-                    [(np.zeros(2), geom[r][1]) for r in others], geom[s][1]
-                )
+                total = combine_sensors([geom[r][1] for r in others], geom[s][1])
                 acc[s].add(geom[s][0], total, label=(s, t, k))
             if acc_stacked is not None and len(reporters) == 2:
                 g = np.hstack([geom[0][0], -geom[1][0]])

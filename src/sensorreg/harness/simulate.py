@@ -1,6 +1,6 @@
 """Ground-truth simulation, local tracking, and Monte Carlo estimation runs.
 
-Three estimation methods are supported:
+Four estimation methods are supported:
 
 * ``fbe``     -- per-sensor bias estimation against leave-one-out fused
                  references built from reconstructed gains (any sensor count).
@@ -30,11 +30,11 @@ from ..coords import (
     CONVERSION_VALIDITY_LIMIT,
     BiasVector,
     CartesianMeasurement,
-    _apply_bias_arrays,
-    _converted_covariance_arrays,
+    apply_bias,
     cart_to_polar,
-    conversion_gain,
+    converted_covariance,
     jacobians_at,
+    polar_to_cart,
 )
 from ..dynamics import (
     MotionModel,
@@ -197,25 +197,27 @@ def simulate_truth(scenario: Scenario, run_index: int, zero_bias: bool = False) 
                 RuntimeWarning,
                 stacklevel=2,
             )
-        for t in range(n_t):
-            rng = _stream(scenario.rng_seed, 1, run_index, s, t)
-            wn = rng.standard_normal((K + 1, 2))
-            r_m, t_m = _apply_bias_arrays(
-                r[t], theta[t], bias, sensor.sigma_r * wn[:, 0], sensor.sigma_theta * wn[:, 1]
+        # One noise stream per (sensor, target), stacked over targets.
+        wn = np.stack(
+            [
+                _stream(scenario.rng_seed, 1, run_index, s, t).standard_normal((K + 1, 2))
+                for t in range(n_t)
+            ]
+        )
+        try:
+            r_m, t_m = apply_bias(
+                r, theta, bias, sensor.sigma_r * wn[..., 0], sensor.sigma_theta * wn[..., 1]
             )
-            t_m = np.remainder(t_m + np.pi, 2.0 * np.pi) - np.pi
-            if np.any(r_m <= 0):
-                raise NumericalError(
-                    f"run {run_index}: non-positive biased range for sensor {s}, target {t}"
-                )
-            polar_meas[s, t, :, 0] = r_m
-            polar_meas[s, t, :, 1] = t_m
-            lam = conversion_gain(sensor.sigma_theta)
-            cart_z[s, t, :, 0] = sensor.position[0] + lam * r_m * np.cos(t_m)
-            cart_z[s, t, :, 1] = sensor.position[1] + lam * r_m * np.sin(t_m)
-            cart_R[s, t] = _converted_covariance_arrays(
-                r_m, t_m, sensor.sigma_r, sensor.sigma_theta
-            )
+        except NumericalError as exc:
+            t, k = exc.index
+            raise NumericalError(
+                f"run {run_index}: sensor {s}, target {t}, frame {k}: {exc.reason}"
+            ) from exc
+        t_m = np.remainder(t_m + np.pi, 2.0 * np.pi) - np.pi
+        polar_meas[s, :, :, 0] = r_m
+        polar_meas[s, :, :, 1] = t_m
+        cart_z[s] = polar_to_cart(r_m, t_m, sensor.sigma_theta, sensor.position)
+        cart_R[s] = converted_covariance(r_m, t_m, sensor.sigma_r, sensor.sigma_theta)
     return TruthData(
         states=states,
         polar_true=polar_true,

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from sensorreg.bias import (
-    BiasDynamics,
     BiasEstimate,
     PseudoMeasurement,
     difference_pseudo_measurement,
-    omb_step,
     rlsb_update,
     sensor_pseudo_obs,
 )
@@ -193,53 +191,3 @@ def test_rlsb_rejects_singular_innovation():
     pm = PseudoMeasurement(z=np.zeros(2), H=np.eye(2), R=np.zeros((2, 2)))
     with pytest.raises(SingularMatrixError):
         rlsb_update(est, pm)
-
-
-def test_omb_static_dynamics_equals_iterated_rlsb():
-    rng = np.random.default_rng(7)
-    pms = [
-        PseudoMeasurement(
-            z=rng.standard_normal(2),
-            H=-jacobians_at(1e4, rng.uniform(-2, 2)).B,
-            R=np.diag(rng.uniform(10, 50, 2)),
-        )
-        for _ in range(5)
-    ]
-    est0 = BiasEstimate(b=np.zeros(2), Sigma=np.diag([100.0, 1.0]))
-    dyn = BiasDynamics(F=np.eye(2), Q=np.zeros((2, 2)))
-    out = omb_step(est0, pms, dyn)
-    ref = est0
-    for pm in pms:
-        ref = rlsb_update(ref, pm)
-    np.testing.assert_allclose(out.b, ref.b, rtol=1e-12)
-    np.testing.assert_allclose(out.Sigma, ref.Sigma, rtol=1e-12)
-
-
-def test_omb_time_update_inflates_covariance():
-    est0 = BiasEstimate(b=np.zeros(2), Sigma=np.diag([10.0, 1.0]))
-    dyn = BiasDynamics(F=np.eye(2), Q=0.5 * np.eye(2))
-    out = omb_step(est0, [], dyn)
-    assert np.trace(out.Sigma) > np.trace(est0.Sigma)
-
-
-def test_omb_tracks_random_walk_bias():
-    rng = np.random.default_rng(8)
-    q = 0.01
-    dyn = BiasDynamics(F=np.eye(2), Q=q * np.diag([1.0, 1e-8]))
-    jac = jacobians_at(15000.0, 0.3)
-    H = -jac.B
-    R = np.diag([200.0, 800.0])
-    cholR = np.linalg.cholesky(R)
-    truth = np.array([5.0, 1e-4])
-    est = BiasEstimate(b=np.zeros(2), Sigma=np.diag([400.0, 1e-6]))
-    hits = 0
-    steps = 300
-    for k in range(steps):
-        truth = truth + np.sqrt(np.diag(dyn.Q)) * rng.standard_normal(2)
-        z = H @ truth + cholR @ rng.standard_normal(2)
-        est = omb_step(est, [PseudoMeasurement(z=z, H=H, R=R)], dyn)
-        if k > 50:
-            e = est.b - truth
-            sig = np.sqrt(np.diag(est.Sigma))
-            hits += int(np.all(np.abs(e) <= 3 * sig))
-    assert hits >= 0.95 * (steps - 51)

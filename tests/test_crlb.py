@@ -127,35 +127,28 @@ def test_crlb_numerically_singular_information_raises():
 
 
 def test_combine_single_sensor_passthrough():
-    z = np.array([1.0, 2.0])
     R = np.diag([3.0, 5.0])
-    comb, total = combine_sensors([(z, R)], np.diag([1.0, 1.0]))
-    np.testing.assert_allclose(comb.z, z)
-    np.testing.assert_allclose(comb.R, R)
+    total = combine_sensors([R], np.diag([1.0, 1.0]))
     np.testing.assert_allclose(total, R + np.eye(2))
 
 
 def test_combine_equal_noise_averages():
+    # Two equal sensors combine to half their noise.
     R = np.diag([2.0, 4.0])
-    za = np.array([1.0, 0.0])
-    zb = np.array([3.0, 2.0])
-    comb, _ = combine_sensors([(za, R), (zb, R)], R)
-    np.testing.assert_allclose(comb.z, [2.0, 1.0])
-    np.testing.assert_allclose(comb.R, R / 2)
+    total = combine_sensors([R, R], R)
+    np.testing.assert_allclose(total, R / 2 + R)
 
 
 def test_combine_matches_generalized_least_squares():
     rng = np.random.default_rng(15)
-    meas = []
+    noises = []
     for _ in range(4):
         A = rng.standard_normal((2, 2))
-        meas.append((rng.standard_normal(2), A @ A.T + np.eye(2)))
-    comb, _ = combine_sensors(meas, np.eye(2))
-    # GLS estimate of a common mean from stacked measurements.
-    J = sum(np.linalg.inv(R) for _, R in meas)
-    rhs = sum(np.linalg.solve(R, z) for z, R in meas)
-    np.testing.assert_allclose(comb.z, np.linalg.solve(J, rhs), rtol=1e-10)
-    np.testing.assert_allclose(comb.R, np.linalg.inv(J), rtol=1e-10)
+        noises.append(A @ A.T + np.eye(2))
+    total = combine_sensors(noises, np.eye(2))
+    # Covariance of the GLS estimate of a common mean, plus the target noise.
+    J = sum(np.linalg.inv(R) for R in noises)
+    np.testing.assert_allclose(total, np.linalg.inv(J) + np.eye(2), rtol=1e-10)
 
 
 def test_combine_empty_raises():

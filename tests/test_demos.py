@@ -1,7 +1,9 @@
-"""Demo scripts run to completion (demo 02 drives the batch-free tracker API,
-demo 03 the batched tracklet and gain step of the ``exl`` method)."""
+"""Demo scripts and the README quick start run to completion (demo 02 drives
+the batch-free tracker API, demo 03 the batched tracklet and gain step of the
+``exl`` method)."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,3 +34,12 @@ def test_demo_runs(script):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs():
+    # The first python block of the README is the self-contained quick start
+    # (the second one runs a full Monte Carlo study).
+    block = re.search(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S).group(1)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["gain"].W.shape == (4, 2)

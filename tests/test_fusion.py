@@ -16,11 +16,10 @@ from sensorreg.bias import (
 from sensorreg.coords import (
     BiasVector,
     CartesianMeasurement,
-    PolarMeasurement,
     apply_bias,
     cart_to_polar,
-    conversion_gain,
     jacobians_at,
+    polar_to_cart,
 )
 from sensorreg.dynamics import compose_steps, ncv_model
 from sensorreg.errors import NumericalError, SingularMatrixError
@@ -92,57 +91,37 @@ def test_bias_correct_null_correction():
     est = BiasEstimate(b=np.zeros(2), Sigma=np.zeros((2, 2)))
     out = bias_correct(t, est, (10.0, 0.0))
     np.testing.assert_allclose(out.y, [300.0, 400.0], rtol=1e-12)
-    assert out.lambda_theta == 1.0
 
 
 def test_bias_correct_round_trip_recovers_truth():
     # Bias a polar point, then correct with the true bias: the position must
     # come back to within numerical noise.
-    truth = PolarMeasurement(r=18000.0, theta=0.7, sigma_r=10.0, sigma_theta=0.0)
-    bias = BiasVector(b_r=20.0, b_theta=1e-3)
-    meas = apply_bias(truth, bias)
-    u = np.array(
-        [meas.r * math.cos(meas.theta), 0.0, meas.r * math.sin(meas.theta), 0.0]
-    )
-    t = _tracklet_from(u, np.eye(4))
+    r, theta = 18000.0, 0.7
+    meas = polar_to_cart(*apply_bias(r, theta, BiasVector(b_r=20.0, b_theta=1e-3)), 0.0)
+    t = _tracklet_from([meas[0], 0.0, meas[1], 0.0], np.eye(4))
     est = BiasEstimate(b=[20.0, 1e-3], Sigma=np.zeros((2, 2)))
     out = bias_correct(t, est, (10.0, 0.0))
-    expected = np.array([truth.r * math.cos(truth.theta), truth.r * math.sin(truth.theta)])
-    np.testing.assert_allclose(out.y, expected, atol=1e-9)
+    np.testing.assert_allclose(out.y, polar_to_cart(r, theta, 0.0), atol=1e-9)
 
 
 def test_bias_correct_with_scale_round_trip():
-    truth = PolarMeasurement(r=22000.0, theta=-1.2, sigma_r=10.0, sigma_theta=0.0)
+    r, theta = 22000.0, -1.2
     bias = BiasVector(b_r=20.0, b_theta=1e-3, eps_r=0.001, eps_theta=0.001)
-    meas = apply_bias(truth, bias)
-    u = np.array(
-        [meas.r * math.cos(meas.theta), 0.0, meas.r * math.sin(meas.theta), 0.0]
-    )
-    t = _tracklet_from(u, np.eye(4))
+    meas = polar_to_cart(*apply_bias(r, theta, bias), 0.0)
+    t = _tracklet_from([meas[0], 0.0, meas[1], 0.0], np.eye(4))
     est = BiasEstimate(b=[20.0, 1e-3, 0.001, 0.001], Sigma=np.zeros((4, 4)))
     out = bias_correct(t, est, (10.0, 0.0))
-    expected = np.array([truth.r * math.cos(truth.theta), truth.r * math.sin(truth.theta)])
-    np.testing.assert_allclose(out.y, expected, atol=1e-8)
+    np.testing.assert_allclose(out.y, polar_to_cart(r, theta, 0.0), atol=1e-8)
 
 
 def test_bias_correct_with_sensor_origin():
     origin = np.array([5000.0, -2000.0])
-    truth = PolarMeasurement(r=9000.0, theta=2.0, sigma_r=10.0, sigma_theta=0.0)
-    bias = BiasVector(b_r=-15.0, b_theta=-2e-3)
-    meas = apply_bias(truth, bias)
-    u = np.array(
-        [
-            origin[0] + meas.r * math.cos(meas.theta),
-            0.0,
-            origin[1] + meas.r * math.sin(meas.theta),
-            0.0,
-        ]
-    )
-    t = _tracklet_from(u, np.eye(4))
+    r, theta = 9000.0, 2.0
+    meas = polar_to_cart(*apply_bias(r, theta, BiasVector(b_r=-15.0, b_theta=-2e-3)), 0.0, origin)
+    t = _tracklet_from([meas[0], 0.0, meas[1], 0.0], np.eye(4))
     est = BiasEstimate(b=[-15.0, -2e-3], Sigma=np.zeros((2, 2)))
     out = bias_correct(t, est, (10.0, 0.0), origin=origin)
-    expected = origin + truth.r * np.array([math.cos(truth.theta), math.sin(truth.theta)])
-    np.testing.assert_allclose(out.y, expected, atol=1e-8)
+    np.testing.assert_allclose(out.y, polar_to_cart(r, theta, 0.0, origin), atol=1e-8)
 
 
 def test_bias_correct_covariance_dominates_tracklet_noise():
@@ -263,20 +242,15 @@ def _small_fbe_inputs(bias0=(25.0, 2e-3), nonreporting=False):
             truth = x0.copy()
             for k in range(L + 1):
                 dx, dy = truth[0] - pos[0], truth[2] - pos[1]
-                pm = PolarMeasurement(
-                    r=math.hypot(dx, dy),
-                    theta=math.atan2(dy, dx),
-                    sigma_r=10.0,
-                    sigma_theta=1e-3,
+                r, theta = apply_bias(
+                    math.hypot(dx, dy),
+                    math.atan2(dy, dx),
+                    biases[s],
+                    10.0 * rng.standard_normal(),
+                    1e-3 * rng.standard_normal(),
                 )
-                noisy = apply_bias(
-                    pm, biases[s], (10.0 * rng.standard_normal(), 1e-3 * rng.standard_normal())
-                )
-                lam = conversion_gain(1e-3)
                 z = CartesianMeasurement(
-                    z=np.array(pos)
-                    + lam * noisy.r * np.array([math.cos(noisy.theta), math.sin(noisy.theta)]),
-                    R=np.diag([100.0, (noisy.r * 1e-3) ** 2]),
+                    z=polar_to_cart(r, theta, 1e-3, pos), R=np.diag([100.0, (r * 1e-3) ** 2])
                 )
                 if est is None:
                     est = init_track(z, frame=0)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from sensorreg.errors import ScenarioError
+from sensorreg.coords import BiasVector
+from sensorreg.errors import NumericalError, ScenarioError
 from sensorreg.harness import (
     BUILTIN_SCENARIOS,
     builtin_scenario_path,
@@ -173,6 +174,18 @@ def test_simulate_truth_noise_variance():
     t_noise = ths - (tr[:, :, 1] + 1e-3)
     assert np.var(r_noise) == pytest.approx(100.0, rel=0.15)
     assert np.var(t_noise) == pytest.approx(1e-6, rel=0.15)
+
+
+def test_simulate_truth_names_nonpositive_range():
+    # A range offset just past the smallest measured range of sensor 2 drives
+    # exactly that measurement (target 1, frame 6) non-positive; the error
+    # names its run, sensor, target and frame.
+    sc = load_scenario(_tiny_scenario())
+    r = simulate_truth(sc, 2, zero_bias=True).polar_meas[2, :, :, 0]
+    assert np.unravel_index(np.argmin(r), r.shape) == (1, 6)
+    sc.sensors[2].bias = BiasVector(b_r=-(r.min() + 1e-3))
+    with pytest.raises(NumericalError, match="run 2: sensor 2, target 1, frame 6: .*non-positive"):
+        simulate_truth(sc, 2)
 
 
 def test_simulate_truth_unbiased_flag():

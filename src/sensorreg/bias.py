@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import mt, mv, solve_psd, symmetrize
+from ._linalg import inv_spd2, mt, mv, symmetrize
 from .coords import BiasJacobians
 from .dynamics import MultiStepModel
 from .trackers import GaussianEstimate
@@ -30,9 +30,10 @@ __all__ = [
 
 @dataclass
 class PseudoMeasurement:
-    """Linear observation ``z = H b + w`` of a bias vector, cov(w) = R.
+    """Linear position-level observation ``z = H b + w`` of a bias vector,
+    cov(w) = R.
 
-    ``z`` has shape (..., m), ``H`` (..., m, d) and ``R`` (..., m, m);
+    ``z`` has shape (..., 2), ``H`` (..., 2, d) and ``R`` (..., 2, 2);
     leading axes index a batch of observations.
     """
 
@@ -91,7 +92,8 @@ def sensor_pseudo_obs(
     x_pred = mv(model.F, prev.mean)
     # Positions sit at indices 0 and dim/2, so H x is a strided slice.
     resid = curr.mean - x_pred + mv(W, x_pred[..., :: curr.dim // 2])
-    return solve_psd(G, mt(W) @ resid[..., None], context="gain Gram matrix")[..., 0]
+    G_inv, _ = inv_spd2(G, context="gain Gram matrix")
+    return mv(G_inv, mv(mt(W), resid))
 
 
 def difference_pseudo_measurement(
@@ -132,7 +134,8 @@ def rlsb_update(est: BiasEstimate, pm: PseudoMeasurement) -> BiasEstimate:
     H = pm.H
     S = H @ est.Sigma @ mt(H) + pm.R
     SHt = est.Sigma @ mt(H)
-    G = mt(solve_psd(mt(S), mt(SHt), context="pseudo-measurement innovation covariance"))
+    S_inv, _ = inv_spd2(S, context="pseudo-measurement innovation covariance")
+    G = SHt @ S_inv
     b = est.b + mv(G, pm.z - mv(H, est.b))
     M = np.eye(est.dim) - G @ H
     Sigma = symmetrize(M @ est.Sigma @ mt(M) + G @ pm.R @ mt(G))

@@ -54,21 +54,6 @@ def wrap_angle(angle):
     return wrapped if wrapped.ndim else float(wrapped)
 
 
-def _libm(fn, *args):
-    """Apply the scalar ``math`` function ``fn`` elementwise.
-
-    numpy's vectorised ``hypot``, ``arctan2`` and ``exp`` round differently
-    from the C library in the last bit on some CPUs (AVX-512 builds), so the
-    fusion-center formulas call ``math`` per element and a batch gives the
-    same bits as its batch-free elements.  Scalars give a float.
-    """
-    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
-    if not arrays[0].ndim:
-        return fn(*(float(a) for a in arrays))
-    flat = (a.ravel().tolist() for a in arrays)
-    return np.array([fn(*v) for v in zip(*flat)]).reshape(arrays[0].shape)
-
-
 @dataclass
 class BiasVector:
     """Per-sensor systematic errors: offsets (m, rad) and unitless scales."""
@@ -158,7 +143,7 @@ def jacobians_at(r, theta) -> BiasJacobians:
 def conversion_gain(sigma_theta):
     """Multiplicative compensation factor exp(-sigma_theta^2 / 2) applied to
     the range during polar-to-Cartesian conversion (elementwise for arrays)."""
-    return _libm(lambda s: math.exp(-0.5 * s * s), sigma_theta)
+    return np.exp(-0.5 * sigma_theta * sigma_theta)
 
 
 def polar_to_cart(r, theta, sigma_theta, origin=(0.0, 0.0)) -> np.ndarray:
@@ -182,14 +167,17 @@ def converted_covariance(r, theta, sigma_r, sigma_theta) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     c, s = np.cos(theta), np.sin(theta)
-    vr = sigma_r**2
-    vt = r**2 * sigma_theta**2
+    # Products, not ``**2``: numpy scalars square through pow(), which can
+    # round differently from an array's x*x, and a batch must give the same
+    # bits as its batch-free elements.
+    vr = sigma_r * sigma_r
+    vt = (r * r) * (sigma_theta * sigma_theta)
     off = (vr - vt) * s * c
     out = np.empty(np.broadcast(r, theta).shape + (2, 2))
-    out[..., 0, 0] = vt * s**2 + vr * c**2
+    out[..., 0, 0] = vt * (s * s) + vr * (c * c)
     out[..., 0, 1] = off
     out[..., 1, 0] = off
-    out[..., 1, 1] = vt * c**2 + vr * s**2
+    out[..., 1, 1] = vt * (c * c) + vr * (s * s)
     return out
 
 
@@ -199,4 +187,4 @@ def cart_to_polar(z: np.ndarray, origin=(0.0, 0.0)):
     z = np.asarray(z, dtype=float)
     dx = z[..., 0] - np.asarray(origin, dtype=float)[..., 0]
     dy = z[..., 1] - np.asarray(origin, dtype=float)[..., 1]
-    return _libm(math.hypot, dx, dy), _libm(math.atan2, dy, dx)
+    return np.hypot(dx, dy), np.arctan2(dy, dx)

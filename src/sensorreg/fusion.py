@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import first_index, inv_sym, mt, solve_psd, symmetrize
+from ._linalg import first_index, inv_spd2, mt, symmetrize
 from .bias import (
     BiasEstimate,
     PseudoMeasurement,
@@ -29,12 +29,13 @@ from .bias import (
 from .coords import (
     CartesianMeasurement,
     cart_to_polar,
+    converted_covariance,
     jacobians_at,
     polar_to_cart,
     wrap_angle,
 )
 from .dynamics import MotionModel, MultiStepModel, compose_lags, compose_steps
-from .errors import NumericalError, SingularMatrixError, at_index
+from .errors import NumericalError, at_index
 from .trackers import GaussianEstimate, kf_predict, kf_update
 from .tracklets import Tracklet, compute_tracklet
 
@@ -131,37 +132,18 @@ def reconstruct_local_gain(t: Tracklet, pred_cov: np.ndarray) -> ReconstructedGa
         raise NumericalError(
             "tracklet position covariance not positive definite", index=first_index(bad)
         )
-    S = _position_block(pred_cov) + R
-    det = S[..., 0, 0] * S[..., 1, 1] - S[..., 0, 1] * S[..., 1, 0]
-    bad = (det <= 0.0) | (S[..., 0, 0] <= 0.0)
-    if bad.any():
-        raise SingularMatrixError(
-            "gain innovation covariance not positive definite", index=first_index(bad)
-        )
-    S_inv = np.empty_like(S)
-    S_inv[..., 0, 0], S_inv[..., 1, 1] = S[..., 1, 1], S[..., 0, 0]
-    S_inv[..., 0, 1], S_inv[..., 1, 0] = -S[..., 0, 1], -S[..., 1, 0]
-    S_inv /= det[..., None, None]
+    S_inv, _ = inv_spd2(_position_block(pred_cov) + R, context="gain innovation covariance")
     W = pred_cov[..., :, ::2] @ S_inv
     y = t.u[..., ::2].copy()
     return ReconstructedGain(W=W, R=R, y=y)
 
 
-def _noise_cov(B: np.ndarray, sigma_r, sigma_theta) -> np.ndarray:
-    """Polar measurement noise diag(sigma_r^2, sigma_theta^2) mapped through
-    the conversion Jacobians ``B`` (..., 2, 2)."""
-    N = np.zeros(B.shape)
-    N[..., 0, 0] = np.asarray(sigma_r) ** 2
-    N[..., 1, 1] = np.asarray(sigma_theta) ** 2
-    return B @ N @ mt(B)
-
-
 def _gain_from_information(info: np.ndarray, pred_cov: np.ndarray) -> ReconstructedGain:
     """Gain of a batch update equivalent to sequential position updates
     whose noise informations sum to ``info`` (..., 2, 2)."""
-    R = solve_psd(info, np.eye(2), context="combined measurement information")
-    S = _position_block(pred_cov) + R
-    W = mt(solve_psd(mt(S), mt(pred_cov[..., :, ::2]), context="fused innovation covariance"))
+    R, _ = inv_spd2(info, context="combined measurement information")
+    S_inv, _ = inv_spd2(_position_block(pred_cov) + R, context="fused innovation covariance")
+    W = pred_cov[..., :, ::2] @ S_inv
     return ReconstructedGain(W=W, R=symmetrize(R), y=None)
 
 
@@ -214,9 +196,9 @@ def bias_correct(
         )
 
     y = polar_to_cart(r_bc, theta_bc, sigma_theta, origin)
-    jac = jacobians_at(r_bc, theta_bc)
-    K = jac.K[..., : bias.dim]
-    R = _position_block(t.U) + _noise_cov(jac.B, sigma_r, sigma_theta) + K @ bias.Sigma @ mt(K)
+    K = jacobians_at(r_bc, theta_bc).K[..., : bias.dim]
+    noise_cov = converted_covariance(r_bc, theta_bc, sigma_r, sigma_theta)
+    R = _position_block(t.U) + noise_cov + K @ bias.Sigma @ mt(K)
     return CorrectedMeasurement(y=y, R=symmetrize(R))
 
 
@@ -371,7 +353,7 @@ def fbe_step(
         corrected = bias_correct(
             t, bias_states[pairs[0][k]], (geo.sigma_r, geo.sigma_theta), origin=geo.position
         )
-        info = inv_sym(corrected.R, context="corrected measurement covariance")
+        info, _ = inv_spd2(corrected.R, context="corrected measurement covariance")
         return t, gain, corrected, info
 
     def skip_pair(i, exc):
@@ -429,8 +411,9 @@ def fbe_step(
     # corrected reference side already has it, and the sensor side gets the
     # same treatment here.
     geo = sensors[es]
-    jac = jacobians_at(*cart_to_polar(tl.u[e][..., ::2], geo.position))
-    R_s = g_s.R[e] + _noise_cov(jac.B, geo.sigma_r, geo.sigma_theta)
+    r, theta = cart_to_polar(tl.u[e][..., ::2], geo.position)
+    jac = jacobians_at(r, theta)
+    R_s = g_s.R[e] + converted_covariance(r, theta, geo.sigma_r, geo.sigma_theta)
     pm = difference_pseudo_measurement(
         zb_f, zb_s, jac, g_f.R, R_s, offset_only=(bias_states.dim == 2)
     )

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import chi2
 
-from ..errors import NumericalError
+from .._linalg import solve_psd
+from ..errors import NumericalError, SingularMatrixError
 from .scenario import Scenario
 
 __all__ = [
@@ -61,27 +62,26 @@ class NeesResult:
 
 
 def nees_series(errors: np.ndarray, covariances: np.ndarray) -> NeesResult:
-    """Average e' Sigma^-1 e over runs for each frame.
+    """Average e' Sigma^-1 e over runs, for each frame (and group).
 
     Args:
-        errors: (runs, frames, d) estimation errors.
-        covariances: (runs, frames, d, d) reported covariances.
+        errors: (runs, frames, d) estimation errors, or (runs, frames, g, d)
+            for g groups of the same dimension at once.
+        covariances: the matching (..., d, d) reported covariances.
 
-    Raises :class:`NumericalError` when a covariance cannot be inverted.
+    Raises :class:`NumericalError` naming the run and frame (and group) of
+    the first covariance that cannot be inverted.
     """
     errors = np.asarray(errors, dtype=float)
     covariances = np.asarray(covariances, dtype=float)
-    runs, frames, d = errors.shape
-    vals = np.empty((runs, frames))
-    for i in range(runs):
-        for k in range(frames):
-            try:
-                sol = np.linalg.solve(covariances[i, k], errors[i, k])
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(
-                    f"singular covariance in NEES at run {i}, frame {k}"
-                ) from exc
-            vals[i, k] = errors[i, k] @ sol
+    runs, d = errors.shape[0], errors.shape[-1]
+    try:
+        sol = solve_psd(covariances, errors[..., None], context="covariance")
+    except SingularMatrixError as exc:
+        run, frame, *group = exc.index
+        where = f"run {run}, frame {frame}" + "".join(f", group {g}" for g in group)
+        raise NumericalError(f"singular covariance in NEES at {where}") from exc
+    vals = (errors[..., None, :] @ sol)[..., 0, 0]
     lo, hi = chi2_band(d, runs)
     return NeesResult(
         nees=vals.mean(axis=0),
@@ -197,12 +197,7 @@ def aggregate_runs(
     diag = np.sqrt(np.maximum(np.diagonal(sig, axis1=3, axis2=4), 0.0))
     bias_sqrt_sigma = diag.mean(axis=0)
 
-    nees = np.empty((K + 1, n_groups))
-    lo = hi = hi1 = np.nan
-    for g in range(n_groups):
-        res = nees_series(err[:, :, g, :], sig[:, :, g, :, :])
-        nees[:, g] = res.nees
-        lo, hi, hi1 = res.lower, res.upper, res.upper_one_sided
+    res = nees_series(err, sig)
 
     if method in ("ex", "exl"):
         group_sensors = [[i for i in range(len(scenario.sensors))]]
@@ -221,10 +216,10 @@ def aggregate_runs(
         bias_true=true_bias,
         bias_rmse=bias_rmse,
         bias_sqrt_sigma=bias_sqrt_sigma,
-        bias_nees=nees,
-        nees_lower=lo,
-        nees_upper=hi,
-        nees_upper_one_sided=hi1,
+        bias_nees=res.nees,
+        nees_lower=res.lower,
+        nees_upper=res.upper,
+        nees_upper_one_sided=res.upper_one_sided,
         track_rmse_local=track_local,
         track_rmse_fused=track_fused,
         final_bias_err=err[:, -1],

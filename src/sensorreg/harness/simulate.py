@@ -35,6 +35,7 @@ from ..coords import (
     converted_covariance,
     jacobians_at,
     polar_to_cart,
+    wrap_angle,
 )
 from ..dynamics import (
     MotionModel,
@@ -213,7 +214,7 @@ def simulate_truth(scenario: Scenario, run_index: int, zero_bias: bool = False) 
             raise NumericalError(
                 f"run {run_index}: sensor {s}, target {t}, frame {k}: {exc.reason}"
             ) from exc
-        t_m = np.remainder(t_m + np.pi, 2.0 * np.pi) - np.pi
+        t_m = wrap_angle(t_m)
         polar_meas[s, :, :, 0] = r_m
         polar_meas[s, :, :, 1] = t_m
         cart_z[s] = polar_to_cart(r_m, t_m, sensor.sigma_theta, sensor.position)

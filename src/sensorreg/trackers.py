@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import first_index, mt, mv, solve_psd, symmetrize
+from ._linalg import first_index, inv_spd2, mt, mv, symmetrize
 from .coords import CartesianMeasurement
 from .dynamics import MotionModel, MultiStepModel
 from .errors import SingularMatrixError
@@ -95,12 +95,15 @@ class GaussianEstimate:
 
 @dataclass
 class KfStepRecord:
-    """Gain, innovation, its covariance and the predicted measurement of one
-    Kalman update, with the batch axes of the updated estimate."""
+    """Gain, innovation, its covariance (with that covariance's inverse and
+    log-determinant) and the predicted measurement of one Kalman update,
+    with the batch axes of the updated estimate."""
 
     gain: np.ndarray
     innovation: np.ndarray
     innovation_cov: np.ndarray
+    innovation_inv: np.ndarray
+    innovation_logdet: np.ndarray
     predicted_meas: np.ndarray
 
 
@@ -141,11 +144,19 @@ def kf_update(
     nu = z.z - z_pred
     PHt = est.cov[..., :, pos]
     S = PHt[..., pos, :] + z.R
-    W = mt(solve_psd(mt(S), mt(PHt), "innovation covariance"))
+    S_inv, logdet = inv_spd2(S, "innovation covariance")
+    W = PHt @ S_inv
     mean = est.mean + mv(W, nu)
     M = np.eye(n) - W @ H
     cov = symmetrize(M @ est.cov @ mt(M) + W @ z.R @ mt(W))
-    rec = KfStepRecord(gain=W, innovation=nu, innovation_cov=S, predicted_meas=z_pred)
+    rec = KfStepRecord(
+        gain=W,
+        innovation=nu,
+        innovation_cov=S,
+        innovation_inv=S_inv,
+        innovation_logdet=logdet,
+        predicted_meas=z_pred,
+    )
     return GaussianEstimate(mean=mean, cov=cov, frame=est.frame), rec
 
 
@@ -232,16 +243,14 @@ class ImmState:
         return cls(modes=modes, models=models, mode_probs=mode_probs, transition=transition)
 
 
-def _gauss_loglik(nu: np.ndarray, S: np.ndarray) -> np.ndarray:
-    sign, logdet = np.linalg.slogdet(S)
-    if np.any(sign <= 0):
-        raise SingularMatrixError(
-            "innovation covariance not positive definite", index=first_index(sign <= 0)
-        )
+def _gauss_loglik(rec: KfStepRecord) -> np.ndarray:
+    """Gaussian log-likelihood of each innovation of a Kalman update, from
+    the inverse and log-determinant the update already formed."""
+    nu = rec.innovation
     # matmul, not an elementwise product and sum, for the same reason as in
     # ``mv``: it rounds like the batch-free dot product.
-    maha = (nu[..., None, :] @ solve_psd(S, nu[..., None], "innovation covariance"))[..., 0, 0]
-    return -0.5 * (maha + logdet + nu.shape[-1] * math.log(2.0 * math.pi))
+    maha = (nu[..., None, :] @ rec.innovation_inv @ nu[..., None])[..., 0, 0]
+    return -0.5 * (maha + rec.innovation_logdet + nu.shape[-1] * math.log(2.0 * math.pi))
 
 
 def _moments(weights: np.ndarray, means: list, covs: list) -> tuple[np.ndarray, np.ndarray]:
@@ -286,7 +295,7 @@ def imm_step(
         mixed = GaussianEstimate(mean=x0, cov=P0, frame=state.modes[j].frame)
         # Mode-matched predict and update.
         upd, rec = kf_update(kf_predict(mixed, model), z)
-        logliks.append(_gauss_loglik(rec.innovation, rec.innovation_cov))
+        logliks.append(_gauss_loglik(rec))
         new_modes.append(upd)
 
     # Mode probability update (log-domain for underflow safety).

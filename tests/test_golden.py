@@ -1,0 +1,66 @@
+"""Fixed-seed Monte Carlo CSVs against copies committed before the 2x2 kernel.
+
+``tests/data/golden/<case>/`` holds the metric CSVs that ``emit_report``
+wrote for each case below at the last commit that solved the 2x2 innovation
+systems with LAPACK and mapped ``math`` over the polar conversions.  The
+closed-form 2x2 kernel, numpy's vectorised ``hypot``/``arctan2``/``exp``,
+the batched NEES and the merged converted covariance reorder floating-point
+operations, so the outputs moved in their last bits: this is the package's
+one stated re-baseline, and every cell must stay within ``RTOL`` of the
+copies.  Regenerate the files only for a change meant to alter the
+estimates, with ``write_case(name, tests/data/golden/<name>)``.
+"""
+
+import csv
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from sensorreg.harness import emit_report, load_scenario, run_monte_carlo
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+RTOL = 1e-9
+RUNS = 3
+FILES = ("bias_rmse.csv", "bias_sqrt_sigma.csv", "bias_nees.csv", "track_rmse.csv")
+
+
+def _a08_imm():
+    # The A08 interacting-multiple-model configuration (NCA + NCV modes).
+    sc = load_scenario("five_sensor_offset")
+    sc.local_filter.type = "imm_nca_ncv"
+    sc.local_filter.q1, sc.local_filter.q2 = 10.0, 2.0
+    sc.fusion_q = 200.0
+    return sc
+
+
+CASES = {
+    "two_sensor_exl": (lambda: load_scenario("two_sensor"), "exl"),
+    "five_sensor_offset_scale_fbe": (lambda: load_scenario("five_sensor_offset_scale"), "fbe"),
+    "a08_imm_fbe": (_a08_imm, "fbe"),
+}
+
+
+def write_case(name: str, out_dir) -> None:
+    """Write the metric CSVs of case ``name`` (``RUNS`` runs, packaged seed)."""
+    make, method = CASES[name]
+    emit_report(run_monte_carlo(make(), method, mc_runs=RUNS), out_dir)
+
+
+def _read(path: Path):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    keys = [r[:3] for r in rows]
+    values = np.array([[float(v) for v in r[3:]] for r in rows[1:]])
+    return keys, values
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_outputs_match_golden_csvs(name, tmp_path):
+    write_case(name, tmp_path)
+    for fname in FILES:
+        got_keys, got = _read(tmp_path / fname)
+        want_keys, want = _read(GOLDEN / name / fname)
+        assert got_keys == want_keys, fname
+        # NaN cells (undefined bands) must stay NaN; every other cell within RTOL.
+        np.testing.assert_allclose(got, want, rtol=RTOL, atol=0.0, err_msg=f"{name}/{fname}")

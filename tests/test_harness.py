@@ -255,6 +255,34 @@ def test_nees_series_consistent_estimator_in_band():
     assert inside >= 8
 
 
+def test_nees_series_groups_match_element_loop():
+    # One batched solve over (run, frame, group) against a loop of
+    # batch-free solves; the dot products may round in another order.
+    rng = np.random.default_rng(8)
+    runs, frames, groups, d = 6, 4, 3, 4
+    A = rng.standard_normal((runs, frames, groups, d, d))
+    covs = A @ A.swapaxes(-1, -2) + np.eye(d)
+    errors = rng.standard_normal((runs, frames, groups, d))
+    res = nees_series(errors, covs)
+    assert res.nees.shape == (frames, groups)
+    ref = np.empty((runs, frames, groups))
+    for idx in np.ndindex(ref.shape):
+        ref[idx] = errors[idx] @ np.linalg.solve(covs[idx], errors[idx])
+    np.testing.assert_allclose(res.nees, ref.mean(axis=0), rtol=1e-12)
+
+
+def test_nees_series_names_run_and_frame_of_singular_covariance():
+    covs = np.broadcast_to(np.eye(2), (4, 3, 2, 2)).copy()
+    covs[2, 1] = 0.0
+    covs[3, 0] = 0.0
+    with pytest.raises(NumericalError, match=r"^singular covariance in NEES at run 2, frame 1$"):
+        nees_series(np.ones((4, 3, 2)), covs)
+    grouped = np.broadcast_to(np.eye(2), (4, 3, 5, 2, 2)).copy()
+    grouped[1, 2, 3] = 0.0
+    with pytest.raises(NumericalError, match=r"at run 1, frame 2, group 3$"):
+        nees_series(np.ones((4, 3, 5, 2)), grouped)
+
+
 def test_forward_fill():
     arr = np.array([1.0, np.nan, np.nan, 4.0, np.nan])
     np.testing.assert_allclose(forward_fill(arr), [1.0, 1.0, 1.0, 4.0, 4.0])

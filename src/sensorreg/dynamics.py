@@ -46,7 +46,8 @@ class MultiStepModel:
     """Transition and accumulated process covariance over several steps.
 
     ``F`` and ``Q`` are (n, n) for a model shared by a batch, or
-    (..., n, n) with ``steps`` an array for one model per element.
+    (..., n, n) for one model per element (e.g. per lag, with ``steps`` an
+    array, or per IMM mode).
     """
 
     F: np.ndarray

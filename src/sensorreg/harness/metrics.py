@@ -9,7 +9,7 @@ squared errors around the reported value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import chi2
@@ -131,15 +131,8 @@ class RunMetrics:
     nees_upper_one_sided: float = np.nan
     track_rmse_local: np.ndarray | None = None    # (K+1,)
     track_rmse_fused: np.ndarray | None = None    # (K+1,)
-    final_bias_err: np.ndarray | None = None      # (runs, n_groups, d)
     final_local_sqerr: np.ndarray | None = None   # (runs,)
     final_fused_sqerr: np.ndarray | None = None   # (runs,)
-    component_names: list[str] = field(default_factory=list)
-
-
-def _component_names(dim: int) -> list[str]:
-    names = ["b_r", "b_theta", "eps_r", "eps_theta"]
-    return names[:dim]
 
 
 def aggregate_runs(
@@ -222,8 +215,6 @@ def aggregate_runs(
         nees_upper_one_sided=res.upper_one_sided,
         track_rmse_local=track_local,
         track_rmse_fused=track_fused,
-        final_bias_err=err[:, -1],
         final_local_sqerr=local_sq[:, -1],
         final_fused_sqerr=final_fused,
-        component_names=_component_names(d),
     )

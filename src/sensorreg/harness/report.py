@@ -22,6 +22,9 @@ __all__ = ["emit_report", "emit_crlb", "summary_tables"]
 
 CSV_HEADER = ["frame", "sensor", "metric", "value", "ci_low", "ci_high"]
 
+# Names of the per-sensor bias components, in bias-vector order.
+COMPONENT_NAMES = ("b_r", "b_theta", "eps_r", "eps_theta")
+
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
@@ -37,11 +40,10 @@ def _write_csv(path: Path, rows: list[tuple]) -> None:
 
 def _component_sensor(m: RunMetrics, group: int, comp: int, per_sensor_dim: int):
     """Map a (group, component) pair to a 1-based sensor id and name."""
-    names = ["b_r", "b_theta", "eps_r", "eps_theta"]
     sensors = m.group_sensors[group]
     if len(sensors) == 1:
-        return sensors[0] + 1, names[comp]
-    return sensors[comp // per_sensor_dim] + 1, names[comp % per_sensor_dim]
+        return sensors[0] + 1, COMPONENT_NAMES[comp]
+    return sensors[comp // per_sensor_dim] + 1, COMPONENT_NAMES[comp % per_sensor_dim]
 
 
 def emit_report(metrics: RunMetrics, out_dir: str | Path) -> list[Path]:
@@ -146,7 +148,6 @@ def emit_crlb(series: CrlbSeries, scenario: Scenario, out_dir: str | Path) -> Pa
     """Write sqrt lower-bound curves to ``crlb.csv`` in the report schema."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    names = ["b_r", "b_theta", "eps_r", "eps_theta"]
     d = scenario.bias_dim
     rows = []
     for ei, k in enumerate(series.epochs):
@@ -156,7 +157,7 @@ def emit_crlb(series: CrlbSeries, scenario: Scenario, out_dir: str | Path) -> Pa
                     (
                         k,
                         s + 1,
-                        f"sqrt_crlb_{names[c]}",
+                        f"sqrt_crlb_{COMPONENT_NAMES[c]}",
                         series.per_sensor[ei, s, c],
                         np.nan,
                         np.nan,
@@ -168,7 +169,7 @@ def emit_crlb(series: CrlbSeries, scenario: Scenario, out_dir: str | Path) -> Pa
                     (
                         k,
                         c // d + 1,
-                        f"sqrt_crlb_stacked_{names[c % d]}",
+                        f"sqrt_crlb_stacked_{COMPONENT_NAMES[c % d]}",
                         series.stacked[ei, c],
                         np.nan,
                         np.nan,

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._linalg import mv
 from ..bias import BiasEstimate, PseudoMeasurement, rlsb_update, sensor_pseudo_obs
 from ..coords import (
     CONVERSION_VALIDITY_LIMIT,
@@ -149,6 +150,25 @@ def _segment_sequence(scenario: Scenario, target_idx: int) -> list[MotionModel]:
     return out[: scenario.frames]
 
 
+def _propagate_targets(scenario: Scenario, noise: np.ndarray) -> np.ndarray:
+    """Trajectories (n_targets, K+1, 4) driven by the white process noise
+    ``noise`` (n_targets, K, 4), scaled by each segment model's Cholesky
+    factor; all targets advance in lockstep."""
+    models = [_segment_sequence(scenario, t) for t in range(len(scenario.targets))]
+    distinct = {id(m): m for seq in models for m in seq}
+    chols = {
+        key: np.linalg.cholesky(m.Q) if np.any(m.Q) else np.zeros_like(m.Q)
+        for key, m in distinct.items()
+    }
+    F = np.array([[m.F for m in seq] for seq in models])
+    w = mv(np.array([[chols[id(m)] for m in seq] for seq in models]), noise)
+    states = np.empty((len(models), scenario.frames + 1, 4))
+    x = states[:, 0] = np.array([target.initial_state for target in scenario.targets])
+    for k in range(scenario.frames):
+        x = states[:, k + 1] = mv(F[:, k], x) + w[:, k]
+    return states
+
+
 def simulate_truth(scenario: Scenario, run_index: int, zero_bias: bool = False) -> TruthData:
     """Generate target trajectories and per-sensor measurements for one run.
 
@@ -159,24 +179,10 @@ def simulate_truth(scenario: Scenario, run_index: int, zero_bias: bool = False) 
     K = scenario.frames
     n_t = len(scenario.targets)
     n_s = len(scenario.sensors)
-    states = np.empty((n_t, K + 1, 4))
-
-    for t in range(n_t):
-        models = _segment_sequence(scenario, t)
-        rng = _stream(scenario.rng_seed, 0, run_index, t)
-        noise = rng.standard_normal((K, 4))
-        chols: dict[int, np.ndarray] = {}
-        x = scenario.targets[t].initial_state.copy()
-        states[t, 0] = x
-        for k in range(K):
-            m = models[k]
-            key = id(m)
-            if key not in chols:
-                chols[key] = (
-                    np.linalg.cholesky(m.Q) if np.any(m.Q) else np.zeros_like(m.Q)
-                )
-            x = m.F @ x + chols[key] @ noise[k]
-            states[t, k + 1] = x
+    noise = np.stack(
+        [_stream(scenario.rng_seed, 0, run_index, t).standard_normal((K, 4)) for t in range(n_t)]
+    )
+    states = _propagate_targets(scenario, noise)
 
     polar_true = np.empty((n_s, n_t, K + 1, 2))
     polar_meas = np.empty_like(polar_true)
@@ -230,17 +236,7 @@ def simulate_truth(scenario: Scenario, run_index: int, zero_bias: bool = False) 
 
 def nominal_geometry(scenario: Scenario) -> np.ndarray:
     """Noise-free trajectories (n_targets, K+1, 4) used by the bound path."""
-    K = scenario.frames
-    n_t = len(scenario.targets)
-    states = np.empty((n_t, K + 1, 4))
-    for t in range(n_t):
-        models = _segment_sequence(scenario, t)
-        x = scenario.targets[t].initial_state.copy()
-        states[t, 0] = x
-        for k in range(K):
-            x = models[k].F @ x
-            states[t, k + 1] = x
-    return states
+    return _propagate_targets(scenario, np.zeros((len(scenario.targets), scenario.frames, 4)))
 
 
 def _local_model(scenario: Scenario):

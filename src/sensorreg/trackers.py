@@ -39,6 +39,10 @@ __all__ = [
 INIT_POS_SIGMA = 200.0
 INIT_VEL_SIGMA = 20.0
 
+# Variance of the zero-mean accelerations that a mode without them carries
+# in an IMM bank that has an accelerating mode.
+ACCEL_PRIOR_VAR = 100.0
+
 
 def position_selector(dim: int) -> np.ndarray:
     """Measurement matrix selecting (x, y) from a 4- or 6-dim state."""
@@ -80,10 +84,6 @@ class GaussianEstimate:
     def dim(self) -> int:
         return self.mean.shape[-1]
 
-    def position(self) -> np.ndarray:
-        i, j = _position_indices(self.dim)
-        return self.mean[..., [i, j]]
-
     def __getitem__(self, index) -> GaussianEstimate:
         """The estimates at ``index`` of the batch axes (``frame`` too when
         it is an array broadcasting against them)."""
@@ -107,18 +107,13 @@ class KfStepRecord:
     predicted_meas: np.ndarray
 
 
-def init_track(
-    z: CartesianMeasurement,
-    frame: int = 0,
-    pos_sigma: float = INIT_POS_SIGMA,
-    vel_sigma: float = INIT_VEL_SIGMA,
-) -> GaussianEstimate:
+def init_track(z: CartesianMeasurement, frame: int = 0) -> GaussianEstimate:
     """Start a track from a converted measurement with zero velocity (one
     track per measurement of a batch)."""
     mean = np.zeros(z.z.shape[:-1] + (4,))
     mean[..., ::2] = z.z
     cov = np.zeros(mean.shape + (4,))
-    cov[...] = np.diag([pos_sigma**2, vel_sigma**2, pos_sigma**2, vel_sigma**2])
+    cov[...] = np.diag([INIT_POS_SIGMA**2, INIT_VEL_SIGMA**2] * 2)
     return GaussianEstimate(mean=mean, cov=cov, frame=frame)
 
 
@@ -167,54 +162,35 @@ def marginal_position_velocity(est: GaussianEstimate) -> GaussianEstimate:
     """Marginalize a 6-dim (with accelerations) estimate to [x, xdot, y, ydot]."""
     if est.dim == 4:
         return est
-    mean, cov = _embed(est.mean, est.cov, 6, 4, 0.0)
-    return GaussianEstimate(mean=mean, cov=cov, frame=est.frame)
-
-
-def _embed(est_mean, est_cov, from_dim: int, to_dim: int, accel_var: float):
-    """Map a (batched) mode estimate between 4- and 6-dim state spaces."""
-    if from_dim == to_dim:
-        return est_mean, est_cov
     idx = _POS_VEL
-    if from_dim == 6 and to_dim == 4:
-        return est_mean[..., idx], est_cov[..., idx[:, None], idx]
-    if from_dim == 4 and to_dim == 6:
-        batch = est_mean.shape[:-1]
-        mean = np.zeros(batch + (6,))
-        mean[..., idx] = est_mean
-        cov = np.zeros(batch + (6, 6))
-        cov[..., idx[:, None], idx] = est_cov
-        cov[..., 2, 2] = accel_var
-        cov[..., 5, 5] = accel_var
-        return mean, cov
-    raise ValueError(f"cannot map dimension {from_dim} to {to_dim}")
+    return GaussianEstimate(
+        mean=est.mean[..., idx], cov=est.cov[..., idx[:, None], idx], frame=est.frame
+    )
 
 
 @dataclass
 class ImmState:
     """Bank of mode-matched filters with Markov mode switching.
 
-    ``models[i]`` propagates ``modes[i]``; the transition matrix rows are the
-    switching probabilities out of each mode.  Modes of different state
-    dimension (e.g. an accelerating mode) are mixed by embedding the smaller
-    state with ``accel_prior_var`` on the unmodeled acceleration components.
-
-    The modes and ``mode_probs`` (..., n_modes) may carry leading batch axes
-    (one bank per element); ``models`` and ``transition`` are shared.
+    ``modes`` holds every mode on its last batch axis: mean (..., n_modes, n)
+    and covariance (..., n_modes, n, n), all in the state space of the
+    largest model.  ``model`` propagates them with ``F`` and ``Q`` of shape
+    (n_modes, n, n); the transition matrix rows are the switching
+    probabilities out of each mode.  ``mode_probs`` is (..., n_modes), one
+    simplex vector per bank; ``model`` and ``transition`` are shared.
     """
 
-    modes: list[GaussianEstimate]
-    models: list[MotionModel]
+    modes: GaussianEstimate
+    model: MultiStepModel
     mode_probs: np.ndarray
     transition: np.ndarray
-    accel_prior_var: float = 100.0
 
     def __post_init__(self) -> None:
         # Copies, so that no two states share (and can edit) these arrays.
         self.mode_probs = np.array(self.mode_probs, dtype=float)
-        n = len(self.modes)
+        n = self.model.F.shape[0]
         self.transition = np.array(self.transition, dtype=float).reshape(n, n)
-        if len(self.models) != n or self.mode_probs.shape[-1] != n:
+        if self.modes.mean.shape[-2] != n or self.mode_probs.shape[-1] != n:
             raise ValueError("modes, models and mode_probs must have equal length")
         if np.any(self.mode_probs < 0) or np.any(
             np.abs(self.mode_probs.sum(axis=-1) - 1.0) > 1e-9
@@ -231,16 +207,38 @@ class ImmState:
         mode_probs: np.ndarray,
         transition: np.ndarray,
     ) -> ImmState:
-        """Start every mode from one (batched) track estimate, embedded into
-        the mode's state space."""
-        modes = [
-            GaussianEstimate(
-                *_embed(est.mean, est.cov, est.dim, m.dim, cls.accel_prior_var),
-                frame=est.frame,
-            )
-            for m in models
-        ]
-        return cls(modes=modes, models=models, mode_probs=mode_probs, transition=transition)
+        """Start every mode from one (batched) track estimate.
+
+        A 4-dim model in a bank with a 6-dim one gets zero acceleration rows
+        in ``F`` and :data:`ACCEL_PRIOR_VAR` on the acceleration diagonal of
+        ``Q``; its mode then carries zero-mean accelerations of that
+        variance, uncorrelated with the rest, through every predict and
+        update.  The track is embedded the same way.
+        """
+        n = max(m.dim for m in models)
+
+        def lift(mat: np.ndarray, accel_var: float) -> np.ndarray:
+            if mat.shape[-1] == n:
+                return mat
+            out = np.zeros(mat.shape[:-2] + (n, n))
+            out[..., _POS_VEL[:, None], _POS_VEL] = mat
+            out[..., 2, 2] = out[..., 5, 5] = accel_var
+            return out
+
+        mean = np.zeros(est.mean.shape[:-1] + (n,))
+        mean[..., _POS_VEL if est.dim < n else slice(None)] = est.mean
+        cov = lift(est.cov, ACCEL_PRIOR_VAR)
+        modes = GaussianEstimate(
+            mean=np.repeat(mean[..., None, :], len(models), axis=-2),
+            cov=np.repeat(cov[..., None, :, :], len(models), axis=-3),
+            frame=est.frame,
+        )
+        model = MultiStepModel(
+            F=np.stack([lift(m.F, 0.0) for m in models]),
+            Q=np.stack([lift(m.Q, ACCEL_PRIOR_VAR) for m in models]),
+            steps=1,
+        )
+        return cls(modes=modes, model=model, mode_probs=mode_probs, transition=transition)
 
 
 def _gauss_loglik(rec: KfStepRecord) -> np.ndarray:
@@ -253,14 +251,15 @@ def _gauss_loglik(rec: KfStepRecord) -> np.ndarray:
     return -0.5 * (maha + rec.innovation_logdet + nu.shape[-1] * math.log(2.0 * math.pi))
 
 
-def _moments(weights: np.ndarray, means: list, covs: list) -> tuple[np.ndarray, np.ndarray]:
-    """Moment-matched mean and covariance of a (batched) Gaussian mixture;
-    ``weights[..., i]`` weighs ``means[i]`` and ``covs[i]``."""
-    x = sum(weights[..., i, None] * m for i, m in enumerate(means))
-    P = sum(
-        weights[..., i, None, None] * (P_i + (m - x)[..., :, None] * (m - x)[..., None, :])
-        for i, (m, P_i) in enumerate(zip(means, covs))
-    )
+def _moments(weights: np.ndarray, est: GaussianEstimate) -> tuple[np.ndarray, np.ndarray]:
+    """Moment-matched means and covariances of (batched) Gaussian mixtures
+    of the components on the last batch axis of ``est``;
+    ``weights[..., k, i]`` weighs component i in mixture k."""
+    x = weights @ est.mean
+    n = est.dim
+    spread = est.mean[..., None, :, :] - x[..., :, None, :]
+    P = (weights @ est.cov.reshape(est.cov.shape[:-2] + (n * n,))).reshape(x.shape + (n,))
+    P += mt(weights[..., None] * spread) @ spread
     return x, symmetrize(P)
 
 
@@ -270,8 +269,9 @@ def imm_step(
     """One IMM cycle: mix, mode-matched predict/update, reweight, combine.
 
     Returns the new bank state and the moment-matched combined estimate on
-    the 4-dim position/velocity interface.  Every bank of a batch advances
-    in the same call.
+    the 4-dim position/velocity interface.  Every bank of a batch and every
+    mode advances in the same call; a singular matrix is reported at the
+    bank's batch index.
     """
     mu = state.mode_probs
     Pi = state.transition
@@ -282,38 +282,27 @@ def imm_step(
             index=first_index(np.any(c_bar <= 0, axis=-1)),
         )
 
-    # Mixed initial conditions per destination mode; w[..., i, j] weighs
-    # source mode i in destination mode j.
-    w = Pi * mu[..., :, None] / c_bar[..., None, :]
-    new_modes: list[GaussianEstimate] = []
-    logliks = []
-    for j, model in enumerate(state.models):
-        means, covs = zip(
-            *(_embed(m.mean, m.cov, m.dim, model.dim, state.accel_prior_var) for m in state.modes)
-        )
-        x0, P0 = _moments(w[..., j], means, covs)
-        mixed = GaussianEstimate(mean=x0, cov=P0, frame=state.modes[j].frame)
-        # Mode-matched predict and update.
-        upd, rec = kf_update(kf_predict(mixed, model), z)
-        logliks.append(_gauss_loglik(rec))
-        new_modes.append(upd)
+    # Mixed initial conditions; w[..., j, i] weighs source mode i in
+    # destination mode j.
+    w = Pi.T * mu[..., None, :] / c_bar[..., :, None]
+    x0, P0 = _moments(w, state.modes)
+    mixed = GaussianEstimate(mean=x0, cov=P0, frame=state.modes.frame)
+    # Mode-matched predict and update, the measurement on a unit mode axis.
+    z = CartesianMeasurement(z=z.z[..., None, :], R=z.R[..., None, :, :])
+    try:
+        modes, rec = kf_update(kf_predict(mixed, state.model), z)
+    except SingularMatrixError as exc:
+        raise SingularMatrixError(exc.reason, index=exc.index and exc.index[:-1]) from exc
 
     # Mode probability update (log-domain for underflow safety).
-    log_mu = np.log(c_bar) + np.stack(logliks, axis=-1)
+    log_mu = np.log(c_bar) + _gauss_loglik(rec)
     log_mu -= log_mu.max(axis=-1, keepdims=True)
     mu_new = np.exp(log_mu)
     mu_new /= mu_new.sum(axis=-1, keepdims=True)
 
-    new_state = ImmState(
-        modes=new_modes,
-        models=state.models,
-        mode_probs=mu_new,
-        transition=Pi,
-        accel_prior_var=state.accel_prior_var,
-    )
+    new_state = ImmState(modes=modes, model=state.model, mode_probs=mu_new, transition=Pi)
 
     # Moment-matched combined output on the 4-dim interface.
-    outs = [marginal_position_velocity(m) for m in new_modes]
-    x, P = _moments(mu_new, [o.mean for o in outs], [o.cov for o in outs])
-    combined = GaussianEstimate(mean=x, cov=P, frame=outs[0].frame)
+    x, P = _moments(mu_new[..., None, :], marginal_position_velocity(modes))
+    combined = GaussianEstimate(mean=x[..., 0, :], cov=P[..., 0, :, :], frame=modes.frame)
     return new_state, combined

@@ -42,11 +42,10 @@ class Tracklet:
 
     For the decorrelated form ``U`` is the pseudo-inverse of a possibly
     rank-deficient information difference, so only its observable subspace
-    (positions, in the single-step case) is meaningful.  ``A`` and ``D`` are
-    the weighting and covariance-difference matrices of the inverse-filter
-    form (None for the decorrelated form).  ``pred_cov`` is the L-step
-    predicted covariance used to build the tracklet; gain reconstruction
-    reuses it.  ``u`` has shape (..., n) and ``U`` and ``pred_cov``
+    (positions, in the single-step case) is meaningful.  ``A`` is the
+    weighting matrix of the inverse-filter form (None for the decorrelated
+    form).  ``pred_cov`` is the L-step predicted covariance used to build
+    the tracklet; gain reconstruction reuses it.  ``u`` has shape (..., n) and ``U`` and ``pred_cov``
     (..., n, n), with the leading batch axes of the snapshots.  ``method``
     names the form, per element (an array) when a batch mixes both.
     """
@@ -57,7 +56,6 @@ class Tracklet:
     from_frame: int
     to_frame: int
     A: np.ndarray | None = None
-    D: np.ndarray | None = None
     method: str | np.ndarray = "inverse_kf"
 
 
@@ -192,7 +190,6 @@ def tracklet_inverse_kf(
         from_frame=prev.frame,
         to_frame=curr.frame,
         A=A,
-        D=D,
         method="inverse_kf",
     )
 
@@ -233,8 +230,8 @@ def compute_tracklet(
     form for the elements whose covariance difference is near-singular.
 
     A batch that mixes both forms is built from one call of each on its
-    elements; its ``method`` then names the form per element and ``A`` and
-    ``D`` are None.  An error names its element's index in the full batch.
+    elements; its ``method`` then names the form per element and ``A`` is
+    None.  An error names its element's index in the full batch.
     The snapshots carry the full batch shape; the model may be shared.
     """
     try:

@@ -1,6 +1,7 @@
 """Demo scripts and the README quick start run to completion (demo 02 drives
 the batch-free tracker API, demo 03 the batched tracklet and gain step of the
-``exl`` method)."""
+``exl`` method, demo 04 the five-sensor ``fbe`` study and demo 05 the bound,
+report and summary path)."""
 
 import os
 import re
@@ -19,6 +20,8 @@ ROOT = Path(__file__).resolve().parent.parent
         "01_measurement_model.py",
         "02_tracklets_and_gain_reconstruction.py",
         "03_two_sensor_registration.py",
+        "04_five_sensor_fused_estimation.py",
+        "05_bounds_and_reports.py",
     ],
 )
 def test_demo_runs(script):

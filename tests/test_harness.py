@@ -482,6 +482,19 @@ def test_singular_stream_is_named(tmp_path, capsys, monkeypatch):
     assert "run 0: sensor 1, target 0, frame 3: " in capsys.readouterr().err
 
 
+def test_singular_imm_stream_is_named():
+    # The IMM bank's mode axis stays out of the location: a negative definite
+    # measurement covariance of stream (1, 0) at frame 3 names that stream.
+    from sensorreg.errors import SingularMatrixError
+
+    sc = load_scenario(_tiny_scenario(local_filter={"type": "imm_nca_ncv"}))
+    truth = simulate_truth(sc, 0)
+    truth.cart_R[1, 0, 3] = -1e9 * np.eye(2)
+    with pytest.raises(SingularMatrixError, match="sensor 1, target 0, frame 3: ") as info:
+        run_local_tracks(sc, truth)
+    assert info.value.index == (1, 0)
+
+
 def test_fusion_center_runs_once_per_epoch(monkeypatch):
     # The fusion-center formulas take (sensor, target) batch axes, so an fbe
     # run calls each O(epochs) times, not once per (sensor, target) pair.

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from sensorreg._linalg import symmetrize
 from sensorreg.coords import CartesianMeasurement
-from sensorreg.dynamics import ncv_model
+from sensorreg.dynamics import MultiStepModel, ncv_model
 from sensorreg.errors import SingularMatrixError
 from sensorreg.trackers import (
+    ACCEL_PRIOR_VAR,
     GaussianEstimate,
     ImmState,
     imm_step,
@@ -116,11 +118,13 @@ def test_init_track_layout():
 def _imm(models, mu=(0.5, 0.5), pi=((0.95, 0.05), (0.05, 0.95))):
     z0 = CartesianMeasurement(z=[0.0, 0.0], R=100 * np.eye(2))
     est = init_track(z0, frame=0)
-    modes = [
-        GaussianEstimate(mean=est.mean.copy(), cov=est.cov.copy(), frame=0)
-        for _ in models
-    ]
-    return ImmState(modes=modes, models=models, mode_probs=np.array(mu), transition=np.array(pi))
+    modes = GaussianEstimate(
+        mean=np.stack([est.mean] * len(models)), cov=np.stack([est.cov] * len(models)), frame=0
+    )
+    model = MultiStepModel(
+        F=np.stack([m.F for m in models]), Q=np.stack([m.Q for m in models]), steps=1
+    )
+    return ImmState(modes=modes, model=model, mode_probs=np.array(mu), transition=np.array(pi))
 
 
 def test_imm_identical_modes_symmetric_prior_matches_single_kf():
@@ -168,9 +172,15 @@ def test_imm_mixed_dimension_modes():
     cov6 = np.zeros((6, 6))
     cov6[np.ix_([0, 1, 3, 4], [0, 1, 3, 4])] = est4.cov
     cov6[2, 2] = cov6[5, 5] = 100.0
+    # The constant-velocity mode in the 6-dim space: zero acceleration rows
+    # in F, the acceleration prior on the diagonal of Q.
+    F6 = np.zeros((6, 6))
+    Q6 = np.diag([0.0, 0.0, 100.0, 0.0, 0.0, 100.0])
+    F6[np.ix_([0, 1, 3, 4], [0, 1, 3, 4])] = models[1].F
+    Q6[np.ix_([0, 1, 3, 4], [0, 1, 3, 4])] = models[1].Q
     state = ImmState(
-        modes=[GaussianEstimate(mean=mean6, cov=cov6), est4],
-        models=models,
+        modes=GaussianEstimate(mean=np.stack([mean6, mean6]), cov=np.stack([cov6, cov6])),
+        model=MultiStepModel(F=np.stack([models[0].F, F6]), Q=np.stack([models[0].Q, Q6]), steps=1),
         mode_probs=np.array([0.5, 0.5]),
         transition=np.array([[0.95, 0.05], [0.05, 0.95]]),
     )
@@ -266,12 +276,19 @@ def test_imm_from_track_embeds_with_accel_prior():
     # The state owns its arrays: editing them leaves the caller's intact.
     assert not np.shares_memory(state.mode_probs, probs)
     assert not np.shares_memory(state.transition, Pi)
-    six, four = state.modes
+    six, four = state.modes[0], state.modes[1]
     idx = [0, 1, 3, 4]
     np.testing.assert_array_equal(six.mean[idx], est.mean)
     np.testing.assert_array_equal(six.cov[np.ix_(idx, idx)], est.cov)
-    assert six.cov[2, 2] == six.cov[5, 5] == ImmState.accel_prior_var
-    np.testing.assert_array_equal(four.mean, est.mean)
+    assert six.cov[2, 2] == six.cov[5, 5] == ACCEL_PRIOR_VAR
+    np.testing.assert_array_equal(four.mean[idx], est.mean)
+    # The constant-velocity mode lives in the 6-dim space: zero acceleration
+    # rows in F and the acceleration prior on the diagonal of Q.
+    F, Q = state.model.F, state.model.Q
+    assert F.shape == Q.shape == (2, 6, 6)
+    np.testing.assert_array_equal(F[1][np.ix_(idx, idx)], ncv_model(1.0, 2.0).F)
+    np.testing.assert_array_equal(F[1][[2, 5]], 0.0)
+    assert Q[1, 2, 2] == Q[1, 5, 5] == ACCEL_PRIOR_VAR
 
 
 def _per_stream_tracks(sc, truth):
@@ -322,3 +339,88 @@ def test_lockstep_tracks_match_per_stream_loop(filter_type):
         assert tracks.gain is None
         for got, want in ((tracks.mean, mean), (tracks.cov, cov)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+_REF_POS_VEL = np.array([0, 1, 3, 4])
+
+
+def _ref_embed(mean, cov, to_dim):
+    """Map (batched) mode estimates between the 4- and 6-dim state spaces."""
+    idx = _REF_POS_VEL
+    if mean.shape[-1] == to_dim:
+        return mean, cov
+    if to_dim == 4:
+        return mean[..., idx], cov[..., idx[:, None], idx]
+    batch = mean.shape[:-1]
+    mean6 = np.zeros(batch + (6,))
+    mean6[..., idx] = mean
+    cov6 = np.zeros(batch + (6, 6))
+    cov6[..., idx[:, None], idx] = cov
+    cov6[..., 2, 2] = cov6[..., 5, 5] = ACCEL_PRIOR_VAR
+    return mean6, cov6
+
+
+def _ref_moments(weights, means, covs):
+    """Moment-matched mixture of per-mode lists; ``weights[..., i]`` weighs
+    ``means[i]`` and ``covs[i]``."""
+    x = sum(weights[..., i, None] * m for i, m in enumerate(means))
+    P = sum(
+        weights[..., i, None, None] * (P_i + (m - x)[..., :, None] * (m - x)[..., None, :])
+        for i, (m, P_i) in enumerate(zip(means, covs))
+    )
+    return x, symmetrize(P)
+
+
+def _per_mode_imm_tracks(sc, truth):
+    """Reference: the IMM recursion with one filter call per mode, every mode
+    in its own model's state space, and every source mode embedded into the
+    destination mode's space at each mixing step."""
+    from sensorreg.harness.simulate import IMM_INITIAL_PROBS, IMM_TRANSITION, _local_model
+
+    models = _local_model(sc)
+    Pi = IMM_TRANSITION
+    K1 = truth.cart_z.shape[2]
+    est = init_track(CartesianMeasurement(z=truth.cart_z[:, :, 0], R=truth.cart_R[:, :, 0]))
+    modes = [_ref_embed(est.mean, est.cov, m.dim) for m in models]
+    mu = np.broadcast_to(IMM_INITIAL_PROBS, est.mean.shape[:-1] + (2,))
+    mean = np.empty(truth.cart_z.shape[:2] + (K1, 4))
+    cov = np.empty(mean.shape + (4,))
+    mean[:, :, 0], cov[:, :, 0] = est.mean, est.cov
+    for k in range(1, K1):
+        z = CartesianMeasurement(z=truth.cart_z[:, :, k], R=truth.cart_R[:, :, k])
+        c_bar = mu @ Pi
+        w = Pi * mu[..., :, None] / c_bar[..., None, :]
+        new_modes, logliks = [], []
+        for j, model in enumerate(models):
+            means, covs = zip(*(_ref_embed(m, P, model.dim) for m, P in modes))
+            x0, P0 = _ref_moments(w[..., j], means, covs)
+            upd, rec = kf_update(kf_predict(GaussianEstimate(mean=x0, cov=P0), model), z)
+            nu = rec.innovation
+            maha = (nu[..., None, :] @ rec.innovation_inv @ nu[..., None])[..., 0, 0]
+            logliks.append(-0.5 * (maha + rec.innovation_logdet + 2 * np.log(2.0 * np.pi)))
+            new_modes.append((upd.mean, upd.cov))
+        log_mu = np.log(c_bar) + np.stack(logliks, axis=-1)
+        log_mu -= log_mu.max(axis=-1, keepdims=True)
+        mu = np.exp(log_mu)
+        mu /= mu.sum(axis=-1, keepdims=True)
+        modes = new_modes
+        outs = [_ref_embed(m, P, 4) for m, P in modes]
+        mean[:, :, k], cov[:, :, k] = _ref_moments(mu, *zip(*outs))
+    return mean, cov
+
+
+@pytest.mark.parametrize("filter_type", ["imm_ncv_ncv", "imm_nca_ncv"])
+def test_stacked_imm_matches_per_mode_reference(filter_type):
+    # Tolerance stated in CHANGES.md: the stacked bank's means and
+    # covariances stay within 1e-13 of each array's largest magnitude of the
+    # per-mode recursion (mixing in every destination mode's own space).
+    from sensorreg.harness import load_scenario, run_local_tracks, simulate_truth
+
+    sc = load_scenario("two_sensor")
+    sc.frames = 12
+    sc.local_filter.type = filter_type
+    truth = simulate_truth(sc, 0)
+    tracks = run_local_tracks(sc, truth)
+    mean, cov = _per_mode_imm_tracks(sc, truth)
+    for got, want in ((tracks.mean, mean), (tracks.cov, cov)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())

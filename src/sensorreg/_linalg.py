@@ -49,6 +49,15 @@ def first_index(bad: np.ndarray) -> tuple[int, ...] | None:
     return tuple(int(i) for i in hits[0]) if hits.size else None
 
 
+def det_spd2(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Determinants of the 2x2 matrices on the last two axes, and the mask
+    of those that pass the positive definiteness test of :func:`inv_spd2`:
+    determinant finite and positive, leading entry positive (False for any
+    NaN entry)."""
+    det = mat[..., 0, 0] * mat[..., 1, 1] - mat[..., 0, 1] * mat[..., 1, 0]
+    return det, (det > 0.0) & (mat[..., 0, 0] > 0.0) & (det < np.inf)
+
+
 def inv_spd2(mat: np.ndarray, context: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
     """Inverse and log-determinant of 2x2 symmetric positive definite
     matrices on the last two axes, in closed (cofactor) form.
@@ -60,10 +69,7 @@ def inv_spd2(mat: np.ndarray, context: str = "matrix") -> tuple[np.ndarray, np.n
     :class:`SingularMatrixError` naming the first such batch index and its
     condition number.
     """
-    a, b = mat[..., 0, 0], mat[..., 0, 1]
-    c, d = mat[..., 1, 0], mat[..., 1, 1]
-    det = a * d - b * c
-    ok = (det > 0.0) & (a > 0.0) & (det < np.inf)
+    det, ok = det_spd2(mat)
     if not ok.all():
         index = first_index(~ok)
         raise SingularMatrixError(

@@ -4,8 +4,10 @@ A bias pseudo-measurement is obtained by deconvolving a track update with the
 (reconstructed or true) filter gain, which isolates the bias contribution plus
 measurement noise, and differencing the result against a reference that is
 free of the bias under estimation.  The recursive least-squares estimator
-handles constant biases; its covariance update uses the Joseph form, which
-preserves positive definiteness under ill-conditioned observation matrices.
+handles constant biases.  One update folds a whole stack of
+pseudo-measurements (a frame's targets, say) as a single stacked
+observation, and its covariance step uses the Joseph form, which preserves
+positive definiteness under ill-conditioned observation matrices.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import inv_spd2, mt, mv, symmetrize
+from ._linalg import inv_spd2, mt, mv, solve_psd, symmetrize
 from .coords import BiasJacobians
 from .dynamics import MultiStepModel
 from .trackers import GaussianEstimate
@@ -34,7 +36,8 @@ class PseudoMeasurement:
     cov(w) = R.
 
     ``z`` has shape (..., 2), ``H`` (..., 2, d) and ``R`` (..., 2, 2);
-    leading axes index a batch of observations.
+    leading axes index a batch of observations, the last of which
+    :func:`rlsb_update` can fold as one stack.
     """
 
     z: np.ndarray
@@ -45,6 +48,10 @@ class PseudoMeasurement:
         self.z = np.asarray(self.z, dtype=float)
         self.H = np.asarray(self.H, dtype=float)
         self.R = np.asarray(self.R, dtype=float)
+
+    def __getitem__(self, index) -> PseudoMeasurement:
+        """The observations at ``index`` of the batch axes."""
+        return PseudoMeasurement(z=self.z[index], H=self.H[index], R=self.R[index])
 
 
 @dataclass
@@ -123,20 +130,34 @@ def difference_pseudo_measurement(
 
 
 def rlsb_update(est: BiasEstimate, pm: PseudoMeasurement) -> BiasEstimate:
-    """Recursive least-squares measurement update with Joseph-form covariance.
+    """Recursive least-squares update that folds a stack of
+    pseudo-measurements in one Joseph-form step.
 
-    The estimate and the pseudo-measurement may carry the same leading batch
-    axes; each element is updated independently.
+    After the estimate's batch axes, ``pm`` carries an observation axis of
+    length m: ``z`` (..., m, 2), ``H`` (..., m, 2, d), ``R`` (..., m, 2, 2).
+    The m observations of an element form one 2m-vector with noise
+    covariance ``blockdiag(R)``, so the fold equals m sequential updates up
+    to rounding.  Without the observation axis (``H`` (..., 2, d)) the
+    pseudo-measurement is the single observation m = 1.  An observation
+    with ``H = 0``, ``z = 0`` and ``R = I`` contributes nothing, which pads
+    stacks of unequal length.
 
     Raises :class:`SingularMatrixError` naming the first element whose
-    innovation covariance ``H Sigma H' + R`` cannot be inverted.
+    innovation covariance ``H Sigma H' + blockdiag(R)`` cannot be solved.
     """
-    H = pm.H
-    S = H @ est.Sigma @ mt(H) + pm.R
-    SHt = est.Sigma @ mt(H)
-    S_inv, _ = inv_spd2(S, context="pseudo-measurement innovation covariance")
-    G = SHt @ S_inv
-    b = est.b + mv(G, pm.z - mv(H, est.b))
+    H, z, R = pm.H, pm.z, pm.R
+    if H.ndim < est.b.ndim + 2:
+        H, z, R = H[..., None, :, :], z[..., None, :], R[..., None, :, :]
+    m = H.shape[-3]
+    rows = H.shape[:-3] + (2 * m,)
+    H = H.reshape(rows + (est.dim,))
+    z = z.reshape(rows)
+    # blockdiag(R): R[..., j, a, c] lands at row 2j + a, column 2j + c.
+    R = (R[..., :, :, None, :] * np.eye(m)[:, None, :, None]).reshape(rows + (2 * m,))
+    HSigma = H @ est.Sigma
+    S = HSigma @ mt(H) + R
+    G = mt(solve_psd(S, HSigma, context="pseudo-measurement innovation covariance"))
+    b = est.b + mv(G, z - mv(H, est.b))
     M = np.eye(est.dim) - G @ H
-    Sigma = symmetrize(M @ est.Sigma @ mt(M) + G @ pm.R @ mt(G))
+    Sigma = symmetrize(M @ est.Sigma @ mt(M) + G @ R @ mt(G))
     return BiasEstimate(b=b, Sigma=Sigma)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import first_index, inv_spd2, mt, symmetrize
+from ._linalg import det_spd2, first_index, inv_spd2, mt, symmetrize
 from .bias import (
     BiasEstimate,
     PseudoMeasurement,
@@ -126,11 +126,10 @@ def reconstruct_local_gain(t: Tracklet, pred_cov: np.ndarray) -> ReconstructedGa
     ``R`` (..., 2, 2) and ``y`` (..., 2).
     """
     R = symmetrize(_position_block(t.U))
-    det = R[..., 0, 0] * R[..., 1, 1] - R[..., 0, 1] * R[..., 1, 0]
-    bad = ~((R[..., 0, 0] > 0.0) & (det > 0.0))
-    if bad.any():
+    _, ok = det_spd2(R)
+    if not ok.all():
         raise NumericalError(
-            "tracklet position covariance not positive definite", index=first_index(bad)
+            "tracklet position covariance not positive definite", index=first_index(~ok)
         )
     S_inv, _ = inv_spd2(_position_block(pred_cov) + R, context="gain innovation covariance")
     W = pred_cov[..., :, ::2] @ S_inv
@@ -280,7 +279,7 @@ class FbeResult:
     bias correction succeeded, and ``tracklets`` holds their tracklets on
     one leading axis, in row-major (sensor, target) order (None when no pair
     is live).  ``skipped`` lists a ``(sensor, target, reason)`` tuple per
-    pair or bias update (target None) that failed a numerical check.
+    pair, or per bias pseudo-measurement, that failed a numerical check.
     """
 
     bias_states: BiasEstimate
@@ -320,8 +319,8 @@ def fbe_step(
 
     Corrections use the bias estimates as they stood at the start of the
     frame, so per-sensor updates are order-independent within the frame;
-    pseudo-measurements within one sensor are folded in ascending target
-    order.
+    each sensor folds all of its pseudo-measurements of the frame in one
+    stacked update.
     """
     n_s, n_t = reported.shape
     fused = GaussianEstimate(
@@ -422,18 +421,18 @@ def fbe_step(
     res.fused.frame[es, et] = fused_new.state.frame
     res.used[es, et] = fused_new.sensors
 
-    # Each sensor folds its pseudo-measurements in ascending target order;
-    # one batched update per target covers every sensor.
-
-    def update(rows):
-        pm_rows = PseudoMeasurement(z=pm.z[rows], H=pm.H[rows], R=pm.R[rows])
-        return rlsb_update(res.bias_states[es[rows]], pm_rows)
-
-    def skip_update(i, exc):
-        res.skipped.append((int(es[i]), None, exc.reason))
-
-    for tgt in np.unique(et):
-        rows, est = _without_failures(update, np.flatnonzero(et == tgt), skip_update)
-        if est is not None:
-            res.bias_states.b[es[rows]], res.bias_states.Sigma[es[rows]] = est.b, est.Sigma
+    # One stacked fold per sensor over its targets.  A pseudo-measurement
+    # whose noise covariance fails the 2x2 positive-definiteness test is
+    # dropped; it and every pair without one are padded with H = 0, z = 0,
+    # R = I, which contribute nothing.
+    _, ok = det_spd2(pm.R)
+    for i in np.flatnonzero(~ok):
+        res.skipped.append(
+            (int(es[i]), int(et[i]), "pseudo-measurement covariance not positive definite")
+        )
+    z = np.zeros((n_s, n_t, 2))
+    H = np.zeros((n_s, n_t, 2, bias_states.dim))
+    R = np.broadcast_to(np.eye(2), (n_s, n_t, 2, 2)).copy()
+    z[es[ok], et[ok]], H[es[ok], et[ok]], R[es[ok], et[ok]] = pm.z[ok], pm.H[ok], pm.R[ok]
+    res.bias_states = rlsb_update(res.bias_states, PseudoMeasurement(z=z, H=H, R=R))
     return res

@@ -410,37 +410,52 @@ def _run_stacked(
         raise ScenarioError("true-gain path requires the plain Kalman local tracker")
 
     K = scenario.frames
-    n_t = len(scenario.targets)
-    model = ncv_model(scenario.dt, scenario.fusion_q)
-    ms1 = compose_steps(model, 1)
+    ms1 = compose_steps(ncv_model(scenario.dt, scenario.fusion_q), 1)
     sig = scenario.bias_prior_sigma()
     prior = np.diag(np.concatenate([sig**2, sig**2]))
     est = BiasEstimate(b=np.zeros(4), Sigma=prior)
-    positions = np.stack([s.position for s in scenario.sensors])[:, None]
+    positions = np.stack([s.position for s in scenario.sensors])[:, None, None]
 
-    b_series = np.empty((K + 1, 1, 4))
-    sigma_series = np.empty((K + 1, 1, 4, 4))
-    b_series[0, 0] = est.b
-    sigma_series[0, 0] = est.Sigma
-
-    pairs = slice(None)
-    for k in range(1, K + 1):
-        # Every (sensor, target) pair of the frame in one call per step.
-        prev = tracks.estimate(pairs, pairs, k - 1)
-        curr = tracks.estimate(pairs, pairs, k)
+    # No frame's pseudo-measurements depend on the bias estimate, so every
+    # (sensor, target, frame) of frames 1..K is built in one batched pass;
+    # only the fold runs frame by frame.
+    frames = np.arange(1, K + 1)
+    prev = GaussianEstimate(tracks.mean[:, :, :-1], tracks.cov[:, :, :-1], frame=frames - 1)
+    curr = GaussianEstimate(tracks.mean[:, :, 1:], tracks.cov[:, :, 1:], frame=frames)
+    try:
         if reconstructed:
             trk = tracklet_decorrelated(prev, curr, ms1)
             gain = reconstruct_local_gain(trk, trk.pred_cov)
             W, R = gain.W, gain.R
             r_m, t_m = cart_to_polar(trk.u[..., ::2], positions)
         else:
-            W, R = tracks.gain[:, :, k], truth.cart_R[:, :, k]
-            r_m, t_m = truth.polar_meas[:, :, k, 0], truth.polar_meas[:, :, k, 1]
+            W, R = tracks.gain[:, :, 1:], truth.cart_R[:, :, 1:]
+            r_m, t_m = truth.polar_meas[:, :, 1:, 0], truth.polar_meas[:, :, 1:, 1]
         zb = sensor_pseudo_obs(curr, prev, W, ms1)
         B = jacobians_at(r_m, t_m).B
-        z, H, R = zb[0] - zb[1], np.concatenate([B[0], -B[1]], axis=-1), R[0] + R[1]
-        for t in range(n_t):
-            est = rlsb_update(est, PseudoMeasurement(z=z[t], H=H[t], R=R[t]))
+    except NumericalError as exc:
+        if exc.index is None:
+            raise
+        s, t, j = exc.index
+        where = f"sensor {s}, target {t}, frame {j + 1}"
+        raise type(exc)(f"{where}: {exc.reason}", index=exc.index) from exc
+    # One stacked pseudo-measurement per frame, its targets on the
+    # observation axis: (K, n_targets, ...).
+    pm = PseudoMeasurement(
+        z=(zb[0] - zb[1]).swapaxes(0, 1),
+        H=np.concatenate([B[0], -B[1]], axis=-1).swapaxes(0, 1),
+        R=(R[0] + R[1]).swapaxes(0, 1),
+    )
+
+    b_series = np.empty((K + 1, 1, 4))
+    sigma_series = np.empty((K + 1, 1, 4, 4))
+    b_series[0, 0] = est.b
+    sigma_series[0, 0] = est.Sigma
+    for k in frames:
+        try:
+            est = rlsb_update(est, pm[k - 1])
+        except NumericalError as exc:
+            raise type(exc)(f"frame {k}: {exc.reason}", index=exc.index) from exc
         b_series[k, 0] = est.b
         sigma_series[k, 0] = est.Sigma
     return b_series, sigma_series, None

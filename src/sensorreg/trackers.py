@@ -192,11 +192,13 @@ class ImmState:
         self.transition = np.array(self.transition, dtype=float).reshape(n, n)
         if self.modes.mean.shape[-2] != n or self.mode_probs.shape[-1] != n:
             raise ValueError("modes, models and mode_probs must have equal length")
-        if np.any(self.mode_probs < 0) or np.any(
-            np.abs(self.mode_probs.sum(axis=-1) - 1.0) > 1e-9
+        # Written so that a NaN fails every test.
+        if not (
+            np.all(self.mode_probs >= 0)
+            and np.all(np.abs(self.mode_probs.sum(axis=-1) - 1.0) <= 1e-9)
         ):
             raise ValueError("mode probabilities must form a simplex vector")
-        if not np.allclose(self.transition.sum(axis=1), 1.0, atol=1e-9):
+        if not np.all(np.abs(self.transition.sum(axis=1) - 1.0) <= 1e-9):
             raise ValueError("transition matrix rows must sum to 1")
 
     @classmethod

@@ -288,8 +288,9 @@ def test_a06_sequential_equals_batch():
 
 def test_a07_joseph_form_robustness():
     """The Joseph-form covariance stays positive definite through 1e5 random
-    updates with observation matrices conditioned up to 1e8, while the naive
-    subtraction form demonstrably loses definiteness at condition 1e10."""
+    updates with observation matrices conditioned up to 1e8, one at a time
+    and folded in stacks of 10, while the naive subtraction form
+    demonstrably loses definiteness at condition 1e10."""
     rng = np.random.default_rng(77)
     n_updates = 100_000
     est = None
@@ -313,6 +314,32 @@ def test_a07_joseph_form_robustness():
             failures += 1
             break
 
+    # The same draws again, folded in stacks of 10 pseudo-measurements.
+    rng = np.random.default_rng(77)
+    stack_failures = 0
+    stack = []
+    for i in range(n_updates):
+        if i % 1000 == 0:
+            est = BiasEstimate(b=np.zeros(2), Sigma=_random_spd(rng, 2, 0.1, 10.0))
+        scale = 10.0 ** rng.uniform(0, 4)
+        cond = 10.0 ** rng.uniform(0, 8)
+        th = rng.uniform(0, 2 * np.pi)
+        c, s = np.cos(th), np.sin(th)
+        rot = np.array([[c, -s], [s, c]])
+        Hm = rot @ np.diag([scale, scale / cond]) @ rot.T
+        Rn = _random_spd(rng, 2, 0.5, 2.0)
+        stack.append((rng.standard_normal(2), Hm, Rn))
+        if len(stack) < 10:
+            continue
+        z, H, R = (np.array(a) for a in zip(*stack))
+        stack = []
+        est = rlsb_update(est, PseudoMeasurement(z=z, H=H, R=R))
+        try:
+            np.linalg.cholesky(est.Sigma)
+        except np.linalg.LinAlgError:
+            stack_failures += 1
+            break
+
     # Rationale for the Joseph form: the plain subtraction update goes
     # indefinite under extreme conditioning.
     naive_failures = 0
@@ -330,14 +357,16 @@ def test_a07_joseph_form_robustness():
             continue
         if np.linalg.eigvalsh(0.5 * (naive + naive.T)).min() < 0:
             naive_failures += 1
-    ok = failures == 0 and naive_failures >= 1
+    ok = failures == 0 and stack_failures == 0 and naive_failures >= 1
     _report(
         "A07",
         ok,
-        f"Joseph form: 0 definiteness failures in {n_updates} updates; "
+        f"Joseph form: {failures} definiteness failures in {n_updates} updates, "
+        f"{stack_failures} in {n_updates // 10} stacks of 10; "
         f"naive form failed {naive_failures}/200 times at condition 1e10",
     )
     assert failures == 0
+    assert stack_failures == 0
     assert naive_failures >= 1
 
 

@@ -10,7 +10,8 @@ from sensorreg.bias import (
     rlsb_update,
     sensor_pseudo_obs,
 )
-from sensorreg.coords import jacobians_at
+from sensorreg._linalg import mv
+from sensorreg.coords import cart_to_polar, converted_covariance, jacobians_at
 from sensorreg.dynamics import MultiStepModel, compose_steps, ncv_model
 from sensorreg.errors import SingularMatrixError
 from sensorreg.trackers import GaussianEstimate, position_selector
@@ -191,3 +192,80 @@ def test_rlsb_rejects_singular_innovation():
     pm = PseudoMeasurement(z=np.zeros(2), H=np.eye(2), R=np.zeros((2, 2)))
     with pytest.raises(SingularMatrixError):
         rlsb_update(est, pm)
+
+
+# Stacked folds agree with a sequential loop of single updates to this
+# fraction of each output array's largest magnitude.
+FOLD_RTOL = 1e-12
+
+
+def _stacked_pseudo_measurements(rng, m, d):
+    """m pseudo-measurements in the two layouts the estimators fold: one
+    sensor's offsets (d = 2, ``H = -B``) and a two-sensor offset stack
+    (d = 4, ``H = [B1, -B2]``), over targets spread around two sensors
+    5 km apart, with the converted noise of both sensors and the scenario
+    bias prior."""
+    sensors = np.array([[0.0, 0.0], [5000.0, 0.0]])[:, None]
+    r, theta = cart_to_polar(rng.uniform(-2e4, 2e4, (m, 2)), sensors)
+    B = jacobians_at(r, theta).B
+    R = 2.0 * converted_covariance(r, theta, 10.0, 1e-3).sum(axis=0)
+    H = -B[0] if d == 2 else np.concatenate([B[0], -B[1]], axis=-1)
+    prior = np.diag([400.0, 1e-6] * (d // 2))
+    b_true = rng.standard_normal(d) * np.sqrt(np.diag(prior))
+    noise = np.linalg.cholesky(R) @ rng.standard_normal((m, 2, 1))
+    pm = PseudoMeasurement(z=mv(H, b_true) + noise[..., 0], H=H, R=R)
+    est = BiasEstimate(b=rng.standard_normal(d) * np.sqrt(np.diag(prior)), Sigma=prior)
+    return est, pm
+
+
+def _assert_fold_close(got: BiasEstimate, want: BiasEstimate) -> None:
+    for g, w in ((got.b, want.b), (got.Sigma, want.Sigma)):
+        np.testing.assert_allclose(g, w, rtol=0, atol=FOLD_RTOL * np.abs(w).max())
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_rlsb_stacked_fold_matches_sequential_updates(d):
+    rng = np.random.default_rng(40 + d)
+    for m in range(1, 41):
+        est, pm = _stacked_pseudo_measurements(rng, m, d)
+        seq = est
+        for j in range(m):
+            seq = rlsb_update(seq, pm[j])
+        _assert_fold_close(rlsb_update(est, pm), seq)
+
+
+def test_rlsb_padded_observations_change_nothing():
+    rng = np.random.default_rng(11)
+    for m in (1, 5, 12, 40):
+        est, pm = _stacked_pseudo_measurements(rng, m, 4)
+        at = rng.integers(0, m + 1, 3)
+        padded = PseudoMeasurement(
+            z=np.insert(pm.z, at, 0.0, axis=0),
+            H=np.insert(pm.H, at, 0.0, axis=0),
+            R=np.insert(pm.R, at, np.eye(2), axis=0),
+        )
+        _assert_fold_close(rlsb_update(est, padded), rlsb_update(est, pm))
+    # A stack of padding alone leaves the estimate as it was.
+    pad = PseudoMeasurement(
+        z=np.zeros((3, 2)), H=np.zeros((3, 2, 4)), R=np.tile(np.eye(2), (3, 1, 1))
+    )
+    out = rlsb_update(est, pad)
+    np.testing.assert_array_equal(out.b, est.b)
+    np.testing.assert_array_equal(out.Sigma, est.Sigma)
+
+
+def test_rlsb_batched_stacks_match_separate_folds():
+    # A batch of estimates, each with its own stack on the observation axis.
+    rng = np.random.default_rng(12)
+    parts = [_stacked_pseudo_measurements(rng, 7, 2) for _ in range(3)]
+    est = BiasEstimate(
+        b=np.stack([e.b for e, _ in parts]), Sigma=np.stack([e.Sigma for e, _ in parts])
+    )
+    pm = PseudoMeasurement(
+        z=np.stack([p.z for _, p in parts]),
+        H=np.stack([p.H for _, p in parts]),
+        R=np.stack([p.R for _, p in parts]),
+    )
+    out = rlsb_update(est, pm)
+    for i, (e, p) in enumerate(parts):
+        _assert_fold_close(out[i], rlsb_update(e, p))

@@ -368,6 +368,40 @@ def test_fbe_step_skips_only_the_degenerate_pair():
     assert res.used[0, 0].tolist() == [False, False, True]
 
 
+def test_fbe_step_drops_only_the_bad_pseudo_measurement(monkeypatch):
+    # A pseudo-measurement whose noise covariance is not positive definite
+    # is dropped before the fold and named by its sensor and target; every
+    # other estimate equals the fold without it.
+    import sensorreg.fusion as fusion
+
+    made = []
+
+    def difference(*args, **kwargs):
+        made.append(difference_pseudo_measurement(*args, **kwargs))
+        pm = made[-1][:]
+        pm.R = pm.R.copy()
+        # Rows follow the live pairs in (sensor, target) order: row 1 is
+        # sensor 0, target 1.
+        pm.R[1] = -pm.R[1]
+        return pm
+
+    inputs = _small_fbe_inputs()
+    clean = fbe_step(*inputs[0], *inputs[1:])
+    monkeypatch.setattr(fusion, "difference_pseudo_measurement", difference)
+    res = fbe_step(*inputs[0], *inputs[1:])
+    assert res.skipped == [(0, 1, "pseudo-measurement covariance not positive definite")]
+    # Sensor 0 folds its target-0 pseudo-measurement alone.
+    bias_states = inputs[1]
+    want = rlsb_update(bias_states[0], made[0][:1])
+    for got, ref in ((res.bias_states.b[0], want.b), (res.bias_states.Sigma[0], want.Sigma)):
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+    assert not np.allclose(res.bias_states.b[0], clean.bias_states.b[0])
+    np.testing.assert_array_equal(res.bias_states.b[1:], clean.bias_states.b[1:])
+    np.testing.assert_array_equal(res.bias_states.Sigma[1:], clean.bias_states.Sigma[1:])
+    np.testing.assert_array_equal(res.fused.mean, clean.fused.mean)
+    np.testing.assert_array_equal(res.used, clean.used)
+
+
 def test_batched_sfa_skips_only_the_singular_element(caplog):
     model = ncv_model(1.0, 0.2)
     ms = compose_steps(model, 2)

@@ -495,12 +495,8 @@ def test_singular_imm_stream_is_named():
     assert info.value.index == (1, 0)
 
 
-def test_fusion_center_runs_once_per_epoch(monkeypatch):
-    # The fusion-center formulas take (sensor, target) batch axes, so an fbe
-    # run calls each O(epochs) times, not once per (sensor, target) pair.
-    import sensorreg.fusion as fusion
-    import sensorreg.harness.simulate as sim
-
+def _count_calls(monkeypatch, modules, names) -> dict:
+    """Count the calls made to each of ``names`` through ``modules``."""
     counts = {}
 
     def counted(name, fn):
@@ -510,18 +506,63 @@ def test_fusion_center_runs_once_per_epoch(monkeypatch):
 
         return wrapper
 
-    names = ("compute_tracklet", "bias_correct", "sfa", "sensor_pseudo_obs", "rlsb_update")
-    for module in (fusion, sim):
+    for module in modules:
         for name in names:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return counts
+
+
+def test_fusion_center_runs_once_per_epoch(monkeypatch):
+    # The fusion-center formulas take (sensor, target) batch axes, so an fbe
+    # run calls each O(epochs) times, not once per (sensor, target) pair.
+    import sensorreg.fusion as fusion
+    import sensorreg.harness.simulate as sim
+
+    names = ("compute_tracklet", "bias_correct", "sfa", "sensor_pseudo_obs", "rlsb_update")
+    counts = _count_calls(monkeypatch, (fusion, sim), names)
     sc = load_scenario("five_sensor_offset_scale")
     sim.run_single(sc, 0, "fbe")
     epochs = len(sc.update_epochs())
-    n_s, n_t = len(sc.sensors), len(sc.targets)
+    n_s = len(sc.sensors)
     assert set(counts) == set(names)
     assert counts["compute_tracklet"] <= 2 * epochs
     assert counts["bias_correct"] <= 2 * epochs
     assert counts["sensor_pseudo_obs"] <= 2 * epochs
     assert counts["sfa"] <= 2 * n_s * epochs
-    assert counts["rlsb_update"] <= n_t * epochs
+    assert counts["rlsb_update"] <= epochs
+
+
+def test_exl_builds_all_frames_in_one_pass(monkeypatch):
+    # exl builds every frame's pseudo-measurements in one batched call per
+    # formula and folds each frame's targets in one update.
+    import sensorreg.harness.simulate as sim
+
+    names = (
+        "tracklet_decorrelated",
+        "reconstruct_local_gain",
+        "sensor_pseudo_obs",
+        "jacobians_at",
+        "rlsb_update",
+    )
+    counts = _count_calls(monkeypatch, (sim,), names)
+    sc = load_scenario("two_sensor")
+    sim.run_single(sc, 0, "exl")
+    assert counts == {**{name: 1 for name in names}, "rlsb_update": sc.frames}
+
+
+def test_exl_error_names_sensor_target_and_frame(monkeypatch):
+    import sensorreg.harness.simulate as sim
+
+    sc = load_scenario("two_sensor")
+    truth = simulate_truth(sc, 0)
+    tracks = run_local_tracks(sc, truth)
+    tracks.cov[1, 2, 5] = np.nan
+    with pytest.raises(NumericalError, match=r"^sensor 1, target 2, frame 5: ") as info:
+        sim._run_stacked(sc, truth, tracks, reconstructed=True)
+    assert info.value.index == (1, 2, 4)
+
+    # run_single adds the run and keeps the error type.
+    monkeypatch.setattr(sim, "run_local_tracks", lambda *args: tracks)
+    with pytest.raises(type(info.value), match=r"^run 0: sensor 1, target 2, frame 5: "):
+        sim.run_single(sc, 0, "exl")

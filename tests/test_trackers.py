@@ -127,6 +127,24 @@ def _imm(models, mu=(0.5, 0.5), pi=((0.95, 0.05), (0.05, 0.95))):
     return ImmState(modes=modes, model=model, mode_probs=np.array(mu), transition=np.array(pi))
 
 
+def test_imm_state_rejects_nan_mode_probs():
+    model = ncv_model(1.0, 1.0)
+    with pytest.raises(ValueError, match="simplex"):
+        _imm([model, model], mu=(np.nan, 0.5))
+    with pytest.raises(ValueError, match="simplex"):
+        _imm([model, model], mu=(np.nan, np.nan))
+
+
+def test_imm_state_transition_rows_sum_to_one_within_1e_9():
+    model = ncv_model(1.0, 1.0)
+    # 1 + 5e-6 is inside np.allclose's default rtol of 1e-5, not inside 1e-9.
+    with pytest.raises(ValueError, match="rows must sum to 1"):
+        _imm([model, model], pi=((0.95, 0.05 + 5e-6), (0.05, 0.95)))
+    with pytest.raises(ValueError, match="rows must sum to 1"):
+        _imm([model, model], pi=((np.nan, 0.05), (0.05, 0.95)))
+    _imm([model, model], pi=((0.95, 0.05 + 5e-10), (0.05, 0.95)))
+
+
 def test_imm_identical_modes_symmetric_prior_matches_single_kf():
     model = ncv_model(1.0, 1.0)
     state = _imm([model, model])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import inv_spd2, mt, mv, solve_psd, symmetrize
+from ._linalg import cholesky, inv_spd2, mt, mv, solve_psd, symmetrize
 from .coords import BiasJacobians
 from .dynamics import MultiStepModel
 from .trackers import GaussianEstimate
@@ -37,7 +37,7 @@ class PseudoMeasurement:
 
     ``z`` has shape (..., 2), ``H`` (..., 2, d) and ``R`` (..., 2, 2);
     leading axes index a batch of observations, the last of which
-    :func:`rlsb_update` can fold as one stack.
+    :func:`rlsb_update` folds as one stack.
     """
 
     z: np.ndarray
@@ -134,29 +134,30 @@ def rlsb_update(est: BiasEstimate, pm: PseudoMeasurement) -> BiasEstimate:
     pseudo-measurements in one Joseph-form step.
 
     After the estimate's batch axes, ``pm`` carries an observation axis of
-    length m: ``z`` (..., m, 2), ``H`` (..., m, 2, d), ``R`` (..., m, 2, 2).
-    The m observations of an element form one 2m-vector with noise
-    covariance ``blockdiag(R)``, so the fold equals m sequential updates up
-    to rounding.  Without the observation axis (``H`` (..., 2, d)) the
-    pseudo-measurement is the single observation m = 1.  An observation
+    length m: ``z`` (..., m, 2), ``H`` (..., m, 2, d), ``R`` (..., m, 2, 2);
+    a single pseudo-measurement is the stack m = 1.  The m observations of
+    an element form one 2m-vector with noise covariance ``blockdiag(R)``,
+    so the fold equals m sequential updates up to rounding.  An observation
     with ``H = 0``, ``z = 0`` and ``R = I`` contributes nothing, which pads
     stacks of unequal length.
 
     Raises :class:`SingularMatrixError` naming the first element whose
-    innovation covariance ``H Sigma H' + blockdiag(R)`` cannot be solved.
+    innovation covariance ``H Sigma H' + blockdiag(R)`` is not positive
+    definite (NaN entries included).
     """
-    H, z, R = pm.H, pm.z, pm.R
-    if H.ndim < est.b.ndim + 2:
-        H, z, R = H[..., None, :, :], z[..., None, :], R[..., None, :, :]
-    m = H.shape[-3]
-    rows = H.shape[:-3] + (2 * m,)
-    H = H.reshape(rows + (est.dim,))
-    z = z.reshape(rows)
+    m = pm.H.shape[-3]
+    rows = pm.H.shape[:-3] + (2 * m,)
+    H = pm.H.reshape(rows + (est.dim,))
+    z = pm.z.reshape(rows)
     # blockdiag(R): R[..., j, a, c] lands at row 2j + a, column 2j + c.
-    R = (R[..., :, :, None, :] * np.eye(m)[:, None, :, None]).reshape(rows + (2 * m,))
+    R = (pm.R[..., :, :, None, :] * np.eye(m)[:, None, :, None]).reshape(rows + (2 * m,))
     HSigma = H @ est.Sigma
     S = HSigma @ mt(H) + R
-    G = mt(solve_psd(S, HSigma, context="pseudo-measurement innovation covariance"))
+    context = "pseudo-measurement innovation covariance"
+    # The factor only screens S: LU solves it faster than two triangular
+    # solves would.
+    cholesky(S, context=context)
+    G = mt(solve_psd(S, HSigma, context=context))
     b = est.b + mv(G, z - mv(H, est.b))
     M = np.eye(est.dim) - G @ H
     Sigma = symmetrize(M @ est.Sigma @ mt(M) + G @ R @ mt(G))

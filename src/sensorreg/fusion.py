@@ -279,7 +279,9 @@ class FbeResult:
     bias correction succeeded, and ``tracklets`` holds their tracklets on
     one leading axis, in row-major (sensor, target) order (None when no pair
     is live).  ``skipped`` lists a ``(sensor, target, reason)`` tuple per
-    pair, or per bias pseudo-measurement, that failed a numerical check.
+    pair, or per bias pseudo-measurement, that failed a numerical check, and
+    a ``(sensor, None, reason)`` tuple per sensor whose stacked bias update
+    failed (that sensor keeps its estimate).
     """
 
     bias_states: BiasEstimate
@@ -424,7 +426,8 @@ def fbe_step(
     # One stacked fold per sensor over its targets.  A pseudo-measurement
     # whose noise covariance fails the 2x2 positive-definiteness test is
     # dropped; it and every pair without one are padded with H = 0, z = 0,
-    # R = I, which contribute nothing.
+    # R = I, which contribute nothing.  A sensor whose fold fails keeps its
+    # estimate.
     _, ok = det_spd2(pm.R)
     for i in np.flatnonzero(~ok):
         res.skipped.append(
@@ -434,5 +437,15 @@ def fbe_step(
     H = np.zeros((n_s, n_t, 2, bias_states.dim))
     R = np.broadcast_to(np.eye(2), (n_s, n_t, 2, 2)).copy()
     z[es[ok], et[ok]], H[es[ok], et[ok]], R[es[ok], et[ok]] = pm.z[ok], pm.H[ok], pm.R[ok]
-    res.bias_states = rlsb_update(res.bias_states, PseudoMeasurement(z=z, H=H, R=R))
+
+    def fold(rows):
+        pm_rows = PseudoMeasurement(z=z[rows], H=H[rows], R=R[rows])
+        return rlsb_update(res.bias_states[rows], pm_rows)
+
+    def skip_fold(s, exc):
+        res.skipped.append((int(s), None, exc.reason))
+
+    rows, est = _without_failures(fold, np.unique(es[ok]), skip_fold)
+    if est is not None:
+        res.bias_states.b[rows], res.bias_states.Sigma[rows] = est.b, est.Sigma
     return res

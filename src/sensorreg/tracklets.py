@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import first_index, inv_sym, mt, mv, symmetrize
+from ._linalg import first_index, inv_spd, inv_sym, mt, mv, symmetrize
 from .dynamics import MultiStepModel
-from .errors import NumericalError, TrackletSingularError
+from .errors import NumericalError, SingularMatrixError, TrackletSingularError
 from .trackers import GaussianEstimate
 
 __all__ = [
@@ -205,12 +205,20 @@ def tracklet_decorrelated(
     ``u`` and ``U`` to the observable subspace.  The snapshots may carry
     leading batch axes; one call then builds a tracklet per element.
 
-    Raises :class:`NumericalError` when any element's difference has a
-    genuinely negative eigenvalue or carries no information at all.
+    Raises :class:`SingularMatrixError` naming the first element whose
+    track or predicted covariance is not positive definite, and
+    :class:`NumericalError` when any element's difference has a genuinely
+    negative eigenvalue or carries no information at all.
     """
     x_pred, P_pred = _predict(prev, model)
-    J_curr = inv_sym(curr.cov, context="track covariance")
-    J_pred = inv_sym(P_pred, context="predicted track covariance")
+    # Both covariances are inverted in one call, on a leading axis of two.
+    try:
+        J_curr, J_pred = inv_spd(np.stack(np.broadcast_arrays(curr.cov, P_pred)))
+    except SingularMatrixError as exc:
+        which = ("track covariance", "predicted track covariance")[exc.index[0]]
+        raise SingularMatrixError(
+            f"{which} is not positive definite", index=exc.index[1:]
+        ) from exc
     U = _pinv_psd(symmetrize(J_curr - J_pred))
     u = mv(U, mv(J_curr, curr.mean) - mv(J_pred, x_pred))
     return Tracklet(

@@ -306,7 +306,7 @@ def test_a07_joseph_form_robustness():
         Hm = rot @ np.diag([scale, scale / cond]) @ rot.T
         Rn = _random_spd(rng, 2, 0.5, 2.0)
         est = rlsb_update(
-            est, PseudoMeasurement(z=rng.standard_normal(2), H=Hm, R=Rn)
+            est, PseudoMeasurement(z=rng.standard_normal(2), H=Hm, R=Rn)[None]
         )
         try:
             np.linalg.cholesky(est.Sigma)

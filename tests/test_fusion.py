@@ -402,6 +402,31 @@ def test_fbe_step_drops_only_the_bad_pseudo_measurement(monkeypatch):
     np.testing.assert_array_equal(res.used, clean.used)
 
 
+def test_fbe_step_skips_only_the_sensor_whose_fold_fails(monkeypatch):
+    # A NaN observation row makes sensor 0's stacked innovation covariance
+    # fail its Cholesky screen: that sensor keeps its estimate, named with
+    # target None, and every other sensor folds as before.
+    import sensorreg.fusion as fusion
+
+    def difference(*args, **kwargs):
+        pm = difference_pseudo_measurement(*args, **kwargs)[:]
+        pm.H = pm.H.copy()
+        pm.H[1] = np.nan  # sensor 0, target 1
+        return pm
+
+    inputs = _small_fbe_inputs()
+    clean = fbe_step(*inputs[0], *inputs[1:])
+    monkeypatch.setattr(fusion, "difference_pseudo_measurement", difference)
+    res = fbe_step(*inputs[0], *inputs[1:])
+    reason = "pseudo-measurement innovation covariance is not positive definite"
+    assert res.skipped == [(0, None, reason)]
+    bias_states = inputs[1]
+    np.testing.assert_array_equal(res.bias_states.b[0], bias_states.b[0])
+    np.testing.assert_array_equal(res.bias_states.Sigma[0], bias_states.Sigma[0])
+    np.testing.assert_array_equal(res.bias_states.b[1:], clean.bias_states.b[1:])
+    np.testing.assert_array_equal(res.bias_states.Sigma[1:], clean.bias_states.Sigma[1:])
+
+
 def test_batched_sfa_skips_only_the_singular_element(caplog):
     model = ncv_model(1.0, 0.2)
     ms = compose_steps(model, 2)
@@ -452,7 +477,7 @@ def test_batched_fusion_formulas_match_batch_free_calls():
     r, th = cart_to_polar(t.u[..., ::2], geo.position)
     jac = jacobians_at(r, th)
     pm = difference_pseudo_measurement(zb, c.y, jac, c.R, g.R, offset_only=False)
-    est = rlsb_update(bias[:, None], pm)
+    est = rlsb_update(bias[:, None], pm[:, :, None])
     for s in range(3):
         for tgt in range(2):
             ts = Tracklet(
@@ -468,7 +493,7 @@ def test_batched_fusion_formulas_match_batch_free_calls():
             j1 = jacobians_at(*cart_to_polar(t.u[s, tgt, ::2], sensors.position[s]))
             np.testing.assert_array_equal(jac.K[s, tgt], j1.K)
             pm1 = difference_pseudo_measurement(z1, c1.y, j1, c1.R, g.R[s, tgt], offset_only=False)
-            e1 = rlsb_update(bias[s], pm1)
+            e1 = rlsb_update(bias[s], pm1[None])
             np.testing.assert_array_equal(est.b[s, tgt], e1.b)
             np.testing.assert_array_equal(est.Sigma[s, tgt], e1.Sigma)
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from sensorreg.crlb import build_fim, crlb_diag
+from sensorreg.crlb import crlb_diag, fisher_information
 from sensorreg.coords import jacobians_at
 from sensorreg.harness import (
     crlb_series,
@@ -22,11 +22,10 @@ from sensorreg.harness import (
 )
 
 # A hand-built two-block information problem first.
-g1 = jacobians_at(20_000.0, 0.0).B
-g2 = jacobians_at(15_000.0, 1.2).B
+g = jacobians_at([20_000.0, 15_000.0], [0.0, 1.2]).B
 noise = np.diag([200.0, 800.0])
-problem = build_fim([g1, g2], [noise, noise])
-print("two-block sqrt bound:", np.round(np.sqrt(crlb_diag(problem)), 4))
+information = fisher_information(g, noise).sum(axis=0)
+print("two-block sqrt bound:", np.round(np.sqrt(crlb_diag(information)), 4))
 
 # Bound trajectory for the shipped five-sensor scenario.
 scenario = load_scenario("five_sensor_offset")

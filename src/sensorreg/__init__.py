@@ -26,13 +26,7 @@ from .coords import (
     polar_to_cart,
     wrap_angle,
 )
-from .crlb import (
-    FimAccumulator,
-    FimProblem,
-    build_fim,
-    combine_sensors,
-    crlb_diag,
-)
+from .crlb import combine_sensors, crlb_diag, fisher_information
 from .dynamics import (
     MotionModel,
     MultiStepModel,
@@ -86,8 +80,6 @@ __all__ = [
     "CartesianMeasurement",
     "CorrectedMeasurement",
     "FbeResult",
-    "FimAccumulator",
-    "FimProblem",
     "FusedTrack",
     "GaussianEstimate",
     "ImmState",
@@ -105,7 +97,6 @@ __all__ = [
     "TrackletSingularError",
     "apply_bias",
     "bias_correct",
-    "build_fim",
     "cart_to_polar",
     "combine_sensors",
     "compose_steps",
@@ -115,6 +106,7 @@ __all__ = [
     "crlb_diag",
     "difference_pseudo_measurement",
     "fbe_step",
+    "fisher_information",
     "imm_step",
     "init_track",
     "kf_predict",

@@ -3,117 +3,72 @@
 The bias observation is linear-Gaussian, so the information matrix is the
 block sum g' R^-1 g over all (target, frame) observation blocks, and the
 bound on any unbiased estimator's variance is the diagonal of its inverse.
-Blocks are accumulated incrementally; the full stacked system is never
-materialized, which keeps memory at O(d^2) and yields bound-versus-time
-curves for free.
+Every function works on a batch of blocks on the leading axes; a running
+sum of the blocks over time gives bound-versus-time curves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ._linalg import inv_sym, symmetrize
-from .errors import NumericalError, SingularMatrixError
+from ._linalg import inv_sym, mt, solve_psd, symmetrize
 
-__all__ = [
-    "FimProblem",
-    "FimAccumulator",
-    "build_fim",
-    "crlb_diag",
-    "combine_sensors",
-]
+__all__ = ["fisher_information", "combine_sensors", "crlb_diag"]
 
 
-@dataclass
-class FimProblem:
-    """Accumulated Fisher information for a d-dimensional bias vector."""
+def fisher_information(jac: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Information g' R^-1 g of every observation block on the leading axes,
+    for Jacobians ``jac`` (..., m, d) and noise covariances ``noise``
+    (..., m, m).
 
-    J: np.ndarray
-    n_blocks: int
-
-    @property
-    def dim(self) -> int:
-        return self.J.shape[0]
-
-
-class FimAccumulator:
-    """Incrementally sum observation blocks into a Fisher information matrix."""
-
-    def __init__(self, dim: int):
-        self.J = np.zeros((dim, dim))
-        self.n_blocks = 0
-
-    def add(self, jac: np.ndarray, noise: np.ndarray, label=None) -> None:
-        """Fold in one observation block with Jacobian ``jac`` and noise
-        covariance ``noise``; ``label`` names the block in error messages."""
-        jac = np.asarray(jac, dtype=float)
-        try:
-            JR = np.linalg.solve(noise, jac)
-        except np.linalg.LinAlgError as exc:
-            where = f" at block {label}" if label is not None else ""
-            raise SingularMatrixError(f"singular noise covariance{where}") from exc
-        self.J += jac.T @ JR
-        self.n_blocks += 1
-
-    def problem(self) -> FimProblem:
-        return FimProblem(J=symmetrize(self.J.copy()), n_blocks=self.n_blocks)
-
-
-def build_fim(
-    jacobians: list[np.ndarray], noises: list[np.ndarray], labels=None
-) -> FimProblem:
-    """Fisher information J = sum g' R^-1 g over observation blocks.
-
-    Raises :class:`SingularMatrixError` naming the offending block when a
-    noise covariance cannot be inverted.
+    A singular noise covariance raises :class:`SingularMatrixError` naming
+    its batch index.
     """
-    if len(jacobians) != len(noises):
-        raise ValueError("jacobians and noises must pair up")
-    if not jacobians:
-        raise ValueError("need at least one observation block")
-    dim = np.asarray(jacobians[0]).shape[1]
-    acc = FimAccumulator(dim)
-    for i, (g, R) in enumerate(zip(jacobians, noises)):
-        label = labels[i] if labels is not None else i
-        acc.add(g, R, label=label)
-    return acc.problem()
+    jac = np.asarray(jac, dtype=float)
+    return mt(jac) @ solve_psd(noise, jac, context="noise covariance")
 
 
-def crlb_diag(p: FimProblem) -> np.ndarray:
-    """Diagonal of the inverse information matrix (variance lower bounds).
-
-    Raises :class:`NumericalError` when the information matrix is singular,
-    i.e. some bias combination is unobservable from the supplied blocks.
-    """
-    try:
-        Jinv = inv_sym(p.J, context="Fisher information")
-    except SingularMatrixError as exc:
-        raise NumericalError(
-            "Fisher information singular: some bias component is unobservable"
-        ) from exc
-    diag = np.diag(Jinv).copy()
-    if np.any(diag <= 0.0):
-        # Negative variances mean the inversion ran past its numerical rank.
-        raise NumericalError(
-            "Fisher information numerically singular: some bias component is unobservable"
-        )
-    return diag
-
-
-def combine_sensors(noises: list[np.ndarray], target_noise: np.ndarray) -> np.ndarray:
+def combine_sensors(noises: np.ndarray, mask: np.ndarray, target_noise: np.ndarray) -> np.ndarray:
     """Noise covariance of the difference between one sensor and the
-    equivalent sensor that collapses several others.
+    equivalent sensor that collapses the others.
 
-    The equivalent sensor is the information-weighted combination of the
-    others, with covariance equal to the inverse of their summed
-    informations; the result adds the excluded sensor's ``target_noise``.
+    ``noises`` (..., n, m, m) holds n sensors' covariances on axis -3 and
+    ``mask`` (..., n) marks the ones to combine.  The equivalent sensor is
+    their information-weighted combination, with covariance equal to the
+    inverse of their summed informations (added in ascending sensor order);
+    the result adds the excluded sensor's ``target_noise`` (..., m, m).
+    Every covariance in ``noises`` is inverted, masked or not.
     """
-    if not noises:
-        raise ValueError("need at least one noise covariance to combine")
-    Lam = np.zeros(np.shape(noises[0]))
-    for R in noises:
-        Lam += inv_sym(np.asarray(R, dtype=float), context="sensor noise covariance")
+    info = inv_sym(np.asarray(noises, dtype=float), context="sensor noise covariance")
+    mask = np.asarray(mask, dtype=bool)[..., None, None]
+    Lam = np.zeros(np.broadcast_shapes(info.shape, mask.shape)[:-3] + info.shape[-2:])
+    for i in range(info.shape[-3]):
+        Lam += np.where(mask[..., i, :, :], info[..., i, :, :], 0.0)
     R_comb = inv_sym(Lam, context="combined information")
-    return symmetrize(R_comb + np.asarray(target_noise, dtype=float))
+    return symmetrize(R_comb + target_noise)
+
+
+def crlb_diag(J: np.ndarray) -> np.ndarray:
+    """Diagonal of the inverse of every information matrix on the leading
+    axes (variance lower bounds).
+
+    An element whose information is singular, whose inverse is not finite,
+    or whose inverse has a non-positive variance (the inversion ran past the
+    numerical rank) has some bias component unobservable; its row is NaN.
+    """
+    J = np.asarray(J, dtype=float)
+    try:
+        Jinv = np.linalg.inv(J)
+    except np.linalg.LinAlgError:
+        # Error path only: LAPACK stops the batch at its first singular element.
+        Jinv = np.full_like(J, np.nan)
+        for index in np.ndindex(J.shape[:-2]):
+            try:
+                Jinv[index] = np.linalg.inv(J[index])
+            except np.linalg.LinAlgError:
+                pass
+    diag = np.diagonal(Jinv, axis1=-2, axis2=-1).copy()
+    with np.errstate(invalid="ignore"):
+        bad = ~np.isfinite(Jinv).all(axis=(-2, -1)) | (diag <= 0.0).any(axis=-1)
+    diag[bad] = np.nan
+    return diag

@@ -28,13 +28,8 @@ __all__ = [
 class MotionModel:
     """Single-step transition ``F`` and process covariance ``Q``."""
 
-    kind: str
-    T: float
     F: np.ndarray
     Q: np.ndarray
-    q_x: float = 0.0
-    q_y: float = 0.0
-    omega: float = 0.0
 
     @property
     def dim(self) -> int:
@@ -86,7 +81,7 @@ def ncv_model(T: float, q_x: float, q_y: float | None = None) -> MotionModel:
     F[2:, 2:] = Fx
     Q[:2, :2] = Qx
     Q[2:, 2:] = Qy
-    return MotionModel(kind="ncv", T=T, F=F, Q=Q, q_x=q_x, q_y=q_y)
+    return MotionModel(F=F, Q=Q)
 
 
 def _nca_blocks(T: float, q: float) -> tuple[np.ndarray, np.ndarray]:
@@ -118,7 +113,7 @@ def nca_model(T: float, q_x: float, q_y: float | None = None) -> MotionModel:
     F[3:, 3:] = Fx
     Q[:3, :3] = Qx
     Q[3:, 3:] = Qy
-    return MotionModel(kind="nca", T=T, F=F, Q=Q, q_x=q_x, q_y=q_y)
+    return MotionModel(F=F, Q=Q)
 
 
 def turn_model(T: float, omega: float, q_x: float = 0.0, q_y: float | None = None) -> MotionModel:
@@ -129,12 +124,9 @@ def turn_model(T: float, omega: float, q_x: float = 0.0, q_y: float | None = Non
     """
     if T < 0.0:
         raise ValueError("sampling interval must be non-negative")
-    if q_y is None:
-        q_y = q_x
     wt = omega * T
     if abs(wt) < 1e-12:
-        base = ncv_model(T, q_x, q_y)
-        return MotionModel(kind="turn", T=T, F=base.F, Q=base.Q, q_x=q_x, q_y=q_y, omega=omega)
+        return ncv_model(T, q_x, q_y)
     s, c = np.sin(wt), np.cos(wt)
     F = np.array(
         [
@@ -144,8 +136,7 @@ def turn_model(T: float, omega: float, q_x: float = 0.0, q_y: float | None = Non
             [0.0, s, 0.0, c],
         ]
     )
-    base = ncv_model(T, q_x, q_y)
-    return MotionModel(kind="turn", T=T, F=F, Q=base.Q, q_x=q_x, q_y=q_y, omega=omega)
+    return MotionModel(F=F, Q=ncv_model(T, q_x, q_y).Q)
 
 
 def compose_steps(model: MotionModel, steps: int) -> MultiStepModel:

@@ -3,8 +3,10 @@
 Bounds use the noise-free trajectories and true measurement covariances.
 For each sensor the other reporters are collapsed into one equivalent
 sensor, reducing the problem to a two-sensor difference whose observation
-blocks accumulate into the Fisher information; two-sensor scenarios also
-get the joint (stacked) bound over both sensors' parameters.
+blocks sum into the Fisher information; two-sensor scenarios also get the
+joint (stacked) bound over both sensors' parameters.  Every (epoch, target,
+sensor) block is built at once, so memory is O(epochs * targets * sensors
+* d^2) for bias dimension d.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..coords import converted_covariance, jacobians_at
-from ..crlb import FimAccumulator, combine_sensors, crlb_diag
-from ..errors import NumericalError
+from .._linalg import symmetrize
+from ..crlb import combine_sensors, crlb_diag, fisher_information
+from ..errors import SingularMatrixError
 from .scenario import Scenario
 from .simulate import nominal_geometry
 
@@ -31,54 +34,57 @@ class CrlbSeries:
     stacked: np.ndarray | None      # (n_epochs, 2 * d) for two-sensor scenarios
 
 
+def _running_bound(info: np.ndarray) -> np.ndarray:
+    """Square-root bounds at the end of each epoch from (epoch, target, ...)
+    information blocks, summed in (epoch, target) order; NaN where some
+    component is not yet observable."""
+    n_e, n_t = info.shape[:2]
+    J = np.cumsum(info.reshape((n_e * n_t,) + info.shape[2:]), axis=0)[n_t - 1 :: n_t]
+    return np.sqrt(crlb_diag(symmetrize(J)))
+
+
 def crlb_series(scenario: Scenario) -> CrlbSeries:
-    """Accumulate per-epoch bias information and return sqrt bound curves."""
+    """Per-epoch running bias information as sqrt bound curves.
+
+    A singular noise covariance raises :class:`SingularMatrixError` naming
+    the sensor, target and frame of its block.
+    """
     states = nominal_geometry(scenario)
     n_s = len(scenario.sensors)
-    n_t = len(scenario.targets)
     d = scenario.bias_dim
     epochs = scenario.update_epochs()
-
-    acc = [FimAccumulator(d) for _ in range(n_s)]
-    acc_stacked = FimAccumulator(2 * d) if n_s == 2 else None
-    per_sensor = np.full((len(epochs), n_s, d), np.nan)
-    stacked = np.full((len(epochs), 2 * d), np.nan) if n_s == 2 else None
+    reports = np.zeros((len(epochs), n_s), dtype=bool)      # (epoch, sensor)
+    for e, k in enumerate(epochs):
+        reports[e, scenario.reporters_at(k)] = True
+    block_reports = reports[:, None, :, None, None]
 
     positions = np.stack([s.position for s in scenario.sensors])
     sigma_r = np.array([s.sigma_r for s in scenario.sensors])
     sigma_theta = np.array([s.sigma_theta for s in scenario.sensors])
-    for ei, k in enumerate(epochs):
-        reporters = scenario.reporters_at(k)
-        # Observation blocks and noises of every (reporter, target) pair.
-        dx = states[None, :, k, 0] - positions[reporters, 0, None]
-        dy = states[None, :, k, 2] - positions[reporters, 1, None]
-        rng, az = np.hypot(dx, dy), np.arctan2(dy, dx)
-        K = jacobians_at(rng, az).K[..., :d]
-        R = converted_covariance(
-            rng, az, sigma_r[reporters, None], sigma_theta[reporters, None]
-        )
-        for t in range(n_t):
-            geom = {s: (K[i, t], R[i, t]) for i, s in enumerate(reporters)}
-            for s in reporters:
-                others = [r for r in reporters if r != s]
-                if not others:
-                    continue
-                total = combine_sensors([geom[r][1] for r in others], geom[s][1])
-                acc[s].add(geom[s][0], total, label=(s, t, k))
-            if acc_stacked is not None and len(reporters) == 2:
-                g = np.hstack([geom[0][0], -geom[1][0]])
-                acc_stacked.add(g, geom[0][1] + geom[1][1], label=(t, k))
-        # Epochs before the parameters become observable keep NaN entries.
-        for s in range(n_s):
-            if acc[s].n_blocks:
-                try:
-                    per_sensor[ei, s] = np.sqrt(crlb_diag(acc[s].problem()))
-                except NumericalError:
-                    pass
-        if acc_stacked is not None and acc_stacked.n_blocks:
-            try:
-                stacked[ei] = np.sqrt(crlb_diag(acc_stacked.problem()))
-            except NumericalError:
-                pass
-
+    # Observation blocks and noises of every (epoch, target, sensor).
+    dx = states[:, epochs, 0].T[..., None] - positions[:, 0]
+    dy = states[:, epochs, 2].T[..., None] - positions[:, 1]
+    rng, az = np.hypot(dx, dy), np.arctan2(dy, dx)
+    K = jacobians_at(rng, az).K[..., :d]
+    R = converted_covariance(rng, az, sigma_r, sigma_theta)
+    try:
+        # A sensor that does not report gets a placeholder noise and no information.
+        R_rep = np.where(block_reports, R, np.eye(2))
+        others = reports[:, None, None, :] & ~np.eye(n_s, dtype=bool)
+        total = combine_sensors(R_rep[..., None, :, :, :], others, R_rep)
+        info = np.where(block_reports, fisher_information(K, total), 0.0)
+        per_sensor = _running_bound(info)
+        stacked = None
+        if n_s == 2:
+            g = np.concatenate([K[..., 0, :, :], -K[..., 1, :, :]], axis=-1)
+            stacked = _running_bound(fisher_information(g, R[..., 0, :, :] + R[..., 1, :, :]))
+    except SingularMatrixError as exc:
+        if exc.index is None:
+            raise
+        # (epoch, target[, target sensor], sensor): the last axis names the sensor.
+        e, t, *s = exc.index
+        where = f"target {t}, frame {epochs[e]}"
+        if s:
+            where = f"sensor {s[-1]}, {where}"
+        raise SingularMatrixError(f"{where}: {exc.reason}", index=exc.index) from exc
     return CrlbSeries(epochs=epochs, per_sensor=per_sensor, stacked=stacked)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import chi2
 
-from .._linalg import solve_psd
+from .._linalg import cholesky, solve_psd
 from ..errors import NumericalError, SingularMatrixError
 from .scenario import Scenario
 
@@ -70,17 +70,20 @@ def nees_series(errors: np.ndarray, covariances: np.ndarray) -> NeesResult:
         covariances: the matching (..., d, d) reported covariances.
 
     Raises :class:`NumericalError` naming the run and frame (and group) of
-    the first covariance that cannot be inverted.
+    the first covariance that is not positive definite (NaN entries
+    included).
     """
     errors = np.asarray(errors, dtype=float)
     covariances = np.asarray(covariances, dtype=float)
     runs, d = errors.shape[0], errors.shape[-1]
     try:
+        # The Cholesky factors only screen; the LU solve sets the values.
+        cholesky(covariances, context="covariance")
         sol = solve_psd(covariances, errors[..., None], context="covariance")
     except SingularMatrixError as exc:
         run, frame, *group = exc.index
         where = f"run {run}, frame {frame}" + "".join(f", group {g}" for g in group)
-        raise NumericalError(f"singular covariance in NEES at {where}") from exc
+        raise NumericalError(f"covariance not positive definite in NEES at {where}") from exc
     vals = (errors[..., None, :] @ sol)[..., 0, 0]
     lo, hi = chi2_band(d, runs)
     return NeesResult(

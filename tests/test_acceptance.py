@@ -15,7 +15,7 @@ import pytest
 
 from sensorreg.bias import BiasEstimate, PseudoMeasurement, rlsb_update
 from sensorreg.coords import jacobians_at
-from sensorreg.crlb import build_fim, crlb_diag
+from sensorreg.crlb import fisher_information
 from sensorreg.dynamics import compose_steps, ncv_model
 from sensorreg.fusion import FusedTrack, reconstruct_local_gain, sfa
 from sensorreg.harness import (
@@ -204,7 +204,7 @@ def test_a05_crlb_correctness():
         for _ in range(n_blocks):
             A = rng.standard_normal((2, 2))
             Rs.append(A @ A.T + np.diag(rng.uniform(10.0, 100.0, 2)))
-        p = build_fim(gs, Rs)
+        J = fisher_information(np.stack(gs), np.stack(Rs)).sum(axis=0)
         ys = [rng.standard_normal(2) * 10 for _ in range(n_blocks)]
         b0 = rng.standard_normal(2)
 
@@ -226,7 +226,7 @@ def test_a05_crlb_correctness():
                     nll(b0 + ei + ej) - nll(b0 + ei - ej)
                     - nll(b0 - ei + ej) + nll(b0 - ei - ej)
                 ) / (4 * h * h)
-        worst = max(worst, np.abs(H - p.J).max() / np.abs(p.J).max())
+        worst = max(worst, np.abs(H - J).max() / np.abs(J).max())
 
     series = crlb_series(load_scenario("five_sensor_offset"))
     bound = float(series.per_sensor[-1, 0, 0])

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -142,6 +143,21 @@ def test_numerical_failure_exit_code(tiny_scenario, tmp_path, capsys, monkeypatc
     code = main(["simulate", "--scenario", str(tiny_scenario), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "numerical error" in capsys.readouterr().err
+
+
+def test_crlb_names_singular_sensor_noise(tmp_path, capsys):
+    # Sigmas this small square to zero, so every converted covariance is 0.
+    import sensorreg
+
+    doc = json.loads((Path(sensorreg.__file__).parent / "scenarios" / "two_sensor.json").read_text())
+    for s in doc["sensors"]:
+        s["sigma_r"] = s["sigma_theta"] = 1e-200
+    path = tmp_path / "tiny_noise.json"
+    path.write_text(json.dumps(doc))
+    code = main(["crlb", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "sensor 0, target 0, frame 1: sensor noise covariance is singular" in err
 
 
 def test_stacked_method_on_multisensor_scenario_is_rejected(tmp_path, capsys):

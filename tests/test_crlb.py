@@ -1,29 +1,24 @@
-"""Fisher information accumulation, bound extraction, sensor combination."""
+"""Fisher information blocks, bound extraction, sensor combination."""
 
 import numpy as np
 import pytest
 
 from sensorreg.coords import jacobians_at
-from sensorreg.crlb import (
-    FimAccumulator,
-    build_fim,
-    combine_sensors,
-    crlb_diag,
-)
-from sensorreg.errors import NumericalError, SingularMatrixError
+from sensorreg.crlb import combine_sensors, crlb_diag, fisher_information
+from sensorreg.errors import SingularMatrixError
 
 
 def test_single_identity_block():
-    p = build_fim([np.eye(2)], [4.0 * np.eye(2)])
-    np.testing.assert_allclose(p.J, np.eye(2) / 4.0)
+    J = fisher_information(np.eye(2), 4.0 * np.eye(2))
+    np.testing.assert_allclose(J, np.eye(2) / 4.0)
 
 
 def test_information_additivity_over_identical_blocks():
     g = jacobians_at(20000.0, 0.3).B
     R = np.diag([200.0, 800.0])
-    p1 = build_fim([g], [R])
-    p5 = build_fim([g] * 5, [R] * 5)
-    np.testing.assert_allclose(p5.J, 5 * p1.J, rtol=1e-12)
+    J1 = fisher_information(g, R)
+    J5 = fisher_information(np.stack([g] * 5), np.stack([R] * 5)).sum(axis=0)
+    np.testing.assert_allclose(J5, 5 * J1, rtol=1e-12)
 
 
 def test_fim_matches_finite_difference_hessian():
@@ -39,7 +34,7 @@ def test_fim_matches_finite_difference_hessian():
             gs.append(jacobians_at(rng.uniform(1e3, 3e4), rng.uniform(-np.pi, np.pi)).B)
             A = rng.standard_normal((2, 2))
             Rs.append(A @ A.T + np.diag(rng.uniform(10.0, 100.0, 2)))
-        p = build_fim(gs, Rs)
+        J = fisher_information(np.stack(gs), np.stack(Rs)).sum(axis=0)
 
         ys = [rng.standard_normal(2) * 10 for _ in range(n_blocks)]
         b0 = rng.standard_normal(d)
@@ -62,81 +57,66 @@ def test_fim_matches_finite_difference_hessian():
                 H[i, j] = (
                     nll(b0 + ei + ej) - nll(b0 + ei - ej) - nll(b0 - ei + ej) + nll(b0 - ei - ej)
                 ) / (4 * h * h)
-        np.testing.assert_allclose(H, p.J, rtol=1e-3, atol=1e-3 * np.abs(p.J).max())
-
-
-def test_fim_partitioning_invariance():
-    rng = np.random.default_rng(13)
-    gs = [jacobians_at(rng.uniform(1e3, 3e4), rng.uniform(-3, 3)).B for _ in range(8)]
-    Rs = [np.diag(rng.uniform(10, 100, 2)) for _ in range(8)]
-    batch = build_fim(gs, Rs)
-    acc = FimAccumulator(2)
-    for g, R in zip(gs[:3], Rs[:3]):
-        acc.add(g, R)
-    for g, R in zip(gs[3:], Rs[3:]):
-        acc.add(g, R)
-    np.testing.assert_allclose(acc.problem().J, batch.J, rtol=1e-12)
+        np.testing.assert_allclose(H, J, rtol=1e-3, atol=1e-3 * np.abs(J).max())
 
 
 def test_fim_singular_block_names_location():
-    with pytest.raises(SingularMatrixError, match="tgt3"):
-        build_fim(
-            [np.eye(2), np.eye(2)],
-            [np.eye(2), np.zeros((2, 2))],
-            labels=["tgt1", "tgt3"],
-        )
+    with pytest.raises(SingularMatrixError) as exc:
+        fisher_information(np.stack([np.eye(2)] * 2), np.stack([np.eye(2), np.zeros((2, 2))]))
+    assert exc.value.index == (1,)
 
 
 def test_crlb_diagonal_values():
-    from sensorreg.crlb import FimProblem
-
-    p = FimProblem(J=np.diag([4.0, 100.0]), n_blocks=1)
-    np.testing.assert_allclose(crlb_diag(p), [0.25, 0.01])
+    np.testing.assert_allclose(crlb_diag(np.diag([4.0, 100.0])), [0.25, 0.01])
 
 
 def test_crlb_monotone_in_block_count():
     rng = np.random.default_rng(14)
-    acc = FimAccumulator(2)
-    prev = None
-    for k in range(20):
-        g = jacobians_at(rng.uniform(1e4, 3e4), rng.uniform(-3, 3)).B
-        R = np.diag(rng.uniform(50, 500, 2))
-        acc.add(g, R)
-        cur = crlb_diag(acc.problem())
-        if prev is not None:
-            assert np.all(cur <= prev + 1e-12)
-        prev = cur
+    gs, Rs = [], []
+    for _ in range(20):
+        gs.append(jacobians_at(rng.uniform(1e4, 3e4), rng.uniform(-3, 3)).B)
+        Rs.append(np.diag(rng.uniform(50, 500, 2)))
+    bounds = crlb_diag(np.cumsum(fisher_information(np.stack(gs), np.stack(Rs)), axis=0))
+    assert np.all(bounds[1:] <= bounds[:-1] + 1e-12)
+
+
+def _unobservable_row(J):
+    # J sits next to a well-posed element, which keeps its exact bound.
+    good = np.diag([4.0, 100.0])
+    out = crlb_diag(np.stack([good, J]))
+    assert np.array_equal(out[0], crlb_diag(good))
+    assert np.isnan(out[1]).all()
 
 
 def test_crlb_singular_information_raises():
-    from sensorreg.crlb import FimProblem
-
-    p = FimProblem(J=np.zeros((2, 2)), n_blocks=0)
-    with pytest.raises(NumericalError):
-        crlb_diag(p)
+    _unobservable_row(np.zeros((2, 2)))
 
 
 def test_crlb_numerically_singular_information_raises():
     # Inversion may "succeed" past the numerical rank; the negative variance
     # it produces must still be flagged as unobservable.
-    from sensorreg.crlb import FimProblem
-
-    p = FimProblem(J=np.array([[1.0, 1.0], [1.0, 1.0 + 1e-18]]), n_blocks=1)
-    with pytest.raises(NumericalError):
-        crlb_diag(p)
+    _unobservable_row(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-18]]))
 
 
 def test_combine_single_sensor_passthrough():
     R = np.diag([3.0, 5.0])
-    total = combine_sensors([R], np.diag([1.0, 1.0]))
+    total = combine_sensors(R[None], [True], np.diag([1.0, 1.0]))
     np.testing.assert_allclose(total, R + np.eye(2))
 
 
 def test_combine_equal_noise_averages():
     # Two equal sensors combine to half their noise.
     R = np.diag([2.0, 4.0])
-    total = combine_sensors([R, R], R)
+    total = combine_sensors(np.stack([R, R]), [True, True], R)
     np.testing.assert_allclose(total, R / 2 + R)
+
+
+def test_combine_skips_masked_sensors():
+    # Masking a sensor out gives the same bits as leaving it out.
+    R = np.diag([2.0, 4.0])
+    noises = np.stack([R, 7.0 * R, 3.0 * R])
+    total = combine_sensors(noises, [True, False, True], R)
+    assert np.array_equal(total, combine_sensors(noises[::2], [True, True], R))
 
 
 def test_combine_matches_generalized_least_squares():
@@ -145,12 +125,12 @@ def test_combine_matches_generalized_least_squares():
     for _ in range(4):
         A = rng.standard_normal((2, 2))
         noises.append(A @ A.T + np.eye(2))
-    total = combine_sensors(noises, np.eye(2))
+    total = combine_sensors(np.stack(noises), np.ones(4, dtype=bool), np.eye(2))
     # Covariance of the GLS estimate of a common mean, plus the target noise.
     J = sum(np.linalg.inv(R) for R in noises)
     np.testing.assert_allclose(total, np.linalg.inv(J) + np.eye(2), rtol=1e-10)
 
 
 def test_combine_empty_raises():
-    with pytest.raises(ValueError):
-        combine_sensors([], np.eye(2))
+    with pytest.raises(SingularMatrixError):
+        combine_sensors(np.eye(2)[None], [False], np.eye(2))

@@ -275,12 +275,25 @@ def test_nees_series_names_run_and_frame_of_singular_covariance():
     covs = np.broadcast_to(np.eye(2), (4, 3, 2, 2)).copy()
     covs[2, 1] = 0.0
     covs[3, 0] = 0.0
-    with pytest.raises(NumericalError, match=r"^singular covariance in NEES at run 2, frame 1$"):
+    with pytest.raises(
+        NumericalError, match=r"^covariance not positive definite in NEES at run 2, frame 1$"
+    ):
         nees_series(np.ones((4, 3, 2)), covs)
     grouped = np.broadcast_to(np.eye(2), (4, 3, 5, 2, 2)).copy()
     grouped[1, 2, 3] = 0.0
     with pytest.raises(NumericalError, match=r"at run 1, frame 2, group 3$"):
         nees_series(np.ones((4, 3, 5, 2)), grouped)
+
+
+def test_nees_series_names_nan_and_indefinite_covariances():
+    # Either one used to pass silently: a NaN NEES, or a wrong finite one.
+    covs = np.broadcast_to(np.eye(2), (3, 4, 2, 2)).copy()
+    covs[2, 1] = np.diag([1.0, -1.0])
+    with pytest.raises(NumericalError, match="at run 2, frame 1$"):
+        nees_series(np.ones((3, 4, 2)), covs)
+    covs[1, 2] = np.nan
+    with pytest.raises(NumericalError, match="at run 1, frame 2$"):
+        nees_series(np.ones((3, 4, 2)), covs)
 
 
 def test_forward_fill():

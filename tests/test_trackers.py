@@ -27,7 +27,7 @@ def _est(mean, cov, frame=0):
 def test_predict_identity_model_is_noop():
     from sensorreg.dynamics import MotionModel
 
-    model = MotionModel(kind="ncv", T=1.0, F=np.eye(4), Q=np.zeros((4, 4)))
+    model = MotionModel(F=np.eye(4), Q=np.zeros((4, 4)))
     est = _est([1, 2, 3, 4], np.eye(4))
     out = kf_predict(est, model)
     np.testing.assert_allclose(out.mean, est.mean)

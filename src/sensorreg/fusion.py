@@ -1,13 +1,13 @@
-"""Fusion-center pipeline: gain reconstruction, bias correction, sequential
+"""Fusion-center pipeline: gain reconstruction, bias correction, measurement
 fusion, and the per-frame fused bias estimation step.
 
 The fusion center receives only state estimates and covariances at
 (possibly sparse) reporting epochs.  From each report pair it forms a
 tracklet, reconstructs the equivalent measurement noise and filter gain,
 and deconvolves the update into a bias observation.  Each sensor's bias is
-estimated against a leave-one-out fused reference built from all other
-sensors' bias-corrected tracklets, which reduces the multisensor problem to
-a sequence of two-sensor problems with a single biased side.
+estimated against a leave-one-out fused reference, one update with all
+other sensors' bias-corrected tracklets, which reduces the multisensor
+problem to a sequence of two-sensor problems with a single biased side.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import det_spd2, first_index, inv_spd2, mt, symmetrize
+from ._linalg import det_spd2, first_index, inv_spd2, mt, mv, symmetrize
 from .bias import (
     BiasEstimate,
     PseudoMeasurement,
@@ -79,11 +79,13 @@ class FusedTrack:
 
     ``sensors`` is a boolean mask (..., m) over the m measurement slots of
     the :func:`sfa` call that produced the track; callers that give one slot
-    per sensor read it as a sensor mask.
+    per sensor read it as a sensor mask.  ``measurement`` holds the
+    equivalent measurements ``(y_eq, R_eq)`` it folded in (NaN for none).
     """
 
     state: GaussianEstimate
     sensors: np.ndarray | tuple = ()
+    measurement: CartesianMeasurement | None = None
 
 
 @dataclass
@@ -135,15 +137,6 @@ def reconstruct_local_gain(t: Tracklet, pred_cov: np.ndarray) -> ReconstructedGa
     W = pred_cov[..., :, ::2] @ S_inv
     y = t.u[..., ::2].copy()
     return ReconstructedGain(W=W, R=R, y=y)
-
-
-def _gain_from_information(info: np.ndarray, pred_cov: np.ndarray) -> ReconstructedGain:
-    """Gain of a batch update equivalent to sequential position updates
-    whose noise informations sum to ``info`` (..., 2, 2)."""
-    R, _ = inv_spd2(info, context="combined measurement information")
-    S_inv, _ = inv_spd2(_position_block(pred_cov) + R, context="fused innovation covariance")
-    W = pred_cov[..., :, ::2] @ S_inv
-    return ReconstructedGain(W=W, R=symmetrize(R), y=None)
 
 
 def bias_correct(
@@ -227,44 +220,61 @@ def sfa(
     measurements: list[tuple[np.ndarray, np.ndarray]],
     present: np.ndarray | None = None,
 ) -> FusedTrack:
-    """Sequential fusion: predict the fused tracks, then fold in each
-    position measurement with a Kalman update.
+    """Predict the fused tracks, then fold in position measurements with
+    one Kalman update per element.
 
     The fused state, the model and each measurement's ``y`` (..., 2) and
-    ``R`` (..., 2, 2) may carry the same leading batch axes.  Measurement j
-    is folded into the elements where ``present[..., j]`` is True (every
-    element when ``present`` is None), in list order.  A measurement whose
-    innovation covariance is singular for an element is skipped for that
-    element alone, with one logged warning.  The result's ``sensors`` marks
-    the measurements folded into each element.
+    ``R`` (..., 2, 2) may carry the same leading batch axes.  The
+    measurements j with ``present[..., j]`` (all when it is None) combine,
+    in list order, into ``R_eq = (sum R_j^-1)^-1``, ``y_eq = R_eq sum
+    R_j^-1 y_j``, whose update equals the sequential updates in exact
+    arithmetic.  A measurement whose ``R`` is not positive definite is
+    dropped for its element alone, and an element whose update fails keeps
+    its prediction, each with one logged warning.  The result's ``sensors``
+    marks the measurements folded into each element and ``measurement``
+    holds their ``(y_eq, R_eq)`` (NaN where there were none).
     """
     pred = kf_predict(fused_prev.state, model)
     shape = pred.mean.shape[:-1]
-    x, P = pred.mean.reshape(-1, 4), pred.cov.reshape(-1, 4, 4)
     m = len(measurements)
-    if present is None:
-        present = True
-    present = np.broadcast_to(present, shape + (m,)).reshape(x.shape[0], m)
-    used = np.zeros(present.shape, dtype=bool)
+    y = np.empty(shape + (m, 2))
+    R = np.empty(shape + (m, 2, 2))
+    for j, (y_j, R_j) in enumerate(measurements):
+        y[..., j, :], R[..., j, :, :] = y_j, R_j
+    present = np.broadcast_to(True if present is None else present, shape + (m,))
+    _, ok = det_spd2(R)
+    for *index, j in np.argwhere(present & ~ok):
+        log.warning(
+            "skipping measurement %d%s: covariance not positive definite", j, at_index(index)
+        )
+    used = ok & present
+    # Unused slots become y = 0, R = I, whose information is then zeroed.
+    y[~used], R[~used] = 0.0, np.eye(2)
+    info = inv_spd2(R)[0] * used[..., None, None]
+    info_sum = info.sum(axis=-3).reshape(-1, 2, 2)
+    info_y = mv(info, y).sum(axis=-2).reshape(-1, 2)
 
-    for j, (y, R) in enumerate(measurements):
-        y = np.broadcast_to(y, shape + (2,)).reshape(-1, 2)
-        R = np.broadcast_to(R, shape + (2, 2)).reshape(-1, 2, 2)
+    x, P = pred.mean.reshape(-1, 4), pred.cov.reshape(-1, 4, 4)
+    y_eq, R_eq = np.full(shape + (2,), np.nan), np.full(shape + (2, 2), np.nan)
+    flat_used = used.reshape(x.shape[0], m)
 
-        def skip(i, exc, j=j):
-            where = at_index(np.unravel_index(i, shape))
-            log.warning("skipping measurement %d%s: singular innovation", j, where)
+    def update(k):
+        R_k, _ = inv_spd2(info_sum[k], context="combined measurement information")
+        z = CartesianMeasurement(mv(R_k, info_y[k]), symmetrize(R_k))
+        return z, kf_update(GaussianEstimate(x[k], P[k]), z)[0]
 
-        def update(k, y=y, R=R):
-            est, _ = kf_update(GaussianEstimate(x[k], P[k]), CartesianMeasurement(y[k], R[k]))
-            return est
+    def skip(i, exc):
+        where = at_index(np.unravel_index(i, shape))
+        log.warning("skipping the fused update%s: %s", where, exc.reason)
+        flat_used[i] = False
 
-        keep, est = _without_failures(update, np.flatnonzero(present[:, j]), skip)
-        if est is not None:
-            x[keep], P[keep] = est.mean, est.cov
-            used[keep, j] = True
+    keep, out = _without_failures(update, np.flatnonzero(flat_used.any(axis=1)), skip)
+    if out is not None:
+        z, est = out
+        y_eq.reshape(-1, 2)[keep], R_eq.reshape(-1, 2, 2)[keep] = z.z, z.R
+        x[keep], P[keep] = est.mean, est.cov
     pred.mean, pred.cov = x.reshape(pred.mean.shape), P.reshape(pred.cov.shape)
-    return FusedTrack(state=pred, sensors=used.reshape(shape + (m,)))
+    return FusedTrack(state=pred, sensors=used, measurement=CartesianMeasurement(y_eq, R_eq))
 
 
 @dataclass
@@ -354,8 +364,7 @@ def fbe_step(
         corrected = bias_correct(
             t, bias_states[pairs[0][k]], (geo.sigma_r, geo.sigma_theta), origin=geo.position
         )
-        info, _ = inv_spd2(corrected.R, context="corrected measurement covariance")
-        return t, gain, corrected, info
+        return t, gain, corrected
 
     def skip_pair(i, exc):
         res.skipped.append((int(pairs[0][i]), int(pairs[1][i]), exc.reason))
@@ -363,14 +372,13 @@ def fbe_step(
     keep, local_out = _without_failures(local, np.arange(pairs[0].size), skip_pair)
     if local_out is None:
         return res
-    tl, g_s, corrected, info_live = local_out
+    tl, g_s, corrected = local_out
     res.tracklets = tl
     ls, lt = pairs[0][keep], pairs[1][keep]
     res.live[ls, lt] = True
     y = np.zeros((n_s, n_t, 2))
     R = np.zeros((n_s, n_t, 2, 2))
-    info = np.zeros((n_s, n_t, 2, 2))
-    y[ls, lt], R[ls, lt], info[ls, lt] = corrected.y, corrected.R, info_live
+    y[ls, lt], R[ls, lt] = corrected.y, corrected.R
 
     # Leave-one-out fused reference of every live pair from the other
     # sensors' bias-corrected tracklets of its target.
@@ -383,19 +391,12 @@ def fbe_step(
     fp = res.fused[es, et]
     msf = compose_lags(steps, curr[k].frame - fp.frame)
     meas = [(y[r, et], R[r, et]) for r in range(n_s)]
+    # The reference side of each pseudo-measurement is the equivalent
+    # measurement of its update (what deconvolving the update would
+    # recover), whose noise combines the corrected measurement covariances,
+    # bias-uncertainty inflation included.
+    fused_new = sfa(FusedTrack(state=fp), msf, meas, present)
     try:
-        fused_new = sfa(FusedTrack(state=fp), msf, meas, present)
-        # The fused gain describes the update the reference actually
-        # received: its equivalent noise combines the corrected measurement
-        # covariances (bias-uncertainty inflation included), the
-        # deconvolution below recovers their information-weighted mean
-        # exactly, and the noise model stays honest while the other sensors'
-        # estimates settle.  Informations add in ascending sensor order.
-        info_f = np.zeros((e.size, 2, 2))
-        for r in range(n_s):
-            info_f = info_f + np.where(present[:, r, None, None], info[r, et], 0.0)
-        g_f = _gain_from_information(info_f, kf_predict(fp, msf).cov)
-        zb_f = sensor_pseudo_obs(fused_new.state, fp, g_f.W, msf)
         zb_s = sensor_pseudo_obs(curr[k], prev[k], g_s.W[e], lagged[k])
     except NumericalError as exc:
         # Name the pair rather than its position among the references.
@@ -415,8 +416,9 @@ def fbe_step(
     r, theta = cart_to_polar(tl.u[e][..., ::2], geo.position)
     jac = jacobians_at(r, theta)
     R_s = g_s.R[e] + converted_covariance(r, theta, geo.sigma_r, geo.sigma_theta)
+    f = fused_new.measurement
     pm = difference_pseudo_measurement(
-        zb_f, zb_s, jac, g_f.R, R_s, offset_only=(bias_states.dim == 2)
+        f.z, zb_s, jac, f.R, R_s, offset_only=(bias_states.dim == 2)
     )
     res.fused.mean[es, et] = fused_new.state.mean
     res.fused.cov[es, et] = fused_new.state.cov

@@ -304,12 +304,15 @@ def _initial_bias_states(scenario: Scenario) -> BiasEstimate:
     )
 
 
-def _position_sqerr(mean: np.ndarray, states: np.ndarray) -> float:
-    """Mean over targets of the squared position error of (n_targets, 4)
-    estimates against (n_targets, 4) true states."""
-    dx = mean[:, 0] - states[:, 0]
-    dy = mean[:, 2] - states[:, 2]
-    return float(np.mean(dx**2 + dy**2))
+def _position_sqerr(mean: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Mean over targets of the squared position error of (n_targets, ..., 4)
+    estimates against true states of the same shape, one per index of the
+    axes after the target axis."""
+    dx = mean[..., 0] - states[..., 0]
+    dy = mean[..., 2] - states[..., 2]
+    # Targets on a contiguous last axis, so each mean sums them in the same
+    # order as the mean of a single 1-d array.
+    return np.ascontiguousarray(np.moveaxis(dx**2 + dy**2, 0, -1)).mean(axis=-1)
 
 
 def _fuse_all_sensors(
@@ -323,7 +326,8 @@ def _fuse_all_sensors(
     the sensors reporting at k.  It returns position measurements ``y``
     (n_sensors, n_targets, 2) and ``R`` (n_sensors, n_targets, 2, 2) with
     the mask of the (sensor, target) pairs that have one; one :func:`sfa`
-    call over the targets folds them in, in ascending sensor order.
+    call combines each target's measurements, in ascending sensor order,
+    into one update.
 
     Returns the fused squared position error (mean over targets) per frame,
     NaN between epochs.
@@ -506,16 +510,10 @@ def run_single(scenario: Scenario, run_index: int, method: str) -> SingleRun:
     except NumericalError as exc:
         # Keep the error type and the failing batch index.
         raise type(exc)(f"run {run_index}: {exc.reason}", index=exc.index) from exc
-    local_sqerr = np.array(
-        [
-            _position_sqerr(tracks.mean[0, :, k], truth.states[:, k])
-            for k in range(scenario.frames + 1)
-        ]
-    )
     out = SingleRun(
         b_series=b_series,
         sigma_series=sigma_series,
-        local_sqerr=local_sqerr,
+        local_sqerr=_position_sqerr(tracks.mean[0], truth.states),
         fused_sqerr=fused_sqerr,
     )
     _check_finite(scenario, out, tracks, run_index)

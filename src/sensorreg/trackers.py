@@ -45,21 +45,17 @@ ACCEL_PRIOR_VAR = 100.0
 
 
 def position_selector(dim: int) -> np.ndarray:
-    """Measurement matrix selecting (x, y) from a 4- or 6-dim state."""
-    if dim == 4:
-        idx = (0, 2)
-    elif dim == 6:
-        idx = (0, 3)
-    else:
+    """Measurement matrix selecting (x, y) from a 4- or 6-dim state (rows
+    0 and dim/2 of the identity)."""
+    if dim not in (4, 6):
         raise ValueError(f"unsupported state dimension {dim}")
-    H = np.zeros((2, dim))
-    H[0, idx[0]] = 1.0
-    H[1, idx[1]] = 1.0
-    return H
+    return np.eye(dim)[:: dim // 2]
 
 
-def _position_indices(dim: int) -> tuple[int, int]:
-    return (0, 2) if dim == 4 else (0, 3)
+# Identity and position selector of each supported state dimension, built
+# once for every Kalman update.
+_EYE = {n: np.eye(n) for n in (4, 6)}
+_SELECTOR = {n: position_selector(n) for n in (4, 6)}
 
 
 @dataclass
@@ -133,8 +129,8 @@ def kf_update(
     The batch axes of ``est`` and ``z`` broadcast against each other.
     """
     n = est.dim
-    H = position_selector(n)
-    pos = list(_position_indices(n))
+    # Positions sit at indices 0 and n/2, so they are a strided slice.
+    pos = slice(None, None, n // 2)
     z_pred = est.mean[..., pos]
     nu = z.z - z_pred
     PHt = est.cov[..., :, pos]
@@ -142,7 +138,7 @@ def kf_update(
     S_inv, logdet = inv_spd2(S, "innovation covariance")
     W = PHt @ S_inv
     mean = est.mean + mv(W, nu)
-    M = np.eye(n) - W @ H
+    M = _EYE[n] - W @ _SELECTOR[n]
     cov = symmetrize(M @ est.cov @ mt(M) + W @ z.R @ mt(W))
     rec = KfStepRecord(
         gain=W,
@@ -246,10 +242,13 @@ class ImmState:
 def _gauss_loglik(rec: KfStepRecord) -> np.ndarray:
     """Gaussian log-likelihood of each innovation of a Kalman update, from
     the inverse and log-determinant the update already formed."""
-    nu = rec.innovation
-    # matmul, not an elementwise product and sum, for the same reason as in
-    # ``mv``: it rounds like the batch-free dot product.
-    maha = (nu[..., None, :] @ rec.innovation_inv @ nu[..., None])[..., 0, 0]
+    nu, S_inv = rec.innovation, rec.innovation_inv
+    # nu' S^-1 as an elementwise sum over the rows of S^-1, then a matmul
+    # dot product.  A matmul over the whole product takes a different
+    # (fused multiply-add) BLAS path on contiguous operands than on strided
+    # ones; this form rounds the same for either layout.
+    row = nu[..., :1] * S_inv[..., 0, :] + nu[..., 1:] * S_inv[..., 1, :]
+    maha = (row[..., None, :] @ nu[..., None])[..., 0, 0]
     return -0.5 * (maha + rec.innovation_logdet + nu.shape[-1] * math.log(2.0 * math.pi))
 
 

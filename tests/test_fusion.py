@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from sensorreg._linalg import inv_spd2, mt, symmetrize
 from sensorreg.bias import (
     BiasEstimate,
     difference_pseudo_measurement,
@@ -220,6 +221,64 @@ def test_sfa_equals_batch_update_any_order():
         np.testing.assert_allclose(out.state.cov, P_batch, rtol=1e-10, atol=1e-12)
 
 
+# Largest difference between sfa's single update and one update per
+# measurement slot, as a fraction of each output array's largest magnitude
+# (measured up to 2.5e-13).
+SFA_RTOL = 1e-11
+# The same for fbe_step's fused pseudo-measurement against the deconvolved
+# per-slot update (measured up to 3.4e-16; the covariances agree exactly).
+FUSED_PSEUDO_RTOL = 1e-12
+
+
+def _per_slot_sfa(fused_prev, model, measurements, present=None):
+    """Reference fusion: predict, then one Kalman update per measurement
+    slot over the elements where it is present, in slot order."""
+    pred = kf_predict(fused_prev.state, model)
+    shape = pred.mean.shape[:-1]
+    x, P = pred.mean.reshape(-1, 4).copy(), pred.cov.reshape(-1, 4, 4).copy()
+    m = len(measurements)
+    present = np.broadcast_to(True if present is None else present, shape + (m,))
+    present = present.reshape(-1, m)
+    for j, (y, R) in enumerate(measurements):
+        y = np.broadcast_to(y, shape + (2,)).reshape(-1, 2)
+        R = np.broadcast_to(R, shape + (2, 2)).reshape(-1, 2, 2)
+        k = np.flatnonzero(present[:, j])
+        est, _ = kf_update(GaussianEstimate(x[k], P[k]), CartesianMeasurement(y[k], R[k]))
+        x[k], P[k] = est.mean, est.cov
+    return GaussianEstimate(x.reshape(pred.mean.shape), P.reshape(pred.cov.shape), pred.frame)
+
+
+def test_sfa_matches_per_slot_updates():
+    # Random batches of 1-6 measurement slots, some masked per element,
+    # at fusion-center scales: positions ~1e4 m, variances 1e1-1e5 m^2.
+    rng = np.random.default_rng(21)
+    model = ncv_model(1.0, 0.5)
+    worst = 0.0
+    for _ in range(300):
+        n, m = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+        A = rng.standard_normal((n, 4, 4)) * 10.0 ** rng.uniform(0.5, 2.5, (n, 1, 1))
+        mean = rng.standard_normal((n, 4)) * [1e4, 10.0, 1e4, 10.0]
+        prev = FusedTrack(state=GaussianEstimate(mean, A @ mt(A) + np.eye(4), frame=0))
+        ms = compose_steps(model, int(rng.integers(1, 11)))
+        B = rng.standard_normal((m, n, 2, 2)) * 10.0 ** rng.uniform(0.5, 2.5, (m, n, 1, 1))
+        R = B @ mt(B) + np.eye(2)
+        y = mean[:, ::2] + rng.standard_normal((m, n, 2)) * 100.0
+        present = rng.random((n, m)) < 0.7
+        meas = list(zip(y, R))
+        out = sfa(prev, ms, meas, present)
+        ref = _per_slot_sfa(prev, ms, meas, present)
+        assert out.sensors.tolist() == present.tolist()
+        assert out.state.frame == ref.frame
+        for got, want in ((out.state.mean, ref.mean), (out.state.cov, ref.cov)):
+            worst = max(worst, np.abs(got - want).max() / np.abs(want).max())
+        # An element without measurements keeps its prediction exactly.
+        none = ~present.any(axis=1)
+        np.testing.assert_array_equal(out.state.mean[none], ref.mean[none])
+        assert np.isnan(out.measurement.z[none]).all()
+        assert np.isnan(out.measurement.R[none]).all()
+    assert worst <= SFA_RTOL, worst
+
+
 def _small_fbe_inputs(bias0=(25.0, 2e-3), nonreporting=False):
     """Two targets, three sensors; sensor 0 biased, others clean.  Report
     pairs, bias states and leave-one-out references are arrays over
@@ -279,6 +338,49 @@ def _small_fbe_inputs(bias0=(25.0, 2e-3), nonreporting=False):
     ref = [min(r for r in range(3) if r != s) for s in range(3)]
     fused_prev = stack(prev[ref])
     return (stack(prev), stack(curr), reported), bias_states, fused_prev, model, sensors
+
+
+def test_fbe_step_fused_side_is_the_deconvolved_reference_update(monkeypatch):
+    # The reference side of each bias pseudo-measurement is sfa's equivalent
+    # measurement.  It must agree with deconvolving a per-slot fused update
+    # by the gain of the combined information of the corrected
+    # measurements, which equals it in exact arithmetic.
+    import sensorreg.fusion as fusion
+
+    seen = []
+
+    def difference(z1, z2, jac, R1, R2, offset_only=True):
+        seen.append((z1, R1))
+        return difference_pseudo_measurement(z1, z2, jac, R1, R2, offset_only)
+
+    monkeypatch.setattr(fusion, "difference_pseudo_measurement", difference)
+    (prev, curr, reported), bias_states, fused_prev, model, sensors = _small_fbe_inputs()
+    fbe_step(prev, curr, reported, bias_states, fused_prev, model, sensors)
+    [(z, R)] = seen
+
+    t = compute_tracklet(prev, curr, compose_steps(model, curr.frame - prev.frame))
+    geo = sensors[:, None]
+    c = bias_correct(t, bias_states[:, None], (geo.sigma_r, geo.sigma_theta), origin=geo.position)
+    info, _ = inv_spd2(c.R)
+    n_s, n_t = reported.shape
+    # One reference per (sensor, target), in row-major order.
+    for i, (s, tgt) in enumerate(np.ndindex(n_s, n_t)):
+        others = [r for r in range(n_s) if r != s]
+        fp = fused_prev[s, tgt]
+        msf = compose_steps(model, curr.frame - fp.frame)
+        meas = [(c.y[r, tgt], c.R[r, tgt]) for r in others]
+        fused = _per_slot_sfa(FusedTrack(state=fp), msf, meas)
+        info_f = np.zeros((2, 2))
+        for r in others:
+            info_f = info_f + info[r, tgt]
+        R_f, _ = inv_spd2(info_f)
+        pred_cov = kf_predict(fp, msf).cov
+        S_inv, _ = inv_spd2(pred_cov[::2, ::2] + R_f)
+        z_f = sensor_pseudo_obs(fused, fp, pred_cov[:, ::2] @ S_inv, msf)
+        np.testing.assert_allclose(z[i], z_f, rtol=0, atol=FUSED_PSEUDO_RTOL * np.abs(z_f).max())
+        np.testing.assert_allclose(
+            R[i], symmetrize(R_f), rtol=0, atol=FUSED_PSEUDO_RTOL * np.abs(R_f).max()
+        )
 
 
 def test_fbe_step_moves_biased_sensor_estimate():
@@ -442,13 +544,15 @@ def test_batched_sfa_skips_only_the_singular_element(caplog):
     y = rng.standard_normal((2, n, 2))
     R = np.tile(np.diag([10.0, 20.0]), (2, n, 1, 1))
     # Element 1's first measurement cancels its predicted position
-    # covariance exactly, so its innovation covariance is zero.
+    # covariance exactly: its covariance is not positive definite.
     P1 = ms.F @ prev.state.cov[1] @ ms.F.T + ms.Q
     R[0, 1] = -0.5 * (P1 + P1.T)[::2, ::2]
     with caplog.at_level(logging.WARNING, logger="sensorreg.fusion"):
         out = sfa(prev, ms, [(y[0], R[0]), (y[1], R[1])])
     records = [r.getMessage() for r in caplog.records if r.name == "sensorreg.fusion"]
-    assert records == ["skipping measurement 0 at batch index [1]: singular innovation"]
+    assert records == [
+        "skipping measurement 0 at batch index [1]: covariance not positive definite"
+    ]
     assert out.sensors.tolist() == [[True, True], [False, True], [True, True]]
     for i in range(n):
         one = FusedTrack(state=GaussianEstimate(prev.state.mean[i], prev.state.cov[i], frame=0))
@@ -457,6 +561,32 @@ def test_batched_sfa_skips_only_the_singular_element(caplog):
         np.testing.assert_allclose(out.state.mean[i], ref.state.mean, rtol=1e-12)
         np.testing.assert_allclose(out.state.cov[i], ref.state.cov, rtol=1e-12)
         assert out.state.frame == ref.state.frame == 2
+
+
+def test_batched_sfa_keeps_the_prediction_of_a_failed_update(caplog):
+    # Element 1's prior covariance is NaN, so its one update fails: it keeps
+    # its prediction and folds nothing, and the other elements are unchanged.
+    ms = compose_steps(ncv_model(1.0, 0.2), 1)
+    cov = np.tile(np.diag([50.0, 5.0, 50.0, 5.0]), (3, 1, 1))
+    cov[1, 0, 0] = np.nan
+    prev = FusedTrack(state=GaussianEstimate(np.zeros((3, 4)), cov, frame=0))
+    meas = [(np.ones(2), np.diag([10.0, 20.0])), (-np.ones(2), np.eye(2))]
+    with caplog.at_level(logging.WARNING, logger="sensorreg.fusion"):
+        out = sfa(prev, ms, meas)
+    records = [r.getMessage() for r in caplog.records if r.name == "sensorreg.fusion"]
+    assert records == [
+        "skipping the fused update at batch index [1]: "
+        "innovation covariance is singular (cond ~ inf)"
+    ]
+    assert out.sensors.tolist() == [[True, True], [False, False], [True, True]]
+    pred = kf_predict(prev.state, ms)
+    np.testing.assert_array_equal(out.state.mean[1], pred.mean[1])
+    np.testing.assert_array_equal(out.state.cov[1], pred.cov[1])
+    assert np.isnan(out.measurement.z[1]).all()
+    ref = _per_slot_sfa(prev, ms, meas, [[True, True], [False, False], [True, True]])
+    for got, want in ((out.state.mean, ref.mean), (out.state.cov, ref.cov)):
+        atol = SFA_RTOL * np.abs(want[[0, 2]]).max()
+        np.testing.assert_allclose(got[[0, 2]], want[[0, 2]], rtol=0, atol=atol)
 
 
 def test_batched_fusion_formulas_match_batch_free_calls():

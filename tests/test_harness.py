@@ -546,6 +546,19 @@ def test_fusion_center_runs_once_per_epoch(monkeypatch):
     assert counts["rlsb_update"] <= epochs
 
 
+def test_each_fused_reference_is_one_kf_update(monkeypatch):
+    # Local tracking makes one Kalman update per frame, and each epoch's two
+    # sfa calls (leave-one-out references, all-sensor fusion) one each, not
+    # one per measurement slot.
+    import sensorreg.fusion as fusion
+    import sensorreg.harness.simulate as sim
+
+    counts = _count_calls(monkeypatch, (fusion, sim), ("kf_update",))
+    sc = load_scenario("five_sensor_offset_scale")
+    sim.run_single(sc, 0, "fbe")
+    assert counts["kf_update"] == sc.frames + 2 * len(sc.update_epochs())
+
+
 def test_exl_builds_all_frames_in_one_pass(monkeypatch):
     # exl builds every frame's pseudo-measurements in one batched call per
     # formula and folds each frame's targets in one update.

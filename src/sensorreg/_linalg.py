@@ -18,7 +18,9 @@ def mv(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """Stack of matrix-vector products over the leading batch axes.
 
     A matmul on a trailing unit axis, not ``vec @ mat.T``: each element then
-    sums in the same order as a batch-free ``mat @ vec``, bit for bit.
+    sums in the same order as a batch-free ``mat @ vec``, bit for bit, while
+    the operands of both have the same memory layout.  Matmul rounds
+    contiguous and strided operands differently.
     """
     return (mat @ vec[..., None])[..., 0]
 

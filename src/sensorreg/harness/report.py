@@ -26,24 +26,23 @@ CSV_HEADER = ["frame", "sensor", "metric", "value", "ci_low", "ci_high"]
 COMPONENT_NAMES = ("b_r", "b_theta", "eps_r", "eps_theta")
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
-def _write_csv(path: Path, rows: list[tuple]) -> None:
+def _write_csv(path: Path, *columns) -> None:
+    """Write one row per element of the broadcast ``frame, sensor, metric,
+    value, ci_low, ci_high`` columns, in C order; no columns write the
+    header alone."""
+    cols = [np.ravel(c).tolist() for c in np.broadcast_arrays(*columns)]
+    cols[3:] = [[f"{x:.17g}" for x in col] for col in cols[3:]]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for frame, sensor, metric, value, lo, hi in rows:
-            writer.writerow([frame, sensor, metric, _fmt(value), _fmt(lo), _fmt(hi)])
+        writer.writerows(zip(*cols))
 
 
-def _component_sensor(m: RunMetrics, group: int, comp: int, per_sensor_dim: int):
-    """Map a (group, component) pair to a 1-based sensor id and name."""
-    sensors = m.group_sensors[group]
-    if len(sensors) == 1:
-        return sensors[0] + 1, COMPONENT_NAMES[comp]
-    return sensors[comp // per_sensor_dim] + 1, COMPONENT_NAMES[comp % per_sensor_dim]
+def _component_labels(sensors: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """1-based sensor ids and names of the components of bias vectors that
+    stack ``dim`` components of each sensor on the last axis of ``sensors``."""
+    c = np.arange(sensors.shape[-1] * dim)
+    return sensors[..., c // dim] + 1, np.asarray(COMPONENT_NAMES)[c % dim]
 
 
 def emit_report(metrics: RunMetrics, out_dir: str | Path) -> list[Path]:
@@ -52,89 +51,60 @@ def emit_report(metrics: RunMetrics, out_dir: str | Path) -> list[Path]:
     Returns the written paths.  Empty metric families still produce a
     header-only CSV so downstream consumers see a stable file set.
     """
+    m = metrics
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    # Per-sensor component count: stacked groups spread their components
-    # over the sensors they cover.
-    per_dim = 0
-    if metrics.n_groups:
-        per_dim = metrics.group_dim // len(metrics.group_sensors[0])
+    frame = np.arange(m.frames + 1)
+    tables = dict.fromkeys(
+        ("bias_rmse.csv", "bias_sqrt_sigma.csv", "bias_nees.csv", "track_rmse.csv"), ()
+    )
+    if m.bias_rmse is not None:
+        # Rows run over (frame, group, component).
+        groups = np.array(m.group_sensors)
+        sensor, name = _component_labels(groups, m.group_dim // groups.shape[1])
+        k = frame[:, None, None]
+        tables["bias_rmse.csv"] = (
+            k, sensor, np.char.add("bias_rmse_", name), m.bias_rmse,
+            *rmse_band(m.bias_rmse, m.mc_runs),
+        )
+        tables["bias_sqrt_sigma.csv"] = (
+            k, sensor, np.char.add("bias_sqrt_sigma_", name), m.bias_sqrt_sigma, np.nan, np.nan,
+        )
+        # Each group's NEES row, then its one-sided bound; a group of several
+        # sensors reports as sensor 0.
+        tables["bias_nees.csv"] = (
+            k,
+            groups[:, :1] + 1 if groups.shape[1] == 1 else 0,
+            ["bias_nees", "bias_nees_upper95_one_sided"],
+            np.stack(np.broadcast_arrays(m.bias_nees, m.nees_upper_one_sided), axis=-1),
+            [m.nees_lower, np.nan],
+            [m.nees_upper, np.nan],
+        )
+    # Fused (sensor 0) before local (sensor 1) rows within a frame.
+    tracks = [
+        (s, name, v)
+        for s, name, v in [(0, "track_rmse_fused", m.track_rmse_fused),
+                           (1, "track_rmse_local", m.track_rmse_local)]
+        if v is not None
+    ]
+    if tracks:
+        sensor, name, values = zip(*tracks)
+        value = np.stack(values, axis=-1)
+        tables["track_rmse.csv"] = (
+            frame[:, None], sensor, name, value, *rmse_band(value, m.mc_runs)
+        )
 
-    rmse_rows = []
-    sigma_rows = []
-    nees_rows = []
-    if metrics.bias_rmse is not None:
-        K = metrics.frames
-        for k in range(K + 1):
-            for g in range(metrics.n_groups):
-                for c in range(metrics.group_dim):
-                    sensor, name = _component_sensor(metrics, g, c, per_dim)
-                    val = metrics.bias_rmse[k, g, c]
-                    lo, hi = rmse_band(val, metrics.mc_runs)
-                    rmse_rows.append((k, sensor, f"bias_rmse_{name}", val, lo, hi))
-                    sigma_rows.append(
-                        (
-                            k,
-                            sensor,
-                            f"bias_sqrt_sigma_{name}",
-                            metrics.bias_sqrt_sigma[k, g, c],
-                            np.nan,
-                            np.nan,
-                        )
-                    )
-                gsensor = metrics.group_sensors[g][0] + 1 if len(metrics.group_sensors[g]) == 1 else 0
-                nees_rows.append(
-                    (
-                        k,
-                        gsensor,
-                        "bias_nees",
-                        metrics.bias_nees[k, g],
-                        metrics.nees_lower,
-                        metrics.nees_upper,
-                    )
-                )
-                nees_rows.append(
-                    (
-                        k,
-                        gsensor,
-                        "bias_nees_upper95_one_sided",
-                        metrics.nees_upper_one_sided,
-                        np.nan,
-                        np.nan,
-                    )
-                )
-
-    track_rows = []
-    if metrics.track_rmse_local is not None:
-        for k in range(metrics.frames + 1):
-            val = metrics.track_rmse_local[k]
-            lo, hi = rmse_band(val, metrics.mc_runs)
-            track_rows.append((k, 1, "track_rmse_local", val, lo, hi))
-    if metrics.track_rmse_fused is not None:
-        for k in range(metrics.frames + 1):
-            val = metrics.track_rmse_fused[k]
-            lo, hi = rmse_band(val, metrics.mc_runs)
-            track_rows.append((k, 0, "track_rmse_fused", val, lo, hi))
-    track_rows.sort(key=lambda r: (r[0], r[1], r[2]))
-
-    for fname, rows in [
-        ("bias_rmse.csv", rmse_rows),
-        ("bias_sqrt_sigma.csv", sigma_rows),
-        ("bias_nees.csv", nees_rows),
-        ("track_rmse.csv", track_rows),
-    ]:
-        path = out / fname
-        _write_csv(path, rows)
-        written.append(path)
+    for fname, columns in tables.items():
+        _write_csv(out / fname, *columns)
+    written = [out / fname for fname in tables]
 
     meta = {
-        "scenario": metrics.scenario_name,
-        "method": metrics.method,
-        "mc_runs": metrics.mc_runs,
-        "frames": metrics.frames,
-        "update_epochs": list(metrics.update_epochs),
-        "bias_dim": metrics.group_dim,
+        "scenario": m.scenario_name,
+        "method": m.method,
+        "mc_runs": m.mc_runs,
+        "frames": m.frames,
+        "update_epochs": list(m.update_epochs),
+        "bias_dim": m.group_dim,
     }
     meta_path = out / "run_meta.json"
     with open(meta_path, "w") as fh:
@@ -145,38 +115,26 @@ def emit_report(metrics: RunMetrics, out_dir: str | Path) -> list[Path]:
 
 
 def emit_crlb(series: CrlbSeries, scenario: Scenario, out_dir: str | Path) -> Path:
-    """Write sqrt lower-bound curves to ``crlb.csv`` in the report schema."""
+    """Write sqrt lower-bound curves to ``crlb.csv`` in the report schema.
+
+    Each epoch's rows give every sensor's bound, then the joint bound of
+    the stacked sensors when there is one.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     d = scenario.bias_dim
-    rows = []
-    for ei, k in enumerate(series.epochs):
-        for s in range(series.per_sensor.shape[1]):
-            for c in range(d):
-                rows.append(
-                    (
-                        k,
-                        s + 1,
-                        f"sqrt_crlb_{COMPONENT_NAMES[c]}",
-                        series.per_sensor[ei, s, c],
-                        np.nan,
-                        np.nan,
-                    )
-                )
-        if series.stacked is not None:
-            for c in range(series.stacked.shape[1]):
-                rows.append(
-                    (
-                        k,
-                        c // d + 1,
-                        f"sqrt_crlb_stacked_{COMPONENT_NAMES[c % d]}",
-                        series.stacked[ei, c],
-                        np.nan,
-                        np.nan,
-                    )
-                )
+    n_e, n_s = series.per_sensor.shape[:2]
+    sensor, name = _component_labels(np.arange(n_s), d)
+    metric = np.char.add("sqrt_crlb_", name)
+    value = series.per_sensor.reshape(n_e, n_s * d)
+    if series.stacked is not None:
+        joint, name = _component_labels(np.arange(series.stacked.shape[1] // d), d)
+        sensor = np.concatenate([sensor, joint])
+        metric = np.concatenate([metric, np.char.add("sqrt_crlb_stacked_", name)])
+        value = np.concatenate([value, series.stacked], axis=1)
     path = out / "crlb.csv"
-    _write_csv(path, rows)
+    epochs = np.array(series.epochs, dtype=int)[:, None]
+    _write_csv(path, epochs, sensor, metric, value, np.nan, np.nan)
     return path
 
 

@@ -408,6 +408,8 @@ def _run_stacked(
     """Two-sensor stacked-bias estimator with true or reconstructed gains."""
     if len(scenario.sensors) != 2:
         raise ScenarioError("the stacked estimator is defined for two sensors")
+    if scenario.estimate_scale_bias:
+        raise ScenarioError("the stacked estimator estimates offsets only")
     if any(s.lag != 1 for s in scenario.sensors):
         raise ScenarioError("the stacked estimator expects per-frame reporting")
     if not reconstructed and tracks.gain is None:
@@ -550,13 +552,6 @@ def _check_finite(
             raise NumericalError(f"run {run_index}: non-finite {what} at {where}")
 
 
-def _true_bias_groups(scenario: Scenario, method: str) -> np.ndarray:
-    biases = [s.bias.as_array(scenario.estimate_scale_bias) for s in scenario.sensors]
-    if method in ("ex", "exl"):
-        return np.concatenate(biases)[None, :]
-    return np.stack(biases)
-
-
 def _run_task(args):
     scenario, run_index, method = args
     return run_single(scenario, run_index, method)
@@ -576,15 +571,11 @@ def run_monte_carlo(
     runs = scenario.mc_runs if mc_runs is None else int(mc_runs)
     if runs < 1:
         raise ScenarioError("mc_runs must be at least 1")
-    if method == "baseline":
-        true_bias = None
-    else:
-        true_bias = _true_bias_groups(scenario, method)
     tasks = [(scenario, i, method) for i in range(runs)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outs = list(pool.map(_run_task, tasks))
     else:
         outs = [run_single(scenario, i, method) for i in range(runs)]
-    return aggregate_runs(scenario, method, outs, true_bias)
+    return aggregate_runs(scenario, method, outs)
 

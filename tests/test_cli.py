@@ -163,3 +163,14 @@ def test_crlb_names_singular_sensor_noise(tmp_path, capsys):
 def test_stacked_method_on_multisensor_scenario_is_rejected(tmp_path, capsys):
     assert main(["simulate", "--scenario", "five_sensor_offset", "--method", "ex",
                  "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("method", ["ex", "exl"])
+def test_stacked_method_with_scale_bias_is_rejected(tiny_scenario, tmp_path, capsys, method):
+    # The stacked estimator's prior and observation matrix cover offsets only.
+    doc = json.loads(tiny_scenario.read_text())
+    doc["estimate_scale_bias"] = True
+    tiny_scenario.write_text(json.dumps(doc))
+    assert main(["simulate", "--scenario", str(tiny_scenario), "--method", method,
+                 "--out", str(tmp_path / "o")]) == 1
+    assert "scenario error: the stacked estimator estimates offsets only" in capsys.readouterr().err

@@ -1,7 +1,11 @@
 """Scenario loading, truth simulation, metrics, and report emission."""
 
+import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +29,9 @@ from sensorreg.harness import (
     simulate_truth,
     summary_tables,
 )
-from sensorreg.harness.metrics import forward_fill
+from sensorreg.harness import metrics as metrics_module
+from sensorreg.harness.metrics import RunMetrics, forward_fill
+from sensorreg.harness.report import COMPONENT_NAMES
 
 
 def _tiny_scenario(**overrides):
@@ -299,6 +305,12 @@ def test_nees_series_names_nan_and_indefinite_covariances():
 def test_forward_fill():
     arr = np.array([1.0, np.nan, np.nan, 4.0, np.nan])
     np.testing.assert_allclose(forward_fill(arr), [1.0, 1.0, 1.0, 4.0, 4.0])
+    # Each row fills on its own; entries before a row's first finite value
+    # stay NaN, infinities included.
+    arr = np.array([[np.nan, 2.0, np.nan, np.inf], [np.inf, np.nan, 3.0, np.nan]])
+    np.testing.assert_array_equal(
+        forward_fill(arr), [[np.nan, 2.0, 2.0, 2.0], [np.nan, np.nan, 3.0, 3.0]]
+    )
 
 
 def test_run_monte_carlo_metrics_shape_and_finiteness():
@@ -343,22 +355,8 @@ def test_emit_report_files_and_determinism(tmp_path):
 
 
 def test_emit_report_empty_metrics_header_only(tmp_path):
-    from sensorreg.harness.metrics import RunMetrics
-
-    m = RunMetrics(
-        scenario_name="empty",
-        method="baseline",
-        mc_runs=1,
-        frames=0,
-        update_epochs=[],
-        n_groups=0,
-        group_dim=0,
-        group_sensors=[],
-        bias_true=None,
-        bias_rmse=None,
-        bias_sqrt_sigma=None,
-        bias_nees=None,
-    )
+    m = RunMetrics(scenario_name="empty", method="baseline", mc_runs=1, frames=0, update_epochs=[])
+    assert (m.n_groups, m.group_dim) == (0, 0)
     written = emit_report(m, tmp_path)
     rmse = (tmp_path / "bias_rmse.csv").read_text()
     assert rmse.strip() == "frame,sensor,metric,value,ci_low,ci_high"
@@ -376,6 +374,158 @@ def test_emit_crlb_and_summary_tables(tmp_path):
     # 17-significant-digit floats round-trip.
     row = (tmp_path / "bias_rmse.csv").read_text().splitlines()[1].split(",")
     assert float(row[3]) == float(f"{float(row[3]):.17g}")
+
+
+def _reference_csv(path, rows):
+    """Write ``rows`` as the report did one cell at a time."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["frame", "sensor", "metric", "value", "ci_low", "ci_high"])
+        for frame, sensor, metric, *floats in rows:
+            writer.writerow([frame, sensor, metric, *(f"{float(x):.17g}" for x in floats)])
+
+
+def _reference_report(m, out):
+    """The per-cell row builder that ``emit_report`` replaced: one scalar
+    chi-square band per cell and sorted track rows."""
+    alpha = 0.05
+
+    def band(val):
+        lo = val * np.sqrt(chi2.ppf(alpha / 2.0, m.mc_runs) / m.mc_runs)
+        hi = val * np.sqrt(chi2.ppf(1.0 - alpha / 2.0, m.mc_runs) / m.mc_runs)
+        return float(lo), float(hi)
+
+    rmse_rows, sigma_rows, nees_rows, track_rows = [], [], [], []
+    if m.bias_rmse is not None:
+        per_dim = m.group_dim // len(m.group_sensors[0])
+        for k in range(m.frames + 1):
+            for g, sensors in enumerate(m.group_sensors):
+                for c in range(m.group_dim):
+                    if len(sensors) == 1:
+                        sensor, name = sensors[0] + 1, COMPONENT_NAMES[c]
+                    else:
+                        sensor, name = sensors[c // per_dim] + 1, COMPONENT_NAMES[c % per_dim]
+                    val = m.bias_rmse[k, g, c]
+                    rmse_rows.append((k, sensor, f"bias_rmse_{name}", val, *band(val)))
+                    sigma_rows.append(
+                        (k, sensor, f"bias_sqrt_sigma_{name}", m.bias_sqrt_sigma[k, g, c],
+                         np.nan, np.nan)
+                    )
+                gsensor = sensors[0] + 1 if len(sensors) == 1 else 0
+                nees_rows.append(
+                    (k, gsensor, "bias_nees", m.bias_nees[k, g], m.nees_lower, m.nees_upper)
+                )
+                nees_rows.append(
+                    (k, gsensor, "bias_nees_upper95_one_sided", m.nees_upper_one_sided,
+                     np.nan, np.nan)
+                )
+    for sensor, name, series in [
+        (1, "track_rmse_local", m.track_rmse_local),
+        (0, "track_rmse_fused", m.track_rmse_fused),
+    ]:
+        if series is not None:
+            track_rows += [
+                (k, sensor, name, series[k], *band(series[k])) for k in range(m.frames + 1)
+            ]
+    track_rows.sort(key=lambda r: r[:3])
+    for fname, rows in [
+        ("bias_rmse.csv", rmse_rows),
+        ("bias_sqrt_sigma.csv", sigma_rows),
+        ("bias_nees.csv", nees_rows),
+        ("track_rmse.csv", track_rows),
+    ]:
+        _reference_csv(out / fname, rows)
+
+
+def _two_sensor_doc(**overrides):
+    doc = _tiny_scenario(**overrides)
+    doc["sensors"] = doc["sensors"][:2]
+    for s in doc["sensors"]:
+        s["lag"] = 1
+    return doc
+
+
+def _scale_doc():
+    doc = _tiny_scenario(estimate_scale_bias=True)
+    for s in doc["sensors"]:
+        s["bias"].update(eps_r=1e-3, eps_theta=1e-3)
+    return doc
+
+
+REPORT_LAYOUTS = {
+    "fbe_offset": lambda: run_monte_carlo(load_scenario(_tiny_scenario()), "fbe"),
+    "fbe_offset_scale": lambda: run_monte_carlo(load_scenario(_scale_doc()), "fbe"),
+    "stacked_exl": lambda: run_monte_carlo(load_scenario(_two_sensor_doc()), "exl"),
+    "baseline": lambda: run_monte_carlo(load_scenario(_tiny_scenario()), "baseline"),
+    "empty": lambda: RunMetrics(
+        scenario_name="empty", method="baseline", mc_runs=1, frames=0, update_epochs=[]
+    ),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(REPORT_LAYOUTS))
+def test_emit_report_matches_per_cell_reference(layout, tmp_path):
+    m = REPORT_LAYOUTS[layout]()
+    (tmp_path / "ref").mkdir()
+    _reference_report(m, tmp_path / "ref")
+    for path in emit_report(m, tmp_path / "got"):
+        if path.suffix == ".csv":
+            assert path.read_bytes() == (tmp_path / "ref" / path.name).read_bytes(), path.name
+
+
+@pytest.mark.parametrize("doc", [_tiny_scenario, _scale_doc, _two_sensor_doc])
+def test_emit_crlb_matches_per_cell_reference(doc, tmp_path):
+    sc = load_scenario(doc())
+    series = crlb_series(sc)
+    d = sc.bias_dim
+    rows = []
+    for ei, k in enumerate(series.epochs):
+        for s in range(series.per_sensor.shape[1]):
+            for c in range(d):
+                rows.append(
+                    (k, s + 1, f"sqrt_crlb_{COMPONENT_NAMES[c]}", series.per_sensor[ei, s, c],
+                     np.nan, np.nan)
+                )
+        if series.stacked is not None:
+            for c in range(series.stacked.shape[1]):
+                rows.append(
+                    (k, c // d + 1, f"sqrt_crlb_stacked_{COMPONENT_NAMES[c % d]}",
+                     series.stacked[ei, c], np.nan, np.nan)
+                )
+    _reference_csv(tmp_path / "ref.csv", rows)
+    assert emit_crlb(series, sc, tmp_path).read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_chi2_quantile_equals_scipy_stats_bit_for_bit():
+    df = np.arange(1, 1001)[:, None] * np.array([1, 2, 4, 8])
+    for q in (0.025, 0.95, 0.975):
+        np.testing.assert_array_equal(metrics_module._chi2_quantile(q, df), chi2.ppf(q, df))
+
+
+def test_emit_report_quantile_calls_do_not_grow_with_cells(tmp_path, monkeypatch):
+    # 101 frames x 5 groups x 4 components once took two quantiles per cell.
+    m = run_monte_carlo(load_scenario("five_sensor_offset_scale"), "fbe", mc_runs=1)
+    calls = []
+    quantile = metrics_module._chi2_quantile
+
+    def counted(q, df):
+        calls.append(df)
+        return quantile(q, df)
+
+    monkeypatch.setattr(metrics_module, "_chi2_quantile", counted)
+    emit_report(m, tmp_path)
+    # Two bounds for each of the two banded families, bias and track RMSE.
+    assert len(calls) == 4
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, sensorreg.cli; sys.exit('scipy.stats' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path), timeout=120
+    )
+    assert proc.returncode == 0
 
 
 def test_stacked_methods_require_two_sensors():

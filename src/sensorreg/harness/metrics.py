@@ -9,10 +9,11 @@ squared errors around the reported value.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from .._linalg import cholesky, solve_psd
 from ..errors import NumericalError, SingularMatrixError
@@ -30,10 +31,118 @@ __all__ = [
 ]
 
 
+_EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min
+# Coefficients of the Stirling series of log Gamma(a) - [(a - 1/2) log a - a
+# + log(2 pi) / 2] in odd powers of 1/a; from a = 16 on, the first omitted
+# term is below 1.2e-16.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188)
+# A Halley step shorter than this share of x leaves an error of the order
+# of its cube, far below the quantile's 1e-12 tolerance.
+_STEP_TOL = 1e-8
+_MAX_STEPS = 100
+
+
+def _log_gamma_kernel(a: float, x: float) -> float:
+    """log(x^a e^-x / Gamma(a)).  From a = 16 on it is formed around x = a
+    as a (log1p(t) - t) + log(a / 2 pi) / 2 - stirlerr(a), t = (x - a) / a,
+    so that the large, nearly cancelling a log x, x and log Gamma(a) never
+    meet in floating point."""
+    if a < 16:
+        return a * math.log(x) - x - math.lgamma(a)
+    t = (x - a) / a
+    inv2 = 1 / (a * a)
+    c0, c1, c2, c3, c4 = _STIRLING
+    stirlerr = (c0 + inv2 * (c1 + inv2 * (c2 + inv2 * (c3 + inv2 * c4)))) / a
+    return a * (math.log1p(t) - t) + 0.5 * math.log(a / (2 * math.pi)) - stirlerr
+
+
+def _gamma_tail(a: float, x: float) -> tuple[bool, float, float]:
+    """One tail of the regularized incomplete gamma function at ``x`` > 0,
+    with the Gamma(a) density there: ``(False, P(a, x), f)`` from the power
+    series below x = a + 1, ``(True, Q(a, x), f)`` from the continued
+    fraction (modified Lentz) above, each where it converges fast."""
+    kernel = math.exp(_log_gamma_kernel(a, x))
+    if x < a + 1:
+        # P = kernel * sum_n x^n / (a (a + 1) ... (a + n)); the ratio of
+        # successive terms is below 1, so the loop ends.
+        term = total = 1 / a
+        ap = a
+        while term > total * _EPS:
+            ap += 1
+            term *= x / ap
+            total += term
+        return False, kernel * total, kernel / x
+    # Q = kernel / (x + 1 - a - 1 (1 - a) / (x + 3 - a - 2 (2 - a) / ...)),
+    # which takes a few times sqrt(a) terms near x = a + 1.
+    b = x + 1 - a
+    c = 1 / _TINY
+    d = 1 / b
+    h = d
+    for n in range(1, 100 + int(10 * math.sqrt(a))):
+        an = -n * (n - a)
+        b += 2
+        d = an * d + b
+        d = 1 / (d if abs(d) >= _TINY else _TINY)
+        c = b + an / c
+        c = c if abs(c) >= _TINY else _TINY
+        delta = d * c
+        h *= delta
+        if abs(delta - 1) <= _EPS:
+            return True, kernel * h, kernel / x
+    raise NumericalError(f"incomplete gamma continued fraction did not converge at a={a}, x={x}")
+
+
+def _normal_quantile(q: float) -> float:
+    """Standard normal quantile to about 4.5e-4 (Abramowitz and Stegun
+    26.2.23); a starting point, not a result."""
+    t = math.sqrt(-2 * math.log(min(q, 1 - q)))
+    z = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
+        1 + t * (1.432788 + t * (0.189269 + t * 0.001308))
+    )
+    return z if q > 0.5 else -z
+
+
 def _chi2_quantile(q: float, df: int) -> float:
-    """Quantile ``q`` of chi-square(``df``), which is Gamma(df/2, scale 2):
-    the formula ``scipy.stats.chi2.ppf`` evaluates, bit for bit."""
-    return 2 * gammaincinv(df / 2, q)
+    """Quantile ``q`` of chi-square(``df``), which is twice that of
+    Gamma(df/2), to within 1e-12 relative (``tests/test_harness.py`` holds
+    it to ``scipy.stats.chi2.ppf`` for df up to 1e6).
+
+    Solves P(a, x) = q by Halley steps from the larger of the Wilson-Hilferty
+    guess and (q Gamma(a + 1))^(1/a), a lower bound because P(a, x) <= x^a /
+    Gamma(a + 1).  Every evaluation narrows a bracket around the root, and a
+    step that leaves it bisects instead, so the iteration ends: on a short
+    step, on a bracket a few ulps wide, or after ``_MAX_STEPS`` with a
+    :class:`NumericalError`.
+    """
+    if not (0 < q < 1 and df > 0):
+        raise ValueError(f"need 0 < q < 1 and df > 0, got q={q}, df={df}")
+    a = df / 2
+    wilson_hilferty = a * (1 - 1 / (9 * a) + _normal_quantile(q) / (3 * math.sqrt(a))) ** 3
+    x = max(wilson_hilferty, math.exp((math.log(q) + math.lgamma(a + 1)) / a))
+    lo, hi = 0.0, math.inf
+    for _ in range(_MAX_STEPS):
+        upper, tail, density = _gamma_tail(a, x)
+        # P(a, x) - q, from the tail that was summed.
+        g = (1 - q) - tail if upper else tail - q
+        if g < 0:
+            lo = x
+        else:
+            hi = x
+        step = g / density
+        # Halley's correction, from f'/f = (a - 1)/x - 1 of the density.
+        h = 1 - 0.5 * step * ((a - 1) / x - 1)
+        if h > 0:
+            step /= h
+        new = x - step
+        if abs(step) <= _STEP_TOL * x:
+            return 2 * new
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi) if hi < math.inf else 2 * x
+        if hi - lo <= 4 * _EPS * new:
+            return 2 * new
+        x = new
+    raise NumericalError(f"chi-square quantile did not converge for q={q}, df={df}")
 
 
 def chi2_band(dim: int, runs: int, alpha: float = 0.05) -> tuple[float, float]:

@@ -9,6 +9,7 @@ reports to the fusion center at multiples of its lag.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
@@ -117,6 +118,10 @@ class Scenario:
             raise ScenarioError("mc_runs must be at least 1")
         if self.rng_seed < 0:
             raise ScenarioError(f"rng_seed must be non-negative, got {self.rng_seed}")
+        # A NaN passes every sign test below, so finiteness comes first.
+        for where, value in self._real_values():
+            if not math.isfinite(value):
+                raise ScenarioError(f"{' '.join(map(str, where))} must be finite, got {value}")
         if self.dt <= 0:
             raise ScenarioError("dt must be positive")
         if self.process_noise_q < 0 or self.fusion_q < 0:
@@ -141,6 +146,27 @@ class Scenario:
                     )
                 if seg.frames < 1:
                     raise ScenarioError(f"target {i}: segment frames must be >= 1")
+
+    def _real_values(self):
+        """(field name as a tuple of words, value) of every real number the
+        scenario holds, one pair per array entry."""
+        yield ("dt",), self.dt
+        yield ("process_noise_q",), self.process_noise_q
+        yield ("fusion_q",), self.fusion_q
+        for key in ("q", "q1", "q2"):
+            yield ("local_filter", key), getattr(self.local_filter, key)
+        for i, s in enumerate(self.sensors):
+            for v in s.position.tolist():
+                yield ("sensor", i, "position"), v
+            yield ("sensor", i, "sigma_r"), s.sigma_r
+            yield ("sensor", i, "sigma_theta"), s.sigma_theta
+            for key in ("b_r", "b_theta", "eps_r", "eps_theta"):
+                yield ("sensor", i, "bias", key), getattr(s.bias, key)
+        for i, t in enumerate(self.targets):
+            for v in t.initial_state.tolist():
+                yield ("target", i, "initial_state"), v
+            for j, seg in enumerate(t.segments):
+                yield ("target", i, "segment", j, "omega"), seg.omega
 
     @property
     def bias_dim(self) -> int:
@@ -182,6 +208,14 @@ def _integer(value, where: str) -> int:
         return int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _boolean(value, where: str) -> bool:
+    """``value`` if it is a JSON true or false; bool() would read the string
+    "false" as True."""
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{where} must be true or false, got {value!r}")
     return value
 
 
@@ -236,7 +270,9 @@ def _scenario_from_dict(doc: dict) -> Scenario:
                 q2=float(lf.get("q2", 2.0)),
             ),
             fusion_q=float(doc.get("fusion_q", 1.0)),
-            estimate_scale_bias=bool(doc.get("estimate_scale_bias", False)),
+            estimate_scale_bias=_boolean(
+                doc.get("estimate_scale_bias", False), "estimate_scale_bias"
+            ),
             rng_seed=_integer(doc.get("rng_seed", 0), "rng_seed"),
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -573,6 +572,9 @@ def run_monte_carlo(
         raise ScenarioError("mc_runs must be at least 1")
     tasks = [(scenario, i, method) for i in range(runs)]
     if workers > 1:
+        # Imported here: a serial run, the common case, never loads it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outs = list(pool.map(_run_task, tasks))
     else:

@@ -12,6 +12,7 @@ single track is the batch-free case of the same code.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -182,7 +183,7 @@ class ImmState:
     transition: np.ndarray
 
     def __post_init__(self) -> None:
-        # Copies, so that no two states share (and can edit) these arrays.
+        # Copies, so that the state shares no array with its caller.
         self.mode_probs = np.array(self.mode_probs, dtype=float)
         n = self.model.F.shape[0]
         self.transition = np.array(self.transition, dtype=float).reshape(n, n)
@@ -237,6 +238,14 @@ class ImmState:
             steps=1,
         )
         return cls(modes=modes, model=model, mode_probs=mode_probs, transition=transition)
+
+    def _advanced(self, modes: GaussianEstimate, mode_probs: np.ndarray) -> ImmState:
+        """This bank with new ``modes`` and ``mode_probs`` built by
+        :func:`imm_step`, sharing ``model`` and ``transition``.  The checks
+        on outside input that construction runs are not repeated."""
+        state = copy.copy(self)
+        state.modes, state.mode_probs = modes, mode_probs
+        return state
 
 
 def _gauss_loglik(rec: KfStepRecord) -> np.ndarray:
@@ -301,7 +310,7 @@ def imm_step(
     mu_new = np.exp(log_mu)
     mu_new /= mu_new.sum(axis=-1, keepdims=True)
 
-    new_state = ImmState(modes=modes, model=state.model, mode_probs=mu_new, transition=Pi)
+    new_state = state._advanced(modes, mu_new)
 
     # Moment-matched combined output on the 4-dim interface.
     x, P = _moments(mu_new[..., None, :], marginal_position_velocity(modes))

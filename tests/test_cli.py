@@ -174,3 +174,26 @@ def test_stacked_method_with_scale_bias_is_rejected(tiny_scenario, tmp_path, cap
     assert main(["simulate", "--scenario", str(tiny_scenario), "--method", method,
                  "--out", str(tmp_path / "o")]) == 1
     assert "scenario error: the stacked estimator estimates offsets only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "path, key, value, message",
+    [
+        ((), "estimate_scale_bias", "false",
+         "estimate_scale_bias must be true or false, got 'false'"),
+        (("sensors", 0), "sigma_r", float("nan"), "sensor 0 sigma_r must be finite, got nan"),
+    ],
+)
+def test_bad_scenario_value_is_a_scenario_error(tiny_scenario, tmp_path, capsys, path, key,
+                                                value, message):
+    # Both used to load: "false" read as true, and NaN passed the sign checks.
+    doc = json.loads(tiny_scenario.read_text())
+    node = doc
+    for k in path:
+        node = node[k]
+    node[key] = value
+    tiny_scenario.write_text(json.dumps(doc))
+    for method in ["exl", "fbe"]:
+        assert main(["simulate", "--scenario", str(tiny_scenario), "--method", method,
+                     "--out", str(tmp_path / "o")]) == 1
+        assert f"scenario error: {message}" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -119,6 +120,48 @@ def test_scenario_rejects_non_integer_counts(path, key, where, value):
         load_scenario(doc)
     node[key] = 3.0
     assert load_scenario(doc) is not None
+
+
+NON_FINITE_FIELDS = [
+    ((), "dt", "dt"),
+    ((), "process_noise_q", "process_noise_q"),
+    ((), "fusion_q", "fusion_q"),
+    (("local_filter",), "q", "local_filter q"),
+    (("local_filter",), "q1", "local_filter q1"),
+    (("local_filter",), "q2", "local_filter q2"),
+    (("sensors", 1, "position"), 0, "sensor 1 position"),
+    (("sensors", 1), "sigma_r", "sensor 1 sigma_r"),
+    (("sensors", 1), "sigma_theta", "sensor 1 sigma_theta"),
+    (("sensors", 1, "bias"), "b_r", "sensor 1 bias b_r"),
+    (("sensors", 1, "bias"), "b_theta", "sensor 1 bias b_theta"),
+    (("sensors", 1, "bias"), "eps_r", "sensor 1 bias eps_r"),
+    (("sensors", 1, "bias"), "eps_theta", "sensor 1 bias eps_theta"),
+    (("targets", 1, "initial_state"), 2, "target 1 initial_state"),
+    (("targets", 1, "segments", 1), "omega", "target 1 segment 1 omega"),
+]
+
+
+@pytest.mark.parametrize("path, key, where", NON_FINITE_FIELDS)
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_scenario_rejects_non_finite_values(path, key, where, value):
+    # A NaN passes every "<= 0" check, and sigma_r = NaN used to surface as
+    # a singular innovation covariance deep inside the fusion center.
+    doc = _tiny_scenario()
+    node = doc
+    for k in path:
+        node = node[k]
+    node[key] = value
+    with pytest.raises(ScenarioError, match=f"^{where} must be finite"):
+        load_scenario(doc)
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_scenario_scale_flag_must_be_a_json_boolean(value):
+    with pytest.raises(
+        ScenarioError, match=re.escape(f"estimate_scale_bias must be true or false, got {value!r}")
+    ):
+        load_scenario(_tiny_scenario(estimate_scale_bias=value))
+    assert load_scenario(_tiny_scenario(estimate_scale_bias=False)).bias_dim == 2
 
 
 def test_scenario_file_not_found():
@@ -387,12 +430,14 @@ def _reference_csv(path, rows):
 
 def _reference_report(m, out):
     """The per-cell row builder that ``emit_report`` replaced: one scalar
-    chi-square band per cell and sorted track rows."""
+    chi-square band per cell and sorted track rows.  The bands take the
+    package's own quantile, whose accuracy is tested on its own."""
     alpha = 0.05
 
     def band(val):
-        lo = val * np.sqrt(chi2.ppf(alpha / 2.0, m.mc_runs) / m.mc_runs)
-        hi = val * np.sqrt(chi2.ppf(1.0 - alpha / 2.0, m.mc_runs) / m.mc_runs)
+        quantile = metrics_module._chi2_quantile
+        lo = val * np.sqrt(quantile(alpha / 2.0, m.mc_runs) / m.mc_runs)
+        hi = val * np.sqrt(quantile(1.0 - alpha / 2.0, m.mc_runs) / m.mc_runs)
         return float(lo), float(hi)
 
     rmse_rows, sigma_rows, nees_rows, track_rows = [], [], [], []
@@ -496,10 +541,19 @@ def test_emit_crlb_matches_per_cell_reference(doc, tmp_path):
     assert emit_crlb(series, sc, tmp_path).read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-def test_chi2_quantile_equals_scipy_stats_bit_for_bit():
-    df = np.arange(1, 1001)[:, None] * np.array([1, 2, 4, 8])
-    for q in (0.025, 0.95, 0.975):
-        np.testing.assert_array_equal(metrics_module._chi2_quantile(q, df), chi2.ppf(q, df))
+def test_chi2_quantile_within_1e_12_of_scipy_stats():
+    grid = np.arange(1, 1001)[:, None] * np.array([1, 2, 4, 8])
+    df = np.concatenate([grid.ravel(), [10**4, 10**5, 10**6]])
+    for q in (0.025, 0.05, 0.95, 0.975):
+        got = [metrics_module._chi2_quantile(q, int(n)) for n in df]
+        np.testing.assert_allclose(got, chi2.ppf(q, df), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("df", [1, 2, 3, 17, 800, 10**6])
+def test_chi2_quantile_is_monotone_in_q(df):
+    q = [1e-9, 1e-4, 0.025, 0.05, 0.3, 0.5, 0.7, 0.95, 0.975, 1 - 1e-4, 1 - 1e-9]
+    got = [metrics_module._chi2_quantile(p, df) for p in q]
+    assert np.all(np.diff(got) > 0)
 
 
 def test_emit_report_quantile_calls_do_not_grow_with_cells(tmp_path, monkeypatch):
@@ -518,14 +572,33 @@ def test_emit_report_quantile_calls_do_not_grow_with_cells(tmp_path, monkeypatch
     assert len(calls) == 4
 
 
-def test_cli_import_leaves_out_scipy_stats():
+def _src_env():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, sensorreg.cli; sys.exit('scipy.stats' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path), timeout=120
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    code = (
+        "import sys, sensorreg.cli; "
+        "sys.exit(any(m in sys.modules for m in ('scipy', 'concurrent.futures')))"
     )
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), timeout=120)
     assert proc.returncode == 0
+
+
+def test_simulate_runs_without_scipy(tmp_path):
+    # A None entry in sys.modules makes every import of scipy fail.
+    code = (
+        "import sys; sys.modules['scipy'] = None; from sensorreg.cli import main; "
+        f"sys.exit(main(['simulate', '--scenario', 'two_sensor', '--method', 'exl', "
+        f"'--runs', '1', '--out', {str(tmp_path)!r}]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=_src_env(), timeout=120, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "bias_nees.csv").exists()
 
 
 def test_stacked_methods_require_two_sensors():

@@ -145,6 +145,20 @@ def test_imm_state_transition_rows_sum_to_one_within_1e_9():
     _imm([model, model], pi=((0.95, 0.05 + 5e-10), (0.05, 0.95)))
 
 
+def test_imm_step_does_not_revalidate_the_state_it_builds(monkeypatch):
+    model = ncv_model(1.0, 1.0)
+    state = _imm([model, model])
+
+    def fail(self):
+        raise AssertionError("imm_step re-ran the construction checks")
+
+    monkeypatch.setattr(ImmState, "__post_init__", fail)
+    z = CartesianMeasurement(z=[3.0, -1.0], R=50 * np.eye(2))
+    new_state, _ = imm_step(state, z)
+    assert new_state.model is state.model and new_state.transition is state.transition
+    assert new_state.modes.frame == 1 and state.modes.frame == 0
+
+
 def test_imm_identical_modes_symmetric_prior_matches_single_kf():
     model = ncv_model(1.0, 1.0)
     state = _imm([model, model])

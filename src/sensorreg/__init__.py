@@ -29,7 +29,6 @@ from .coords import (
 from .crlb import combine_sensors, crlb_diag, fisher_information
 from .dynamics import (
     MotionModel,
-    MultiStepModel,
     compose_steps,
     nca_model,
     ncv_model,
@@ -43,7 +42,6 @@ from .errors import (
     TrackletSingularError,
 )
 from .fusion import (
-    CorrectedMeasurement,
     FbeResult,
     FusedTrack,
     ReconstructedGain,
@@ -78,14 +76,12 @@ __all__ = [
     "BiasJacobians",
     "BiasVector",
     "CartesianMeasurement",
-    "CorrectedMeasurement",
     "FbeResult",
     "FusedTrack",
     "GaussianEstimate",
     "ImmState",
     "KfStepRecord",
     "MotionModel",
-    "MultiStepModel",
     "NumericalError",
     "PseudoMeasurement",
     "ReconstructedGain",

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._linalg import cholesky, inv_spd2, mt, mv, solve_psd, symmetrize
 from .coords import BiasJacobians
-from .dynamics import MultiStepModel
+from .dynamics import MotionModel
 from .trackers import GaussianEstimate
 
 __all__ = [
@@ -81,7 +81,7 @@ def sensor_pseudo_obs(
     curr: GaussianEstimate,
     prev: GaussianEstimate,
     gain: np.ndarray,
-    model: MultiStepModel,
+    model: MotionModel,
 ) -> np.ndarray:
     """Deconvolve track updates into measurement space.
 

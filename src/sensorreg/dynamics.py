@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "MotionModel",
-    "MultiStepModel",
     "ncv_model",
     "nca_model",
     "turn_model",
@@ -26,19 +25,8 @@ __all__ = [
 
 @dataclass
 class MotionModel:
-    """Single-step transition ``F`` and process covariance ``Q``."""
-
-    F: np.ndarray
-    Q: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.F.shape[0]
-
-
-@dataclass
-class MultiStepModel:
-    """Transition and accumulated process covariance over several steps.
+    """Transition ``F`` and accumulated process covariance ``Q`` over
+    ``steps`` prediction steps.
 
     ``F`` and ``Q`` are (n, n) for a model shared by a batch, or
     (..., n, n) for one model per element (e.g. per lag, with ``steps`` an
@@ -47,41 +35,25 @@ class MultiStepModel:
 
     F: np.ndarray
     Q: np.ndarray
-    steps: int | np.ndarray
+    steps: int | np.ndarray = 1
 
-    def __getitem__(self, index) -> MultiStepModel:
+    @property
+    def dim(self) -> int:
+        return self.F.shape[-1]
+
+    def __getitem__(self, index) -> MotionModel:
         """The models at ``index`` of the batch axes; a shared model is
         returned as is."""
         if self.F.ndim == 2:
             return self
         steps = np.broadcast_to(self.steps, self.F.shape[:-2])[index]
-        return MultiStepModel(F=self.F[index], Q=self.Q[index], steps=steps)
+        return MotionModel(F=self.F[index], Q=self.Q[index], steps=steps)
 
 
 def _ncv_blocks(T: float, q: float) -> tuple[np.ndarray, np.ndarray]:
     F = np.array([[1.0, T], [0.0, 1.0]])
     Q = q * np.array([[T**3 / 3.0, T**2 / 2.0], [T**2 / 2.0, T]])
     return F, Q
-
-
-def ncv_model(T: float, q_x: float, q_y: float | None = None) -> MotionModel:
-    """Nearly-constant-velocity model (discretized continuous white noise
-    acceleration) with per-axis noise intensities in m^2/s^3."""
-    if T < 0.0:
-        raise ValueError("sampling interval must be non-negative")
-    if q_y is None:
-        q_y = q_x
-    if q_x < 0.0 or q_y < 0.0:
-        raise ValueError("noise intensities must be non-negative")
-    Fx, Qx = _ncv_blocks(T, q_x)
-    _, Qy = _ncv_blocks(T, q_y)
-    F = np.zeros((4, 4))
-    Q = np.zeros((4, 4))
-    F[:2, :2] = Fx
-    F[2:, 2:] = Fx
-    Q[:2, :2] = Qx
-    Q[2:, 2:] = Qy
-    return MotionModel(F=F, Q=Q)
 
 
 def _nca_blocks(T: float, q: float) -> tuple[np.ndarray, np.ndarray]:
@@ -96,27 +68,35 @@ def _nca_blocks(T: float, q: float) -> tuple[np.ndarray, np.ndarray]:
     return F, Q
 
 
-def nca_model(T: float, q_x: float, q_y: float | None = None) -> MotionModel:
-    """Nearly-constant-acceleration model (continuous Wiener process
-    acceleration); six internal states."""
+def _two_axis(T: float, q: float, blocks) -> MotionModel:
+    """Model with the per-axis blocks ``blocks(T, q)`` on both the x and
+    the y half of the state."""
     if T < 0.0:
         raise ValueError("sampling interval must be non-negative")
-    if q_y is None:
-        q_y = q_x
-    if q_x < 0.0 or q_y < 0.0:
+    if q < 0.0:
         raise ValueError("noise intensities must be non-negative")
-    Fx, Qx = _nca_blocks(T, q_x)
-    _, Qy = _nca_blocks(T, q_y)
-    F = np.zeros((6, 6))
-    Q = np.zeros((6, 6))
-    F[:3, :3] = Fx
-    F[3:, 3:] = Fx
-    Q[:3, :3] = Qx
-    Q[3:, 3:] = Qy
+    Fa, Qa = blocks(T, q)
+    m = Fa.shape[0]
+    F = np.zeros((2 * m, 2 * m))
+    Q = np.zeros((2 * m, 2 * m))
+    F[:m, :m] = F[m:, m:] = Fa
+    Q[:m, :m] = Q[m:, m:] = Qa
     return MotionModel(F=F, Q=Q)
 
 
-def turn_model(T: float, omega: float, q_x: float = 0.0, q_y: float | None = None) -> MotionModel:
+def ncv_model(T: float, q: float) -> MotionModel:
+    """Nearly-constant-velocity model (discretized continuous white noise
+    acceleration) with noise intensity ``q`` in m^2/s^3 on each axis."""
+    return _two_axis(T, q, _ncv_blocks)
+
+
+def nca_model(T: float, q: float) -> MotionModel:
+    """Nearly-constant-acceleration model (continuous Wiener process
+    acceleration); six internal states."""
+    return _two_axis(T, q, _nca_blocks)
+
+
+def turn_model(T: float, omega: float, q: float = 0.0) -> MotionModel:
     """Coordinated turn at a known rate ``omega`` (rad/s).
 
     Degenerates to the constant-velocity transition as omega -> 0.  Process
@@ -126,7 +106,7 @@ def turn_model(T: float, omega: float, q_x: float = 0.0, q_y: float | None = Non
         raise ValueError("sampling interval must be non-negative")
     wt = omega * T
     if abs(wt) < 1e-12:
-        return ncv_model(T, q_x, q_y)
+        return ncv_model(T, q)
     s, c = np.sin(wt), np.cos(wt)
     F = np.array(
         [
@@ -136,11 +116,11 @@ def turn_model(T: float, omega: float, q_x: float = 0.0, q_y: float | None = Non
             [0.0, s, 0.0, c],
         ]
     )
-    return MotionModel(F=F, Q=ncv_model(T, q_x, q_y).Q)
+    return MotionModel(F=F, Q=ncv_model(T, q).Q)
 
 
-def compose_steps(model: MotionModel, steps: int) -> MultiStepModel:
-    """Transition/noise pair spanning ``steps`` prediction steps.
+def compose_steps(model: MotionModel, steps: int) -> MotionModel:
+    """Transition/noise pair spanning ``steps`` applications of ``model``.
 
     F_L = F^L and Q_L accumulates the single-step noise through each
     intermediate transition (explicit summation keeps the result exactly
@@ -154,10 +134,10 @@ def compose_steps(model: MotionModel, steps: int) -> MultiStepModel:
     for _ in range(steps):
         Q = F_step @ Q @ F_step.T + model.Q
         F = F_step @ F
-    return MultiStepModel(F=F, Q=0.5 * (Q + Q.T), steps=steps)
+    return MotionModel(F=F, Q=0.5 * (Q + Q.T), steps=model.steps * steps)
 
 
-def compose_lags(steps: Callable[[int], MultiStepModel], lags) -> MultiStepModel:
+def compose_lags(steps: Callable[[int], MotionModel], lags) -> MotionModel:
     """One multi-step model per element of the integer array ``lags``.
 
     ``steps(L)`` composes the model of lag L (e.g. a cached
@@ -168,7 +148,7 @@ def compose_lags(steps: Callable[[int], MultiStepModel], lags) -> MultiStepModel
     distinct, inverse = np.unique(lags, return_inverse=True)
     models = [steps(int(L)) for L in distinct]
     inverse = inverse.reshape(lags.shape)
-    return MultiStepModel(
+    return MotionModel(
         F=np.stack([m.F for m in models])[inverse],
         Q=np.stack([m.Q for m in models])[inverse],
         steps=lags,

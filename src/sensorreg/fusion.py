@@ -34,14 +34,13 @@ from .coords import (
     polar_to_cart,
     wrap_angle,
 )
-from .dynamics import MotionModel, MultiStepModel, compose_lags, compose_steps
+from .dynamics import MotionModel, compose_lags, compose_steps
 from .errors import NumericalError, at_index
 from .trackers import GaussianEstimate, kf_predict, kf_update
 from .tracklets import Tracklet, compute_tracklet
 
 __all__ = [
     "ReconstructedGain",
-    "CorrectedMeasurement",
     "FusedTrack",
     "SensorModel",
     "FbeResult",
@@ -56,36 +55,27 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class ReconstructedGain:
-    """Equivalent measurement noise, filter gain and (for local tracks) the
-    position-level equivalent measurement recovered from a tracklet."""
+    """Filter gain and equivalent measurement noise recovered from a
+    tracklet."""
 
     W: np.ndarray
-    R: np.ndarray
-    y: np.ndarray | None = None
-
-
-@dataclass
-class CorrectedMeasurement:
-    """Bias-corrected position measurements ``y`` (..., 2) with inflated
-    covariances ``R`` (..., 2, 2)."""
-
-    y: np.ndarray
     R: np.ndarray
 
 
 @dataclass
 class FusedTrack:
-    """Fused state estimates plus the measurements that contributed to them.
+    """Fused state estimates of :func:`sfa` plus the measurements that
+    contributed to them.
 
     ``sensors`` is a boolean mask (..., m) over the m measurement slots of
-    the :func:`sfa` call that produced the track; callers that give one slot
-    per sensor read it as a sensor mask.  ``measurement`` holds the
-    equivalent measurements ``(y_eq, R_eq)`` it folded in (NaN for none).
+    the call; callers that give one slot per sensor read it as a sensor
+    mask.  ``measurement`` holds the equivalent measurement ``(y_eq, R_eq)``
+    that each element folded in (NaN for none).
     """
 
     state: GaussianEstimate
-    sensors: np.ndarray | tuple = ()
-    measurement: CartesianMeasurement | None = None
+    sensors: np.ndarray
+    measurement: CartesianMeasurement
 
 
 @dataclass
@@ -119,13 +109,15 @@ def _position_block(M: np.ndarray) -> np.ndarray:
 
 
 def reconstruct_local_gain(t: Tracklet, pred_cov: np.ndarray) -> ReconstructedGain:
-    """Recover the equivalent measurement triple (y, R, W) of a local track.
+    """Recover the equivalent measurement noise and gain (R, W) of a local
+    track.
 
-    The equivalent measurement model is linear in position, so the noise is
-    the position block of the tracklet covariance and the gain follows from
-    the predicted covariance exactly as in a position-updating filter.
-    Leading batch axes of the tracklet carry through to ``W`` (..., 4, 2),
-    ``R`` (..., 2, 2) and ``y`` (..., 2).
+    The equivalent measurement model is linear in position, so the
+    measurement is the position part of the tracklet, its noise the
+    position block of the tracklet covariance, and the gain follows from the
+    predicted covariance exactly as in a position-updating filter.  Leading
+    batch axes of the tracklet carry through to ``W`` (..., 4, 2) and ``R``
+    (..., 2, 2).
     """
     R = symmetrize(_position_block(t.U))
     _, ok = det_spd2(R)
@@ -134,9 +126,7 @@ def reconstruct_local_gain(t: Tracklet, pred_cov: np.ndarray) -> ReconstructedGa
             "tracklet position covariance not positive definite", index=first_index(~ok)
         )
     S_inv, _ = inv_spd2(_position_block(pred_cov) + R, context="gain innovation covariance")
-    W = pred_cov[..., :, ::2] @ S_inv
-    y = t.u[..., ::2].copy()
-    return ReconstructedGain(W=W, R=R, y=y)
+    return ReconstructedGain(W=pred_cov[..., :, ::2] @ S_inv, R=R)
 
 
 def bias_correct(
@@ -144,15 +134,16 @@ def bias_correct(
     bias: BiasEstimate,
     noise: tuple,
     origin=(0.0, 0.0),
-) -> CorrectedMeasurement:
+) -> CartesianMeasurement:
     """Remove the current bias estimate from tracklets in polar coordinates.
 
     Each tracklet position is mapped to range/azimuth relative to the
     reporting sensor, the estimated offsets and scale factors are inverted,
     and the point is mapped back with the conversion compensation factor.
-    The returned covariance adds the sensor noise mapped through the
-    conversion Jacobian and the bias-estimate uncertainty mapped through the
-    bias Jacobian on top of the tracklet's own position covariance.
+    The returned measurement's covariance adds the sensor noise mapped
+    through the conversion Jacobian and the bias-estimate uncertainty mapped
+    through the bias Jacobian on top of the tracklet's own position
+    covariance.
 
     ``noise`` is the (sigma_r, sigma_theta) pair of the reporting sensor.
     The tracklet, the bias estimate, the noise levels and ``origin`` (..., 2)
@@ -191,7 +182,7 @@ def bias_correct(
     K = jacobians_at(r_bc, theta_bc).K[..., : bias.dim]
     noise_cov = converted_covariance(r_bc, theta_bc, sigma_r, sigma_theta)
     R = _position_block(t.U) + noise_cov + K @ bias.Sigma @ mt(K)
-    return CorrectedMeasurement(y=y, R=symmetrize(R))
+    return CartesianMeasurement(z=y, R=symmetrize(R))
 
 
 def _without_failures(run, keep: np.ndarray, record):
@@ -215,32 +206,32 @@ def _without_failures(run, keep: np.ndarray, record):
 
 
 def sfa(
-    fused_prev: FusedTrack,
-    model: MultiStepModel,
-    measurements: list[tuple[np.ndarray, np.ndarray]],
+    state: GaussianEstimate,
+    model: MotionModel,
+    z: CartesianMeasurement,
     present: np.ndarray | None = None,
 ) -> FusedTrack:
     """Predict the fused tracks, then fold in position measurements with
     one Kalman update per element.
 
-    The fused state, the model and each measurement's ``y`` (..., 2) and
-    ``R`` (..., 2, 2) may carry the same leading batch axes.  The
-    measurements j with ``present[..., j]`` (all when it is None) combine,
-    in list order, into ``R_eq = (sum R_j^-1)^-1``, ``y_eq = R_eq sum
-    R_j^-1 y_j``, whose update equals the sequential updates in exact
-    arithmetic.  A measurement whose ``R`` is not positive definite is
-    dropped for its element alone, and an element whose update fails keeps
-    its prediction, each with one logged warning.  The result's ``sensors``
-    marks the measurements folded into each element and ``measurement``
-    holds their ``(y_eq, R_eq)`` (NaN where there were none).
+    ``z`` holds m measurement slots on its last batch axis, ``z.z``
+    (..., m, 2) and ``z.R`` (..., m, 2, 2); the state, the model and the
+    measurements may carry the same leading batch axes.  The slots j with
+    ``present[..., j]`` (all when it is None) combine, in slot order, into
+    ``R_eq = (sum R_j^-1)^-1``, ``y_eq = R_eq sum R_j^-1 y_j``, whose update
+    equals the sequential updates in exact arithmetic.  A measurement whose
+    ``R`` is not positive definite is dropped for its element alone, and an
+    element whose update fails keeps its prediction, each with one logged
+    warning.  The result's ``sensors`` marks the slots folded into each
+    element and ``measurement`` holds their ``(y_eq, R_eq)`` (NaN where
+    there were none).
     """
-    pred = kf_predict(fused_prev.state, model)
+    pred = kf_predict(state, model)
     shape = pred.mean.shape[:-1]
-    m = len(measurements)
-    y = np.empty(shape + (m, 2))
-    R = np.empty(shape + (m, 2, 2))
-    for j, (y_j, R_j) in enumerate(measurements):
-        y[..., j, :], R[..., j, :, :] = y_j, R_j
+    m = z.z.shape[-2]
+    # Copies: unused slots are overwritten below.
+    y, R = np.empty(shape + (m, 2)), np.empty(shape + (m, 2, 2))
+    y[...], R[...] = z.z, z.R
     present = np.broadcast_to(True if present is None else present, shape + (m,))
     _, ok = det_spd2(R)
     for *index, j in np.argwhere(present & ~ok):
@@ -260,8 +251,8 @@ def sfa(
 
     def update(k):
         R_k, _ = inv_spd2(info_sum[k], context="combined measurement information")
-        z = CartesianMeasurement(mv(R_k, info_y[k]), symmetrize(R_k))
-        return z, kf_update(GaussianEstimate(x[k], P[k]), z)[0]
+        eq = CartesianMeasurement(mv(R_k, info_y[k]), symmetrize(R_k))
+        return eq, kf_update(GaussianEstimate(x[k], P[k]), eq)[0]
 
     def skip(i, exc):
         where = at_index(np.unravel_index(i, shape))
@@ -270,8 +261,8 @@ def sfa(
 
     keep, out = _without_failures(update, np.flatnonzero(flat_used.any(axis=1)), skip)
     if out is not None:
-        z, est = out
-        y_eq.reshape(-1, 2)[keep], R_eq.reshape(-1, 2, 2)[keep] = z.z, z.R
+        eq, est = out
+        y_eq.reshape(-1, 2)[keep], R_eq.reshape(-1, 2, 2)[keep] = eq.z, eq.R
         x[keep], P[keep] = est.mean, est.cov
     pred.mean, pred.cov = x.reshape(pred.mean.shape), P.reshape(pred.cov.shape)
     return FusedTrack(state=pred, sensors=used, measurement=CartesianMeasurement(y_eq, R_eq))
@@ -376,9 +367,10 @@ def fbe_step(
     res.tracklets = tl
     ls, lt = pairs[0][keep], pairs[1][keep]
     res.live[ls, lt] = True
-    y = np.zeros((n_s, n_t, 2))
-    R = np.zeros((n_s, n_t, 2, 2))
-    y[ls, lt], R[ls, lt] = corrected.y, corrected.R
+    # Target-major, so that each target's row holds one slot per sensor.
+    y = np.zeros((n_t, n_s, 2))
+    R = np.zeros((n_t, n_s, 2, 2))
+    y[lt, ls], R[lt, ls] = corrected.z, corrected.R
 
     # Leave-one-out fused reference of every live pair from the other
     # sensors' bias-corrected tracklets of its target.
@@ -390,12 +382,11 @@ def fbe_step(
     present[np.arange(e.size), es] = False
     fp = res.fused[es, et]
     msf = compose_lags(steps, curr[k].frame - fp.frame)
-    meas = [(y[r, et], R[r, et]) for r in range(n_s)]
     # The reference side of each pseudo-measurement is the equivalent
     # measurement of its update (what deconvolving the update would
     # recover), whose noise combines the corrected measurement covariances,
     # bias-uncertainty inflation included.
-    fused_new = sfa(FusedTrack(state=fp), msf, meas, present)
+    fused_new = sfa(fp, msf, CartesianMeasurement(y[et], R[et]), present)
     try:
         zb_s = sensor_pseudo_obs(curr[k], prev[k], g_s.W[e], lagged[k])
     except NumericalError as exc:

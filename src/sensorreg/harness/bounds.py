@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..coords import converted_covariance, jacobians_at
+from ..coords import cart_to_polar, converted_covariance, jacobians_at
 from .._linalg import symmetrize
 from ..crlb import combine_sensors, crlb_diag, fisher_information
 from ..errors import SingularMatrixError
@@ -62,9 +62,7 @@ def crlb_series(scenario: Scenario) -> CrlbSeries:
     sigma_r = np.array([s.sigma_r for s in scenario.sensors])
     sigma_theta = np.array([s.sigma_theta for s in scenario.sensors])
     # Observation blocks and noises of every (epoch, target, sensor).
-    dx = states[:, epochs, 0].T[..., None] - positions[:, 0]
-    dy = states[:, epochs, 2].T[..., None] - positions[:, 1]
-    rng, az = np.hypot(dx, dy), np.arctan2(dy, dx)
+    rng, az = cart_to_polar(states[:, epochs, None, ::2].swapaxes(0, 1), positions)
     K = jacobians_at(rng, az).K[..., :d]
     R = converted_covariance(rng, az, sigma_r, sigma_theta)
     try:

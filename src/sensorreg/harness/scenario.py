@@ -219,6 +219,13 @@ def _boolean(value, where: str) -> bool:
     return value
 
 
+def _given(doc: dict, convert: dict) -> dict:
+    """The keys of ``convert`` that ``doc`` holds, each value passed through
+    its converter; an absent key is left out, so the dataclass default of
+    its field applies."""
+    return {key: conv(doc[key]) for key, conv in convert.items() if key in doc}
+
+
 def _scenario_from_dict(doc: dict) -> Scenario:
     try:
         _known(doc, Scenario, "scenario")
@@ -231,12 +238,7 @@ def _scenario_from_dict(doc: dict) -> Scenario:
                     position=s["position"],
                     sigma_r=float(s["sigma_r"]),
                     sigma_theta=float(s["sigma_theta"]),
-                    bias=BiasVector(
-                        b_r=float(b.get("b_r", 0.0)),
-                        b_theta=float(b.get("b_theta", 0.0)),
-                        eps_r=float(b.get("eps_r", 0.0)),
-                        eps_theta=float(b.get("eps_theta", 0.0)),
-                    ),
+                    bias=BiasVector(**{key: float(v) for key, v in b.items()}),
                     lag=_integer(s.get("lag", 1), f"sensor {i} lag"),
                 )
             )
@@ -250,7 +252,7 @@ def _scenario_from_dict(doc: dict) -> Scenario:
                     SegmentSpec(
                         model=seg["model"],
                         frames=_integer(seg["frames"], f"target {i} segment {j} frames"),
-                        omega=float(seg.get("omega", 0.0)),
+                        **_given(seg, {"omega": float}),
                     )
                 )
             targets.append(TargetSpec(initial_state=t["initial_state"], segments=segments))
@@ -261,19 +263,19 @@ def _scenario_from_dict(doc: dict) -> Scenario:
             targets=targets,
             frames=_integer(doc["frames"], "frames"),
             mc_runs=_integer(doc.get("mc_runs", 1), "mc_runs"),
-            dt=float(doc.get("dt", 1.0)),
-            process_noise_q=float(doc.get("process_noise_q", 0.1)),
             local_filter=LocalFilterSpec(
-                type=lf.get("type", "kf"),
-                q=float(lf.get("q", 1.0)),
-                q1=float(lf.get("q1", 10.0)),
-                q2=float(lf.get("q2", 2.0)),
+                **_given(lf, {"type": lambda v: v, "q": float, "q1": float, "q2": float})
             ),
-            fusion_q=float(doc.get("fusion_q", 1.0)),
-            estimate_scale_bias=_boolean(
-                doc.get("estimate_scale_bias", False), "estimate_scale_bias"
+            **_given(
+                doc,
+                {
+                    "dt": float,
+                    "process_noise_q": float,
+                    "fusion_q": float,
+                    "estimate_scale_bias": lambda v: _boolean(v, "estimate_scale_bias"),
+                    "rng_seed": lambda v: _integer(v, "rng_seed"),
+                },
             ),
-            rng_seed=_integer(doc.get("rng_seed", 0), "rng_seed"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ScenarioError):

@@ -47,7 +47,6 @@ from ..dynamics import (
 )
 from ..errors import NumericalError, ScenarioError, SingularMatrixError
 from ..fusion import (
-    FusedTrack,
     SensorModel,
     bias_correct,
     fbe_step,
@@ -188,10 +187,7 @@ def simulate_truth(scenario: Scenario, run_index: int, zero_bias: bool = False) 
     cart_z = np.empty((n_s, n_t, K + 1, 2))
     cart_R = np.empty((n_s, n_t, K + 1, 2, 2))
     for s, sensor in enumerate(scenario.sensors):
-        dx = states[:, :, 0] - sensor.position[0]
-        dy = states[:, :, 2] - sensor.position[1]
-        r = np.hypot(dx, dy)
-        theta = np.arctan2(dy, dx)
+        r, theta = cart_to_polar(states[..., ::2], sensor.position)
         polar_true[s, :, :, 0] = r
         polar_true[s, :, :, 1] = theta
         bias = BiasVector() if zero_bias else sensor.bias
@@ -322,11 +318,11 @@ def _fuse_all_sensors(
     Each fused track starts from sensor 0's frame-0 estimate.  At each fusion
     epoch k, ``epoch_measurements(k, last, reporting)`` receives the frame
     each sensor last reported at (``last``, one per sensor) and the mask of
-    the sensors reporting at k.  It returns position measurements ``y``
-    (n_sensors, n_targets, 2) and ``R`` (n_sensors, n_targets, 2, 2) with
-    the mask of the (sensor, target) pairs that have one; one :func:`sfa`
-    call combines each target's measurements, in ascending sensor order,
-    into one update.
+    the sensors reporting at k.  It returns position measurements with one
+    slot per sensor, a :class:`CartesianMeasurement` of batch shape
+    (n_targets, n_sensors), and the mask of the slots that hold one; one
+    :func:`sfa` call combines each target's measurements, in ascending
+    sensor order, into one update.
 
     Returns the fused squared position error (mean over targets) per frame,
     NaN between epochs.
@@ -334,17 +330,16 @@ def _fuse_all_sensors(
     fusion_model = ncv_model(scenario.dt, scenario.fusion_q)
     steps = functools.cache(functools.partial(compose_steps, fusion_model))
     n_s = len(scenario.sensors)
-    fused = FusedTrack(state=tracks.estimate(0, slice(None), 0))
+    fused = tracks.estimate(0, slice(None), 0)
     last = np.zeros(n_s, dtype=int)
     sqerr = np.full(scenario.frames + 1, np.nan)
     for k in [0] + scenario.update_epochs():
         if k > 0:
             reporting = np.isin(np.arange(n_s), scenario.reporters_at(k))
-            y, R, present = epoch_measurements(k, last, reporting)
-            measurements = [(y[s], R[s]) for s in range(n_s)]
-            fused = sfa(fused, steps(k - fused.state.frame), measurements, present.T)
+            z, present = epoch_measurements(k, last, reporting)
+            fused = sfa(fused, steps(k - fused.frame), z, present).state
             last[reporting] = k
-        sqerr[k] = _position_sqerr(fused.state.mean, truth.states[:, k])
+        sqerr[k] = _position_sqerr(fused.mean, truth.states[:, k])
     return sqerr
 
 
@@ -385,16 +380,16 @@ def _run_fbe(scenario: Scenario, truth: TruthData, tracks: LocalTracks):
         )
         bias, fused = res.bias_states, res.fused
         record(k)
-        y = np.zeros((n_s, n_t, 2))
-        R = np.zeros((n_s, n_t, 2, 2))
+        y = np.zeros((n_t, n_s, 2))
+        R = np.zeros((n_t, n_s, 2, 2))
         if res.tracklets is not None:
             ls, lt = np.nonzero(res.live)
             geo = sensors[ls]
             c = bias_correct(
                 res.tracklets, bias[ls], (geo.sigma_r, geo.sigma_theta), origin=geo.position
             )
-            y[ls, lt], R[ls, lt] = c.y, c.R
-        return y, R, res.live
+            y[lt, ls], R[lt, ls] = c.z, c.R
+        return CartesianMeasurement(y, R), res.live.T
 
     record(0)
     fused_sqerr = _fuse_all_sensors(scenario, truth, tracks, epoch)
@@ -415,7 +410,7 @@ def _run_stacked(
         raise ScenarioError("true-gain path requires the plain Kalman local tracker")
 
     K = scenario.frames
-    ms1 = compose_steps(ncv_model(scenario.dt, scenario.fusion_q), 1)
+    ms1 = ncv_model(scenario.dt, scenario.fusion_q)
     sig = scenario.bias_prior_sigma()
     prior = np.diag(np.concatenate([sig**2, sig**2]))
     est = BiasEstimate(b=np.zeros(4), Sigma=prior)
@@ -477,16 +472,23 @@ def _run_baseline(scenario: Scenario, truth: TruthData, tracks: LocalTracks):
     def epoch(k: int, last: np.ndarray, reporting: np.ndarray):
         sel = np.flatnonzero(reporting)
         lags = np.broadcast_to((k - last[sel])[:, None], (sel.size, n_t))
-        trk = compute_tracklet(
-            tracks.reports(last)[sel],
-            tracks.estimate(sel, slice(None), k),
-            compose_lags(steps, lags),
-        )
-        g = reconstruct_local_gain(trk, trk.pred_cov)
-        y = np.zeros((n_s, n_t, 2))
-        R = np.zeros((n_s, n_t, 2, 2))
-        y[sel], R[sel] = g.y, g.R
-        return y, R, np.broadcast_to(reporting[:, None], (n_s, n_t))
+        try:
+            trk = compute_tracklet(
+                tracks.reports(last)[sel],
+                tracks.estimate(sel, slice(None), k),
+                compose_lags(steps, lags),
+            )
+            g = reconstruct_local_gain(trk, trk.pred_cov)
+        except NumericalError as exc:
+            if exc.index is None:
+                raise
+            i, t = exc.index
+            where = f"sensor {sel[i]}, target {t}, frame {k}"
+            raise type(exc)(f"{where}: {exc.reason}", index=exc.index) from exc
+        y = np.zeros((n_t, n_s, 2))
+        R = np.zeros((n_t, n_s, 2, 2))
+        y[:, sel], R[:, sel] = trk.u[..., ::2].swapaxes(0, 1), g.R.swapaxes(0, 1)
+        return CartesianMeasurement(y, R), np.broadcast_to(reporting, (n_t, n_s))
 
     return None, None, _fuse_all_sensors(scenario, truth, tracks, epoch)
 

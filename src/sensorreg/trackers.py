@@ -20,7 +20,7 @@ import numpy as np
 
 from ._linalg import first_index, inv_spd2, mt, mv, symmetrize
 from .coords import CartesianMeasurement
-from .dynamics import MotionModel, MultiStepModel
+from .dynamics import MotionModel
 from .errors import SingularMatrixError
 
 __all__ = [
@@ -92,16 +92,14 @@ class GaussianEstimate:
 
 @dataclass
 class KfStepRecord:
-    """Gain, innovation, its covariance (with that covariance's inverse and
-    log-determinant) and the predicted measurement of one Kalman update,
-    with the batch axes of the updated estimate."""
+    """Gain, innovation, and the inverse and log-determinant of the
+    innovation covariance of one Kalman update, with the batch axes of the
+    updated estimate."""
 
     gain: np.ndarray
     innovation: np.ndarray
-    innovation_cov: np.ndarray
     innovation_inv: np.ndarray
     innovation_logdet: np.ndarray
-    predicted_meas: np.ndarray
 
 
 def init_track(z: CartesianMeasurement, frame: int = 0) -> GaussianEstimate:
@@ -114,12 +112,12 @@ def init_track(z: CartesianMeasurement, frame: int = 0) -> GaussianEstimate:
     return GaussianEstimate(mean=mean, cov=cov, frame=frame)
 
 
-def kf_predict(est: GaussianEstimate, model: MotionModel | MultiStepModel) -> GaussianEstimate:
-    """Propagate mean and covariance through the model."""
-    steps = model.steps if isinstance(model, MultiStepModel) else 1
+def kf_predict(est: GaussianEstimate, model: MotionModel) -> GaussianEstimate:
+    """Propagate mean and covariance through the model, advancing the frame
+    by its ``steps``."""
     mean = mv(model.F, est.mean)
     cov = symmetrize(model.F @ est.cov @ mt(model.F) + model.Q)
-    return GaussianEstimate(mean=mean, cov=cov, frame=est.frame + steps)
+    return GaussianEstimate(mean=mean, cov=cov, frame=est.frame + model.steps)
 
 
 def kf_update(
@@ -132,8 +130,7 @@ def kf_update(
     n = est.dim
     # Positions sit at indices 0 and n/2, so they are a strided slice.
     pos = slice(None, None, n // 2)
-    z_pred = est.mean[..., pos]
-    nu = z.z - z_pred
+    nu = z.z - est.mean[..., pos]
     PHt = est.cov[..., :, pos]
     S = PHt[..., pos, :] + z.R
     S_inv, logdet = inv_spd2(S, "innovation covariance")
@@ -141,14 +138,7 @@ def kf_update(
     mean = est.mean + mv(W, nu)
     M = _EYE[n] - W @ _SELECTOR[n]
     cov = symmetrize(M @ est.cov @ mt(M) + W @ z.R @ mt(W))
-    rec = KfStepRecord(
-        gain=W,
-        innovation=nu,
-        innovation_cov=S,
-        innovation_inv=S_inv,
-        innovation_logdet=logdet,
-        predicted_meas=z_pred,
-    )
+    rec = KfStepRecord(gain=W, innovation=nu, innovation_inv=S_inv, innovation_logdet=logdet)
     return GaussianEstimate(mean=mean, cov=cov, frame=est.frame), rec
 
 
@@ -178,7 +168,7 @@ class ImmState:
     """
 
     modes: GaussianEstimate
-    model: MultiStepModel
+    model: MotionModel
     mode_probs: np.ndarray
     transition: np.ndarray
 
@@ -232,10 +222,9 @@ class ImmState:
             cov=np.repeat(cov[..., None, :, :], len(models), axis=-3),
             frame=est.frame,
         )
-        model = MultiStepModel(
+        model = MotionModel(
             F=np.stack([lift(m.F, 0.0) for m in models]),
             Q=np.stack([lift(m.Q, ACCEL_PRIOR_VAR) for m in models]),
-            steps=1,
         )
         return cls(modes=modes, model=model, mode_probs=mode_probs, transition=transition)
 

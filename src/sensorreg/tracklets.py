@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import first_index, inv_spd, inv_sym, mt, mv, symmetrize
-from .dynamics import MultiStepModel
+from .dynamics import MotionModel
 from .errors import NumericalError, SingularMatrixError, TrackletSingularError
 from .trackers import GaussianEstimate
 
@@ -59,7 +59,7 @@ class Tracklet:
     method: str | np.ndarray = "inverse_kf"
 
 
-def _predict(prev: GaussianEstimate, model: MultiStepModel):
+def _predict(prev: GaussianEstimate, model: MotionModel):
     x_pred = mv(model.F, prev.mean)
     P_pred = model.F @ prev.cov @ mt(model.F) + model.Q
     return x_pred, P_pred
@@ -150,7 +150,7 @@ def _pinv_psd_one(Lam: np.ndarray) -> np.ndarray:
 
 
 def tracklet_inverse_kf(
-    prev: GaussianEstimate, curr: GaussianEstimate, model: MultiStepModel
+    prev: GaussianEstimate, curr: GaussianEstimate, model: MotionModel
 ) -> Tracklet:
     """Invert the filter update between two snapshots of the same track.
 
@@ -195,7 +195,7 @@ def tracklet_inverse_kf(
 
 
 def tracklet_decorrelated(
-    prev: GaussianEstimate, curr: GaussianEstimate, model: MultiStepModel
+    prev: GaussianEstimate, curr: GaussianEstimate, model: MotionModel
 ) -> Tracklet:
     """Build the tracklet from the information difference of the snapshots.
 
@@ -232,7 +232,7 @@ def tracklet_decorrelated(
 
 
 def compute_tracklet(
-    prev: GaussianEstimate, curr: GaussianEstimate, model: MultiStepModel
+    prev: GaussianEstimate, curr: GaussianEstimate, model: MotionModel
 ) -> Tracklet:
     """Tracklet in the inverse-filter form, falling back to the decorrelated
     form for the elements whose covariance difference is near-singular.
@@ -255,7 +255,7 @@ def compute_tracklet(
         except NumericalError as exc:
             if exc.index is None:
                 raise
-            raise type(exc)(exc.reason, index=np.argwhere(sel)[exc.index[0]]) from exc
+            raise type(exc)(exc.reason, index=tuple(np.argwhere(sel)[exc.index[0]])) from exc
 
     inv, dec = part(tracklet_inverse_kf, ~failed), part(tracklet_decorrelated, failed)
     u = np.empty(failed.shape + inv.u.shape[-1:])

@@ -12,7 +12,7 @@ from sensorreg.bias import (
 )
 from sensorreg._linalg import mv
 from sensorreg.coords import cart_to_polar, converted_covariance, jacobians_at
-from sensorreg.dynamics import MultiStepModel, compose_steps, ncv_model
+from sensorreg.dynamics import compose_steps, ncv_model
 from sensorreg.errors import SingularMatrixError
 from sensorreg.trackers import GaussianEstimate, position_selector
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from sensorreg.cli import main
+from sensorreg.harness import builtin_scenario_path
 
 
 @pytest.fixture()
@@ -197,3 +198,20 @@ def test_bad_scenario_value_is_a_scenario_error(tiny_scenario, tmp_path, capsys,
         assert main(["simulate", "--scenario", str(tiny_scenario), "--method", method,
                      "--out", str(tmp_path / "o")]) == 1
         assert f"scenario error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["baseline", "exl"])
+def test_tracklet_failure_names_sensor_target_and_frame(tmp_path, capsys, method):
+    # The IMM's single-step snapshots give an indefinite information
+    # difference at the first pair; both tracklet paths name it.
+    doc = json.loads(Path(builtin_scenario_path("two_sensor")).read_text())
+    doc["local_filter"] = {"type": "imm_ncv_ncv"}
+    path = tmp_path / "imm.json"
+    path.write_text(json.dumps(doc))
+    code = main([
+        "simulate", "--scenario", str(path), "--method", method, "--runs", "1",
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "run 0: sensor 0, target 0, frame 1: information difference indefinite" in err

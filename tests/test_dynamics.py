@@ -86,7 +86,7 @@ def test_compose_ten_steps_matches_monte_carlo_rollup():
 
 
 def test_compose_additivity():
-    m = ncv_model(0.7, 0.3, 0.2)
+    m = ncv_model(0.7, 0.3)
     a, b = 3, 4
     mab = compose_steps(m, a + b)
     ma = compose_steps(m, a)

@@ -25,7 +25,6 @@ from sensorreg.coords import (
 from sensorreg.dynamics import compose_steps, ncv_model
 from sensorreg.errors import NumericalError, SingularMatrixError
 from sensorreg.fusion import (
-    FusedTrack,
     SensorModel,
     bias_correct,
     fbe_step,
@@ -55,7 +54,6 @@ def test_local_gain_scalar_reduction():
     g = reconstruct_local_gain(t, pred)
     assert g.W[0, 0] == pytest.approx(0.5, rel=1e-9)
     assert g.W[2, 1] == pytest.approx(0.5, rel=1e-9)
-    np.testing.assert_allclose(g.y, [2.0, -3.0])
 
 
 def test_local_gain_vanishes_for_uninformative_tracklet():
@@ -84,14 +82,14 @@ def test_local_gain_matches_true_kalman_gain_single_step():
     g = reconstruct_local_gain(t, t.pred_cov)
     np.testing.assert_allclose(g.W, rec.gain, rtol=1e-6)
     np.testing.assert_allclose(g.R, z.R, rtol=1e-6)
-    np.testing.assert_allclose(g.y, z.z, rtol=1e-6)
+    np.testing.assert_allclose(t.u[::2], z.z, rtol=1e-6)
 
 
 def test_bias_correct_null_correction():
     t = _tracklet_from([300.0, 1.0, 400.0, -1.0], np.eye(4))
     est = BiasEstimate(b=np.zeros(2), Sigma=np.zeros((2, 2)))
     out = bias_correct(t, est, (10.0, 0.0))
-    np.testing.assert_allclose(out.y, [300.0, 400.0], rtol=1e-12)
+    np.testing.assert_allclose(out.z, [300.0, 400.0], rtol=1e-12)
 
 
 def test_bias_correct_round_trip_recovers_truth():
@@ -102,7 +100,7 @@ def test_bias_correct_round_trip_recovers_truth():
     t = _tracklet_from([meas[0], 0.0, meas[1], 0.0], np.eye(4))
     est = BiasEstimate(b=[20.0, 1e-3], Sigma=np.zeros((2, 2)))
     out = bias_correct(t, est, (10.0, 0.0))
-    np.testing.assert_allclose(out.y, polar_to_cart(r, theta, 0.0), atol=1e-9)
+    np.testing.assert_allclose(out.z, polar_to_cart(r, theta, 0.0), atol=1e-9)
 
 
 def test_bias_correct_with_scale_round_trip():
@@ -112,7 +110,7 @@ def test_bias_correct_with_scale_round_trip():
     t = _tracklet_from([meas[0], 0.0, meas[1], 0.0], np.eye(4))
     est = BiasEstimate(b=[20.0, 1e-3, 0.001, 0.001], Sigma=np.zeros((4, 4)))
     out = bias_correct(t, est, (10.0, 0.0))
-    np.testing.assert_allclose(out.y, polar_to_cart(r, theta, 0.0), atol=1e-8)
+    np.testing.assert_allclose(out.z, polar_to_cart(r, theta, 0.0), atol=1e-8)
 
 
 def test_bias_correct_with_sensor_origin():
@@ -122,7 +120,7 @@ def test_bias_correct_with_sensor_origin():
     t = _tracklet_from([meas[0], 0.0, meas[1], 0.0], np.eye(4))
     est = BiasEstimate(b=[-15.0, -2e-3], Sigma=np.zeros((2, 2)))
     out = bias_correct(t, est, (10.0, 0.0), origin=origin)
-    np.testing.assert_allclose(out.y, polar_to_cart(r, theta, 0.0, origin), atol=1e-8)
+    np.testing.assert_allclose(out.z, polar_to_cart(r, theta, 0.0, origin), atol=1e-8)
 
 
 def test_bias_correct_covariance_dominates_tracklet_noise():
@@ -157,15 +155,13 @@ def test_bias_correct_rejects_overcorrected_range():
 def test_sfa_single_measurement_equals_kalman_update():
     model = ncv_model(1.0, 0.2)
     ms = compose_steps(model, 1)
-    prev = FusedTrack(
-        state=GaussianEstimate(
-            mean=[0.0, 1.0, 0.0, -1.0], cov=np.diag([50.0, 5.0, 50.0, 5.0]), frame=0
-        )
+    prev = GaussianEstimate(
+        mean=[0.0, 1.0, 0.0, -1.0], cov=np.diag([50.0, 5.0, 50.0, 5.0]), frame=0
     )
     y = np.array([3.0, -2.0])
     R = np.diag([10.0, 20.0])
-    out = sfa(prev, ms, [(y, R)])
-    ref = kf_predict(prev.state, model)
+    out = sfa(prev, ms, CartesianMeasurement(z=y[None], R=R[None]))
+    ref = kf_predict(prev, model)
     ref, _ = kf_update(ref, CartesianMeasurement(z=y, R=R))
     np.testing.assert_allclose(out.state.mean, ref.mean, rtol=1e-10)
     np.testing.assert_allclose(out.state.cov, ref.cov, rtol=1e-10)
@@ -174,11 +170,9 @@ def test_sfa_single_measurement_equals_kalman_update():
 def test_sfa_empty_measurements_is_pure_prediction():
     model = ncv_model(1.0, 0.2)
     ms = compose_steps(model, 3)
-    prev = FusedTrack(
-        state=GaussianEstimate(mean=[1.0, 1.0, 1.0, 1.0], cov=np.eye(4), frame=0)
-    )
-    out = sfa(prev, ms, [])
-    np.testing.assert_allclose(out.state.mean, ms.F @ prev.state.mean)
+    prev = GaussianEstimate(mean=[1.0, 1.0, 1.0, 1.0], cov=np.eye(4), frame=0)
+    out = sfa(prev, ms, CartesianMeasurement(z=np.empty((0, 2)), R=np.empty((0, 2, 2))))
+    np.testing.assert_allclose(out.state.mean, ms.F @ prev.mean)
     np.testing.assert_allclose(out.state.cov, ms.F @ np.eye(4) @ ms.F.T + ms.Q, rtol=1e-12)
     assert out.state.frame == 3
     assert out.sensors.shape == (0,)
@@ -193,9 +187,7 @@ def test_sfa_equals_batch_update_any_order():
     for _ in range(trials):
         M = rng.integers(2, 6)
         prev_cov = np.diag(rng.uniform(5.0, 200.0, 4))
-        prev = FusedTrack(
-            state=GaussianEstimate(mean=rng.standard_normal(4) * 10, cov=prev_cov, frame=0)
-        )
+        prev = GaussianEstimate(mean=rng.standard_normal(4) * 10, cov=prev_cov, frame=0)
         steps = int(rng.integers(1, 4))
         ms = compose_steps(model, steps)
         meas = []
@@ -203,11 +195,11 @@ def test_sfa_equals_batch_update_any_order():
             A = rng.standard_normal((2, 2))
             meas.append((rng.standard_normal(2) * 5, A @ A.T + 0.5 * np.eye(2)))
         order = rng.permutation(M)
-        out = sfa(prev, ms, [meas[i] for i in order])
+        out = sfa(prev, ms, _slots([meas[i] for i in order]))
 
         # Batch oracle in information form.
-        x_pred = ms.F @ prev.state.mean
-        P_pred = ms.F @ prev.state.cov @ ms.F.T + ms.Q
+        x_pred = ms.F @ prev.mean
+        P_pred = ms.F @ prev.cov @ ms.F.T + ms.Q
         H = np.array([[1.0, 0, 0, 0], [0, 0, 1.0, 0]])
         J = np.linalg.inv(P_pred)
         rhs = J @ x_pred
@@ -230,18 +222,24 @@ SFA_RTOL = 1e-11
 FUSED_PSEUDO_RTOL = 1e-12
 
 
-def _per_slot_sfa(fused_prev, model, measurements, present=None):
+def _slots(measurements):
+    """``(y, R)`` pairs as one measurement with a slot axis, in list order."""
+    y, R = zip(*measurements)
+    return CartesianMeasurement(z=np.stack(y, axis=-2), R=np.stack(R, axis=-3))
+
+
+def _per_slot_sfa(state, model, z, present=None):
     """Reference fusion: predict, then one Kalman update per measurement
     slot over the elements where it is present, in slot order."""
-    pred = kf_predict(fused_prev.state, model)
+    pred = kf_predict(state, model)
     shape = pred.mean.shape[:-1]
     x, P = pred.mean.reshape(-1, 4).copy(), pred.cov.reshape(-1, 4, 4).copy()
-    m = len(measurements)
+    m = z.z.shape[-2]
     present = np.broadcast_to(True if present is None else present, shape + (m,))
     present = present.reshape(-1, m)
-    for j, (y, R) in enumerate(measurements):
-        y = np.broadcast_to(y, shape + (2,)).reshape(-1, 2)
-        R = np.broadcast_to(R, shape + (2, 2)).reshape(-1, 2, 2)
+    for j in range(m):
+        y = np.broadcast_to(z.z[..., j, :], shape + (2,)).reshape(-1, 2)
+        R = np.broadcast_to(z.R[..., j, :, :], shape + (2, 2)).reshape(-1, 2, 2)
         k = np.flatnonzero(present[:, j])
         est, _ = kf_update(GaussianEstimate(x[k], P[k]), CartesianMeasurement(y[k], R[k]))
         x[k], P[k] = est.mean, est.cov
@@ -258,13 +256,13 @@ def test_sfa_matches_per_slot_updates():
         n, m = int(rng.integers(1, 9)), int(rng.integers(1, 7))
         A = rng.standard_normal((n, 4, 4)) * 10.0 ** rng.uniform(0.5, 2.5, (n, 1, 1))
         mean = rng.standard_normal((n, 4)) * [1e4, 10.0, 1e4, 10.0]
-        prev = FusedTrack(state=GaussianEstimate(mean, A @ mt(A) + np.eye(4), frame=0))
+        prev = GaussianEstimate(mean, A @ mt(A) + np.eye(4), frame=0)
         ms = compose_steps(model, int(rng.integers(1, 11)))
         B = rng.standard_normal((m, n, 2, 2)) * 10.0 ** rng.uniform(0.5, 2.5, (m, n, 1, 1))
         R = B @ mt(B) + np.eye(2)
         y = mean[:, ::2] + rng.standard_normal((m, n, 2)) * 100.0
         present = rng.random((n, m)) < 0.7
-        meas = list(zip(y, R))
+        meas = _slots(list(zip(y, R)))
         out = sfa(prev, ms, meas, present)
         ref = _per_slot_sfa(prev, ms, meas, present)
         assert out.sensors.tolist() == present.tolist()
@@ -368,8 +366,8 @@ def test_fbe_step_fused_side_is_the_deconvolved_reference_update(monkeypatch):
         others = [r for r in range(n_s) if r != s]
         fp = fused_prev[s, tgt]
         msf = compose_steps(model, curr.frame - fp.frame)
-        meas = [(c.y[r, tgt], c.R[r, tgt]) for r in others]
-        fused = _per_slot_sfa(FusedTrack(state=fp), msf, meas)
+        meas = CartesianMeasurement(z=c.z[others, tgt], R=c.R[others, tgt])
+        fused = _per_slot_sfa(fp, msf, meas)
         info_f = np.zeros((2, 2))
         for r in others:
             info_f = info_f + info[r, tgt]
@@ -534,30 +532,28 @@ def test_batched_sfa_skips_only_the_singular_element(caplog):
     ms = compose_steps(model, 2)
     rng = np.random.default_rng(3)
     n = 3
-    prev = FusedTrack(
-        state=GaussianEstimate(
-            mean=rng.standard_normal((n, 4)) * 10,
-            cov=np.diag([50.0, 5.0, 50.0, 5.0]) * rng.uniform(1.0, 2.0, (n, 1, 1)),
-            frame=0,
-        )
+    prev = GaussianEstimate(
+        mean=rng.standard_normal((n, 4)) * 10,
+        cov=np.diag([50.0, 5.0, 50.0, 5.0]) * rng.uniform(1.0, 2.0, (n, 1, 1)),
+        frame=0,
     )
     y = rng.standard_normal((2, n, 2))
     R = np.tile(np.diag([10.0, 20.0]), (2, n, 1, 1))
     # Element 1's first measurement cancels its predicted position
     # covariance exactly: its covariance is not positive definite.
-    P1 = ms.F @ prev.state.cov[1] @ ms.F.T + ms.Q
+    P1 = ms.F @ prev.cov[1] @ ms.F.T + ms.Q
     R[0, 1] = -0.5 * (P1 + P1.T)[::2, ::2]
     with caplog.at_level(logging.WARNING, logger="sensorreg.fusion"):
-        out = sfa(prev, ms, [(y[0], R[0]), (y[1], R[1])])
+        out = sfa(prev, ms, _slots([(y[0], R[0]), (y[1], R[1])]))
     records = [r.getMessage() for r in caplog.records if r.name == "sensorreg.fusion"]
     assert records == [
         "skipping measurement 0 at batch index [1]: covariance not positive definite"
     ]
     assert out.sensors.tolist() == [[True, True], [False, True], [True, True]]
     for i in range(n):
-        one = FusedTrack(state=GaussianEstimate(prev.state.mean[i], prev.state.cov[i], frame=0))
+        one = GaussianEstimate(prev.mean[i], prev.cov[i], frame=0)
         meas = [(y[1, i], R[1, i])] if i == 1 else [(y[0, i], R[0, i]), (y[1, i], R[1, i])]
-        ref = sfa(one, ms, meas)
+        ref = sfa(one, ms, _slots(meas))
         np.testing.assert_allclose(out.state.mean[i], ref.state.mean, rtol=1e-12)
         np.testing.assert_allclose(out.state.cov[i], ref.state.cov, rtol=1e-12)
         assert out.state.frame == ref.state.frame == 2
@@ -569,8 +565,8 @@ def test_batched_sfa_keeps_the_prediction_of_a_failed_update(caplog):
     ms = compose_steps(ncv_model(1.0, 0.2), 1)
     cov = np.tile(np.diag([50.0, 5.0, 50.0, 5.0]), (3, 1, 1))
     cov[1, 0, 0] = np.nan
-    prev = FusedTrack(state=GaussianEstimate(np.zeros((3, 4)), cov, frame=0))
-    meas = [(np.ones(2), np.diag([10.0, 20.0])), (-np.ones(2), np.eye(2))]
+    prev = GaussianEstimate(np.zeros((3, 4)), cov, frame=0)
+    meas = _slots([(np.ones(2), np.diag([10.0, 20.0])), (-np.ones(2), np.eye(2))])
     with caplog.at_level(logging.WARNING, logger="sensorreg.fusion"):
         out = sfa(prev, ms, meas)
     records = [r.getMessage() for r in caplog.records if r.name == "sensorreg.fusion"]
@@ -579,7 +575,7 @@ def test_batched_sfa_keeps_the_prediction_of_a_failed_update(caplog):
         "innovation covariance is singular (cond ~ inf)"
     ]
     assert out.sensors.tolist() == [[True, True], [False, False], [True, True]]
-    pred = kf_predict(prev.state, ms)
+    pred = kf_predict(prev, ms)
     np.testing.assert_array_equal(out.state.mean[1], pred.mean[1])
     np.testing.assert_array_equal(out.state.cov[1], pred.cov[1])
     assert np.isnan(out.measurement.z[1]).all()
@@ -606,7 +602,7 @@ def test_batched_fusion_formulas_match_batch_free_calls():
     zb = sensor_pseudo_obs(curr, prev, g.W, ms)
     r, th = cart_to_polar(t.u[..., ::2], geo.position)
     jac = jacobians_at(r, th)
-    pm = difference_pseudo_measurement(zb, c.y, jac, c.R, g.R, offset_only=False)
+    pm = difference_pseudo_measurement(zb, c.z, jac, c.R, g.R, offset_only=False)
     est = rlsb_update(bias[:, None], pm[:, :, None])
     for s in range(3):
         for tgt in range(2):
@@ -616,13 +612,13 @@ def test_batched_fusion_formulas_match_batch_free_calls():
             c1 = bias_correct(
                 ts, bias[s], (10.0, 1e-3), origin=tuple(sensors.position[s])
             )
-            np.testing.assert_array_equal(c.y[s, tgt], c1.y)
+            np.testing.assert_array_equal(c.z[s, tgt], c1.z)
             np.testing.assert_array_equal(c.R[s, tgt], c1.R)
             z1 = sensor_pseudo_obs(curr[s, tgt], prev[s, tgt], g.W[s, tgt], ms)
             np.testing.assert_array_equal(zb[s, tgt], z1)
             j1 = jacobians_at(*cart_to_polar(t.u[s, tgt, ::2], sensors.position[s]))
             np.testing.assert_array_equal(jac.K[s, tgt], j1.K)
-            pm1 = difference_pseudo_measurement(z1, c1.y, j1, c1.R, g.R[s, tgt], offset_only=False)
+            pm1 = difference_pseudo_measurement(z1, c1.z, j1, c1.R, g.R[s, tgt], offset_only=False)
             e1 = rlsb_update(bias[s], pm1[None])
             np.testing.assert_array_equal(est.b[s, tgt], e1.b)
             np.testing.assert_array_equal(est.Sigma[s, tgt], e1.Sigma)

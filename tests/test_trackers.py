@@ -6,7 +6,7 @@ from scipy.stats import chi2
 
 from sensorreg._linalg import symmetrize
 from sensorreg.coords import CartesianMeasurement
-from sensorreg.dynamics import MultiStepModel, ncv_model
+from sensorreg.dynamics import MotionModel, ncv_model
 from sensorreg.errors import SingularMatrixError
 from sensorreg.trackers import (
     ACCEL_PRIOR_VAR,
@@ -25,8 +25,6 @@ def _est(mean, cov, frame=0):
 
 
 def test_predict_identity_model_is_noop():
-    from sensorreg.dynamics import MotionModel
-
     model = MotionModel(F=np.eye(4), Q=np.zeros((4, 4)))
     est = _est([1, 2, 3, 4], np.eye(4))
     out = kf_predict(est, model)
@@ -83,7 +81,6 @@ def test_update_records_gain_and_innovation():
     est = _est([1, 0, 2, 0], np.eye(4))
     z = CartesianMeasurement(z=[2.0, 2.0], R=np.eye(2))
     out, rec = kf_update(est, z)
-    np.testing.assert_allclose(rec.predicted_meas, [1.0, 2.0])
     np.testing.assert_allclose(rec.innovation, [1.0, 0.0])
     assert rec.gain.shape == (4, 2)
 
@@ -121,9 +118,7 @@ def _imm(models, mu=(0.5, 0.5), pi=((0.95, 0.05), (0.05, 0.95))):
     modes = GaussianEstimate(
         mean=np.stack([est.mean] * len(models)), cov=np.stack([est.cov] * len(models)), frame=0
     )
-    model = MultiStepModel(
-        F=np.stack([m.F for m in models]), Q=np.stack([m.Q for m in models]), steps=1
-    )
+    model = MotionModel(F=np.stack([m.F for m in models]), Q=np.stack([m.Q for m in models]))
     return ImmState(modes=modes, model=model, mode_probs=np.array(mu), transition=np.array(pi))
 
 
@@ -212,7 +207,7 @@ def test_imm_mixed_dimension_modes():
     Q6[np.ix_([0, 1, 3, 4], [0, 1, 3, 4])] = models[1].Q
     state = ImmState(
         modes=GaussianEstimate(mean=np.stack([mean6, mean6]), cov=np.stack([cov6, cov6])),
-        model=MultiStepModel(F=np.stack([models[0].F, F6]), Q=np.stack([models[0].Q, Q6]), steps=1),
+        model=MotionModel(F=np.stack([models[0].F, F6]), Q=np.stack([models[0].Q, Q6])),
         mode_probs=np.array([0.5, 0.5]),
         transition=np.array([[0.95, 0.05], [0.05, 0.95]]),
     )

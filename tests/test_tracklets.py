@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sensorreg.coords import CartesianMeasurement
-from sensorreg.dynamics import MultiStepModel, compose_steps, ncv_model
+from sensorreg.dynamics import MotionModel, compose_steps, ncv_model
 from sensorreg.errors import NumericalError, TrackletSingularError
 from sensorreg.fusion import reconstruct_local_gain
 from sensorreg.trackers import GaussianEstimate, kf_predict, kf_update
@@ -139,7 +139,7 @@ def test_inverse_kf_rejects_singular_difference():
 
 
 def test_decorrelated_scalar_case():
-    model = MultiStepModel(F=np.eye(1), Q=np.zeros((1, 1)), steps=1)
+    model = MotionModel(F=np.eye(1), Q=np.zeros((1, 1)))
     prev = GaussianEstimate(mean=[1.0], cov=[[1.0]], frame=0)
     curr = GaussianEstimate(mean=[2.0], cov=[[0.5]], frame=1)
     t = tracklet_decorrelated(prev, curr, model)
@@ -148,7 +148,7 @@ def test_decorrelated_scalar_case():
 
 
 def test_decorrelated_no_update_is_prediction_fixed_point():
-    model = MultiStepModel(F=np.eye(1), Q=np.zeros((1, 1)), steps=1)
+    model = MotionModel(F=np.eye(1), Q=np.zeros((1, 1)))
     prev = GaussianEstimate(mean=[3.0], cov=[[1.0]], frame=0)
     curr = GaussianEstimate(mean=[3.0], cov=[[0.5]], frame=1)
     t = tracklet_decorrelated(prev, curr, model)
@@ -174,7 +174,7 @@ def test_decorrelated_single_step_recovers_measurement():
 
 
 def test_decorrelated_rejects_information_loss():
-    model = MultiStepModel(F=np.eye(4), Q=np.zeros((4, 4)), steps=1)
+    model = MotionModel(F=np.eye(4), Q=np.zeros((4, 4)))
     prev = GaussianEstimate(mean=np.zeros(4), cov=np.eye(4), frame=0)
     curr = GaussianEstimate(mean=np.zeros(4), cov=2.0 * np.eye(4), frame=1)
     with pytest.raises(NumericalError):
@@ -275,7 +275,7 @@ def test_batched_tracklet_and_gain_match_per_pair_loop():
     t = tracklet_decorrelated(*_stacked(pairs, (2, 2)), ms1)
     g = reconstruct_local_gain(t, t.pred_cov)
     assert t.u.shape == (2, 2, 4) and t.U.shape == t.pred_cov.shape == (2, 2, 4, 4)
-    assert g.W.shape == (2, 2, 4, 2) and g.R.shape == (2, 2, 2, 2) and g.y.shape == (2, 2, 2)
+    assert g.W.shape == (2, 2, 4, 2) and g.R.shape == (2, 2, 2, 2)
     for i, (kind, (prev, curr)) in enumerate(zip(kinds, pairs)):
         idx = divmod(i, 2)
         t1 = tracklet_decorrelated(prev, curr, ms1)
@@ -284,7 +284,7 @@ def test_batched_tracklet_and_gain_match_per_pair_loop():
         assert (np.abs(t1.U[1::2]).max() > 0.0) == (kind == "full")
         for batched, single in [
             (t.u, t1.u), (t.U, t1.U), (t.pred_cov, t1.pred_cov),
-            (g.W, g1.W), (g.R, g1.R), (g.y, g1.y),
+            (g.W, g1.W), (g.R, g1.R),
         ]:
             np.testing.assert_allclose(batched[idx], single, rtol=1e-12, atol=0.0)
 
@@ -295,3 +295,15 @@ def test_batched_tracklet_rejects_indefinite_element():
     pairs = [_snapshot_pair(rng, ms1, kind) for kind in ["pos", "loss", "full"]]
     with pytest.raises(NumericalError, match=r"indefinite.* at batch index \[1\]"):
         tracklet_decorrelated(*_stacked(pairs, (3,)), ms1)
+
+
+@pytest.mark.parametrize("shape", [(2,), (1, 2)])
+def test_mixed_batch_names_a_failure_at_the_first_element(shape):
+    # Element 0 takes the decorrelated form and fails; element 1 passes the
+    # inverse-filter form.  The error keeps the first element's index.
+    rng = np.random.default_rng(23)
+    ms1 = compose_steps(ncv_model(1.0, 0.3), 1)
+    pairs = [_snapshot_pair(rng, ms1, kind) for kind in ["loss", "full"]]
+    with pytest.raises(NumericalError, match="indefinite") as info:
+        compute_tracklet(*_stacked(pairs, shape), ms1)
+    assert info.value.index == (0,) * len(shape)

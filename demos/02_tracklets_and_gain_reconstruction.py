@@ -34,7 +34,7 @@ pred = kf_predict(prev, model)
 curr, record = kf_update(pred, z)
 
 t = tracklet_decorrelated(prev, curr, model)
-gain = reconstruct_local_gain(t, t.pred_cov)
+gain = reconstruct_local_gain(t)
 print("measurement the tracker consumed:", z.z)
 print("equivalent measurement recovered:", np.round(t.u[::2], 6))
 print("gain reconstruction error:", np.abs(gain.W - record.gain).max())

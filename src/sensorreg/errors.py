@@ -33,14 +33,8 @@ class SingularMatrixError(NumericalError):
 class TrackletSingularError(SingularMatrixError):
     """The covariance difference used by the inverse-filter tracklet is
     (near-)singular; callers should fall back to the decorrelated form.
-
-    ``failed`` marks every element of the batch that failed the check (a
-    0-d array for a batch-free call).
+    ``index`` names the first such element.
     """
-
-    def __init__(self, reason: str, index=None, failed=None) -> None:
-        super().__init__(reason, index=index)
-        self.failed = failed
 
 
 class ScenarioError(SensorRegError, ValueError):

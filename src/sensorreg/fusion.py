@@ -108,16 +108,16 @@ def _position_block(M: np.ndarray) -> np.ndarray:
     return M[..., ::2, ::2]
 
 
-def reconstruct_local_gain(t: Tracklet, pred_cov: np.ndarray) -> ReconstructedGain:
+def reconstruct_local_gain(t: Tracklet) -> ReconstructedGain:
     """Recover the equivalent measurement noise and gain (R, W) of a local
     track.
 
     The equivalent measurement model is linear in position, so the
     measurement is the position part of the tracklet, its noise the
     position block of the tracklet covariance, and the gain follows from the
-    predicted covariance exactly as in a position-updating filter.  Leading
-    batch axes of the tracklet carry through to ``W`` (..., 4, 2) and ``R``
-    (..., 2, 2).
+    predicted covariance ``t.pred_cov`` exactly as in a position-updating
+    filter.  Leading batch axes of the tracklet carry through to ``W``
+    (..., 4, 2) and ``R`` (..., 2, 2).
     """
     R = symmetrize(_position_block(t.U))
     _, ok = det_spd2(R)
@@ -125,8 +125,9 @@ def reconstruct_local_gain(t: Tracklet, pred_cov: np.ndarray) -> ReconstructedGa
         raise NumericalError(
             "tracklet position covariance not positive definite", index=first_index(~ok)
         )
-    S_inv, _ = inv_spd2(_position_block(pred_cov) + R, context="gain innovation covariance")
-    return ReconstructedGain(W=pred_cov[..., :, ::2] @ S_inv, R=R)
+    P = t.pred_cov
+    S_inv, _ = inv_spd2(_position_block(P) + R, context="gain innovation covariance")
+    return ReconstructedGain(W=P[..., :, ::2] @ S_inv, R=R)
 
 
 def bias_correct(
@@ -350,7 +351,7 @@ def fbe_step(
 
     def local(k):
         t = compute_tracklet(prev[k], curr[k], lagged[k])
-        gain = reconstruct_local_gain(t, t.pred_cov)
+        gain = reconstruct_local_gain(t)
         geo = sensors[pairs[0][k]]
         corrected = bias_correct(
             t, bias_states[pairs[0][k]], (geo.sigma_r, geo.sigma_theta), origin=geo.position

@@ -425,7 +425,7 @@ def _run_stacked(
     try:
         if reconstructed:
             trk = tracklet_decorrelated(prev, curr, ms1)
-            gain = reconstruct_local_gain(trk, trk.pred_cov)
+            gain = reconstruct_local_gain(trk)
             W, R = gain.W, gain.R
             r_m, t_m = cart_to_polar(trk.u[..., ::2], positions)
         else:
@@ -478,7 +478,7 @@ def _run_baseline(scenario: Scenario, truth: TruthData, tracks: LocalTracks):
                 tracks.estimate(sel, slice(None), k),
                 compose_lags(steps, lags),
             )
-            g = reconstruct_local_gain(trk, trk.pred_cov)
+            g = reconstruct_local_gain(trk)
         except NumericalError as exc:
             if exc.index is None:
                 raise

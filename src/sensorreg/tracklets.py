@@ -3,10 +3,13 @@
 A tracklet condenses the information a local track accumulated between two
 reported frames into a single synthetic measurement ``u`` with covariance
 ``U``, so a fusion center can treat intermittent track reports as ordinary
-measurements.  Two variants are provided: the inverse-filter construction,
+measurements.  Two forms are provided: the inverse-filter construction,
 which requires the covariance difference between prediction and update to be
 invertible, and the decorrelated (information-difference) construction that
-also covers the single-step case.
+also covers the single-step case.  Where both apply they agree to rounding,
+so :func:`compute_tracklet` picks one form for a whole batch: the
+inverse-filter form when every element admits it, the decorrelated form
+otherwise.
 """
 
 from __future__ import annotations
@@ -45,18 +48,16 @@ class Tracklet:
     (positions, in the single-step case) is meaningful.  ``A`` is the
     weighting matrix of the inverse-filter form (None for the decorrelated
     form).  ``pred_cov`` is the L-step predicted covariance used to build
-    the tracklet; gain reconstruction reuses it.  ``u`` has shape (..., n) and ``U`` and ``pred_cov``
-    (..., n, n), with the leading batch axes of the snapshots.  ``method``
-    names the form, per element (an array) when a batch mixes both.
+    the tracklet; gain reconstruction reuses it.  ``u`` has shape (..., n)
+    and ``U`` and ``pred_cov`` (..., n, n), with the leading batch axes of
+    the snapshots.  ``method`` names the form, one for the whole batch.
     """
 
     u: np.ndarray
     U: np.ndarray
     pred_cov: np.ndarray
-    from_frame: int
-    to_frame: int
     A: np.ndarray | None = None
-    method: str | np.ndarray = "inverse_kf"
+    method: str = "inverse_kf"
 
 
 def _predict(prev: GaussianEstimate, model: MotionModel):
@@ -72,9 +73,10 @@ def _pinv_psd(Lam: np.ndarray) -> np.ndarray:
     one) are zeroed so the observable subspace inverts cleanly.  The common
     case of position-only information (whole velocity rows/columns near
     zero) inverts the 2x2 position block in closed form over the whole
-    batch; every other element goes through :func:`_pinv_psd_one`.
+    batch; every other element goes through one batched eigendecomposition.
 
-    Raises :class:`NumericalError` when any element is indefinite or empty.
+    Raises :class:`NumericalError` naming the first element that is
+    indefinite or carries no information.
     """
     n = Lam.shape[-1]
     U = np.zeros_like(Lam)
@@ -95,58 +97,27 @@ def _pinv_psd(Lam: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             U[..., 0, 0], U[..., 2, 2] = c / det, a / det
             U[..., 0, 2] = U[..., 2, 0] = -b / det
-    for idx in np.argwhere(~pos).tolist():
-        idx = tuple(idx)
-        try:
-            U[idx] = _pinv_psd_one(Lam[idx])
-        except NumericalError as exc:
-            raise NumericalError(exc.reason, index=idx) from exc
+    rest = ~pos
+    if not rest.any():
+        return U
+    w, v = np.linalg.eigh(Lam[rest])
+    wmax = np.abs(w).max(axis=-1)
+    empty = wmax == 0.0
+    # Nothing above the cutoff with wmax > 0 implies an eigenvalue of -wmax,
+    # so the indefiniteness test also covers it.
+    bad = empty | (w[:, 0] < -1e-8 * wmax)
+    if bad.any():
+        i = np.argmax(bad)
+        reason = (
+            "track carried no new information over the interval"
+            if empty[i]
+            else "information difference indefinite; snapshots are inconsistent"
+        )
+        raise NumericalError(reason, index=tuple(np.argwhere(rest)[i]))
+    keep = w > INFO_RTOL * wmax[:, None]
+    vw = np.divide(v, w[:, None, :], out=np.zeros_like(v), where=keep[:, None, :])
+    U[rest] = symmetrize(vw @ mt(v))
     return U
-
-
-def _pinv_psd_one(Lam: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse of one information difference without the
-    position-only structure.
-
-    An axis-aligned deficiency (rows/columns near zero) short-circuits to a
-    block inversion; anything else goes through an eigendecomposition.
-    """
-    n = Lam.shape[0]
-    d = Lam.ravel()[:: n + 1]
-    dmax = d.max(initial=0.0)
-    if dmax > 0.0 and d.min() >= -1e-8 * dmax:
-        tol = INFO_RTOL * dmax
-        keep = d > tol
-        idx = np.flatnonzero(keep)
-        drop = np.flatnonzero(~keep)
-        off_small = (
-            drop.size == 0
-            or np.abs(Lam[idx[:, None], drop]).max(initial=0.0) <= tol
-        )
-        if off_small:
-            sub = Lam[idx[:, None], idx]
-            try:
-                np.linalg.cholesky(sub)
-                sub_inv = np.linalg.inv(sub)
-            except np.linalg.LinAlgError:
-                sub_inv = None
-            if sub_inv is not None:
-                U = np.zeros((n, n))
-                U[idx[:, None], idx] = sub_inv
-                return U
-    w, v = np.linalg.eigh(Lam)
-    wmax = np.abs(w).max()
-    if wmax == 0.0:
-        raise NumericalError("track carried no new information over the interval")
-    if w.min() < -1e-8 * wmax:
-        raise NumericalError(
-            "information difference indefinite; snapshots are inconsistent"
-        )
-    keep = w > INFO_RTOL * wmax
-    if not np.any(keep):
-        raise NumericalError("track carried no new information over the interval")
-    vk = v[:, keep]
-    return symmetrize((vk / w[keep]) @ vk.T)
 
 
 def tracklet_inverse_kf(
@@ -160,9 +131,8 @@ def tracklet_inverse_kf(
     Raises :class:`TrackletSingularError` when any element's covariance
     difference D = P(k|k') - P(k|k) is singular or nearly so (e.g.
     single-step lags with position-only updates), signalling the caller to
-    use the decorrelated fallback; its ``failed`` mask marks every such
-    element.  Raises :class:`SingularMatrixError` when a resulting tracklet
-    covariance cannot be inverted.
+    use the decorrelated form.  Raises :class:`SingularMatrixError` when a
+    resulting tracklet covariance cannot be inverted.
     """
     x_pred, P_pred = _predict(prev, model)
     D = symmetrize(P_pred - curr.cov)
@@ -176,7 +146,6 @@ def tracklet_inverse_kf(
         raise TrackletSingularError(
             f"covariance difference near-singular (eig range [{lo[at]:.3e}, {hi[at]:.3e}])",
             index=index,
-            failed=failed,
         )
     A = mt(np.linalg.solve(mt(D), mt(P_pred)))
     u = x_pred + mv(A, curr.mean - x_pred)
@@ -187,8 +156,6 @@ def tracklet_inverse_kf(
         u=u,
         U=U,
         pred_cov=P_pred,
-        from_frame=prev.frame,
-        to_frame=curr.frame,
         A=A,
         method="inverse_kf",
     )
@@ -225,8 +192,6 @@ def tracklet_decorrelated(
         u=u,
         U=U,
         pred_cov=P_pred,
-        from_frame=prev.frame,
-        to_frame=curr.frame,
         method="decorrelated",
     )
 
@@ -234,40 +199,14 @@ def tracklet_decorrelated(
 def compute_tracklet(
     prev: GaussianEstimate, curr: GaussianEstimate, model: MotionModel
 ) -> Tracklet:
-    """Tracklet in the inverse-filter form, falling back to the decorrelated
-    form for the elements whose covariance difference is near-singular.
+    """Tracklet in the inverse-filter form, or in the decorrelated form for
+    the whole batch when any element's covariance difference is
+    near-singular.
 
-    A batch that mixes both forms is built from one call of each on its
-    elements; its ``method`` then names the form per element and ``A`` is
-    None.  An error names its element's index in the full batch.
-    The snapshots carry the full batch shape; the model may be shared.
+    The two forms agree to rounding wherever both apply, so the form a batch
+    takes moves its full-rank elements only in their last bits.
     """
     try:
         return tracklet_inverse_kf(prev, curr, model)
-    except TrackletSingularError as exc:
-        failed = exc.failed
-    if failed.all():
+    except TrackletSingularError:
         return tracklet_decorrelated(prev, curr, model)
-
-    def part(build, sel):
-        try:
-            return build(prev[sel], curr[sel], model[sel])
-        except NumericalError as exc:
-            if exc.index is None:
-                raise
-            raise type(exc)(exc.reason, index=tuple(np.argwhere(sel)[exc.index[0]])) from exc
-
-    inv, dec = part(tracklet_inverse_kf, ~failed), part(tracklet_decorrelated, failed)
-    u = np.empty(failed.shape + inv.u.shape[-1:])
-    U = np.empty(failed.shape + inv.U.shape[-2:])
-    pred_cov = np.empty_like(U)
-    for t, sel in ((inv, ~failed), (dec, failed)):
-        u[sel], U[sel], pred_cov[sel] = t.u, t.U, t.pred_cov
-    return Tracklet(
-        u=u,
-        U=U,
-        pred_cov=pred_cov,
-        from_frame=prev.frame,
-        to_frame=curr.frame,
-        method=np.where(failed, "decorrelated", "inverse_kf"),
-    )

@@ -137,7 +137,7 @@ def test_a02_gain_reconstruction_exactness(two_sensor_scenario):
                 trk = tracklet_decorrelated(
                     tracks.estimate(s, t, k - 1), tracks.estimate(s, t, k), ms1
                 )
-                g = reconstruct_local_gain(trk, trk.pred_cov)
+                g = reconstruct_local_gain(trk)
                 W_true = tracks.gain[s, t, k]
                 rel = np.abs(g.W - W_true).max() / np.abs(W_true).max()
                 worst = max(worst, rel)

@@ -35,14 +35,11 @@ from sensorreg.trackers import GaussianEstimate, init_track, kf_predict, kf_upda
 from sensorreg.tracklets import Tracklet, compute_tracklet, tracklet_decorrelated
 
 
-def _tracklet_from(u, U, pred_cov=None, frame=1):
-    U = np.asarray(U, float)
+def _tracklet_from(u, U, pred_cov=None):
     return Tracklet(
         u=np.asarray(u, float),
-        U=U,
+        U=np.asarray(U, float),
         pred_cov=np.eye(4) if pred_cov is None else np.asarray(pred_cov, float),
-        from_frame=0,
-        to_frame=frame,
     )
 
 
@@ -51,7 +48,7 @@ def test_local_gain_scalar_reduction():
     U = np.diag([1.0, 1e6, 1.0, 1e6])
     pred = np.diag([1.0, 1e-9, 1.0, 1e-9])
     t = _tracklet_from([2.0, 0.0, -3.0, 0.0], U, pred)
-    g = reconstruct_local_gain(t, pred)
+    g = reconstruct_local_gain(t)
     assert g.W[0, 0] == pytest.approx(0.5, rel=1e-9)
     assert g.W[2, 1] == pytest.approx(0.5, rel=1e-9)
 
@@ -60,7 +57,7 @@ def test_local_gain_vanishes_for_uninformative_tracklet():
     U = 1e12 * np.eye(4)
     pred = np.diag([10.0, 1.0, 10.0, 1.0])
     t = _tracklet_from(np.zeros(4), U, pred)
-    g = reconstruct_local_gain(t, pred)
+    g = reconstruct_local_gain(t)
     assert np.abs(g.W).max() < 1e-9
 
 
@@ -79,7 +76,7 @@ def test_local_gain_matches_true_kalman_gain_single_step():
     pred = kf_predict(prev, model)
     curr, rec = kf_update(pred, z)
     t = tracklet_decorrelated(prev, curr, ms1)
-    g = reconstruct_local_gain(t, t.pred_cov)
+    g = reconstruct_local_gain(t)
     np.testing.assert_allclose(g.W, rec.gain, rtol=1e-6)
     np.testing.assert_allclose(g.R, z.R, rtol=1e-6)
     np.testing.assert_allclose(t.u[::2], z.z, rtol=1e-6)
@@ -591,7 +588,7 @@ def test_batched_fusion_formulas_match_batch_free_calls():
     (prev, curr, _), _, _, model, sensors = _small_fbe_inputs()
     ms = compose_steps(model, curr.frame - prev.frame)
     t = compute_tracklet(prev, curr, ms)
-    g = reconstruct_local_gain(t, t.pred_cov)
+    g = reconstruct_local_gain(t)
     rng = np.random.default_rng(8)
     A = rng.standard_normal((3, 4, 4))
     bias = BiasEstimate(
@@ -606,9 +603,7 @@ def test_batched_fusion_formulas_match_batch_free_calls():
     est = rlsb_update(bias[:, None], pm[:, :, None])
     for s in range(3):
         for tgt in range(2):
-            ts = Tracklet(
-                u=t.u[s, tgt], U=t.U[s, tgt], pred_cov=t.pred_cov[s, tgt], from_frame=0, to_frame=5
-            )
+            ts = Tracklet(u=t.u[s, tgt], U=t.U[s, tgt], pred_cov=t.pred_cov[s, tgt])
             c1 = bias_correct(
                 ts, bias[s], (10.0, 1e-3), origin=tuple(sensors.position[s])
             )

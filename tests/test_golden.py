@@ -7,7 +7,10 @@ closed-form 2x2 kernel, numpy's vectorised ``hypot``/``arctan2``/``exp``,
 the batched NEES and the merged converted covariance reorder floating-point
 operations, so the outputs moved in their last bits: this is the package's
 one stated re-baseline, and every cell must stay within ``RTOL`` of the
-copies.  Regenerate the files only for a change meant to alter the
+copies.  The ``mixed_lag_fbe`` copies were written later, before
+``compute_tracklet`` took one tracklet form per batch instead of splitting a
+batch that mixes single-step and multi-step pairs between the two forms;
+its multi-step pairs moved in their last bits.  Regenerate the files only for a change meant to alter the
 estimates, with ``write_case(name, tests/data/golden/<name>)``.
 """
 
@@ -34,10 +37,20 @@ def _a08_imm():
     return sc
 
 
+def _mixed_lag():
+    # Unequal reporting lags: an epoch's batch mixes lag-1 pairs, whose
+    # covariance difference is singular, with multi-step pairs.
+    sc = load_scenario("five_sensor_offset")
+    for sensor, lag in zip(sc.sensors, (1, 10, 5, 10, 2)):
+        sensor.lag = lag
+    return sc
+
+
 CASES = {
     "two_sensor_exl": (lambda: load_scenario("two_sensor"), "exl"),
     "five_sensor_offset_scale_fbe": (lambda: load_scenario("five_sensor_offset_scale"), "fbe"),
     "a08_imm_fbe": (_a08_imm, "fbe"),
+    "mixed_lag_fbe": (_mixed_lag, "fbe"),
 }
 
 

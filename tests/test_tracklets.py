@@ -1,8 +1,13 @@
 """Equivalent measurements: inverse-filter identity, decorrelated form,
-single-step equivalence with the raw measurement."""
+single-step equivalence with the raw measurement, agreement of the two
+forms, and the pseudo-inverse of information differences."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sensorreg.coords import CartesianMeasurement
 from sensorreg.dynamics import MotionModel, compose_steps, ncv_model
@@ -10,10 +15,16 @@ from sensorreg.errors import NumericalError, TrackletSingularError
 from sensorreg.fusion import reconstruct_local_gain
 from sensorreg.trackers import GaussianEstimate, kf_predict, kf_update
 from sensorreg.tracklets import (
+    Tracklet,
+    _pinv_psd,
     compute_tracklet,
     tracklet_decorrelated,
     tracklet_inverse_kf,
 )
+
+# Worst relative disagreement allowed between the two tracklet forms, on
+# each output's largest entry (measured worst: about 1e-11).
+FORMS_RTOL = 1e-10
 
 
 def _random_spd(rng, n, lo=0.5, hi=50.0):
@@ -273,13 +284,13 @@ def test_batched_tracklet_and_gain_match_per_pair_loop():
     kinds = ["pos", "pos", "full", "pos"]
     pairs = [_snapshot_pair(rng, ms1, kind) for kind in kinds]
     t = tracklet_decorrelated(*_stacked(pairs, (2, 2)), ms1)
-    g = reconstruct_local_gain(t, t.pred_cov)
+    g = reconstruct_local_gain(t)
     assert t.u.shape == (2, 2, 4) and t.U.shape == t.pred_cov.shape == (2, 2, 4, 4)
     assert g.W.shape == (2, 2, 4, 2) and g.R.shape == (2, 2, 2, 2)
     for i, (kind, (prev, curr)) in enumerate(zip(kinds, pairs)):
         idx = divmod(i, 2)
         t1 = tracklet_decorrelated(prev, curr, ms1)
-        g1 = reconstruct_local_gain(t1, t1.pred_cov)
+        g1 = reconstruct_local_gain(t1)
         # Position-only information leaves the velocity rows of U empty.
         assert (np.abs(t1.U[1::2]).max() > 0.0) == (kind == "full")
         for batched, single in [
@@ -307,3 +318,125 @@ def test_mixed_batch_names_a_failure_at_the_first_element(shape):
     with pytest.raises(NumericalError, match="indefinite") as info:
         compute_tracklet(*_stacked(pairs, shape), ms1)
     assert info.value.index == (0,) * len(shape)
+
+
+def _tracked_pair(rng, lag):
+    """(prev, curr, model) of a local track that made ``lag`` position-only
+    Kalman updates between its two reports; for ``lag`` >= 2 the covariance
+    difference is full rank, so both forms apply."""
+    model = ncv_model(1.0, rng.uniform(0.05, 2.0))
+    prev = GaussianEstimate(
+        mean=rng.standard_normal(4) * 100.0, cov=_random_spd(rng, 4, 5.0, 500.0), frame=0
+    )
+    curr = prev
+    for _ in range(lag):
+        z = CartesianMeasurement(
+            z=rng.standard_normal(2) * 100.0, R=_random_spd(rng, 2, 50.0, 400.0)
+        )
+        curr, _ = kf_update(kf_predict(curr, model), z)
+    return prev, curr, compose_steps(model, lag)
+
+
+def _assert_same_tracklet(got, want):
+    for name in ("u", "U", "pred_cov"):
+        a, b = getattr(got, name), getattr(want, name)
+        np.testing.assert_allclose(
+            a, b, rtol=0.0, atol=FORMS_RTOL * np.abs(b).max(), err_msg=name
+        )
+
+
+def test_forms_agree_wherever_both_apply():
+    # compute_tracklet takes one form per batch, which rests on the two
+    # forms agreeing on every element that admits the inverse-filter form.
+    rng = np.random.default_rng(24)
+    for _ in range(500):
+        prev, curr, model = _tracked_pair(rng, int(rng.integers(2, 11)))
+        _assert_same_tracklet(
+            tracklet_decorrelated(prev, curr, model), tracklet_inverse_kf(prev, curr, model)
+        )
+
+
+def test_mixed_batch_matches_per_element_tracklets():
+    # Lag-1 elements have a singular covariance difference, so the whole
+    # batch takes the decorrelated form; each element still matches its own
+    # batch-free tracklet, whichever form that took.
+    rng = np.random.default_rng(25)
+    lags = np.array([1, 10, 5, 10, 2, 1, 3])
+    triples = [_tracked_pair(rng, int(L)) for L in lags]
+    prev, curr = _stacked([(p, c) for p, c, _ in triples], lags.shape)
+    model = MotionModel(
+        F=np.stack([m.F for _, _, m in triples]),
+        Q=np.stack([m.Q for _, _, m in triples]),
+        steps=lags,
+    )
+    t = compute_tracklet(prev, curr, model)
+    assert t.method == "decorrelated"
+    methods = set()
+    for i, (p, c, m) in enumerate(triples):
+        t1 = compute_tracklet(p, c, m)
+        methods.add(t1.method)
+        _assert_same_tracklet(Tracklet(u=t.u[i], U=t.U[i], pred_cov=t.pred_cov[i]), t1)
+    assert methods == {"inverse_kf", "decorrelated"}
+
+
+# Kinds of 4x4 information difference: position-only (the closed form),
+# full rank, rank deficient (axis-aligned or rotated), zero and indefinite.
+PINV_KINDS = ("pos", "full", "rankdef", "zero", "indefinite")
+PINV_ERRORS = {"zero": "no new information", "indefinite": "indefinite"}
+
+
+def _information(rng, kind):
+    if kind == "zero":
+        return np.zeros((4, 4))
+    if kind == "pos":
+        Lam = np.zeros((4, 4))
+        Lam[np.ix_((0, 2), (0, 2))] = _random_spd(rng, 2, 1e-4, 1e-1)
+        return Lam
+    w = rng.uniform(1e-4, 1e-1, 4)
+    if kind == "rankdef":
+        # Axis 1 keeps its information, so no deficiency is position-only.
+        w[rng.permutation([0, 2, 3])[: rng.integers(1, 4)]] = 0.0
+    elif kind == "indefinite":
+        w[rng.integers(4)] = -rng.uniform(1e-4, 1e-1)
+    if kind == "rankdef" and rng.random() < 0.5:
+        # Information on whole state axes only: rows/columns of zeros.
+        return np.diag(w)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    return (q * w) @ q.T
+
+
+@given(
+    kinds=st.lists(st.sampled_from(PINV_KINDS), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_pinv_psd_properties(kinds, seed):
+    rng = np.random.default_rng(seed)
+    Lam = np.stack([_information(rng, k) for k in kinds])
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+        try:
+            U = _pinv_psd(Lam)
+        except NumericalError as exc:
+            U, error = None, exc
+    # One batched eigendecomposition serves every element outside the
+    # closed form.
+    assert eigh.call_count == int(any(k != "pos" for k in kinds))
+    bad = [i for i, k in enumerate(kinds) if k in PINV_ERRORS]
+    if bad:
+        assert U is None
+        assert error.index == (bad[0],)
+        assert PINV_ERRORS[kinds[bad[0]]] in error.reason
+        return
+    # Moore-Penrose identities, relative to the size of each element
+    # (measured worst: about 2e-13).
+    tol = 1e-10
+    scale = np.abs(Lam).max(axis=(-2, -1), keepdims=True)
+    scale_inv = np.abs(U).max(axis=(-2, -1), keepdims=True)
+    assert np.all(np.abs(Lam @ U @ Lam - Lam) <= tol * scale)
+    assert np.all(np.abs(U @ Lam @ U - U) <= tol * scale_inv)
+    for prod in (Lam @ U, U @ Lam):
+        assert np.all(np.abs(prod - prod.swapaxes(-1, -2)) <= tol)
+    # Closed-form elements do not depend on the rest of the batch.
+    pos = [i for i, k in enumerate(kinds) if k == "pos"]
+    if pos:
+        np.testing.assert_array_equal(U[pos], _pinv_psd(Lam[pos]))

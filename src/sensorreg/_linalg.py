@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SingularMatrixError
+from .errors import SingularMatrixError, quote_first
 
 _ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -32,16 +32,15 @@ def symmetrize(mat: np.ndarray) -> np.ndarray:
 
 def inv_sym(mat: np.ndarray, context: str = "matrix") -> np.ndarray:
     """Invert symmetric matrices on the last two axes, raising
-    :class:`SingularMatrixError` naming the first failing batch index."""
+    :class:`SingularMatrixError` marking the failing batch elements."""
     try:
         out = np.linalg.inv(mat)
-    except np.linalg.LinAlgError:
-        # Error path only: solve_psd raises naming the failing batch index.
-        out = solve_psd(mat, np.eye(mat.shape[-1]), context=context)
+    except np.linalg.LinAlgError as exc:
+        raise _singular(context, mat, fails_alone(np.linalg.inv, mat)) from exc
     # A single reduction flags any inf/nan the factorization let through.
     if not np.isfinite(out.sum()):
         bad = ~np.isfinite(out).all(axis=(-2, -1))
-        raise SingularMatrixError(f"{context} inverse is not finite", index=first_index(bad))
+        raise SingularMatrixError(f"{context} inverse is not finite", bad)
     return out
 
 
@@ -54,8 +53,8 @@ def inv_spd(mat: np.ndarray, context: str = "matrix") -> np.ndarray:
     number of numpy calls grows with n, not with the batch size; for the
     4x4 track covariances this costs about a third of a batched LAPACK
     inverse, with residuals of the same order.  An element with a pivot
-    that is not finite and positive (NaN entries included) raises
-    :class:`SingularMatrixError` naming the first such batch index.
+    that is not finite and positive (NaN entries included) fails:
+    :class:`SingularMatrixError` marks every such batch element.
     """
     n = mat.shape[-1]
     A = np.ascontiguousarray(np.moveaxis(mat, (-2, -1), (0, 1)))
@@ -68,9 +67,7 @@ def inv_spd(mat: np.ndarray, context: str = "matrix") -> np.ndarray:
     diag = L[np.arange(n), np.arange(n)]
     ok = ((diag > 0.0) & (diag < np.inf)).all(axis=0)
     if not ok.all():
-        raise SingularMatrixError(
-            f"{context} is not positive definite", index=first_index(~ok)
-        )
+        raise SingularMatrixError(f"{context} is not positive definite", ~ok)
     # Row i of inv(L) by forward substitution over the rows above it.
     X = np.zeros_like(L)
     for i in range(n):
@@ -85,8 +82,8 @@ def cholesky(mat: np.ndarray, context: str = "matrix") -> np.ndarray:
     two axes (any size; :func:`inv_spd` inverts small ones).
 
     An element that is not positive definite, or whose factor is not finite
-    (LAPACK lets NaN entries through), raises :class:`SingularMatrixError`
-    naming the first such batch index.
+    (LAPACK lets NaN entries through), fails: :class:`SingularMatrixError`
+    marks every such batch element.
     """
     try:
         L = np.linalg.cholesky(mat)
@@ -94,20 +91,31 @@ def cholesky(mat: np.ndarray, context: str = "matrix") -> np.ndarray:
             return L
     except np.linalg.LinAlgError:
         pass
-    # Error path only: find which matrix of the batch failed.
-    for index in np.ndindex(mat.shape[:-2]):
+    # Error path only: factor each matrix of the batch alone.
+    failed = fails_alone(np.linalg.cholesky, mat, finite=True)
+    raise SingularMatrixError(f"{context} is not positive definite", failed)
+
+
+def fails_alone(factor, mat: np.ndarray, finite: bool = False) -> np.ndarray:
+    """Mask of the matrices on the leading batch axes of ``mat`` whose
+    ``factor``, applied to each alone, raises a LAPACK error (or, with
+    ``finite``, has a non-finite entry)."""
+
+    def fails(m):
         try:
-            if not np.isfinite(np.linalg.cholesky(mat[index])).all():
-                break
+            out = factor(m)
         except np.linalg.LinAlgError:
-            break
-    raise SingularMatrixError(f"{context} is not positive definite", index=index)
+            return True
+        return finite and not np.isfinite(out).all()
+
+    return np.vectorize(fails, signature="(n,n)->()", otypes=[bool])(mat)
 
 
-def first_index(bad: np.ndarray) -> tuple[int, ...] | None:
-    """Index of the first True entry of ``bad`` (None if there is none)."""
-    hits = np.argwhere(bad)
-    return tuple(int(i) for i in hits[0]) if hits.size else None
+def _singular(context: str, mat: np.ndarray, bad: np.ndarray) -> SingularMatrixError:
+    """The error for the singular elements ``bad`` of ``mat``, quoting the
+    condition number of the first."""
+    cond, failed = quote_first("%.3e", bad, sym_cond(mat[bad]))
+    return SingularMatrixError(f"{context} is singular (cond ~ {cond})", failed)
 
 
 def det_spd2(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -126,16 +134,13 @@ def inv_spd2(mat: np.ndarray, context: str = "matrix") -> tuple[np.ndarray, np.n
     Every innovation, gain Gram and pseudo-measurement covariance of the
     package is 2x2, where the cofactor form costs a fraction of a batched
     LAPACK call per element.  An element whose determinant is not finite
-    and positive, or whose leading entry is not positive, raises
-    :class:`SingularMatrixError` naming the first such batch index and its
-    condition number.
+    and positive, or whose leading entry is not positive, fails with
+    :class:`SingularMatrixError` quoting the first such element's condition
+    number.
     """
     det, ok = det_spd2(mat)
     if not ok.all():
-        index = first_index(~ok)
-        raise SingularMatrixError(
-            f"{context} is singular (cond ~ {sym_cond(mat[index]):.3e})", index=index
-        )
+        raise _singular(context, mat, ~ok)
     # The adjugate [[d, -b], [-c, a]] is the transpose with both axes
     # reversed and the off-diagonal entries negated.
     adj = mt(mat)[..., ::-1, ::-1] * _ADJUGATE_SIGNS
@@ -146,32 +151,21 @@ def solve_psd(mat: np.ndarray, rhs: np.ndarray, context: str = "matrix") -> np.n
     """Solve ``mat @ x = rhs`` for every matrix on the leading batch axes
     (any size; :func:`inv_spd2` serves the 2x2 case).
 
-    A singular ``mat`` raises :class:`SingularMatrixError` carrying the
-    first failing batch index and a condition diagnostic.
+    A singular ``mat`` fails with :class:`SingularMatrixError` quoting the
+    first singular element's condition number.
     """
     try:
         return np.linalg.solve(mat, rhs)
     except np.linalg.LinAlgError as exc:
-        # Error path only: find which matrix of the batch failed.
-        index = None
-        for idx in np.ndindex(mat.shape[:-2]):
-            try:
-                np.linalg.solve(mat[idx], np.eye(mat.shape[-1]))
-            except np.linalg.LinAlgError:
-                index = idx
-                break
-        cond = sym_cond(mat if not index else mat[index])
-        raise SingularMatrixError(
-            f"{context} is singular (cond ~ {cond:.3e})", index=index
-        ) from exc
+        # Error path only: factor each matrix of the batch alone.
+        raise _singular(context, mat, fails_alone(np.linalg.inv, mat)) from exc
 
 
-def sym_cond(mat: np.ndarray) -> float:
-    """Spectral condition number of a symmetric matrix (inf when singular
-    or not finite)."""
-    if not np.isfinite(mat).all():
-        return np.inf
-    w = np.abs(np.linalg.eigvalsh(symmetrize(mat)))
-    if w.size == 0 or w.min() == 0.0:
-        return np.inf
-    return float(w.max() / w.min())
+def sym_cond(mat: np.ndarray) -> np.ndarray:
+    """Spectral condition numbers of the symmetric matrices on the last two
+    axes (inf for one that is singular or not finite)."""
+    finite = np.isfinite(mat).all(axis=(-2, -1))
+    w = np.abs(np.linalg.eigvalsh(symmetrize(np.where(finite[..., None, None], mat, 1.0))))
+    lo, hi = w.min(axis=-1), w.max(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(finite & (lo > 0.0), hi / lo, np.inf)

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import first_index
 from .errors import NumericalError
 
 __all__ = [
@@ -115,14 +114,14 @@ def apply_bias(r, theta, bias: BiasVector, w_r=0.0, w_theta=0.0):
     deterministic map of its inputs.  Returns the measured ``(r, theta)``
     arrays, with the azimuths left unwrapped.
 
-    Raises :class:`NumericalError` naming the batch index of the first
-    non-positive measured range.
+    Raises :class:`NumericalError` marking every non-positive measured
+    range.
     """
     r_m = (1.0 + bias.eps_r) * np.asarray(r) + bias.b_r + np.asarray(w_r)
     t_m = (1.0 + bias.eps_theta) * np.asarray(theta) + bias.b_theta + np.asarray(w_theta)
     bad = r_m <= 0.0
     if bad.any():
-        raise NumericalError("bias and noise drove the range non-positive", index=first_index(bad))
+        raise NumericalError("bias and noise drove the range non-positive", bad)
     return r_m, t_m
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import inv_sym, mt, solve_psd, symmetrize
+from ._linalg import fails_alone, inv_sym, mt, solve_psd, symmetrize
 
 __all__ = ["fisher_information", "combine_sensors", "crlb_diag"]
 
@@ -61,12 +61,9 @@ def crlb_diag(J: np.ndarray) -> np.ndarray:
         Jinv = np.linalg.inv(J)
     except np.linalg.LinAlgError:
         # Error path only: LAPACK stops the batch at its first singular element.
+        singular = fails_alone(np.linalg.inv, J)
         Jinv = np.full_like(J, np.nan)
-        for index in np.ndindex(J.shape[:-2]):
-            try:
-                Jinv[index] = np.linalg.inv(J[index])
-            except np.linalg.LinAlgError:
-                pass
+        Jinv[~singular] = np.linalg.inv(J[~singular])
     diag = np.diagonal(Jinv, axis1=-2, axis2=-1).copy()
     with np.errstate(invalid="ignore"):
         bad = ~np.isfinite(Jinv).all(axis=(-2, -1)) | (diag <= 0.0).any(axis=-1)

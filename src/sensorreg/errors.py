@@ -1,5 +1,27 @@
 """Exception types shared across the toolkit."""
 
+from __future__ import annotations
+
+from contextlib import contextmanager
+
+import numpy as np
+
+
+def first_index(bad: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first True entry of ``bad`` (None if there is none)."""
+    hits = np.argwhere(bad)
+    return tuple(int(i) for i in hits[0]) if hits.size else None
+
+
+def quote_first(fmt: str, bad: np.ndarray, values: np.ndarray) -> tuple[str, np.ndarray]:
+    """The first of ``values`` (one per True entry of ``bad``) as ``fmt``
+    reads it, and the mask of the entries of ``bad`` whose value reads the
+    same: an error quoting the value covers only those."""
+    text = np.char.mod(fmt, values)
+    failed = np.array(bad, dtype=bool)
+    failed[bad] = text == text[0]
+    return str(text[0]), failed
+
 
 def at_index(index: tuple[int, ...] | None) -> str:
     """Message suffix naming a batch index; empty for a batch-free one."""
@@ -14,16 +36,17 @@ class NumericalError(SensorRegError):
     """A computation failed for numerical reasons (singularity, loss of
     definiteness, non-finite values).
 
-    ``index`` locates the failing element on the leading batch axes of a
-    batched computation; it is None for a batch-free one.  ``reason`` is the
-    message without that location.
+    ``failed`` marks, on the leading batch axes of a batched computation,
+    every element that failed the check with this message (0-d for a
+    batch-free one), and ``index`` locates the first of them (None for a
+    batch-free one).  ``reason`` is the message without that location.
     """
 
-    def __init__(self, reason: str, index: tuple[int, ...] | None = None) -> None:
-        index = tuple(int(i) for i in index) if index else None
-        super().__init__(f"{reason}{at_index(index)}")
+    def __init__(self, reason: str, failed=True) -> None:
+        self.failed = np.asarray(failed, dtype=bool)
+        self.index = first_index(self.failed)
+        super().__init__(f"{reason}{at_index(self.index)}")
         self.reason = reason
-        self.index = index
 
 
 class SingularMatrixError(NumericalError):
@@ -33,8 +56,27 @@ class SingularMatrixError(NumericalError):
 class TrackletSingularError(SingularMatrixError):
     """The covariance difference used by the inverse-filter tracklet is
     (near-)singular; callers should fall back to the decorrelated form.
-    ``index`` names the first such element.
+    ``failed`` marks every such element; the message quotes the first.
     """
+
+
+@contextmanager
+def located(where, failed=None):
+    """Re-raise a :class:`NumericalError` escaping the block as
+    ``<where>: <reason>``, of the same type and with the same mask.
+
+    ``where`` is the location text, or a function returning it from the
+    unpacked batch index of the first failed element (no arguments for a
+    batch-free error); it runs only on failure, so it may read loop
+    variables.  ``failed`` optionally maps the mask onto the batch that the
+    location names.
+    """
+    try:
+        yield
+    except NumericalError as exc:
+        text = where if isinstance(where, str) else where(*(exc.index or ()))
+        mask = exc.failed if failed is None else failed(exc.failed)
+        raise type(exc)(f"{text}: {exc.reason}", mask) from exc
 
 
 class ScenarioError(SensorRegError, ValueError):

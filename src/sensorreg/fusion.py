@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import det_spd2, first_index, inv_spd2, mt, mv, symmetrize
+from ._linalg import det_spd2, inv_spd2, mt, mv, symmetrize
 from .bias import (
     BiasEstimate,
     PseudoMeasurement,
@@ -35,7 +35,7 @@ from .coords import (
     wrap_angle,
 )
 from .dynamics import MotionModel, compose_lags, compose_steps
-from .errors import NumericalError, at_index
+from .errors import NumericalError, at_index, located, quote_first
 from .trackers import GaussianEstimate, kf_predict, kf_update
 from .tracklets import Tracklet, compute_tracklet
 
@@ -122,9 +122,7 @@ def reconstruct_local_gain(t: Tracklet) -> ReconstructedGain:
     R = symmetrize(_position_block(t.U))
     _, ok = det_spd2(R)
     if not ok.all():
-        raise NumericalError(
-            "tracklet position covariance not positive definite", index=first_index(~ok)
-        )
+        raise NumericalError("tracklet position covariance not positive definite", ~ok)
     P = t.pred_cov
     S_inv, _ = inv_spd2(_position_block(P) + R, context="gain innovation covariance")
     return ReconstructedGain(W=P[..., :, ::2] @ S_inv, R=R)
@@ -150,16 +148,14 @@ def bias_correct(
     The tracklet, the bias estimate, the noise levels and ``origin`` (..., 2)
     may carry the same leading batch axes (one reporting sensor per element).
 
-    Raises :class:`NumericalError` naming the first element that cannot be
-    corrected.
+    Raises :class:`NumericalError` marking the elements that fail the first
+    failing check.
     """
     sigma_r, sigma_theta = noise
     r_raw, theta_raw = (np.asarray(v) for v in cart_to_polar(t.u[..., ::2], origin))
     batch = r_raw.shape
     if (r_raw == 0.0).any():
-        raise NumericalError(
-            "tracklet position coincides with the sensor", index=first_index(r_raw == 0.0)
-        )
+        raise NumericalError("tracklet position coincides with the sensor", r_raw == 0.0)
 
     b = bias.b
     b_r, b_theta = b[..., 0], b[..., 1]
@@ -168,16 +164,13 @@ def bias_correct(
         eps_r, eps_theta = b[..., 2], b[..., 3]
     bad = np.broadcast_to((1.0 + eps_r <= 0.0) | (1.0 + eps_theta <= 0.0), batch)
     if bad.any():
-        raise NumericalError(
-            "estimated scale bias leaves non-positive scale factor", index=first_index(bad)
-        )
+        raise NumericalError("estimated scale bias leaves non-positive scale factor", bad)
     theta_bc = wrap_angle((theta_raw - b_theta) / (1.0 + eps_theta))
     r_bc = (r_raw - b_r) / (1.0 + eps_r)
-    if (r_bc <= 0.0).any():
-        index = first_index(r_bc <= 0.0)
-        raise NumericalError(
-            f"corrected range non-positive ({r_bc[index or ()]:.3f} m)", index=index
-        )
+    bad = r_bc <= 0.0
+    if bad.any():
+        r_text, failed = quote_first("%.3f", bad, r_bc[bad])
+        raise NumericalError(f"corrected range non-positive ({r_text} m)", failed)
 
     y = polar_to_cart(r_bc, theta_bc, sigma_theta, origin)
     K = jacobians_at(r_bc, theta_bc).K[..., : bias.dim]
@@ -190,19 +183,21 @@ def _without_failures(run, keep: np.ndarray, record):
     """Return ``(keep, run(keep))`` for the elements ``keep`` of a flat
     batch (an index array).
 
-    An element that fails a numerical check is dropped: ``run`` raised a
-    :class:`NumericalError` naming its position in ``keep``, which goes to
-    ``record(element, error)``, and the remaining elements run again.  The
-    result is None when every element failed.
+    Elements that fail a numerical check are dropped together: ``run``
+    raised a :class:`NumericalError` whose ``failed`` marks them on the
+    axis of ``keep``, each goes to ``record(element, error)``, and the
+    remaining elements run again, so a batch runs once per distinct
+    failure.  The result is None when every element failed.
     """
     while keep.size:
         try:
             return keep, run(keep)
         except NumericalError as exc:
-            if exc.index is None:
+            if exc.failed.shape != keep.shape or not exc.failed.any():
                 raise
-            record(keep[exc.index[0]], exc)
-            keep = np.delete(keep, exc.index[0])
+            for element in keep[exc.failed]:
+                record(element, exc)
+            keep = keep[~exc.failed]
     return keep, None
 
 
@@ -319,7 +314,13 @@ def fbe_step(
         sensors: geometry and noise levels of every sensor (S elements).
 
     Returns a :class:`FbeResult`.  Each stage runs as one batched call over
-    the pairs; a pair that fails a numerical check is skipped as a whole.
+    the pairs.  The pairs whose tracklet, gain or bias correction fails a
+    numerical check are skipped as a whole, every pair failing the same check
+    in one pass, and so is a pseudo-measurement whose covariance fails; a
+    sensor whose stacked fold fails keeps its estimate.  A rank-deficient
+    gain of a live pair with a reference is not skipped: it raises the
+    :class:`NumericalError` of :func:`sensor_pseudo_obs` as
+    ``sensor s, target t, frame k: <reason>``, its ``failed`` over (S, T).
 
     Corrections use the bias estimates as they stood at the start of the
     frame, so per-sensor updates are order-independent within the frame;
@@ -388,15 +389,19 @@ def fbe_step(
     # recover), whose noise combines the corrected measurement covariances,
     # bias-uncertainty inflation included.
     fused_new = sfa(fp, msf, CartesianMeasurement(y[et], R[et]), present)
-    try:
-        zb_s = sensor_pseudo_obs(curr[k], prev[k], g_s.W[e], lagged[k])
-    except NumericalError as exc:
-        # Name the pair rather than its position among the references.
-        if exc.index is None:
-            raise
-        i = exc.index[0]
+
+    # A failure names the pair rather than its position among the references.
+    def where(i):
         frame = np.broadcast_to(curr[k].frame, e.shape)[i]
-        raise type(exc)(f"frame {frame}, sensor {es[i]}, target {et[i]}: {exc.reason}") from exc
+        return f"sensor {es[i]}, target {et[i]}, frame {frame}"
+
+    def on_pairs(failed):
+        out = np.zeros((n_s, n_t), dtype=bool)
+        out[es[failed], et[failed]] = True
+        return out
+
+    with located(where, on_pairs):
+        zb_s = sensor_pseudo_obs(curr[k], prev[k], g_s.W[e], lagged[k])
 
     # Observation matrix of each sensor at its tracklet's own polar
     # coordinates (the fusion center has no raw measurements).  Every

@@ -18,7 +18,7 @@ import numpy as np
 from ..coords import cart_to_polar, converted_covariance, jacobians_at
 from .._linalg import symmetrize
 from ..crlb import combine_sensors, crlb_diag, fisher_information
-from ..errors import SingularMatrixError
+from ..errors import located
 from .scenario import Scenario
 from .simulate import nominal_geometry
 
@@ -58,14 +58,17 @@ def crlb_series(scenario: Scenario) -> CrlbSeries:
         reports[e, scenario.reporters_at(k)] = True
     block_reports = reports[:, None, :, None, None]
 
-    positions = np.stack([s.position for s in scenario.sensors])
-    sigma_r = np.array([s.sigma_r for s in scenario.sensors])
-    sigma_theta = np.array([s.sigma_theta for s in scenario.sensors])
+    sensors = scenario.sensor_models()
     # Observation blocks and noises of every (epoch, target, sensor).
-    rng, az = cart_to_polar(states[:, epochs, None, ::2].swapaxes(0, 1), positions)
+    rng, az = cart_to_polar(states[:, epochs, None, ::2].swapaxes(0, 1), sensors.position)
     K = jacobians_at(rng, az).K[..., :d]
-    R = converted_covariance(rng, az, sigma_r, sigma_theta)
-    try:
+    R = converted_covariance(rng, az, sensors.sigma_r, sensors.sigma_theta)
+
+    def where(e, t, *s):  # (epoch, target[, target sensor], sensor)
+        at = f"target {t}, frame {epochs[e]}"
+        return f"sensor {s[-1]}, {at}" if s else at
+
+    with located(where):
         # A sensor that does not report gets a placeholder noise and no information.
         R_rep = np.where(block_reports, R, np.eye(2))
         others = reports[:, None, None, :] & ~np.eye(n_s, dtype=bool)
@@ -76,13 +79,4 @@ def crlb_series(scenario: Scenario) -> CrlbSeries:
         if n_s == 2:
             g = np.concatenate([K[..., 0, :, :], -K[..., 1, :, :]], axis=-1)
             stacked = _running_bound(fisher_information(g, R[..., 0, :, :] + R[..., 1, :, :]))
-    except SingularMatrixError as exc:
-        if exc.index is None:
-            raise
-        # (epoch, target[, target sensor], sensor): the last axis names the sensor.
-        e, t, *s = exc.index
-        where = f"target {t}, frame {epochs[e]}"
-        if s:
-            where = f"sensor {s[-1]}, {where}"
-        raise SingularMatrixError(f"{where}: {exc.reason}", index=exc.index) from exc
     return CrlbSeries(epochs=epochs, per_sensor=per_sensor, stacked=stacked)

@@ -18,6 +18,7 @@ import numpy as np
 
 from ..coords import BiasVector
 from ..errors import ScenarioError
+from ..fusion import SensorModel
 
 __all__ = [
     "SensorSpec",
@@ -177,6 +178,10 @@ class Scenario:
         if self.estimate_scale_bias:
             return np.concatenate([off, [BIAS_PRIOR_SCALE_SIGMA, BIAS_PRIOR_SCALE_SIGMA]])
         return off
+
+    def sensor_models(self) -> SensorModel:
+        """Positions and noise levels of every sensor, one element each."""
+        return SensorModel(*zip(*((s.position, s.sigma_r, s.sigma_theta) for s in self.sensors)))
 
     def update_epochs(self) -> list[int]:
         """Frames at which at least two sensors report (excluding frame 0)."""

@@ -45,9 +45,8 @@ from ..dynamics import (
     nca_model,
     turn_model,
 )
-from ..errors import NumericalError, ScenarioError, SingularMatrixError
+from ..errors import NumericalError, ScenarioError, located
 from ..fusion import (
-    SensorModel,
     bias_correct,
     fbe_step,
     reconstruct_local_gain,
@@ -206,15 +205,10 @@ def simulate_truth(scenario: Scenario, run_index: int, zero_bias: bool = False) 
                 for t in range(n_t)
             ]
         )
-        try:
+        with located(lambda t, k: f"run {run_index}: sensor {s}, target {t}, frame {k}"):
             r_m, t_m = apply_bias(
                 r, theta, bias, sensor.sigma_r * wn[..., 0], sensor.sigma_theta * wn[..., 1]
             )
-        except NumericalError as exc:
-            t, k = exc.index
-            raise NumericalError(
-                f"run {run_index}: sensor {s}, target {t}, frame {k}: {exc.reason}"
-            ) from exc
         t_m = wrap_angle(t_m)
         polar_meas[s, :, :, 0] = r_m
         polar_meas[s, :, :, 1] = t_m
@@ -264,31 +258,17 @@ def run_local_tracks(scenario: Scenario, truth: TruthData) -> LocalTracks:
     cov[:, :, 0] = est.cov
     if not is_kf:
         state = ImmState.from_track(est, models, IMM_INITIAL_PROBS, IMM_TRANSITION)
-    for k in range(1, K + 1):
-        meas = CartesianMeasurement(z=truth.cart_z[:, :, k], R=truth.cart_R[:, :, k])
-        try:
+    with located(lambda s, t: f"sensor {s}, target {t}, frame {k}"):
+        for k in range(1, K + 1):
+            meas = CartesianMeasurement(z=truth.cart_z[:, :, k], R=truth.cart_R[:, :, k])
             if is_kf:
                 est, rec = kf_update(kf_predict(est, models), meas)
                 gain[:, :, k] = rec.gain
             else:
                 state, est = imm_step(state, meas)
-        except SingularMatrixError as exc:
-            where = f"frame {k}"
-            if exc.index is not None:
-                s, t = exc.index
-                where = f"sensor {s}, target {t}, {where}"
-            raise SingularMatrixError(f"{where}: {exc.reason}", index=exc.index) from exc
-        mean[:, :, k] = est.mean
-        cov[:, :, k] = est.cov
+            mean[:, :, k] = est.mean
+            cov[:, :, k] = est.cov
     return LocalTracks(mean=mean, cov=cov, gain=gain)
-
-
-def _sensor_models(scenario: Scenario) -> SensorModel:
-    return SensorModel(
-        position=np.stack([s.position for s in scenario.sensors]),
-        sigma_r=[s.sigma_r for s in scenario.sensors],
-        sigma_theta=[s.sigma_theta for s in scenario.sensors],
-    )
 
 
 def _initial_bias_states(scenario: Scenario) -> BiasEstimate:
@@ -351,7 +331,7 @@ def _run_fbe(scenario: Scenario, truth: TruthData, tracks: LocalTracks):
     n_t = len(scenario.targets)
     d = scenario.bias_dim
     fusion_model = ncv_model(scenario.dt, scenario.fusion_q)
-    sensors = _sensor_models(scenario)
+    sensors = scenario.sensor_models()
     bias = _initial_bias_states(scenario)
     # Each leave-one-out reference starts from the frame-0 estimate of the
     # lowest-numbered other sensor.
@@ -414,7 +394,7 @@ def _run_stacked(
     sig = scenario.bias_prior_sigma()
     prior = np.diag(np.concatenate([sig**2, sig**2]))
     est = BiasEstimate(b=np.zeros(4), Sigma=prior)
-    positions = np.stack([s.position for s in scenario.sensors])[:, None, None]
+    positions = scenario.sensor_models().position[:, None, None]
 
     # No frame's pseudo-measurements depend on the bias estimate, so every
     # (sensor, target, frame) of frames 1..K is built in one batched pass;
@@ -422,7 +402,7 @@ def _run_stacked(
     frames = np.arange(1, K + 1)
     prev = GaussianEstimate(tracks.mean[:, :, :-1], tracks.cov[:, :, :-1], frame=frames - 1)
     curr = GaussianEstimate(tracks.mean[:, :, 1:], tracks.cov[:, :, 1:], frame=frames)
-    try:
+    with located(lambda s, t, j: f"sensor {s}, target {t}, frame {j + 1}"):
         if reconstructed:
             trk = tracklet_decorrelated(prev, curr, ms1)
             gain = reconstruct_local_gain(trk)
@@ -433,12 +413,6 @@ def _run_stacked(
             r_m, t_m = truth.polar_meas[:, :, 1:, 0], truth.polar_meas[:, :, 1:, 1]
         zb = sensor_pseudo_obs(curr, prev, W, ms1)
         B = jacobians_at(r_m, t_m).B
-    except NumericalError as exc:
-        if exc.index is None:
-            raise
-        s, t, j = exc.index
-        where = f"sensor {s}, target {t}, frame {j + 1}"
-        raise type(exc)(f"{where}: {exc.reason}", index=exc.index) from exc
     # One stacked pseudo-measurement per frame, its targets on the
     # observation axis: (K, n_targets, ...).
     pm = PseudoMeasurement(
@@ -451,13 +425,11 @@ def _run_stacked(
     sigma_series = np.empty((K + 1, 1, 4, 4))
     b_series[0, 0] = est.b
     sigma_series[0, 0] = est.Sigma
-    for k in frames:
-        try:
+    with located(lambda: f"frame {k}"):
+        for k in frames:
             est = rlsb_update(est, pm[k - 1])
-        except NumericalError as exc:
-            raise type(exc)(f"frame {k}: {exc.reason}", index=exc.index) from exc
-        b_series[k, 0] = est.b
-        sigma_series[k, 0] = est.Sigma
+            b_series[k, 0] = est.b
+            sigma_series[k, 0] = est.Sigma
     return b_series, sigma_series, None
 
 
@@ -472,19 +444,13 @@ def _run_baseline(scenario: Scenario, truth: TruthData, tracks: LocalTracks):
     def epoch(k: int, last: np.ndarray, reporting: np.ndarray):
         sel = np.flatnonzero(reporting)
         lags = np.broadcast_to((k - last[sel])[:, None], (sel.size, n_t))
-        try:
+        with located(lambda i, t: f"sensor {sel[i]}, target {t}, frame {k}"):
             trk = compute_tracklet(
                 tracks.reports(last)[sel],
                 tracks.estimate(sel, slice(None), k),
                 compose_lags(steps, lags),
             )
             g = reconstruct_local_gain(trk)
-        except NumericalError as exc:
-            if exc.index is None:
-                raise
-            i, t = exc.index
-            where = f"sensor {sel[i]}, target {t}, frame {k}"
-            raise type(exc)(f"{where}: {exc.reason}", index=exc.index) from exc
         y = np.zeros((n_t, n_s, 2))
         R = np.zeros((n_t, n_s, 2, 2))
         y[:, sel], R[:, sel] = trk.u[..., ::2].swapaxes(0, 1), g.R.swapaxes(0, 1)
@@ -498,7 +464,7 @@ def run_single(scenario: Scenario, run_index: int, method: str) -> SingleRun:
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     truth = simulate_truth(scenario, run_index, zero_bias=(method == "baseline"))
-    try:
+    with located(f"run {run_index}"):
         tracks = run_local_tracks(scenario, truth)
         # Each method returns (b_series, sigma_series, fused_sqerr), with
         # None for the outputs it does not produce.
@@ -510,9 +476,6 @@ def run_single(scenario: Scenario, run_index: int, method: str) -> SingleRun:
             )
         else:
             b_series, sigma_series, fused_sqerr = _run_baseline(scenario, truth, tracks)
-    except NumericalError as exc:
-        # Keep the error type and the failing batch index.
-        raise type(exc)(f"run {run_index}: {exc.reason}", index=exc.index) from exc
     out = SingleRun(
         b_series=b_series,
         sigma_series=sigma_series,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import first_index, inv_spd2, mt, mv, symmetrize
+from ._linalg import inv_spd2, mt, mv, symmetrize
 from .coords import CartesianMeasurement
 from .dynamics import MotionModel
 from .errors import SingularMatrixError
@@ -277,8 +277,7 @@ def imm_step(
     c_bar = mu @ Pi
     if np.any(c_bar <= 0):
         raise SingularMatrixError(
-            "unreachable mode in IMM transition matrix",
-            index=first_index(np.any(c_bar <= 0, axis=-1)),
+            "unreachable mode in IMM transition matrix", np.any(c_bar <= 0, axis=-1)
         )
 
     # Mixed initial conditions; w[..., j, i] weighs source mode i in
@@ -291,7 +290,7 @@ def imm_step(
     try:
         modes, rec = kf_update(kf_predict(mixed, state.model), z)
     except SingularMatrixError as exc:
-        raise SingularMatrixError(exc.reason, index=exc.index and exc.index[:-1]) from exc
+        raise SingularMatrixError(exc.reason, exc.failed.any(axis=-1)) from exc
 
     # Mode probability update (log-domain for underflow safety).
     log_mu = np.log(c_bar) + _gauss_loglik(rec)

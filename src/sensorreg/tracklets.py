@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import first_index, inv_spd, inv_sym, mt, mv, symmetrize
+from ._linalg import inv_spd, inv_sym, mt, mv, symmetrize
 from .dynamics import MotionModel
 from .errors import NumericalError, SingularMatrixError, TrackletSingularError
 from .trackers import GaussianEstimate
@@ -75,8 +75,8 @@ def _pinv_psd(Lam: np.ndarray) -> np.ndarray:
     zero) inverts the 2x2 position block in closed form over the whole
     batch; every other element goes through one batched eigendecomposition.
 
-    Raises :class:`NumericalError` naming the first element that is
-    indefinite or carries no information.
+    Raises :class:`NumericalError` marking the elements that carry no
+    information, or those that are indefinite, whichever comes first.
     """
     n = Lam.shape[-1]
     U = np.zeros_like(Lam)
@@ -107,13 +107,15 @@ def _pinv_psd(Lam: np.ndarray) -> np.ndarray:
     # so the indefiniteness test also covers it.
     bad = empty | (w[:, 0] < -1e-8 * wmax)
     if bad.any():
-        i = np.argmax(bad)
+        empty_first = empty[np.argmax(bad)]
         reason = (
             "track carried no new information over the interval"
-            if empty[i]
+            if empty_first
             else "information difference indefinite; snapshots are inconsistent"
         )
-        raise NumericalError(reason, index=tuple(np.argwhere(rest)[i]))
+        failed = np.zeros(rest.shape, dtype=bool)
+        failed[rest] = bad & (empty == empty_first)
+        raise NumericalError(reason, failed)
     keep = w > INFO_RTOL * wmax[:, None]
     vw = np.divide(v, w[:, None, :], out=np.zeros_like(v), where=keep[:, None, :])
     U[rest] = symmetrize(vw @ mt(v))
@@ -141,11 +143,10 @@ def tracklet_inverse_kf(
     with np.errstate(divide="ignore", invalid="ignore"):
         failed = (lo <= 0.0) | (hi / lo > COND_LIMIT)
     if failed.any():
-        index = first_index(failed)
-        at = index or ()
+        at = tuple(np.argwhere(failed)[0])
         raise TrackletSingularError(
             f"covariance difference near-singular (eig range [{lo[at]:.3e}, {hi[at]:.3e}])",
-            index=index,
+            failed,
         )
     A = mt(np.linalg.solve(mt(D), mt(P_pred)))
     u = x_pred + mv(A, curr.mean - x_pred)
@@ -182,10 +183,9 @@ def tracklet_decorrelated(
     try:
         J_curr, J_pred = inv_spd(np.stack(np.broadcast_arrays(curr.cov, P_pred)))
     except SingularMatrixError as exc:
-        which = ("track covariance", "predicted track covariance")[exc.index[0]]
-        raise SingularMatrixError(
-            f"{which} is not positive definite", index=exc.index[1:]
-        ) from exc
+        which = exc.index[0]
+        name = ("track covariance", "predicted track covariance")[which]
+        raise SingularMatrixError(f"{name} is not positive definite", exc.failed[which]) from exc
     U = _pinv_psd(symmetrize(J_curr - J_pred))
     u = mv(U, mv(J_curr, curr.mean) - mv(J_pred, x_pred))
     return Tracklet(

@@ -620,16 +620,22 @@ def test_batched_fusion_formulas_match_batch_free_calls():
 
 
 def test_fbe_step_names_the_pair_of_a_reference_failure(monkeypatch):
-    # A failure after the per-pair stage names the frame, sensor and target
-    # of the failing reference, not its position among the references.
+    # A failure after the per-pair stage names the sensor, target and frame
+    # of the failing reference, not its position among the references, and
+    # marks the failing pairs on the (sensor, target) grid.
     import sensorreg.fusion as fusion
 
-    def rank_deficient(*args):
-        raise SingularMatrixError("gain Gram matrix is singular (cond ~ inf)", index=(2,))
+    def rank_deficient(curr, prev, W, model):
+        failed = np.isin(np.arange(len(W)), [2, 4])
+        raise SingularMatrixError("gain Gram matrix is singular (cond ~ inf)", failed)
 
     monkeypatch.setattr(fusion, "sensor_pseudo_obs", rank_deficient)
     tracks, bias_states, fused_prev, model, sensors = _small_fbe_inputs()
-    match = r"^frame 5, sensor 1, target 0: gain Gram matrix is singular \(cond ~ inf\)$"
+    match = (
+        r"^sensor 1, target 0, frame 5: gain Gram matrix is singular \(cond ~ inf\)"
+        r" at batch index \[1, 0\]$"
+    )
     with pytest.raises(SingularMatrixError, match=match) as info:
         fbe_step(*tracks, bias_states, fused_prev, model, sensors)
-    assert info.value.index is None
+    assert info.value.index == (1, 0)
+    np.testing.assert_array_equal(info.value.failed, [[0, 0], [1, 0], [1, 0]])

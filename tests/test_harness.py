@@ -769,6 +769,41 @@ def test_fusion_center_runs_once_per_epoch(monkeypatch):
     assert counts["rlsb_update"] <= epochs
 
 
+@pytest.mark.parametrize("local_filter", ["imm_ncv_ncv", "imm_nca_ncv"])
+def test_failing_pairs_cost_one_pass_per_reason(monkeypatch, local_filter):
+    # With an IMM tracker and lag-1 reports every single-step information
+    # difference is indefinite, except (imm_nca_ncv) that of sensor 1,
+    # target 4 at frame 6.  fbe drops all failing pairs of a frame together:
+    # one tracklet batch per frame (two where a pair survives), not one per
+    # failing pair, with one skip record per pair in (sensor, target) order.
+    import sensorreg.fusion as fusion
+    import sensorreg.harness.simulate as sim
+
+    counts = _count_calls(monkeypatch, (fusion,), ("compute_tracklet",))
+    skipped = {}
+
+    def fbe_step(prev, curr, *args):
+        res = step(prev, curr, *args)
+        skipped[int(curr.frame)] = res.skipped
+        return res
+
+    step = sim.fbe_step
+    monkeypatch.setattr(sim, "fbe_step", fbe_step)
+    sc = load_scenario("two_sensor")
+    sc.local_filter.type = local_filter
+    sim.run_single(sc, 0, "fbe")
+    epochs = sc.update_epochs()
+    assert sorted(skipped) == epochs
+    reason = "information difference indefinite; snapshots are inconsistent"
+    pairs = [(s, t, reason) for s in range(len(sc.sensors)) for t in range(len(sc.targets))]
+    survivor = {"imm_ncv_ncv": [], "imm_nca_ncv": [(1, 4, reason)]}[local_filter]
+    for k in epochs:
+        expected = [p for p in pairs if k != 6 or p not in survivor]
+        assert skipped[k] == expected
+    assert counts["compute_tracklet"] == len(epochs) + len(survivor)
+    assert sum(map(len, skipped.values())) == 480 - len(survivor)
+
+
 def test_each_fused_reference_is_one_kf_update(monkeypatch):
     # Local tracking makes one Kalman update per frame, and each epoch's two
     # sfa calls (leave-one-out references, all-sensor fusion) one each, not

@@ -15,11 +15,11 @@ def first_index(bad: np.ndarray) -> tuple[int, ...] | None:
 
 def quote_first(fmt: str, bad: np.ndarray, values: np.ndarray) -> tuple[str, np.ndarray]:
     """The first of ``values`` (one per True entry of ``bad``) as ``fmt``
-    reads it, and the mask of the entries of ``bad`` whose value reads the
-    same: an error quoting the value covers only those."""
+    reads it, and the mask of the leading run of entries of ``bad`` whose
+    value reads the same: an error quoting the value covers only those."""
     text = np.char.mod(fmt, values)
     failed = np.array(bad, dtype=bool)
-    failed[bad] = text == text[0]
+    failed[bad] = np.logical_and.accumulate(text == text[0])
     return str(text[0]), failed
 
 
@@ -37,8 +37,10 @@ class NumericalError(SensorRegError):
     definiteness, non-finite values).
 
     ``failed`` marks, on the leading batch axes of a batched computation,
-    every element that failed the check with this message (0-d for a
-    batch-free one), and ``index`` locates the first of them (None for a
+    the elements that failed the check with this message (0-d for a
+    batch-free one): every one, or, where the message quotes a value or
+    names one of several reasons, the leading run in index order of those
+    that read the same.  ``index`` locates the first of them (None for a
     batch-free one).  ``reason`` is the message without that location.
     """
 
@@ -68,13 +70,19 @@ def located(where, failed=None):
     ``where`` is the location text, or a function returning it from the
     unpacked batch index of the first failed element (no arguments for a
     batch-free error); it runs only on failure, so it may read loop
-    variables.  ``failed`` optionally maps the mask onto the batch that the
-    location names.
+    variables.  A batch-free error passes unchanged through a function
+    with index parameters.  ``failed`` optionally maps the mask onto the
+    batch that the location names.
     """
     try:
         yield
     except NumericalError as exc:
-        text = where if isinstance(where, str) else where(*(exc.index or ()))
+        if isinstance(where, str):
+            text = where
+        elif exc.index is None and where.__code__.co_argcount:
+            raise
+        else:
+            text = where(*(exc.index or ()))
         mask = exc.failed if failed is None else failed(exc.failed)
         raise type(exc)(f"{text}: {exc.reason}", mask) from exc
 

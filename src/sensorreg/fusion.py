@@ -187,7 +187,8 @@ def _without_failures(run, keep: np.ndarray, record):
     raised a :class:`NumericalError` whose ``failed`` marks them on the
     axis of ``keep``, each goes to ``record(element, error)``, and the
     remaining elements run again, so a batch runs once per distinct
-    failure.  The result is None when every element failed.
+    failure, with the records and survivors of dropping one failed element
+    at a time.  The result is None when every element failed.
     """
     while keep.size:
         try:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .._linalg import cholesky, solve_psd
-from ..errors import NumericalError, SingularMatrixError
+from ..errors import NumericalError, SingularMatrixError, first_index
 from .scenario import Scenario
 
 __all__ = [
@@ -273,10 +273,8 @@ def aggregate_runs(scenario: Scenario, method: str, outs: list) -> RunMetrics:
     if outs[0].fused_sqerr is not None:
         fused_sq = forward_fill(np.stack([o.fused_sqerr for o in outs]))
         if not np.all(np.isfinite(fused_sq[:, 1:])):
-            bad = np.argwhere(~np.isfinite(fused_sq))
-            raise NumericalError(
-                f"non-finite fused track error at run {bad[0][0]}, frame {bad[0][1]}"
-            )
+            run, frame = first_index(~np.isfinite(fused_sq))
+            raise NumericalError(f"non-finite fused track error at run {run}, frame {frame}")
 
     bias = {}
     if outs[0].b_series is not None:

@@ -45,7 +45,7 @@ from ..dynamics import (
     nca_model,
     turn_model,
 )
-from ..errors import NumericalError, ScenarioError, located
+from ..errors import NumericalError, ScenarioError, first_index, located
 from ..fusion import (
     bias_correct,
     fbe_step,
@@ -425,7 +425,7 @@ def _run_stacked(
     sigma_series = np.empty((K + 1, 1, 4, 4))
     b_series[0, 0] = est.b
     sigma_series[0, 0] = est.Sigma
-    with located(lambda: f"frame {k}"):
+    with located(lambda *_: f"frame {k}"):
         for k in frames:
             est = rlsb_update(est, pm[k - 1])
             b_series[k, 0] = est.b
@@ -511,8 +511,7 @@ def _check_finite(
             continue
         bad = ~np.isfinite(arr)
         if bad.any():
-            idx = np.argwhere(bad)[0]
-            where = ", ".join(f"{a} {i}" for a, i in zip(axes, idx))
+            where = ", ".join(f"{a} {i}" for a, i in zip(axes, first_index(bad)))
             raise NumericalError(f"run {run_index}: non-finite {what} at {where}")
 
 

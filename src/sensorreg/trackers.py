@@ -275,10 +275,9 @@ def imm_step(
     mu = state.mode_probs
     Pi = state.transition
     c_bar = mu @ Pi
-    if np.any(c_bar <= 0):
-        raise SingularMatrixError(
-            "unreachable mode in IMM transition matrix", np.any(c_bar <= 0, axis=-1)
-        )
+    unreachable = (c_bar <= 0).any(axis=-1)
+    if unreachable.any():
+        raise SingularMatrixError("unreachable mode in IMM transition matrix", unreachable)
 
     # Mixed initial conditions; w[..., j, i] weighs source mode i in
     # destination mode j.

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._linalg import inv_spd, inv_sym, mt, mv, symmetrize
 from .dynamics import MotionModel
-from .errors import NumericalError, SingularMatrixError, TrackletSingularError
+from .errors import NumericalError, SingularMatrixError, TrackletSingularError, first_index
 from .trackers import GaussianEstimate
 
 __all__ = [
@@ -75,8 +75,9 @@ def _pinv_psd(Lam: np.ndarray) -> np.ndarray:
     zero) inverts the 2x2 position block in closed form over the whole
     batch; every other element goes through one batched eigendecomposition.
 
-    Raises :class:`NumericalError` marking the elements that carry no
-    information, or those that are indefinite, whichever comes first.
+    Raises :class:`NumericalError` marking the leading run of failing
+    elements that carry no information, or of those that are indefinite,
+    whichever comes first.
     """
     n = Lam.shape[-1]
     U = np.zeros_like(Lam)
@@ -114,7 +115,7 @@ def _pinv_psd(Lam: np.ndarray) -> np.ndarray:
             else "information difference indefinite; snapshots are inconsistent"
         )
         failed = np.zeros(rest.shape, dtype=bool)
-        failed[rest] = bad & (empty == empty_first)
+        failed[rest] = bad & np.logical_and.accumulate(~bad | (empty == empty_first))
         raise NumericalError(reason, failed)
     keep = w > INFO_RTOL * wmax[:, None]
     vw = np.divide(v, w[:, None, :], out=np.zeros_like(v), where=keep[:, None, :])
@@ -143,7 +144,7 @@ def tracklet_inverse_kf(
     with np.errstate(divide="ignore", invalid="ignore"):
         failed = (lo <= 0.0) | (hi / lo > COND_LIMIT)
     if failed.any():
-        at = tuple(np.argwhere(failed)[0])
+        at = first_index(failed) or ()
         raise TrackletSingularError(
             f"covariance difference near-singular (eig range [{lo[at]:.3e}, {hi[at]:.3e}])",
             failed,
@@ -205,8 +206,20 @@ def compute_tracklet(
 
     The two forms agree to rounding wherever both apply, so the form a batch
     takes moves its full-rank elements only in their last bits.
+
+    A failure of the decorrelated form that marks every near-singular
+    element marks only the failed elements up to the last of them: without
+    those the batch takes the inverse-filter form, where the rest may pass.
     """
     try:
         return tracklet_inverse_kf(prev, curr, model)
-    except TrackletSingularError:
+    except TrackletSingularError as exc:
+        singular = exc.failed
+    try:
         return tracklet_decorrelated(prev, curr, model)
+    except NumericalError as exc:
+        if (singular & ~exc.failed).any():
+            raise
+        failed = exc.failed.copy()
+        failed.flat[np.flatnonzero(singular)[-1] + 1 :] = False
+        raise type(exc)(exc.reason, failed) from exc

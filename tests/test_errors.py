@@ -160,6 +160,13 @@ SITES = {
 }
 
 
+def _check(reason):
+    """The check behind a reason: the reason without its quoted value, and
+    one name for both reasons of ``_pinv_psd``'s one check."""
+    reason = reason.split(" (")[0]
+    return "pinv" if "information" in reason else reason
+
+
 def _outcome(call, args):
     """``(type, reason)`` of the error of one call, or None."""
     try:
@@ -179,9 +186,11 @@ def _outcome(call, args):
 @settings(max_examples=60, deadline=None)
 def test_error_marks_every_element_that_fails_alike(site, seed, n_good, bad, column):
     # A batch with 0-3 bad elements fails, if at all, with the error of its
-    # first failing element alone; ``failed`` marks exactly the elements
-    # that fail alone with that same error and reason, so no message quotes
-    # one element's value for another, and ``index`` is the first of them.
+    # first failing element alone.  ``failed`` marks the elements that fail
+    # alone with that same error and reason, up to the first that fails the
+    # same check with another reason: no message quotes one element's value
+    # for another, and each error marks a leading run, in index order, of
+    # the elements failing its check.  ``index`` is the first of them.
     good, kinds, call = SITES[site]
     rng = np.random.default_rng(seed)
     chosen = bad.draw(st.lists(st.sampled_from(sorted(kinds)), max_size=3))
@@ -198,7 +207,12 @@ def test_error_marks_every_element_that_fails_alike(site, seed, n_good, bad, col
     try:
         call(*batch)
     except NumericalError as exc:
-        expected = np.array([a is not None and a == (type(exc), exc.reason) for a in alone])
+        outcome, run, expected = (type(exc), exc.reason), True, []
+        for a in alone:
+            if a is not None and a[0] is outcome[0] and _check(a[1]) == _check(exc.reason):
+                run = run and a == outcome
+            expected.append(run and a == outcome)
+        expected = np.array(expected)
         assert expected.any()
         np.testing.assert_array_equal(exc.failed, expected.reshape(shape))
         assert exc.index == tuple(int(i) for i in np.argwhere(expected.reshape(shape))[0])
@@ -233,6 +247,19 @@ def test_located_keeps_type_and_mask():
             with located(lambda: "frame 2"):
                 raise NumericalError("no batch")
     assert info.value.index is None
+
+    # A function of the index cannot name a batch-free error, which passes
+    # unchanged; one that takes any index names every error.
+    bare = NumericalError("no batch")
+    with pytest.raises(NumericalError) as info:
+        with located(lambda s, t: f"sensor {s}, target {t}"):
+            raise bare
+    assert info.value is bare and str(bare) == "no batch"
+    for error in (NumericalError("no batch"), NumericalError("bad", [False, True])):
+        with pytest.raises(NumericalError, match=r"^frame 4: ") as info:
+            with located(lambda *_: "frame 4"):
+                raise error
+        assert info.value.index == error.index
 
     # ``failed`` maps the mask onto the batch the location names.
     with pytest.raises(NumericalError) as info:

@@ -55,15 +55,21 @@ def wrap_angle(angle):
 
 @dataclass
 class BiasVector:
-    """Per-sensor systematic errors: offsets (m, rad) and unitless scales."""
+    """Per-sensor systematic errors: offsets (m, rad) and unitless scales.
 
-    b_r: float = 0.0
-    b_theta: float = 0.0
-    eps_r: float = 0.0
-    eps_theta: float = 0.0
+    Fields may be arrays, one element per sensor of a batch, that broadcast
+    against the measurements they bias.
+    """
+
+    b_r: float | np.ndarray = 0.0
+    b_theta: float | np.ndarray = 0.0
+    eps_r: float | np.ndarray = 0.0
+    eps_theta: float | np.ndarray = 0.0
 
     def __post_init__(self) -> None:
-        if 1.0 + self.eps_r <= 0.0 or 1.0 + self.eps_theta <= 0.0:
+        if np.any(1.0 + np.asarray(self.eps_r) <= 0.0) or np.any(
+            1.0 + np.asarray(self.eps_theta) <= 0.0
+        ):
             raise ValueError("scale biases must keep 1 + eps positive")
 
     def as_array(self, include_scale: bool = True) -> np.ndarray:

@@ -41,13 +41,15 @@ class NumericalError(SensorRegError):
     batch-free one): every one, or, where the message quotes a value or
     names one of several reasons, the leading run in index order of those
     that read the same.  ``index`` locates the first of them (None for a
-    batch-free one).  ``reason`` is the message without that location.
+    batch-free one).  ``reason`` is the message without that location: the
+    message appends the batch index unless ``named``, for a reason that
+    already names the place.
     """
 
-    def __init__(self, reason: str, failed=True) -> None:
+    def __init__(self, reason: str, failed=True, *, named: bool = False) -> None:
         self.failed = np.asarray(failed, dtype=bool)
         self.index = first_index(self.failed)
-        super().__init__(f"{reason}{at_index(self.index)}")
+        super().__init__(reason if named else f"{reason}{at_index(self.index)}")
         self.reason = reason
 
 
@@ -67,6 +69,10 @@ def located(where, failed=None):
     """Re-raise a :class:`NumericalError` escaping the block as
     ``<where>: <reason>``, of the same type and with the same mask.
 
+    The message names the place once: a location computed from the batch
+    index replaces the ``at batch index`` suffix, while a fixed text keeps
+    the suffix of an error that still carries one.
+
     ``where`` is the location text, or a function returning it from the
     unpacked batch index of the first failed element (no arguments for a
     batch-free error); it runs only on failure, so it may read loop
@@ -78,13 +84,13 @@ def located(where, failed=None):
         yield
     except NumericalError as exc:
         if isinstance(where, str):
-            text = where
+            text, named = where, str(exc) == exc.reason
         elif exc.index is None and where.__code__.co_argcount:
             raise
         else:
-            text = where(*(exc.index or ()))
+            text, named = where(*(exc.index or ())), True
         mask = exc.failed if failed is None else failed(exc.failed)
-        raise type(exc)(f"{text}: {exc.reason}", mask) from exc
+        raise type(exc)(f"{text}: {exc.reason}", mask, named=named) from exc
 
 
 class ScenarioError(SensorRegError, ValueError):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .._linalg import cholesky, solve_psd
-from ..errors import NumericalError, SingularMatrixError, first_index
+from ..errors import NumericalError, first_index, located
 from .scenario import Scenario
 
 __all__ = [
@@ -188,21 +188,22 @@ def nees_series(errors: np.ndarray, covariances: np.ndarray) -> NeesResult:
             for g groups of the same dimension at once.
         covariances: the matching (..., d, d) reported covariances.
 
-    Raises :class:`NumericalError` naming the run and frame (and group) of
-    the first covariance that is not positive definite (NaN entries
-    included).
+    Raises :class:`SingularMatrixError` naming the run and frame (and
+    group) of the first covariance that is not positive definite (NaN
+    entries included), with the failing ones marked over (run, frame[,
+    group]).
     """
     errors = np.asarray(errors, dtype=float)
     covariances = np.asarray(covariances, dtype=float)
     runs, d = errors.shape[0], errors.shape[-1]
-    try:
+
+    def where(run, frame, *group):
+        return f"NEES at run {run}, frame {frame}" + "".join(f", group {g}" for g in group)
+
+    with located(where):
         # The Cholesky factors only screen; the LU solve sets the values.
         cholesky(covariances, context="covariance")
         sol = solve_psd(covariances, errors[..., None], context="covariance")
-    except SingularMatrixError as exc:
-        run, frame, *group = exc.index
-        where = f"run {run}, frame {frame}" + "".join(f", group {g}" for g in group)
-        raise NumericalError(f"covariance not positive definite in NEES at {where}") from exc
     vals = (errors[..., None, :] @ sol)[..., 0, 0]
     lo, hi = chi2_band(d, runs)
     return NeesResult(

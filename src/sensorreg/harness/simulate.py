@@ -11,9 +11,14 @@ Four estimation methods are supported:
 * ``baseline``-- no biases injected and no estimation; plain tracklet fusion
                  (best-case reference for track accuracy).
 
-All randomness derives from counter-based streams keyed by
-(seed, purpose, run, sensor, target), so runs are reproducible and
-independent of execution order.
+All randomness derives from counter-based Philox streams keyed by
+(seed, purpose, run[, sensor], target): the children that
+``SeedSequence(seed, spawn_key=(purpose, run[, sensor])).spawn(n_targets)``
+gives, purpose 0 for target motion and 1 for measurement noise.  Runs are
+therefore reproducible and independent of execution order.  The truth
+layer builds one motion model per distinct segment kind and gathers each
+(target, frame) transition from a table of them; every sensor is measured
+in one batched pass over (sensor, target, frame).
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from ..coords import (
     wrap_angle,
 )
 from ..dynamics import (
-    MotionModel,
     compose_lags,
     compose_steps,
     ncv_model,
@@ -80,11 +84,6 @@ IMM_TRANSITION = np.array([[0.95, 0.05], [0.05, 0.95]])
 IMM_INITIAL_PROBS = np.array([0.5, 0.5])
 
 METHODS = ("fbe", "ex", "exl", "baseline")
-
-
-def _stream(seed: int, *key: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
-    return np.random.Generator(np.random.Philox(ss))
 
 
 @dataclass
@@ -131,39 +130,62 @@ class SingleRun:
     fused_sqerr: np.ndarray | None     # (K+1,) NaN between fusion epochs
 
 
-def _segment_sequence(scenario: Scenario, target_idx: int) -> list[MotionModel]:
-    """Single-step truth models for frames 0..K-1; the last segment extends."""
-    spec = scenario.targets[target_idx]
+def _motion_tables(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """Single-step truth transitions and process-noise Cholesky factors, each
+    (n_targets, K, 4, 4), for frames 0..K-1.
+
+    One model is built per distinct segment kind and gathered through a
+    (target, frame) table of kind indices; each target's last segment
+    extends to the final frame.
+    """
+    K = scenario.frames
+    kinds: dict[tuple[str, float], int] = {}
+    seg_kinds = []
+    # 1 + the number of the segment starting at each (target, frame), 0
+    # elsewhere; segments are numbered in order, so a running maximum along
+    # the frames gives the segment in force.
+    starts = np.zeros((len(scenario.targets), K), dtype=np.intp)
+    for t, target in enumerate(scenario.targets):
+        k = 0
+        for seg in target.segments:
+            if k < K:
+                key = (seg.model, seg.omega if seg.model == "turn" else 0.0)
+                seg_kinds.append(kinds.setdefault(key, len(kinds)))
+                starts[t, k] = len(seg_kinds)
+            k += seg.frames
+    table = np.array(seg_kinds)[np.maximum.accumulate(starts, axis=1) - 1]
     q = scenario.process_noise_q
-    out: list[MotionModel] = []
-    for seg in spec.segments:
-        if seg.model == "ncv":
-            m = ncv_model(scenario.dt, q)
-        else:
-            m = turn_model(scenario.dt, seg.omega, q)
-        out.extend([m] * seg.frames)
-    if len(out) < scenario.frames:
-        out.extend([out[-1]] * (scenario.frames - len(out)))
-    return out[: scenario.frames]
+    models = [
+        ncv_model(scenario.dt, q) if model == "ncv" else turn_model(scenario.dt, omega, q)
+        for model, omega in kinds
+    ]
+    Q = np.stack([m.Q for m in models])
+    # A noise-free model (q = 0) has no Cholesky factor and adds no noise.
+    chol = np.zeros_like(Q)
+    noisy = Q.any(axis=(-2, -1))
+    chol[noisy] = np.linalg.cholesky(Q[noisy])
+    return np.stack([m.F for m in models])[table], chol[table]
 
 
 def _propagate_targets(scenario: Scenario, noise: np.ndarray) -> np.ndarray:
     """Trajectories (n_targets, K+1, 4) driven by the white process noise
     ``noise`` (n_targets, K, 4), scaled by each segment model's Cholesky
     factor; all targets advance in lockstep."""
-    models = [_segment_sequence(scenario, t) for t in range(len(scenario.targets))]
-    distinct = {id(m): m for seq in models for m in seq}
-    chols = {
-        key: np.linalg.cholesky(m.Q) if np.any(m.Q) else np.zeros_like(m.Q)
-        for key, m in distinct.items()
-    }
-    F = np.array([[m.F for m in seq] for seq in models])
-    w = mv(np.array([[chols[id(m)] for m in seq] for seq in models]), noise)
-    states = np.empty((len(models), scenario.frames + 1, 4))
+    F, chol = _motion_tables(scenario)
+    w = mv(chol, noise)
+    states = np.empty((len(scenario.targets), scenario.frames + 1, 4))
     x = states[:, 0] = np.array([target.initial_state for target in scenario.targets])
     for k in range(scenario.frames):
         x = states[:, k + 1] = mv(F[:, k], x) + w[:, k]
     return states
+
+
+def _standard_normal(streams: list[np.random.SeedSequence], shape) -> np.ndarray:
+    """Draws (len(streams), *shape), one row from each stream's Philox
+    generator."""
+    return np.stack(
+        [np.random.Generator(np.random.Philox(ss)).standard_normal(shape) for ss in streams]
+    )
 
 
 def simulate_truth(scenario: Scenario, run_index: int, zero_bias: bool = False) -> TruthData:
@@ -171,26 +193,26 @@ def simulate_truth(scenario: Scenario, run_index: int, zero_bias: bool = False) 
 
     Deterministic in (rng_seed, run_index); ``zero_bias`` replaces every
     sensor's bias with zero while keeping the same noise draws, which gives
-    paired biased/unbiased comparisons.
+    paired biased/unbiased comparisons.  Every sensor is measured in one
+    batched pass over (sensor, target, frame).
     """
     K = scenario.frames
     n_t = len(scenario.targets)
-    n_s = len(scenario.sensors)
-    noise = np.stack(
-        [_stream(scenario.rng_seed, 0, run_index, t).standard_normal((K, 4)) for t in range(n_t)]
-    )
-    states = _propagate_targets(scenario, noise)
+    seed, run = int(scenario.rng_seed), int(run_index)
+    # One stream per target (purpose 0) and per (sensor, target) (purpose 1):
+    # the children that ``spawn`` appends to the key.
+    motion = np.random.SeedSequence(seed, spawn_key=(0, run)).spawn(n_t)
+    states = _propagate_targets(scenario, _standard_normal(motion, (K, 4)))
+    sensor_keys = np.random.SeedSequence(seed, spawn_key=(1, run)).spawn(len(scenario.sensors))
+    wn = np.stack([_standard_normal(key.spawn(n_t), (K + 1, 2)) for key in sensor_keys])
 
-    polar_true = np.empty((n_s, n_t, K + 1, 2))
-    polar_meas = np.empty_like(polar_true)
-    cart_z = np.empty((n_s, n_t, K + 1, 2))
-    cart_R = np.empty((n_s, n_t, K + 1, 2, 2))
+    # Per-sensor geometry, noise and bias on the leading axis, broadcast
+    # over (target, frame).
+    sensors = scenario.sensor_models()[:, None, None]
+    r, theta = cart_to_polar(states[..., ::2], sensors.position)
+    r_max = r.max(axis=(1, 2))
     for s, sensor in enumerate(scenario.sensors):
-        r, theta = cart_to_polar(states[..., ::2], sensor.position)
-        polar_true[s, :, :, 0] = r
-        polar_true[s, :, :, 1] = theta
-        bias = BiasVector() if zero_bias else sensor.bias
-        ratio = float(r.max()) * sensor.sigma_theta**2 / sensor.sigma_r
+        ratio = float(r_max[s]) * sensor.sigma_theta**2 / sensor.sigma_r
         if ratio >= CONVERSION_VALIDITY_LIMIT:
             warnings.warn(
                 f"sensor {s}: conversion validity ratio {ratio:.3g} exceeds "
@@ -198,28 +220,21 @@ def simulate_truth(scenario: Scenario, run_index: int, zero_bias: bool = False) 
                 RuntimeWarning,
                 stacklevel=2,
             )
-        # One noise stream per (sensor, target), stacked over targets.
-        wn = np.stack(
-            [
-                _stream(scenario.rng_seed, 1, run_index, s, t).standard_normal((K + 1, 2))
-                for t in range(n_t)
-            ]
+    bias = BiasVector()
+    if not zero_bias:
+        fields = np.array([sensor.bias.as_array() for sensor in scenario.sensors]).T
+        bias = BiasVector(*fields[..., None, None])
+    with located(lambda s, t, k: f"run {run_index}: sensor {s}, target {t}, frame {k}"):
+        r_m, t_m = apply_bias(
+            r, theta, bias, sensors.sigma_r * wn[..., 0], sensors.sigma_theta * wn[..., 1]
         )
-        with located(lambda t, k: f"run {run_index}: sensor {s}, target {t}, frame {k}"):
-            r_m, t_m = apply_bias(
-                r, theta, bias, sensor.sigma_r * wn[..., 0], sensor.sigma_theta * wn[..., 1]
-            )
-        t_m = wrap_angle(t_m)
-        polar_meas[s, :, :, 0] = r_m
-        polar_meas[s, :, :, 1] = t_m
-        cart_z[s] = polar_to_cart(r_m, t_m, sensor.sigma_theta, sensor.position)
-        cart_R[s] = converted_covariance(r_m, t_m, sensor.sigma_r, sensor.sigma_theta)
+    t_m = wrap_angle(t_m)
     return TruthData(
         states=states,
-        polar_true=polar_true,
-        polar_meas=polar_meas,
-        cart_z=cart_z,
-        cart_R=cart_R,
+        polar_true=np.stack([r, theta], axis=-1),
+        polar_meas=np.stack([r_m, t_m], axis=-1),
+        cart_z=polar_to_cart(r_m, t_m, sensors.sigma_theta, sensors.position),
+        cart_R=converted_covariance(r_m, t_m, sensors.sigma_r, sensors.sigma_theta),
     )
 
 

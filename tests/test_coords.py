@@ -56,6 +56,9 @@ def test_apply_bias_rejects_nonpositive_range():
 def test_bias_vector_requires_positive_scale():
     with pytest.raises(ValueError):
         BiasVector(eps_r=-1.0)
+    # Per-sensor fields: any one sensor's scale is enough.
+    with pytest.raises(ValueError):
+        BiasVector(eps_theta=np.array([0.0, -2.0]))
 
 
 def test_jacobians_at_unit_range_zero_angle():

@@ -236,8 +236,9 @@ def test_located_keeps_type_and_mask():
     with pytest.raises(SingularMatrixError) as info:
         with located(lambda s, t: f"sensor {s}, target {t}"):
             raise SingularMatrixError("S is singular", failed)
-    assert str(info.value) == "sensor 1, target 1: S is singular at batch index [1, 1]"
+    assert str(info.value) == "sensor 1, target 1: S is singular"
     assert info.value.reason == "sensor 1, target 1: S is singular"
+    assert info.value.index == (1, 1)
     np.testing.assert_array_equal(info.value.failed, failed)
     assert isinstance(info.value.__cause__, SingularMatrixError)
 
@@ -247,6 +248,17 @@ def test_located_keeps_type_and_mask():
             with located(lambda: "frame 2"):
                 raise NumericalError("no batch")
     assert info.value.index is None
+
+    # A fixed text keeps the batch index of an error not yet located, and
+    # adds none to one that is.
+    with pytest.raises(NumericalError, match=r"^run 3: bad at batch index \[1\]$"):
+        with located("run 3"):
+            raise NumericalError("bad", [False, True])
+    with pytest.raises(NumericalError, match=r"^run 3: element 1: bad$") as info:
+        with located("run 3"):
+            with located(lambda i: f"element {i}"):
+                raise NumericalError("bad", [False, True])
+    assert info.value.index == (1,)
 
     # A function of the index cannot name a batch-free error, which passes
     # unchanged; one that takes any index names every error.
@@ -265,7 +277,8 @@ def test_located_keeps_type_and_mask():
     with pytest.raises(NumericalError) as info:
         with located(lambda i: f"element {i}", lambda m: np.repeat(m, 2)):
             raise NumericalError("bad", [False, True])
-    assert str(info.value) == "element 1: bad at batch index [2]"
+    assert str(info.value) == "element 1: bad"
+    assert info.value.index == (2,)
 
     # Other exceptions pass through untouched.
     with pytest.raises(ValueError, match="^other$"):

@@ -11,10 +11,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from sensorreg.coords import BiasVector
-from sensorreg.errors import NumericalError, ScenarioError
+from sensorreg._linalg import mv
+from sensorreg.coords import (
+    BiasVector,
+    apply_bias,
+    cart_to_polar,
+    converted_covariance,
+    polar_to_cart,
+    wrap_angle,
+)
+from sensorreg.dynamics import ncv_model, turn_model
+from sensorreg.errors import NumericalError, ScenarioError, SingularMatrixError
 from sensorreg.harness import (
     BUILTIN_SCENARIOS,
     builtin_scenario_path,
@@ -250,7 +261,144 @@ def test_nominal_geometry_matches_zero_noise_truth():
     doc = _tiny_scenario(process_noise_q=0.0)
     sc = load_scenario(doc)
     truth = simulate_truth(sc, 0)
-    np.testing.assert_allclose(nominal_geometry(sc), truth.states, rtol=1e-12)
+    np.testing.assert_array_equal(nominal_geometry(sc), truth.states)
+
+
+# Reference truth layer: one motion model per segment of each target,
+# listed per (target, frame), and one noise stream built per (purpose, run[,
+# sensor], target) key, each sensor measured in its own pass.
+
+
+def _reference_stream(seed, *key):
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
+    return np.random.Generator(np.random.Philox(ss))
+
+
+def _reference_segment_sequence(sc, target_idx):
+    out = []
+    for seg in sc.targets[target_idx].segments:
+        if seg.model == "ncv":
+            m = ncv_model(sc.dt, sc.process_noise_q)
+        else:
+            m = turn_model(sc.dt, seg.omega, sc.process_noise_q)
+        out.extend([m] * seg.frames)
+    if len(out) < sc.frames:
+        out.extend([out[-1]] * (sc.frames - len(out)))
+    return out[: sc.frames]
+
+
+def _reference_states(sc, noise):
+    models = [_reference_segment_sequence(sc, t) for t in range(len(sc.targets))]
+    distinct = {id(m): m for seq in models for m in seq}
+    chols = {
+        key: np.linalg.cholesky(m.Q) if np.any(m.Q) else np.zeros_like(m.Q)
+        for key, m in distinct.items()
+    }
+    F = np.array([[m.F for m in seq] for seq in models])
+    w = mv(np.array([[chols[id(m)] for m in seq] for seq in models]), noise)
+    states = np.empty((len(models), sc.frames + 1, 4))
+    x = states[:, 0] = np.array([target.initial_state for target in sc.targets])
+    for k in range(sc.frames):
+        x = states[:, k + 1] = mv(F[:, k], x) + w[:, k]
+    return states
+
+
+def _reference_truth(sc, run_index, zero_bias):
+    K, n_t, n_s = sc.frames, len(sc.targets), len(sc.sensors)
+    noise = np.stack(
+        [
+            _reference_stream(sc.rng_seed, 0, run_index, t).standard_normal((K, 4))
+            for t in range(n_t)
+        ]
+    )
+    states = _reference_states(sc, noise)
+    polar_true = np.empty((n_s, n_t, K + 1, 2))
+    polar_meas = np.empty_like(polar_true)
+    cart_z = np.empty((n_s, n_t, K + 1, 2))
+    cart_R = np.empty((n_s, n_t, K + 1, 2, 2))
+    for s, sensor in enumerate(sc.sensors):
+        r, theta = cart_to_polar(states[..., ::2], sensor.position)
+        polar_true[s, ..., 0], polar_true[s, ..., 1] = r, theta
+        bias = BiasVector() if zero_bias else sensor.bias
+        wn = np.stack(
+            [
+                _reference_stream(sc.rng_seed, 1, run_index, s, t).standard_normal((K + 1, 2))
+                for t in range(n_t)
+            ]
+        )
+        r_m, t_m = apply_bias(
+            r, theta, bias, sensor.sigma_r * wn[..., 0], sensor.sigma_theta * wn[..., 1]
+        )
+        t_m = wrap_angle(t_m)
+        polar_meas[s, ..., 0], polar_meas[s, ..., 1] = r_m, t_m
+        cart_z[s] = polar_to_cart(r_m, t_m, sensor.sigma_theta, sensor.position)
+        cart_R[s] = converted_covariance(r_m, t_m, sensor.sigma_r, sensor.sigma_theta)
+    return states, polar_true, polar_meas, cart_z, cart_R
+
+
+def _assert_truth_matches_reference(sc, runs):
+    for run in runs:
+        for zero_bias in (False, True):
+            truth = simulate_truth(sc, run, zero_bias=zero_bias)
+            got = (truth.states, truth.polar_true, truth.polar_meas, truth.cart_z, truth.cart_R)
+            for a, b in zip(got, _reference_truth(sc, run, zero_bias)):
+                assert np.array_equal(a, b)
+    zeros = np.zeros((len(sc.targets), sc.frames, 4))
+    assert np.array_equal(nominal_geometry(sc), _reference_states(sc, zeros))
+
+
+@pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
+def test_truth_matches_per_stream_reference(name):
+    # Motion tables, spawned streams and the one batched sensor pass give the
+    # reference's bits.
+    _assert_truth_matches_reference(load_scenario(name), runs=(0, 7))
+
+
+_segments = st.lists(
+    st.builds(
+        lambda model, frames, omega: {"model": model, "frames": frames, "omega": omega},
+        st.sampled_from(["ncv", "turn"]),
+        st.integers(1, 7),
+        # |omega T| < 1e-12 takes the constant-velocity branch of a turn.
+        st.sampled_from([0.0, 1e-13, -4e-13, 0.01, -0.03]),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@given(
+    segments=st.lists(_segments, min_size=1, max_size=3),
+    frames=st.integers(2, 9),
+    q=st.sampled_from([0.0, 0.1]),
+    eps=st.sampled_from([0.0, 1e-3]),
+)
+@settings(max_examples=40, deadline=None)
+def test_truth_matches_reference_on_segment_schedules(segments, frames, q, eps):
+    # Segment lists shorter and longer than the run, noise-free motion and
+    # near-zero turn rates.
+    doc = _tiny_scenario(frames=frames, process_noise_q=q)
+    starts = [t["initial_state"] for t in doc["targets"]]
+    doc["targets"] = [
+        {"initial_state": starts[i % len(starts)], "segments": segs}
+        for i, segs in enumerate(segments)
+    ]
+    for sensor in doc["sensors"]:
+        sensor["bias"].update(eps_r=eps, eps_theta=eps)
+    _assert_truth_matches_reference(load_scenario(doc), runs=(3,))
+
+
+def test_truth_builds_one_motion_model_per_segment_kind(monkeypatch):
+    # five_sensor_offset_scale has 32 segments over 16 targets but three
+    # kinds: constant velocity and a turn each way.
+    import sensorreg.harness.simulate as sim
+
+    counts = _count_calls(monkeypatch, (sim,), ("ncv_model", "turn_model"))
+    sc = load_scenario("five_sensor_offset_scale")
+    for build in (lambda: sim.simulate_truth(sc, 0), lambda: sim.nominal_geometry(sc)):
+        counts.clear()
+        build()
+        assert counts == {"ncv_model": 1, "turn_model": 2}
 
 
 def test_local_tracks_follow_targets():
@@ -325,23 +473,26 @@ def test_nees_series_names_run_and_frame_of_singular_covariance():
     covs[2, 1] = 0.0
     covs[3, 0] = 0.0
     with pytest.raises(
-        NumericalError, match=r"^covariance not positive definite in NEES at run 2, frame 1$"
-    ):
+        SingularMatrixError, match=r"^NEES at run 2, frame 1: covariance is not positive definite$"
+    ) as info:
         nees_series(np.ones((4, 3, 2)), covs)
+    # The mask marks every failing (run, frame).
+    np.testing.assert_array_equal(np.argwhere(info.value.failed), [[2, 1], [3, 0]])
     grouped = np.broadcast_to(np.eye(2), (4, 3, 5, 2, 2)).copy()
     grouped[1, 2, 3] = 0.0
-    with pytest.raises(NumericalError, match=r"at run 1, frame 2, group 3$"):
+    with pytest.raises(NumericalError, match=r"^NEES at run 1, frame 2, group 3: ") as info:
         nees_series(np.ones((4, 3, 5, 2)), grouped)
+    assert info.value.index == (1, 2, 3)
 
 
 def test_nees_series_names_nan_and_indefinite_covariances():
     # Either one used to pass silently: a NaN NEES, or a wrong finite one.
     covs = np.broadcast_to(np.eye(2), (3, 4, 2, 2)).copy()
     covs[2, 1] = np.diag([1.0, -1.0])
-    with pytest.raises(NumericalError, match="at run 2, frame 1$"):
+    with pytest.raises(NumericalError, match="^NEES at run 2, frame 1: "):
         nees_series(np.ones((3, 4, 2)), covs)
     covs[1, 2] = np.nan
-    with pytest.raises(NumericalError, match="at run 1, frame 2$"):
+    with pytest.raises(NumericalError, match="^NEES at run 1, frame 2: "):
         nees_series(np.ones((3, 4, 2)), covs)
 
 

@@ -17,7 +17,7 @@ from sensorreg import (
     kf_update,
     ncv_model,
     reconstruct_local_gain,
-    tracklet_decorrelated,
+    tracklet_marginal,
 )
 
 rng = np.random.default_rng(3)
@@ -33,10 +33,11 @@ z = CartesianMeasurement(z=[1021.0, -497.0], R=np.diag([100.0, 380.0]))
 pred = kf_predict(prev, model)
 curr, record = kf_update(pred, z)
 
-t = tracklet_decorrelated(prev, curr, model)
-gain = reconstruct_local_gain(t)
+# The position-marginal tracklet holds positions alone.
+t = tracklet_marginal(prev, curr, model)
+gain = reconstruct_local_gain(t.U, t.pred_cov)
 print("measurement the tracker consumed:", z.z)
-print("equivalent measurement recovered:", np.round(t.u[::2], 6))
+print("equivalent measurement recovered:", np.round(t.u, 6))
 print("gain reconstruction error:", np.abs(gain.W - record.gain).max())
 
 # --- ten-step lag: the tracklet condenses ten updates -------------------

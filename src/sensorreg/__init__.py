@@ -67,6 +67,7 @@ from .tracklets import (
     compute_tracklet,
     tracklet_decorrelated,
     tracklet_inverse_kf,
+    tracklet_marginal,
 )
 
 __version__ = "0.1.0"
@@ -118,6 +119,7 @@ __all__ = [
     "sfa",
     "tracklet_decorrelated",
     "tracklet_inverse_kf",
+    "tracklet_marginal",
     "turn_model",
     "wrap_angle",
 ]

@@ -128,8 +128,8 @@ def det_spd2(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def inv_spd2(mat: np.ndarray, context: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
-    """Inverse and log-determinant of 2x2 symmetric positive definite
-    matrices on the last two axes, in closed (cofactor) form.
+    """Inverse and determinant of 2x2 symmetric positive definite matrices
+    on the last two axes, in closed (cofactor) form.
 
     Every innovation, gain Gram and pseudo-measurement covariance of the
     package is 2x2, where the cofactor form costs a fraction of a batched
@@ -144,7 +144,7 @@ def inv_spd2(mat: np.ndarray, context: str = "matrix") -> tuple[np.ndarray, np.n
     # The adjugate [[d, -b], [-c, a]] is the transpose with both axes
     # reversed and the off-diagonal entries negated.
     adj = mt(mat)[..., ::-1, ::-1] * _ADJUGATE_SIGNS
-    return adj / det[..., None, None], np.log(det)
+    return adj / det[..., None, None], det
 
 
 def solve_psd(mat: np.ndarray, rhs: np.ndarray, context: str = "matrix") -> np.ndarray:

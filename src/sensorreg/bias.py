@@ -5,7 +5,7 @@ A bias pseudo-measurement is obtained by deconvolving a track update with the
 measurement noise, and differencing the result against a reference that is
 free of the bias under estimation.  The recursive least-squares estimator
 handles constant biases.  One update folds a whole stack of
-pseudo-measurements (a frame's targets, say) as a single stacked
+pseudo-measurements (a sensor's targets of an epoch, say) as a single stacked
 observation, and its covariance step uses the Joseph form, which preserves
 positive definiteness under ill-conditioned observation matrices.
 """
@@ -48,10 +48,6 @@ class PseudoMeasurement:
         self.z = np.asarray(self.z, dtype=float)
         self.H = np.asarray(self.H, dtype=float)
         self.R = np.asarray(self.R, dtype=float)
-
-    def __getitem__(self, index) -> PseudoMeasurement:
-        """The observations at ``index`` of the batch axes."""
-        return PseudoMeasurement(z=self.z[index], H=self.H[index], R=self.R[index])
 
 
 @dataclass

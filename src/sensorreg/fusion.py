@@ -108,24 +108,23 @@ def _position_block(M: np.ndarray) -> np.ndarray:
     return M[..., ::2, ::2]
 
 
-def reconstruct_local_gain(t: Tracklet) -> ReconstructedGain:
+def reconstruct_local_gain(R: np.ndarray, pred_cov: np.ndarray) -> ReconstructedGain:
     """Recover the equivalent measurement noise and gain (R, W) of a local
     track.
 
-    The equivalent measurement model is linear in position, so the
-    measurement is the position part of the tracklet, its noise the
-    position block of the tracklet covariance, and the gain follows from the
-    predicted covariance ``t.pred_cov`` exactly as in a position-updating
-    filter.  Leading batch axes of the tracklet carry through to ``W``
-    (..., 4, 2) and ``R`` (..., 2, 2).
+    The equivalent measurement model is linear in position, so the noise is
+    the tracklet's position covariance ``R`` (the position block of a
+    full-state tracklet's ``U``, or the whole ``U`` of a position-marginal
+    one), and the gain follows from the predicted covariance ``pred_cov``
+    exactly as in a position-updating filter.  Leading batch axes carry
+    through to ``W`` (..., 4, 2) and ``R`` (..., 2, 2).
     """
-    R = symmetrize(_position_block(t.U))
+    R = symmetrize(R)
     _, ok = det_spd2(R)
     if not ok.all():
         raise NumericalError("tracklet position covariance not positive definite", ~ok)
-    P = t.pred_cov
-    S_inv, _ = inv_spd2(_position_block(P) + R, context="gain innovation covariance")
-    return ReconstructedGain(W=P[..., :, ::2] @ S_inv, R=R)
+    S_inv, _ = inv_spd2(_position_block(pred_cov) + R, context="gain innovation covariance")
+    return ReconstructedGain(W=pred_cov[..., :, ::2] @ S_inv, R=R)
 
 
 def bias_correct(
@@ -353,7 +352,7 @@ def fbe_step(
 
     def local(k):
         t = compute_tracklet(prev[k], curr[k], lagged[k])
-        gain = reconstruct_local_gain(t)
+        gain = reconstruct_local_gain(_position_block(t.U), t.pred_cov)
         geo = sensors[pairs[0][k]]
         corrected = bias_correct(
             t, bias_states[pairs[0][k]], (geo.sigma_r, geo.sigma_theta), origin=geo.position

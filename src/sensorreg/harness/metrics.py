@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .._linalg import cholesky, solve_psd
-from ..errors import NumericalError, first_index, located
+from ..errors import NumericalError, located, quote_first
 from .scenario import Scenario
 
 __all__ = [
@@ -273,9 +273,11 @@ def aggregate_runs(scenario: Scenario, method: str, outs: list) -> RunMetrics:
     fused_sq = None
     if outs[0].fused_sqerr is not None:
         fused_sq = forward_fill(np.stack([o.fused_sqerr for o in outs]))
-        if not np.all(np.isfinite(fused_sq[:, 1:])):
-            run, frame = first_index(~np.isfinite(fused_sq))
-            raise NumericalError(f"non-finite fused track error at run {run}, frame {frame}")
+        bad = ~np.isfinite(fused_sq)
+        if bad.any():
+            value, failed = quote_first("%g", bad, fused_sq[bad])
+            with located(lambda r, k: f"non-finite fused track error at run {r}, frame {k}"):
+                raise NumericalError(value, failed)
 
     bias = {}
     if outs[0].b_series is not None:

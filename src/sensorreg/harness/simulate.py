@@ -4,10 +4,11 @@ Four estimation methods are supported:
 
 * ``fbe``     -- per-sensor bias estimation against leave-one-out fused
                  references built from reconstructed gains (any sensor count).
-* ``ex``      -- stacked two-sensor estimator fed with the local trackers'
-                 true gains (oracle path).
+* ``ex``      -- stacked two-sensor estimator, one cumulative information
+                 sum over frames, fed with the local trackers' true gains
+                 (oracle path).
 * ``exl``     -- the same stacked estimator with gains reconstructed from
-                 single-step tracklets.
+                 single-step position-marginal tracklets.
 * ``baseline``-- no biases injected and no estimation; plain tracklet fusion
                  (best-case reference for track accuracy).
 
@@ -29,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._linalg import mv
-from ..bias import BiasEstimate, PseudoMeasurement, rlsb_update, sensor_pseudo_obs
+from .._linalg import inv_spd2, inv_sym, mt, mv, symmetrize
+from ..bias import BiasEstimate, PseudoMeasurement, sensor_pseudo_obs
 from ..coords import (
     CONVERSION_VALIDITY_LIMIT,
     BiasVector,
@@ -49,7 +50,7 @@ from ..dynamics import (
     nca_model,
     turn_model,
 )
-from ..errors import NumericalError, ScenarioError, first_index, located
+from ..errors import NumericalError, ScenarioError, located, quote_first
 from ..fusion import (
     bias_correct,
     fbe_step,
@@ -64,7 +65,7 @@ from ..trackers import (
     kf_predict,
     kf_update,
 )
-from ..tracklets import compute_tracklet, tracklet_decorrelated
+from ..tracklets import compute_tracklet, tracklet_marginal
 from .metrics import RunMetrics, aggregate_runs
 from .scenario import Scenario
 
@@ -406,46 +407,47 @@ def _run_stacked(
 
     K = scenario.frames
     ms1 = ncv_model(scenario.dt, scenario.fusion_q)
-    sig = scenario.bias_prior_sigma()
-    prior = np.diag(np.concatenate([sig**2, sig**2]))
-    est = BiasEstimate(b=np.zeros(4), Sigma=prior)
     positions = scenario.sensor_models().position[:, None, None]
 
     # No frame's pseudo-measurements depend on the bias estimate, so every
-    # (sensor, target, frame) of frames 1..K is built in one batched pass;
-    # only the fold runs frame by frame.
+    # (sensor, target, frame) of frames 1..K is built in one batched pass,
+    # and the recursive least-squares estimate is a cumulative sum below.
     frames = np.arange(1, K + 1)
     prev = GaussianEstimate(tracks.mean[:, :, :-1], tracks.cov[:, :, :-1], frame=frames - 1)
     curr = GaussianEstimate(tracks.mean[:, :, 1:], tracks.cov[:, :, 1:], frame=frames)
     with located(lambda s, t, j: f"sensor {s}, target {t}, frame {j + 1}"):
         if reconstructed:
-            trk = tracklet_decorrelated(prev, curr, ms1)
-            gain = reconstruct_local_gain(trk)
+            trk = tracklet_marginal(prev, curr, ms1)
+            gain = reconstruct_local_gain(trk.U, trk.pred_cov)
             W, R = gain.W, gain.R
-            r_m, t_m = cart_to_polar(trk.u[..., ::2], positions)
+            r_m, t_m = cart_to_polar(trk.u, positions)
         else:
             W, R = tracks.gain[:, :, 1:], truth.cart_R[:, :, 1:]
             r_m, t_m = truth.polar_meas[:, :, 1:, 0], truth.polar_meas[:, :, 1:, 1]
         zb = sensor_pseudo_obs(curr, prev, W, ms1)
         B = jacobians_at(r_m, t_m).B
-    # One stacked pseudo-measurement per frame, its targets on the
-    # observation axis: (K, n_targets, ...).
+    # One stacked pseudo-measurement per (frame, target).
     pm = PseudoMeasurement(
         z=(zb[0] - zb[1]).swapaxes(0, 1),
         H=np.concatenate([B[0], -B[1]], axis=-1).swapaxes(0, 1),
         R=(R[0] + R[1]).swapaxes(0, 1),
     )
+    with located(lambda j, t: f"frame {j + 1}, target {t}"):
+        R_inv, _ = inv_spd2(pm.R, context="pseudo-measurement covariance")
+        bad = ~(np.isfinite(pm.z).all(axis=-1) & np.isfinite(pm.H).all(axis=(-2, -1)))
+        if bad.any():
+            raise NumericalError("pseudo-measurement not finite", bad)
 
-    b_series = np.empty((K + 1, 1, 4))
-    sigma_series = np.empty((K + 1, 1, 4, 4))
-    b_series[0, 0] = est.b
-    sigma_series[0, 0] = est.Sigma
-    with located(lambda *_: f"frame {k}"):
-        for k in frames:
-            est = rlsb_update(est, pm[k - 1])
-            b_series[k, 0] = est.b
-            sigma_series[k, 0] = est.Sigma
-    return b_series, sigma_series, None
+    # Sigma_k = (Sigma_0^-1 + sum_j<=k H'R^-1H)^-1 and b_k = Sigma_k sum_j<=k
+    # H'R^-1z (zero prior mean), each frame's targets on the rows of H.
+    Ht = mt(pm.H.reshape(K, -1, 4))
+    info = np.empty((K + 1, 4, 4))
+    info[0] = np.diag(np.tile(scenario.bias_prior_sigma(), 2) ** -2)
+    info[1:] = Ht @ (R_inv @ pm.H).reshape(K, -1, 4)
+    info_z = np.zeros((K + 1, 4))
+    info_z[1:] = mv(Ht, mv(R_inv, pm.z).reshape(K, -1))
+    sigma = symmetrize(inv_sym(np.cumsum(info, axis=0), context="bias information"))
+    return mv(sigma, np.cumsum(info_z, axis=0))[:, None], sigma[:, None], None
 
 
 def _run_baseline(scenario: Scenario, truth: TruthData, tracks: LocalTracks):
@@ -465,7 +467,7 @@ def _run_baseline(scenario: Scenario, truth: TruthData, tracks: LocalTracks):
                 tracks.estimate(sel, slice(None), k),
                 compose_lags(steps, lags),
             )
-            g = reconstruct_local_gain(trk)
+            g = reconstruct_local_gain(trk.U[..., ::2, ::2], trk.pred_cov)
         y = np.zeros((n_t, n_s, 2))
         R = np.zeros((n_t, n_s, 2, 2))
         y[:, sel], R[:, sel] = trk.u[..., ::2].swapaxes(0, 1), g.R.swapaxes(0, 1)
@@ -505,8 +507,9 @@ def _check_finite(
     scenario: Scenario, run: SingleRun, tracks: LocalTracks, run_index: int
 ) -> None:
     """Raise :class:`NumericalError` naming the first non-finite entry of any
-    run output or local track.  ``fused_sqerr`` is NaN between fusion epochs
-    by design and is checked only at frame 0 and the epochs."""
+    run output or local track and quoting its value, with ``failed`` over
+    the named axes.  ``fused_sqerr`` is NaN between fusion epochs by design
+    and is checked only at frame 0 and the epochs."""
     # fbe estimates one bias group per sensor, ex/exl one for the pair.
     group = "sensor pair" if run.b_series is not None and run.b_series.shape[1] == 1 else "sensor"
     checks = [
@@ -526,8 +529,12 @@ def _check_finite(
             continue
         bad = ~np.isfinite(arr)
         if bad.any():
-            where = ", ".join(f"{a} {i}" for a, i in zip(axes, first_index(bad)))
-            raise NumericalError(f"run {run_index}: non-finite {what} at {where}")
+            value, failed = quote_first("%g", bad, arr[bad])
+            with located(
+                lambda *index: f"run {run_index}: non-finite {what} at "
+                + ", ".join(f"{a} {i}" for a, i in zip(axes, index))
+            ):
+                raise NumericalError(value, failed.reshape(bad.shape[: len(axes)] + (-1,)).any(-1))
 
 
 def _run_task(args):

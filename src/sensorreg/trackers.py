@@ -133,12 +133,12 @@ def kf_update(
     nu = z.z - est.mean[..., pos]
     PHt = est.cov[..., :, pos]
     S = PHt[..., pos, :] + z.R
-    S_inv, logdet = inv_spd2(S, "innovation covariance")
+    S_inv, det = inv_spd2(S, "innovation covariance")
     W = PHt @ S_inv
     mean = est.mean + mv(W, nu)
     M = _EYE[n] - W @ _SELECTOR[n]
     cov = symmetrize(M @ est.cov @ mt(M) + W @ z.R @ mt(W))
-    rec = KfStepRecord(gain=W, innovation=nu, innovation_inv=S_inv, innovation_logdet=logdet)
+    rec = KfStepRecord(gain=W, innovation=nu, innovation_inv=S_inv, innovation_logdet=np.log(det))
     return GaussianEstimate(mean=mean, cov=cov, frame=est.frame), rec
 
 

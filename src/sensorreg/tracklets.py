@@ -9,7 +9,8 @@ invertible, and the decorrelated (information-difference) construction that
 also covers the single-step case.  Where both apply they agree to rounding,
 so :func:`compute_tracklet` picks one form for a whole batch: the
 inverse-filter form when every element admits it, the decorrelated form
-otherwise.
+otherwise.  :func:`tracklet_marginal` condenses the position marginal alone,
+in 2x2 closed forms.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import inv_spd, inv_sym, mt, mv, symmetrize
+from ._linalg import det_spd2, inv_spd, inv_spd2, inv_sym, mt, mv, symmetrize
 from .dynamics import MotionModel
 from .errors import NumericalError, SingularMatrixError, TrackletSingularError, first_index
 from .trackers import GaussianEstimate
@@ -27,6 +28,7 @@ __all__ = [
     "Tracklet",
     "tracklet_inverse_kf",
     "tracklet_decorrelated",
+    "tracklet_marginal",
     "compute_tracklet",
 ]
 
@@ -50,7 +52,9 @@ class Tracklet:
     form).  ``pred_cov`` is the L-step predicted covariance used to build
     the tracklet; gain reconstruction reuses it.  ``u`` has shape (..., n)
     and ``U`` and ``pred_cov`` (..., n, n), with the leading batch axes of
-    the snapshots.  ``method`` names the form, one for the whole batch.
+    the snapshots.  ``method`` names the form, one for the whole batch.  A
+    ``"position_marginal"`` tracklet holds positions alone: ``u`` (..., 2)
+    and ``U`` (..., 2, 2), with the full ``pred_cov``.
     """
 
     u: np.ndarray
@@ -61,9 +65,15 @@ class Tracklet:
 
 
 def _predict(prev: GaussianEstimate, model: MotionModel):
-    x_pred = mv(model.F, prev.mean)
-    P_pred = model.F @ prev.cov @ mt(model.F) + model.Q
-    return x_pred, P_pred
+    F = model.F
+    if F.ndim > 2:
+        return mv(F, prev.mean), F @ prev.cov @ mt(F) + model.Q
+    # A shared F predicts the whole batch in two 2-D BLAS products: F times
+    # every covariance side by side, then every row of F P times F'.
+    n = model.dim
+    FP = F @ np.moveaxis(prev.cov, -2, 0).reshape(n, -1)
+    FPF = (FP.reshape(-1, n) @ F.T).reshape((n,) + prev.cov.shape[:-1])
+    return prev.mean @ F.T, np.moveaxis(FPF, 0, -2) + model.Q
 
 
 def _pinv_psd(Lam: np.ndarray) -> np.ndarray:
@@ -195,6 +205,36 @@ def tracklet_decorrelated(
         pred_cov=P_pred,
         method="decorrelated",
     )
+
+
+def tracklet_marginal(
+    prev: GaussianEstimate, curr: GaussianEstimate, model: MotionModel
+) -> Tracklet:
+    """The position measurement whose Kalman update reproduces the position
+    marginal of the track's update between the snapshots.
+
+    With position blocks p, U^-1 = P(k|k)pp^-1 - P(k|k')pp^-1 and
+    u = U (P(k|k)pp^-1 x(k|k)p - P(k|k')pp^-1 x(k|k')p), computed as
+    x(k|k)p + U P(k|k')pp^-1 (x(k|k)p - x(k|k')p): 2x2 closed forms over any
+    leading batch axes.  At lag 1 it is a Kalman filter's position
+    measurement itself.
+
+    Raises :class:`SingularMatrixError` for a track or predicted position
+    covariance that is not positive definite, and :class:`NumericalError`
+    marking every element whose information difference is not.
+    """
+    x_pred, P_pred = _predict(prev, model)
+    J_curr, _ = inv_spd2(curr.cov[..., ::2, ::2], context="track position covariance")
+    J_pred, _ = inv_spd2(P_pred[..., ::2, ::2], context="predicted track position covariance")
+    try:
+        U, _ = inv_spd2(J_curr - J_pred)
+    except SingularMatrixError as exc:
+        failed = ~det_spd2(J_curr - J_pred)[1]
+        reason = "position information difference not positive definite"
+        raise NumericalError(reason, failed) from exc
+    x = curr.mean[..., ::2]
+    u = x + mv(U, mv(J_pred, x - x_pred[..., ::2]))
+    return Tracklet(u=u, U=U, pred_cov=P_pred, method="position_marginal")
 
 
 def compute_tracklet(

@@ -137,7 +137,7 @@ def test_a02_gain_reconstruction_exactness(two_sensor_scenario):
                 trk = tracklet_decorrelated(
                     tracks.estimate(s, t, k - 1), tracks.estimate(s, t, k), ms1
                 )
-                g = reconstruct_local_gain(trk)
+                g = reconstruct_local_gain(trk.U[::2, ::2], trk.pred_cov)
                 W_true = tracks.gain[s, t, k]
                 rel = np.abs(g.W - W_true).max() / np.abs(W_true).max()
                 worst = max(worst, rel)
@@ -306,7 +306,7 @@ def test_a07_joseph_form_robustness():
         Hm = rot @ np.diag([scale, scale / cond]) @ rot.T
         Rn = _random_spd(rng, 2, 0.5, 2.0)
         est = rlsb_update(
-            est, PseudoMeasurement(z=rng.standard_normal(2), H=Hm, R=Rn)[None]
+            est, PseudoMeasurement(z=[rng.standard_normal(2)], H=[Hm], R=[Rn])
         )
         try:
             np.linalg.cholesky(est.Sigma)

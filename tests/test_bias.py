@@ -132,7 +132,7 @@ def test_rlsb_sequence_matches_batch_weighted_least_squares():
         Hs.append(H)
         Rs.append(R)
         zs.append(z)
-        est = rlsb_update(est, PseudoMeasurement(z=z, H=H, R=R)[None])
+        est = rlsb_update(est, PseudoMeasurement(z=[z], H=[H], R=[R]))
     # Batch: minimize (b)' P0^-1 (b) + sum ||z - H b||^2_R.
     J = np.linalg.inv(prior)
     rhs = np.zeros(d)
@@ -154,7 +154,7 @@ def test_rlsb_information_additivity_constant_observation():
     info = np.linalg.inv(prior)
     for _ in range(25):
         R = np.diag(rng.uniform(10, 100, 2))
-        est = rlsb_update(est, PseudoMeasurement(z=rng.standard_normal(2), H=H, R=R)[None])
+        est = rlsb_update(est, PseudoMeasurement(z=[rng.standard_normal(2)], H=[H], R=[R]))
         info += H.T @ np.linalg.solve(R, H)
     np.testing.assert_allclose(np.linalg.inv(est.Sigma), info, rtol=1e-8)
 
@@ -177,7 +177,7 @@ def test_rlsb_unbiased_convergence_rate():
         for n_target in counts:
             while n < n_target:
                 z = cholR @ rng.standard_normal(2)
-                est = rlsb_update(est, PseudoMeasurement(z=z, H=H, R=R)[None])
+                est = rlsb_update(est, PseudoMeasurement(z=[z], H=[H], R=[R]))
                 n += 1
             rms.setdefault(n_target, []).append(est.b[0] ** 2)
     r10 = np.sqrt(np.mean(rms[10]))
@@ -264,7 +264,8 @@ def test_rlsb_stacked_fold_matches_sequential_updates(layout):
         est, pm = _stacked_pseudo_measurements(rng, m, layout)
         seq = est
         for j in range(m):
-            seq = rlsb_update(seq, pm[j : j + 1])
+            rows = slice(j, j + 1)
+            seq = rlsb_update(seq, PseudoMeasurement(pm.z[rows], pm.H[rows], pm.R[rows]))
         _assert_fold_close(rlsb_update(est, pm), seq, layout)
 
 

@@ -202,16 +202,30 @@ def test_bad_scenario_value_is_a_scenario_error(tiny_scenario, tmp_path, capsys,
 
 @pytest.mark.parametrize("method", ["baseline", "exl"])
 def test_tracklet_failure_names_sensor_target_and_frame(tmp_path, capsys, method):
-    # The IMM's single-step snapshots give an indefinite information
-    # difference at the first pair; both tracklet paths name it.
+    # baseline: the IMM's single-step snapshots give an indefinite 4-state
+    # information difference at the first pair.  exl: the position-marginal
+    # difference of imm_nca_ncv tracks, positive definite at most pairs, is
+    # indefinite at sensor 1, target 11, frame 16 of seed 4's run 0.
+    filter_type, seed_args, message = {
+        "baseline": (
+            "imm_ncv_ncv",
+            [],
+            "sensor 0, target 0, frame 1: information difference indefinite",
+        ),
+        "exl": (
+            "imm_nca_ncv",
+            ["--seed", "4"],
+            "sensor 1, target 11, frame 16: position information difference not positive "
+            "definite",
+        ),
+    }[method]
     doc = json.loads(Path(builtin_scenario_path("two_sensor")).read_text())
-    doc["local_filter"] = {"type": "imm_ncv_ncv"}
+    doc["local_filter"] = {"type": filter_type}
     path = tmp_path / "imm.json"
     path.write_text(json.dumps(doc))
     code = main([
-        "simulate", "--scenario", str(path), "--method", method, "--runs", "1",
+        "simulate", "--scenario", str(path), "--method", method, "--runs", "1", *seed_args,
         "--out", str(tmp_path / "out"),
     ])
     assert code == 2
-    err = capsys.readouterr().err
-    assert "run 0: sensor 0, target 0, frame 1: information difference indefinite" in err
+    assert f"run 0: {message}" in capsys.readouterr().err

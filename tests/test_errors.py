@@ -67,7 +67,7 @@ def _bias_correct(u, U, P, b, Sigma):
 
 
 def _gain(U, P):
-    return reconstruct_local_gain(Tracklet(u=np.zeros(U.shape[:-1]), U=U, pred_cov=P))
+    return reconstruct_local_gain(U[..., ::2, ::2], P)
 
 
 SITES = {

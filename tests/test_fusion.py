@@ -1,6 +1,7 @@
 """Fusion center: gain reconstruction, bias correction, sequential fusion,
 and the per-frame fused bias estimation step."""
 
+import copy
 import logging
 import math
 
@@ -13,6 +14,7 @@ import sensorreg.fusion as fusion
 from sensorreg._linalg import inv_spd2, mt, symmetrize
 from sensorreg.bias import (
     BiasEstimate,
+    PseudoMeasurement,
     difference_pseudo_measurement,
     rlsb_update,
     sensor_pseudo_obs,
@@ -51,7 +53,7 @@ def test_local_gain_scalar_reduction():
     U = np.diag([1.0, 1e6, 1.0, 1e6])
     pred = np.diag([1.0, 1e-9, 1.0, 1e-9])
     t = _tracklet_from([2.0, 0.0, -3.0, 0.0], U, pred)
-    g = reconstruct_local_gain(t)
+    g = reconstruct_local_gain(t.U[..., ::2, ::2], t.pred_cov)
     assert g.W[0, 0] == pytest.approx(0.5, rel=1e-9)
     assert g.W[2, 1] == pytest.approx(0.5, rel=1e-9)
 
@@ -60,7 +62,7 @@ def test_local_gain_vanishes_for_uninformative_tracklet():
     U = 1e12 * np.eye(4)
     pred = np.diag([10.0, 1.0, 10.0, 1.0])
     t = _tracklet_from(np.zeros(4), U, pred)
-    g = reconstruct_local_gain(t)
+    g = reconstruct_local_gain(t.U[..., ::2, ::2], t.pred_cov)
     assert np.abs(g.W).max() < 1e-9
 
 
@@ -79,7 +81,7 @@ def test_local_gain_matches_true_kalman_gain_single_step():
     pred = kf_predict(prev, model)
     curr, rec = kf_update(pred, z)
     t = tracklet_decorrelated(prev, curr, ms1)
-    g = reconstruct_local_gain(t)
+    g = reconstruct_local_gain(t.U[..., ::2, ::2], t.pred_cov)
     np.testing.assert_allclose(g.W, rec.gain, rtol=1e-6)
     np.testing.assert_allclose(g.R, z.R, rtol=1e-6)
     np.testing.assert_allclose(t.u[::2], z.z, rtol=1e-6)
@@ -561,7 +563,7 @@ def test_fbe_step_drops_only_the_bad_pseudo_measurement(monkeypatch):
 
     def difference(*args, **kwargs):
         made.append(difference_pseudo_measurement(*args, **kwargs))
-        pm = made[-1][:]
+        pm = copy.copy(made[-1])
         pm.R = pm.R.copy()
         # Rows follow the live pairs in (sensor, target) order: row 1 is
         # sensor 0, target 1.
@@ -575,7 +577,8 @@ def test_fbe_step_drops_only_the_bad_pseudo_measurement(monkeypatch):
     assert res.skipped == [(0, 1, "pseudo-measurement covariance not positive definite")]
     # Sensor 0 folds its target-0 pseudo-measurement alone.
     bias_states = inputs[1]
-    want = rlsb_update(bias_states[0], made[0][:1])
+    pm0 = made[0]
+    want = rlsb_update(bias_states[0], PseudoMeasurement(pm0.z[:1], pm0.H[:1], pm0.R[:1]))
     for got, ref in ((res.bias_states.b[0], want.b), (res.bias_states.Sigma[0], want.Sigma)):
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
     assert not np.allclose(res.bias_states.b[0], clean.bias_states.b[0])
@@ -592,7 +595,7 @@ def test_fbe_step_skips_only_the_sensor_whose_fold_fails(monkeypatch):
     import sensorreg.fusion as fusion
 
     def difference(*args, **kwargs):
-        pm = difference_pseudo_measurement(*args, **kwargs)[:]
+        pm = difference_pseudo_measurement(*args, **kwargs)
         pm.H = pm.H.copy()
         pm.H[1] = np.nan  # sensor 0, target 1
         return pm
@@ -674,7 +677,7 @@ def test_batched_fusion_formulas_match_batch_free_calls():
     (prev, curr, _), _, _, model, sensors = _small_fbe_inputs()
     ms = compose_steps(model, curr.frame - prev.frame)
     t = compute_tracklet(prev, curr, ms)
-    g = reconstruct_local_gain(t)
+    g = reconstruct_local_gain(t.U[..., ::2, ::2], t.pred_cov)
     rng = np.random.default_rng(8)
     A = rng.standard_normal((3, 4, 4))
     bias = BiasEstimate(
@@ -686,7 +689,8 @@ def test_batched_fusion_formulas_match_batch_free_calls():
     r, th = cart_to_polar(t.u[..., ::2], geo.position)
     jac = jacobians_at(r, th)
     pm = difference_pseudo_measurement(zb, c.z, jac, c.R, g.R, offset_only=False)
-    est = rlsb_update(bias[:, None], pm[:, :, None])
+    stacks = PseudoMeasurement(pm.z[:, :, None], pm.H[:, :, None], pm.R[:, :, None])
+    est = rlsb_update(bias[:, None], stacks)
     for s in range(3):
         for tgt in range(2):
             ts = Tracklet(u=t.u[s, tgt], U=t.U[s, tgt], pred_cov=t.pred_cov[s, tgt])
@@ -700,7 +704,7 @@ def test_batched_fusion_formulas_match_batch_free_calls():
             j1 = jacobians_at(*cart_to_polar(t.u[s, tgt, ::2], sensors.position[s]))
             np.testing.assert_array_equal(jac.K[s, tgt], j1.K)
             pm1 = difference_pseudo_measurement(z1, c1.z, j1, c1.R, g.R[s, tgt], offset_only=False)
-            e1 = rlsb_update(bias[s], pm1[None])
+            e1 = rlsb_update(bias[s], PseudoMeasurement(z=[pm1.z], H=[pm1.H], R=[pm1.R]))
             np.testing.assert_array_equal(est.b[s, tgt], e1.b)
             np.testing.assert_array_equal(est.Sigma[s, tgt], e1.Sigma)
 

@@ -1,6 +1,7 @@
 """Scenario loading, truth simulation, metrics, and report emission."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -824,9 +825,33 @@ def test_check_finite_names_location(owner, field, index, message):
 
     sc, run, tracks = _finite_run()
     _check_finite(sc, run, tracks, 7)  # NaN off the fusion epochs is by design
-    getattr(run if owner == "run" else tracks, field)[index] = np.inf
-    with pytest.raises(NumericalError, match=f"run 7: non-finite {message}"):
+    arr = getattr(run if owner == "run" else tracks, field)
+    arr[index] = np.inf
+    with pytest.raises(NumericalError, match=f"run 7: non-finite {message}: inf$") as info:
         _check_finite(sc, run, tracks, 7)
+    # The mask covers the named axes: one element per named index.
+    named = len(info.value.index)
+    assert info.value.failed.shape == arr.shape[:named]
+    assert np.argwhere(info.value.failed).tolist() == [list(index[:named])]
+
+
+def test_aggregate_runs_names_a_non_finite_fused_error():
+    # Forward filling leaves only a non-finite start: frames 0 to the first
+    # epoch of runs 1 and 2.
+    from sensorreg.harness.metrics import aggregate_runs
+
+    sc, run, _ = _finite_run()
+    run = dataclasses.replace(run, b_series=None, sigma_series=None)
+    bad = dataclasses.replace(run, fused_sqerr=run.fused_sqerr.copy())
+    bad.fused_sqerr[0] = np.nan
+    with pytest.raises(
+        NumericalError, match=r"^non-finite fused track error at run 1, frame 0: nan$"
+    ) as info:
+        aggregate_runs(sc, "fbe", [run, bad, bad])
+    first = sc.update_epochs()[0]
+    want = np.zeros((3, sc.frames + 1), dtype=bool)
+    want[1:, :first] = True
+    np.testing.assert_array_equal(info.value.failed, want)
 
 
 def _singular_truth(sc, s, t, k):
@@ -970,20 +995,108 @@ def test_each_fused_reference_is_one_kf_update(monkeypatch):
 
 def test_exl_builds_all_frames_in_one_pass(monkeypatch):
     # exl builds every frame's pseudo-measurements in one batched call per
-    # formula and folds each frame's targets in one update.
+    # formula and sums their information without a per-frame fold.
+    import sensorreg.bias as bias
+    import sensorreg.fusion as fusion
     import sensorreg.harness.simulate as sim
+    import sensorreg.tracklets as tracklets
 
     names = (
+        "tracklet_marginal",
         "tracklet_decorrelated",
         "reconstruct_local_gain",
         "sensor_pseudo_obs",
         "jacobians_at",
         "rlsb_update",
     )
-    counts = _count_calls(monkeypatch, (sim,), names)
+    counts = _count_calls(monkeypatch, (sim, bias, fusion, tracklets), names)
     sc = load_scenario("two_sensor")
     sim.run_single(sc, 0, "exl")
-    assert counts == {**{name: 1 for name in names}, "rlsb_update": sc.frames}
+    assert counts == {
+        "tracklet_marginal": 1,
+        "reconstruct_local_gain": 1,
+        "sensor_pseudo_obs": 1,
+        "jacobians_at": 1,
+    }
+
+
+# Largest difference between the information sum and the per-frame Joseph
+# fold it replaced, relative to each array's largest entry.
+INFORMATION_SUM_RTOL = 1e-12
+
+
+def _joseph_fold(sc, pm):
+    """``b_series`` and ``sigma_series`` of the former fold: from the
+    prior, one Joseph-form ``rlsb_update`` per frame over its targets."""
+    from sensorreg.bias import BiasEstimate, PseudoMeasurement, rlsb_update
+
+    est = BiasEstimate(b=np.zeros(4), Sigma=np.diag(np.tile(sc.bias_prior_sigma(), 2) ** 2))
+    b, sigma = [est.b], [est.Sigma]
+    for k in range(sc.frames):
+        est = rlsb_update(est, PseudoMeasurement(z=pm.z[k], H=pm.H[k], R=pm.R[k]))
+        b.append(est.b)
+        sigma.append(est.Sigma)
+    return np.array(b)[:, None], np.array(sigma)[:, None]
+
+
+@pytest.mark.parametrize("method", ["ex", "exl"])
+def test_information_sum_matches_the_joseph_fold(monkeypatch, method):
+    import sensorreg.harness.simulate as sim
+    from sensorreg.bias import PseudoMeasurement
+
+    # The pseudo-measurements of each run, as _run_stacked builds them.
+    made = []
+
+    def record(**fields):
+        made.append(PseudoMeasurement(**fields))
+        return made[-1]
+
+    monkeypatch.setattr(sim, "PseudoMeasurement", record)
+    sc = load_scenario("two_sensor")
+    for run in range(4):
+        got = sim.run_single(sc, run, method)
+        for g, w in zip((got.b_series, got.sigma_series), _joseph_fold(sc, made[-1])):
+            assert g.shape == w.shape
+            np.testing.assert_allclose(
+                g, w, rtol=0, atol=INFORMATION_SUM_RTOL * np.abs(w).max()
+            )
+    assert len(made) == 4
+
+
+@pytest.mark.parametrize("method", ["ex", "exl"])
+def test_stacked_noise_screen_names_frame_and_target(method):
+    # ex: a NaN measurement covariance of sensor 1, target 3 at frame 6
+    # reaches its pseudo-measurement covariance.  exl: a NaN track mean at
+    # frame 6 reaches the pseudo-measurements of frames 6 and 7 (a NaN
+    # track covariance stops at the tracklet's own screen, named by sensor,
+    # target and frame: test_exl_error_names_sensor_target_and_frame).
+    import sensorreg.harness.simulate as sim
+
+    sc = load_scenario("two_sensor")
+    truth = simulate_truth(sc, 0)
+    tracks = run_local_tracks(sc, truth)
+    if method == "ex":
+        truth.cart_R[1, 3, 6] = np.nan
+        failed = [(5, 3)]
+    else:
+        tracks.mean[1, 3, 6, 0] = np.nan
+        failed = [(5, 3), (6, 3)]
+    with pytest.raises(NumericalError, match=r"^frame 6, target 3: ") as info:
+        sim._run_stacked(sc, truth, tracks, reconstructed=(method == "exl"))
+    assert info.value.failed.shape == (sc.frames, len(sc.targets))
+    assert list(zip(*np.nonzero(info.value.failed))) == failed
+
+
+def test_exl_with_imm_local_filters_keeps_kf_accuracy():
+    # The lag-1 position-marginal information difference of imm_ncv_ncv
+    # tracks is positive definite, so exl completes with the Kalman
+    # filter's bias accuracy.
+    sc = load_scenario("two_sensor")
+    kf = run_monte_carlo(sc, "exl", mc_runs=10)
+    sc.local_filter.type = "imm_ncv_ncv"
+    imm = run_monte_carlo(sc, "exl", mc_runs=10)
+    ratio = imm.bias_rmse[-1] / kf.bias_rmse[-1]
+    assert np.all(np.abs(ratio - 1.0) <= 0.1), ratio
 
 
 def test_exl_error_names_sensor_target_and_frame(monkeypatch):

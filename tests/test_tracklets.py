@@ -284,13 +284,13 @@ def test_batched_tracklet_and_gain_match_per_pair_loop():
     kinds = ["pos", "pos", "full", "pos"]
     pairs = [_snapshot_pair(rng, ms1, kind) for kind in kinds]
     t = tracklet_decorrelated(*_stacked(pairs, (2, 2)), ms1)
-    g = reconstruct_local_gain(t)
+    g = reconstruct_local_gain(t.U[..., ::2, ::2], t.pred_cov)
     assert t.u.shape == (2, 2, 4) and t.U.shape == t.pred_cov.shape == (2, 2, 4, 4)
     assert g.W.shape == (2, 2, 4, 2) and g.R.shape == (2, 2, 2, 2)
     for i, (kind, (prev, curr)) in enumerate(zip(kinds, pairs)):
         idx = divmod(i, 2)
         t1 = tracklet_decorrelated(prev, curr, ms1)
-        g1 = reconstruct_local_gain(t1)
+        g1 = reconstruct_local_gain(t1.U[::2, ::2], t1.pred_cov)
         # Position-only information leaves the velocity rows of U empty.
         assert (np.abs(t1.U[1::2]).max() > 0.0) == (kind == "full")
         for batched, single in [

@@ -1,7 +1,7 @@
 """Command-line entry points: simulate, crlb, report.
 
-Exit codes: 0 on success, 1 for scenario validation problems, 2 for
-numerical failures (diagnostics go to stderr).
+Exit codes: 0 on success, 1 for scenario validation problems and missing
+report inputs, 2 for numerical failures (diagnostics go to stderr).
 """
 
 from __future__ import annotations
@@ -75,10 +75,14 @@ def main(argv: list[str] | None = None) -> int:
             series = crlb_series(scenario)
             print(emit_crlb(series, scenario, args.out))
         else:
-            text = summary_tables(
-                args.in_dir,
-                Path(args.in_dir) / "tables.txt" if args.tables else None,
-            )
+            try:
+                text = summary_tables(
+                    args.in_dir,
+                    Path(args.in_dir) / "tables.txt" if args.tables else None,
+                )
+            except FileNotFoundError as exc:
+                print(f"report error: {exc}", file=sys.stderr)
+                return 1
             print(text)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)

@@ -139,8 +139,6 @@ def emit_crlb(series: CrlbSeries, scenario: Scenario, out_dir: str | Path) -> Pa
 
 
 def _read_rows(path: Path) -> list[dict]:
-    if not path.exists():
-        return []
     with open(path) as fh:
         return list(csv.DictReader(fh))
 
@@ -150,13 +148,19 @@ def summary_tables(in_dir: str | Path, out_path: str | Path | None = None) -> st
 
     Reads the CSVs produced by :func:`emit_report` (and ``crlb.csv`` when
     present) and lays out RMSE, the estimator's reported sigma, the sqrt
-    lower bound, and the RMSE confidence band per sensor.
+    lower bound, and the RMSE confidence band per sensor.  Raises
+    :class:`FileNotFoundError` naming a missing ``in_dir`` or the missing
+    ones of the three CSVs every ``emit_report`` writes.
     """
     in_dir = Path(in_dir)
-    rmse = _read_rows(in_dir / "bias_rmse.csv")
-    sigma = _read_rows(in_dir / "bias_sqrt_sigma.csv")
-    crlb = _read_rows(in_dir / "crlb.csv")
-    track = _read_rows(in_dir / "track_rmse.csv")
+    if not in_dir.is_dir():
+        raise FileNotFoundError(f"no metrics directory {in_dir}")
+    required = ("bias_rmse.csv", "bias_sqrt_sigma.csv", "track_rmse.csv")
+    missing = [name for name in required if not (in_dir / name).exists()]
+    if missing:
+        raise FileNotFoundError(f"{in_dir} has no {', '.join(missing)}")
+    rmse, sigma, track = (_read_rows(in_dir / name) for name in required)
+    crlb = _read_rows(in_dir / "crlb.csv") if (in_dir / "crlb.csv").exists() else []
 
     def final_by(rows, prefix):
         out = {}

@@ -13,13 +13,16 @@ Four estimation methods are supported:
                  (best-case reference for track accuracy).
 
 All randomness derives from counter-based Philox streams keyed by
-(seed, purpose, run[, sensor], target): the children that
-``SeedSequence(seed, spawn_key=(purpose, run[, sensor])).spawn(n_targets)``
-gives, purpose 0 for target motion and 1 for measurement noise.  Runs are
-therefore reproducible and independent of execution order.  The truth
-layer builds one motion model per distinct segment kind and gathers each
-(target, frame) transition from a table of them; every sensor is measured
-in one batched pass over (sensor, target, frame).
+(seed, purpose, run[, sensor], target), purpose 0 for target motion and 1
+for measurement noise: each target's stream draws what the matching child
+of ``SeedSequence(seed, spawn_key=(purpose, run[, sensor])).spawn(n_targets)``
+would.  The children are never built: their Philox keys come from the
+parents' pools in one vectorized step, and one Philox generator, re-keyed
+per stream, draws them all.  Runs are therefore reproducible and
+independent of execution order.  The truth layer builds one motion model
+per distinct segment kind and gathers each (target, frame) transition from
+a table of them; every sensor is measured in one batched pass over
+(sensor, target, frame).
 """
 
 from __future__ import annotations
@@ -181,12 +184,66 @@ def _propagate_targets(scenario: Scenario, noise: np.ndarray) -> np.ndarray:
     return states
 
 
-def _standard_normal(streams: list[np.random.SeedSequence], shape) -> np.ndarray:
-    """Draws (len(streams), *shape), one row from each stream's Philox
-    generator."""
-    return np.stack(
-        [np.random.Generator(np.random.Philox(ss)).standard_normal(shape) for ss in streams]
-    )
+# numpy's SeedSequence mixing constants (numpy/random/bit_generator.pyx).
+# _POW_A[i] is MULT_A**i and _HASH_B[i] generate_state's hash constant after
+# i words, each modulo 2**32, for the four steps over a four-word pool.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POW_A = np.array([pow(_MULT_A, i, 1 << 32) for i in range(5)], dtype=np.uint32)[:, None, None]
+_HASH_B = np.array(
+    [_INIT_B * pow(_MULT_B, i, 1 << 32) & 0xFFFFFFFF for i in range(5)], dtype=np.uint32
+)[:, None, None]
+
+
+def _n_words(value: int) -> int:
+    """Number of 32-bit words SeedSequence splits a non-negative int into."""
+    return max(1, -(-value.bit_length() // 32))
+
+
+def _child_keys(parents: list[np.random.SeedSequence], n: int) -> np.ndarray:
+    """Philox keys (len(parents), n, 2), uint64, of the children that each
+    parent's ``spawn(n)`` gives, derived without building them.
+
+    A child's entropy is its parent's with the child index appended as one
+    more word, so its pool continues the parent's ``pool``: pool word i is
+    mixed with the i-th hashmix of the index.  The hash constant continues
+    where the parent's mixing left it, at ``INIT_A * MULT_A**(4 * words)``
+    after ``words`` entropy words (at least four, the pool size).  The key
+    is the four-word ``generate_state`` of that pool.  Each step runs on
+    every (pool word, parent, child) at once; uint32 arithmetic wraps
+    modulo 2**32 as numpy's C code does.
+    """
+    words = [max(_n_words(p.entropy), 4) + sum(map(_n_words, p.spawn_key)) for p in parents]
+    h = np.array([_INIT_A * pow(_MULT_A, 4 * w, 1 << 32) & 0xFFFFFFFF for w in words], np.uint32)
+    # Hash constants (5, parent, 1): hashmix i starts at h[i], ends at h[i + 1].
+    h = _POW_A * h[:, None]
+    v = (np.arange(n, dtype=np.uint32) ^ h[:4]) * h[1:]
+    v ^= v >> 16
+    v = _MIX_MULT_L * np.array([p.pool for p in parents]).T[..., None] - _MIX_MULT_R * v
+    v ^= v >> 16
+    v = (v ^ _HASH_B[:4]) * _HASH_B[1:]
+    v ^= v >> 16
+    # Little-endian word pairs make the two 64-bit key words.
+    return np.ascontiguousarray(np.moveaxis(v, 0, -1), dtype="<u4").view("<u8").astype(np.uint64)
+
+
+def _standard_normal(
+    generator: np.random.Generator, fresh: dict, keys: np.ndarray, shape: tuple
+) -> np.ndarray:
+    """Draws (*keys.shape[:-1], *shape), one block per Philox key, each as
+    a new ``Philox`` under that key would draw it.
+
+    ``generator`` draws every block; the ``state`` setter re-keys its bit
+    generator per block with ``fresh``, the state of a new Philox (zero
+    counter, empty buffer), under the block's key.
+    """
+    out = np.empty(keys.shape[:-1] + shape)
+    for key, block in zip(keys.reshape(-1, 2).tolist(), out.reshape((-1,) + shape)):
+        fresh["state"]["key"] = key
+        generator.bit_generator.state = fresh
+        generator.standard_normal(out=block)
+    return out
 
 
 def simulate_truth(scenario: Scenario, run_index: int, zero_bias: bool = False) -> TruthData:
@@ -200,12 +257,16 @@ def simulate_truth(scenario: Scenario, run_index: int, zero_bias: bool = False) 
     K = scenario.frames
     n_t = len(scenario.targets)
     seed, run = int(scenario.rng_seed), int(run_index)
-    # One stream per target (purpose 0) and per (sensor, target) (purpose 1):
-    # the children that ``spawn`` appends to the key.
-    motion = np.random.SeedSequence(seed, spawn_key=(0, run)).spawn(n_t)
-    states = _propagate_targets(scenario, _standard_normal(motion, (K, 4)))
-    sensor_keys = np.random.SeedSequence(seed, spawn_key=(1, run)).spawn(len(scenario.sensors))
-    wn = np.stack([_standard_normal(key.spawn(n_t), (K + 1, 2)) for key in sensor_keys])
+    # One stream per target (purpose 0) and per (sensor, target) (purpose
+    # 1): the children that ``spawn`` would append to these keys.
+    spawn_keys = [(0, run)] + [(1, run, s) for s in range(len(scenario.sensors))]
+    parents = [np.random.SeedSequence(seed, spawn_key=key) for key in spawn_keys]
+    keys = _child_keys(parents, n_t)
+    bit_generator = np.random.Philox(parents[0])
+    fresh = bit_generator.state
+    generator = np.random.Generator(bit_generator)
+    states = _propagate_targets(scenario, _standard_normal(generator, fresh, keys[0], (K, 4)))
+    wn = _standard_normal(generator, fresh, keys[1:], (K + 1, 2))
 
     # Per-sensor geometry, noise and bias on the leading axis, broadcast
     # over (target, frame).
@@ -550,12 +611,17 @@ def run_monte_carlo(
 ) -> RunMetrics:
     """Execute the scenario's Monte Carlo runs and aggregate metrics.
 
-    ``workers`` > 1 distributes runs over processes; per-run noise streams
-    make the aggregate independent of scheduling.
+    ``workers`` > 1 distributes runs over at most that many processes, and
+    never more than there are runs; per-run noise streams make the
+    aggregate independent of scheduling.
     """
     runs = scenario.mc_runs if mc_runs is None else int(mc_runs)
     if runs < 1:
         raise ScenarioError("mc_runs must be at least 1")
+    if workers < 1:
+        raise ScenarioError("workers must be at least 1")
+    # A fork-based pool starts all its processes at once.
+    workers = min(workers, runs)
     tasks = [(scenario, i, method) for i in range(runs)]
     if workers > 1:
         # Imported here: a serial run, the common case, never loads it.

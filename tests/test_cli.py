@@ -116,6 +116,83 @@ def test_report_subcommand(tiny_scenario, tmp_path, capsys):
     assert (out / "tables.txt").exists()
 
 
+@pytest.mark.parametrize("tables", [[], ["--tables"]])
+def test_report_on_a_missing_directory_fails(tmp_path, capsys, tables):
+    missing = tmp_path / "missing"
+    assert main(["report", "--in", str(missing)] + tables) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(missing) in captured.err
+    assert not missing.exists()
+
+
+@pytest.mark.parametrize("removed", ["bias_rmse.csv", "bias_sqrt_sigma.csv", "track_rmse.csv"])
+def test_report_names_a_missing_metrics_file(tiny_scenario, tmp_path, capsys, removed):
+    out = tmp_path / "out"
+    main(["simulate", "--scenario", str(tiny_scenario), "--out", str(out)])
+    (out / removed).unlink()
+    capsys.readouterr()
+    assert main(["report", "--in", str(out), "--tables"]) == 1
+    assert removed in capsys.readouterr().err
+    assert not (out / "tables.txt").exists()
+
+
+def test_report_on_baseline_output_needs_no_crlb(tiny_scenario, tmp_path):
+    # baseline writes the bias CSVs header-only; crlb.csv is optional.
+    out = tmp_path / "out"
+    main(["simulate", "--scenario", str(tiny_scenario), "--method", "baseline", "--out", str(out)])
+    assert not (out / "crlb.csv").exists()
+    assert main(["report", "--in", str(out)]) == 0
+
+
+@pytest.fixture()
+def pool_sizes(monkeypatch):
+    """The ``max_workers`` of every process pool started; the stand-in pool
+    maps in this process, so no worker process starts."""
+    import concurrent.futures
+
+    sizes = []
+
+    class Executor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Executor)
+    return sizes
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_non_positive_workers_is_a_scenario_error(
+    tiny_scenario, tmp_path, capsys, pool_sizes, workers
+):
+    out = tmp_path / "out"
+    argv = ["simulate", "--scenario", str(tiny_scenario), "--out", str(out), "--workers", workers]
+    assert main(argv) == 1
+    assert "workers must be at least 1" in capsys.readouterr().err
+    assert pool_sizes == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(("workers", "runs", "started"), [("1000", "2", [2]), ("2", "3", [2]),
+                                                          ("4", "1", [])])
+def test_pool_never_starts_more_workers_than_runs(
+    tiny_scenario, tmp_path, pool_sizes, workers, runs, started
+):
+    argv = ["simulate", "--scenario", str(tiny_scenario), "--out", str(tmp_path / "out"),
+            "--workers", workers, "--runs", runs]
+    assert main(argv) == 0
+    assert pool_sizes == started
+
+
 def test_builtin_scenario_name_resolves(tmp_path):
     out = tmp_path / "bounds"
     assert main(["crlb", "--scenario", "two_sensor", "--out", str(out)]) == 0

@@ -355,6 +355,61 @@ def test_truth_matches_per_stream_reference(name):
     _assert_truth_matches_reference(load_scenario(name), runs=(0, 7))
 
 
+def test_truth_matches_per_stream_reference_at_a_multi_word_seed():
+    # 2**32 + 5 is two words of entropy, padded to the pool's four words
+    # before the spawn key as a one-word seed is.
+    sc = dataclasses.replace(load_scenario("two_sensor"), rng_seed=2**32 + 5)
+    _assert_truth_matches_reference(sc, runs=(0, 7))
+
+
+# Seeds on both sides of the 32-bit word boundaries, past the four-word pool.
+_entropy = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5, 2**128, 2**130 + 7]),
+    st.integers(0, 2**32 - 1),
+    st.integers(2**32, 2**64 - 1),
+    st.integers(2**64, 2**200),
+)
+
+
+@given(
+    parents=st.lists(
+        st.tuples(_entropy, st.lists(st.integers(0, 2**40), min_size=1, max_size=4)),
+        min_size=1,
+        max_size=3,
+    ),
+    n=st.integers(1, 100),
+)
+@settings(max_examples=60, deadline=None)
+def test_child_keys_match_numpy_spawn(parents, n):
+    from sensorreg.harness.simulate import _child_keys
+
+    seqs = [np.random.SeedSequence(seed, spawn_key=tuple(key)) for seed, key in parents]
+    keys = _child_keys(seqs, n)
+    expected = [[c.generate_state(2, np.uint64) for c in ss.spawn(n)] for ss in seqs]
+    assert keys.dtype == np.uint64
+    assert np.array_equal(keys, np.array(expected))
+
+
+def test_truth_builds_one_philox_and_spawns_nothing(monkeypatch):
+    # One bit generator per call, re-keyed per stream; no SeedSequence is
+    # spawned.
+    import sensorreg.harness.simulate as sim
+
+    counts = _count_calls(monkeypatch, (np.random,), ("Philox",))
+
+    class SeedSequence(np.random.SeedSequence):
+        def spawn(self, n_children):
+            counts["spawn"] = counts.get("spawn", 0) + 1
+            return super().spawn(n_children)
+
+    monkeypatch.setattr(np.random, "SeedSequence", SeedSequence)
+    for name in ("two_sensor", "five_sensor_offset_scale"):
+        sc = load_scenario(name)
+        counts.clear()
+        sim.simulate_truth(sc, 3)
+        assert counts == {"Philox": 1}
+
+
 _segments = st.lists(
     st.builds(
         lambda model, frames, omega: {"model": model, "frames": frames, "omega": omega},

@@ -59,8 +59,6 @@ from .trackers import (
     init_track,
     kf_predict,
     kf_update,
-    marginal_position_velocity,
-    position_selector,
 )
 from .tracklets import (
     Tracklet,
@@ -108,11 +106,9 @@ __all__ = [
     "init_track",
     "kf_predict",
     "kf_update",
-    "marginal_position_velocity",
     "nca_model",
     "ncv_model",
     "polar_to_cart",
-    "position_selector",
     "reconstruct_local_gain",
     "rlsb_update",
     "sensor_pseudo_obs",

@@ -27,7 +27,9 @@ def mv(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
 
 def symmetrize(mat: np.ndarray) -> np.ndarray:
     """Return (M + M.T) / 2 for every matrix on the last two axes."""
-    return 0.5 * (mat + mat.swapaxes(-1, -2))
+    out = mat + mat.swapaxes(-1, -2)
+    out *= 0.5
+    return out
 
 
 def inv_sym(mat: np.ndarray, context: str = "matrix") -> np.ndarray:

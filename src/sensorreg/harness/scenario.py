@@ -125,11 +125,19 @@ class Scenario:
                 raise ScenarioError(f"{' '.join(map(str, where))} must be finite, got {value}")
         if self.dt <= 0:
             raise ScenarioError("dt must be positive")
-        if self.process_noise_q < 0 or self.fusion_q < 0:
-            raise ScenarioError("noise intensities must be non-negative")
-        if self.local_filter.type not in LOCAL_FILTER_TYPES:
+        lf = self.local_filter
+        for where, q in (
+            ("process_noise_q", self.process_noise_q),
+            ("fusion_q", self.fusion_q),
+            ("local_filter q", lf.q),
+            ("local_filter q1", lf.q1),
+            ("local_filter q2", lf.q2),
+        ):
+            if q < 0:
+                raise ScenarioError(f"{where} must be non-negative, got {q}")
+        if lf.type not in LOCAL_FILTER_TYPES:
             raise ScenarioError(
-                f"unknown local filter type {self.local_filter.type!r}; "
+                f"unknown local filter type {lf.type!r}; "
                 f"expected one of {LOCAL_FILTER_TYPES}"
             )
         for i, s in enumerate(self.sensors):

@@ -11,10 +11,18 @@ from sensorreg.bias import (
     sensor_pseudo_obs,
 )
 from sensorreg._linalg import mv
-from sensorreg.coords import cart_to_polar, converted_covariance, jacobians_at
+from sensorreg.coords import (
+    CartesianMeasurement,
+    cart_to_polar,
+    converted_covariance,
+    jacobians_at,
+)
 from sensorreg.dynamics import compose_steps, ncv_model
 from sensorreg.errors import SingularMatrixError
-from sensorreg.trackers import GaussianEstimate, position_selector
+from sensorreg.trackers import GaussianEstimate, init_track
+
+# Position selector of the [x, xdot, y, ydot] state: rows 0 and 2 of I.
+H_POS = np.eye(4)[::2]
 
 
 def _ms(steps=1, q=0.1):
@@ -34,7 +42,7 @@ def test_pseudo_obs_recovers_consistent_measurement():
     # measurement; the deconvolution must return that measurement.
     rng = np.random.default_rng(1)
     ms = _ms()
-    H = position_selector(4)
+    H = H_POS
     prev_mean = rng.standard_normal(4) * 100
     W = rng.standard_normal((4, 2))
     z = rng.standard_normal(2) * 50
@@ -50,7 +58,7 @@ def test_pseudo_obs_zero_noise_zero_bias_track():
     # With no bias, no noise and a unit gain structure, the deconvolved
     # observation equals the propagated position.
     ms = _ms()
-    H = position_selector(4)
+    H = H_POS
     truth_prev = np.array([100.0, 10.0, -50.0, 5.0])
     truth_curr = ms.F @ truth_prev
     W = H.T.copy()
@@ -105,9 +113,12 @@ def test_difference_observation_matrix_offset_restriction():
 
 
 def test_projection_is_identity_for_position_selection():
-    H = position_selector(4)
+    H = H_POS
     HHdag = H @ H.T @ np.linalg.inv(H @ H.T)
     np.testing.assert_allclose(HHdag, np.eye(2))
+    # The selector reads back the positions a track is started from.
+    z = np.array([120.0, -75.0])
+    np.testing.assert_array_equal(H @ init_track(CartesianMeasurement(z=z, R=np.eye(2))).mean, z)
 
 
 def test_rlsb_uninformative_observation_is_noop():

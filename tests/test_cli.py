@@ -277,6 +277,21 @@ def test_bad_scenario_value_is_a_scenario_error(tiny_scenario, tmp_path, capsys,
         assert f"scenario error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "crlb"])
+def test_negative_local_filter_noise_is_a_scenario_error(tiny_scenario, tmp_path, capsys,
+                                                         command):
+    # simulate used to die inside the motion model with a ValueError
+    # traceback, and crlb accepted the file.
+    doc = json.loads(tiny_scenario.read_text())
+    doc["local_filter"] = {"type": "imm_nca_ncv", "q1": -5.0}
+    tiny_scenario.write_text(json.dumps(doc))
+    code = main([command, "--scenario", str(tiny_scenario), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "scenario error: local_filter q1 must be non-negative, got -5.0" in (
+        capsys.readouterr().err
+    )
+
+
 @pytest.mark.parametrize("method", ["baseline", "exl"])
 def test_tracklet_failure_names_sensor_target_and_frame(tmp_path, capsys, method):
     # baseline: the IMM's single-step snapshots give an indefinite 4-state

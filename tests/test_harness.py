@@ -167,6 +167,30 @@ def test_scenario_rejects_non_finite_values(path, key, where, value):
         load_scenario(doc)
 
 
+NOISE_INTENSITY_FIELDS = [
+    ((), "process_noise_q", "process_noise_q"),
+    ((), "fusion_q", "fusion_q"),
+    (("local_filter",), "q", "local_filter q"),
+    (("local_filter",), "q1", "local_filter q1"),
+    (("local_filter",), "q2", "local_filter q2"),
+]
+
+
+@pytest.mark.parametrize("path, key, where", NOISE_INTENSITY_FIELDS)
+def test_scenario_rejects_negative_noise_intensities(path, key, where):
+    # A negative local-filter intensity used to load and then fail inside
+    # the motion model with a bare ValueError.
+    doc = _tiny_scenario()
+    node = doc
+    for k in path:
+        node = node[k]
+    node[key] = -5.0
+    with pytest.raises(ScenarioError, match=f"^{where} must be non-negative, got -5.0$"):
+        load_scenario(doc)
+    node[key] = 0.0
+    assert load_scenario(doc) is not None
+
+
 @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
 def test_scenario_scale_flag_must_be_a_json_boolean(value):
     with pytest.raises(

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from sensorreg._linalg import symmetrize
+from sensorreg import fusion, trackers
+from sensorreg._linalg import mt, mv, symmetrize
 from sensorreg.coords import CartesianMeasurement
 from sensorreg.dynamics import MotionModel, ncv_model
 from sensorreg.errors import SingularMatrixError
@@ -16,7 +19,6 @@ from sensorreg.trackers import (
     init_track,
     kf_predict,
     kf_update,
-    marginal_position_velocity,
 )
 
 
@@ -225,16 +227,24 @@ def test_imm_mixed_dimension_modes():
 
 
 def test_imm_combined_covariance_dominates_weighted_modes():
-    models = [ncv_model(1.0, 10.0), ncv_model(1.0, 2.0)]
-    state = _imm(models)
+    from sensorreg.dynamics import nca_model
+
     z = CartesianMeasurement(z=[4.0, 4.0], R=50 * np.eye(2))
-    new_state, combined = imm_step(state, z)
-    mu = new_state.mode_probs
-    base = sum(
-        mu[j] * marginal_position_velocity(new_state.modes[j]).cov for j in range(2)
+    track = init_track(CartesianMeasurement(z=[0.0, 0.0], R=100 * np.eye(2)))
+    probs, Pi = np.array([0.5, 0.5]), np.array([[0.95, 0.05], [0.05, 0.95]])
+    # A 4-dim bank, and a 6-dim one whose modes carry accelerations.
+    banks = (
+        (_imm([ncv_model(1.0, 10.0), ncv_model(1.0, 2.0)]), slice(None)),
+        (ImmState.from_track(track, [nca_model(1.0, 10.0), ncv_model(1.0, 2.0)], probs, Pi),
+         [0, 1, 3, 4]),
     )
-    w = np.linalg.eigvalsh(combined.cov - base)
-    assert w.min() > -1e-9
+    for state, idx in banks:
+        new_state, combined = imm_step(state, z)
+        mu, cov = new_state.mode_probs, new_state.modes.cov
+        # Each mode's position/velocity block.
+        base = sum(mu[j] * cov[j][idx][:, idx] for j in range(2))
+        w = np.linalg.eigvalsh(combined.cov - base)
+        assert w.min() > -1e-9
 
 
 def test_unbiased_track_nees_within_chi_square_band():
@@ -451,3 +461,128 @@ def test_stacked_imm_matches_per_mode_reference(filter_type):
     mean, cov = _per_mode_imm_tracks(sc, truth)
     for got, want in ((tracks.mean, mean), (tracks.cov, cov)):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+
+# Largest difference between kf_update's covariance and the former dense
+# Joseph form M P M' + W R W' (M = I - W H) with the same gain, relative to
+# each output matrix's largest magnitude (measured up to 5.0e-13 over 30,000
+# seeded draws of the test's distribution).
+JOSEPH_RTOL = 5e-12
+
+
+def _former_joseph(P, W, R):
+    """The Joseph step as kf_update formed it before: two n x n x n products
+    with the dense M = I - W H."""
+    n = P.shape[-1]
+    M = np.eye(n) - W @ np.eye(n)[:: n // 2]
+    return symmetrize(M @ P @ mt(M) + W @ R @ mt(W))
+
+
+def _spd(rng, shape, n):
+    """SPD matrices whose standard deviations span 1e-1 to 1e3."""
+    A = rng.standard_normal(shape + (n, n))
+    d = 10.0 ** rng.uniform(-1.0, 3.0, shape + (n, 1))
+    return d * (A @ mt(A) + 0.1 * np.eye(n)) * mt(d)
+
+
+@given(
+    n=st.sampled_from([4, 6]),
+    shapes=st.sampled_from([((), ()), ((5,), (5,)), ((3, 2), (3, 1)), ((2, 4, 2), (2, 4, 1))]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_joseph_update_matches_the_former_dense_form(n, shapes, seed):
+    # Batch shapes include a unit mode axis that the measurement broadcasts
+    # over, as in imm_step.
+    shape, z_shape = shapes
+    rng = np.random.default_rng(seed)
+    est = GaussianEstimate(rng.standard_normal(shape + (n,)) * 100.0, _spd(rng, shape, n))
+    z = CartesianMeasurement(rng.standard_normal(z_shape + (2,)) * 100.0, _spd(rng, z_shape, 2))
+    out, rec = kf_update(est, z)
+    np.testing.assert_array_equal(out.cov, mt(out.cov))
+    want = _former_joseph(est.cov, rec.gain, z.R)
+    scale = np.abs(want).max(axis=(-2, -1), keepdims=True)
+    assert np.all(np.abs(out.cov - want) <= JOSEPH_RTOL * scale)
+
+
+# Largest difference between the local tracks and bias series and those of
+# the former Kalman kernels, relative to each array's largest magnitude
+# (measured on the A08 scenario up to 1.2e-14 for the tracks, in the IMM
+# covariances over 5 runs, and 1.6e-12 for b_series over 10 runs).
+TRACKS_RTOL = 1e-13
+BIAS_SERIES_RTOL = 1e-11
+
+
+def _former_kf_predict(est, model):
+    mean = mv(model.F, est.mean)
+    cov = symmetrize(model.F @ est.cov @ mt(model.F) + model.Q)
+    return GaussianEstimate(mean=mean, cov=cov, frame=est.frame + model.steps)
+
+
+def _former_kf_update(est, z):
+    """kf_update with the former Joseph step; its mean and gain are
+    unchanged."""
+    out, rec = kf_update(est, z)
+    return GaussianEstimate(out.mean, _former_joseph(est.cov, rec.gain, z.R), out.frame), rec
+
+
+def _former_imm_step(state, z):
+    """imm_step with the combined output moment-matched on each mode's
+    position/velocity marginal."""
+    new_state, _ = imm_step(state, z)
+    modes = new_state.modes
+    if modes.dim == 6:
+        idx = np.array([0, 1, 3, 4])
+        modes = GaussianEstimate(modes.mean[..., idx], modes.cov[..., idx[:, None], idx])
+    x, P = trackers._moments(new_state.mode_probs[..., None, :], modes)
+    return new_state, GaussianEstimate(x[..., 0, :], P[..., 0, :, :], new_state.modes.frame)
+
+
+def _use_former_kernels(mp):
+    import sensorreg.harness.simulate as sim
+
+    for module in (trackers, sim, fusion):
+        mp.setattr(module, "kf_predict", _former_kf_predict)
+        mp.setattr(module, "kf_update", _former_kf_update)
+    mp.setattr(sim, "imm_step", _former_imm_step)
+
+
+def _a08(filter_type="imm_nca_ncv"):
+    from sensorreg.harness import load_scenario
+
+    sc = load_scenario("five_sensor_offset")
+    sc.local_filter.type = filter_type
+    sc.local_filter.q1, sc.local_filter.q2 = 10.0, 2.0
+    sc.fusion_q = 200.0
+    return sc
+
+
+@pytest.mark.parametrize("filter_type", ["kf", "imm_nca_ncv"])
+def test_local_tracks_match_the_former_kernels(filter_type):
+    from sensorreg.harness import run_local_tracks, simulate_truth
+
+    sc = _a08(filter_type)
+    truth = simulate_truth(sc, 0)
+    got = run_local_tracks(sc, truth)
+    with pytest.MonkeyPatch.context() as mp:
+        _use_former_kernels(mp)
+        want = run_local_tracks(sc, truth)
+    for name in ("mean", "cov", "gain"):
+        g, w = getattr(got, name), getattr(want, name)
+        if w is not None:
+            np.testing.assert_allclose(
+                g, w, rtol=0, atol=TRACKS_RTOL * np.nanmax(np.abs(w)), err_msg=name
+            )
+
+
+def test_a08_bias_series_match_the_former_kernels():
+    from sensorreg.harness.simulate import run_single
+
+    sc = _a08()
+    for run in range(2):
+        got = run_single(sc, run, "fbe")
+        with pytest.MonkeyPatch.context() as mp:
+            _use_former_kernels(mp)
+            want = run_single(sc, run, "fbe")
+        for g, w in ((got.b_series, want.b_series), (got.sigma_series, want.sigma_series)):
+            np.testing.assert_allclose(g, w, rtol=0, atol=BIAS_SERIES_RTOL * np.abs(w).max())

@@ -3,11 +3,10 @@
 A bias pseudo-measurement is obtained by deconvolving a track update with the
 (reconstructed or true) filter gain, which isolates the bias contribution plus
 measurement noise, and differencing the result against a reference that is
-free of the bias under estimation.  The recursive least-squares estimator
-handles constant biases.  One update folds a whole stack of
-pseudo-measurements (a sensor's targets of an epoch, say) as a single stacked
-observation, and its covariance step uses the Joseph form, which preserves
-positive definiteness under ill-conditioned observation matrices.
+free of the bias under estimation.  Every estimator takes a stack of them as
+its :func:`bias_information`: :func:`rlsb_update` folds it into an estimate
+in a Joseph-form step, which stays positive definite under ill-conditioned
+observation matrices, and ``ex``/``exl`` sum it over frames.
 """
 
 from __future__ import annotations
@@ -16,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import cholesky, inv_spd2, mt, mv, solve_psd, symmetrize
+from ._linalg import cholesky, det_spd2, inv_spd2, mt, mv, solve_psd, symmetrize
 from .coords import BiasJacobians
 from .dynamics import MotionModel
+from .errors import NumericalError
 from .trackers import GaussianEstimate
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "BiasEstimate",
     "sensor_pseudo_obs",
     "difference_pseudo_measurement",
+    "bias_information",
     "rlsb_update",
 ]
 
@@ -37,7 +38,7 @@ class PseudoMeasurement:
 
     ``z`` has shape (..., 2), ``H`` (..., 2, d) and ``R`` (..., 2, 2);
     leading axes index a batch of observations, the last of which
-    :func:`rlsb_update` folds as one stack.
+    :func:`bias_information` sums as one stack.
     """
 
     z: np.ndarray
@@ -125,36 +126,52 @@ def difference_pseudo_measurement(
     return PseudoMeasurement(z=z, H=Hcal, R=np.asarray(R1) + np.asarray(R2))
 
 
+def bias_information(pm: PseudoMeasurement) -> tuple[np.ndarray, np.ndarray]:
+    """Bias information ``(sum_j H_j' R_j^-1 H_j, sum_j H_j' R_j^-1 z_j)``,
+    (..., d, d) and (..., d), of each stack on axis -3 of ``pm``, its 2m
+    observations the rows of one matmul.  Raises :class:`NumericalError`
+    marking, over the batch axes of ``pm``, every pseudo-measurement whose
+    ``R`` is not positive definite or else every one not finite."""
+    ok = det_spd2(pm.R)[1]
+    if not ok.all():
+        raise NumericalError("pseudo-measurement covariance not positive definite", ~ok)
+    ok = np.isfinite(pm.z).all(axis=-1) & np.isfinite(pm.H).all(axis=(-2, -1))
+    if not ok.all():
+        raise NumericalError("pseudo-measurement not finite", ~ok)
+    R_inv, _ = inv_spd2(pm.R)
+    rows = pm.H.shape[:-3] + (2 * pm.H.shape[-3], pm.H.shape[-1])
+    Ht = mt(pm.H.reshape(rows))
+    return Ht @ (R_inv @ pm.H).reshape(rows), mv(Ht, mv(R_inv, pm.z).reshape(rows[:-1]))
+
+
 def rlsb_update(est: BiasEstimate, pm: PseudoMeasurement) -> BiasEstimate:
     """Recursive least-squares update that folds a stack of
     pseudo-measurements in one Joseph-form step.
 
     After the estimate's batch axes, ``pm`` carries an observation axis of
-    length m: ``z`` (..., m, 2), ``H`` (..., m, 2, d), ``R`` (..., m, 2, 2);
-    a single pseudo-measurement is the stack m = 1.  The m observations of
-    an element form one 2m-vector with noise covariance ``blockdiag(R)``,
-    so the fold equals m sequential updates up to rounding.  An observation
-    with ``H = 0``, ``z = 0`` and ``R = I`` contributes nothing, which pads
+    length m (a single pseudo-measurement is the stack m = 1).  The stack
+    enters as the :func:`bias_information` ``(J, j)`` of its innovations
+    ``z - H b``, so every matrix the update solves or factors is d x d:
+    ``Sigma+ = L (I + L' J L)^-1 L'`` for the Cholesky factor ``L`` of
+    ``Sigma``, ``b+ = b + Sigma+ j``, and the Joseph form
+    ``M Sigma M' + Sigma+ J Sigma+'`` for ``M = I - Sigma+ J``.  The fold
+    equals m sequential updates up to rounding; an observation with
+    ``H = 0``, ``z = 0`` and ``R = I`` contributes nothing, which pads
     stacks of unequal length.
 
-    Raises :class:`SingularMatrixError` naming the first element whose
-    innovation covariance ``H Sigma H' + blockdiag(R)`` is not positive
-    definite (NaN entries included).
+    Raises, with ``failed`` over the estimate's batch axes, the error of
+    :func:`bias_information`, or :class:`SingularMatrixError` when the
+    incoming or updated bias covariance is not positive definite.
     """
-    m = pm.H.shape[-3]
-    rows = pm.H.shape[:-3] + (2 * m,)
-    H = pm.H.reshape(rows + (est.dim,))
-    z = pm.z.reshape(rows)
-    # blockdiag(R): R[..., j, a, c] lands at row 2j + a, column 2j + c.
-    R = (pm.R[..., :, :, None, :] * np.eye(m)[:, None, :, None]).reshape(rows + (2 * m,))
-    HSigma = H @ est.Sigma
-    S = HSigma @ mt(H) + R
-    context = "pseudo-measurement innovation covariance"
-    # The factor only screens S: LU solves it faster than two triangular
-    # solves would.
-    cholesky(S, context=context)
-    G = mt(solve_psd(S, HSigma, context=context))
-    b = est.b + mv(G, z - mv(H, est.b))
-    M = np.eye(est.dim) - G @ H
-    Sigma = symmetrize(M @ est.Sigma @ mt(M) + G @ R @ mt(G))
-    return BiasEstimate(b=b, Sigma=Sigma)
+    L = cholesky(est.Sigma, context="bias covariance")
+    # Innovations in place of z spare b+ the cancellation of j_z - J b.
+    innovations = PseudoMeasurement(z=pm.z - mv(pm.H, est.b[..., None, :]), H=pm.H, R=pm.R)
+    try:
+        info, info_z = bias_information(innovations)
+    except NumericalError as exc:
+        raise NumericalError(exc.reason, exc.failed.any(axis=-1)) from exc
+    post = L @ solve_psd(np.eye(est.dim) + mt(L) @ info @ L, mt(L))
+    M = np.eye(est.dim) - post @ info
+    Sigma = symmetrize(M @ est.Sigma @ mt(M) + post @ info @ mt(post))
+    cholesky(Sigma, context="bias covariance")
+    return BiasEstimate(b=est.b + mv(post, info_z), Sigma=Sigma)

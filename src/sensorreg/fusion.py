@@ -22,6 +22,7 @@ from ._linalg import det_spd2, inv_spd2, mt, mv, symmetrize
 from .bias import (
     BiasEstimate,
     PseudoMeasurement,
+    bias_information,
     difference_pseudo_measurement,
     rlsb_update,
     sensor_pseudo_obs,
@@ -316,11 +317,12 @@ def fbe_step(
     Returns a :class:`FbeResult`.  Each stage runs as one batched call over
     the pairs.  The pairs whose tracklet, gain or bias correction fails a
     numerical check are skipped as a whole, every pair failing the same check
-    in one pass, and so is a pseudo-measurement whose covariance fails; a
-    sensor whose stacked fold fails keeps its estimate.  A rank-deficient
-    gain of a live pair with a reference is not skipped: it raises the
-    :class:`NumericalError` of :func:`sensor_pseudo_obs` as
-    ``sensor s, target t, frame k: <reason>``, its ``failed`` over (S, T).
+    in one pass, and so is a pseudo-measurement that fails a check of
+    :func:`bias_information`; a sensor whose stacked fold fails keeps its
+    estimate.  A rank-deficient gain of a live pair with a reference is not
+    skipped: it raises the :class:`NumericalError` of
+    :func:`sensor_pseudo_obs` as ``sensor s, target t, frame k: <reason>``,
+    its ``failed`` over (S, T).
 
     Corrections use the bias estimates as they stood at the start of the
     frame, so per-sensor updates are order-independent within the frame;
@@ -423,23 +425,21 @@ def fbe_step(
     res.used[es, et] = fused_new.sensors
 
     # One stacked fold per sensor over its targets.  A pseudo-measurement
-    # whose noise covariance fails the 2x2 positive-definiteness test is
-    # dropped; it and every pair without one are padded with H = 0, z = 0,
-    # R = I, which contribute nothing.  A sensor whose fold fails keeps its
-    # estimate.
-    _, ok = det_spd2(pm.R)
-    for i in np.flatnonzero(~ok):
-        res.skipped.append(
-            (int(es[i]), int(et[i]), "pseudo-measurement covariance not positive definite")
-        )
+    # that fails a check of bias_information is dropped; it and every pair
+    # without one are padded with H = 0, z = 0, R = I, which contribute
+    # nothing.  A sensor whose fold fails keeps its estimate.
+    ok, _ = _without_failures(
+        lambda i: bias_information(PseudoMeasurement(pm.z[i], pm.H[i], pm.R[i])),
+        np.arange(e.size),
+        lambda i, exc: res.skipped.append((int(es[i]), int(et[i]), exc.reason)),
+    )
     z = np.zeros((n_s, n_t, 2))
     H = np.zeros((n_s, n_t, 2, bias_states.dim))
     R = np.broadcast_to(np.eye(2), (n_s, n_t, 2, 2)).copy()
     z[es[ok], et[ok]], H[es[ok], et[ok]], R[es[ok], et[ok]] = pm.z[ok], pm.H[ok], pm.R[ok]
 
     def fold(rows):
-        pm_rows = PseudoMeasurement(z=z[rows], H=H[rows], R=R[rows])
-        return rlsb_update(res.bias_states[rows], pm_rows)
+        return rlsb_update(res.bias_states[rows], PseudoMeasurement(z[rows], H[rows], R[rows]))
 
     def skip_fold(s, exc):
         res.skipped.append((int(s), None, exc.reason))

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._linalg import inv_spd2, inv_sym, mt, mv, symmetrize
-from ..bias import BiasEstimate, PseudoMeasurement, sensor_pseudo_obs
+from .._linalg import inv_sym, mv, symmetrize
+from ..bias import BiasEstimate, PseudoMeasurement, bias_information, sensor_pseudo_obs
 from ..coords import (
     CONVERSION_VALIDITY_LIMIT,
     BiasVector,
@@ -493,20 +493,13 @@ def _run_stacked(
         H=np.concatenate([B[0], -B[1]], axis=-1).swapaxes(0, 1),
         R=(R[0] + R[1]).swapaxes(0, 1),
     )
-    with located(lambda j, t: f"frame {j + 1}, target {t}"):
-        R_inv, _ = inv_spd2(pm.R, context="pseudo-measurement covariance")
-        bad = ~(np.isfinite(pm.z).all(axis=-1) & np.isfinite(pm.H).all(axis=(-2, -1)))
-        if bad.any():
-            raise NumericalError("pseudo-measurement not finite", bad)
-
     # Sigma_k = (Sigma_0^-1 + sum_j<=k H'R^-1H)^-1 and b_k = Sigma_k sum_j<=k
-    # H'R^-1z (zero prior mean), each frame's targets on the rows of H.
-    Ht = mt(pm.H.reshape(K, -1, 4))
+    # H'R^-1z (zero prior mean), each frame's targets one stack.
     info = np.empty((K + 1, 4, 4))
     info[0] = np.diag(np.tile(scenario.bias_prior_sigma(), 2) ** -2)
-    info[1:] = Ht @ (R_inv @ pm.H).reshape(K, -1, 4)
     info_z = np.zeros((K + 1, 4))
-    info_z[1:] = mv(Ht, mv(R_inv, pm.z).reshape(K, -1))
+    with located(lambda j, t: f"frame {j + 1}, target {t}"):
+        info[1:], info_z[1:] = bias_information(pm)
     sigma = symmetrize(inv_sym(np.cumsum(info, axis=0), context="bias information"))
     return mv(sigma, np.cumsum(info_z, axis=0))[:, None], sigma[:, None], None
 

@@ -18,7 +18,7 @@ from sensorreg.coords import (
     jacobians_at,
 )
 from sensorreg.dynamics import compose_steps, ncv_model
-from sensorreg.errors import SingularMatrixError
+from sensorreg.errors import NumericalError, SingularMatrixError
 from sensorreg.trackers import GaussianEstimate, init_track
 
 # Position selector of the [x, xdot, y, ydot] state: rows 0 and 2 of I.
@@ -205,10 +205,27 @@ def test_rlsb_rejects_singular_innovation():
         rlsb_update(est, pm)
 
 
-@pytest.mark.parametrize("bad", ["nan", "indefinite"])
+# Each kind of fold failure: what provokes it in element 1 of a batch of
+# three stacks, and the error type and reason it raises with.
+FOLD_FAILURES = {
+    # A NaN pseudo-measurement covariance fails its positive definiteness test.
+    "nan": (NumericalError, "pseudo-measurement covariance not positive definite"),
+    # The incoming bias covariance is negative definite.
+    "indefinite": (SingularMatrixError, "bias covariance is not positive definite"),
+    # An infinite pseudo-measurement.
+    "nonfinite": (NumericalError, "pseudo-measurement not finite"),
+    # Observation rows of 1e160 overflow the information, so the updated
+    # bias covariance is NaN.
+    "overflow": (SingularMatrixError, "bias covariance is not positive definite"),
+}
+
+
+@pytest.mark.parametrize("bad", list(FOLD_FAILURES))
 def test_rlsb_names_the_element_whose_stacked_innovation_fails(bad):
-    # The stacked innovation covariance is screened by its Cholesky factor,
-    # which catches NaN entries as well as indefinite matrices.
+    # The fold screens the pseudo-measurements, the incoming and the updated
+    # bias covariance, and marks the estimate whose check fails (not the
+    # pseudo-measurement), which is what a caller that drops failed
+    # estimates needs.
     rng = np.random.default_rng(13)
     parts = [_stacked_pseudo_measurements(rng, 5, "offset") for _ in range(3)]
     est = BiasEstimate(
@@ -221,21 +238,35 @@ def test_rlsb_names_the_element_whose_stacked_innovation_fails(bad):
     )
     if bad == "nan":
         pm.R[1, 3, 0, 0] = np.nan
-    else:
+    elif bad == "indefinite":
         est.Sigma[1] = -1e6 * np.eye(2)
-    with pytest.raises(SingularMatrixError, match="not positive definite") as exc:
-        rlsb_update(est, pm)
-    assert exc.value.index == (1,)
+    elif bad == "nonfinite":
+        pm.z[1, 3, 0] = np.inf
+    else:
+        pm.H[1] *= 1e160
+    error, reason = FOLD_FAILURES[bad]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(error, match=rf"^{reason} at batch index \[1\]$") as exc:
+            rlsb_update(est, pm)
+    assert type(exc.value) is error
+    assert exc.value.failed.tolist() == [False, True, False]
 
 
 # Stacked folds agree with a sequential loop of single updates to this
 # fraction of each output array's largest magnitude, per layout.  In the
 # offset+scale layout the range offset and scale columns of H are nearly
-# collinear (as are the azimuth ones); forming the stacked innovation
-# covariance then rounds at the 1e-12 level, and over 60 seeds of the test
-# below the largest gap was 2.3e-11 (median 6.5e-13), against 3.2e-13 for
-# the offset layout and 6.6e-14 for the two-sensor offset layout.
+# collinear (as are the azimuth ones); forming the stack's information
+# H' R^-1 H then rounds at the 1e-12 level, and over 60 seeds of the test
+# below the largest gap was 4.6e-11 (median 5.3e-13), against 1.2e-13 for
+# the offset layout and 1.3e-13 for the two-sensor offset layout.
 FOLD_RTOL = {"offset": 1e-12, "pair_offset": 1e-12, "offset_scale": 5e-11}
+
+# The information form of rlsb_update agrees with the former 2m x 2m fold
+# (conftest.former_rlsb_update) to this fraction of each output array's
+# largest magnitude, per layout.  Over 60 seeds of the test below the
+# largest gaps were 3.9e-13 (offset), 1.0e-13 (pair_offset) and 3.2e-11
+# (offset_scale).
+FORMER_FOLD_RTOL = {"offset": 1e-12, "pair_offset": 1e-12, "offset_scale": 1e-10}
 
 
 def _stacked_pseudo_measurements(rng, m, layout):
@@ -278,6 +309,44 @@ def test_rlsb_stacked_fold_matches_sequential_updates(layout):
             rows = slice(j, j + 1)
             seq = rlsb_update(seq, PseudoMeasurement(pm.z[rows], pm.H[rows], pm.R[rows]))
         _assert_fold_close(rlsb_update(est, pm), seq, layout)
+
+
+@pytest.mark.parametrize("layout", ["offset", "pair_offset", "offset_scale"])
+def test_rlsb_matches_the_former_stacked_fold(former_fold, layout):
+    rng = np.random.default_rng(sum(map(ord, layout)))
+    for m in range(1, 41):
+        est, pm = _stacked_pseudo_measurements(rng, m, layout)
+        got, want = rlsb_update(est, pm), former_fold(est, pm)
+        for g, w in ((got.b, want.b), (got.Sigma, want.Sigma)):
+            atol = FORMER_FOLD_RTOL[layout] * np.abs(w).max()
+            np.testing.assert_allclose(g, w, rtol=0, atol=atol)
+
+
+def test_rlsb_forms_no_array_that_grows_with_the_stack(monkeypatch):
+    # Every array that reaches the fold's solve and its screens has the same
+    # shape whatever the number m of pseudo-measurements in the stack.
+    import sensorreg.bias as bias
+
+    seen = []
+
+    def recording(func):
+        def wrapped(*args, **kwargs):
+            seen.append(tuple(np.shape(a) for a in args))
+            return func(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(bias, "solve_psd", recording(bias.solve_psd))
+    monkeypatch.setattr(bias, "cholesky", recording(bias.cholesky))
+    rng = np.random.default_rng(15)
+    shapes = {}
+    for m in (1, 16, 256):
+        est, pm = _stacked_pseudo_measurements(rng, m, "offset_scale")
+        seen.clear()
+        rlsb_update(est, pm)
+        shapes[m] = list(seen)
+    assert shapes[1] == [((4, 4),), ((4, 4), (4, 4)), ((4, 4),)]
+    assert shapes[16] == shapes[256] == shapes[1]
 
 
 def test_rlsb_padded_observations_change_nothing():

@@ -589,13 +589,43 @@ def test_fbe_step_drops_only_the_bad_pseudo_measurement(monkeypatch):
 
 
 def test_fbe_step_skips_only_the_sensor_whose_fold_fails(monkeypatch):
-    # A NaN observation row makes sensor 0's stacked innovation covariance
-    # fail its Cholesky screen: that sensor keeps its estimate, named with
-    # target None, and every other sensor folds as before.
+    # Sensor 0's bias covariance reaches its stacked fold negated, so the
+    # fold's screen of the incoming covariance fails: that sensor keeps its
+    # estimate, named with target None, and every other sensor folds as
+    # before.
     import sensorreg.fusion as fusion
 
+    inputs = _small_fbe_inputs()
+    bias_states = inputs[1]
+    # A prior of its own tells sensor 0's row apart inside the fold.
+    bias_states.Sigma[0] *= 2.0
+    marked = bias_states.Sigma[0].copy()
+    clean = fbe_step(*inputs[0], *inputs[1:])
+
+    def fold(est, pm):
+        negate = (est.Sigma == marked).all(axis=(-2, -1))[..., None, None]
+        return rlsb_update(BiasEstimate(est.b, np.where(negate, -est.Sigma, est.Sigma)), pm)
+
+    monkeypatch.setattr(fusion, "rlsb_update", fold)
+    res = fbe_step(*inputs[0], *inputs[1:])
+    assert res.skipped == [(0, None, "bias covariance is not positive definite")]
+    np.testing.assert_array_equal(res.bias_states.b[0], bias_states.b[0])
+    np.testing.assert_array_equal(res.bias_states.Sigma[0], bias_states.Sigma[0])
+    np.testing.assert_array_equal(res.bias_states.b[1:], clean.bias_states.b[1:])
+    np.testing.assert_array_equal(res.bias_states.Sigma[1:], clean.bias_states.Sigma[1:])
+    assert not np.array_equal(clean.bias_states.b[0], bias_states.b[0])
+
+
+def test_fbe_step_drops_only_the_non_finite_pseudo_measurement(monkeypatch):
+    # A NaN observation row drops its pseudo-measurement alone, named by its
+    # sensor and target; sensor 0 folds its other pseudo-measurement.
+    import sensorreg.fusion as fusion
+
+    made = []
+
     def difference(*args, **kwargs):
-        pm = difference_pseudo_measurement(*args, **kwargs)
+        made.append(difference_pseudo_measurement(*args, **kwargs))
+        pm = copy.copy(made[-1])
         pm.H = pm.H.copy()
         pm.H[1] = np.nan  # sensor 0, target 1
         return pm
@@ -604,11 +634,11 @@ def test_fbe_step_skips_only_the_sensor_whose_fold_fails(monkeypatch):
     clean = fbe_step(*inputs[0], *inputs[1:])
     monkeypatch.setattr(fusion, "difference_pseudo_measurement", difference)
     res = fbe_step(*inputs[0], *inputs[1:])
-    reason = "pseudo-measurement innovation covariance is not positive definite"
-    assert res.skipped == [(0, None, reason)]
-    bias_states = inputs[1]
-    np.testing.assert_array_equal(res.bias_states.b[0], bias_states.b[0])
-    np.testing.assert_array_equal(res.bias_states.Sigma[0], bias_states.Sigma[0])
+    assert res.skipped == [(0, 1, "pseudo-measurement not finite")]
+    pm0 = made[0]
+    want = rlsb_update(inputs[1][0], PseudoMeasurement(pm0.z[:1], pm0.H[:1], pm0.R[:1]))
+    for got, ref in ((res.bias_states.b[0], want.b), (res.bias_states.Sigma[0], want.Sigma)):
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
     np.testing.assert_array_equal(res.bias_states.b[1:], clean.bias_states.b[1:])
     np.testing.assert_array_equal(res.bias_states.Sigma[1:], clean.bias_states.Sigma[1:])
 

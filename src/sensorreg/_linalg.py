@@ -143,10 +143,27 @@ def inv_spd2(mat: np.ndarray, context: str = "matrix") -> tuple[np.ndarray, np.n
     det, ok = det_spd2(mat)
     if not ok.all():
         raise _singular(context, mat, ~ok)
+    return _cofactor_inverse(mat, det), det
+
+
+def inv_spd2_masked(mat: np.ndarray, keep=True) -> tuple[np.ndarray, np.ndarray]:
+    """The inverses of :func:`inv_spd2` for the 2x2 matrices that ``keep``
+    marks (it broadcasts against the batch axes) and that pass its test,
+    the identity for every other, and the mask of the inverted ones: a
+    batch with failures in place of an error."""
+    det, ok = det_spd2(mat)
+    ok = ok & keep
+    if not ok.all():
+        mat = np.where(ok[..., None, None], mat, np.eye(2))
+        det = np.where(ok, det, 1.0)
+    return _cofactor_inverse(mat, det), ok
+
+
+def _cofactor_inverse(mat: np.ndarray, det: np.ndarray) -> np.ndarray:
     # The adjugate [[d, -b], [-c, a]] is the transpose with both axes
     # reversed and the off-diagonal entries negated.
     adj = mt(mat)[..., ::-1, ::-1] * _ADJUGATE_SIGNS
-    return adj / det[..., None, None], det
+    return adj / det[..., None, None]
 
 
 def solve_psd(mat: np.ndarray, rhs: np.ndarray, context: str = "matrix") -> np.ndarray:

@@ -26,6 +26,7 @@ __all__ = [
     "BiasEstimate",
     "sensor_pseudo_obs",
     "difference_pseudo_measurement",
+    "pseudo_measurement_faults",
     "bias_information",
     "rlsb_update",
 ]
@@ -126,18 +127,30 @@ def difference_pseudo_measurement(
     return PseudoMeasurement(z=z, H=Hcal, R=np.asarray(R1) + np.asarray(R2))
 
 
+def pseudo_measurement_faults(pm: PseudoMeasurement) -> list[tuple[str, np.ndarray]]:
+    """The checks of :func:`bias_information`, in order, each as its reason
+    and the mask, over the batch axes of ``pm``, of the pseudo-measurements
+    that fail it: ``R`` not positive definite, then ``z`` or ``H`` not
+    finite."""
+    return [
+        ("pseudo-measurement covariance not positive definite", ~det_spd2(pm.R)[1]),
+        (
+            "pseudo-measurement not finite",
+            ~(np.isfinite(pm.z).all(axis=-1) & np.isfinite(pm.H).all(axis=(-2, -1))),
+        ),
+    ]
+
+
 def bias_information(pm: PseudoMeasurement) -> tuple[np.ndarray, np.ndarray]:
     """Bias information ``(sum_j H_j' R_j^-1 H_j, sum_j H_j' R_j^-1 z_j)``,
     (..., d, d) and (..., d), of each stack on axis -3 of ``pm``, its 2m
     observations the rows of one matmul.  Raises :class:`NumericalError`
-    marking, over the batch axes of ``pm``, every pseudo-measurement whose
-    ``R`` is not positive definite or else every one not finite."""
-    ok = det_spd2(pm.R)[1]
-    if not ok.all():
-        raise NumericalError("pseudo-measurement covariance not positive definite", ~ok)
-    ok = np.isfinite(pm.z).all(axis=-1) & np.isfinite(pm.H).all(axis=(-2, -1))
-    if not ok.all():
-        raise NumericalError("pseudo-measurement not finite", ~ok)
+    for the first check of :func:`pseudo_measurement_faults` that any
+    pseudo-measurement fails, marking every one that fails it over the
+    batch axes of ``pm``."""
+    for reason, failed in pseudo_measurement_faults(pm):
+        if failed.any():
+            raise NumericalError(reason, failed)
     R_inv, _ = inv_spd2(pm.R)
     rows = pm.H.shape[:-3] + (2 * pm.H.shape[-3], pm.H.shape[-1])
     Ht = mt(pm.H.reshape(rows))

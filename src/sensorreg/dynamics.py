@@ -8,7 +8,6 @@ at the tracker interface.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,7 @@ __all__ = [
     "nca_model",
     "turn_model",
     "compose_steps",
-    "compose_lags",
+    "LagModels",
 ]
 
 
@@ -137,19 +136,41 @@ def compose_steps(model: MotionModel, steps: int) -> MotionModel:
     return MotionModel(F=F, Q=0.5 * (Q + Q.T), steps=model.steps * steps)
 
 
-def compose_lags(steps: Callable[[int], MotionModel], lags) -> MotionModel:
-    """One multi-step model per element of the integer array ``lags``.
+class LagModels:
+    """The multi-step models of one single-step ``model``, composed once per
+    lag.
 
-    ``steps(L)`` composes the model of lag L (e.g. a cached
-    :func:`compose_steps`) and is called once per distinct lag; ``F`` and
-    ``Q`` get the shape ``lags.shape + (n, n)``.
+    Called with an integer array of lags, it returns one model per element:
+    ``F`` and ``Q`` of shape ``lags.shape + (n, n)`` and ``steps`` the lags.
+    :func:`compose_steps` runs on the first use of each lag, and every use
+    gathers from a table of the composed transitions indexed by lag, so an
+    owner that keeps one instance (a Monte Carlo run) composes each of its
+    lags once.
     """
-    lags = np.asarray(lags)
-    distinct, inverse = np.unique(lags, return_inverse=True)
-    models = [steps(int(L)) for L in distinct]
-    inverse = inverse.reshape(lags.shape)
-    return MotionModel(
-        F=np.stack([m.F for m in models])[inverse],
-        Q=np.stack([m.Q for m in models])[inverse],
-        steps=lags,
-    )
+
+    def __init__(self, model: MotionModel) -> None:
+        self.model = model
+        # Row L holds lag L once _known[L] is set.  Row 0 (no lag) and the
+        # last row never are, so a lag clipped into the table reads False
+        # until it has been composed.
+        self._F = np.zeros((2,) + model.F.shape)
+        self._Q = np.zeros((2,) + model.Q.shape)
+        self._known = np.zeros(2, dtype=bool)
+
+    def __call__(self, lags) -> MotionModel:
+        lags = np.asarray(lags)
+        if not self._known.take(lags, mode="clip").all():
+            self._compose(np.unique(lags).tolist())
+        return MotionModel(F=self._F[lags], Q=self._Q[lags], steps=lags)
+
+    def _compose(self, lags: list[int]) -> None:
+        grow = max(lags) + 2 - self._known.size
+        if grow > 0:
+            self._F = np.concatenate([self._F, np.zeros((grow,) + self._F.shape[1:])])
+            self._Q = np.concatenate([self._Q, np.zeros((grow,) + self._Q.shape[1:])])
+            self._known = np.concatenate([self._known, np.zeros(grow, dtype=bool)])
+        for L in lags:
+            # compose_steps rejects a lag below 1 before it can index the table.
+            if L < 1 or not self._known[L]:
+                composed = compose_steps(self.model, L)
+                self._F[L], self._Q[L], self._known[L] = composed.F, composed.Q, True

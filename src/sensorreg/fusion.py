@@ -8,22 +8,31 @@ and deconvolves the update into a bias observation.  Each sensor's bias is
 estimated against a leave-one-out fused reference, one update with all
 other sensors' bias-corrected tracklets, which reduces the multisensor
 problem to a sequence of two-sensor problems with a single biased side.
+
+Each stage of an epoch is one batched call.  The local stage (tracklet,
+gain, frame-start bias correction) runs on the reported pairs and still
+retries: a failing pair is dropped and the rest run again, because the
+tracklet form of a batch depends on which pairs it holds (ROADMAP item 2).
+Every later stage works on the (sensor, target) grid with a mask, giving
+an element off the mask a stand-in whose result is discarded, and
+:func:`sfa` handles its failures the same way.  The stacked bias fold
+still drops a failing sensor and folds the rest again, since
+:func:`rlsb_update` raises rather than returning a mask (ROADMAP item 6).
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import det_spd2, inv_spd2, mt, mv, symmetrize
+from ._linalg import det_spd2, inv_spd2, inv_spd2_masked, mt, mv, symmetrize
 from .bias import (
     BiasEstimate,
     PseudoMeasurement,
-    bias_information,
     difference_pseudo_measurement,
+    pseudo_measurement_faults,
     rlsb_update,
     sensor_pseudo_obs,
 )
@@ -35,7 +44,7 @@ from .coords import (
     polar_to_cart,
     wrap_angle,
 )
-from .dynamics import MotionModel, compose_lags, compose_steps
+from .dynamics import LagModels, MotionModel
 from .errors import NumericalError, at_index, located, quote_first
 from .trackers import GaussianEstimate, kf_predict, kf_update
 from .tracklets import Tracklet, compute_tracklet
@@ -103,6 +112,10 @@ class SensorModel:
         )
 
 
+# Stand-in gain of a pair off the reference mask: W'W = I.
+_SELECT_POSITIONS = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+
+
 def _position_block(M: np.ndarray) -> np.ndarray:
     # Positions sit at indices 0 and 2 of the 4-dim state, so the block is a
     # strided view.
@@ -162,9 +175,11 @@ def bias_correct(
     eps_r = eps_theta = 0.0
     if bias.dim >= 4:
         eps_r, eps_theta = b[..., 2], b[..., 3]
-    bad = np.broadcast_to((1.0 + eps_r <= 0.0) | (1.0 + eps_theta <= 0.0), batch)
+    bad = np.logical_or(1.0 + eps_r <= 0.0, 1.0 + eps_theta <= 0.0)
     if bad.any():
-        raise NumericalError("estimated scale bias leaves non-positive scale factor", bad)
+        raise NumericalError(
+            "estimated scale bias leaves non-positive scale factor", np.broadcast_to(bad, batch)
+        )
     theta_bc = wrap_angle((theta_raw - b_theta) / (1.0 + eps_theta))
     r_bc = (r_raw - b_r) / (1.0 + eps_r)
     bad = r_bc <= 0.0
@@ -202,6 +217,16 @@ def _without_failures(run, keep: np.ndarray, record):
     return keep, None
 
 
+def _log_failures(failed: np.ndarray, alone) -> None:
+    """Log, for each element ``failed`` marks, in index order, the reason
+    that ``alone(index)``, its failing step run on it alone, raises."""
+    for index in map(tuple, np.argwhere(failed)):
+        try:
+            alone(index)
+        except NumericalError as exc:
+            log.warning("skipping the fused update%s: %s", at_index(index), exc.reason)
+
+
 def sfa(
     state: GaussianEstimate,
     model: MotionModel,
@@ -213,56 +238,73 @@ def sfa(
 
     ``z`` holds m measurement slots on its last batch axis, ``z.z``
     (..., m, 2) and ``z.R`` (..., m, 2, 2); the state, the model and the
-    measurements may carry the same leading batch axes.  The slots j with
+    measurements may carry the same leading batch axes, or axes that
+    broadcast against the state's.  The slots j with
     ``present[..., j]`` (all when it is None) combine, in slot order, into
     ``R_eq = (sum R_j^-1)^-1``, ``y_eq = R_eq sum R_j^-1 y_j``, whose update
-    equals the sequential updates in exact arithmetic.  A measurement whose
-    ``R`` is not positive definite is dropped for its element alone, and an
-    element whose update fails keeps its prediction, each with one logged
-    warning.  The result's ``sensors`` marks the slots folded into each
-    element and ``measurement`` holds their ``(y_eq, R_eq)`` (NaN where
-    there were none).
+    equals the sequential updates in exact arithmetic.
+
+    Each step runs once on the whole batch, and failures are masks, not
+    retries.  A measurement whose ``R`` is not positive definite is dropped
+    for its element alone.  An element with no measurement left, or whose
+    combined information or innovation covariance fails the 2x2 test,
+    updates a stand-in (y = 0, R = I; x = 0, P = I for a failed innovation)
+    and keeps its prediction.  Each dropped measurement, then each failed
+    combined information, then each failed innovation covariance logs one
+    warning, in index order.  The result's ``sensors`` marks the slots
+    folded into each element and ``measurement`` holds their
+    ``(y_eq, R_eq)`` (NaN where there were none).
     """
     pred = kf_predict(state, model)
     shape = pred.mean.shape[:-1]
     m = z.z.shape[-2]
-    # Copies: unused slots are overwritten below.
-    y, R = np.empty(shape + (m, 2)), np.empty(shape + (m, 2, 2))
-    y[...], R[...] = z.z, z.R
-    present = np.broadcast_to(True if present is None else present, shape + (m,))
-    _, ok = det_spd2(R)
-    for *index, j in np.argwhere(present & ~ok):
-        log.warning(
-            "skipping measurement %d%s: covariance not positive definite", j, at_index(index)
+    present = True if present is None else present
+    # Slot informations on the measurements' own batch axes; an unused slot
+    # folds zero information and y = 0.
+    info, ok = inv_spd2_masked(z.R)
+    used = np.logical_and(ok, present, out=np.empty(shape + (m,), dtype=bool))
+    if not ok.all():
+        for *index, j in np.argwhere(present & ~used):
+            log.warning(
+                "skipping measurement %d%s: covariance not positive definite",
+                j,
+                at_index(index),
+            )
+    info = info * used[..., None, None]
+    y = np.where(used[..., None], z.z, 0.0)
+    info_sum = info.sum(axis=-3)
+    info_y = mv(info, y).sum(axis=-2)
+
+    live = used.any(axis=-1)
+    R_eq, combined = inv_spd2_masked(info_sum, live)
+    failed = live & ~combined
+    if failed.any():
+        _log_failures(
+            failed, lambda i: inv_spd2(info_sum[i], context="combined measurement information")
         )
-    used = ok & present
-    # Unused slots become y = 0, R = I, whose information is then zeroed.
-    y[~used], R[~used] = 0.0, np.eye(2)
-    info = inv_spd2(R)[0] * used[..., None, None]
-    info_sum = info.sum(axis=-3).reshape(-1, 2, 2)
-    info_y = mv(info, y).sum(axis=-2).reshape(-1, 2)
-
-    x, P = pred.mean.reshape(-1, 4), pred.cov.reshape(-1, 4, 4)
-    y_eq, R_eq = np.full(shape + (2,), np.nan), np.full(shape + (2, 2), np.nan)
-    flat_used = used.reshape(x.shape[0], m)
-
-    def update(k):
-        R_k, _ = inv_spd2(info_sum[k], context="combined measurement information")
-        eq = CartesianMeasurement(mv(R_k, info_y[k]), symmetrize(R_k))
-        return eq, kf_update(GaussianEstimate(x[k], P[k]), eq)[0]
-
-    def skip(i, exc):
-        where = at_index(np.unravel_index(i, shape))
-        log.warning("skipping the fused update%s: %s", where, exc.reason)
-        flat_used[i] = False
-
-    keep, out = _without_failures(update, np.flatnonzero(flat_used.any(axis=1)), skip)
-    if out is not None:
-        eq, est = out
-        y_eq.reshape(-1, 2)[keep], R_eq.reshape(-1, 2, 2)[keep] = eq.z, eq.R
-        x[keep], P[keep] = est.mean, est.cov
-    pred.mean, pred.cov = x.reshape(pred.mean.shape), P.reshape(pred.cov.shape)
-    return FusedTrack(state=pred, sensors=used, measurement=CartesianMeasurement(y_eq, R_eq))
+        info_y[failed] = 0.0
+    live = combined
+    eq = CartesianMeasurement(mv(R_eq, info_y), symmetrize(R_eq))
+    # The innovation covariance that kf_update inverts.
+    _, ok = det_spd2(pred.cov[..., ::2, ::2] + eq.R)
+    prior = pred
+    if not ok.all():
+        _log_failures(
+            live & ~ok, lambda i: kf_update(pred[i], CartesianMeasurement(eq.z[i], eq.R[i]))
+        )
+        prior = GaussianEstimate(
+            np.where(ok[..., None], pred.mean, 0.0),
+            np.where(ok[..., None, None], pred.cov, np.eye(pred.dim)),
+        )
+        live &= ok
+    est, _ = kf_update(prior, eq)
+    # Elements off the mask keep the prediction and fold no measurement.
+    off = ~live
+    if off.any():
+        est.mean[off], est.cov[off] = pred.mean[off], pred.cov[off]
+        eq.z[off], eq.R[off] = np.nan, np.nan
+    est.frame = pred.frame
+    return FusedTrack(state=est, sensors=used & live[..., None], measurement=eq)
 
 
 @dataclass
@@ -296,7 +338,7 @@ def fbe_step(
     reported: np.ndarray,
     bias_states: BiasEstimate,
     fused_prev: GaussianEstimate,
-    model: MotionModel,
+    lag_models: LagModels,
     sensors: SensorModel,
 ) -> FbeResult:
     """One frame of fused bias estimation across all reporting sensors.
@@ -310,24 +352,35 @@ def fbe_step(
             sensors without a usable pair carry theirs forward.
         fused_prev: leave-one-out fused references, element (s, t) excluding
             sensor s: means (S, T, n), frames broadcast to (S, T).
-        model: fusion-center motion model (single-step); multi-step
-            transitions are composed once per report lag.
+        lag_models: the fusion-center motion model of each report lag; one
+            instance per run composes each lag once.
         sensors: geometry and noise levels of every sensor (S elements).
 
-    Returns a :class:`FbeResult`.  Each stage runs as one batched call over
-    the pairs.  The pairs whose tracklet, gain or bias correction fails a
-    numerical check are skipped as a whole, every pair failing the same check
-    in one pass, and so is a pseudo-measurement that fails a check of
-    :func:`bias_information`; a sensor whose stacked fold fails keeps its
-    estimate.  A rank-deficient gain of a live pair with a reference is not
-    skipped: it raises the :class:`NumericalError` of
-    :func:`sensor_pseudo_obs` as ``sensor s, target t, frame k: <reason>``,
-    its ``failed`` over (S, T).
+    Returns a :class:`FbeResult`.  Each stage is one batched call.
+
+    The local stage (tracklet, gain reconstruction, frame-start bias
+    correction) runs on the reported pairs gathered flat.  A pair failing a
+    numerical check there is skipped, every pair failing the same check in
+    one pass, and the rest run again: :func:`compute_tracklet` picks one
+    form per batch, so which pairs a decorrelated-form failure drops depends
+    on the batch it ran in (ROADMAP item 2).
+
+    Every later stage runs on the (S, T) grid under the mask of the live
+    pairs whose target has another live sensor: the leave-one-out
+    :func:`sfa`, :func:`sensor_pseudo_obs`, the difference
+    pseudo-measurements, their screen and the fold.  Elements outside the
+    mask carry stand-ins (a position-selecting gain, zero positions) whose
+    results are discarded.  A pseudo-measurement that fails a check of
+    :func:`pseudo_measurement_faults` is dropped and recorded.  Each sensor
+    with a pseudo-measurement left folds all of them in one stacked
+    :func:`rlsb_update`; a sensor whose fold fails keeps its estimate and
+    the rest fold again, since the fold raises rather than returning a mask
+    (ROADMAP item 6).  A rank-deficient gain of a masked pair raises the
+    :class:`NumericalError` of :func:`sensor_pseudo_obs` as
+    ``sensor s, target t, frame k: <reason>``, its ``failed`` over (S, T).
 
     Corrections use the bias estimates as they stood at the start of the
-    frame, so per-sensor updates are order-independent within the frame;
-    each sensor folds all of its pseudo-measurements of the frame in one
-    stacked update.
+    frame, so per-sensor updates are order-independent within the frame.
     """
     n_s, n_t = reported.shape
     fused = GaussianEstimate(
@@ -344,22 +397,21 @@ def fbe_step(
     if np.count_nonzero(reported.any(axis=1)) < 2:
         return res
 
-    # Tracklets, gain data, and frame-start corrections of every reported
-    # pair (a sensor's corrected measurement is the same in every
-    # leave-one-out set it belongs to).
-    steps = functools.cache(functools.partial(compose_steps, model))
+    # Local stage: tracklets, gain data, and frame-start corrections of
+    # every reported pair (a sensor's corrected measurement is the same in
+    # every leave-one-out set it belongs to).
+    lagged = lag_models(np.broadcast_to(curr.frame - prev.frame, (n_s, n_t)))
     pairs = np.nonzero(reported)
-    prev, curr = prev[pairs], curr[pairs]
-    lagged = compose_lags(steps, curr.frame - prev.frame)
 
     def local(k):
-        t = compute_tracklet(prev[k], curr[k], lagged[k])
-        gain = reconstruct_local_gain(_position_block(t.U), t.pred_cov)
-        geo = sensors[pairs[0][k]]
+        s, t = pairs[0][k], pairs[1][k]
+        tl = compute_tracklet(prev[s, t], curr[s, t], lagged[s, t])
+        gain = reconstruct_local_gain(_position_block(tl.U), tl.pred_cov)
+        geo = sensors[s]
         corrected = bias_correct(
-            t, bias_states[pairs[0][k]], (geo.sigma_r, geo.sigma_theta), origin=geo.position
+            tl, bias_states[s], (geo.sigma_r, geo.sigma_theta), origin=geo.position
         )
-        return t, gain, corrected
+        return tl, gain, corrected
 
     def skip_pair(i, exc):
         res.skipped.append((int(pairs[0][i]), int(pairs[1][i]), exc.reason))
@@ -371,39 +423,43 @@ def fbe_step(
     res.tracklets = tl
     ls, lt = pairs[0][keep], pairs[1][keep]
     res.live[ls, lt] = True
-    # Target-major, so that each target's row holds one slot per sensor.
+    # The references: live pairs whose target has another live sensor.
+    ref = res.live & (res.live.sum(axis=0) >= 2)
+    if not ref.any():
+        return res
+
+    # Local outputs on the grid: corrected measurements target-major, so
+    # that each target's row holds one slot per sensor; gains, their noise
+    # and tracklet positions sensor-major, with stand-ins off the mask.
     y = np.zeros((n_t, n_s, 2))
     R = np.zeros((n_t, n_s, 2, 2))
     y[lt, ls], R[lt, ls] = corrected.z, corrected.R
+    W = np.zeros((n_s, n_t, 4, 2))
+    W[ls, lt] = g_s.W
+    W[~ref] = _SELECT_POSITIONS
+    R_g = np.zeros((n_s, n_t, 2, 2))
+    u = np.zeros((n_s, n_t, 2))
+    R_g[ls, lt], u[ls, lt] = g_s.R, tl.u[..., ::2]
 
-    # Leave-one-out fused reference of every live pair from the other
-    # sensors' bias-corrected tracklets of its target.
-    e = np.flatnonzero(res.live.sum(axis=0)[lt] >= 2)
-    if not e.size:
-        return res
-    es, et, k = ls[e], lt[e], keep[e]
-    present = res.live[:, et].T.copy()
-    present[np.arange(e.size), es] = False
-    fp = res.fused[es, et]
-    msf = compose_lags(steps, curr[k].frame - fp.frame)
-    # The reference side of each pseudo-measurement is the equivalent
-    # measurement of its update (what deconvolving the update would
-    # recover), whose noise combines the corrected measurement covariances,
-    # bias-uncertainty inflation included.
-    fused_new = sfa(fp, msf, CartesianMeasurement(y[et], R[et]), present)
+    # Leave-one-out fused reference of every pair on the mask from the
+    # other sensors' bias-corrected tracklets of its target.  The reference
+    # side of each pseudo-measurement is the equivalent measurement of its
+    # update (what deconvolving the update would recover), whose noise
+    # combines the corrected measurement covariances, bias-uncertainty
+    # inflation included.
+    present = ref[:, :, None] & res.live.T[None] & ~np.eye(n_s, dtype=bool)[:, None]
+    fused_new = sfa(
+        fused,
+        lag_models(np.where(ref, curr.frame - fused.frame, 1)),
+        CartesianMeasurement(y[None], R[None]),
+        present,
+    )
 
-    # A failure names the pair rather than its position among the references.
-    def where(i):
-        frame = np.broadcast_to(curr[k].frame, e.shape)[i]
-        return f"sensor {es[i]}, target {et[i]}, frame {frame}"
+    def at_pair(s, t):
+        return f"sensor {s}, target {t}, frame {np.broadcast_to(curr.frame, ref.shape)[s, t]}"
 
-    def on_pairs(failed):
-        out = np.zeros((n_s, n_t), dtype=bool)
-        out[es[failed], et[failed]] = True
-        return out
-
-    with located(where, on_pairs):
-        zb_s = sensor_pseudo_obs(curr[k], prev[k], g_s.W[e], lagged[k])
+    with located(at_pair):
+        zb_s = sensor_pseudo_obs(curr, prev, W, lagged)
 
     # Observation matrix of each sensor at its tracklet's own polar
     # coordinates (the fusion center has no raw measurements).  Every
@@ -411,32 +467,34 @@ def fbe_step(
     # radar-model uncertainty on top of its tracklet covariance; the
     # corrected reference side already has it, and the sensor side gets the
     # same treatment here.
-    geo = sensors[es]
-    r, theta = cart_to_polar(tl.u[e][..., ::2], geo.position)
+    geo = sensors[:, None]
+    r, theta = cart_to_polar(u, geo.position)
     jac = jacobians_at(r, theta)
-    R_s = g_s.R[e] + converted_covariance(r, theta, geo.sigma_r, geo.sigma_theta)
+    R_s = R_g + converted_covariance(r, theta, geo.sigma_r, geo.sigma_theta)
     f = fused_new.measurement
     pm = difference_pseudo_measurement(
         f.z, zb_s, jac, f.R, R_s, offset_only=(bias_states.dim == 2)
     )
-    res.fused.mean[es, et] = fused_new.state.mean
-    res.fused.cov[es, et] = fused_new.state.cov
-    res.fused.frame[es, et] = fused_new.state.frame
-    res.used[es, et] = fused_new.sensors
-
-    # One stacked fold per sensor over its targets.  A pseudo-measurement
-    # that fails a check of bias_information is dropped; it and every pair
-    # without one are padded with H = 0, z = 0, R = I, which contribute
-    # nothing.  A sensor whose fold fails keeps its estimate.
-    ok, _ = _without_failures(
-        lambda i: bias_information(PseudoMeasurement(pm.z[i], pm.H[i], pm.R[i])),
-        np.arange(e.size),
-        lambda i, exc: res.skipped.append((int(es[i]), int(et[i]), exc.reason)),
+    new = fused_new.state
+    res.fused = GaussianEstimate(
+        np.where(ref[..., None], new.mean, fused.mean),
+        np.where(ref[..., None, None], new.cov, fused.cov),
+        frame=np.where(ref, new.frame, fused.frame),
     )
-    z = np.zeros((n_s, n_t, 2))
-    H = np.zeros((n_s, n_t, 2, bias_states.dim))
-    R = np.broadcast_to(np.eye(2), (n_s, n_t, 2, 2)).copy()
-    z[es[ok], et[ok]], H[es[ok], et[ok]], R[es[ok], et[ok]] = pm.z[ok], pm.H[ok], pm.R[ok]
+    res.used = fused_new.sensors
+
+    # A pseudo-measurement that fails a check is dropped; it and every pair
+    # without one are padded with H = 0, z = 0, R = I, which contribute
+    # nothing to the stacked fold of each sensor over its targets.
+    usable = ref.copy()
+    for reason, failed in pseudo_measurement_faults(pm):
+        failed &= usable
+        if failed.any():
+            res.skipped += [(int(s), int(t), reason) for s, t in zip(*np.nonzero(failed))]
+            usable &= ~failed
+    z = np.where(usable[..., None], pm.z, 0.0)
+    H = np.where(usable[..., None, None], pm.H, 0.0)
+    R = np.where(usable[..., None, None], pm.R, np.eye(2))
 
     def fold(rows):
         return rlsb_update(res.bias_states[rows], PseudoMeasurement(z[rows], H[rows], R[rows]))
@@ -444,7 +502,7 @@ def fbe_step(
     def skip_fold(s, exc):
         res.skipped.append((int(s), None, exc.reason))
 
-    rows, est = _without_failures(fold, np.unique(es[ok]), skip_fold)
+    rows, est = _without_failures(fold, np.flatnonzero(usable.any(axis=1)), skip_fold)
     if est is not None:
         res.bias_states.b[rows], res.bias_states.Sigma[rows] = est.b, est.Sigma
     return res

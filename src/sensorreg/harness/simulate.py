@@ -27,7 +27,6 @@ a table of them; every sensor is measured in one batched pass over
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 
@@ -46,13 +45,7 @@ from ..coords import (
     polar_to_cart,
     wrap_angle,
 )
-from ..dynamics import (
-    compose_lags,
-    compose_steps,
-    ncv_model,
-    nca_model,
-    turn_model,
-)
+from ..dynamics import LagModels, ncv_model, nca_model, turn_model
 from ..errors import NumericalError, ScenarioError, located, quote_first
 from ..fusion import (
     bias_correct,
@@ -368,11 +361,16 @@ def _position_sqerr(mean: np.ndarray, states: np.ndarray) -> np.ndarray:
 
 
 def _fuse_all_sensors(
-    scenario: Scenario, truth: TruthData, tracks: LocalTracks, epoch_measurements
+    scenario: Scenario,
+    truth: TruthData,
+    tracks: LocalTracks,
+    lag_models: LagModels,
+    epoch_measurements,
 ) -> np.ndarray:
     """Fuse every reporting sensor into one track per target.
 
-    Each fused track starts from sensor 0's frame-0 estimate.  At each fusion
+    Each fused track starts from sensor 0's frame-0 estimate and is
+    predicted with the run's fusion-center ``lag_models``.  At each fusion
     epoch k, ``epoch_measurements(k, last, reporting)`` receives the frame
     each sensor last reported at (``last``, one per sensor) and the mask of
     the sensors reporting at k.  It returns position measurements with one
@@ -384,17 +382,16 @@ def _fuse_all_sensors(
     Returns the fused squared position error (mean over targets) per frame,
     NaN between epochs.
     """
-    fusion_model = ncv_model(scenario.dt, scenario.fusion_q)
-    steps = functools.cache(functools.partial(compose_steps, fusion_model))
     n_s = len(scenario.sensors)
     fused = tracks.estimate(0, slice(None), 0)
     last = np.zeros(n_s, dtype=int)
     sqerr = np.full(scenario.frames + 1, np.nan)
     for k in [0] + scenario.update_epochs():
         if k > 0:
-            reporting = np.isin(np.arange(n_s), scenario.reporters_at(k))
+            reporting = np.zeros(n_s, dtype=bool)
+            reporting[scenario.reporters_at(k)] = True
             z, present = epoch_measurements(k, last, reporting)
-            fused = sfa(fused, steps(k - fused.frame), z, present).state
+            fused = sfa(fused, lag_models(k - fused.frame), z, present).state
             last[reporting] = k
         sqerr[k] = _position_sqerr(fused.mean, truth.states[:, k])
     return sqerr
@@ -402,12 +399,12 @@ def _fuse_all_sensors(
 
 def _run_fbe(scenario: Scenario, truth: TruthData, tracks: LocalTracks):
     """Fused bias estimation per sensor, then all-sensor fusion with the
-    freshly corrected tracklets."""
+    freshly corrected tracklets; one fusion-center lag cache serves both."""
     K = scenario.frames
     n_s = len(scenario.sensors)
     n_t = len(scenario.targets)
     d = scenario.bias_dim
-    fusion_model = ncv_model(scenario.dt, scenario.fusion_q)
+    lag_models = LagModels(ncv_model(scenario.dt, scenario.fusion_q))
     sensors = scenario.sensor_models()
     bias = _initial_bias_states(scenario)
     # Each leave-one-out reference starts from the frame-0 estimate of the
@@ -432,7 +429,7 @@ def _run_fbe(scenario: Scenario, truth: TruthData, tracks: LocalTracks):
             np.broadcast_to(reporting[:, None], (n_s, n_t)),
             bias,
             fused,
-            fusion_model,
+            lag_models,
             sensors,
         )
         bias, fused = res.bias_states, res.fused
@@ -449,7 +446,7 @@ def _run_fbe(scenario: Scenario, truth: TruthData, tracks: LocalTracks):
         return CartesianMeasurement(y, R), res.live.T
 
     record(0)
-    fused_sqerr = _fuse_all_sensors(scenario, truth, tracks, epoch)
+    fused_sqerr = _fuse_all_sensors(scenario, truth, tracks, lag_models, epoch)
     return b_series, sigma_series, fused_sqerr
 
 
@@ -506,9 +503,7 @@ def _run_stacked(
 
 def _run_baseline(scenario: Scenario, truth: TruthData, tracks: LocalTracks):
     """Plain tracklet fusion on an unbiased world; no bias estimation."""
-    steps = functools.cache(
-        functools.partial(compose_steps, ncv_model(scenario.dt, scenario.fusion_q))
-    )
+    lag_models = LagModels(ncv_model(scenario.dt, scenario.fusion_q))
     n_s = len(scenario.sensors)
     n_t = len(scenario.targets)
 
@@ -519,7 +514,7 @@ def _run_baseline(scenario: Scenario, truth: TruthData, tracks: LocalTracks):
             trk = compute_tracklet(
                 tracks.reports(last)[sel],
                 tracks.estimate(sel, slice(None), k),
-                compose_lags(steps, lags),
+                lag_models(lags),
             )
             g = reconstruct_local_gain(trk.U[..., ::2, ::2], trk.pred_cov)
         y = np.zeros((n_t, n_s, 2))
@@ -527,7 +522,7 @@ def _run_baseline(scenario: Scenario, truth: TruthData, tracks: LocalTracks):
         y[:, sel], R[:, sel] = trk.u[..., ::2].swapaxes(0, 1), g.R.swapaxes(0, 1)
         return CartesianMeasurement(y, R), np.broadcast_to(reporting, (n_t, n_s))
 
-    return None, None, _fuse_all_sensors(scenario, truth, tracks, epoch)
+    return None, None, _fuse_all_sensors(scenario, truth, tracks, lag_models, epoch)
 
 
 def run_single(scenario: Scenario, run_index: int, method: str) -> SingleRun:

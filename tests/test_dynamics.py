@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from sensorreg.dynamics import compose_steps, nca_model, ncv_model, turn_model
+import sensorreg.dynamics as dynamics
+from sensorreg.dynamics import LagModels, compose_steps, nca_model, ncv_model, turn_model
 
 
 def test_ncv_zero_interval_degenerates():
@@ -115,3 +116,34 @@ def test_invalid_arguments():
         ncv_model(1.0, -0.1)
     with pytest.raises(ValueError):
         compose_steps(ncv_model(1.0, 0.1), 0)
+
+
+def test_lag_models_compose_each_lag_once(monkeypatch):
+    # Every element carries compose_steps' model of its lag, bit for bit,
+    # and a lag is composed on its first use only.
+    composed = []
+    compose = dynamics.compose_steps
+
+    def counted(model, steps):
+        composed.append(steps)
+        return compose(model, steps)
+
+    monkeypatch.setattr(dynamics, "compose_steps", counted)
+    model = ncv_model(1.0, 0.5)
+    lag_models = LagModels(model)
+    for lags in ([[3, 1], [3, 12]], 12, [], [[1, 2]], 5):
+        lags = np.asarray(lags, dtype=int)
+        got = lag_models(lags)
+        assert got.F.shape == got.Q.shape == lags.shape + (4, 4)
+        np.testing.assert_array_equal(got.steps, lags)
+        for index in np.ndindex(lags.shape):
+            want = compose(model, int(lags[index]))
+            np.testing.assert_array_equal(got.F[index], want.F)
+            np.testing.assert_array_equal(got.Q[index], want.Q)
+    assert composed == [1, 3, 12, 2, 5]
+
+
+@pytest.mark.parametrize("lags", [0, -1, [2, 0], [[3, -2]]])
+def test_lag_models_reject_lags_below_one(lags):
+    with pytest.raises(ValueError, match="steps must be >= 1"):
+        LagModels(ncv_model(1.0, 0.5))(lags)

@@ -27,7 +27,7 @@ from sensorreg.coords import (
     jacobians_at,
     polar_to_cart,
 )
-from sensorreg.dynamics import compose_steps, ncv_model
+from sensorreg.dynamics import LagModels, compose_steps, ncv_model
 from sensorreg.errors import NumericalError, SingularMatrixError
 from sensorreg.fusion import (
     SensorModel,
@@ -337,7 +337,7 @@ def _small_fbe_inputs(bias0=(25.0, 2e-3), nonreporting=False):
     # Each reference starts from the lowest-numbered other sensor's snapshot.
     ref = [min(r for r in range(3) if r != s) for s in range(3)]
     fused_prev = stack(prev[ref])
-    return (stack(prev), stack(curr), reported), bias_states, fused_prev, model, sensors
+    return (stack(prev), stack(curr), reported), bias_states, fused_prev, LagModels(model), sensors
 
 
 def test_fbe_step_fused_side_is_the_deconvolved_reference_update(monkeypatch):
@@ -354,20 +354,20 @@ def test_fbe_step_fused_side_is_the_deconvolved_reference_update(monkeypatch):
         return difference_pseudo_measurement(z1, z2, jac, R1, R2, offset_only)
 
     monkeypatch.setattr(fusion, "difference_pseudo_measurement", difference)
-    (prev, curr, reported), bias_states, fused_prev, model, sensors = _small_fbe_inputs()
-    fbe_step(prev, curr, reported, bias_states, fused_prev, model, sensors)
+    (prev, curr, reported), bias_states, fused_prev, lag_models, sensors = _small_fbe_inputs()
+    fbe_step(prev, curr, reported, bias_states, fused_prev, lag_models, sensors)
     [(z, R)] = seen
 
-    t = compute_tracklet(prev, curr, compose_steps(model, curr.frame - prev.frame))
+    t = compute_tracklet(prev, curr, lag_models(curr.frame - prev.frame))
     geo = sensors[:, None]
     c = bias_correct(t, bias_states[:, None], (geo.sigma_r, geo.sigma_theta), origin=geo.position)
     info, _ = inv_spd2(c.R)
     n_s, n_t = reported.shape
-    # One reference per (sensor, target), in row-major order.
-    for i, (s, tgt) in enumerate(np.ndindex(n_s, n_t)):
+    # One reference per (sensor, target), on that grid.
+    for s, tgt in np.ndindex(n_s, n_t):
         others = [r for r in range(n_s) if r != s]
         fp = fused_prev[s, tgt]
-        msf = compose_steps(model, curr.frame - fp.frame)
+        msf = lag_models(curr.frame - fp.frame)
         meas = CartesianMeasurement(z=c.z[others, tgt], R=c.R[others, tgt])
         fused = _per_slot_sfa(fp, msf, meas)
         info_f = np.zeros((2, 2))
@@ -377,15 +377,17 @@ def test_fbe_step_fused_side_is_the_deconvolved_reference_update(monkeypatch):
         pred_cov = kf_predict(fp, msf).cov
         S_inv, _ = inv_spd2(pred_cov[::2, ::2] + R_f)
         z_f = sensor_pseudo_obs(fused, fp, pred_cov[:, ::2] @ S_inv, msf)
-        np.testing.assert_allclose(z[i], z_f, rtol=0, atol=FUSED_PSEUDO_RTOL * np.abs(z_f).max())
         np.testing.assert_allclose(
-            R[i], symmetrize(R_f), rtol=0, atol=FUSED_PSEUDO_RTOL * np.abs(R_f).max()
+            z[s, tgt], z_f, rtol=0, atol=FUSED_PSEUDO_RTOL * np.abs(z_f).max()
+        )
+        np.testing.assert_allclose(
+            R[s, tgt], symmetrize(R_f), rtol=0, atol=FUSED_PSEUDO_RTOL * np.abs(R_f).max()
         )
 
 
 def test_fbe_step_moves_biased_sensor_estimate():
-    tracks, bias_states, fused_prev, model, sensors = _small_fbe_inputs()
-    res = fbe_step(*tracks, bias_states, fused_prev, model, sensors)
+    tracks, bias_states, fused_prev, lag_models, sensors = _small_fbe_inputs()
+    res = fbe_step(*tracks, bias_states, fused_prev, lag_models, sensors)
     # The biased sensor's range estimate moves decisively toward the truth.
     assert res.bias_states.b[0, 0] > 5.0
     # Clean sensors stay within a few sigma of zero.
@@ -394,8 +396,8 @@ def test_fbe_step_moves_biased_sensor_estimate():
 
 
 def test_fbe_step_leave_one_out_structure():
-    tracks, bias_states, fused_prev, model, sensors = _small_fbe_inputs()
-    res = fbe_step(*tracks, bias_states, fused_prev, model, sensors)
+    tracks, bias_states, fused_prev, lag_models, sensors = _small_fbe_inputs()
+    res = fbe_step(*tracks, bias_states, fused_prev, lag_models, sensors)
     n_s, n_t = tracks[2].shape
     for s in range(n_s):
         for tgt in range(n_t):
@@ -404,17 +406,17 @@ def test_fbe_step_leave_one_out_structure():
 
 
 def test_fbe_step_skips_frame_with_single_reporter():
-    (prev, curr, reported), bias_states, fused_prev, model, sensors = _small_fbe_inputs()
+    (prev, curr, reported), bias_states, fused_prev, lag_models, sensors = _small_fbe_inputs()
     only = np.zeros_like(reported)
     only[0] = True
-    res = fbe_step(prev, curr, only, bias_states, fused_prev, model, sensors)
+    res = fbe_step(prev, curr, only, bias_states, fused_prev, lag_models, sensors)
     for s in range(3):
         np.testing.assert_allclose(res.bias_states.b[s], bias_states.b[s])
 
 
 def test_fbe_step_nonreporting_sensor_carried_forward():
-    tracks, bias_states, fused_prev, model, sensors = _small_fbe_inputs(nonreporting=True)
-    res = fbe_step(*tracks, bias_states, fused_prev, model, sensors)
+    tracks, bias_states, fused_prev, lag_models, sensors = _small_fbe_inputs(nonreporting=True)
+    res = fbe_step(*tracks, bias_states, fused_prev, lag_models, sensors)
     np.testing.assert_allclose(res.bias_states.b[2], bias_states.b[2])
     np.testing.assert_allclose(res.bias_states.Sigma[2], bias_states.Sigma[2])
     assert res.bias_states.b[0, 0] > 5.0
@@ -426,11 +428,17 @@ def test_fbe_step_corrections_use_frame_start_estimates():
     # Presenting the sensors in reverse order must not change any sensor's
     # result, since corrections snapshot the bias estimates at the start of
     # the frame.
-    (prev, curr, reported), bias_states, fused_prev, model, sensors = _small_fbe_inputs()
-    res1 = fbe_step(prev, curr, reported, bias_states, fused_prev, model, sensors)
+    (prev, curr, reported), bias_states, fused_prev, lag_models, sensors = _small_fbe_inputs()
+    res1 = fbe_step(prev, curr, reported, bias_states, fused_prev, lag_models, sensors)
     rev = slice(None, None, -1)
     res2 = fbe_step(
-        prev[rev], curr[rev], reported[rev], bias_states[rev], fused_prev[rev], model, sensors[rev]
+        prev[rev],
+        curr[rev],
+        reported[rev],
+        bias_states[rev],
+        fused_prev[rev],
+        lag_models,
+        sensors[rev],
     )
     for s in range(3):
         np.testing.assert_allclose(
@@ -442,16 +450,16 @@ def test_fbe_step_skips_only_the_degenerate_pair():
     # Sensor 1's report of target 0 carries no information (its update is
     # the pure prediction), so its tracklet fails; the result must be that
     # of the same frame without that pair.
-    (prev, curr, reported), bias_states, fused_prev, model, sensors = _small_fbe_inputs()
-    ms = compose_steps(model, curr.frame - prev.frame)
+    (prev, curr, reported), bias_states, fused_prev, lag_models, sensors = _small_fbe_inputs()
+    ms = lag_models(curr.frame - prev.frame)
     curr.mean[1, 0] = ms.F @ prev.mean[1, 0]
     curr.cov[1, 0] = ms.F @ prev.cov[1, 0] @ ms.F.T + ms.Q
-    res = fbe_step(prev, curr, reported, bias_states, fused_prev, model, sensors)
+    res = fbe_step(prev, curr, reported, bias_states, fused_prev, lag_models, sensors)
     assert res.skipped == [(1, 0, "track carried no new information over the interval")]
 
     without = reported.copy()
     without[1, 0] = False
-    ref = fbe_step(prev, curr, without, bias_states, fused_prev, model, sensors)
+    ref = fbe_step(prev, curr, without, bias_states, fused_prev, lag_models, sensors)
     assert ref.skipped == []
     np.testing.assert_array_equal(res.live, without)
     np.testing.assert_array_equal(res.live, ref.live)
@@ -523,8 +531,8 @@ def test_fbe_step_skips_the_pairs_of_a_per_element_retry(kinds, scale_fails):
     # batch returns to the inverse-filter form.  Pairs are numbered
     # sensor-major; a sensor with a scale bias below -1 fails the bias
     # correction of each of its pairs, in either form.
-    (prev, curr, reported), _, fused_prev, model, sensors = _small_fbe_inputs()
-    ms = compose_steps(model, curr.frame - prev.frame)
+    (prev, curr, reported), _, fused_prev, lag_models, sensors = _small_fbe_inputs()
+    ms = lag_models(curr.frame - prev.frame)
     for (s, t), kind in zip(np.ndindex(3, 2), kinds):
         if _PAIR_KINDS[kind] is not None:
             curr.cov[s, t] = _PAIR_KINDS[kind](ms.F @ prev.cov[s, t] @ ms.F.T + ms.Q)
@@ -532,7 +540,7 @@ def test_fbe_step_skips_the_pairs_of_a_per_element_retry(kinds, scale_fails):
     if scale_fails is not None:
         b[scale_fails, 2] = -2.0
     bias_states = BiasEstimate(b=b, Sigma=np.tile(np.diag([400.0, 1e-6, 1e-6, 1e-6]), (3, 1, 1)))
-    args = (prev, curr, reported, bias_states, fused_prev, model, sensors)
+    args = (prev, curr, reported, bias_states, fused_prev, lag_models, sensors)
     res = _fbe_outcome(*args)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fusion, "_without_failures", _per_element_retry)
@@ -565,9 +573,8 @@ def test_fbe_step_drops_only_the_bad_pseudo_measurement(monkeypatch):
         made.append(difference_pseudo_measurement(*args, **kwargs))
         pm = copy.copy(made[-1])
         pm.R = pm.R.copy()
-        # Rows follow the live pairs in (sensor, target) order: row 1 is
-        # sensor 0, target 1.
-        pm.R[1] = -pm.R[1]
+        # Pseudo-measurements lie on the (sensor, target) grid.
+        pm.R[0, 1] = -pm.R[0, 1]
         return pm
 
     inputs = _small_fbe_inputs()
@@ -578,7 +585,9 @@ def test_fbe_step_drops_only_the_bad_pseudo_measurement(monkeypatch):
     # Sensor 0 folds its target-0 pseudo-measurement alone.
     bias_states = inputs[1]
     pm0 = made[0]
-    want = rlsb_update(bias_states[0], PseudoMeasurement(pm0.z[:1], pm0.H[:1], pm0.R[:1]))
+    want = rlsb_update(
+        bias_states[0], PseudoMeasurement(pm0.z[0, :1], pm0.H[0, :1], pm0.R[0, :1])
+    )
     for got, ref in ((res.bias_states.b[0], want.b), (res.bias_states.Sigma[0], want.Sigma)):
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
     assert not np.allclose(res.bias_states.b[0], clean.bias_states.b[0])
@@ -627,7 +636,7 @@ def test_fbe_step_drops_only_the_non_finite_pseudo_measurement(monkeypatch):
         made.append(difference_pseudo_measurement(*args, **kwargs))
         pm = copy.copy(made[-1])
         pm.H = pm.H.copy()
-        pm.H[1] = np.nan  # sensor 0, target 1
+        pm.H[0, 1] = np.nan  # sensor 0, target 1
         return pm
 
     inputs = _small_fbe_inputs()
@@ -636,7 +645,9 @@ def test_fbe_step_drops_only_the_non_finite_pseudo_measurement(monkeypatch):
     res = fbe_step(*inputs[0], *inputs[1:])
     assert res.skipped == [(0, 1, "pseudo-measurement not finite")]
     pm0 = made[0]
-    want = rlsb_update(inputs[1][0], PseudoMeasurement(pm0.z[:1], pm0.H[:1], pm0.R[:1]))
+    want = rlsb_update(
+        inputs[1][0], PseudoMeasurement(pm0.z[0, :1], pm0.H[0, :1], pm0.R[0, :1])
+    )
     for got, ref in ((res.bias_states.b[0], want.b), (res.bias_states.Sigma[0], want.Sigma)):
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
     np.testing.assert_array_equal(res.bias_states.b[1:], clean.bias_states.b[1:])
@@ -701,11 +712,102 @@ def test_batched_sfa_keeps_the_prediction_of_a_failed_update(caplog):
         np.testing.assert_allclose(got[[0, 2]], want[[0, 2]], rtol=0, atol=atol)
 
 
+class _Warnings(logging.Handler):
+    """The messages logged on ``sensorreg.fusion`` while it is installed."""
+
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+    def __enter__(self):
+        logging.getLogger("sensorreg.fusion").addHandler(self)
+        return self.messages
+
+    def __exit__(self, *exc):
+        logging.getLogger("sensorreg.fusion").removeHandler(self)
+
+
+# Measurement slots: a positive definite covariance, an absent slot, and a
+# present one whose covariance is not positive definite.
+_SLOT_KINDS = ("ok", "absent", "indefinite")
+
+
+@given(
+    slots=st.integers(0, 3).flatmap(
+        lambda m: st.lists(
+            st.lists(st.sampled_from(_SLOT_KINDS), min_size=m, max_size=m), min_size=1, max_size=6
+        )
+    ),
+    nan_prior=st.lists(st.booleans(), min_size=6, max_size=6),
+    grid=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@example(
+    slots=[["ok", "indefinite"], ["absent", "indefinite"], ["ok", "ok"], ["ok", "absent"]],
+    nan_prior=[False, False, True, False, False, False],
+    grid=True,
+    seed=0,
+)
+@settings(max_examples=60, deadline=None)
+def test_batched_sfa_equals_batch_free_calls(slots, nan_prior, grid, seed):
+    # One batched sfa call equals a loop of batch-free calls bit for bit:
+    # an element with no usable slot, or whose update fails on a NaN prior,
+    # keeps its prediction through a mask.  The batched call logs every
+    # dropped measurement first, then every failed update, each in element
+    # order, with the element's batch index.
+    rng = np.random.default_rng(seed)
+    kinds = np.array(slots, dtype=object).reshape(len(slots), -1)
+    n, m = kinds.shape
+    shape = (2, n // 2) if grid and n % 2 == 0 else (n,)
+    kinds = kinds.reshape(shape + (m,))
+    lag_models = LagModels(ncv_model(1.0, 0.5))
+    lags = rng.integers(1, 4, shape)
+    A = rng.standard_normal(shape + (4, 4)) * 10.0
+    mean = rng.standard_normal(shape + (4,)) * [1e4, 10.0, 1e4, 10.0]
+    cov = A @ mt(A) + np.eye(4)
+    cov[np.reshape(nan_prior[:n], shape), 0, 0] = np.nan
+    state = GaussianEstimate(mean, cov, frame=0)
+    B = rng.standard_normal(shape + (m, 2, 2)) * 10.0
+    R = B @ mt(B) + np.eye(2)
+    R[kinds == "indefinite"] = np.diag([1.0, -1.0])
+    y = mean[..., None, ::2] + rng.standard_normal(shape + (m, 2)) * 100.0
+    present = kinds != "absent"
+    with _Warnings() as got:
+        out = sfa(state, lag_models(lags), CartesianMeasurement(y, R), present)
+
+    dropped, failed = [], []
+    for index in np.ndindex(shape):
+        with _Warnings() as messages:
+            one = sfa(
+                state[index],
+                lag_models(lags[index]),
+                CartesianMeasurement(y[index], R[index]),
+                present[index],
+            )
+        for message in messages:
+            where = f" at batch index {list(index)}:"
+            to = dropped if message.startswith("skipping measurement") else failed
+            to.append(message.replace(":", where, 1))
+        for got_part, want in (
+            (out.state.mean, one.state.mean),
+            (out.state.cov, one.state.cov),
+            (out.sensors, one.sensors),
+            (out.measurement.z, one.measurement.z),
+            (out.measurement.R, one.measurement.R),
+        ):
+            np.testing.assert_array_equal(got_part[index], want)
+        assert np.broadcast_to(out.state.frame, shape)[index] == one.state.frame
+    assert got == dropped + failed
+
+
 def test_batched_fusion_formulas_match_batch_free_calls():
     # One batched call of each fusion-center formula equals a loop of
     # batch-free calls, bit for bit.
-    (prev, curr, _), _, _, model, sensors = _small_fbe_inputs()
-    ms = compose_steps(model, curr.frame - prev.frame)
+    (prev, curr, _), _, _, lag_models, sensors = _small_fbe_inputs()
+    ms = lag_models(curr.frame - prev.frame)
     t = compute_tracklet(prev, curr, ms)
     g = reconstruct_local_gain(t.U[..., ::2, ::2], t.pred_cov)
     rng = np.random.default_rng(8)
@@ -746,13 +848,15 @@ def test_fbe_step_names_the_pair_of_a_reference_failure(monkeypatch):
     import sensorreg.fusion as fusion
 
     def rank_deficient(curr, prev, W, model):
-        failed = np.isin(np.arange(len(W)), [2, 4])
+        # Gains lie on the (sensor, target) grid: sensors 1 and 2, target 0.
+        failed = np.zeros(W.shape[:-2], dtype=bool)
+        failed[[1, 2], 0] = True
         raise SingularMatrixError("gain Gram matrix is singular (cond ~ inf)", failed)
 
     monkeypatch.setattr(fusion, "sensor_pseudo_obs", rank_deficient)
-    tracks, bias_states, fused_prev, model, sensors = _small_fbe_inputs()
+    tracks, bias_states, fused_prev, lag_models, sensors = _small_fbe_inputs()
     match = r"^sensor 1, target 0, frame 5: gain Gram matrix is singular \(cond ~ inf\)$"
     with pytest.raises(SingularMatrixError, match=match) as info:
-        fbe_step(*tracks, bias_states, fused_prev, model, sensors)
+        fbe_step(*tracks, bias_states, fused_prev, lag_models, sensors)
     assert info.value.index == (1, 0)
     np.testing.assert_array_equal(info.value.failed, [[0, 0], [1, 0], [1, 0]])

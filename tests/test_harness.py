@@ -1006,22 +1006,31 @@ def _count_calls(monkeypatch, modules, names) -> dict:
 
 def test_fusion_center_runs_once_per_epoch(monkeypatch):
     # The fusion-center formulas take (sensor, target) batch axes, so an fbe
-    # run calls each O(epochs) times, not once per (sensor, target) pair.
+    # run calls each once per epoch (bias_correct and sfa twice: the
+    # leave-one-out references, then the all-sensor fusion), not once per
+    # (sensor, target) pair, and composes each lag once per run.
+    import sensorreg.dynamics as dynamics
     import sensorreg.fusion as fusion
     import sensorreg.harness.simulate as sim
 
     names = ("compute_tracklet", "bias_correct", "sfa", "sensor_pseudo_obs", "rlsb_update")
     counts = _count_calls(monkeypatch, (fusion, sim), names)
+    lags = []
+    compose = dynamics.compose_steps
+    monkeypatch.setattr(
+        dynamics, "compose_steps", lambda model, steps: lags.append(steps) or compose(model, steps)
+    )
     sc = load_scenario("five_sensor_offset_scale")
     sim.run_single(sc, 0, "fbe")
     epochs = len(sc.update_epochs())
-    n_s = len(sc.sensors)
-    assert set(counts) == set(names)
-    assert counts["compute_tracklet"] <= 2 * epochs
-    assert counts["bias_correct"] <= 2 * epochs
-    assert counts["sensor_pseudo_obs"] <= 2 * epochs
-    assert counts["sfa"] <= 2 * n_s * epochs
-    assert counts["rlsb_update"] <= epochs
+    assert counts == {
+        "compute_tracklet": epochs,
+        "bias_correct": 2 * epochs,
+        "sfa": 2 * epochs,
+        "sensor_pseudo_obs": epochs,
+        "rlsb_update": epochs,
+    }
+    assert lags and sorted(lags) == sorted(set(lags))
 
 
 @pytest.mark.parametrize("local_filter", ["imm_ncv_ncv", "imm_nca_ncv"])

@@ -13,7 +13,7 @@ index a batch of measurements; scalars are the batch-free case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,20 +96,13 @@ class CartesianMeasurement:
 class BiasJacobians:
     """Differentials of the measurement with respect to bias parameters.
 
-    ``C`` (..., 2, 4) maps the bias vector into polar perturbations, ``B``
-    (..., 2, 2) maps polar perturbations into Cartesian ones, and
-    ``K = B @ C`` is the combined bias-to-Cartesian Jacobian; leading axes
-    index a batch of measurements.
+    ``B`` (..., 2, 2) maps polar perturbations into Cartesian ones, and
+    ``K = B @ [I | diag(r, theta)]`` (..., 2, 4) maps the bias vector into
+    them; leading axes index a batch of measurements.
     """
 
     B: np.ndarray
-    C: np.ndarray
-    K: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.B = np.asarray(self.B, dtype=float)
-        self.C = np.asarray(self.C, dtype=float)
-        self.K = self.B @ self.C
+    K: np.ndarray
 
 
 def apply_bias(r, theta, bias: BiasVector, w_r=0.0, w_theta=0.0):
@@ -139,10 +132,13 @@ def jacobians_at(r, theta) -> BiasJacobians:
     B = np.empty(r.shape + (2, 2))
     B[..., 0, 0], B[..., 0, 1] = c, -r * s
     B[..., 1, 0], B[..., 1, 1] = s, r * c
-    C = np.zeros(r.shape + (2, 4))
-    C[..., 0, 0] = C[..., 1, 1] = 1.0
-    C[..., 0, 2], C[..., 1, 3] = r, theta
-    return BiasJacobians(B=B, C=C)
+    # K's columns: the offsets' are B's, each scale's is its coordinate
+    # times the matching column of B.
+    K = np.empty(r.shape + (2, 4))
+    K[..., :2] = B
+    K[..., 2] = r[..., None] * B[..., 0]
+    K[..., 3] = theta[..., None] * B[..., 1]
+    return BiasJacobians(B=B, K=K)
 
 
 def conversion_gain(sigma_theta):

@@ -6,7 +6,9 @@ sensor, reducing the problem to a two-sensor difference whose observation
 blocks sum into the Fisher information; two-sensor scenarios also get the
 joint (stacked) bound over both sensors' parameters.  Every (epoch, target,
 sensor) block is built at once, so memory is O(epochs * targets * sensors
-* d^2) for bias dimension d.
+* d^2) for bias dimension d.  Who reports at each epoch is a row of the
+scenario's reporting schedule; the 2x2 noises are inverted in closed form,
+and only the running d x d informations go through LAPACK.
 """
 
 from __future__ import annotations
@@ -53,9 +55,7 @@ def crlb_series(scenario: Scenario) -> CrlbSeries:
     n_s = len(scenario.sensors)
     d = scenario.bias_dim
     epochs = scenario.update_epochs()
-    reports = np.zeros((len(epochs), n_s), dtype=bool)      # (epoch, sensor)
-    for e, k in enumerate(epochs):
-        reports[e, scenario.reporters_at(k)] = True
+    reports = scenario.reporting_schedule()[epochs]          # (epoch, sensor)
     block_reports = reports[:, None, :, None, None]
 
     sensors = scenario.sensor_models()

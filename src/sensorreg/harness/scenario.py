@@ -3,7 +3,8 @@
 Scenarios are stored as JSON with SI units throughout (meters, radians,
 seconds, m^2/s^3).  Frame 0 is track initialization; ``frames`` counts the
 measurement frames after it, so epochs run k = 0..frames.  Each sensor
-reports to the fusion center at multiples of its lag.
+reports to the fusion center at multiples of its lag
+(``Scenario.reporting_schedule``).
 """
 
 from __future__ import annotations
@@ -191,18 +192,17 @@ class Scenario:
         """Positions and noise levels of every sensor, one element each."""
         return SensorModel(*zip(*((s.position, s.sigma_r, s.sigma_theta) for s in self.sensors)))
 
+    def reporting_schedule(self) -> np.ndarray:
+        """Mask (frames + 1, n_sensors) of the sensors reporting at each
+        frame: sensor s reports at frame k when k is a multiple of its lag,
+        so every sensor reports at frame 0 (track initialization)."""
+        lags = np.array([s.lag for s in self.sensors])
+        return np.arange(self.frames + 1)[:, None] % lags == 0
+
     def update_epochs(self) -> list[int]:
         """Frames at which at least two sensors report (excluding frame 0)."""
-        epochs = []
-        for k in range(1, self.frames + 1):
-            if sum(1 for s in self.sensors if k % s.lag == 0) >= 2:
-                epochs.append(k)
-        return epochs
-
-    def reporters_at(self, k: int) -> list[int]:
-        if k == 0:
-            return list(range(len(self.sensors)))
-        return [i for i, s in enumerate(self.sensors) if k % s.lag == 0]
+        fused = np.count_nonzero(self.reporting_schedule()[1:], axis=1) >= 2
+        return (np.flatnonzero(fused) + 1).tolist()
 
 
 def _known(doc: dict, spec: type, where: str) -> dict:

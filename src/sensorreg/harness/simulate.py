@@ -127,12 +127,12 @@ class SingleRun:
     fused_sqerr: np.ndarray | None     # (K+1,) NaN between fusion epochs
 
 
-def _motion_tables(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+def _motion_tables(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Single-step truth transitions and process-noise Cholesky factors, each
-    (n_targets, K, 4, 4), for frames 0..K-1.
+    (n_kinds, 4, 4), and the (n_targets, K) table of the kind in force at
+    each target and frame 0..K-1.
 
-    One model is built per distinct segment kind and gathered through a
-    (target, frame) table of kind indices; each target's last segment
+    One model is built per distinct segment kind; each target's last segment
     extends to the final frame.
     """
     K = scenario.frames
@@ -161,19 +161,24 @@ def _motion_tables(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     chol = np.zeros_like(Q)
     noisy = Q.any(axis=(-2, -1))
     chol[noisy] = np.linalg.cholesky(Q[noisy])
-    return np.stack([m.F for m in models])[table], chol[table]
+    return np.stack([m.F for m in models]), chol, table
 
 
-def _propagate_targets(scenario: Scenario, noise: np.ndarray) -> np.ndarray:
+def _propagate_targets(scenario: Scenario, noise: np.ndarray | None) -> np.ndarray:
     """Trajectories (n_targets, K+1, 4) driven by the white process noise
     ``noise`` (n_targets, K, 4), scaled by each segment model's Cholesky
-    factor; all targets advance in lockstep."""
-    F, chol = _motion_tables(scenario)
-    w = mv(chol, noise)
+    factor, or noise-free when ``noise`` is None; all targets advance in
+    lockstep."""
+    F, chol, table = _motion_tables(scenario)
+    w = None if noise is None else mv(chol[table], noise)
+    F = F[table]
     states = np.empty((len(scenario.targets), scenario.frames + 1, 4))
     x = states[:, 0] = np.array([target.initial_state for target in scenario.targets])
     for k in range(scenario.frames):
-        x = states[:, k + 1] = mv(F[:, k], x) + w[:, k]
+        x = mv(F[:, k], x)
+        if w is not None:
+            x += w[:, k]
+        states[:, k + 1] = x
     return states
 
 
@@ -295,7 +300,7 @@ def simulate_truth(scenario: Scenario, run_index: int, zero_bias: bool = False) 
 
 def nominal_geometry(scenario: Scenario) -> np.ndarray:
     """Noise-free trajectories (n_targets, K+1, 4) used by the bound path."""
-    return _propagate_targets(scenario, np.zeros((len(scenario.targets), scenario.frames, 4)))
+    return _propagate_targets(scenario, None)
 
 
 def _local_model(scenario: Scenario):
@@ -382,17 +387,15 @@ def _fuse_all_sensors(
     Returns the fused squared position error (mean over targets) per frame,
     NaN between epochs.
     """
-    n_s = len(scenario.sensors)
+    schedule = scenario.reporting_schedule()
     fused = tracks.estimate(0, slice(None), 0)
-    last = np.zeros(n_s, dtype=int)
+    last = np.zeros(len(scenario.sensors), dtype=int)
     sqerr = np.full(scenario.frames + 1, np.nan)
     for k in [0] + scenario.update_epochs():
         if k > 0:
-            reporting = np.zeros(n_s, dtype=bool)
-            reporting[scenario.reporters_at(k)] = True
-            z, present = epoch_measurements(k, last, reporting)
+            z, present = epoch_measurements(k, last, schedule[k])
             fused = sfa(fused, lag_models(k - fused.frame), z, present).state
-            last[reporting] = k
+            last[schedule[k]] = k
         sqerr[k] = _position_sqerr(fused.mean, truth.states[:, k])
     return sqerr
 

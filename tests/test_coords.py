@@ -64,7 +64,8 @@ def test_bias_vector_requires_positive_scale():
 def test_jacobians_at_unit_range_zero_angle():
     jac = jacobians_at(1.0, 0.0)
     np.testing.assert_allclose(jac.B, np.eye(2))
-    np.testing.assert_allclose(jac.C, [[1, 0, 1, 0], [0, 1, 0, 0]])
+    # The scale columns: range times B's range column, azimuth times its azimuth column.
+    np.testing.assert_allclose(jac.K[:, 2:], [[1, 0], [0, 0]])
 
 
 def test_jacobians_quarter_turn():
@@ -76,8 +77,10 @@ def test_jacobians_match_formula_at_long_range():
     jac = jacobians_at(20000.0, 0.3)
     c, s = math.cos(0.3), math.sin(0.3)
     np.testing.assert_allclose(jac.B, [[c, -20000 * s], [s, 20000 * c]])
-    np.testing.assert_allclose(jac.C, [[1, 0, 20000, 0], [0, 1, 0, 0.3]])
-    np.testing.assert_allclose(jac.K, jac.B @ jac.C)
+    np.testing.assert_allclose(
+        jac.K[:, 2:], [[20000 * c, -0.3 * 20000 * s], [20000 * s, 0.3 * 20000 * c]]
+    )
+    np.testing.assert_allclose(jac.K, jac.B @ [[1, 0, 20000, 0], [0, 1, 0, 0.3]])
 
 
 @given(polar=polar_batches)
@@ -98,7 +101,7 @@ def test_b_jacobian_matches_finite_differences(polar):
         np.testing.assert_allclose(jac.B[i], fd, rtol=1e-6, atol=1e-6 * max(ri, 1.0))
         # The batch equals its batch-free elements bit for bit.
         one = jacobians_at(ri, ti)
-        for name in ("B", "C", "K"):
+        for name in ("B", "K"):
             np.testing.assert_array_equal(getattr(jac, name)[i], getattr(one, name))
 
 

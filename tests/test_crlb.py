@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sensorreg.coords import jacobians_at
 from sensorreg.crlb import combine_sensors, crlb_diag, fisher_information
@@ -134,3 +136,34 @@ def test_combine_matches_generalized_least_squares():
 def test_combine_empty_raises():
     with pytest.raises(SingularMatrixError):
         combine_sensors(np.eye(2)[None], [False], np.eye(2))
+
+
+def _spd2(rng, shape):
+    A = rng.standard_normal(shape + (2, 2)) * rng.uniform(0.1, 100.0, shape + (1, 1))
+    return A @ A.swapaxes(-1, -2) + np.eye(2) * rng.uniform(1e-3, 10.0, shape + (1, 1))
+
+
+@given(
+    masks=st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.booleans(), min_size=n, max_size=n).filter(any), min_size=1, max_size=6
+        )
+    ),
+    d=st.sampled_from([2, 4]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_batched_bound_kernels_equal_per_block_calls(masks, d, seed):
+    # Each element of one batched call equals a call on that element alone,
+    # bit for bit, the covariances of its masked sensors included.
+    rng = np.random.default_rng(seed)
+    mask = np.array(masks)
+    b, n = mask.shape
+    noises, target = _spd2(rng, (b, n)), _spd2(rng, (b,))
+    total = combine_sensors(noises, mask, target)
+    jac = rng.standard_normal((b, 2, d)) * rng.uniform(1.0, 1e4, (b, 1, d))
+    info = fisher_information(jac, total)
+    for i in range(b):
+        one = combine_sensors(noises[i], mask[i], target[i])
+        assert np.array_equal(total[i], one)
+        assert np.array_equal(info[i], fisher_information(jac[i], one))

@@ -213,8 +213,35 @@ def test_update_epochs_respect_lags():
     sc2 = load_scenario(mixed)
     # Two sensors with lag 2 report at 2, 4, 6; the lag-3 sensor joins at 6.
     assert sc2.update_epochs() == [2, 4, 6]
-    assert sc2.reporters_at(6) == [0, 1, 2]
-    assert sc2.reporters_at(4) == [1, 2]
+    schedule = sc2.reporting_schedule()
+    assert schedule.shape == (7, 3)
+    assert schedule[6].tolist() == [True, True, True]
+    assert schedule[4].tolist() == [False, True, True]
+    assert schedule[0].all()
+
+
+@given(
+    lags=st.lists(st.integers(1, 13), min_size=1, max_size=6),
+    frames=st.integers(0, 200),
+)
+@settings(max_examples=80, deadline=None)
+def test_reporting_schedule_matches_per_frame_loops(lags, frames):
+    # The schedule set after loading, so that one sensor and fewer than two
+    # frames are covered too; the loops are the rule the mask replaced.
+    sc = load_scenario(_tiny_scenario())
+    sc.sensors = [dataclasses.replace(sc.sensors[0], lag=lag) for lag in lags]
+    sc.frames = frames
+    schedule = sc.reporting_schedule()
+    assert schedule.shape == (frames + 1, len(lags))
+    assert schedule[0].all()
+    for k in range(1, frames + 1):
+        assert np.flatnonzero(schedule[k]).tolist() == [
+            i for i, lag in enumerate(lags) if k % lag == 0
+        ]
+    epochs = [k for k in range(1, frames + 1) if sum(k % lag == 0 for lag in lags) >= 2]
+    got = sc.update_epochs()
+    assert got == epochs
+    assert all(type(k) is int for k in got)
 
 
 def test_simulate_truth_deterministic():

@@ -65,7 +65,6 @@ from .tracklets import (
     compute_tracklet,
     tracklet_decorrelated,
     tracklet_inverse_kf,
-    tracklet_marginal,
 )
 
 __version__ = "0.1.0"
@@ -115,7 +114,6 @@ __all__ = [
     "sfa",
     "tracklet_decorrelated",
     "tracklet_inverse_kf",
-    "tracklet_marginal",
     "turn_model",
     "wrap_angle",
 ]

@@ -46,42 +46,9 @@ def inv_sym(mat: np.ndarray, context: str = "matrix") -> np.ndarray:
     return out
 
 
-def inv_spd(mat: np.ndarray, context: str = "matrix") -> np.ndarray:
-    """Invert symmetric positive definite matrices on the last two axes
-    through their Cholesky factors: ``inv(L L') = inv(L)' inv(L)``.
-
-    With the matrix axes moved in front, each column of the factor and each
-    row of its inverse is one numpy operation over the whole batch, so the
-    number of numpy calls grows with n, not with the batch size; for the
-    4x4 track covariances this costs about a third of a batched LAPACK
-    inverse, with residuals of the same order.  An element with a pivot
-    that is not finite and positive (NaN entries included) fails:
-    :class:`SingularMatrixError` marks every such batch element.
-    """
-    n = mat.shape[-1]
-    A = np.ascontiguousarray(np.moveaxis(mat, (-2, -1), (0, 1)))
-    L = np.zeros_like(A)
-    # A failed pivot leaves NaN in its element, caught on the diagonal below.
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for j in range(n):
-            L[j, j] = np.sqrt(A[j, j] - (L[j, :j] ** 2).sum(axis=0))
-            L[j + 1 :, j] = (A[j + 1 :, j] - (L[j + 1 :, :j] * L[j, :j]).sum(axis=1)) / L[j, j]
-    diag = L[np.arange(n), np.arange(n)]
-    ok = ((diag > 0.0) & (diag < np.inf)).all(axis=0)
-    if not ok.all():
-        raise SingularMatrixError(f"{context} is not positive definite", ~ok)
-    # Row i of inv(L) by forward substitution over the rows above it.
-    X = np.zeros_like(L)
-    for i in range(n):
-        X[i, i] = 1.0 / L[i, i]
-        X[i, :i] = -(L[i, :i, None] * X[:i, :i]).sum(axis=0) * X[i, i]
-    X = np.moveaxis(X, (0, 1), (-2, -1))
-    return mt(X) @ X
-
-
 def cholesky(mat: np.ndarray, context: str = "matrix") -> np.ndarray:
     """Cholesky factors of symmetric positive definite matrices on the last
-    two axes (any size; :func:`inv_spd` inverts small ones).
+    two axes (any size).
 
     An element that is not positive definite, or whose factor is not finite
     (LAPACK lets NaN entries through), fails: :class:`SingularMatrixError`

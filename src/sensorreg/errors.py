@@ -38,12 +38,11 @@ class NumericalError(SensorRegError):
 
     ``failed`` marks, on the leading batch axes of a batched computation,
     the elements that failed the check with this message (0-d for a
-    batch-free one): every one, or, where the message quotes a value or
-    names one of several reasons, the leading run in index order of those
-    that read the same.  ``index`` locates the first of them (None for a
-    batch-free one).  ``reason`` is the message without that location: the
-    message appends the batch index unless ``named``, for a reason that
-    already names the place.
+    batch-free one): every one, or, where the message quotes a value, the
+    leading run in index order of those that read the same.  ``index``
+    locates the first of them (None for a batch-free one).  ``reason`` is
+    the message without that location: the message appends the batch index
+    unless ``named``, for a reason that already names the place.
     """
 
     def __init__(self, reason: str, failed=True, *, named: bool = False) -> None:
@@ -59,13 +58,14 @@ class SingularMatrixError(NumericalError):
 
 class TrackletSingularError(SingularMatrixError):
     """The covariance difference used by the inverse-filter tracklet is
-    (near-)singular; callers should fall back to the decorrelated form.
-    ``failed`` marks every such element; the message quotes the first.
+    (near-)singular; ``compute_tracklet`` gives such elements the
+    position-marginal form.  ``failed`` marks every such element; the
+    message quotes the first.
     """
 
 
 @contextmanager
-def located(where, failed=None):
+def located(where):
     """Re-raise a :class:`NumericalError` escaping the block as
     ``<where>: <reason>``, of the same type and with the same mask.
 
@@ -77,8 +77,7 @@ def located(where, failed=None):
     unpacked batch index of the first failed element (no arguments for a
     batch-free error); it runs only on failure, so it may read loop
     variables.  A batch-free error passes unchanged through a function
-    with index parameters.  ``failed`` optionally maps the mask onto the
-    batch that the location names.
+    with index parameters.
     """
     try:
         yield
@@ -89,8 +88,7 @@ def located(where, failed=None):
             raise
         else:
             text, named = where(*(exc.index or ())), True
-        mask = exc.failed if failed is None else failed(exc.failed)
-        raise type(exc)(f"{text}: {exc.reason}", mask, named=named) from exc
+        raise type(exc)(f"{text}: {exc.reason}", exc.failed, named=named) from exc
 
 
 class ScenarioError(SensorRegError, ValueError):

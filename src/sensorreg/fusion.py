@@ -9,15 +9,17 @@ estimated against a leave-one-out fused reference, one update with all
 other sensors' bias-corrected tracklets, which reduces the multisensor
 problem to a sequence of two-sensor problems with a single biased side.
 
-Each stage of an epoch is one batched call.  The local stage (tracklet,
-gain, frame-start bias correction) runs on the reported pairs and still
-retries: a failing pair is dropped and the rest run again, because the
-tracklet form of a batch depends on which pairs it holds (ROADMAP item 2).
-Every later stage works on the (sensor, target) grid with a mask, giving
-an element off the mask a stand-in whose result is discarded, and
-:func:`sfa` handles its failures the same way.  The stacked bias fold
-still drops a failing sensor and folds the rest again, since
-:func:`rlsb_update` raises rather than returning a mask (ROADMAP item 6).
+Each stage of an epoch is one batched call on position tracklets.  The
+local stage (tracklet, gain, frame-start bias correction) runs on the
+reported pairs and still retries: its checks raise rather than returning
+masks, so a failing pair is dropped and the rest run again.  Each pair's
+tracklet form and checks depend on that pair alone, so the pairs a frame
+skips do not depend on their order.  Every later stage works on the
+(sensor, target) grid with a mask, giving an element off the mask a
+stand-in whose result is discarded, and :func:`sfa` handles its failures
+the same way.  The stacked bias fold still drops a failing sensor and
+folds the rest again, since :func:`rlsb_update` raises rather than
+returning a mask (ROADMAP item 6).
 """
 
 from __future__ import annotations
@@ -116,28 +118,22 @@ class SensorModel:
 _SELECT_POSITIONS = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 
 
-def _position_block(M: np.ndarray) -> np.ndarray:
-    # Positions sit at indices 0 and 2 of the 4-dim state, so the block is a
-    # strided view.
-    return M[..., ::2, ::2]
-
-
 def reconstruct_local_gain(R: np.ndarray, pred_cov: np.ndarray) -> ReconstructedGain:
     """Recover the equivalent measurement noise and gain (R, W) of a local
     track.
 
     The equivalent measurement model is linear in position, so the noise is
-    the tracklet's position covariance ``R`` (the position block of a
-    full-state tracklet's ``U``, or the whole ``U`` of a position-marginal
-    one), and the gain follows from the predicted covariance ``pred_cov``
-    exactly as in a position-updating filter.  Leading batch axes carry
-    through to ``W`` (..., 4, 2) and ``R`` (..., 2, 2).
+    the position tracklet's covariance ``R`` (its ``U``), and the gain
+    follows from the predicted covariance ``pred_cov`` exactly as in a
+    position-updating filter.  Leading batch axes carry through to ``W``
+    (..., 4, 2) and ``R`` (..., 2, 2).
     """
     R = symmetrize(R)
     _, ok = det_spd2(R)
     if not ok.all():
         raise NumericalError("tracklet position covariance not positive definite", ~ok)
-    S_inv, _ = inv_spd2(_position_block(pred_cov) + R, context="gain innovation covariance")
+    # Positions sit at indices 0 and 2 of the 4-dim state.
+    S_inv, _ = inv_spd2(pred_cov[..., ::2, ::2] + R, context="gain innovation covariance")
     return ReconstructedGain(W=pred_cov[..., :, ::2] @ S_inv, R=R)
 
 
@@ -147,7 +143,8 @@ def bias_correct(
     noise: tuple,
     origin=(0.0, 0.0),
 ) -> CartesianMeasurement:
-    """Remove the current bias estimate from tracklets in polar coordinates.
+    """Remove the current bias estimate from position tracklets in polar
+    coordinates.
 
     Each tracklet position is mapped to range/azimuth relative to the
     reporting sensor, the estimated offsets and scale factors are inverted,
@@ -165,7 +162,7 @@ def bias_correct(
     failing check.
     """
     sigma_r, sigma_theta = noise
-    r_raw, theta_raw = (np.asarray(v) for v in cart_to_polar(t.u[..., ::2], origin))
+    r_raw, theta_raw = (np.asarray(v) for v in cart_to_polar(t.u, origin))
     batch = r_raw.shape
     if (r_raw == 0.0).any():
         raise NumericalError("tracklet position coincides with the sensor", r_raw == 0.0)
@@ -190,7 +187,7 @@ def bias_correct(
     y = polar_to_cart(r_bc, theta_bc, sigma_theta, origin)
     K = jacobians_at(r_bc, theta_bc).K[..., : bias.dim]
     noise_cov = converted_covariance(r_bc, theta_bc, sigma_r, sigma_theta)
-    R = _position_block(t.U) + noise_cov + K @ bias.Sigma @ mt(K)
+    R = t.U + noise_cov + K @ bias.Sigma @ mt(K)
     return CartesianMeasurement(z=y, R=symmetrize(R))
 
 
@@ -361,9 +358,7 @@ def fbe_step(
     The local stage (tracklet, gain reconstruction, frame-start bias
     correction) runs on the reported pairs gathered flat.  A pair failing a
     numerical check there is skipped, every pair failing the same check in
-    one pass, and the rest run again: :func:`compute_tracklet` picks one
-    form per batch, so which pairs a decorrelated-form failure drops depends
-    on the batch it ran in (ROADMAP item 2).
+    one pass, and the rest run again (ROADMAP item 6).
 
     Every later stage runs on the (S, T) grid under the mask of the live
     pairs whose target has another live sensor: the leave-one-out
@@ -406,7 +401,7 @@ def fbe_step(
     def local(k):
         s, t = pairs[0][k], pairs[1][k]
         tl = compute_tracklet(prev[s, t], curr[s, t], lagged[s, t])
-        gain = reconstruct_local_gain(_position_block(tl.U), tl.pred_cov)
+        gain = reconstruct_local_gain(tl.U, tl.pred_cov)
         geo = sensors[s]
         corrected = bias_correct(
             tl, bias_states[s], (geo.sigma_r, geo.sigma_theta), origin=geo.position
@@ -439,7 +434,7 @@ def fbe_step(
     W[~ref] = _SELECT_POSITIONS
     R_g = np.zeros((n_s, n_t, 2, 2))
     u = np.zeros((n_s, n_t, 2))
-    R_g[ls, lt], u[ls, lt] = g_s.R, tl.u[..., ::2]
+    R_g[ls, lt], u[ls, lt] = g_s.R, tl.u
 
     # Leave-one-out fused reference of every pair on the mask from the
     # other sensors' bias-corrected tracklets of its target.  The reference

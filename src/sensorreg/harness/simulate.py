@@ -61,7 +61,7 @@ from ..trackers import (
     kf_predict,
     kf_update,
 )
-from ..tracklets import compute_tracklet, tracklet_marginal
+from ..tracklets import compute_tracklet, tracklet_decorrelated
 from .metrics import RunMetrics, aggregate_runs
 from .scenario import Scenario
 
@@ -478,7 +478,7 @@ def _run_stacked(
     curr = GaussianEstimate(tracks.mean[:, :, 1:], tracks.cov[:, :, 1:], frame=frames)
     with located(lambda s, t, j: f"sensor {s}, target {t}, frame {j + 1}"):
         if reconstructed:
-            trk = tracklet_marginal(prev, curr, ms1)
+            trk = tracklet_decorrelated(prev, curr, ms1)
             gain = reconstruct_local_gain(trk.U, trk.pred_cov)
             W, R = gain.W, gain.R
             r_m, t_m = cart_to_polar(trk.u, positions)
@@ -519,10 +519,10 @@ def _run_baseline(scenario: Scenario, truth: TruthData, tracks: LocalTracks):
                 tracks.estimate(sel, slice(None), k),
                 lag_models(lags),
             )
-            g = reconstruct_local_gain(trk.U[..., ::2, ::2], trk.pred_cov)
+            g = reconstruct_local_gain(trk.U, trk.pred_cov)
         y = np.zeros((n_t, n_s, 2))
         R = np.zeros((n_t, n_s, 2, 2))
-        y[:, sel], R[:, sel] = trk.u[..., ::2].swapaxes(0, 1), g.R.swapaxes(0, 1)
+        y[:, sel], R[:, sel] = trk.u.swapaxes(0, 1), g.R.swapaxes(0, 1)
         return CartesianMeasurement(y, R), np.broadcast_to(reporting, (n_t, n_s))
 
     return None, None, _fuse_all_sensors(scenario, truth, tracks, lag_models, epoch)

@@ -294,30 +294,22 @@ def test_negative_local_filter_noise_is_a_scenario_error(tiny_scenario, tmp_path
 
 @pytest.mark.parametrize("method", ["baseline", "exl"])
 def test_tracklet_failure_names_sensor_target_and_frame(tmp_path, capsys, method):
-    # baseline: the IMM's single-step snapshots give an indefinite 4-state
-    # information difference at the first pair.  exl: the position-marginal
-    # difference of imm_nca_ncv tracks, positive definite at most pairs, is
-    # indefinite at sensor 1, target 11, frame 16 of seed 4's run 0.
-    filter_type, seed_args, message = {
-        "baseline": (
-            "imm_ncv_ncv",
-            [],
-            "sensor 0, target 0, frame 1: information difference indefinite",
-        ),
-        "exl": (
-            "imm_nca_ncv",
-            ["--seed", "4"],
-            "sensor 1, target 11, frame 16: position information difference not positive "
-            "definite",
-        ),
+    # The position-marginal information difference of single-step
+    # imm_nca_ncv snapshots, positive definite at most pairs, is not at
+    # sensor 1, target 10, frame 11 of run 3 (baseline, four runs) and at
+    # sensor 1, target 11, frame 16 of seed 4's run 0 (exl).
+    run_args, message = {
+        "baseline": (["--runs", "4"], "run 3: sensor 1, target 10, frame 11"),
+        "exl": (["--runs", "1", "--seed", "4"], "run 0: sensor 1, target 11, frame 16"),
     }[method]
     doc = json.loads(Path(builtin_scenario_path("two_sensor")).read_text())
-    doc["local_filter"] = {"type": filter_type}
+    doc["local_filter"] = {"type": "imm_nca_ncv"}
     path = tmp_path / "imm.json"
     path.write_text(json.dumps(doc))
     code = main([
-        "simulate", "--scenario", str(path), "--method", method, "--runs", "1", *seed_args,
+        "simulate", "--scenario", str(path), "--method", method, *run_args,
         "--out", str(tmp_path / "out"),
     ])
     assert code == 2
-    assert f"run 0: {message}" in capsys.readouterr().err
+    reason = "position information difference not positive definite"
+    assert f"{message}: {reason}" in capsys.readouterr().err

@@ -11,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sensorreg
-from sensorreg._linalg import cholesky, inv_spd, inv_spd2, inv_sym, solve_psd
+from sensorreg._linalg import cholesky, inv_spd2, inv_sym, solve_psd
 from sensorreg.bias import BiasEstimate
-from sensorreg.coords import BiasVector, apply_bias
+from sensorreg.coords import BiasVector, CartesianMeasurement, apply_bias
+from sensorreg.dynamics import ncv_model
 from sensorreg.errors import NumericalError, SingularMatrixError, located
 from sensorreg.fusion import bias_correct, reconstruct_local_gain
-from sensorreg.tracklets import Tracklet, _pinv_psd
+from sensorreg.trackers import GaussianEstimate, kf_predict, kf_update
+from sensorreg.tracklets import Tracklet, compute_tracklet, tracklet_decorrelated
 
 _SPD3 = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
 _POS = (0, 2)
@@ -49,25 +51,71 @@ def _shear(a):
     return out
 
 
-def _pinv_good(rng):
-    if rng.random() < 0.5:
-        return (_embed_pos(_spd(rng, 2)) - np.diag([0.0, 1.0, 0.0, 1.0]),)
-    return (_spd(rng, 4),)
+_MODEL = ncv_model(1.0, 0.5)
+
+
+def _snapshots(rng, kind="pos"):
+    """Means and covariances of a report pair one step of ``_MODEL`` apart:
+    a position-only Kalman update ("pos", the position-marginal form), a
+    full-state update ("full", the inverse-filter form), or a track
+    covariance ``kind(P)`` of its predicted covariance P."""
+    prev = GaussianEstimate(mean=100.0 * rng.standard_normal(4), cov=10.0 * _spd(rng, 4))
+    pred = kf_predict(prev, _MODEL)
+    if kind == "pos":
+        z = CartesianMeasurement(100.0 * rng.standard_normal(2), _spd(rng, 2))
+        C = kf_update(pred, z)[0].cov
+    elif kind == "full":
+        C = np.linalg.inv(np.linalg.inv(pred.cov) + np.linalg.inv(_spd(rng, 4)))
+    else:
+        C = kind(pred.cov)
+    return prev.mean, prev.cov, 100.0 * rng.standard_normal(4), 0.5 * (C + C.T)
+
+
+def _snapshot_good(rng):
+    return _snapshots(rng, "pos" if rng.random() < 0.5 else "full")
+
+
+def _with_pos(P, block):
+    """``P`` with ``block`` in place of its position block."""
+    out = P.copy()
+    out[np.ix_(_POS, _POS)] = block
+    return out
+
+
+# Track covariances whose difference from the prediction is singular, so
+# that both sites take the position-marginal form, where they fail:
+# information lost over the interval, none gained, and position blocks that
+# are not positive definite, two of which quote the same condition number.
+_SNAPSHOT_KINDS = {
+    "loss": lambda P: 2.0 * P,
+    "no_info": lambda P: P,
+    "indefinite": lambda P: _with_pos(P, _INDEF2),
+    "indefinite_same": lambda P: _with_pos(P, 2.0 * _INDEF2),
+    "indefinite_other": lambda P: _with_pos(P, _INDEF2B),
+}
+
+
+def _tracklet_site(form):
+    def call(prev_mean, prev_cov, curr_mean, curr_cov):
+        prev = GaussianEstimate(mean=prev_mean, cov=prev_cov)
+        return form(prev, GaussianEstimate(mean=curr_mean, cov=curr_cov, frame=1), _MODEL)
+
+    kinds = {
+        kind: _snapshots(np.random.default_rng(i), make)
+        for i, (kind, make) in enumerate(_SNAPSHOT_KINDS.items())
+    }
+    return _snapshot_good, kinds, call
 
 
 def _track(rng, pos=(3000.0, 4000.0), b=(0.0, 0.0, 0.0, 0.0)):
     """Tracklet and bias arguments of :func:`_bias_correct`, sensor at the origin."""
-    u = np.array([pos[0], 1.0, pos[1], -1.0])
-    return u, _spd(rng, 4), 10.0 * _spd(rng, 4), np.asarray(b, dtype=float), 1e-4 * np.eye(4)
+    u = np.array(pos, dtype=float)
+    return u, _spd(rng, 2), 10.0 * _spd(rng, 4), np.asarray(b, dtype=float), 1e-4 * np.eye(4)
 
 
 def _bias_correct(u, U, P, b, Sigma):
     t = Tracklet(u=u, U=U, pred_cov=P)
     return bias_correct(t, BiasEstimate(b=b, Sigma=Sigma), (10.0, 1e-3), origin=(0.0, 0.0))
-
-
-def _gain(U, P):
-    return reconstruct_local_gain(U[..., ::2, ::2], P)
 
 
 SITES = {
@@ -81,15 +129,6 @@ SITES = {
             "zero": (np.zeros((2, 2)),),
         },
         lambda mat: inv_spd2(mat, context="S"),
-    ),
-    "inv_spd": (
-        lambda rng: (_spd(rng, 3),),
-        {
-            "indefinite": (np.diag([1.0, -1.0, 1.0]),),
-            "nan": (np.full((3, 3), np.nan),),
-            "zero": (np.zeros((3, 3)),),
-        },
-        lambda mat: inv_spd(mat, context="P"),
     ),
     "inv_sym": (
         lambda rng: (_spd(rng, 2) - 3.0 * np.eye(2),),
@@ -120,15 +159,8 @@ SITES = {
         },
         lambda mat, rhs: solve_psd(mat, rhs, context="S"),
     ),
-    "_pinv_psd": (
-        _pinv_good,
-        {
-            "empty": (np.zeros((4, 4)),),
-            "indefinite": (np.diag([1.0, -1.0, 1.0, 1.0]),),
-            "indefinite_pos": (_embed_pos(_INDEF2) - np.diag([0.0, 1.0, 0.0, 1.0]),),
-        },
-        _pinv_psd,
-    ),
+    "tracklet_decorrelated": _tracklet_site(tracklet_decorrelated),
+    "compute_tracklet": _tracklet_site(compute_tracklet),
     "apply_bias": (
         lambda rng: (rng.uniform(1e3, 1e4), rng.uniform(-3.0, 3.0)),
         {
@@ -149,22 +181,20 @@ SITES = {
         _bias_correct,
     ),
     "reconstruct_local_gain": (
-        lambda rng: (_spd(rng, 4), 10.0 * _spd(rng, 4)),
+        lambda rng: (_spd(rng, 2), 10.0 * _spd(rng, 4)),
         {
-            "indefinite_R": (np.diag([1.0, 1.0, -1.0, 1.0]), np.eye(4)),
-            "singular_S": (np.eye(4), _embed_pos(-np.eye(2))),
-            "indefinite_S": (np.eye(4), _embed_pos(_INDEF2 - np.eye(2))),
+            "indefinite_R": (np.diag([1.0, -1.0]), np.eye(4)),
+            "singular_S": (np.eye(2), _embed_pos(-np.eye(2))),
+            "indefinite_S": (np.eye(2), _embed_pos(_INDEF2 - np.eye(2))),
         },
-        lambda U, P: _gain(U, P),
+        reconstruct_local_gain,
     ),
 }
 
 
 def _check(reason):
-    """The check behind a reason: the reason without its quoted value, and
-    one name for both reasons of ``_pinv_psd``'s one check."""
-    reason = reason.split(" (")[0]
-    return "pinv" if "information" in reason else reason
+    """The check behind a reason: the reason without its quoted value."""
+    return reason.split(" (")[0]
 
 
 def _outcome(call, args):
@@ -272,13 +302,6 @@ def test_located_keeps_type_and_mask():
             with located(lambda *_: "frame 4"):
                 raise error
         assert info.value.index == error.index
-
-    # ``failed`` maps the mask onto the batch the location names.
-    with pytest.raises(NumericalError) as info:
-        with located(lambda i: f"element {i}", lambda m: np.repeat(m, 2)):
-            raise NumericalError("bad", [False, True])
-    assert str(info.value) == "element 1: bad"
-    assert info.value.index == (2,)
 
     # Other exceptions pass through untouched.
     with pytest.raises(ValueError, match="^other$"):

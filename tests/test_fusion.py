@@ -37,10 +37,16 @@ from sensorreg.fusion import (
     sfa,
 )
 from sensorreg.trackers import GaussianEstimate, init_track, kf_predict, kf_update
-from sensorreg.tracklets import Tracklet, compute_tracklet, tracklet_decorrelated
+from sensorreg.tracklets import (
+    Tracklet,
+    compute_tracklet,
+    tracklet_decorrelated,
+    tracklet_inverse_kf,
+)
 
 
 def _tracklet_from(u, U, pred_cov=None):
+    """A position tracklet: ``u`` (2,), ``U`` (2, 2)."""
     return Tracklet(
         u=np.asarray(u, float),
         U=np.asarray(U, float),
@@ -50,19 +56,17 @@ def _tracklet_from(u, U, pred_cov=None):
 
 def test_local_gain_scalar_reduction():
     # Position variance 1 and equivalent noise 1 give gain one half.
-    U = np.diag([1.0, 1e6, 1.0, 1e6])
     pred = np.diag([1.0, 1e-9, 1.0, 1e-9])
-    t = _tracklet_from([2.0, 0.0, -3.0, 0.0], U, pred)
-    g = reconstruct_local_gain(t.U[..., ::2, ::2], t.pred_cov)
+    t = _tracklet_from([2.0, -3.0], np.eye(2), pred)
+    g = reconstruct_local_gain(t.U, t.pred_cov)
     assert g.W[0, 0] == pytest.approx(0.5, rel=1e-9)
     assert g.W[2, 1] == pytest.approx(0.5, rel=1e-9)
 
 
 def test_local_gain_vanishes_for_uninformative_tracklet():
-    U = 1e12 * np.eye(4)
     pred = np.diag([10.0, 1.0, 10.0, 1.0])
-    t = _tracklet_from(np.zeros(4), U, pred)
-    g = reconstruct_local_gain(t.U[..., ::2, ::2], t.pred_cov)
+    t = _tracklet_from(np.zeros(2), 1e12 * np.eye(2), pred)
+    g = reconstruct_local_gain(t.U, t.pred_cov)
     assert np.abs(g.W).max() < 1e-9
 
 
@@ -81,14 +85,14 @@ def test_local_gain_matches_true_kalman_gain_single_step():
     pred = kf_predict(prev, model)
     curr, rec = kf_update(pred, z)
     t = tracklet_decorrelated(prev, curr, ms1)
-    g = reconstruct_local_gain(t.U[..., ::2, ::2], t.pred_cov)
+    g = reconstruct_local_gain(t.U, t.pred_cov)
     np.testing.assert_allclose(g.W, rec.gain, rtol=1e-6)
     np.testing.assert_allclose(g.R, z.R, rtol=1e-6)
-    np.testing.assert_allclose(t.u[::2], z.z, rtol=1e-6)
+    np.testing.assert_allclose(t.u, z.z, rtol=1e-6)
 
 
 def test_bias_correct_null_correction():
-    t = _tracklet_from([300.0, 1.0, 400.0, -1.0], np.eye(4))
+    t = _tracklet_from([300.0, 400.0], np.eye(2))
     est = BiasEstimate(b=np.zeros(2), Sigma=np.zeros((2, 2)))
     out = bias_correct(t, est, (10.0, 0.0))
     np.testing.assert_allclose(out.z, [300.0, 400.0], rtol=1e-12)
@@ -99,7 +103,7 @@ def test_bias_correct_round_trip_recovers_truth():
     # come back to within numerical noise.
     r, theta = 18000.0, 0.7
     meas = polar_to_cart(*apply_bias(r, theta, BiasVector(b_r=20.0, b_theta=1e-3)), 0.0)
-    t = _tracklet_from([meas[0], 0.0, meas[1], 0.0], np.eye(4))
+    t = _tracklet_from(meas, np.eye(2))
     est = BiasEstimate(b=[20.0, 1e-3], Sigma=np.zeros((2, 2)))
     out = bias_correct(t, est, (10.0, 0.0))
     np.testing.assert_allclose(out.z, polar_to_cart(r, theta, 0.0), atol=1e-9)
@@ -109,7 +113,7 @@ def test_bias_correct_with_scale_round_trip():
     r, theta = 22000.0, -1.2
     bias = BiasVector(b_r=20.0, b_theta=1e-3, eps_r=0.001, eps_theta=0.001)
     meas = polar_to_cart(*apply_bias(r, theta, bias), 0.0)
-    t = _tracklet_from([meas[0], 0.0, meas[1], 0.0], np.eye(4))
+    t = _tracklet_from(meas, np.eye(2))
     est = BiasEstimate(b=[20.0, 1e-3, 0.001, 0.001], Sigma=np.zeros((4, 4)))
     out = bias_correct(t, est, (10.0, 0.0))
     np.testing.assert_allclose(out.z, polar_to_cart(r, theta, 0.0), atol=1e-8)
@@ -119,7 +123,7 @@ def test_bias_correct_with_sensor_origin():
     origin = np.array([5000.0, -2000.0])
     r, theta = 9000.0, 2.0
     meas = polar_to_cart(*apply_bias(r, theta, BiasVector(b_r=-15.0, b_theta=-2e-3)), 0.0, origin)
-    t = _tracklet_from([meas[0], 0.0, meas[1], 0.0], np.eye(4))
+    t = _tracklet_from(meas, np.eye(2))
     est = BiasEstimate(b=[-15.0, -2e-3], Sigma=np.zeros((2, 2)))
     out = bias_correct(t, est, (10.0, 0.0), origin=origin)
     np.testing.assert_allclose(out.z, polar_to_cart(r, theta, 0.0, origin), atol=1e-8)
@@ -128,27 +132,26 @@ def test_bias_correct_with_sensor_origin():
 def test_bias_correct_covariance_dominates_tracklet_noise():
     rng = np.random.default_rng(5)
     for _ in range(20):
-        A = rng.standard_normal((4, 4))
-        U = A @ A.T + np.eye(4)
-        t = _tracklet_from([8000.0, 0.0, 6000.0, 0.0], U)
+        A = rng.standard_normal((2, 2))
+        U = A @ A.T + np.eye(2)
+        t = _tracklet_from([8000.0, 6000.0], U)
         est = BiasEstimate(
             b=[5.0, 1e-4], Sigma=np.diag(rng.uniform(0.1, 100.0, 2))
         )
         out = bias_correct(t, est, (10.0, 1e-3))
-        H = np.array([[1.0, 0, 0, 0], [0, 0, 1.0, 0]])
-        diff = out.R - H @ U @ H.T
+        diff = out.R - U
         assert np.linalg.eigvalsh(diff).min() > -1e-9 * np.abs(out.R).max()
 
 
 def test_bias_correct_rejects_zero_position():
-    t = _tracklet_from(np.zeros(4), np.eye(4))
+    t = _tracklet_from(np.zeros(2), np.eye(2))
     est = BiasEstimate(b=np.zeros(2), Sigma=np.eye(2))
     with pytest.raises(NumericalError):
         bias_correct(t, est, (10.0, 1e-3))
 
 
 def test_bias_correct_rejects_overcorrected_range():
-    t = _tracklet_from([10.0, 0.0, 0.0, 0.0], np.eye(4))
+    t = _tracklet_from([10.0, 0.0], np.eye(2))
     est = BiasEstimate(b=[100.0, 0.0], Sigma=np.eye(2))
     with pytest.raises(NumericalError):
         bias_correct(t, est, (10.0, 1e-3))
@@ -448,14 +451,16 @@ def test_fbe_step_corrections_use_frame_start_estimates():
 
 def test_fbe_step_skips_only_the_degenerate_pair():
     # Sensor 1's report of target 0 carries no information (its update is
-    # the pure prediction), so its tracklet fails; the result must be that
-    # of the same frame without that pair.
+    # the pure prediction), so its covariance difference is zero and its
+    # position-marginal tracklet fails, while the other pairs take the
+    # inverse-filter form; the result must be that of the same frame
+    # without that pair.
     (prev, curr, reported), bias_states, fused_prev, lag_models, sensors = _small_fbe_inputs()
     ms = lag_models(curr.frame - prev.frame)
     curr.mean[1, 0] = ms.F @ prev.mean[1, 0]
     curr.cov[1, 0] = ms.F @ prev.cov[1, 0] @ ms.F.T + ms.Q
     res = fbe_step(prev, curr, reported, bias_states, fused_prev, lag_models, sensors)
-    assert res.skipped == [(1, 0, "track carried no new information over the interval")]
+    assert res.skipped == [(1, 0, "position information difference not positive definite")]
 
     without = reported.copy()
     without[1, 0] = False
@@ -476,6 +481,27 @@ def test_fbe_step_skips_only_the_degenerate_pair():
         np.testing.assert_allclose(got, want, rtol=1e-12)
     # The leave-one-out references of target 0 lost sensor 1.
     assert res.used[0, 0].tolist() == [False, False, True]
+
+
+def test_fbe_step_skips_a_pair_whose_tracklet_position_covariance_fails():
+    # Sensor 2's track covariance of target 1 is the negated prediction, so
+    # its covariance difference is well conditioned and the pair takes the
+    # inverse-filter form, whose position covariance is negative definite:
+    # the gain check must skip it, since that form no longer inverts the
+    # tracklet covariance itself.
+    (prev, curr, reported), bias_states, fused_prev, lag_models, sensors = _small_fbe_inputs()
+    ms = lag_models(curr.frame - prev.frame)
+    curr.cov[2, 1] = -(ms.F @ prev.cov[2, 1] @ ms.F.T + ms.Q)
+    full = tracklet_inverse_kf(prev[2, 1], curr[2, 1], ms)
+    assert np.linalg.eigvalsh(full.U[::2, ::2]).max() < 0
+    res = fbe_step(prev, curr, reported, bias_states, fused_prev, lag_models, sensors)
+    assert res.skipped == [(2, 1, "tracklet position covariance not positive definite")]
+    without = reported.copy()
+    without[2, 1] = False
+    ref = fbe_step(prev, curr, without, bias_states, fused_prev, lag_models, sensors)
+    np.testing.assert_array_equal(res.live, without)
+    np.testing.assert_array_equal(res.bias_states.b, ref.bias_states.b)
+    np.testing.assert_array_equal(res.fused.mean, ref.fused.mean)
 
 
 def _per_element_retry(run, keep, record):
@@ -500,9 +526,9 @@ def _fbe_outcome(*args):
 
 # Track covariances of a report pair, from its L-step predicted covariance P.
 # no_info, indef, pos_only and neg_rank1 have a singular or indefinite
-# covariance difference P - C and send a batch to the decorrelated form,
-# where all but pos_only fail; neg_vel fails only there, and neg in both
-# forms.
+# covariance difference P - C and take the position-marginal form, where
+# all but pos_only fail; neg_vel and neg take the inverse-filter form, where
+# neg's position block is not positive definite and fails the gain check.
 _VEL = np.diag([0.0, 1.0, 0.0, 1.0])
 _PAIR_KINDS = {
     "ok": None,
@@ -525,12 +551,10 @@ _PAIR_KINDS = {
 @settings(max_examples=80, deadline=None)
 def test_fbe_step_skips_the_pairs_of_a_per_element_retry(kinds, scale_fails):
     # Dropping every element that an error marks at once skips the pairs,
-    # in the order, and leaves the survivors and the tracklet form of
-    # dropping the first failed pair at a time: pairs after the last
-    # singular one that fail only in the decorrelated form pass once the
-    # batch returns to the inverse-filter form.  Pairs are numbered
-    # sensor-major; a sensor with a scale bias below -1 fails the bias
-    # correction of each of its pairs, in either form.
+    # in the order, and leaves the survivors of dropping the first failed
+    # pair at a time.  Pairs are numbered sensor-major; a sensor with a
+    # scale bias below -1 fails the bias correction of each of its pairs,
+    # in either form.
     (prev, curr, reported), _, fused_prev, lag_models, sensors = _small_fbe_inputs()
     ms = lag_models(curr.frame - prev.frame)
     for (s, t), kind in zip(np.ndindex(3, 2), kinds):
@@ -556,7 +580,6 @@ def test_fbe_step_skips_the_pairs_of_a_per_element_retry(kinds, scale_fails):
         np.testing.assert_array_equal(obj, want, err_msg=name)
     assert (res.tracklets is None) == (ref.tracklets is None)
     if res.tracklets is not None:
-        assert res.tracklets.method == ref.tracklets.method
         np.testing.assert_array_equal(res.tracklets.u, ref.tracklets.u)
         np.testing.assert_array_equal(res.tracklets.U, ref.tracklets.U)
 
@@ -809,7 +832,7 @@ def test_batched_fusion_formulas_match_batch_free_calls():
     (prev, curr, _), _, _, lag_models, sensors = _small_fbe_inputs()
     ms = lag_models(curr.frame - prev.frame)
     t = compute_tracklet(prev, curr, ms)
-    g = reconstruct_local_gain(t.U[..., ::2, ::2], t.pred_cov)
+    g = reconstruct_local_gain(t.U, t.pred_cov)
     rng = np.random.default_rng(8)
     A = rng.standard_normal((3, 4, 4))
     bias = BiasEstimate(
@@ -818,7 +841,7 @@ def test_batched_fusion_formulas_match_batch_free_calls():
     geo = sensors[:, None]
     c = bias_correct(t, bias[:, None], (geo.sigma_r, geo.sigma_theta), origin=geo.position)
     zb = sensor_pseudo_obs(curr, prev, g.W, ms)
-    r, th = cart_to_polar(t.u[..., ::2], geo.position)
+    r, th = cart_to_polar(t.u, geo.position)
     jac = jacobians_at(r, th)
     pm = difference_pseudo_measurement(zb, c.z, jac, c.R, g.R, offset_only=False)
     stacks = PseudoMeasurement(pm.z[:, :, None], pm.H[:, :, None], pm.R[:, :, None])
@@ -833,7 +856,7 @@ def test_batched_fusion_formulas_match_batch_free_calls():
             np.testing.assert_array_equal(c.R[s, tgt], c1.R)
             z1 = sensor_pseudo_obs(curr[s, tgt], prev[s, tgt], g.W[s, tgt], ms)
             np.testing.assert_array_equal(zb[s, tgt], z1)
-            j1 = jacobians_at(*cart_to_polar(t.u[s, tgt, ::2], sensors.position[s]))
+            j1 = jacobians_at(*cart_to_polar(t.u[s, tgt], sensors.position[s]))
             np.testing.assert_array_equal(jac.K[s, tgt], j1.K)
             pm1 = difference_pseudo_measurement(z1, c1.z, j1, c1.R, g.R[s, tgt], offset_only=False)
             e1 = rlsb_update(bias[s], PseudoMeasurement(z=[pm1.z], H=[pm1.H], R=[pm1.R]))

@@ -7,11 +7,14 @@ closed-form 2x2 kernel, numpy's vectorised ``hypot``/``arctan2``/``exp``,
 the batched NEES and the merged converted covariance reorder floating-point
 operations, so the outputs moved in their last bits: this is the package's
 one stated re-baseline, and every cell must stay within ``RTOL`` of the
-copies.  The ``mixed_lag_fbe`` copies were written later, before
-``compute_tracklet`` took one tracklet form per batch instead of splitting a
-batch that mixes single-step and multi-step pairs between the two forms;
-its multi-step pairs moved in their last bits.  Regenerate the files only for a change meant to alter the
-estimates, with ``write_case(name, tests/data/golden/<name>)``.
+copies.  The ``mixed_lag_fbe`` copies were written later, while
+``compute_tracklet`` split a batch that mixes single-step and multi-step
+pairs between the inverse-filter and a full-state decorrelated form.  Its
+single-step pairs now take the position-marginal tracklet, which equals the
+position block of the full-state one in exact arithmetic, so every cell
+moved by rounding alone (at most 2.9e-11 relative).  Regenerate the files
+only for a change meant to alter the estimates, with
+``write_case(name, tests/data/golden/<name>)``.
 """
 
 import csv

@@ -1062,20 +1062,30 @@ def test_fusion_center_runs_once_per_epoch(monkeypatch):
 
 @pytest.mark.parametrize("local_filter", ["imm_ncv_ncv", "imm_nca_ncv"])
 def test_failing_pairs_cost_one_pass_per_reason(monkeypatch, local_filter):
-    # With an IMM tracker and lag-1 reports every single-step information
-    # difference is indefinite, except (imm_nca_ncv) that of sensor 1,
-    # target 4 at frame 6.  fbe drops all failing pairs of a frame together:
-    # one tracklet batch per frame (two where a pair survives), not one per
-    # failing pair, with one skip record per pair in (sensor, target) order.
+    # Each reported IMM track covariance is replaced by twice its lag-1
+    # prediction, so every pair lost information and its position-marginal
+    # tracklet fails, except (imm_nca_ncv) sensor 1, target 4 at frame 6,
+    # which keeps its own covariance.  fbe drops all failing pairs of a
+    # frame together: one tracklet batch per frame (two where a pair
+    # survives), not one per failing pair, with one skip record per pair in
+    # (sensor, target) order.
     import sensorreg.fusion as fusion
     import sensorreg.harness.simulate as sim
+    from sensorreg.trackers import GaussianEstimate
 
     counts = _count_calls(monkeypatch, (fusion,), ("compute_tracklet",))
     skipped = {}
+    survivor = {"imm_ncv_ncv": [], "imm_nca_ncv": [(1, 4)]}[local_filter]
 
-    def fbe_step(prev, curr, *args):
-        res = step(prev, curr, *args)
-        skipped[int(curr.frame)] = res.skipped
+    def fbe_step(prev, curr, reported, bias, fused, lag_models, sensors):
+        k = int(curr.frame)
+        ms = lag_models(k - prev.frame)
+        cov = 2.0 * (ms.F @ prev.cov @ ms.F.swapaxes(-1, -2) + ms.Q)
+        for s, t in survivor if k == 6 else []:
+            cov[s, t] = curr.cov[s, t]
+        lost = GaussianEstimate(curr.mean, cov, k)
+        res = step(prev, lost, reported, bias, fused, lag_models, sensors)
+        skipped[k] = res.skipped
         return res
 
     step = sim.fbe_step
@@ -1085,14 +1095,53 @@ def test_failing_pairs_cost_one_pass_per_reason(monkeypatch, local_filter):
     sim.run_single(sc, 0, "fbe")
     epochs = sc.update_epochs()
     assert sorted(skipped) == epochs
-    reason = "information difference indefinite; snapshots are inconsistent"
+    reason = "position information difference not positive definite"
     pairs = [(s, t, reason) for s in range(len(sc.sensors)) for t in range(len(sc.targets))]
-    survivor = {"imm_ncv_ncv": [], "imm_nca_ncv": [(1, 4, reason)]}[local_filter]
     for k in epochs:
-        expected = [p for p in pairs if k != 6 or p not in survivor]
+        expected = [p for p in pairs if k != 6 or p[:2] not in survivor]
         assert skipped[k] == expected
     assert counts["compute_tracklet"] == len(epochs) + len(survivor)
     assert sum(map(len, skipped.values())) == 480 - len(survivor)
+
+
+@pytest.mark.parametrize(
+    "local_filter", [{"q": 1.0}, {"type": "imm_ncv_ncv"}], ids=["kf_q1", "imm_ncv_ncv"]
+)
+def test_fbe_and_baseline_run_on_lag1_tracks_of_a_mismatched_filter(
+    monkeypatch, tmp_path, local_filter
+):
+    # Lag-1 tracks of a local filter that the fusion model does not match
+    # (a KF with q = 1.0 against fusion_q = 0.1, or an IMM) have an
+    # indefinite full-state information difference, but their position
+    # marginals do not: fbe skips no pair and keeps the bias accuracy of the
+    # matched KF, and baseline completes.
+    import sensorreg.harness.simulate as sim
+    from sensorreg.cli import main
+
+    sc = load_scenario("two_sensor")
+    matched = run_monte_carlo(sc, "fbe", mc_runs=10)
+    for key, value in local_filter.items():
+        setattr(sc.local_filter, key, value)
+    skipped = []
+    step = sim.fbe_step
+
+    def fbe_step(*args):
+        res = step(*args)
+        skipped.extend(res.skipped)
+        return res
+
+    monkeypatch.setattr(sim, "fbe_step", fbe_step)
+    mismatched = run_monte_carlo(sc, "fbe", mc_runs=10)
+    assert skipped == []
+    ratio = mismatched.bias_rmse[-1] / matched.bias_rmse[-1]
+    assert np.all(np.abs(ratio - 1.0) <= 0.1), ratio
+
+    doc = json.loads(builtin_scenario_path("two_sensor").read_text())
+    doc["local_filter"].update(local_filter)
+    path = tmp_path / "mismatched.json"
+    path.write_text(json.dumps(doc))
+    args = ["--scenario", str(path), "--method", "baseline", "--runs", "10"]
+    assert main(["simulate", *args, "--out", str(tmp_path / "out")]) == 0
 
 
 def test_each_fused_reference_is_one_kf_update(monkeypatch):
@@ -1117,7 +1166,7 @@ def test_exl_builds_all_frames_in_one_pass(monkeypatch):
     import sensorreg.tracklets as tracklets
 
     names = (
-        "tracklet_marginal",
+        "compute_tracklet",
         "tracklet_decorrelated",
         "reconstruct_local_gain",
         "sensor_pseudo_obs",
@@ -1128,7 +1177,7 @@ def test_exl_builds_all_frames_in_one_pass(monkeypatch):
     sc = load_scenario("two_sensor")
     sim.run_single(sc, 0, "exl")
     assert counts == {
-        "tracklet_marginal": 1,
+        "tracklet_decorrelated": 1,
         "reconstruct_local_gain": 1,
         "sensor_pseudo_obs": 1,
         "jacobians_at": 1,

@@ -17,8 +17,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+import sensorreg.fusion as fusion
 import sensorreg.harness.simulate as sim
 from sensorreg.harness import load_scenario
+from sensorreg.trackers import GaussianEstimate
 
 # Largest change of b_series under a target permutation, relative to its
 # largest entry: 2.3e-13 over runs 0-2 of the cases below.
@@ -88,6 +90,61 @@ def test_sensor_permutation_permutes_the_fbe_estimates(name, order):
         else:
             atol = SENSOR_PERMUTATION_RTOL * np.abs(want).max()
             np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+
+
+# Track covariances C(P) of a failing epoch, from each pair's predicted
+# covariance P (stacked over targets), by original sensor number.  Sensor
+# 0's C is indefinite, but P - C is well conditioned; sensor 3's C differs
+# from P in one velocity direction, so P - C is singular and the pair's
+# position information is nil.  A tracklet form chosen per batch, not per
+# pair, would skip sensor 0's pairs in one sensor order and not the other.
+_FAILING_EPOCH_KINDS = {
+    0: lambda P: 0.5 * P - 1e4 * np.diag([0.0, 1.0, 0.0, 1.0]),
+    3: lambda P: P - 10.0 * P[..., 1:2, 1:2] * np.diag([0.0, 1.0, 0.0, 0.0]),
+}
+
+
+def _failing_epoch_run(monkeypatch, sc, truth, sensors, frame):
+    """b_series of an fbe run whose reports at ``frame`` are corrupted per
+    ``_FAILING_EPOCH_KINDS`` (``sensors`` gives the original number of each
+    sensor of ``sc``), and that frame's skip records by original number."""
+    skipped = []
+
+    def corrupted(prev, curr, reported, bias, fused, lag_models, geo):
+        if int(curr.frame) == frame:
+            ms = lag_models(np.broadcast_to(curr.frame - prev.frame, reported.shape))
+            cov = curr.cov.copy()
+            for row, s in enumerate(sensors):
+                if s in _FAILING_EPOCH_KINDS:
+                    P = ms.F[row] @ prev.cov[row] @ ms.F[row].swapaxes(-1, -2) + ms.Q[row]
+                    cov[row] = _FAILING_EPOCH_KINDS[s](P)
+            curr = GaussianEstimate(curr.mean, cov, curr.frame)
+        res = fusion.fbe_step(prev, curr, reported, bias, fused, lag_models, geo)
+        if int(curr.frame) == frame:
+            skipped.extend(sorted((int(sensors[s]), t, why) for s, t, why in res.skipped))
+        return res
+
+    monkeypatch.setattr(sim, "fbe_step", corrupted)
+    return _b_series(sc, truth, "fbe"), skipped
+
+
+def test_sensor_permutation_permutes_a_failing_epoch(monkeypatch):
+    # The skip records and b_series of an epoch in which some pairs fail
+    # permute with the sensors, as those of a clean run do (b_series within
+    # 1.8e-12 of its largest entry over runs 0-2).
+    sc = load_scenario("five_sensor_offset")
+    order = [4, 3, 2, 0, 1]
+    frame = sc.update_epochs()[1]
+    for run in range(2):
+        truth = sim.simulate_truth(sc, run)
+        want, want_skipped = _failing_epoch_run(monkeypatch, sc, truth, range(5), frame)
+        got, got_skipped = _failing_epoch_run(
+            monkeypatch, *_permuted(sc, truth, sensors=order), order, frame
+        )
+        assert want_skipped and {s for s, _, _ in want_skipped} == {3}
+        assert got_skipped == want_skipped
+        atol = SENSOR_PERMUTATION_RTOL * np.abs(want).max()
+        np.testing.assert_allclose(got, want[:, order], rtol=0, atol=atol)
 
 
 def _rotated(sc, angle):

@@ -16,6 +16,7 @@ from sensorreg import (
     kf_predict,
     kf_update,
     ncv_model,
+    raise_first,
     reconstruct_local_gain,
     tracklet_decorrelated,
 )
@@ -35,8 +36,11 @@ curr, record = kf_update(pred, z)
 
 # A tracklet holds positions alone; at a single-step lag it takes the
 # position-marginal (decorrelated) form.
-t = tracklet_decorrelated(prev, curr, model)
-gain = reconstruct_local_gain(t.U, t.pred_cov)
+# Each stage returns its result and its checks as (reason, mask) pairs;
+# raise_first stops at the first check that fails.
+t, faults = tracklet_decorrelated(prev, curr, model)
+gain, gain_faults = reconstruct_local_gain(t.U, t.pred_cov)
+raise_first(faults + gain_faults)
 print("measurement the tracker consumed:", z.z)
 print("equivalent measurement recovered:", np.round(t.u, 6))
 print("gain reconstruction error:", np.abs(gain.W - record.gain).max())
@@ -56,7 +60,8 @@ for k in range(10):
     snapshots.append(est)
 
 ms10 = compose_steps(model, 10)
-t10 = compute_tracklet(snapshots[0], snapshots[10], ms10)
+t10, faults = compute_tracklet(snapshots[0], snapshots[10], ms10)
+raise_first(faults)
 print("\nequivalent measurement:", np.round(t10.u, 1), "truth:", np.round(truth[[0, 2]], 1))
 print("equivalent noise sigma:", np.round(np.sqrt(np.diag(t10.U)), 2), "m")
 print("single measurement sigma: 10.0 m  (the tracklet is worth several)")

@@ -39,7 +39,7 @@ from .errors import (
     ScenarioError,
     SensorRegError,
     SingularMatrixError,
-    TrackletSingularError,
+    raise_first,
 )
 from .fusion import (
     FbeResult,
@@ -88,7 +88,6 @@ __all__ = [
     "SensorRegError",
     "SingularMatrixError",
     "Tracklet",
-    "TrackletSingularError",
     "apply_bias",
     "bias_correct",
     "cart_to_polar",
@@ -108,6 +107,7 @@ __all__ = [
     "nca_model",
     "ncv_model",
     "polar_to_cart",
+    "raise_first",
     "reconstruct_local_gain",
     "rlsb_update",
     "sensor_pseudo_obs",

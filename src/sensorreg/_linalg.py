@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SingularMatrixError, quote_first
+from .errors import SingularMatrixError, quoted, raise_first
 
 _ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -37,8 +37,8 @@ def inv_sym(mat: np.ndarray, context: str = "matrix") -> np.ndarray:
     :class:`SingularMatrixError` marking the failing batch elements."""
     try:
         out = np.linalg.inv(mat)
-    except np.linalg.LinAlgError as exc:
-        raise _singular(context, mat, fails_alone(np.linalg.inv, mat)) from exc
+    except np.linalg.LinAlgError:
+        raise_first([singular(context, mat, fails_alone(np.linalg.inv, mat))], SingularMatrixError)
     # A single reduction flags any inf/nan the factorization let through.
     if not np.isfinite(out.sum()):
         bad = ~np.isfinite(out).all(axis=(-2, -1))
@@ -46,23 +46,23 @@ def inv_sym(mat: np.ndarray, context: str = "matrix") -> np.ndarray:
     return out
 
 
-def cholesky(mat: np.ndarray, context: str = "matrix") -> np.ndarray:
+def cholesky(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cholesky factors of symmetric positive definite matrices on the last
-    two axes (any size).
+    two axes (any size), and the mask of the factored ones.
 
-    An element that is not positive definite, or whose factor is not finite
-    (LAPACK lets NaN entries through), fails: :class:`SingularMatrixError`
-    marks every such batch element.
+    An element that is not positive definite, or whose factor is not
+    finite (LAPACK lets NaN entries through), is off the mask and factored
+    as the identity: a batch with failures in place of an error.
     """
     try:
         L = np.linalg.cholesky(mat)
         if np.isfinite(L.sum()):
-            return L
+            return L, np.ones(mat.shape[:-2], dtype=bool)
     except np.linalg.LinAlgError:
         pass
     # Error path only: factor each matrix of the batch alone.
-    failed = fails_alone(np.linalg.cholesky, mat, finite=True)
-    raise SingularMatrixError(f"{context} is not positive definite", failed)
+    ok = ~fails_alone(np.linalg.cholesky, mat, finite=True)
+    return np.linalg.cholesky(np.where(ok[..., None, None], mat, np.eye(mat.shape[-1]))), ok
 
 
 def fails_alone(factor, mat: np.ndarray, finite: bool = False) -> np.ndarray:
@@ -80,11 +80,10 @@ def fails_alone(factor, mat: np.ndarray, finite: bool = False) -> np.ndarray:
     return np.vectorize(fails, signature="(n,n)->()", otypes=[bool])(mat)
 
 
-def _singular(context: str, mat: np.ndarray, bad: np.ndarray) -> SingularMatrixError:
-    """The error for the singular elements ``bad`` of ``mat``, quoting the
-    condition number of the first."""
-    cond, failed = quote_first("%.3e", bad, sym_cond(mat[bad]))
-    return SingularMatrixError(f"{context} is singular (cond ~ {cond})", failed)
+def singular(context: str, mat: np.ndarray, bad: np.ndarray) -> tuple:
+    """The fault ``(reasons, bad)`` of the singular elements ``bad`` of
+    ``mat``, each reason quoting that element's condition number."""
+    return quoted(f"{context} is singular (cond ~ %.3e)", bad, lambda: sym_cond(mat[bad])), bad
 
 
 def det_spd2(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -109,7 +108,7 @@ def inv_spd2(mat: np.ndarray, context: str = "matrix") -> tuple[np.ndarray, np.n
     """
     det, ok = det_spd2(mat)
     if not ok.all():
-        raise _singular(context, mat, ~ok)
+        raise_first([singular(context, mat, ~ok)], SingularMatrixError)
     return _cofactor_inverse(mat, det), det
 
 
@@ -142,9 +141,9 @@ def solve_psd(mat: np.ndarray, rhs: np.ndarray, context: str = "matrix") -> np.n
     """
     try:
         return np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError:
         # Error path only: factor each matrix of the batch alone.
-        raise _singular(context, mat, fails_alone(np.linalg.inv, mat)) from exc
+        raise_first([singular(context, mat, fails_alone(np.linalg.inv, mat))], SingularMatrixError)
 
 
 def sym_cond(mat: np.ndarray) -> np.ndarray:

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import cholesky, det_spd2, inv_spd2, mt, mv, solve_psd, symmetrize
+from ._linalg import cholesky, det_spd2, inv_spd2, inv_spd2_masked, mt, mv, solve_psd, symmetrize
 from .coords import BiasJacobians
 from .dynamics import MotionModel
-from .errors import NumericalError
 from .trackers import GaussianEstimate
 
 __all__ = [
@@ -128,10 +127,10 @@ def difference_pseudo_measurement(
 
 
 def pseudo_measurement_faults(pm: PseudoMeasurement) -> list[tuple[str, np.ndarray]]:
-    """The checks of :func:`bias_information`, in order, each as its reason
-    and the mask, over the batch axes of ``pm``, of the pseudo-measurements
-    that fail it: ``R`` not positive definite, then ``z`` or ``H`` not
-    finite."""
+    """The checks that :func:`bias_information` needs its input to pass, in
+    order, each as its reason and the mask, over the batch axes of ``pm``,
+    of the pseudo-measurements that fail it: ``R`` not positive definite,
+    then ``z`` or ``H`` not finite."""
     return [
         ("pseudo-measurement covariance not positive definite", ~det_spd2(pm.R)[1]),
         (
@@ -144,25 +143,21 @@ def pseudo_measurement_faults(pm: PseudoMeasurement) -> list[tuple[str, np.ndarr
 def bias_information(pm: PseudoMeasurement) -> tuple[np.ndarray, np.ndarray]:
     """Bias information ``(sum_j H_j' R_j^-1 H_j, sum_j H_j' R_j^-1 z_j)``,
     (..., d, d) and (..., d), of each stack on axis -3 of ``pm``, its 2m
-    observations the rows of one matmul.  Raises :class:`NumericalError`
-    for the first check of :func:`pseudo_measurement_faults` that any
-    pseudo-measurement fails, marking every one that fails it over the
-    batch axes of ``pm``."""
-    for reason, failed in pseudo_measurement_faults(pm):
-        if failed.any():
-            raise NumericalError(reason, failed)
-    R_inv, _ = inv_spd2(pm.R)
+    observations the rows of one matmul.  The pseudo-measurements must pass
+    :func:`pseudo_measurement_faults`, which the callers screen."""
+    R_inv, _ = inv_spd2_masked(pm.R)
     rows = pm.H.shape[:-3] + (2 * pm.H.shape[-3], pm.H.shape[-1])
     Ht = mt(pm.H.reshape(rows))
     return Ht @ (R_inv @ pm.H).reshape(rows), mv(Ht, mv(R_inv, pm.z).reshape(rows[:-1]))
 
 
-def rlsb_update(est: BiasEstimate, pm: PseudoMeasurement) -> BiasEstimate:
+def rlsb_update(est: BiasEstimate, pm: PseudoMeasurement) -> tuple[BiasEstimate, list]:
     """Recursive least-squares update that folds a stack of
     pseudo-measurements in one Joseph-form step.
 
     After the estimate's batch axes, ``pm`` carries an observation axis of
-    length m (a single pseudo-measurement is the stack m = 1).  The stack
+    length m (a single pseudo-measurement is the stack m = 1), whose
+    pseudo-measurements pass :func:`pseudo_measurement_faults`.  The stack
     enters as the :func:`bias_information` ``(J, j)`` of its innovations
     ``z - H b``, so every matrix the update solves or factors is d x d:
     ``Sigma+ = L (I + L' J L)^-1 L'`` for the Cholesky factor ``L`` of
@@ -172,19 +167,20 @@ def rlsb_update(est: BiasEstimate, pm: PseudoMeasurement) -> BiasEstimate:
     ``H = 0``, ``z = 0`` and ``R = I`` contributes nothing, which pads
     stacks of unequal length.
 
-    Raises, with ``failed`` over the estimate's batch axes, the error of
-    :func:`bias_information`, or :class:`SingularMatrixError` when the
-    incoming or updated bias covariance is not positive definite.
+    Returns the estimate and its checks, over the estimate's batch axes, in
+    order: the incoming, then the updated bias covariance, not positive
+    definite.  An estimate that fails the first folds from a stand-in.
     """
-    L = cholesky(est.Sigma, context="bias covariance")
+    L, ok_in = cholesky(est.Sigma)
     # Innovations in place of z spare b+ the cancellation of j_z - J b.
     innovations = PseudoMeasurement(z=pm.z - mv(pm.H, est.b[..., None, :]), H=pm.H, R=pm.R)
-    try:
-        info, info_z = bias_information(innovations)
-    except NumericalError as exc:
-        raise NumericalError(exc.reason, exc.failed.any(axis=-1)) from exc
+    info, info_z = bias_information(innovations)
     post = L @ solve_psd(np.eye(est.dim) + mt(L) @ info @ L, mt(L))
     M = np.eye(est.dim) - post @ info
     Sigma = symmetrize(M @ est.Sigma @ mt(M) + post @ info @ mt(post))
-    cholesky(Sigma, context="bias covariance")
-    return BiasEstimate(b=est.b + mv(post, info_z), Sigma=Sigma)
+    _, ok_out = cholesky(Sigma)
+    reason = "bias covariance is not positive definite"
+    return BiasEstimate(b=est.b + mv(post, info_z), Sigma=Sigma), [
+        (reason, ~ok_in),
+        (reason, ~ok_out),
+    ]

@@ -13,16 +13,6 @@ def first_index(bad: np.ndarray) -> tuple[int, ...] | None:
     return tuple(int(i) for i in hits[0]) if hits.size else None
 
 
-def quote_first(fmt: str, bad: np.ndarray, values: np.ndarray) -> tuple[str, np.ndarray]:
-    """The first of ``values`` (one per True entry of ``bad``) as ``fmt``
-    reads it, and the mask of the leading run of entries of ``bad`` whose
-    value reads the same: an error quoting the value covers only those."""
-    text = np.char.mod(fmt, values)
-    failed = np.array(bad, dtype=bool)
-    failed[bad] = np.logical_and.accumulate(text == text[0])
-    return str(text[0]), failed
-
-
 def at_index(index: tuple[int, ...] | None) -> str:
     """Message suffix naming a batch index; empty for a batch-free one."""
     return "" if not index else f" at batch index {[int(i) for i in index]}"
@@ -36,13 +26,16 @@ class NumericalError(SensorRegError):
     """A computation failed for numerical reasons (singularity, loss of
     definiteness, non-finite values).
 
-    ``failed`` marks, on the leading batch axes of a batched computation,
-    the elements that failed the check with this message (0-d for a
-    batch-free one): every one, or, where the message quotes a value, the
-    leading run in index order of those that read the same.  ``index``
-    locates the first of them (None for a batch-free one).  ``reason`` is
-    the message without that location: the message appends the batch index
-    unless ``named``, for a reason that already names the place.
+    A stage whose failures a caller may skip returns its checks as
+    ``(reason, failed)`` pairs in place of raising: a caller that skips what
+    fails (:func:`sensorreg.fusion.fbe_step`) reads them, and one that must
+    stop raises the first through :func:`raise_first`.  ``failed`` marks,
+    on the leading batch axes of a batched computation, every element that
+    failed the check (0-d for a batch-free one).  ``index`` locates the
+    first of them (None for a batch-free one), and a message that quotes a
+    value quotes that element's.  ``reason`` is the message without that
+    location: the message appends the batch index unless ``named``, for a
+    reason that already names the place.
     """
 
     def __init__(self, reason: str, failed=True, *, named: bool = False) -> None:
@@ -56,12 +49,48 @@ class SingularMatrixError(NumericalError):
     """A matrix that must be inverted is singular or too ill-conditioned."""
 
 
-class TrackletSingularError(SingularMatrixError):
-    """The covariance difference used by the inverse-filter tracklet is
-    (near-)singular; ``compute_tracklet`` gives such elements the
-    position-marginal form.  ``failed`` marks every such element; the
-    message quotes the first.
+def quoted(template: str, failed: np.ndarray, values) -> str | np.ndarray:
+    """The reasons of a check whose message quotes each element's value:
+    ``template % value`` at each element ``failed`` marks, ``values()``
+    giving their values in index order (called only when one fails), and
+    None elsewhere; ``template`` itself when none fails."""
+    if not failed.any():
+        return template
+    out = np.full(failed.shape, None, dtype=object)
+    out[failed] = [template % value for value in values()]
+    return out
+
+
+def _reason(reason, index) -> str:
+    return reason if isinstance(reason, str) else reason[index or ()]
+
+
+def raise_first(faults, error: type = NumericalError) -> None:
+    """Raise the first of ``faults`` that any element fails.
+
+    Each fault is a ``(reason, failed)`` pair, in check order: ``failed``
+    marks the elements that fail the check, and ``reason`` is its message,
+    or an array of one message per element (:func:`quoted`).  The
+    ``error`` (a :class:`NumericalError` or a subclass) marks every element
+    that fails the check and quotes the reason of the first.
     """
+    for reason, failed in faults:
+        failed = np.asarray(failed, dtype=bool)
+        if failed.any():
+            raise error(_reason(reason, first_index(failed)), failed)
+
+
+def first_faults(faults, keep) -> tuple[list, np.ndarray]:
+    """The first of ``faults`` (as for :func:`raise_first`) that each
+    element ``keep`` marks fails: a list of ``(index, reason)`` in (check,
+    index) order, and the mask of the kept elements that fail none."""
+    found = []
+    for reason, failed in faults:
+        if failed.any():
+            failed = failed & keep
+            found += [(i, _reason(reason, i)) for i in map(tuple, np.argwhere(failed))]
+            keep = keep & ~failed
+    return found, keep
 
 
 @contextmanager

@@ -9,17 +9,20 @@ estimated against a leave-one-out fused reference, one update with all
 other sensors' bias-corrected tracklets, which reduces the multisensor
 problem to a sequence of two-sensor problems with a single biased side.
 
-Each stage of an epoch is one batched call on position tracklets.  The
-local stage (tracklet, gain, frame-start bias correction) runs on the
-reported pairs and still retries: its checks raise rather than returning
-masks, so a failing pair is dropped and the rest run again.  Each pair's
-tracklet form and checks depend on that pair alone, so the pairs a frame
-skips do not depend on their order.  Every later stage works on the
-(sensor, target) grid with a mask, giving an element off the mask a
-stand-in whose result is discarded, and :func:`sfa` handles its failures
-the same way.  The stacked bias fold still drops a failing sensor and
-folds the rest again, since :func:`rlsb_update` raises rather than
-returning a mask (ROADMAP item 6).
+Each stage of an epoch is one batched call on position tracklets, made
+once whatever fails.  No check raises for a skip: each stage returns its
+checks as ``(reason, failed)`` masks over its batch, in check order
+(:func:`reconstruct_local_gain`, :func:`bias_correct`, like
+:func:`~sensorreg.tracklets.compute_tracklet`,
+:func:`~sensorreg.bias.rlsb_update` and
+:func:`~sensorreg.bias.pseudo_measurement_faults`), and an element that
+fails one holds a stand-in.  :func:`fbe_step` skips each element with the
+first check it fails and records it; a caller that must stop raises the
+first fault through :func:`~sensorreg.errors.raise_first`.  The local stage
+(tracklet, gain, frame-start bias correction) runs on the reported pairs,
+and every later stage works on the (sensor, target) grid with a mask,
+giving an element off the mask a stand-in whose result is discarded.
+:func:`sfa` logs its failures from the same masks.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import det_spd2, inv_spd2, inv_spd2_masked, mt, mv, symmetrize
+from ._linalg import det_spd2, inv_spd2_masked, mt, mv, singular, symmetrize
 from .bias import (
     BiasEstimate,
     PseudoMeasurement,
@@ -47,7 +50,7 @@ from .coords import (
     wrap_angle,
 )
 from .dynamics import LagModels, MotionModel
-from .errors import NumericalError, at_index, located, quote_first
+from .errors import at_index, first_faults, located, quoted
 from .trackers import GaussianEstimate, kf_predict, kf_update
 from .tracklets import Tracklet, compute_tracklet
 
@@ -118,7 +121,9 @@ class SensorModel:
 _SELECT_POSITIONS = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 
 
-def reconstruct_local_gain(R: np.ndarray, pred_cov: np.ndarray) -> ReconstructedGain:
+def reconstruct_local_gain(
+    R: np.ndarray, pred_cov: np.ndarray
+) -> tuple[ReconstructedGain, list]:
     """Recover the equivalent measurement noise and gain (R, W) of a local
     track.
 
@@ -127,14 +132,19 @@ def reconstruct_local_gain(R: np.ndarray, pred_cov: np.ndarray) -> Reconstructed
     follows from the predicted covariance ``pred_cov`` exactly as in a
     position-updating filter.  Leading batch axes carry through to ``W``
     (..., 4, 2) and ``R`` (..., 2, 2).
+
+    Returns the gain and its checks, in order: ``R``, then the innovation
+    covariance, not positive definite.
     """
     R = symmetrize(R)
     _, ok = det_spd2(R)
-    if not ok.all():
-        raise NumericalError("tracklet position covariance not positive definite", ~ok)
     # Positions sit at indices 0 and 2 of the 4-dim state.
-    S_inv, _ = inv_spd2(pred_cov[..., ::2, ::2] + R, context="gain innovation covariance")
-    return ReconstructedGain(W=pred_cov[..., :, ::2] @ S_inv, R=R)
+    S = pred_cov[..., ::2, ::2] + R
+    S_inv, invertible = inv_spd2_masked(S)
+    return ReconstructedGain(W=pred_cov[..., :, ::2] @ S_inv, R=R), [
+        ("tracklet position covariance not positive definite", ~ok),
+        singular("gain innovation covariance", S, ~invertible),
+    ]
 
 
 def bias_correct(
@@ -142,7 +152,7 @@ def bias_correct(
     bias: BiasEstimate,
     noise: tuple,
     origin=(0.0, 0.0),
-) -> CartesianMeasurement:
+) -> tuple[CartesianMeasurement, list]:
     """Remove the current bias estimate from position tracklets in polar
     coordinates.
 
@@ -158,70 +168,37 @@ def bias_correct(
     The tracklet, the bias estimate, the noise levels and ``origin`` (..., 2)
     may carry the same leading batch axes (one reporting sensor per element).
 
-    Raises :class:`NumericalError` marking the elements that fail the first
-    failing check.
+    Returns the measurement and its checks, in order: a tracklet position
+    at the sensor, an estimated scale factor that is not positive, and a
+    corrected range that is not positive (each reason quoting its range).
+    An element that fails one holds a stand-in.
     """
     sigma_r, sigma_theta = noise
     r_raw, theta_raw = (np.asarray(v) for v in cart_to_polar(t.u, origin))
     batch = r_raw.shape
-    if (r_raw == 0.0).any():
-        raise NumericalError("tracklet position coincides with the sensor", r_raw == 0.0)
 
     b = bias.b
     b_r, b_theta = b[..., 0], b[..., 1]
-    eps_r = eps_theta = 0.0
+    scale_r = scale_theta = 1.0
     if bias.dim >= 4:
-        eps_r, eps_theta = b[..., 2], b[..., 3]
-    bad = np.logical_or(1.0 + eps_r <= 0.0, 1.0 + eps_theta <= 0.0)
-    if bad.any():
-        raise NumericalError(
-            "estimated scale bias leaves non-positive scale factor", np.broadcast_to(bad, batch)
-        )
-    theta_bc = wrap_angle((theta_raw - b_theta) / (1.0 + eps_theta))
-    r_bc = (r_raw - b_r) / (1.0 + eps_r)
+        scale_r, scale_theta = 1.0 + b[..., 2], 1.0 + b[..., 3]
+    unscaled = np.broadcast_to((scale_r <= 0.0) | (scale_theta <= 0.0), batch)
+    # A failed scale factor divides by a stand-in of 1.
+    scale_r, scale_theta = np.where(unscaled, 1.0, scale_r), np.where(unscaled, 1.0, scale_theta)
+    theta_bc = wrap_angle((theta_raw - b_theta) / scale_theta)
+    r_bc = (r_raw - b_r) / scale_r
     bad = r_bc <= 0.0
-    if bad.any():
-        r_text, failed = quote_first("%.3f", bad, r_bc[bad])
-        raise NumericalError(f"corrected range non-positive ({r_text} m)", failed)
+    faults = [
+        ("tracklet position coincides with the sensor", r_raw == 0.0),
+        ("estimated scale bias leaves non-positive scale factor", unscaled),
+        (quoted("corrected range non-positive (%.3f m)", bad, lambda: r_bc[bad]), bad),
+    ]
 
     y = polar_to_cart(r_bc, theta_bc, sigma_theta, origin)
     K = jacobians_at(r_bc, theta_bc).K[..., : bias.dim]
     noise_cov = converted_covariance(r_bc, theta_bc, sigma_r, sigma_theta)
     R = t.U + noise_cov + K @ bias.Sigma @ mt(K)
-    return CartesianMeasurement(z=y, R=symmetrize(R))
-
-
-def _without_failures(run, keep: np.ndarray, record):
-    """Return ``(keep, run(keep))`` for the elements ``keep`` of a flat
-    batch (an index array).
-
-    Elements that fail a numerical check are dropped together: ``run``
-    raised a :class:`NumericalError` whose ``failed`` marks them on the
-    axis of ``keep``, each goes to ``record(element, error)``, and the
-    remaining elements run again, so a batch runs once per distinct
-    failure, with the records and survivors of dropping one failed element
-    at a time.  The result is None when every element failed.
-    """
-    while keep.size:
-        try:
-            return keep, run(keep)
-        except NumericalError as exc:
-            if exc.failed.shape != keep.shape or not exc.failed.any():
-                raise
-            for element in keep[exc.failed]:
-                record(element, exc)
-            keep = keep[~exc.failed]
-    return keep, None
-
-
-def _log_failures(failed: np.ndarray, alone) -> None:
-    """Log, for each element ``failed`` marks, in index order, the reason
-    that ``alone(index)``, its failing step run on it alone, raises."""
-    for index in map(tuple, np.argwhere(failed)):
-        try:
-            alone(index)
-        except NumericalError as exc:
-            log.warning("skipping the fused update%s: %s", at_index(index), exc.reason)
+    return CartesianMeasurement(z=y, R=symmetrize(R)), faults
 
 
 def sfa(
@@ -274,26 +251,26 @@ def sfa(
 
     live = used.any(axis=-1)
     R_eq, combined = inv_spd2_masked(info_sum, live)
-    failed = live & ~combined
-    if failed.any():
-        _log_failures(
-            failed, lambda i: inv_spd2(info_sum[i], context="combined measurement information")
-        )
-        info_y[failed] = 0.0
-    live = combined
+    info_y[live & ~combined] = 0.0
     eq = CartesianMeasurement(mv(R_eq, info_y), symmetrize(R_eq))
     # The innovation covariance that kf_update inverts.
-    _, ok = det_spd2(pred.cov[..., ::2, ::2] + eq.R)
+    S = pred.cov[..., ::2, ::2] + eq.R
+    _, ok = det_spd2(S)
+    found, live = first_faults(
+        [
+            singular("combined measurement information", info_sum, live & ~combined),
+            singular("innovation covariance", S, live & ~ok),
+        ],
+        live,
+    )
+    for index, reason in found:
+        log.warning("skipping the fused update%s: %s", at_index(index), reason)
     prior = pred
     if not ok.all():
-        _log_failures(
-            live & ~ok, lambda i: kf_update(pred[i], CartesianMeasurement(eq.z[i], eq.R[i]))
-        )
         prior = GaussianEstimate(
             np.where(ok[..., None], pred.mean, 0.0),
             np.where(ok[..., None, None], pred.cov, np.eye(pred.dim)),
         )
-        live &= ok
     est, _ = kf_update(prior, eq)
     # Elements off the mask keep the prediction and fold no measurement.
     off = ~live
@@ -314,11 +291,11 @@ class FbeResult:
     ``used`` (S, T, S) marks the sensors fused into each reference updated
     this frame.  ``live`` (S, T) marks the pairs whose tracklet, gain and
     bias correction succeeded, and ``tracklets`` holds their tracklets on
-    one leading axis, in row-major (sensor, target) order (None when no pair
-    is live).  ``skipped`` lists a ``(sensor, target, reason)`` tuple per
-    pair, or per bias pseudo-measurement, that failed a numerical check, and
-    a ``(sensor, None, reason)`` tuple per sensor whose stacked bias update
-    failed (that sensor keeps its estimate).
+    one leading axis, in row-major (sensor, target) order (None when fewer
+    than two sensors reported).  ``skipped`` lists a ``(sensor, target,
+    reason)`` tuple per pair, or per bias pseudo-measurement, that failed a
+    numerical check, and a ``(sensor, None, reason)`` tuple per sensor whose
+    stacked bias update failed (that sensor keeps its estimate).
     """
 
     bias_states: BiasEstimate
@@ -353,12 +330,15 @@ def fbe_step(
             instance per run composes each lag once.
         sensors: geometry and noise levels of every sensor (S elements).
 
-    Returns a :class:`FbeResult`.  Each stage is one batched call.
+    Returns a :class:`FbeResult`.  Each stage is one batched call, whatever
+    fails, and every check is a mask, not an error to retry around.
 
     The local stage (tracklet, gain reconstruction, frame-start bias
-    correction) runs on the reported pairs gathered flat.  A pair failing a
-    numerical check there is skipped, every pair failing the same check in
-    one pass, and the rest run again (ROADMAP item 6).
+    correction) runs on the reported pairs gathered flat.  Its checks come
+    back as ``(reason, failed)`` masks in stage and check order, and a pair
+    that fails one is skipped with the first it fails, the records in
+    (check, pair) order.  Each pair's tracklet form and checks depend on
+    that pair alone, so the skipped pairs do not depend on their order.
 
     Every later stage runs on the (S, T) grid under the mask of the live
     pairs whose target has another live sensor: the leave-one-out
@@ -367,10 +347,9 @@ def fbe_step(
     mask carry stand-ins (a position-selecting gain, zero positions) whose
     results are discarded.  A pseudo-measurement that fails a check of
     :func:`pseudo_measurement_faults` is dropped and recorded.  Each sensor
-    with a pseudo-measurement left folds all of them in one stacked
-    :func:`rlsb_update`; a sensor whose fold fails keeps its estimate and
-    the rest fold again, since the fold raises rather than returning a mask
-    (ROADMAP item 6).  A rank-deficient gain of a masked pair raises the
+    folds its pseudo-measurements in one stacked :func:`rlsb_update` over
+    every sensor; a sensor whose fold fails a check keeps its estimate and
+    is recorded.  A rank-deficient gain of a masked pair raises the
     :class:`NumericalError` of :func:`sensor_pseudo_obs` as
     ``sensor s, target t, frame k: <reason>``, its ``failed`` over (S, T).
 
@@ -396,45 +375,33 @@ def fbe_step(
     # every reported pair (a sensor's corrected measurement is the same in
     # every leave-one-out set it belongs to).
     lagged = lag_models(np.broadcast_to(curr.frame - prev.frame, (n_s, n_t)))
-    pairs = np.nonzero(reported)
-
-    def local(k):
-        s, t = pairs[0][k], pairs[1][k]
-        tl = compute_tracklet(prev[s, t], curr[s, t], lagged[s, t])
-        gain = reconstruct_local_gain(tl.U, tl.pred_cov)
-        geo = sensors[s]
-        corrected = bias_correct(
-            tl, bias_states[s], (geo.sigma_r, geo.sigma_theta), origin=geo.position
-        )
-        return tl, gain, corrected
-
-    def skip_pair(i, exc):
-        res.skipped.append((int(pairs[0][i]), int(pairs[1][i]), exc.reason))
-
-    keep, local_out = _without_failures(local, np.arange(pairs[0].size), skip_pair)
-    if local_out is None:
-        return res
-    tl, g_s, corrected = local_out
-    res.tracklets = tl
-    ls, lt = pairs[0][keep], pairs[1][keep]
+    ps, pt = np.nonzero(reported)
+    tl, faults = compute_tracklet(prev[ps, pt], curr[ps, pt], lagged[ps, pt])
+    g_s, gain_faults = reconstruct_local_gain(tl.U, tl.pred_cov)
+    geo = sensors[ps]
+    corrected, bias_faults = bias_correct(
+        tl, bias_states[ps], (geo.sigma_r, geo.sigma_theta), origin=geo.position
+    )
+    found, ok = first_faults(faults + gain_faults + bias_faults, np.ones(ps.size, dtype=bool))
+    res.skipped += [(int(ps[i]), int(pt[i]), reason) for (i,), reason in found]
+    res.tracklets = Tracklet(u=tl.u[ok], U=tl.U[ok], pred_cov=tl.pred_cov[ok])
+    ls, lt = ps[ok], pt[ok]
     res.live[ls, lt] = True
     # The references: live pairs whose target has another live sensor.
     ref = res.live & (res.live.sum(axis=0) >= 2)
-    if not ref.any():
-        return res
 
     # Local outputs on the grid: corrected measurements target-major, so
     # that each target's row holds one slot per sensor; gains, their noise
     # and tracklet positions sensor-major, with stand-ins off the mask.
     y = np.zeros((n_t, n_s, 2))
     R = np.zeros((n_t, n_s, 2, 2))
-    y[lt, ls], R[lt, ls] = corrected.z, corrected.R
+    y[lt, ls], R[lt, ls] = corrected.z[ok], corrected.R[ok]
     W = np.zeros((n_s, n_t, 4, 2))
-    W[ls, lt] = g_s.W
+    W[ls, lt] = g_s.W[ok]
     W[~ref] = _SELECT_POSITIONS
     R_g = np.zeros((n_s, n_t, 2, 2))
     u = np.zeros((n_s, n_t, 2))
-    R_g[ls, lt], u[ls, lt] = g_s.R, tl.u
+    R_g[ls, lt], u[ls, lt] = g_s.R[ok], res.tracklets.u
 
     # Leave-one-out fused reference of every pair on the mask from the
     # other sensors' bias-corrected tracklets of its target.  The reference
@@ -481,23 +448,13 @@ def fbe_step(
     # A pseudo-measurement that fails a check is dropped; it and every pair
     # without one are padded with H = 0, z = 0, R = I, which contribute
     # nothing to the stacked fold of each sensor over its targets.
-    usable = ref.copy()
-    for reason, failed in pseudo_measurement_faults(pm):
-        failed &= usable
-        if failed.any():
-            res.skipped += [(int(s), int(t), reason) for s, t in zip(*np.nonzero(failed))]
-            usable &= ~failed
+    found, usable = first_faults(pseudo_measurement_faults(pm), ref)
+    res.skipped += [(int(s), int(t), reason) for (s, t), reason in found]
     z = np.where(usable[..., None], pm.z, 0.0)
     H = np.where(usable[..., None, None], pm.H, 0.0)
     R = np.where(usable[..., None, None], pm.R, np.eye(2))
-
-    def fold(rows):
-        return rlsb_update(res.bias_states[rows], PseudoMeasurement(z[rows], H[rows], R[rows]))
-
-    def skip_fold(s, exc):
-        res.skipped.append((int(s), None, exc.reason))
-
-    rows, est = _without_failures(fold, np.flatnonzero(usable.any(axis=1)), skip_fold)
-    if est is not None:
-        res.bias_states.b[rows], res.bias_states.Sigma[rows] = est.b, est.Sigma
+    est, fold_faults = rlsb_update(res.bias_states, PseudoMeasurement(z, H, R))
+    found, folded = first_faults(fold_faults, usable.any(axis=1))
+    res.skipped += [(int(s), None, reason) for (s,), reason in found]
+    res.bias_states.b[folded], res.bias_states.Sigma[folded] = est.b[folded], est.Sigma[folded]
     return res

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .._linalg import cholesky, solve_psd
-from ..errors import NumericalError, located, quote_first
+from ..errors import NumericalError, SingularMatrixError, located, raise_first
 from .scenario import Scenario
 
 __all__ = [
@@ -202,7 +202,8 @@ def nees_series(errors: np.ndarray, covariances: np.ndarray) -> NeesResult:
 
     with located(where):
         # The Cholesky factors only screen; the LU solve sets the values.
-        cholesky(covariances, context="covariance")
+        screen = ("covariance is not positive definite", ~cholesky(covariances)[1])
+        raise_first([screen], SingularMatrixError)
         sol = solve_psd(covariances, errors[..., None], context="covariance")
     vals = (errors[..., None, :] @ sol)[..., 0, 0]
     lo, hi = chi2_band(d, runs)
@@ -275,9 +276,8 @@ def aggregate_runs(scenario: Scenario, method: str, outs: list) -> RunMetrics:
         fused_sq = forward_fill(np.stack([o.fused_sqerr for o in outs]))
         bad = ~np.isfinite(fused_sq)
         if bad.any():
-            value, failed = quote_first("%g", bad, fused_sq[bad])
             with located(lambda r, k: f"non-finite fused track error at run {r}, frame {k}"):
-                raise NumericalError(value, failed)
+                raise NumericalError(f"{fused_sq[bad][0]:g}", bad)
 
     bias = {}
     if outs[0].b_series is not None:

@@ -33,7 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._linalg import inv_sym, mv, symmetrize
-from ..bias import BiasEstimate, PseudoMeasurement, bias_information, sensor_pseudo_obs
+from ..bias import (
+    BiasEstimate,
+    PseudoMeasurement,
+    bias_information,
+    pseudo_measurement_faults,
+    sensor_pseudo_obs,
+)
 from ..coords import (
     CONVERSION_VALIDITY_LIMIT,
     BiasVector,
@@ -46,7 +52,7 @@ from ..coords import (
     wrap_angle,
 )
 from ..dynamics import LagModels, ncv_model, nca_model, turn_model
-from ..errors import NumericalError, ScenarioError, located, quote_first
+from ..errors import NumericalError, ScenarioError, located, raise_first
 from ..fusion import (
     bias_correct,
     fbe_step,
@@ -442,9 +448,11 @@ def _run_fbe(scenario: Scenario, truth: TruthData, tracks: LocalTracks):
         if res.tracklets is not None:
             ls, lt = np.nonzero(res.live)
             geo = sensors[ls]
-            c = bias_correct(
+            c, faults = bias_correct(
                 res.tracklets, bias[ls], (geo.sigma_r, geo.sigma_theta), origin=geo.position
             )
+            with located(lambda i: f"sensor {ls[i]}, target {lt[i]}, frame {k}"):
+                raise_first(faults)
             y[lt, ls], R[lt, ls] = c.z, c.R
         return CartesianMeasurement(y, R), res.live.T
 
@@ -478,8 +486,9 @@ def _run_stacked(
     curr = GaussianEstimate(tracks.mean[:, :, 1:], tracks.cov[:, :, 1:], frame=frames)
     with located(lambda s, t, j: f"sensor {s}, target {t}, frame {j + 1}"):
         if reconstructed:
-            trk = tracklet_decorrelated(prev, curr, ms1)
-            gain = reconstruct_local_gain(trk.U, trk.pred_cov)
+            trk, faults = tracklet_decorrelated(prev, curr, ms1)
+            gain, gain_faults = reconstruct_local_gain(trk.U, trk.pred_cov)
+            raise_first(faults + gain_faults)
             W, R = gain.W, gain.R
             r_m, t_m = cart_to_polar(trk.u, positions)
         else:
@@ -499,7 +508,8 @@ def _run_stacked(
     info[0] = np.diag(np.tile(scenario.bias_prior_sigma(), 2) ** -2)
     info_z = np.zeros((K + 1, 4))
     with located(lambda j, t: f"frame {j + 1}, target {t}"):
-        info[1:], info_z[1:] = bias_information(pm)
+        raise_first(pseudo_measurement_faults(pm))
+    info[1:], info_z[1:] = bias_information(pm)
     sigma = symmetrize(inv_sym(np.cumsum(info, axis=0), context="bias information"))
     return mv(sigma, np.cumsum(info_z, axis=0))[:, None], sigma[:, None], None
 
@@ -513,13 +523,12 @@ def _run_baseline(scenario: Scenario, truth: TruthData, tracks: LocalTracks):
     def epoch(k: int, last: np.ndarray, reporting: np.ndarray):
         sel = np.flatnonzero(reporting)
         lags = np.broadcast_to((k - last[sel])[:, None], (sel.size, n_t))
+        trk, faults = compute_tracklet(
+            tracks.reports(last)[sel], tracks.estimate(sel, slice(None), k), lag_models(lags)
+        )
+        g, gain_faults = reconstruct_local_gain(trk.U, trk.pred_cov)
         with located(lambda i, t: f"sensor {sel[i]}, target {t}, frame {k}"):
-            trk = compute_tracklet(
-                tracks.reports(last)[sel],
-                tracks.estimate(sel, slice(None), k),
-                lag_models(lags),
-            )
-            g = reconstruct_local_gain(trk.U, trk.pred_cov)
+            raise_first(faults + gain_faults)
         y = np.zeros((n_t, n_s, 2))
         R = np.zeros((n_t, n_s, 2, 2))
         y[:, sel], R[:, sel] = trk.u.swapaxes(0, 1), g.R.swapaxes(0, 1)
@@ -581,12 +590,13 @@ def _check_finite(
             continue
         bad = ~np.isfinite(arr)
         if bad.any():
-            value, failed = quote_first("%g", bad, arr[bad])
             with located(
                 lambda *index: f"run {run_index}: non-finite {what} at "
                 + ", ".join(f"{a} {i}" for a, i in zip(axes, index))
             ):
-                raise NumericalError(value, failed.reshape(bad.shape[: len(axes)] + (-1,)).any(-1))
+                raise NumericalError(
+                    f"{arr[bad][0]:g}", bad.reshape(bad.shape[: len(axes)] + (-1,)).any(-1)
+                )
 
 
 def _run_task(args):

@@ -10,7 +10,8 @@ form per element: the position block of the inverse-filter construction
 prediction and update is safely invertible, and the information difference
 of the position marginals (:func:`tracklet_decorrelated`), which also covers
 the single-step case, everywhere else.  Each element's tracklet, and the
-reason it fails, depend on that element alone.
+reason it fails, depend on that element alone: the checks return masks,
+``(reason, failed)`` pairs in check order, in place of an error.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import det_spd2, inv_spd2, mt, mv, symmetrize
+from ._linalg import inv_spd2_masked, mt, mv, singular, symmetrize
 from .dynamics import MotionModel
-from .errors import NumericalError, SingularMatrixError, TrackletSingularError, first_index
 from .trackers import GaussianEstimate
 
 __all__ = [
@@ -74,25 +74,16 @@ def tracklet_inverse_kf(
     """Invert the filter update between two snapshots of the same track.
 
     The snapshots and the model's ``F``/``Q`` may carry leading batch axes;
-    one call then builds a tracklet per element.
-
-    Raises :class:`TrackletSingularError` marking every element whose
-    covariance difference D = P(k|k') - P(k|k) is singular or nearly so
-    (e.g. single-step lags with position-only updates); those take
-    :func:`tracklet_decorrelated` in :func:`compute_tracklet`.
+    one call then builds a tracklet per element.  The form needs a
+    well-conditioned covariance difference D = P(k|k') - P(k|k), which
+    :func:`compute_tracklet` screens for; a single-step lag with
+    position-only updates leaves D singular.
     """
-    x_pred, P_pred = _predict(prev, model)
+    return _inverse_kf(*_predict(prev, model), curr)
+
+
+def _inverse_kf(x_pred: np.ndarray, P_pred: np.ndarray, curr: GaussianEstimate) -> Tracklet:
     D = symmetrize(P_pred - curr.cov)
-    w = np.linalg.eigvalsh(D)
-    lo, hi = w[..., 0], w[..., -1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        failed = (lo <= 0.0) | (hi / lo > COND_LIMIT)
-    if failed.any():
-        at = first_index(failed) or ()
-        raise TrackletSingularError(
-            f"covariance difference near-singular (eig range [{lo[at]:.3e}, {hi[at]:.3e}])",
-            failed,
-        )
     A = mt(np.linalg.solve(mt(D), mt(P_pred)))
     u = x_pred + mv(A, curr.mean - x_pred)
     return Tracklet(u=u, U=symmetrize(A @ curr.cov), pred_cov=P_pred, A=A)
@@ -100,7 +91,7 @@ def tracklet_inverse_kf(
 
 def tracklet_decorrelated(
     prev: GaussianEstimate, curr: GaussianEstimate, model: MotionModel
-) -> Tracklet:
+) -> tuple[Tracklet, list]:
     """The position tracklet from the information difference of the
     snapshots' position marginals: the position measurement whose Kalman
     update reproduces the position marginal of the track's update between
@@ -112,61 +103,67 @@ def tracklet_decorrelated(
     leading batch axes.  At lag 1 it is a Kalman filter's position
     measurement itself.
 
-    Raises :class:`SingularMatrixError` for a track or predicted position
-    covariance that is not positive definite, and :class:`NumericalError`
-    marking every element whose information difference is not.
+    Returns the tracklet and its checks, in order: the track and the
+    predicted position covariances, then their information difference, each
+    not positive definite.  An element that fails one holds a stand-in.
     """
     x_pred, P_pred = _predict(prev, model)
-    J_curr, _ = inv_spd2(curr.cov[..., ::2, ::2], context="track position covariance")
-    J_pred, _ = inv_spd2(P_pred[..., ::2, ::2], context="predicted track position covariance")
-    try:
-        U, _ = inv_spd2(J_curr - J_pred)
-    except SingularMatrixError as exc:
-        failed = ~det_spd2(J_curr - J_pred)[1]
-        reason = "position information difference not positive definite"
-        raise NumericalError(reason, failed) from exc
+    t, failed = _decorrelated(x_pred, P_pred, curr)
+    return t, _decorrelated_faults(curr.cov, P_pred, failed)
+
+
+def _decorrelated(x_pred, P_pred, curr: GaussianEstimate) -> tuple[Tracklet, tuple]:
+    """:func:`tracklet_decorrelated` from the prediction, with the masks of
+    the elements that fail each of its checks."""
+    J_curr, ok_curr = inv_spd2_masked(curr.cov[..., ::2, ::2])
+    J_pred, ok_pred = inv_spd2_masked(P_pred[..., ::2, ::2])
+    U, ok = inv_spd2_masked(J_curr - J_pred)
     x = curr.mean[..., ::2]
     u = x + mv(U, mv(J_pred, x - x_pred[..., ::2]))
-    return Tracklet(u=u, U=U, pred_cov=P_pred)
+    return Tracklet(u=u, U=U, pred_cov=P_pred), (~ok_curr, ~ok_pred, ~ok)
 
 
-def _positions(t: Tracklet) -> Tracklet:
-    """The position tracklet of a full-state one."""
-    return Tracklet(u=t.u[..., ::2], U=t.U[..., ::2, ::2], pred_cov=t.pred_cov)
+def _decorrelated_faults(cov, P_pred, failed) -> list:
+    """The checks of :func:`tracklet_decorrelated` from their masks."""
+    bad_curr, bad_pred, bad_difference = failed
+    return [
+        singular("track position covariance", cov[..., ::2, ::2], bad_curr),
+        singular("predicted track position covariance", P_pred[..., ::2, ::2], bad_pred),
+        ("position information difference not positive definite", bad_difference),
+    ]
 
 
 def compute_tracklet(
     prev: GaussianEstimate, curr: GaussianEstimate, model: MotionModel
-) -> Tracklet:
-    """Position tracklet of every element, in the form that element admits.
+) -> tuple[Tracklet, list]:
+    """Position tracklet of every element, in the form that element admits,
+    and the checks of :func:`tracklet_decorrelated` over the batch.
 
-    An element whose covariance difference passes the condition screen of
-    :func:`tracklet_inverse_kf` takes the position block of that form, and
-    every other :func:`tracklet_decorrelated`, run on those elements alone.
-    A failure of the latter marks its elements on the whole batch.  A batch
-    that mixes the two forms is split by a boolean mask, so the snapshots
-    and a per-element model carry its batch axes in full.
+    One prediction serves both forms.  An element whose covariance
+    difference is finite and passes the condition screen (eigenvalues
+    positive, condition number at most ``COND_LIMIT``) takes the position
+    block of :func:`tracklet_inverse_kf`; every other takes
+    :func:`tracklet_decorrelated`, whose checks mark those elements alone.
+    Each form runs once, on its own elements.
     """
-    try:
-        return _positions(tracklet_inverse_kf(prev, curr, model))
-    except TrackletSingularError as exc:
-        singular = exc.failed
-    if singular.all():
-        return tracklet_decorrelated(prev, curr, model)
-    try:
-        marginal = tracklet_decorrelated(prev[singular], curr[singular], model[singular])
-    except NumericalError as exc:
-        failed = np.zeros_like(singular)
-        failed[singular] = exc.failed
-        raise type(exc)(exc.reason, failed) from exc
-    ok = ~singular
-    inverse = _positions(tracklet_inverse_kf(prev[ok], curr[ok], model[ok]))
-    n = inverse.pred_cov.shape[-1]
-    t = Tracklet(
-        u=np.empty(singular.shape + (2,)),
-        U=np.empty(singular.shape + (2, 2)),
-        pred_cov=np.empty(singular.shape + (n, n)),
-    )
-    for at, part in ((singular, marginal), (ok, inverse)):
-        t.u[at], t.U[at], t.pred_cov[at] = part.u, part.U, part.pred_cov
-    return t
+    x_pred, P_pred = _predict(prev, model)
+    D = symmetrize(P_pred - curr.cov)
+    finite = np.isfinite(D).all(axis=(-2, -1))
+    w = np.linalg.eigvalsh(np.where(finite[..., None, None], D, 0.0))
+    lo, hi = w[..., 0], w[..., -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inverse = (lo > 0.0) & (hi / lo <= COND_LIMIT)
+    failed = np.zeros((3,) + lo.shape, dtype=bool)
+    if inverse.all():
+        # A batch of one form (every epoch of a lag-10 scenario) needs no gather.
+        full = _inverse_kf(x_pred, P_pred, curr)
+        t = Tracklet(u=full.u[..., ::2], U=full.U[..., ::2, ::2], pred_cov=P_pred)
+        return t, _decorrelated_faults(curr.cov, P_pred, failed)
+    t = Tracklet(u=np.empty(lo.shape + (2,)), U=np.empty(lo.shape + (2, 2)), pred_cov=P_pred)
+    if inverse.any():
+        full = _inverse_kf(x_pred[inverse], P_pred[inverse], curr[inverse])
+        t.u[inverse], t.U[inverse] = full.u[..., ::2], full.U[..., ::2, ::2]
+    marginal = ~inverse
+    part, failed[:, marginal] = _decorrelated(x_pred[marginal], P_pred[marginal], curr[marginal])
+    t.u[marginal], t.U[marginal] = part.u, part.U
+    return t, _decorrelated_faults(curr.cov, P_pred, failed)

@@ -5,6 +5,15 @@ import pytest
 
 from sensorreg._linalg import mt, mv, symmetrize
 from sensorreg.bias import BiasEstimate, PseudoMeasurement
+from sensorreg.errors import raise_first
+
+
+def checked(out):
+    """The result of a call that returns ``(result, faults)``, its first
+    fault raised as an error (what a caller that must stop does)."""
+    result, faults = out
+    raise_first(faults)
+    return result
 
 
 def former_rlsb_update(est: BiasEstimate, pm: PseudoMeasurement) -> BiasEstimate:

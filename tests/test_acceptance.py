@@ -18,6 +18,7 @@ from sensorreg.bias import BiasEstimate, PseudoMeasurement, rlsb_update
 from sensorreg.coords import CartesianMeasurement, jacobians_at
 from sensorreg.crlb import fisher_information
 from sensorreg.dynamics import compose_steps, ncv_model
+from sensorreg.errors import raise_first
 from sensorreg.fusion import reconstruct_local_gain, sfa
 from sensorreg.harness import (
     crlb_series,
@@ -134,10 +135,11 @@ def test_a02_gain_reconstruction_exactness(two_sensor_scenario):
     for k in range(1, sc.frames + 1):
         for s in range(2):
             for t in range(len(sc.targets)):
-                trk = tracklet_decorrelated(
+                trk, faults = tracklet_decorrelated(
                     tracks.estimate(s, t, k - 1), tracks.estimate(s, t, k), ms1
                 )
-                g = reconstruct_local_gain(trk.U, trk.pred_cov)
+                g, gain_faults = reconstruct_local_gain(trk.U, trk.pred_cov)
+                raise_first(faults + gain_faults)
                 W_true = tracks.gain[s, t, k]
                 rel = np.abs(g.W - W_true).max() / np.abs(W_true).max()
                 worst = max(worst, rel)
@@ -305,7 +307,7 @@ def test_a07_joseph_form_robustness():
         rot = np.array([[c, -s], [s, c]])
         Hm = rot @ np.diag([scale, scale / cond]) @ rot.T
         Rn = _random_spd(rng, 2, 0.5, 2.0)
-        est = rlsb_update(
+        est, _ = rlsb_update(
             est, PseudoMeasurement(z=[rng.standard_normal(2)], H=[Hm], R=[Rn])
         )
         try:
@@ -333,7 +335,7 @@ def test_a07_joseph_form_robustness():
             continue
         z, H, R = (np.array(a) for a in zip(*stack))
         stack = []
-        est = rlsb_update(est, PseudoMeasurement(z=z, H=H, R=R))
+        est, _ = rlsb_update(est, PseudoMeasurement(z=z, H=H, R=R))
         try:
             np.linalg.cholesky(est.Sigma)
         except np.linalg.LinAlgError:

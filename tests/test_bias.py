@@ -7,6 +7,7 @@ from sensorreg.bias import (
     BiasEstimate,
     PseudoMeasurement,
     difference_pseudo_measurement,
+    pseudo_measurement_faults,
     rlsb_update,
     sensor_pseudo_obs,
 )
@@ -18,7 +19,7 @@ from sensorreg.coords import (
     jacobians_at,
 )
 from sensorreg.dynamics import compose_steps, ncv_model
-from sensorreg.errors import NumericalError, SingularMatrixError
+from sensorreg.errors import NumericalError, SingularMatrixError, raise_first
 from sensorreg.trackers import GaussianEstimate, init_track
 
 # Position selector of the [x, xdot, y, ydot] state: rows 0 and 2 of I.
@@ -124,7 +125,7 @@ def test_projection_is_identity_for_position_selection():
 def test_rlsb_uninformative_observation_is_noop():
     est = BiasEstimate(b=[1.0, 2.0], Sigma=np.diag([4.0, 9.0]))
     pm = PseudoMeasurement(z=[[5.0, 5.0]], H=np.zeros((1, 2, 2)), R=np.eye(2)[None])
-    out = rlsb_update(est, pm)
+    out = rlsb_update(est, pm)[0]
     np.testing.assert_allclose(out.b, est.b)
     np.testing.assert_allclose(out.Sigma, est.Sigma)
 
@@ -143,7 +144,7 @@ def test_rlsb_sequence_matches_batch_weighted_least_squares():
         Hs.append(H)
         Rs.append(R)
         zs.append(z)
-        est = rlsb_update(est, PseudoMeasurement(z=[z], H=[H], R=[R]))
+        est = rlsb_update(est, PseudoMeasurement(z=[z], H=[H], R=[R]))[0]
     # Batch: minimize (b)' P0^-1 (b) + sum ||z - H b||^2_R.
     J = np.linalg.inv(prior)
     rhs = np.zeros(d)
@@ -165,7 +166,7 @@ def test_rlsb_information_additivity_constant_observation():
     info = np.linalg.inv(prior)
     for _ in range(25):
         R = np.diag(rng.uniform(10, 100, 2))
-        est = rlsb_update(est, PseudoMeasurement(z=[rng.standard_normal(2)], H=[H], R=[R]))
+        est = rlsb_update(est, PseudoMeasurement(z=[rng.standard_normal(2)], H=[H], R=[R]))[0]
         info += H.T @ np.linalg.solve(R, H)
     np.testing.assert_allclose(np.linalg.inv(est.Sigma), info, rtol=1e-8)
 
@@ -188,7 +189,7 @@ def test_rlsb_unbiased_convergence_rate():
         for n_target in counts:
             while n < n_target:
                 z = cholR @ rng.standard_normal(2)
-                est = rlsb_update(est, PseudoMeasurement(z=[z], H=[H], R=[R]))
+                est = rlsb_update(est, PseudoMeasurement(z=[z], H=[H], R=[R]))[0]
                 n += 1
             rms.setdefault(n_target, []).append(est.b[0] ** 2)
     r10 = np.sqrt(np.mean(rms[10]))
@@ -201,31 +202,32 @@ def test_rlsb_unbiased_convergence_rate():
 def test_rlsb_rejects_singular_innovation():
     est = BiasEstimate(b=np.zeros(2), Sigma=np.zeros((2, 2)))
     pm = PseudoMeasurement(z=np.zeros((1, 2)), H=np.eye(2)[None], R=np.zeros((1, 2, 2)))
-    with pytest.raises(SingularMatrixError):
-        rlsb_update(est, pm)
+    _, faults = rlsb_update(est, pm)
+    assert faults[0] == ("bias covariance is not positive definite", True)
 
 
 # Each kind of fold failure: what provokes it in element 1 of a batch of
-# three stacks, and the error type and reason it raises with.
+# three stacks, whether the pseudo-measurement screen that callers apply
+# before the fold or the fold's own checks catch it, and its reason.
 FOLD_FAILURES = {
     # A NaN pseudo-measurement covariance fails its positive definiteness test.
-    "nan": (NumericalError, "pseudo-measurement covariance not positive definite"),
+    "nan": ("screen", "pseudo-measurement covariance not positive definite"),
     # The incoming bias covariance is negative definite.
-    "indefinite": (SingularMatrixError, "bias covariance is not positive definite"),
+    "indefinite": ("fold", "bias covariance is not positive definite"),
     # An infinite pseudo-measurement.
-    "nonfinite": (NumericalError, "pseudo-measurement not finite"),
+    "nonfinite": ("screen", "pseudo-measurement not finite"),
     # Observation rows of 1e160 overflow the information, so the updated
     # bias covariance is NaN.
-    "overflow": (SingularMatrixError, "bias covariance is not positive definite"),
+    "overflow": ("fold", "bias covariance is not positive definite"),
 }
 
 
 @pytest.mark.parametrize("bad", list(FOLD_FAILURES))
 def test_rlsb_names_the_element_whose_stacked_innovation_fails(bad):
-    # The fold screens the pseudo-measurements, the incoming and the updated
-    # bias covariance, and marks the estimate whose check fails (not the
-    # pseudo-measurement), which is what a caller that drops failed
-    # estimates needs.
+    # The screen of the pseudo-measurements, reduced over each stack, and
+    # the fold's checks of the incoming and the updated bias covariance mark
+    # the estimate whose check fails (not the pseudo-measurement), which is
+    # what a caller that drops failed estimates needs.
     rng = np.random.default_rng(13)
     parts = [_stacked_pseudo_measurements(rng, 5, "offset") for _ in range(3)]
     est = BiasEstimate(
@@ -244,11 +246,14 @@ def test_rlsb_names_the_element_whose_stacked_innovation_fails(bad):
         pm.z[1, 3, 0] = np.inf
     else:
         pm.H[1] *= 1e160
-    error, reason = FOLD_FAILURES[bad]
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(error, match=rf"^{reason} at batch index \[1\]$") as exc:
-            rlsb_update(est, pm)
-    assert type(exc.value) is error
+    stage, reason = FOLD_FAILURES[bad]
+    if stage == "screen":
+        faults = [(r, failed.any(axis=-1)) for r, failed in pseudo_measurement_faults(pm)]
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, faults = rlsb_update(est, pm)
+    with pytest.raises(NumericalError, match=rf"^{reason} at batch index \[1\]$") as exc:
+        raise_first(faults)
     assert exc.value.failed.tolist() == [False, True, False]
 
 
@@ -307,8 +312,8 @@ def test_rlsb_stacked_fold_matches_sequential_updates(layout):
         seq = est
         for j in range(m):
             rows = slice(j, j + 1)
-            seq = rlsb_update(seq, PseudoMeasurement(pm.z[rows], pm.H[rows], pm.R[rows]))
-        _assert_fold_close(rlsb_update(est, pm), seq, layout)
+            seq = rlsb_update(seq, PseudoMeasurement(pm.z[rows], pm.H[rows], pm.R[rows]))[0]
+        _assert_fold_close(rlsb_update(est, pm)[0], seq, layout)
 
 
 @pytest.mark.parametrize("layout", ["offset", "pair_offset", "offset_scale"])
@@ -316,7 +321,7 @@ def test_rlsb_matches_the_former_stacked_fold(former_fold, layout):
     rng = np.random.default_rng(sum(map(ord, layout)))
     for m in range(1, 41):
         est, pm = _stacked_pseudo_measurements(rng, m, layout)
-        got, want = rlsb_update(est, pm), former_fold(est, pm)
+        got, want = rlsb_update(est, pm)[0], former_fold(est, pm)
         for g, w in ((got.b, want.b), (got.Sigma, want.Sigma)):
             atol = FORMER_FOLD_RTOL[layout] * np.abs(w).max()
             np.testing.assert_allclose(g, w, rtol=0, atol=atol)
@@ -343,7 +348,7 @@ def test_rlsb_forms_no_array_that_grows_with_the_stack(monkeypatch):
     for m in (1, 16, 256):
         est, pm = _stacked_pseudo_measurements(rng, m, "offset_scale")
         seen.clear()
-        rlsb_update(est, pm)
+        rlsb_update(est, pm)[0]
         shapes[m] = list(seen)
     assert shapes[1] == [((4, 4),), ((4, 4), (4, 4)), ((4, 4),)]
     assert shapes[16] == shapes[256] == shapes[1]
@@ -359,12 +364,12 @@ def test_rlsb_padded_observations_change_nothing():
             H=np.insert(pm.H, at, 0.0, axis=0),
             R=np.insert(pm.R, at, np.eye(2), axis=0),
         )
-        _assert_fold_close(rlsb_update(est, padded), rlsb_update(est, pm))
+        _assert_fold_close(rlsb_update(est, padded)[0], rlsb_update(est, pm)[0])
     # A stack of padding alone leaves the estimate as it was.
     pad = PseudoMeasurement(
         z=np.zeros((3, 2)), H=np.zeros((3, 2, 4)), R=np.tile(np.eye(2), (3, 1, 1))
     )
-    out = rlsb_update(est, pad)
+    out = rlsb_update(est, pad)[0]
     np.testing.assert_array_equal(out.b, est.b)
     np.testing.assert_array_equal(out.Sigma, est.Sigma)
 
@@ -381,6 +386,6 @@ def test_rlsb_batched_stacks_match_separate_folds():
         H=np.stack([p.H for _, p in parts]),
         R=np.stack([p.R for _, p in parts]),
     )
-    out = rlsb_update(est, pm)
+    out = rlsb_update(est, pm)[0]
     for i, (e, p) in enumerate(parts):
-        _assert_fold_close(out[i], rlsb_update(e, p))
+        _assert_fold_close(out[i], rlsb_update(e, p)[0])

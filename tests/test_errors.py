@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from conftest import checked
 from hypothesis import strategies as st
 
 import sensorreg
@@ -15,7 +16,7 @@ from sensorreg._linalg import cholesky, inv_spd2, inv_sym, solve_psd
 from sensorreg.bias import BiasEstimate
 from sensorreg.coords import BiasVector, CartesianMeasurement, apply_bias
 from sensorreg.dynamics import ncv_model
-from sensorreg.errors import NumericalError, SingularMatrixError, located
+from sensorreg.errors import NumericalError, SingularMatrixError, located, raise_first
 from sensorreg.fusion import bias_correct, reconstruct_local_gain
 from sensorreg.trackers import GaussianEstimate, kf_predict, kf_update
 from sensorreg.tracklets import Tracklet, compute_tracklet, tracklet_decorrelated
@@ -98,7 +99,7 @@ _SNAPSHOT_KINDS = {
 def _tracklet_site(form):
     def call(prev_mean, prev_cov, curr_mean, curr_cov):
         prev = GaussianEstimate(mean=prev_mean, cov=prev_cov)
-        return form(prev, GaussianEstimate(mean=curr_mean, cov=curr_cov, frame=1), _MODEL)
+        return checked(form(prev, GaussianEstimate(mean=curr_mean, cov=curr_cov, frame=1), _MODEL))
 
     kinds = {
         kind: _snapshots(np.random.default_rng(i), make)
@@ -115,7 +116,9 @@ def _track(rng, pos=(3000.0, 4000.0), b=(0.0, 0.0, 0.0, 0.0)):
 
 def _bias_correct(u, U, P, b, Sigma):
     t = Tracklet(u=u, U=U, pred_cov=P)
-    return bias_correct(t, BiasEstimate(b=b, Sigma=Sigma), (10.0, 1e-3), origin=(0.0, 0.0))
+    return checked(
+        bias_correct(t, BiasEstimate(b=b, Sigma=Sigma), (10.0, 1e-3), origin=(0.0, 0.0))
+    )
 
 
 SITES = {
@@ -146,7 +149,9 @@ SITES = {
             "nan": (np.full((3, 3), np.nan),),
             "near": (_SPD3 - 2.5 * np.eye(3),),
         },
-        lambda mat: cholesky(mat, context="P"),
+        lambda mat: raise_first(
+            [("P is not positive definite", ~cholesky(mat)[1])], SingularMatrixError
+        ),
     ),
     "solve_psd": (
         lambda rng: (_spd(rng, 3), rng.standard_normal((3, 2))),
@@ -187,7 +192,7 @@ SITES = {
             "singular_S": (np.eye(2), _embed_pos(-np.eye(2))),
             "indefinite_S": (np.eye(2), _embed_pos(_INDEF2 - np.eye(2))),
         },
-        reconstruct_local_gain,
+        lambda R, pred_cov: checked(reconstruct_local_gain(R, pred_cov)),
     ),
 }
 
@@ -215,12 +220,11 @@ def _outcome(call, args):
 )
 @settings(max_examples=60, deadline=None)
 def test_error_marks_every_element_that_fails_alike(site, seed, n_good, bad, column):
-    # A batch with 0-3 bad elements fails, if at all, with the error of its
-    # first failing element alone.  ``failed`` marks the elements that fail
-    # alone with that same error and reason, up to the first that fails the
-    # same check with another reason: no message quotes one element's value
-    # for another, and each error marks a leading run, in index order, of
-    # the elements failing its check.  ``index`` is the first of them.
+    # A batch with 0-3 bad elements fails, if at all, with the first check
+    # that any element fails.  ``failed`` marks every element that fails
+    # that check alone, whatever value its message quotes, ``index`` is the
+    # first of them, and the reason is that element's own: no message
+    # quotes one element's value for another.
     good, kinds, call = SITES[site]
     rng = np.random.default_rng(seed)
     chosen = bad.draw(st.lists(st.sampled_from(sorted(kinds)), max_size=3))
@@ -237,15 +241,13 @@ def test_error_marks_every_element_that_fails_alike(site, seed, n_good, bad, col
     try:
         call(*batch)
     except NumericalError as exc:
-        outcome, run, expected = (type(exc), exc.reason), True, []
-        for a in alone:
-            if a is not None and a[0] is outcome[0] and _check(a[1]) == _check(exc.reason):
-                run = run and a == outcome
-            expected.append(run and a == outcome)
-        expected = np.array(expected)
+        same = [a is not None and a[0] is type(exc) and _check(a[1]) == _check(exc.reason)
+                for a in alone]
+        expected = np.array(same)
         assert expected.any()
         np.testing.assert_array_equal(exc.failed, expected.reshape(shape))
         assert exc.index == tuple(int(i) for i in np.argwhere(expected.reshape(shape))[0])
+        assert alone[int(np.argmax(expected))] == (type(exc), exc.reason)
         assert str(exc) == f"{exc.reason} at batch index {list(exc.index)}"
     else:
         assert alone == [None] * len(elements)
@@ -337,3 +339,48 @@ def test_only_errors_module_formats_a_location_around_a_reason():
     }
     assert found == {}
     assert _reason_fstrings((package / "errors.py").read_text())
+
+
+def _swallowing_handlers(source: str, caught: set) -> list[int]:
+    """Lines of the ``except`` clauses in ``source`` that can catch a class
+    named in ``caught`` (a bare ``except`` included) and do not end by
+    raising."""
+
+    def names(node):
+        if node is None:
+            return {"BaseException"}
+        if isinstance(node, ast.Tuple):
+            return set().union(*map(names, node.elts))
+        return {node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")}
+
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ExceptHandler)
+        and names(node.type) & caught
+        and not isinstance(node.body[-1], ast.Raise)
+    ]
+
+
+def test_every_numerical_error_handler_reraises():
+    # Failures are masks, not retries: a handler that catches a
+    # NumericalError (or a class above it) and goes on, as a retry loop
+    # does, fails this test.  The one exception ends the program:
+    # cli.main's exit-2 handler.
+    from sensorreg import errors
+
+    caught = {cls.__name__ for cls in NumericalError.__mro__} | {
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, NumericalError)
+    }
+    retry = "while True:\n    try:\n        break\n    except SingularMatrixError:\n        pass\n"
+    assert _swallowing_handlers(retry, caught) == [4]
+    package = Path(sensorreg.__file__).parent
+    found = {
+        str(path.relative_to(package)): lines
+        for path in sorted(package.rglob("*.py"))
+        if (lines := _swallowing_handlers(path.read_text(), caught))
+    }
+    cli = (package / "cli.py").read_text().splitlines()
+    assert found == {"cli.py": [cli.index("    except NumericalError as exc:") + 1]}

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sensorreg.fusion as fusion
+from conftest import checked
 from sensorreg._linalg import inv_spd2, mt, symmetrize
 from sensorreg.bias import (
     BiasEstimate,
@@ -58,7 +59,7 @@ def test_local_gain_scalar_reduction():
     # Position variance 1 and equivalent noise 1 give gain one half.
     pred = np.diag([1.0, 1e-9, 1.0, 1e-9])
     t = _tracklet_from([2.0, -3.0], np.eye(2), pred)
-    g = reconstruct_local_gain(t.U, t.pred_cov)
+    g = checked(reconstruct_local_gain(t.U, t.pred_cov))
     assert g.W[0, 0] == pytest.approx(0.5, rel=1e-9)
     assert g.W[2, 1] == pytest.approx(0.5, rel=1e-9)
 
@@ -66,7 +67,7 @@ def test_local_gain_scalar_reduction():
 def test_local_gain_vanishes_for_uninformative_tracklet():
     pred = np.diag([10.0, 1.0, 10.0, 1.0])
     t = _tracklet_from(np.zeros(2), 1e12 * np.eye(2), pred)
-    g = reconstruct_local_gain(t.U, t.pred_cov)
+    g = checked(reconstruct_local_gain(t.U, t.pred_cov))
     assert np.abs(g.W).max() < 1e-9
 
 
@@ -84,8 +85,8 @@ def test_local_gain_matches_true_kalman_gain_single_step():
     z = CartesianMeasurement(z=rng.standard_normal(2) * 100, R=np.diag([100.0, 250.0]))
     pred = kf_predict(prev, model)
     curr, rec = kf_update(pred, z)
-    t = tracklet_decorrelated(prev, curr, ms1)
-    g = reconstruct_local_gain(t.U, t.pred_cov)
+    t = checked(tracklet_decorrelated(prev, curr, ms1))
+    g = checked(reconstruct_local_gain(t.U, t.pred_cov))
     np.testing.assert_allclose(g.W, rec.gain, rtol=1e-6)
     np.testing.assert_allclose(g.R, z.R, rtol=1e-6)
     np.testing.assert_allclose(t.u, z.z, rtol=1e-6)
@@ -94,7 +95,7 @@ def test_local_gain_matches_true_kalman_gain_single_step():
 def test_bias_correct_null_correction():
     t = _tracklet_from([300.0, 400.0], np.eye(2))
     est = BiasEstimate(b=np.zeros(2), Sigma=np.zeros((2, 2)))
-    out = bias_correct(t, est, (10.0, 0.0))
+    out = checked(bias_correct(t, est, (10.0, 0.0)))
     np.testing.assert_allclose(out.z, [300.0, 400.0], rtol=1e-12)
 
 
@@ -105,7 +106,7 @@ def test_bias_correct_round_trip_recovers_truth():
     meas = polar_to_cart(*apply_bias(r, theta, BiasVector(b_r=20.0, b_theta=1e-3)), 0.0)
     t = _tracklet_from(meas, np.eye(2))
     est = BiasEstimate(b=[20.0, 1e-3], Sigma=np.zeros((2, 2)))
-    out = bias_correct(t, est, (10.0, 0.0))
+    out = checked(bias_correct(t, est, (10.0, 0.0)))
     np.testing.assert_allclose(out.z, polar_to_cart(r, theta, 0.0), atol=1e-9)
 
 
@@ -115,7 +116,7 @@ def test_bias_correct_with_scale_round_trip():
     meas = polar_to_cart(*apply_bias(r, theta, bias), 0.0)
     t = _tracklet_from(meas, np.eye(2))
     est = BiasEstimate(b=[20.0, 1e-3, 0.001, 0.001], Sigma=np.zeros((4, 4)))
-    out = bias_correct(t, est, (10.0, 0.0))
+    out = checked(bias_correct(t, est, (10.0, 0.0)))
     np.testing.assert_allclose(out.z, polar_to_cart(r, theta, 0.0), atol=1e-8)
 
 
@@ -125,7 +126,7 @@ def test_bias_correct_with_sensor_origin():
     meas = polar_to_cart(*apply_bias(r, theta, BiasVector(b_r=-15.0, b_theta=-2e-3)), 0.0, origin)
     t = _tracklet_from(meas, np.eye(2))
     est = BiasEstimate(b=[-15.0, -2e-3], Sigma=np.zeros((2, 2)))
-    out = bias_correct(t, est, (10.0, 0.0), origin=origin)
+    out = checked(bias_correct(t, est, (10.0, 0.0), origin=origin))
     np.testing.assert_allclose(out.z, polar_to_cart(r, theta, 0.0, origin), atol=1e-8)
 
 
@@ -138,7 +139,7 @@ def test_bias_correct_covariance_dominates_tracklet_noise():
         est = BiasEstimate(
             b=[5.0, 1e-4], Sigma=np.diag(rng.uniform(0.1, 100.0, 2))
         )
-        out = bias_correct(t, est, (10.0, 1e-3))
+        out = checked(bias_correct(t, est, (10.0, 1e-3)))
         diff = out.R - U
         assert np.linalg.eigvalsh(diff).min() > -1e-9 * np.abs(out.R).max()
 
@@ -147,14 +148,14 @@ def test_bias_correct_rejects_zero_position():
     t = _tracklet_from(np.zeros(2), np.eye(2))
     est = BiasEstimate(b=np.zeros(2), Sigma=np.eye(2))
     with pytest.raises(NumericalError):
-        bias_correct(t, est, (10.0, 1e-3))
+        checked(bias_correct(t, est, (10.0, 1e-3)))
 
 
 def test_bias_correct_rejects_overcorrected_range():
     t = _tracklet_from([10.0, 0.0], np.eye(2))
     est = BiasEstimate(b=[100.0, 0.0], Sigma=np.eye(2))
     with pytest.raises(NumericalError):
-        bias_correct(t, est, (10.0, 1e-3))
+        checked(bias_correct(t, est, (10.0, 1e-3)))
 
 
 def test_sfa_single_measurement_equals_kalman_update():
@@ -361,9 +362,11 @@ def test_fbe_step_fused_side_is_the_deconvolved_reference_update(monkeypatch):
     fbe_step(prev, curr, reported, bias_states, fused_prev, lag_models, sensors)
     [(z, R)] = seen
 
-    t = compute_tracklet(prev, curr, lag_models(curr.frame - prev.frame))
+    t = checked(compute_tracklet(prev, curr, lag_models(curr.frame - prev.frame)))
     geo = sensors[:, None]
-    c = bias_correct(t, bias_states[:, None], (geo.sigma_r, geo.sigma_theta), origin=geo.position)
+    c = checked(
+        bias_correct(t, bias_states[:, None], (geo.sigma_r, geo.sigma_theta), origin=geo.position)
+    )
     info, _ = inv_spd2(c.R)
     n_s, n_t = reported.shape
     # One reference per (sensor, target), on that grid.
@@ -504,17 +507,18 @@ def test_fbe_step_skips_a_pair_whose_tracklet_position_covariance_fails():
     np.testing.assert_array_equal(res.fused.mean, ref.fused.mean)
 
 
-def _per_element_retry(run, keep, record):
-    """Drop failed elements one at a time, the first failed one each pass."""
-    while keep.size:
-        try:
-            return keep, run(keep)
-        except NumericalError as exc:
-            if exc.failed.shape != keep.shape or not exc.failed.any():
-                raise
-            record(keep[exc.index[0]], exc)
-            keep = np.delete(keep, exc.index[0])
-    return keep, None
+def _first_fault_alone(prev, curr, model, bias, sensor):
+    """``(check, reason)`` of the first check that one pair, run alone
+    through the local stage (tracklet, gain, bias correction), fails, with
+    ``check`` its position among the stage's checks; None if it fails none."""
+    t, faults = compute_tracklet(prev, curr, model)
+    _, gain_faults = reconstruct_local_gain(t.U, t.pred_cov)
+    noise = (sensor.sigma_r, sensor.sigma_theta)
+    _, bias_faults = bias_correct(t, bias, noise, origin=sensor.position)
+    for check, (reason, failed) in enumerate(faults + gain_faults + bias_faults):
+        if failed:
+            return check, np.asarray(reason, dtype=object)[()]
+    return None
 
 
 def _fbe_outcome(*args):
@@ -549,12 +553,13 @@ _PAIR_KINDS = {
 @example(kinds=["neg_vel"] * 2 + ["ok"] * 2 + ["neg_rank1"] * 2, scale_fails=None)
 @example(kinds=["pos_only", "ok", "ok", "pos_only", "ok", "ok"], scale_fails=0)
 @settings(max_examples=80, deadline=None)
-def test_fbe_step_skips_the_pairs_of_a_per_element_retry(kinds, scale_fails):
-    # Dropping every element that an error marks at once skips the pairs,
-    # in the order, and leaves the survivors of dropping the first failed
-    # pair at a time.  Pairs are numbered sensor-major; a sensor with a
-    # scale bias below -1 fails the bias correction of each of its pairs,
-    # in either form.
+def test_fbe_step_skips_each_pair_at_its_own_first_fault(kinds, scale_fails):
+    # Each pair, run alone through the local stage, gives the first check it
+    # fails: fbe_step skips those pairs, records them in (check, pair)
+    # order, and otherwise equals, bit for bit, a call on the surviving
+    # pairs alone.  Pairs are numbered sensor-major; a sensor with a scale
+    # bias below -1 fails the bias correction of each of its pairs, in
+    # either form.
     (prev, curr, reported), _, fused_prev, lag_models, sensors = _small_fbe_inputs()
     ms = lag_models(curr.frame - prev.frame)
     for (s, t), kind in zip(np.ndindex(3, 2), kinds):
@@ -564,22 +569,27 @@ def test_fbe_step_skips_the_pairs_of_a_per_element_retry(kinds, scale_fails):
     if scale_fails is not None:
         b[scale_fails, 2] = -2.0
     bias_states = BiasEstimate(b=b, Sigma=np.tile(np.diag([400.0, 1e-6, 1e-6, 1e-6]), (3, 1, 1)))
-    args = (prev, curr, reported, bias_states, fused_prev, lag_models, sensors)
-    res = _fbe_outcome(*args)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fusion, "_without_failures", _per_element_retry)
-        ref = _fbe_outcome(*args)
-    if isinstance(ref, tuple):
+    alone = {
+        (s, t): _first_fault_alone(prev[s, t], curr[s, t], ms[s, t], bias_states[s], sensors[s])
+        for s, t in np.ndindex(3, 2)
+    }
+    failing = sorted((fault[0], pair, fault[1]) for pair, fault in alone.items() if fault)
+    live = reported.copy()
+    for _, pair, _ in failing:
+        live[pair] = False
+    res = _fbe_outcome(prev, curr, reported, bias_states, fused_prev, lag_models, sensors)
+    ref = _fbe_outcome(prev, curr, live, bias_states, fused_prev, lag_models, sensors)
+    if isinstance(ref, tuple) or isinstance(res, tuple):
         assert res == ref
         return
-    assert res.skipped == ref.skipped
-    for name in ("live", "used", "bias_states.b", "bias_states.Sigma", "fused.mean", "fused.cov"):
+    assert res.skipped == [(int(s), int(t), reason) for _, (s, t), reason in failing]
+    np.testing.assert_array_equal(res.live, live)
+    for name in ("used", "bias_states.b", "bias_states.Sigma", "fused.mean", "fused.cov"):
         obj, want = res, ref
         for part in name.split("."):
             obj, want = getattr(obj, part), getattr(want, part)
         np.testing.assert_array_equal(obj, want, err_msg=name)
-    assert (res.tracklets is None) == (ref.tracklets is None)
-    if res.tracklets is not None:
+    if ref.tracklets is not None:
         np.testing.assert_array_equal(res.tracklets.u, ref.tracklets.u)
         np.testing.assert_array_equal(res.tracklets.U, ref.tracklets.U)
 
@@ -608,8 +618,8 @@ def test_fbe_step_drops_only_the_bad_pseudo_measurement(monkeypatch):
     # Sensor 0 folds its target-0 pseudo-measurement alone.
     bias_states = inputs[1]
     pm0 = made[0]
-    want = rlsb_update(
-        bias_states[0], PseudoMeasurement(pm0.z[0, :1], pm0.H[0, :1], pm0.R[0, :1])
+    want = checked(
+        rlsb_update(bias_states[0], PseudoMeasurement(pm0.z[0, :1], pm0.H[0, :1], pm0.R[0, :1]))
     )
     for got, ref in ((res.bias_states.b[0], want.b), (res.bias_states.Sigma[0], want.Sigma)):
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
@@ -668,8 +678,8 @@ def test_fbe_step_drops_only_the_non_finite_pseudo_measurement(monkeypatch):
     res = fbe_step(*inputs[0], *inputs[1:])
     assert res.skipped == [(0, 1, "pseudo-measurement not finite")]
     pm0 = made[0]
-    want = rlsb_update(
-        inputs[1][0], PseudoMeasurement(pm0.z[0, :1], pm0.H[0, :1], pm0.R[0, :1])
+    want = checked(
+        rlsb_update(inputs[1][0], PseudoMeasurement(pm0.z[0, :1], pm0.H[0, :1], pm0.R[0, :1]))
     )
     for got, ref in ((res.bias_states.b[0], want.b), (res.bias_states.Sigma[0], want.Sigma)):
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
@@ -831,26 +841,28 @@ def test_batched_fusion_formulas_match_batch_free_calls():
     # batch-free calls, bit for bit.
     (prev, curr, _), _, _, lag_models, sensors = _small_fbe_inputs()
     ms = lag_models(curr.frame - prev.frame)
-    t = compute_tracklet(prev, curr, ms)
-    g = reconstruct_local_gain(t.U, t.pred_cov)
+    t = checked(compute_tracklet(prev, curr, ms))
+    g = checked(reconstruct_local_gain(t.U, t.pred_cov))
     rng = np.random.default_rng(8)
     A = rng.standard_normal((3, 4, 4))
     bias = BiasEstimate(
         b=rng.standard_normal((3, 4)) * [5.0, 1e-3, 1e-3, 1e-3], Sigma=A @ A.transpose(0, 2, 1)
     )
     geo = sensors[:, None]
-    c = bias_correct(t, bias[:, None], (geo.sigma_r, geo.sigma_theta), origin=geo.position)
+    c = checked(
+        bias_correct(t, bias[:, None], (geo.sigma_r, geo.sigma_theta), origin=geo.position)
+    )
     zb = sensor_pseudo_obs(curr, prev, g.W, ms)
     r, th = cart_to_polar(t.u, geo.position)
     jac = jacobians_at(r, th)
     pm = difference_pseudo_measurement(zb, c.z, jac, c.R, g.R, offset_only=False)
     stacks = PseudoMeasurement(pm.z[:, :, None], pm.H[:, :, None], pm.R[:, :, None])
-    est = rlsb_update(bias[:, None], stacks)
+    est = checked(rlsb_update(bias[:, None], stacks))
     for s in range(3):
         for tgt in range(2):
             ts = Tracklet(u=t.u[s, tgt], U=t.U[s, tgt], pred_cov=t.pred_cov[s, tgt])
-            c1 = bias_correct(
-                ts, bias[s], (10.0, 1e-3), origin=tuple(sensors.position[s])
+            c1 = checked(
+                bias_correct(ts, bias[s], (10.0, 1e-3), origin=tuple(sensors.position[s]))
             )
             np.testing.assert_array_equal(c.z[s, tgt], c1.z)
             np.testing.assert_array_equal(c.R[s, tgt], c1.R)
@@ -859,7 +871,7 @@ def test_batched_fusion_formulas_match_batch_free_calls():
             j1 = jacobians_at(*cart_to_polar(t.u[s, tgt], sensors.position[s]))
             np.testing.assert_array_equal(jac.K[s, tgt], j1.K)
             pm1 = difference_pseudo_measurement(z1, c1.z, j1, c1.R, g.R[s, tgt], offset_only=False)
-            e1 = rlsb_update(bias[s], PseudoMeasurement(z=[pm1.z], H=[pm1.H], R=[pm1.R]))
+            e1 = checked(rlsb_update(bias[s], PseudoMeasurement([pm1.z], [pm1.H], [pm1.R])))
             np.testing.assert_array_equal(est.b[s, tgt], e1.b)
             np.testing.assert_array_equal(est.Sigma[s, tgt], e1.Sigma)
 

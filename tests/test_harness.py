@@ -1065,15 +1065,22 @@ def test_failing_pairs_cost_one_pass_per_reason(monkeypatch, local_filter):
     # Each reported IMM track covariance is replaced by twice its lag-1
     # prediction, so every pair lost information and its position-marginal
     # tracklet fails, except (imm_nca_ncv) sensor 1, target 4 at frame 6,
-    # which keeps its own covariance.  fbe drops all failing pairs of a
-    # frame together: one tracklet batch per frame (two where a pair
-    # survives), not one per failing pair, with one skip record per pair in
-    # (sensor, target) order.
+    # which keeps its own covariance.  fbe skips all failing pairs of a
+    # frame from one pass: each stage runs once per frame, the survivor's
+    # frame and the frames where no pair survives included, with one skip
+    # record per pair in (sensor, target) order.
     import sensorreg.fusion as fusion
     import sensorreg.harness.simulate as sim
     from sensorreg.trackers import GaussianEstimate
 
-    counts = _count_calls(monkeypatch, (fusion,), ("compute_tracklet",))
+    stages = (
+        "compute_tracklet",
+        "reconstruct_local_gain",
+        "bias_correct",
+        "sensor_pseudo_obs",
+        "rlsb_update",
+    )
+    counts = _count_calls(monkeypatch, (fusion,), stages)
     skipped = {}
     survivor = {"imm_ncv_ncv": [], "imm_nca_ncv": [(1, 4)]}[local_filter]
 
@@ -1100,8 +1107,116 @@ def test_failing_pairs_cost_one_pass_per_reason(monkeypatch, local_filter):
     for k in epochs:
         expected = [p for p in pairs if k != 6 or p[:2] not in survivor]
         assert skipped[k] == expected
-    assert counts["compute_tracklet"] == len(epochs) + len(survivor)
+    assert counts == dict.fromkeys(stages, len(epochs))
     assert sum(map(len, skipped.values())) == 480 - len(survivor)
+
+
+def _edited_tracks(edit):
+    """``run_local_tracks`` whose tracks ``edit(tracks)`` changes in place."""
+
+    def run(scenario, truth):
+        tracks = run_local_tracks(scenario, truth)
+        edit(tracks)
+        return tracks
+
+    return run
+
+
+def test_nan_track_covariance_is_named(monkeypatch):
+    # A NaN track covariance fails the tracklet's condition screen, so its
+    # pair takes the position-marginal form, whose 2x2 test names it:
+    # baseline stops there, and fbe skips the pair and names the NaN by
+    # sensor and target once the run's outputs are checked.
+    import sensorreg.harness.simulate as sim
+
+    def nan(tracks):
+        tracks.cov[1, 2, 10] = np.nan
+
+    monkeypatch.setattr(sim, "run_local_tracks", _edited_tracks(nan))
+    sc = load_scenario("five_sensor_offset")
+    where = "run 0: sensor 1, target 2, frame 10"
+    with pytest.raises(NumericalError, match=rf"^{where}: track position covariance"):
+        sim.run_single(sc, 0, "baseline")
+    with pytest.raises(NumericalError, match=r"sensor 1, target 2"):
+        sim.run_single(sc, 0, "fbe")
+
+
+def test_fused_pass_bias_correction_names_the_pair(monkeypatch):
+    # A range offset estimate of 1e9 m on sensor 2 after frame 20's step
+    # makes the corrected ranges of the fused pass non-positive: the error
+    # names the first failing pair by sensor, target and frame.
+    import sensorreg.harness.simulate as sim
+
+    step = sim.fbe_step
+
+    def fbe_step(*args):
+        res = step(*args)
+        if args[1].frame == 20:
+            res.bias_states.b[2, 0] = 1e9
+        return res
+
+    monkeypatch.setattr(sim, "fbe_step", fbe_step)
+    reason = "run 0: sensor 2, target 0, frame 20: corrected range non-positive"
+    with pytest.raises(NumericalError, match=rf"^{reason} \(-[\d.]+ m\)$"):
+        sim.run_single(load_scenario("five_sensor_offset"), 0, "fbe")
+
+
+_TWO_SENSOR = load_scenario("two_sensor")
+
+
+@given(
+    s=st.integers(0, len(_TWO_SENSOR.sensors) - 1),
+    t=st.integers(0, len(_TWO_SENSOR.targets) - 1),
+    k=st.sampled_from(_TWO_SENSOR.update_epochs()),
+    kind=st.sampled_from(["no_information", "near_singular"]),
+)
+@settings(max_examples=20, deadline=None)
+def test_a_degenerate_report_is_named_by_baseline_and_skipped_by_fbe(
+    tmp_path_factory, s, t, k, kind
+):
+    # One report of two_sensor carries no information over its lag-1
+    # prediction (its covariance is that prediction, so the position
+    # information difference is zero), or has a position covariance
+    # indefinite by 1e-12 of its scale.  The CLI's baseline exits 2 naming
+    # that run, sensor, target and frame, and fbe skips exactly that pair at
+    # that frame.
+    import contextlib
+    import io
+
+    from sensorreg.cli import main
+    from sensorreg.dynamics import LagModels
+
+    sc = _TWO_SENSOR
+    lag1 = LagModels(ncv_model(sc.dt, sc.fusion_q))(np.ones(1, dtype=int))
+
+    def degenerate(tracks):
+        if kind == "no_information":
+            P = tracks.cov[s, t, k - 1][None]
+            tracks.cov[s, t, k] = (lag1.F @ P @ lag1.F.swapaxes(-1, -2) + lag1.Q)[0]
+        else:
+            a = tracks.cov[s, t, k, 0, 0]
+            tracks.cov[s, t, k, ::2, ::2] = [[a, a], [a, a * (1.0 - 1e-12)]]
+
+    import sensorreg.harness.simulate as sim
+
+    skipped = {}
+    step = sim.fbe_step
+
+    def fbe_step(*args):
+        res = step(*args)
+        skipped[args[1].frame] = res.skipped
+        return res
+
+    out = tmp_path_factory.mktemp("degenerate")
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+        mp.setattr(sim, "run_local_tracks", _edited_tracks(degenerate))
+        args = ["--scenario", "two_sensor", "--method", "baseline", "--runs", "1"]
+        assert main(["simulate", *args, "--out", str(out)]) == 2
+        mp.setattr(sim, "fbe_step", fbe_step)
+        sim.run_single(sc, 0, "fbe")
+    assert f"run 0: sensor {s}, target {t}, frame {k}: " in err.getvalue()
+    assert [record[:2] for record in skipped[k]] == [(s, t)]
 
 
 @pytest.mark.parametrize(

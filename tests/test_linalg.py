@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sensorreg._linalg import cholesky, inv_spd2
 from sensorreg.coords import CartesianMeasurement
 from sensorreg.dynamics import nca_model, ncv_model
-from sensorreg.errors import SingularMatrixError
+from sensorreg.errors import SingularMatrixError, raise_first
 from sensorreg.trackers import ImmState, imm_step, init_track, kf_predict, kf_update
 
 EPS = np.finfo(float).eps
@@ -72,19 +72,22 @@ def test_inv_spd2_names_first_bad_element():
 
 @pytest.mark.parametrize("factor", [cholesky])
 def test_spd_factorizations_name_first_bad_element(factor):
+    # The mask marks every element that is not positive definite or not
+    # finite, each factored as the identity; raising its fault names the
+    # first.
     mat = np.broadcast_to(np.eye(3), (3, 4, 3, 3)).copy()
     mat[1, 2] = np.diag([1.0, -1.0, 1.0])  # indefinite
     mat[2, 0] = np.nan
+    L, ok = factor(mat)
+    np.testing.assert_array_equal(np.argwhere(~ok), [[1, 2], [2, 0]])
+    np.testing.assert_array_equal(L, np.broadcast_to(np.eye(3), mat.shape))
     with pytest.raises(SingularMatrixError, match=r"^P is not positive definite") as exc:
-        factor(mat, context="P")
+        raise_first([("P is not positive definite", ~ok)], SingularMatrixError)
     assert exc.value.index == (1, 2)
     mat[1, 2] = np.eye(3)
-    with pytest.raises(SingularMatrixError) as exc:
-        factor(mat, context="P")
-    assert exc.value.index == (2, 0)
-    with pytest.raises(SingularMatrixError) as exc:
-        factor(np.diag([1.0, 0.0, 1.0]), context="P")
-    assert exc.value.index is None
+    assert np.argwhere(~factor(mat)[1]).tolist() == [[2, 0]]
+    _, ok = factor(np.diag([1.0, 0.0, 1.0]))
+    assert ok.shape == () and not ok
 
 
 def test_trackers_make_no_lapack_call(monkeypatch):

@@ -4,10 +4,11 @@ the per-element choice of form."""
 
 import numpy as np
 import pytest
+from conftest import checked
 
 from sensorreg.coords import CartesianMeasurement
 from sensorreg.dynamics import MotionModel, compose_steps, ncv_model
-from sensorreg.errors import NumericalError, TrackletSingularError
+from sensorreg.errors import NumericalError
 from sensorreg.fusion import reconstruct_local_gain
 from sensorreg.trackers import GaussianEstimate, kf_predict, kf_update
 from sensorreg.tracklets import (
@@ -128,16 +129,14 @@ def test_monte_carlo_error_covariance_matches_U():
 
 def test_inverse_kf_rejects_singular_difference():
     # A single-step position-only update leaves the covariance difference
-    # rank deficient; the inverse-filter form must signal the fallback.
+    # rank deficient, which fails the condition screen of compute_tracklet:
+    # it gives the pair the position-marginal form.
     model = compose_steps(ncv_model(1.0, 0.1), 1)
     prev = GaussianEstimate(mean=np.zeros(4), cov=np.diag([100.0, 4.0, 100.0, 4.0]), frame=0)
     pred = kf_predict(prev, ncv_model(1.0, 0.1))
     curr, _ = kf_update(pred, CartesianMeasurement(z=[1.0, 1.0], R=np.eye(2)))
-    with pytest.raises(TrackletSingularError):
-        tracklet_inverse_kf(prev, curr, model)
-    # compute_tracklet gives the pair the position-marginal form instead.
-    t = compute_tracklet(prev, curr, model)
-    want = tracklet_decorrelated(prev, curr, model)
+    t = checked(compute_tracklet(prev, curr, model))
+    want = checked(tracklet_decorrelated(prev, curr, model))
     assert t.u.shape == (2,) and t.U.shape == (2, 2)
     np.testing.assert_array_equal(t.u, want.u)
     np.testing.assert_array_equal(t.U, want.U)
@@ -152,7 +151,7 @@ def test_decorrelated_scalar_case():
     # Information 2 after and 1 before: U = 1 and u = 2 * 2 - 1 per axis.
     prev = GaussianEstimate(mean=np.full(4, 1.0), cov=np.eye(4), frame=0)
     curr = GaussianEstimate(mean=np.full(4, 2.0), cov=0.5 * np.eye(4), frame=1)
-    t = tracklet_decorrelated(prev, curr, _STATIC)
+    t = checked(tracklet_decorrelated(prev, curr, _STATIC))
     np.testing.assert_allclose(t.U, np.eye(2), rtol=1e-12)
     np.testing.assert_allclose(t.u, [2 * 2.0 - 1.0] * 2, rtol=1e-12)
 
@@ -160,7 +159,7 @@ def test_decorrelated_scalar_case():
 def test_decorrelated_no_update_is_prediction_fixed_point():
     prev = GaussianEstimate(mean=np.full(4, 3.0), cov=np.eye(4), frame=0)
     curr = GaussianEstimate(mean=np.full(4, 3.0), cov=0.5 * np.eye(4), frame=1)
-    t = tracklet_decorrelated(prev, curr, _STATIC)
+    t = checked(tracklet_decorrelated(prev, curr, _STATIC))
     np.testing.assert_allclose(t.u, [3.0, 3.0])
 
 
@@ -177,7 +176,7 @@ def test_decorrelated_single_step_recovers_measurement():
     z = CartesianMeasurement(z=rng.standard_normal(2) * 100, R=np.diag([100.0, 421.0]))
     pred = kf_predict(prev, model)
     curr, _ = kf_update(pred, z)
-    t = tracklet_decorrelated(prev, curr, compose_steps(model, 1))
+    t = checked(tracklet_decorrelated(prev, curr, compose_steps(model, 1)))
     np.testing.assert_allclose(t.u, z.z, rtol=1e-8)
     np.testing.assert_allclose(t.U, z.R, rtol=1e-8)
 
@@ -187,7 +186,7 @@ def test_decorrelated_rejects_information_loss():
     prev = GaussianEstimate(mean=np.zeros(4), cov=np.eye(4), frame=0)
     curr = GaussianEstimate(mean=np.zeros(4), cov=2.0 * np.eye(4), frame=1)
     with pytest.raises(NumericalError):
-        tracklet_decorrelated(prev, curr, model)
+        checked(tracklet_decorrelated(prev, curr, model))
 
 
 def test_fused_decorrelated_tracklets_match_centralized_filter():
@@ -215,7 +214,7 @@ def test_fused_decorrelated_tracklets_match_centralized_filter():
         for i in range(2):
             pred = kf_predict(locals_[i], model)
             upd, _ = kf_update(pred, zs[i])
-            tl.append(tracklet_decorrelated(locals_[i], upd, ms1))
+            tl.append(checked(tracklet_decorrelated(locals_[i], upd, ms1)))
             new_locals.append(upd)
         locals_ = new_locals
 
@@ -280,15 +279,15 @@ def test_batched_tracklet_and_gain_match_per_pair_loop():
     ms1 = compose_steps(ncv_model(1.0, 0.3), 1)
     kinds = ["pos", "pos", "full", "pos"]
     pairs = [_snapshot_pair(rng, ms1, kind) for kind in kinds]
-    t = tracklet_decorrelated(*_stacked(pairs, (2, 2)), ms1)
-    g = reconstruct_local_gain(t.U, t.pred_cov)
+    t = checked(tracklet_decorrelated(*_stacked(pairs, (2, 2)), ms1))
+    g = checked(reconstruct_local_gain(t.U, t.pred_cov))
     assert t.u.shape == (2, 2, 2) and t.U.shape == (2, 2, 2, 2)
     assert t.pred_cov.shape == (2, 2, 4, 4)
     assert g.W.shape == (2, 2, 4, 2) and g.R.shape == (2, 2, 2, 2)
     for i, (prev, curr) in enumerate(pairs):
         idx = divmod(i, 2)
-        t1 = tracklet_decorrelated(prev, curr, ms1)
-        g1 = reconstruct_local_gain(t1.U, t1.pred_cov)
+        t1 = checked(tracklet_decorrelated(prev, curr, ms1))
+        g1 = checked(reconstruct_local_gain(t1.U, t1.pred_cov))
         for batched, single in [
             (t.u, t1.u), (t.U, t1.U), (t.pred_cov, t1.pred_cov),
             (g.W, g1.W), (g.R, g1.R),
@@ -301,7 +300,7 @@ def test_batched_tracklet_rejects_indefinite_element():
     ms1 = compose_steps(ncv_model(1.0, 0.3), 1)
     pairs = [_snapshot_pair(rng, ms1, kind) for kind in ["pos", "loss", "full"]]
     with pytest.raises(NumericalError, match=r"not positive definite at batch index \[1\]"):
-        tracklet_decorrelated(*_stacked(pairs, (3,)), ms1)
+        checked(tracklet_decorrelated(*_stacked(pairs, (3,)), ms1))
 
 
 @pytest.mark.parametrize("shape", [(2,), (1, 2)])
@@ -313,7 +312,7 @@ def test_mixed_batch_names_a_failure_at_the_first_element(shape):
     ms1 = compose_steps(ncv_model(1.0, 0.3), 1)
     pairs = [_snapshot_pair(rng, ms1, kind) for kind in ["loss", "full"]]
     with pytest.raises(NumericalError, match="not positive definite") as info:
-        compute_tracklet(*_stacked(pairs, shape), ms1)
+        checked(compute_tracklet(*_stacked(pairs, shape), ms1))
     assert info.value.index == (0,) * len(shape)
     np.testing.assert_array_equal(info.value.failed, np.reshape([True, False], shape))
 
@@ -354,11 +353,11 @@ def test_mixed_batch_matches_per_element_tracklets():
         Q=np.stack([m.Q for _, _, m in triples]),
         steps=lags,
     )
-    t = compute_tracklet(prev, curr, model)
+    t = checked(compute_tracklet(prev, curr, model))
     assert t.u.shape == (7, 2) and t.U.shape == (7, 2, 2) and t.A is None
     for i, (p, c, m) in enumerate(triples):
         if lags[i] == 1:
-            want = tracklet_decorrelated(p, c, m)
+            want = checked(tracklet_decorrelated(p, c, m))
         else:
             full = tracklet_inverse_kf(p, c, m)
             want = Tracklet(u=full.u[::2], U=full.U[::2, ::2], pred_cov=full.pred_cov)

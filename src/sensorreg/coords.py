@@ -29,6 +29,7 @@ __all__ = [
     "conversion_gain",
     "polar_to_cart",
     "converted_covariance",
+    "converted_measurement",
     "cart_to_polar",
 ]
 
@@ -98,7 +99,8 @@ class BiasJacobians:
 
     ``B`` (..., 2, 2) maps polar perturbations into Cartesian ones, and
     ``K = B @ [I | diag(r, theta)]`` (..., 2, 4) maps the bias vector into
-    them; leading axes index a batch of measurements.
+    them; leading axes index a batch of measurements.  ``B`` is a view of
+    the first two columns of ``K``.
     """
 
     B: np.ndarray
@@ -128,17 +130,21 @@ def jacobians_at(r, theta) -> BiasJacobians:
     """Bias Jacobians evaluated at (measured) range/azimuth pairs; array
     arguments give a batch with their broadcast shape."""
     r, theta = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(theta, dtype=float))
-    c, s = np.cos(theta), np.sin(theta)
-    B = np.empty(r.shape + (2, 2))
-    B[..., 0, 0], B[..., 0, 1] = c, -r * s
-    B[..., 1, 0], B[..., 1, 1] = s, r * c
-    # K's columns: the offsets' are B's, each scale's is its coordinate
-    # times the matching column of B.
-    K = np.empty(r.shape + (2, 4))
-    K[..., :2] = B
-    K[..., 2] = r[..., None] * B[..., 0]
-    K[..., 3] = theta[..., None] * B[..., 1]
-    return BiasJacobians(B=B, K=K)
+    return _jacobians(r, theta, np.cos(theta), np.sin(theta), 4)
+
+
+def _jacobians(r, theta, c, s, d: int) -> BiasJacobians:
+    """:func:`jacobians_at` from the cosines ``c`` and sines ``s`` of the
+    azimuths, with the first ``d`` (2 or 4) columns of ``K``."""
+    K = np.empty(r.shape + (2, d))
+    K[..., 0, 0], K[..., 0, 1] = c, -r * s
+    K[..., 1, 0], K[..., 1, 1] = s, r * c
+    if d == 4:
+        # Each scale's column is its coordinate times the matching offset
+        # column.
+        K[..., 2] = r[..., None] * K[..., 0]
+        K[..., 3] = theta[..., None] * K[..., 1]
+    return BiasJacobians(B=K[..., :2], K=K)
 
 
 def conversion_gain(sigma_theta):
@@ -155,11 +161,13 @@ def polar_to_cart(r, theta, sigma_theta, origin=(0.0, 0.0)) -> np.ndarray:
     The conversion is trustworthy while ``r * sigma_theta**2 / sigma_r``
     stays below ``CONVERSION_VALIDITY_LIMIT``; callers check their geometry.
     """
+    return _cart(r, np.cos(theta), np.sin(theta), sigma_theta, origin)
+
+
+def _cart(r, c, s, sigma_theta, origin) -> np.ndarray:
     lam_r = conversion_gain(sigma_theta) * np.asarray(r)
     origin = np.asarray(origin, dtype=float)
-    return np.stack(
-        [origin[..., 0] + lam_r * np.cos(theta), origin[..., 1] + lam_r * np.sin(theta)], axis=-1
-    )
+    return np.stack([origin[..., 0] + lam_r * c, origin[..., 1] + lam_r * s], axis=-1)
 
 
 def converted_covariance(r, theta, sigma_r, sigma_theta) -> np.ndarray:
@@ -167,19 +175,38 @@ def converted_covariance(r, theta, sigma_r, sigma_theta) -> np.ndarray:
     (linearized form); the arguments broadcast."""
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    c, s = np.cos(theta), np.sin(theta)
+    return _covariance(r, np.cos(theta), np.sin(theta), sigma_r, sigma_theta)
+
+
+def _covariance(r, c, s, sigma_r, sigma_theta) -> np.ndarray:
     # Products, not ``**2``: numpy scalars square through pow(), which can
     # round differently from an array's x*x, and a batch must give the same
     # bits as its batch-free elements.
     vr = sigma_r * sigma_r
     vt = (r * r) * (sigma_theta * sigma_theta)
     off = (vr - vt) * s * c
-    out = np.empty(np.broadcast(r, theta).shape + (2, 2))
+    out = np.empty(np.broadcast(r, c).shape + (2, 2))
     out[..., 0, 0] = vt * (s * s) + vr * (c * c)
     out[..., 0, 1] = off
     out[..., 1, 0] = off
     out[..., 1, 1] = vt * (c * c) + vr * (s * s)
     return out
+
+
+def converted_measurement(r, theta, sigma_r, sigma_theta, origin, d: int):
+    """The compensated positions (:func:`polar_to_cart`), their covariances
+    (:func:`converted_covariance`) and the first ``d`` (2 or 4) columns of
+    the bias Jacobian ``K`` (:func:`jacobians_at`) of ranges and azimuths
+    measured from ``origin``, from one cos/sin evaluation: ``(z (..., 2),
+    R (..., 2, 2), K (..., 2, d))``.  The arguments broadcast.
+    """
+    r, theta = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(theta, dtype=float))
+    c, s = np.cos(theta), np.sin(theta)
+    return (
+        _cart(r, c, s, sigma_theta, origin),
+        _covariance(r, c, s, sigma_r, sigma_theta),
+        _jacobians(r, theta, c, s, d).K,
+    )
 
 
 def cart_to_polar(z: np.ndarray, origin=(0.0, 0.0)):

@@ -9,6 +9,7 @@ at the tracker interface.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +40,14 @@ class MotionModel:
     @property
     def dim(self) -> int:
         return self.F.shape[-1]
+
+    @cached_property
+    def Ft(self) -> np.ndarray:
+        """``F`` transposed, as a contiguous array formed on first use (``F``
+        is not to change after it).  Matmul takes its BLAS path only for
+        contiguous operands: on small stacks a transposed view costs about
+        three times as much."""
+        return np.ascontiguousarray(self.F.swapaxes(-1, -2))
 
     def __getitem__(self, index) -> MotionModel:
         """The models at ``index`` of the batch axes; a shared model is

@@ -45,8 +45,8 @@ from .coords import (
     CartesianMeasurement,
     cart_to_polar,
     converted_covariance,
+    converted_measurement,
     jacobians_at,
-    polar_to_cart,
     wrap_angle,
 )
 from .dynamics import LagModels, MotionModel
@@ -194,10 +194,9 @@ def bias_correct(
         (quoted("corrected range non-positive (%.3f m)", bad, lambda: r_bc[bad]), bad),
     ]
 
-    y = polar_to_cart(r_bc, theta_bc, sigma_theta, origin)
-    K = jacobians_at(r_bc, theta_bc).K[..., : bias.dim]
-    noise_cov = converted_covariance(r_bc, theta_bc, sigma_r, sigma_theta)
-    R = t.U + noise_cov + K @ bias.Sigma @ mt(K)
+    y, noise_cov, K = converted_measurement(r_bc, theta_bc, sigma_r, sigma_theta, origin, bias.dim)
+    # A contiguous K' keeps matmul on its BLAS path, as MotionModel.Ft does.
+    R = t.U + noise_cov + K @ bias.Sigma @ np.ascontiguousarray(mt(K))
     return CartesianMeasurement(z=y, R=symmetrize(R)), faults
 
 

@@ -323,7 +323,10 @@ def run_local_tracks(scenario: Scenario, truth: TruthData) -> LocalTracks:
 
     All streams advance in lockstep: each frame is one batched tracker call
     over the (sensor, target) axes.  A singular matrix is reported with the
-    sensor, target and frame of the stream it occurred in.
+    sensor, target and frame of the stream it occurred in.  An IMM mode left
+    unreachable is reported at the frame whose update left it so (frame 0
+    for the initial mode probabilities), one frame before the mixing it
+    would stop.
     """
     K = scenario.frames
     n_s = len(scenario.sensors)
@@ -337,9 +340,10 @@ def run_local_tracks(scenario: Scenario, truth: TruthData) -> LocalTracks:
     est = init_track(CartesianMeasurement(z=truth.cart_z[:, :, 0], R=truth.cart_R[:, :, 0]))
     mean[:, :, 0] = est.mean
     cov[:, :, 0] = est.cov
-    if not is_kf:
-        state = ImmState.from_track(est, models, IMM_INITIAL_PROBS, IMM_TRANSITION)
+    k = 0
     with located(lambda s, t: f"sensor {s}, target {t}, frame {k}"):
+        if not is_kf:
+            state = ImmState.from_track(est, models, IMM_INITIAL_PROBS, IMM_TRANSITION)
         for k in range(1, K + 1):
             meas = CartesianMeasurement(z=truth.cart_z[:, :, k], R=truth.cart_R[:, :, k])
             if is_kf:

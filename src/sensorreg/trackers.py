@@ -5,6 +5,12 @@ bias-ignorant: they model the measurement as position plus white noise.  The
 Kalman update also exposes its gain and innovation so that an oracle
 comparison path can consume the true gains.
 
+An IMM cycle (:func:`imm_step`) predicts and updates every mode from the
+mixed priors that the bank carries, reweights the modes, then runs one
+moment-matching pass over the updated modes: its rows are the next cycle's
+mixed priors and the combined output.  Mixing and output combination are
+the same operation under different weights, so one pass serves both.
+
 Every tracker function accepts leading batch axes on its estimates and
 measurements, so one call advances a whole batch of independent tracks; a
 single track is the batch-free case of the same code.
@@ -12,9 +18,8 @@ single track is the batch-free case of the same code.
 
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,6 +50,15 @@ ACCEL_PRIOR_VAR = 100.0
 
 # Position/velocity indices [x, xdot, y, ydot] of the 6-dim state.
 _POS_VEL = np.array([0, 1, 3, 4])
+
+
+def _wrap(cls, **fields):
+    """An instance of the dataclass ``cls`` holding ``fields`` as given, for
+    arrays a tracker function has just formed: the conversions and checks
+    of construction would only repeat work on them."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass
@@ -104,10 +118,8 @@ def kf_predict(est: GaussianEstimate, model: MotionModel) -> GaussianEstimate:
     """Propagate mean and covariance through the model, advancing the frame
     by its ``steps``."""
     mean = mv(model.F, est.mean)
-    # Matmul takes its BLAS path only for contiguous operands: on these
-    # small stacks a transposed view costs about three times as much.
-    cov = symmetrize(model.F @ est.cov @ np.ascontiguousarray(mt(model.F)) + model.Q)
-    return GaussianEstimate(mean=mean, cov=cov, frame=est.frame + model.steps)
+    cov = symmetrize(model.F @ est.cov @ model.Ft + model.Q)
+    return _wrap(GaussianEstimate, mean=mean, cov=cov, frame=est.frame + model.steps)
 
 
 def kf_update(
@@ -137,25 +149,34 @@ def kf_update(
     L = P - W @ P[..., pos, :]
     cov = symmetrize(L - L[..., :, pos] @ Wt + (W @ z.R) @ Wt)
     rec = KfStepRecord(gain=W, innovation=nu, innovation_inv=S_inv, innovation_logdet=np.log(det))
-    return GaussianEstimate(mean=mean, cov=cov, frame=est.frame), rec
+    return _wrap(GaussianEstimate, mean=mean, cov=cov, frame=est.frame), rec
 
 
 @dataclass
 class ImmState:
     """Bank of mode-matched filters with Markov mode switching.
 
-    ``modes`` holds every mode on its last batch axis: mean (..., n_modes, n)
-    and covariance (..., n_modes, n, n), all in the state space of the
-    largest model.  ``model`` propagates them with ``F`` and ``Q`` of shape
-    (n_modes, n, n); the transition matrix rows are the switching
-    probabilities out of each mode.  ``mode_probs`` is (..., n_modes), one
-    simplex vector per bank; ``model`` and ``transition`` are shared.
+    ``modes`` holds every mode's updated estimate on its last batch axis:
+    mean (..., n_modes, n) and covariance (..., n_modes, n, n), all in the
+    state space of the largest model.  ``model`` propagates them with ``F``
+    and ``Q`` of shape (n_modes, n, n); the transition matrix rows are the
+    switching probabilities out of each mode.  ``mode_probs`` is
+    (..., n_modes), one simplex vector per bank; ``model`` and
+    ``transition`` are shared.
+
+    The bank also carries the next cycle's start: ``mixed``, each mode's
+    mixed prior, and ``mixed_probs``, the predicted mode probabilities
+    c = mode_probs @ transition.  Construction forms them; :func:`imm_step`
+    forms the next ones in the pass that gives its combined output.  A mode
+    with c = 0 raises :class:`SingularMatrixError` marking its bank.
     """
 
     modes: GaussianEstimate
     model: MotionModel
     mode_probs: np.ndarray
     transition: np.ndarray
+    mixed: GaussianEstimate = field(init=False)
+    mixed_probs: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         # Copies, so that the state shares no array with its caller.
@@ -172,6 +193,7 @@ class ImmState:
             raise ValueError("mode probabilities must form a simplex vector")
         if not np.all(np.abs(self.transition.sum(axis=1) - 1.0) <= 1e-9):
             raise ValueError("transition matrix rows must sum to 1")
+        self.mixed_probs, self.mixed, _, _ = _mix(self.modes, self.mode_probs, self.transition)
 
     @classmethod
     def from_track(
@@ -213,14 +235,6 @@ class ImmState:
         )
         return cls(modes=modes, model=model, mode_probs=mode_probs, transition=transition)
 
-    def _advanced(self, modes: GaussianEstimate, mode_probs: np.ndarray) -> ImmState:
-        """This bank with new ``modes`` and ``mode_probs`` built by
-        :func:`imm_step`, sharing ``model`` and ``transition``.  The checks
-        on outside input that construction runs are not repeated."""
-        state = copy.copy(self)
-        state.modes, state.mode_probs = modes, mode_probs
-        return state
-
 
 def _gauss_loglik(rec: KfStepRecord) -> np.ndarray:
     """Gaussian log-likelihood of each innovation of a Kalman update, from
@@ -247,48 +261,68 @@ def _moments(weights: np.ndarray, est: GaussianEstimate) -> tuple[np.ndarray, np
     return x, symmetrize(P)
 
 
+def _mix(
+    modes: GaussianEstimate, mu: np.ndarray, transition: np.ndarray
+) -> tuple[np.ndarray, GaussianEstimate, np.ndarray, np.ndarray]:
+    """One moment-matching pass over ``modes``: the predicted mode
+    probabilities c = mu @ transition of the next cycle, the mixed prior of
+    each destination mode, and the mean and covariance of the mixture under
+    ``mu`` itself (the combined estimate), its last row.
+
+    Raises :class:`SingularMatrixError` marking every bank with a mode that
+    c leaves unreachable (every bank of ``modes`` when ``mu`` is shared).
+    """
+    c_bar = mu @ transition
+    if (c_bar <= 0).any():
+        unreachable = (c_bar <= 0).any(axis=-1) & np.ones(modes.mean.shape[:-2], dtype=bool)
+        raise SingularMatrixError("unreachable mode in IMM transition matrix", unreachable)
+    # w[..., j, i] weighs source mode i in destination mode j.
+    w = transition.T * mu[..., None, :] / c_bar[..., :, None]
+    x, P = _moments(np.concatenate([w, mu[..., None, :]], axis=-2), modes)
+    m = c_bar.shape[-1]
+    mixed = _wrap(GaussianEstimate, mean=x[..., :m, :], cov=P[..., :m, :, :], frame=modes.frame)
+    return c_bar, mixed, x[..., m, :], P[..., m, :, :]
+
+
 def imm_step(
     state: ImmState, z: CartesianMeasurement
 ) -> tuple[ImmState, GaussianEstimate]:
-    """One IMM cycle: mix, mode-matched predict/update, reweight, combine.
+    """One IMM cycle: mode-matched predict and update from the mixed priors
+    the bank carries, reweight, then one moment-matching pass over the
+    updated modes that gives the next cycle's mixed priors and the combined
+    output.
 
-    Returns the new bank state and the moment-matched combined estimate on
-    the 4-dim position/velocity interface.  Every bank of a batch and every
-    mode advances in the same call; a singular matrix is reported at the
-    bank's batch index.
+    Returns the new bank state and the combined estimate on the 4-dim
+    position/velocity interface.  Every bank of a batch and every mode
+    advances in the same call; a singular matrix, or a mode that the new
+    mode probabilities leave unreachable in the next cycle, is reported at
+    the bank's batch index.
     """
-    mu = state.mode_probs
-    Pi = state.transition
-    c_bar = mu @ Pi
-    unreachable = (c_bar <= 0).any(axis=-1)
-    if unreachable.any():
-        raise SingularMatrixError("unreachable mode in IMM transition matrix", unreachable)
-
-    # Mixed initial conditions; w[..., j, i] weighs source mode i in
-    # destination mode j.
-    w = Pi.T * mu[..., None, :] / c_bar[..., :, None]
-    x0, P0 = _moments(w, state.modes)
-    mixed = GaussianEstimate(mean=x0, cov=P0, frame=state.modes.frame)
     # Mode-matched predict and update, the measurement on a unit mode axis.
-    z = CartesianMeasurement(z=z.z[..., None, :], R=z.R[..., None, :, :])
+    z = _wrap(CartesianMeasurement, z=z.z[..., None, :], R=z.R[..., None, :, :])
     try:
-        modes, rec = kf_update(kf_predict(mixed, state.model), z)
+        modes, rec = kf_update(kf_predict(state.mixed, state.model), z)
     except SingularMatrixError as exc:
         raise SingularMatrixError(exc.reason, exc.failed.any(axis=-1)) from exc
 
     # Mode probability update (log-domain for underflow safety).
-    log_mu = np.log(c_bar) + _gauss_loglik(rec)
+    log_mu = np.log(state.mixed_probs) + _gauss_loglik(rec)
     log_mu -= log_mu.max(axis=-1, keepdims=True)
-    mu_new = np.exp(log_mu)
-    mu_new /= mu_new.sum(axis=-1, keepdims=True)
+    mu = np.exp(log_mu)
+    mu /= mu.sum(axis=-1, keepdims=True)
 
-    new_state = state._advanced(modes, mu_new)
-
-    # Moment-matched combined output on the full mode state, then its
-    # position/velocity rows: the 4-dim interface.
-    x, P = _moments(mu_new[..., None, :], modes)
-    x, P = x[..., 0, :], P[..., 0, :, :]
+    c_bar, mixed, x, P = _mix(modes, mu, state.transition)
+    new_state = _wrap(
+        ImmState,
+        modes=modes,
+        model=state.model,
+        mode_probs=mu,
+        transition=state.transition,
+        mixed=mixed,
+        mixed_probs=c_bar,
+    )
+    # The combined output on the full mode state, then its position/velocity
+    # rows: the 4-dim interface.
     if modes.dim == 6:
         x, P = x[..., _POS_VEL], P[..., _POS_VEL[:, None], _POS_VEL]
-    combined = GaussianEstimate(mean=x, cov=P, frame=modes.frame)
-    return new_state, combined
+    return new_state, _wrap(GaussianEstimate, mean=x, cov=P, frame=modes.frame)

@@ -59,7 +59,7 @@ class Tracklet:
 def _predict(prev: GaussianEstimate, model: MotionModel):
     F = model.F
     if F.ndim > 2:
-        return mv(F, prev.mean), F @ prev.cov @ mt(F) + model.Q
+        return mv(F, prev.mean), F @ prev.cov @ model.Ft + model.Q
     # A shared F predicts the whole batch in two 2-D BLAS products: F times
     # every covariance side by side, then every row of F P times F'.
     n = model.dim
@@ -79,11 +79,15 @@ def tracklet_inverse_kf(
     :func:`compute_tracklet` screens for; a single-step lag with
     position-only updates leaves D singular.
     """
-    return _inverse_kf(*_predict(prev, model), curr)
+    x_pred, P_pred = _predict(prev, model)
+    return _inverse_kf(x_pred, P_pred, curr, symmetrize(P_pred - curr.cov))
 
 
-def _inverse_kf(x_pred: np.ndarray, P_pred: np.ndarray, curr: GaussianEstimate) -> Tracklet:
-    D = symmetrize(P_pred - curr.cov)
+def _inverse_kf(
+    x_pred: np.ndarray, P_pred: np.ndarray, curr: GaussianEstimate, D: np.ndarray
+) -> Tracklet:
+    """:func:`tracklet_inverse_kf` from the prediction and the covariance
+    difference ``D``."""
     A = mt(np.linalg.solve(mt(D), mt(P_pred)))
     u = x_pred + mv(A, curr.mean - x_pred)
     return Tracklet(u=u, U=symmetrize(A @ curr.cov), pred_cov=P_pred, A=A)
@@ -156,12 +160,12 @@ def compute_tracklet(
     failed = np.zeros((3,) + lo.shape, dtype=bool)
     if inverse.all():
         # A batch of one form (every epoch of a lag-10 scenario) needs no gather.
-        full = _inverse_kf(x_pred, P_pred, curr)
+        full = _inverse_kf(x_pred, P_pred, curr, D)
         t = Tracklet(u=full.u[..., ::2], U=full.U[..., ::2, ::2], pred_cov=P_pred)
         return t, _decorrelated_faults(curr.cov, P_pred, failed)
     t = Tracklet(u=np.empty(lo.shape + (2,)), U=np.empty(lo.shape + (2, 2)), pred_cov=P_pred)
     if inverse.any():
-        full = _inverse_kf(x_pred[inverse], P_pred[inverse], curr[inverse])
+        full = _inverse_kf(x_pred[inverse], P_pred[inverse], curr[inverse], D[inverse])
         t.u[inverse], t.U[inverse] = full.u[..., ::2], full.U[..., ::2, ::2]
     marginal = ~inverse
     part, failed[:, marginal] = _decorrelated(x_pred[marginal], P_pred[marginal], curr[marginal])

@@ -14,6 +14,7 @@ from sensorreg.coords import (
     cart_to_polar,
     conversion_gain,
     converted_covariance,
+    converted_measurement,
     jacobians_at,
     polar_to_cart,
     wrap_angle,
@@ -193,6 +194,18 @@ def test_round_trip_recovers_scaled_range(polar, st_):
     np.testing.assert_allclose(wrap_angle(tt - theta), 0.0, atol=1e-9)
     for i, (ri, ti) in enumerate(zip(r.tolist(), theta.tolist())):
         np.testing.assert_array_equal(z[i], polar_to_cart(ri, ti, st_))
+
+
+@given(polar=polar_batches, d=st.sampled_from([2, 4]))
+@settings(max_examples=100, deadline=None)
+def test_converted_measurement_is_the_three_conversions(polar, d):
+    # One cos/sin evaluation gives the bits of the three separate calls.
+    r, theta = polar
+    origin = np.array([[150.0, -20.0]])
+    z, R, K = converted_measurement(r, theta, 10.0, 1e-3, origin, d)
+    np.testing.assert_array_equal(z, polar_to_cart(r, theta, 1e-3, origin))
+    np.testing.assert_array_equal(R, converted_covariance(r, theta, 10.0, 1e-3))
+    np.testing.assert_array_equal(K, jacobians_at(r, theta).K[..., :d])
 
 
 @given(angle=st.floats(min_value=-50.0, max_value=50.0))

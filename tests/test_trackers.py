@@ -294,14 +294,47 @@ def test_batched_update_names_singular_element():
 
 
 def test_batched_imm_names_unreachable_mode():
+    # The check runs where the next cycle's mixing is formed: at
+    # construction for the initial probabilities, and at the end of the
+    # cycle whose update drove a mode's probability to zero.
+    from sensorreg.dynamics import nca_model
+
     model = ncv_model(1.0, 1.0)
     z0 = CartesianMeasurement(z=np.zeros((2, 2)), R=np.broadcast_to(np.eye(2), (2, 2, 2)))
-    state = ImmState.from_track(
-        init_track(z0), [model, model], np.array([[0.5, 0.5], [1.0, 0.0]]), np.eye(2)
-    )
     with pytest.raises(SingularMatrixError, match="unreachable mode") as info:
-        imm_step(state, z0)
+        ImmState.from_track(
+            init_track(z0), [model, model], np.array([[0.5, 0.5], [1.0, 0.0]]), np.eye(2)
+        )
     assert info.value.index == (1,)
+    models = [nca_model(1.0, 10.0), ncv_model(1.0, 2.0)]
+    state = ImmState.from_track(init_track(z0), models, [0.5, 0.5], np.eye(2))
+    # 1e7 m off, bank 1's likelihoods differ by far more than exp can
+    # resolve, so one mode's probability underflows to zero.
+    far = CartesianMeasurement(z=np.array([[0.0, 0.0], [1e7, 0.0]]), R=z0.R)
+    with pytest.raises(SingularMatrixError, match="unreachable mode") as info:
+        imm_step(state, far)
+    assert info.value.index == (1,)
+
+
+def test_local_tracks_name_the_frame_that_left_a_mode_unreachable(monkeypatch):
+    # An identity transition cannot bring a mode back, so the frame whose
+    # update zeroed its probability is the one named, one frame before the
+    # mixing that would divide by zero; the initial probabilities are
+    # frame 0's.
+    import sensorreg.harness.simulate as sim
+    from sensorreg.harness import load_scenario, run_local_tracks, simulate_truth
+
+    sc = load_scenario("two_sensor")
+    sc.frames = 12
+    sc.local_filter.type = "imm_nca_ncv"
+    truth = simulate_truth(sc, 0)
+    truth.cart_z[1, 0, 7] += 1e7
+    monkeypatch.setattr(sim, "IMM_TRANSITION", np.eye(2))
+    with pytest.raises(SingularMatrixError, match="^sensor 1, target 0, frame 7: unreachable"):
+        run_local_tracks(sc, truth)
+    monkeypatch.setattr(sim, "IMM_INITIAL_PROBS", np.array([1.0, 0.0]))
+    with pytest.raises(SingularMatrixError, match="^sensor 0, target 0, frame 0: unreachable"):
+        run_local_tracks(sc, truth)
 
 
 def test_imm_from_track_embeds_with_accel_prior():
@@ -586,3 +619,54 @@ def test_a08_bias_series_match_the_former_kernels():
             want = run_single(sc, run, "fbe")
         for g, w in ((got.b_series, want.b_series), (got.sigma_series, want.sigma_series)):
             np.testing.assert_allclose(g, w, rtol=0, atol=BIAS_SERIES_RTOL * np.abs(w).max())
+
+
+# Largest difference between the one-pass IMM cycle and the former two-pass
+# one, relative to each array's largest magnitude, over 100 frames of the A08
+# configuration (measured: the modes and their probabilities bit-identical,
+# the combined output up to 1.6e-16).
+ONE_PASS_RTOL = 1e-12
+
+
+def _two_pass_imm_step(modes, mu, model, Pi, z):
+    """The IMM cycle as imm_step ran it before: mix the updated modes at the
+    start of the cycle, predict and update, reweight, then moment-match the
+    combined output in a second pass.  Returns the updated modes, their
+    probabilities and the combined estimate."""
+    c_bar = mu @ Pi
+    w = Pi.T * mu[..., None, :] / c_bar[..., :, None]
+    x0, P0 = trackers._moments(w, modes)
+    z = CartesianMeasurement(z=z.z[..., None, :], R=z.R[..., None, :, :])
+    modes, rec = kf_update(kf_predict(GaussianEstimate(x0, P0, modes.frame), model), z)
+    log_mu = np.log(c_bar) + trackers._gauss_loglik(rec)
+    log_mu -= log_mu.max(axis=-1, keepdims=True)
+    mu = np.exp(log_mu)
+    mu /= mu.sum(axis=-1, keepdims=True)
+    x, P = trackers._moments(mu[..., None, :], modes)
+    x, P = x[..., 0, :], P[..., 0, :, :]
+    if modes.dim == 6:
+        x, P = x[..., _REF_POS_VEL], P[..., _REF_POS_VEL[:, None], _REF_POS_VEL]
+    return modes, mu, GaussianEstimate(x, P, modes.frame)
+
+
+def test_one_pass_imm_cycle_matches_the_two_pass_cycle():
+    from sensorreg.harness import simulate_truth
+    from sensorreg.harness.simulate import IMM_INITIAL_PROBS, IMM_TRANSITION, _local_model
+
+    sc = _a08()
+    truth = simulate_truth(sc, 0)
+    est = init_track(CartesianMeasurement(z=truth.cart_z[:, :, 0], R=truth.cart_R[:, :, 0]))
+    state = ImmState.from_track(est, _local_model(sc), IMM_INITIAL_PROBS, IMM_TRANSITION)
+    modes, mu = state.modes, state.mode_probs
+    got, want = [], []
+    for k in range(1, sc.frames + 1):
+        z = CartesianMeasurement(z=truth.cart_z[:, :, k], R=truth.cart_R[:, :, k])
+        state, combined = imm_step(state, z)
+        modes, mu, ref = _two_pass_imm_step(modes, mu, state.model, IMM_TRANSITION, z)
+        got.append((state.modes.mean, state.modes.cov, state.mode_probs, combined.mean, combined.cov))
+        want.append((modes.mean, modes.cov, mu, ref.mean, ref.cov))
+    assert k == 100 and state.modes.frame == modes.frame == 100
+    names = ("mode means", "mode covariances", "mode probabilities", "mean", "covariance")
+    for name, g, w in zip(names, zip(*got), zip(*want)):
+        g, w = np.stack(g), np.stack(w)
+        np.testing.assert_allclose(g, w, rtol=0, atol=ONE_PASS_RTOL * np.abs(w).max(), err_msg=name)

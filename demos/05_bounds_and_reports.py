@@ -10,8 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from sensorreg.crlb import crlb_diag, fisher_information
+from sensorreg.bias import PseudoMeasurement, bias_information
 from sensorreg.coords import jacobians_at
+from sensorreg.crlb import crlb_diag
 from sensorreg.harness import (
     crlb_series,
     emit_crlb,
@@ -21,10 +22,11 @@ from sensorreg.harness import (
     summary_tables,
 )
 
-# A hand-built two-block information problem first.
+# A hand-built two-block information problem first: the blocks form one
+# stack, whose information the estimators and the bound path share.
 g = jacobians_at([20_000.0, 15_000.0], [0.0, 1.2]).B
-noise = np.diag([200.0, 800.0])
-information = fisher_information(g, noise).sum(axis=0)
+noise = np.broadcast_to(np.diag([200.0, 800.0]), (2, 2, 2))
+information, _ = bias_information(PseudoMeasurement(np.zeros((2, 2)), g, noise))
 print("two-block sqrt bound:", np.round(np.sqrt(crlb_diag(information)), 4))
 
 # Bound trajectory for the shipped five-sensor scenario.

@@ -26,7 +26,7 @@ from .coords import (
     polar_to_cart,
     wrap_angle,
 )
-from .crlb import combine_sensors, crlb_diag, fisher_information
+from .crlb import crlb_diag
 from .dynamics import (
     MotionModel,
     compose_steps,
@@ -91,7 +91,6 @@ __all__ = [
     "apply_bias",
     "bias_correct",
     "cart_to_polar",
-    "combine_sensors",
     "compose_steps",
     "compute_tracklet",
     "conversion_gain",
@@ -99,7 +98,6 @@ __all__ = [
     "crlb_diag",
     "difference_pseudo_measurement",
     "fbe_step",
-    "fisher_information",
     "imm_step",
     "init_track",
     "kf_predict",

@@ -32,20 +32,6 @@ def symmetrize(mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def inv_sym(mat: np.ndarray, context: str = "matrix") -> np.ndarray:
-    """Invert symmetric matrices on the last two axes, raising
-    :class:`SingularMatrixError` marking the failing batch elements."""
-    try:
-        out = np.linalg.inv(mat)
-    except np.linalg.LinAlgError:
-        raise_first([singular(context, mat, fails_alone(np.linalg.inv, mat))], SingularMatrixError)
-    # A single reduction flags any inf/nan the factorization let through.
-    if not np.isfinite(out.sum()):
-        bad = ~np.isfinite(out).all(axis=(-2, -1))
-        raise SingularMatrixError(f"{context} inverse is not finite", bad)
-    return out
-
-
 def cholesky(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cholesky factors of symmetric positive definite matrices on the last
     two axes (any size), and the mask of the factored ones.
@@ -88,44 +74,29 @@ def singular(context: str, mat: np.ndarray, bad: np.ndarray) -> tuple:
 
 def det_spd2(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Determinants of the 2x2 matrices on the last two axes, and the mask
-    of those that pass the positive definiteness test of :func:`inv_spd2`:
-    determinant finite and positive, leading entry positive (False for any
-    NaN entry)."""
+    of those that pass the positive definiteness test of
+    :func:`inv_spd2_masked`: determinant finite and positive, leading entry
+    positive (False for any NaN entry)."""
     det = mat[..., 0, 0] * mat[..., 1, 1] - mat[..., 0, 1] * mat[..., 1, 0]
     return det, (det > 0.0) & (mat[..., 0, 0] > 0.0) & (det < np.inf)
 
 
-def inv_spd2(mat: np.ndarray, context: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
-    """Inverse and determinant of 2x2 symmetric positive definite matrices
-    on the last two axes, in closed (cofactor) form.
-
-    Every innovation, gain Gram and pseudo-measurement covariance of the
-    package is 2x2, where the cofactor form costs a fraction of a batched
-    LAPACK call per element.  An element whose determinant is not finite
-    and positive, or whose leading entry is not positive, fails with
-    :class:`SingularMatrixError` quoting the first such element's condition
-    number.
-    """
-    det, ok = det_spd2(mat)
-    if not ok.all():
-        raise_first([singular(context, mat, ~ok)], SingularMatrixError)
-    return _cofactor_inverse(mat, det), det
-
-
 def inv_spd2_masked(mat: np.ndarray, keep=True) -> tuple[np.ndarray, np.ndarray]:
-    """The inverses of :func:`inv_spd2` for the 2x2 matrices that ``keep``
-    marks (it broadcasts against the batch axes) and that pass its test,
-    the identity for every other, and the mask of the inverted ones: a
-    batch with failures in place of an error."""
+    """Cofactor inverses of the 2x2 SPD matrices that ``keep`` marks (it
+    broadcasts against the batch axes) and that pass :func:`det_spd2`, the
+    identity for every other, and the mask of the inverted ones: failures in
+    place of an error, which a caller that must stop raises via
+    :func:`singular`."""
     det, ok = det_spd2(mat)
     ok = ok & keep
     if not ok.all():
         mat = np.where(ok[..., None, None], mat, np.eye(2))
         det = np.where(ok, det, 1.0)
-    return _cofactor_inverse(mat, det), ok
+    return cofactor_inverse(mat, det), ok
 
 
-def _cofactor_inverse(mat: np.ndarray, det: np.ndarray) -> np.ndarray:
+def cofactor_inverse(mat: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """Inverses of 2x2 matrices from their tested determinants ``det``."""
     # The adjugate [[d, -b], [-c, a]] is the transpose with both axes
     # reversed and the off-diagonal entries negated.
     adj = mt(mat)[..., ::-1, ::-1] * _ADJUGATE_SIGNS
@@ -134,7 +105,7 @@ def _cofactor_inverse(mat: np.ndarray, det: np.ndarray) -> np.ndarray:
 
 def solve_psd(mat: np.ndarray, rhs: np.ndarray, context: str = "matrix") -> np.ndarray:
     """Solve ``mat @ x = rhs`` for every matrix on the leading batch axes
-    (any size; :func:`inv_spd2` serves the 2x2 case).
+    (any size; :func:`inv_spd2_masked` serves the 2x2 case).
 
     A singular ``mat`` fails with :class:`SingularMatrixError` quoting the
     first singular element's condition number.

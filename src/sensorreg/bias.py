@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import cholesky, det_spd2, inv_spd2, inv_spd2_masked, mt, mv, solve_psd, symmetrize
+from ._linalg import cholesky, det_spd2, inv_spd2_masked, mt, mv, singular, solve_psd, symmetrize
 from .coords import BiasJacobians
 from .dynamics import MotionModel
 from .trackers import GaussianEstimate
@@ -79,7 +79,7 @@ def sensor_pseudo_obs(
     prev: GaussianEstimate,
     gain: np.ndarray,
     model: MotionModel,
-) -> np.ndarray:
+) -> tuple[np.ndarray, list]:
     """Deconvolve track updates into measurement space.
 
     Applies the left pseudo-inverse of the gain to the difference between the
@@ -89,15 +89,16 @@ def sensor_pseudo_obs(
     (..., n, 2) and the model's ``F`` may carry leading batch axes; the
     result has shape (..., 2).
 
-    Raises :class:`SingularMatrixError` naming the first rank-deficient gain.
+    Returns the observations and their one check: the gain Gram matrix
+    ``W'W`` singular, whose element holds a stand-in.
     """
     W = np.asarray(gain, dtype=float)
     G = mt(W) @ W
     x_pred = mv(model.F, prev.mean)
     # Positions sit at indices 0 and dim/2, so H x is a strided slice.
     resid = curr.mean - x_pred + mv(W, x_pred[..., :: curr.dim // 2])
-    G_inv, _ = inv_spd2(G, context="gain Gram matrix")
-    return mv(G_inv, mv(mt(W), resid))
+    G_inv, ok = inv_spd2_masked(G)
+    return mv(G_inv, mv(mt(W), resid)), [singular("gain Gram matrix", G, ~ok)]
 
 
 def difference_pseudo_measurement(

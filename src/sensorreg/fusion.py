@@ -50,7 +50,7 @@ from .coords import (
     wrap_angle,
 )
 from .dynamics import LagModels, MotionModel
-from .errors import at_index, first_faults, located, quoted
+from .errors import at_index, first_faults, quoted
 from .trackers import GaussianEstimate, kf_predict, kf_update
 from .tracklets import Tracklet, compute_tracklet
 
@@ -61,6 +61,7 @@ __all__ = [
     "FbeResult",
     "reconstruct_local_gain",
     "bias_correct",
+    "slot_information",
     "sfa",
     "fbe_step",
 ]
@@ -200,6 +201,18 @@ def bias_correct(
     return CartesianMeasurement(z=y, R=symmetrize(R)), faults
 
 
+def slot_information(R: np.ndarray, present=True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Informations ``R_j^-1`` of m measurement slots, ``R`` (..., m, 2, 2),
+    zero for a slot that ``present`` (..., m) does not mark or whose
+    covariance fails the 2x2 test; their sum over the slots, added in slot
+    order; and the mask of the used slots, on the batch axes of ``R`` and
+    ``present`` broadcast together."""
+    info, ok = inv_spd2_masked(R)
+    used = ok & present
+    info = info * used[..., None, None]
+    return info, info.sum(axis=-3), used
+
+
 def sfa(
     state: GaussianEstimate,
     model: MotionModel,
@@ -213,7 +226,8 @@ def sfa(
     (..., m, 2) and ``z.R`` (..., m, 2, 2); the state, the model and the
     measurements may carry the same leading batch axes, or axes that
     broadcast against the state's.  The slots j with
-    ``present[..., j]`` (all when it is None) combine, in slot order, into
+    ``present[..., j]`` (all when it is None) combine, in slot order
+    (:func:`slot_information`), into
     ``R_eq = (sum R_j^-1)^-1``, ``y_eq = R_eq sum R_j^-1 y_j``, whose update
     equals the sequential updates in exact arithmetic.
 
@@ -231,21 +245,17 @@ def sfa(
     pred = kf_predict(state, model)
     shape = pred.mean.shape[:-1]
     m = z.z.shape[-2]
-    present = True if present is None else present
-    # Slot informations on the measurements' own batch axes; an unused slot
-    # folds zero information and y = 0.
-    info, ok = inv_spd2_masked(z.R)
-    used = np.logical_and(ok, present, out=np.empty(shape + (m,), dtype=bool))
-    if not ok.all():
-        for *index, j in np.argwhere(present & ~used):
+    present = np.broadcast_to(True if present is None else present, shape + (m,))
+    # Slot informations inverted on the measurements' own batch axes; an
+    # unused slot folds zero information and y = 0.
+    info, info_sum, used = slot_information(z.R, present)
+    dropped = present & ~used
+    if dropped.any():
+        for *index, j in np.argwhere(dropped):
             log.warning(
-                "skipping measurement %d%s: covariance not positive definite",
-                j,
-                at_index(index),
+                "skipping measurement %d%s: covariance not positive definite", j, at_index(index)
             )
-    info = info * used[..., None, None]
     y = np.where(used[..., None], z.z, 0.0)
-    info_sum = info.sum(axis=-3)
     info_y = mv(info, y).sum(axis=-2)
 
     live = used.any(axis=-1)
@@ -344,13 +354,12 @@ def fbe_step(
     :func:`sfa`, :func:`sensor_pseudo_obs`, the difference
     pseudo-measurements, their screen and the fold.  Elements outside the
     mask carry stand-ins (a position-selecting gain, zero positions) whose
-    results are discarded.  A pseudo-measurement that fails a check of
-    :func:`pseudo_measurement_faults` is dropped and recorded.  Each sensor
+    results are discarded.  A pseudo-measurement whose gain fails the check
+    of :func:`sensor_pseudo_obs`, or that fails one of
+    :func:`pseudo_measurement_faults`, is dropped and recorded.  Each sensor
     folds its pseudo-measurements in one stacked :func:`rlsb_update` over
     every sensor; a sensor whose fold fails a check keeps its estimate and
-    is recorded.  A rank-deficient gain of a masked pair raises the
-    :class:`NumericalError` of :func:`sensor_pseudo_obs` as
-    ``sensor s, target t, frame k: <reason>``, its ``failed`` over (S, T).
+    is recorded.
 
     Corrections use the bias estimates as they stood at the start of the
     frame, so per-sensor updates are order-independent within the frame.
@@ -416,11 +425,7 @@ def fbe_step(
         present,
     )
 
-    def at_pair(s, t):
-        return f"sensor {s}, target {t}, frame {np.broadcast_to(curr.frame, ref.shape)[s, t]}"
-
-    with located(at_pair):
-        zb_s = sensor_pseudo_obs(curr, prev, W, lagged)
+    zb_s, gram_faults = sensor_pseudo_obs(curr, prev, W, lagged)
 
     # Observation matrix of each sensor at its tracklet's own polar
     # coordinates (the fusion center has no raw measurements).  Every
@@ -447,7 +452,7 @@ def fbe_step(
     # A pseudo-measurement that fails a check is dropped; it and every pair
     # without one are padded with H = 0, z = 0, R = I, which contribute
     # nothing to the stacked fold of each sensor over its targets.
-    found, usable = first_faults(pseudo_measurement_faults(pm), ref)
+    found, usable = first_faults(gram_faults + pseudo_measurement_faults(pm), ref)
     res.skipped += [(int(s), int(t), reason) for (s, t), reason in found]
     z = np.where(usable[..., None], pm.z, 0.0)
     H = np.where(usable[..., None, None], pm.H, 0.0)

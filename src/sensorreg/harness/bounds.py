@@ -2,13 +2,13 @@
 
 Bounds use the noise-free trajectories and true measurement covariances.
 For each sensor the other reporters are collapsed into one equivalent
-sensor, reducing the problem to a two-sensor difference whose observation
-blocks sum into the Fisher information; two-sensor scenarios also get the
-joint (stacked) bound over both sensors' parameters.  Every (epoch, target,
-sensor) block is built at once, so memory is O(epochs * targets * sensors
-* d^2) for bias dimension d.  Who reports at each epoch is a row of the
-scenario's reporting schedule; the 2x2 noises are inverted in closed form,
-and only the running d x d informations go through LAPACK.
+sensor (the slot information sum of ``sfa``), reducing the problem to a
+two-sensor difference whose observation blocks sum into the Fisher
+information (``bias_information``, as for the estimators); two-sensor
+scenarios also get the joint (stacked) bound over both sensors' parameters.
+Every (epoch, target, sensor) block is built at once, so memory is
+O(epochs * targets * sensors * d^2) for bias dimension d.  Who reports at
+each epoch is a row of the scenario's reporting schedule.
 """
 
 from __future__ import annotations
@@ -17,10 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._linalg import det_spd2, inv_spd2_masked, singular, symmetrize
+from ..bias import PseudoMeasurement, bias_information
 from ..coords import cart_to_polar, converted_covariance, jacobians_at
-from .._linalg import symmetrize
-from ..crlb import combine_sensors, crlb_diag, fisher_information
-from ..errors import located
+from ..crlb import crlb_diag
+from ..errors import SingularMatrixError, located, raise_first
+from ..fusion import slot_information
 from .scenario import Scenario
 from .simulate import nominal_geometry
 
@@ -34,6 +36,12 @@ class CrlbSeries:
     epochs: list[int]
     per_sensor: np.ndarray          # (n_epochs, n_sensors, d)
     stacked: np.ndarray | None      # (n_epochs, 2 * d) for two-sensor scenarios
+
+
+def _block_information(H: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Information H'R^-1H of each block, H (..., 2, d), on a unit stack axis."""
+    pm = PseudoMeasurement(np.zeros(H.shape[:-2] + (1, 2)), H[..., None, :, :], R[..., None, :, :])
+    return bias_information(pm)[0]
 
 
 def _running_bound(info: np.ndarray) -> np.ndarray:
@@ -64,19 +72,21 @@ def crlb_series(scenario: Scenario) -> CrlbSeries:
     K = jacobians_at(rng, az).K[..., :d]
     R = converted_covariance(rng, az, sensors.sigma_r, sensors.sigma_theta)
 
-    def where(e, t, *s):  # (epoch, target[, target sensor], sensor)
-        at = f"target {t}, frame {epochs[e]}"
-        return f"sensor {s[-1]}, {at}" if s else at
-
-    with located(where):
-        # A sensor that does not report gets a placeholder noise and no information.
-        R_rep = np.where(block_reports, R, np.eye(2))
-        others = reports[:, None, None, :] & ~np.eye(n_s, dtype=bool)
-        total = combine_sensors(R_rep[..., None, :, :, :], others, R_rep)
-        info = np.where(block_reports, fisher_information(K, total), 0.0)
-        per_sensor = _running_bound(info)
-        stacked = None
-        if n_s == 2:
-            g = np.concatenate([K[..., 0, :, :], -K[..., 1, :, :]], axis=-1)
-            stacked = _running_bound(fisher_information(g, R[..., 0, :, :] + R[..., 1, :, :]))
+    # A sensor that does not report gets a placeholder noise and no information.
+    R_rep = np.where(block_reports, R, np.eye(2))
+    others = reports[:, None, None, :] & ~np.eye(n_s, dtype=bool)
+    _, info_others, _ = slot_information(R_rep[..., None, :, :, :], others)
+    R_others, combined = inv_spd2_masked(info_others)
+    faults = [
+        singular("sensor noise covariance", R, reports[:, None] & ~det_spd2(R)[1]),
+        singular("combined information", info_others, ~combined),
+    ]
+    with located(lambda e, t, s: f"sensor {s}, target {t}, frame {epochs[e]}"):
+        raise_first(faults, SingularMatrixError)
+    total = symmetrize(R_others + R_rep)
+    per_sensor = _running_bound(np.where(block_reports, _block_information(K, total), 0.0))
+    stacked = None
+    if n_s == 2:
+        g = np.concatenate([K[..., 0, :, :], -K[..., 1, :, :]], axis=-1)
+        stacked = _running_bound(_block_information(g, R[..., 0, :, :] + R[..., 1, :, :]))
     return CrlbSeries(epochs=epochs, per_sensor=per_sensor, stacked=stacked)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
@@ -224,6 +225,14 @@ def _integer(value, where: str) -> int:
     return value
 
 
+def _number(value, where: str) -> float:
+    """``value`` as a float; a bool or a non-number is rejected, which float()
+    would read as 1.0 or parse from a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ScenarioError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
 def _boolean(value, where: str) -> bool:
     """``value`` if it is a JSON true or false; bool() would read the string
     "false" as True."""
@@ -232,11 +241,11 @@ def _boolean(value, where: str) -> bool:
     return value
 
 
-def _given(doc: dict, convert: dict) -> dict:
+def _given(doc: dict, convert: dict, where: str = "") -> dict:
     """The keys of ``convert`` that ``doc`` holds, each value passed through
-    its converter; an absent key is left out, so the dataclass default of
-    its field applies."""
-    return {key: conv(doc[key]) for key, conv in convert.items() if key in doc}
+    its converter with the field's name, ``where`` followed by the key; an
+    absent key is left out, so the dataclass default of its field applies."""
+    return {key: conv(doc[key], where + key) for key, conv in convert.items() if key in doc}
 
 
 def _scenario_from_dict(doc: dict) -> Scenario:
@@ -248,10 +257,9 @@ def _scenario_from_dict(doc: dict) -> Scenario:
             b = _known(s["bias"], BiasVector, f"sensor {i} bias")
             sensors.append(
                 SensorSpec(
-                    position=s["position"],
-                    sigma_r=float(s["sigma_r"]),
-                    sigma_theta=float(s["sigma_theta"]),
-                    bias=BiasVector(**{key: float(v) for key, v in b.items()}),
+                    position=[_number(v, f"sensor {i} position") for v in s["position"]],
+                    **_given(s, {"sigma_r": _number, "sigma_theta": _number}, f"sensor {i} "),
+                    bias=BiasVector(**_given(b, dict.fromkeys(b, _number), f"sensor {i} bias ")),
                     lag=_integer(s.get("lag", 1), f"sensor {i} lag"),
                 )
             )
@@ -265,28 +273,30 @@ def _scenario_from_dict(doc: dict) -> Scenario:
                     SegmentSpec(
                         model=seg["model"],
                         frames=_integer(seg["frames"], f"target {i} segment {j} frames"),
-                        **_given(seg, {"omega": float}),
+                        **_given(seg, {"omega": _number}, f"target {i} segment {j} "),
                     )
                 )
-            targets.append(TargetSpec(initial_state=t["initial_state"], segments=segments))
+            state = [_number(v, f"target {i} initial_state") for v in t["initial_state"]]
+            targets.append(TargetSpec(initial_state=state, segments=segments))
         lf = _known(doc.get("local_filter", {}), LocalFilterSpec, "local_filter")
+        convert = {"type": lambda v, _: v} | dict.fromkeys(("q", "q1", "q2"), _number)
+        if not isinstance(doc.get("name", ""), str):
+            raise ScenarioError(f"name must be a string, got {doc['name']!r}")
         scenario = Scenario(
             name=doc.get("name", "scenario"),
             sensors=sensors,
             targets=targets,
             frames=_integer(doc["frames"], "frames"),
             mc_runs=_integer(doc.get("mc_runs", 1), "mc_runs"),
-            local_filter=LocalFilterSpec(
-                **_given(lf, {"type": lambda v: v, "q": float, "q1": float, "q2": float})
-            ),
+            local_filter=LocalFilterSpec(**_given(lf, convert, "local_filter ")),
             **_given(
                 doc,
                 {
-                    "dt": float,
-                    "process_noise_q": float,
-                    "fusion_q": float,
-                    "estimate_scale_bias": lambda v: _boolean(v, "estimate_scale_bias"),
-                    "rng_seed": lambda v: _integer(v, "rng_seed"),
+                    "dt": _number,
+                    "process_noise_q": _number,
+                    "fusion_q": _number,
+                    "estimate_scale_bias": _boolean,
+                    "rng_seed": _integer,
                 },
             ),
         )

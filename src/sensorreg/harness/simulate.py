@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._linalg import inv_sym, mv, symmetrize
+from .._linalg import mv, solve_psd, symmetrize
 from ..bias import (
     BiasEstimate,
     PseudoMeasurement,
@@ -498,7 +498,8 @@ def _run_stacked(
         else:
             W, R = tracks.gain[:, :, 1:], truth.cart_R[:, :, 1:]
             r_m, t_m = truth.polar_meas[:, :, 1:, 0], truth.polar_meas[:, :, 1:, 1]
-        zb = sensor_pseudo_obs(curr, prev, W, ms1)
+        zb, gram_faults = sensor_pseudo_obs(curr, prev, W, ms1)
+        raise_first(gram_faults)
         B = jacobians_at(r_m, t_m).B
     # One stacked pseudo-measurement per (frame, target).
     pm = PseudoMeasurement(
@@ -514,7 +515,7 @@ def _run_stacked(
     with located(lambda j, t: f"frame {j + 1}, target {t}"):
         raise_first(pseudo_measurement_faults(pm))
     info[1:], info_z[1:] = bias_information(pm)
-    sigma = symmetrize(inv_sym(np.cumsum(info, axis=0), context="bias information"))
+    sigma = symmetrize(solve_psd(np.cumsum(info, axis=0), np.eye(4), context="bias information"))
     return mv(sigma, np.cumsum(info_z, axis=0))[:, None], sigma[:, None], None
 
 

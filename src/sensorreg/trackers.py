@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import inv_spd2, mt, mv, symmetrize
+from ._linalg import cofactor_inverse, det_spd2, mt, mv, singular, symmetrize
 from .coords import CartesianMeasurement
 from .dynamics import MotionModel
-from .errors import SingularMatrixError
+from .errors import SingularMatrixError, raise_first
 
 __all__ = [
     "GaussianEstimate",
@@ -141,7 +141,10 @@ def kf_update(
     nu = z.z - est.mean[..., pos]
     PHt = P[..., :, pos]
     S = PHt[..., pos, :] + z.R
-    S_inv, det = inv_spd2(S, "innovation covariance")
+    det, ok = det_spd2(S)
+    if not ok.all():
+        raise_first([singular("innovation covariance", S, ~ok)], SingularMatrixError)
+    S_inv = cofactor_inverse(S, det)
     W = PHt @ S_inv
     mean = est.mean + mv(W, nu)
     # Contiguous, as F' in kf_predict.

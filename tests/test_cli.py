@@ -36,6 +36,28 @@ def tiny_scenario(tmp_path):
     return path
 
 
+def test_main_builds_one_parser_per_process(tmp_path, capsys, monkeypatch):
+    # The parser and its three subcommand parsers are built on the first
+    # call; a second call parses with them.
+    import argparse
+
+    import sensorreg.cli as cli
+
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    assert main(["report", "--in", str(tmp_path / "none")]) == 1
+    assert len(built) == 4
+    assert main(["report", "--in", str(tmp_path / "none")]) == 1
+    assert len(built) == 4
+
+
 def test_simulate_writes_metrics(tiny_scenario, tmp_path, capsys):
     out = tmp_path / "out"
     code = main([

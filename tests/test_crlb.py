@@ -1,25 +1,41 @@
-"""Fisher information blocks, bound extraction, sensor combination."""
+"""Fisher information blocks, bound extraction, sensor combination.
+
+The bound path shares its kernels with the estimators: each block's
+information comes from ``bias_information``, and the other sensors combine
+through ``slot_information``, the information sum of ``sfa``.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sensorreg._linalg import inv_spd2_masked, singular
+from sensorreg.bias import PseudoMeasurement, bias_information, pseudo_measurement_faults
 from sensorreg.coords import jacobians_at
-from sensorreg.crlb import combine_sensors, crlb_diag, fisher_information
-from sensorreg.errors import SingularMatrixError
+from sensorreg.crlb import crlb_diag
+from sensorreg.errors import NumericalError, SingularMatrixError, raise_first
+from sensorreg.fusion import slot_information
+from sensorreg.harness.bounds import _block_information
+
+
+def _stack(H, R):
+    """Pseudo-measurements of the blocks ``H`` (m, 2, d), ``R`` (m, 2, 2) as
+    one stack, whose information is their sum."""
+    H = np.asarray(H, dtype=float)
+    return PseudoMeasurement(np.zeros(H.shape[:-1]), H, R)
 
 
 def test_single_identity_block():
-    J = fisher_information(np.eye(2), 4.0 * np.eye(2))
+    J, _ = bias_information(_stack([np.eye(2)], [4.0 * np.eye(2)]))
     np.testing.assert_allclose(J, np.eye(2) / 4.0)
 
 
 def test_information_additivity_over_identical_blocks():
     g = jacobians_at(20000.0, 0.3).B
     R = np.diag([200.0, 800.0])
-    J1 = fisher_information(g, R)
-    J5 = fisher_information(np.stack([g] * 5), np.stack([R] * 5)).sum(axis=0)
+    J1, _ = bias_information(_stack([g], [R]))
+    J5, _ = bias_information(_stack([g] * 5, [R] * 5))
     np.testing.assert_allclose(J5, 5 * J1, rtol=1e-12)
 
 
@@ -36,7 +52,7 @@ def test_fim_matches_finite_difference_hessian():
             gs.append(jacobians_at(rng.uniform(1e3, 3e4), rng.uniform(-np.pi, np.pi)).B)
             A = rng.standard_normal((2, 2))
             Rs.append(A @ A.T + np.diag(rng.uniform(10.0, 100.0, 2)))
-        J = fisher_information(np.stack(gs), np.stack(Rs)).sum(axis=0)
+        J, _ = bias_information(_stack(gs, Rs))
 
         ys = [rng.standard_normal(2) * 10 for _ in range(n_blocks)]
         b0 = rng.standard_normal(d)
@@ -63,8 +79,11 @@ def test_fim_matches_finite_difference_hessian():
 
 
 def test_fim_singular_block_names_location():
-    with pytest.raises(SingularMatrixError) as exc:
-        fisher_information(np.stack([np.eye(2)] * 2), np.stack([np.eye(2), np.zeros((2, 2))]))
+    # bias_information leaves its checks to pseudo_measurement_faults, which
+    # marks the singular block.
+    pm = _stack([np.eye(2)] * 2, [np.eye(2), np.zeros((2, 2))])
+    with pytest.raises(NumericalError, match="not positive definite") as exc:
+        raise_first(pseudo_measurement_faults(pm))
     assert exc.value.index == (1,)
 
 
@@ -78,7 +97,7 @@ def test_crlb_monotone_in_block_count():
     for _ in range(20):
         gs.append(jacobians_at(rng.uniform(1e4, 3e4), rng.uniform(-3, 3)).B)
         Rs.append(np.diag(rng.uniform(50, 500, 2)))
-    bounds = crlb_diag(np.cumsum(fisher_information(np.stack(gs), np.stack(Rs)), axis=0))
+    bounds = crlb_diag(np.cumsum(_block_information(np.stack(gs), np.stack(Rs)), axis=0))
     assert np.all(bounds[1:] <= bounds[:-1] + 1e-12)
 
 
@@ -100,25 +119,34 @@ def test_crlb_numerically_singular_information_raises():
     _unobservable_row(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-18]]))
 
 
+def _combined(noises, mask):
+    """Covariance of the other sensors collapsed into one, and the mask of
+    the used slots."""
+    _, info, used = slot_information(np.asarray(noises, dtype=float), mask)
+    return inv_spd2_masked(info)[0], used
+
+
 def test_combine_single_sensor_passthrough():
     R = np.diag([3.0, 5.0])
-    total = combine_sensors(R[None], [True], np.diag([1.0, 1.0]))
-    np.testing.assert_allclose(total, R + np.eye(2))
+    R_eq, used = _combined(R[None], [True])
+    np.testing.assert_allclose(R_eq, R)
+    assert used.tolist() == [True]
 
 
 def test_combine_equal_noise_averages():
     # Two equal sensors combine to half their noise.
     R = np.diag([2.0, 4.0])
-    total = combine_sensors(np.stack([R, R]), [True, True], R)
-    np.testing.assert_allclose(total, R / 2 + R)
+    R_eq, _ = _combined(np.stack([R, R]), [True, True])
+    np.testing.assert_allclose(R_eq, R / 2)
 
 
 def test_combine_skips_masked_sensors():
     # Masking a sensor out gives the same bits as leaving it out.
     R = np.diag([2.0, 4.0])
     noises = np.stack([R, 7.0 * R, 3.0 * R])
-    total = combine_sensors(noises, [True, False, True], R)
-    assert np.array_equal(total, combine_sensors(noises[::2], [True, True], R))
+    R_eq, used = _combined(noises, [True, False, True])
+    assert np.array_equal(R_eq, _combined(noises[::2], [True, True])[0])
+    assert used.tolist() == [True, False, True]
 
 
 def test_combine_matches_generalized_least_squares():
@@ -127,15 +155,20 @@ def test_combine_matches_generalized_least_squares():
     for _ in range(4):
         A = rng.standard_normal((2, 2))
         noises.append(A @ A.T + np.eye(2))
-    total = combine_sensors(np.stack(noises), np.ones(4, dtype=bool), np.eye(2))
-    # Covariance of the GLS estimate of a common mean, plus the target noise.
+    R_eq, _ = _combined(np.stack(noises), np.ones(4, dtype=bool))
+    # Covariance of the GLS estimate of a common mean.
     J = sum(np.linalg.inv(R) for R in noises)
-    np.testing.assert_allclose(total, np.linalg.inv(J) + np.eye(2), rtol=1e-10)
+    np.testing.assert_allclose(R_eq, np.linalg.inv(J), rtol=1e-10)
 
 
 def test_combine_empty_raises():
-    with pytest.raises(SingularMatrixError):
-        combine_sensors(np.eye(2)[None], [False], np.eye(2))
+    # No slot folds: zero information, whose 2x2 test fails, and the bound
+    # path raises that failure.
+    _, info, used = slot_information(np.eye(2)[None], [False])
+    assert not used.any() and np.array_equal(info, np.zeros((2, 2)))
+    _, ok = inv_spd2_masked(info)
+    with pytest.raises(SingularMatrixError, match="combined information is singular"):
+        raise_first([singular("combined information", info, ~ok)], SingularMatrixError)
 
 
 def _spd2(rng, shape):
@@ -160,10 +193,11 @@ def test_batched_bound_kernels_equal_per_block_calls(masks, d, seed):
     mask = np.array(masks)
     b, n = mask.shape
     noises, target = _spd2(rng, (b, n)), _spd2(rng, (b,))
-    total = combine_sensors(noises, mask, target)
+    _, combined, used = slot_information(noises, mask)
     jac = rng.standard_normal((b, 2, d)) * rng.uniform(1.0, 1e4, (b, 1, d))
-    info = fisher_information(jac, total)
+    info = _block_information(jac, target)
     for i in range(b):
-        one = combine_sensors(noises[i], mask[i], target[i])
-        assert np.array_equal(total[i], one)
-        assert np.array_equal(info[i], fisher_information(jac[i], one))
+        _, one, used_one = slot_information(noises[i], mask[i])
+        assert np.array_equal(combined[i], one)
+        assert np.array_equal(used[i], used_one)
+        assert np.array_equal(info[i], _block_information(jac[i], target[i]))

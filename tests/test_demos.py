@@ -1,8 +1,10 @@
-"""Demo scripts and the README quick start run to completion (demo 02 drives
-the batch-free tracker API, demo 03 the batched tracklet and gain step of the
-``exl`` method, demo 04 the five-sensor ``fbe`` study and demo 05 the bound,
-report and summary path)."""
+"""Demo scripts run to completion (demo 02 drives the batch-free tracker
+API, demo 03 the batched tracklet and gain step of the ``exl`` method, demo
+04 the five-sensor ``fbe`` study and demo 05 the bound, report and summary
+path), and so do the README's quick start and batched-API blocks; its
+full-study block only imports its names."""
 
+import ast
 import os
 import re
 import subprocess
@@ -39,10 +41,33 @@ def test_demo_runs(script):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_readme_quick_start_runs():
-    # The first python block of the README is the self-contained quick start
-    # (the second one runs a full Monte Carlo study).
-    block = re.search(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S).group(1)
+def _readme_blocks():
+    """The README's python blocks: the quick start, a full Monte Carlo study
+    and the batched API."""
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 3
+    return blocks
+
+
+def _run(source: str) -> dict:
     namespace = {}
-    exec(compile(block, "README.md", "exec"), namespace)
-    assert namespace["gain"].W.shape == (4, 2)
+    exec(compile(source, "README.md", "exec"), namespace)
+    return namespace
+
+
+def test_readme_quick_start_runs():
+    assert _run(_readme_blocks()[0])["gain"].W.shape == (4, 2)
+
+
+def test_readme_study_block_imports_its_names():
+    # The study takes minutes; its imports alone catch a deleted or renamed
+    # name.
+    tree = ast.parse(_readme_blocks()[1])
+    tree.body = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+    namespace = {}
+    exec(compile(tree, "README.md", "exec"), namespace)
+    assert {"load_scenario", "run_monte_carlo", "crlb_series"} <= namespace.keys()
+
+
+def test_readme_batched_api_block_runs():
+    assert _run(_readme_blocks()[2])["rec"].gain.shape == (5, 16, 4, 2)

@@ -12,7 +12,7 @@ from conftest import checked
 from hypothesis import strategies as st
 
 import sensorreg
-from sensorreg._linalg import cholesky, inv_spd2, inv_sym, solve_psd
+from sensorreg._linalg import cholesky, inv_spd2_masked, singular, solve_psd
 from sensorreg.bias import BiasEstimate
 from sensorreg.coords import BiasVector, CartesianMeasurement, apply_bias
 from sensorreg.dynamics import ncv_model
@@ -122,7 +122,7 @@ def _bias_correct(u, U, P, b, Sigma):
 
 
 SITES = {
-    "inv_spd2": (
+    "inv_spd2_masked": (
         lambda rng: (_spd(rng, 2),),
         {
             "indefinite": (_INDEF2,),
@@ -131,16 +131,9 @@ SITES = {
             "nan": (_NAN2,),
             "zero": (np.zeros((2, 2)),),
         },
-        lambda mat: inv_spd2(mat, context="S"),
-    ),
-    "inv_sym": (
-        lambda rng: (_spd(rng, 2) - 3.0 * np.eye(2),),
-        {
-            "zero": (np.zeros((2, 2)),),
-            "rank_one": (np.array([[0.0, 0.0], [0.0, 1.0]]),),
-            "nan": (_NAN2,),
-        },
-        lambda mat: inv_sym(mat, context="X"),
+        lambda mat: raise_first(
+            [singular("S", mat, ~inv_spd2_masked(mat)[1])], SingularMatrixError
+        ),
     ),
     "cholesky": (
         lambda rng: (_spd(rng, 3),),

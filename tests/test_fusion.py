@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import sensorreg.fusion as fusion
 from conftest import checked
-from sensorreg._linalg import inv_spd2, mt, symmetrize
+from sensorreg._linalg import inv_spd2_masked, mt, symmetrize
 from sensorreg.bias import (
     BiasEstimate,
     PseudoMeasurement,
@@ -29,7 +29,7 @@ from sensorreg.coords import (
     polar_to_cart,
 )
 from sensorreg.dynamics import LagModels, compose_steps, ncv_model
-from sensorreg.errors import NumericalError, SingularMatrixError
+from sensorreg.errors import NumericalError
 from sensorreg.fusion import (
     SensorModel,
     bias_correct,
@@ -367,7 +367,7 @@ def test_fbe_step_fused_side_is_the_deconvolved_reference_update(monkeypatch):
     c = checked(
         bias_correct(t, bias_states[:, None], (geo.sigma_r, geo.sigma_theta), origin=geo.position)
     )
-    info, _ = inv_spd2(c.R)
+    info, _ = inv_spd2_masked(c.R)
     n_s, n_t = reported.shape
     # One reference per (sensor, target), on that grid.
     for s, tgt in np.ndindex(n_s, n_t):
@@ -379,10 +379,10 @@ def test_fbe_step_fused_side_is_the_deconvolved_reference_update(monkeypatch):
         info_f = np.zeros((2, 2))
         for r in others:
             info_f = info_f + info[r, tgt]
-        R_f, _ = inv_spd2(info_f)
+        R_f, _ = inv_spd2_masked(info_f)
         pred_cov = kf_predict(fp, msf).cov
-        S_inv, _ = inv_spd2(pred_cov[::2, ::2] + R_f)
-        z_f = sensor_pseudo_obs(fused, fp, pred_cov[:, ::2] @ S_inv, msf)
+        S_inv, _ = inv_spd2_masked(pred_cov[::2, ::2] + R_f)
+        z_f = checked(sensor_pseudo_obs(fused, fp, pred_cov[:, ::2] @ S_inv, msf))
         np.testing.assert_allclose(
             z[s, tgt], z_f, rtol=0, atol=FUSED_PSEUDO_RTOL * np.abs(z_f).max()
         )
@@ -852,7 +852,7 @@ def test_batched_fusion_formulas_match_batch_free_calls():
     c = checked(
         bias_correct(t, bias[:, None], (geo.sigma_r, geo.sigma_theta), origin=geo.position)
     )
-    zb = sensor_pseudo_obs(curr, prev, g.W, ms)
+    zb = checked(sensor_pseudo_obs(curr, prev, g.W, ms))
     r, th = cart_to_polar(t.u, geo.position)
     jac = jacobians_at(r, th)
     pm = difference_pseudo_measurement(zb, c.z, jac, c.R, g.R, offset_only=False)
@@ -866,7 +866,7 @@ def test_batched_fusion_formulas_match_batch_free_calls():
             )
             np.testing.assert_array_equal(c.z[s, tgt], c1.z)
             np.testing.assert_array_equal(c.R[s, tgt], c1.R)
-            z1 = sensor_pseudo_obs(curr[s, tgt], prev[s, tgt], g.W[s, tgt], ms)
+            z1 = checked(sensor_pseudo_obs(curr[s, tgt], prev[s, tgt], g.W[s, tgt], ms))
             np.testing.assert_array_equal(zb[s, tgt], z1)
             j1 = jacobians_at(*cart_to_polar(t.u[s, tgt], sensors.position[s]))
             np.testing.assert_array_equal(jac.K[s, tgt], j1.K)
@@ -876,22 +876,42 @@ def test_batched_fusion_formulas_match_batch_free_calls():
             np.testing.assert_array_equal(est.Sigma[s, tgt], e1.Sigma)
 
 
-def test_fbe_step_names_the_pair_of_a_reference_failure(monkeypatch):
-    # A failure after the per-pair stage names the sensor, target and frame
-    # of the failing reference, not its position among the references, and
-    # marks the failing pairs on the (sensor, target) grid.
+def test_fbe_step_skips_the_pair_of_a_reference_failure(monkeypatch):
+    # A rank-deficient gain after the per-pair stage skips its pair, recorded
+    # with the sensor and target of the failing reference, not its position
+    # among the references.  Every other pair folds what it folds when
+    # nothing fails, and nothing raises.
     import sensorreg.fusion as fusion
+
+    real_obs, real_fold = fusion.sensor_pseudo_obs, fusion.rlsb_update
+    reason = "gain Gram matrix is singular (cond ~ inf)"
+    folded = []
 
     def rank_deficient(curr, prev, W, model):
         # Gains lie on the (sensor, target) grid: sensors 1 and 2, target 0.
+        out, _ = real_obs(curr, prev, W, model)
         failed = np.zeros(W.shape[:-2], dtype=bool)
         failed[[1, 2], 0] = True
-        raise SingularMatrixError("gain Gram matrix is singular (cond ~ inf)", failed)
+        return out, [(reason, failed)]
 
-    monkeypatch.setattr(fusion, "sensor_pseudo_obs", rank_deficient)
+    def recording(est, pm):
+        folded.append(pm)
+        return real_fold(est, pm)
+
+    monkeypatch.setattr(fusion, "rlsb_update", recording)
     tracks, bias_states, fused_prev, lag_models, sensors = _small_fbe_inputs()
-    match = r"^sensor 1, target 0, frame 5: gain Gram matrix is singular \(cond ~ inf\)$"
-    with pytest.raises(SingularMatrixError, match=match) as info:
-        fbe_step(*tracks, bias_states, fused_prev, lag_models, sensors)
-    assert info.value.index == (1, 0)
-    np.testing.assert_array_equal(info.value.failed, [[0, 0], [1, 0], [1, 0]])
+    full = fbe_step(*tracks, bias_states, fused_prev, lag_models, sensors)
+    monkeypatch.setattr(fusion, "sensor_pseudo_obs", rank_deficient)
+    res = fbe_step(*tracks, bias_states, fused_prev, lag_models, sensors)
+    assert full.skipped == []
+    assert res.skipped == [(1, 0, reason), (2, 0, reason)]
+    before, after = folded
+    keep = np.ones((3, 2), dtype=bool)
+    keep[[1, 2], 0] = False
+    for a, b in ((before.z, after.z), (before.H, after.H), (before.R, after.R)):
+        np.testing.assert_array_equal(b[keep], a[keep])
+    # The skipped pairs fold the padding, which contributes nothing.
+    assert not after.z[~keep].any() and not after.H[~keep].any()
+    np.testing.assert_array_equal(after.R[~keep], np.broadcast_to(np.eye(2), (2, 2, 2)))
+    np.testing.assert_array_equal(res.bias_states.b[0], full.bias_states.b[0])
+    np.testing.assert_array_equal(res.fused.mean, full.fused.mean)

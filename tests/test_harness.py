@@ -167,6 +167,26 @@ def test_scenario_rejects_non_finite_values(path, key, where, value):
         load_scenario(doc)
 
 
+@pytest.mark.parametrize("path, key, where", NON_FINITE_FIELDS)
+@pytest.mark.parametrize("value", ["10", True, None, [1.0]])
+def test_scenario_rejects_non_numbers(path, key, where, value):
+    # float() would read "10" as 10.0 and True as 1.0.
+    doc = _tiny_scenario()
+    node = doc
+    for k in path:
+        node = node[k]
+    node[key] = value
+    with pytest.raises(ScenarioError, match=f"^{re.escape(where)} must be a number, got "):
+        load_scenario(doc)
+    node[key] = 3
+    assert load_scenario(doc) is not None
+
+
+def test_scenario_rejects_a_name_that_is_not_a_string():
+    with pytest.raises(ScenarioError, match="^name must be a string, got 5$"):
+        load_scenario(_tiny_scenario(name=5))
+
+
 NOISE_INTENSITY_FIELDS = [
     ((), "process_noise_q", "process_noise_q"),
     ((), "fusion_q", "fusion_q"),
@@ -1367,6 +1387,32 @@ def test_stacked_noise_screen_names_frame_and_target(method):
         sim._run_stacked(sc, truth, tracks, reconstructed=(method == "exl"))
     assert info.value.failed.shape == (sc.frames, len(sc.targets))
     assert list(zip(*np.nonzero(info.value.failed))) == failed
+
+
+@pytest.mark.parametrize("method", ["ex", "exl"])
+def test_stacked_rank_deficient_gain_names_sensor_target_and_frame(monkeypatch, method):
+    # A zero gain of sensor 1, target 2 at frame 5 has a singular Gram
+    # matrix: the true gain of ex, or the reconstructed gain of exl.
+    import sensorreg.harness.simulate as sim
+
+    sc = load_scenario("two_sensor")
+    truth = simulate_truth(sc, 0)
+    tracks = run_local_tracks(sc, truth)
+    if method == "ex":
+        tracks.gain[1, 2, 5] = 0.0
+    else:
+        real = sim.reconstruct_local_gain
+
+        def zero_gain(*args):
+            gain, faults = real(*args)
+            gain.W[1, 2, 4] = 0.0
+            return gain, faults
+
+        monkeypatch.setattr(sim, "reconstruct_local_gain", zero_gain)
+    match = r"^sensor 1, target 2, frame 5: gain Gram matrix is singular \(cond ~ "
+    with pytest.raises(NumericalError, match=match) as info:
+        sim._run_stacked(sc, truth, tracks, reconstructed=(method == "exl"))
+    assert list(zip(*np.nonzero(info.value.failed))) == [(1, 2, 4)]
 
 
 def test_exl_with_imm_local_filters_keeps_kf_accuracy():

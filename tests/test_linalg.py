@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sensorreg._linalg import cholesky, inv_spd2
+from sensorreg._linalg import cholesky, det_spd2, inv_spd2_masked, singular
 from sensorreg.coords import CartesianMeasurement
 from sensorreg.dynamics import nca_model, ncv_model
 from sensorreg.errors import SingularMatrixError, raise_first
@@ -42,8 +42,9 @@ def test_inv_spd2_matches_lapack(params):
     log_scale, log_cond, angle = params
     cond = 10.0**log_cond
     mat = _spd(10.0**log_scale, cond, angle)
-    inv, det = inv_spd2(mat)
-    logdet = np.log(det)
+    inv, ok = inv_spd2_masked(mat)
+    assert ok.all()
+    logdet = np.log(det_spd2(mat)[0])
     ref = np.linalg.inv(mat)
     sign, ref_logdet = np.linalg.slogdet(mat)
     assert (sign == 1.0).all()
@@ -57,16 +58,24 @@ def test_inv_spd2_matches_lapack(params):
     assert (np.abs(logdet - ref_logdet) <= rtol * (1.0 + np.abs(ref_logdet))).all()
 
 
+def _raise_singular(mat):
+    inv, ok = inv_spd2_masked(mat)
+    # Every element that fails holds the identity.
+    np.testing.assert_array_equal(inv[~ok], np.broadcast_to(np.eye(2), inv[~ok].shape))
+    raise_first([singular("S", mat, ~ok)], SingularMatrixError)
+
+
 def test_inv_spd2_names_first_bad_element():
     mat = np.broadcast_to(np.eye(2), (3, 4, 2, 2)).copy()
     mat[1, 2] = [[1.0, 2.0], [2.0, 1.0]]  # indefinite
     mat[2, 0] = np.nan
     with pytest.raises(SingularMatrixError, match=r"^S is singular \(cond ~ 3\.000e\+00\)") as exc:
-        inv_spd2(mat, context="S")
+        _raise_singular(mat)
     assert exc.value.index == (1, 2)
+    np.testing.assert_array_equal(np.argwhere(exc.value.failed), [[1, 2], [2, 0]])
     mat[1, 2] = np.eye(2)
     with pytest.raises(SingularMatrixError, match=r"cond ~ inf") as exc:
-        inv_spd2(mat, context="S")
+        _raise_singular(mat)
     assert exc.value.index == (2, 0)
 
 

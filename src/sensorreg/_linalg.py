@@ -20,7 +20,10 @@ def mv(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     A matmul on a trailing unit axis, not ``vec @ mat.T``: each element then
     sums in the same order as a batch-free ``mat @ vec``, bit for bit, while
     the operands of both have the same memory layout.  Matmul rounds
-    contiguous and strided operands differently.
+    contiguous and strided operands differently.  The note does not cover
+    the Kalman steps: ``kf_update`` forms its gain times the innovation
+    with ``np.einsum``, and ``kf_predict`` its means as rows of a matrix
+    product.
     """
     return (mat @ vec[..., None])[..., 0]
 

@@ -50,10 +50,13 @@ class MotionModel:
         return np.ascontiguousarray(self.F.swapaxes(-1, -2))
 
     def __getitem__(self, index) -> MotionModel:
-        """The models at ``index`` of the batch axes; a shared model is
-        returned as is."""
+        """The models at ``index`` of the batch axes.  A shared model keeps
+        its ``F`` and ``Q`` and indexes ``steps`` when that is an array (a
+        shared model with scalar ``steps`` is returned as is)."""
         if self.F.ndim == 2:
-            return self
+            if np.ndim(self.steps) == 0:
+                return self
+            return MotionModel(F=self.F, Q=self.Q, steps=self.steps[index])
         steps = np.broadcast_to(self.steps, self.F.shape[:-2])[index]
         return MotionModel(F=self.F[index], Q=self.Q[index], steps=steps)
 
@@ -149,12 +152,15 @@ class LagModels:
     """The multi-step models of one single-step ``model``, composed once per
     lag.
 
-    Called with an integer array of lags, it returns one model per element:
-    ``F`` and ``Q`` of shape ``lags.shape + (n, n)`` and ``steps`` the lags.
+    Called with an integer array of lags, it returns the model of each
+    element, with ``steps`` the lags in every case.  When every lag is
+    equal, that is one shared model, ``F`` and ``Q`` of shape (n, n), which
+    :func:`~sensorreg.trackers.kf_predict` applies in 2-D BLAS products;
+    otherwise ``F`` and ``Q`` have shape ``lags.shape + (n, n)``.
     :func:`compose_steps` runs on the first use of each lag, and every use
-    gathers from a table of the composed transitions indexed by lag, so an
-    owner that keeps one instance (a Monte Carlo run) composes each of its
-    lags once.
+    reads a table of the composed transitions indexed by lag, so an owner
+    that keeps one instance (a Monte Carlo run) composes each of its lags
+    once.
     """
 
     def __init__(self, model: MotionModel) -> None:
@@ -170,6 +176,9 @@ class LagModels:
         lags = np.asarray(lags)
         if not self._known.take(lags, mode="clip").all():
             self._compose(np.unique(lags).tolist())
+        if lags.size and (lags == lags.flat[0]).all():
+            L = lags.flat[0]
+            return MotionModel(F=self._F[L], Q=self._Q[L], steps=lags)
         return MotionModel(F=self._F[lags], Q=self._Q[lags], steps=lags)
 
     def _compose(self, lags: list[int]) -> None:

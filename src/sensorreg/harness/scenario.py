@@ -233,6 +233,14 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
+def _numbers(value, where: str) -> list[float]:
+    """``value`` as a list of floats; a number, on which a loop fails, or a
+    string, which it reads character by character, is rejected."""
+    if not isinstance(value, list):
+        raise ScenarioError(f"{where} must be a list of numbers, got {value!r}")
+    return [_number(v, where) for v in value]
+
+
 def _boolean(value, where: str) -> bool:
     """``value`` if it is a JSON true or false; bool() would read the string
     "false" as True."""
@@ -257,7 +265,7 @@ def _scenario_from_dict(doc: dict) -> Scenario:
             b = _known(s["bias"], BiasVector, f"sensor {i} bias")
             sensors.append(
                 SensorSpec(
-                    position=[_number(v, f"sensor {i} position") for v in s["position"]],
+                    position=_numbers(s["position"], f"sensor {i} position"),
                     **_given(s, {"sigma_r": _number, "sigma_theta": _number}, f"sensor {i} "),
                     bias=BiasVector(**_given(b, dict.fromkeys(b, _number), f"sensor {i} bias ")),
                     lag=_integer(s.get("lag", 1), f"sensor {i} lag"),
@@ -276,7 +284,7 @@ def _scenario_from_dict(doc: dict) -> Scenario:
                         **_given(seg, {"omega": _number}, f"target {i} segment {j} "),
                     )
                 )
-            state = [_number(v, f"target {i} initial_state") for v in t["initial_state"]]
+            state = _numbers(t["initial_state"], f"target {i} initial_state")
             targets.append(TargetSpec(initial_state=state, segments=segments))
         lf = _known(doc.get("local_filter", {}), LocalFilterSpec, "local_filter")
         convert = {"type": lambda v, _: v} | dict.fromkeys(("q", "q1", "q2"), _number)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import cofactor_inverse, det_spd2, mt, mv, singular, symmetrize
+from ._linalg import cofactor_inverse, det_spd2, mt, singular, symmetrize
 from .coords import CartesianMeasurement
 from .dynamics import MotionModel
 from .errors import SingularMatrixError, raise_first
@@ -116,10 +116,32 @@ def init_track(z: CartesianMeasurement, frame: int = 0) -> GaussianEstimate:
 
 def kf_predict(est: GaussianEstimate, model: MotionModel) -> GaussianEstimate:
     """Propagate mean and covariance through the model, advancing the frame
-    by its ``steps``."""
-    mean = mv(model.F, est.mean)
-    cov = symmetrize(model.F @ est.cov @ model.Ft + model.Q)
-    return _wrap(GaussianEstimate, mean=mean, cov=cov, frame=est.frame + model.steps)
+    by its ``steps``.
+
+    Two products of rows times F' form it: the rows of P with the mean as
+    one more row, then the rows of F P, which are those of P F' transposed
+    (P is symmetric).  A transition shared by the batch (``F`` of shape
+    (n, n)) takes each as one 2-D BLAS product over the whole batch, the
+    means stacked below the covariance rows; per-element transitions, such
+    as an IMM bank's per-mode ``F``, take the stacked product.  Every
+    predicted entry is thus an entry of a matrix product, which BLAS rounds
+    alike in a batch of any size and on either path (a matrix-vector
+    product takes a kernel of its own), so an element predicts the same, bit
+    for bit, alone or in any batch.  The result is not symmetrized:
+    :func:`kf_update` does that once per step.
+    """
+    F, Ft, n = model.F, model.Ft, model.dim
+    if F.ndim == 2:
+        rows = est.cov.size // n
+        PFt = np.concatenate([est.cov.reshape(-1, n), est.mean.reshape(-1, n)]) @ Ft
+        mean = PFt[rows:].reshape(est.mean.shape)
+        FP = mt(PFt[:rows].reshape(est.cov.shape))
+        FPFt = (FP.reshape(-1, n) @ Ft).reshape(FP.shape)
+    else:
+        PFt = np.concatenate([est.cov, est.mean[..., None, :]], axis=-2) @ Ft
+        mean = PFt[..., n, :]
+        FPFt = mt(PFt[..., :n, :]) @ Ft
+    return _wrap(GaussianEstimate, mean=mean, cov=FPFt + model.Q, frame=est.frame + model.steps)
 
 
 def kf_update(
@@ -129,10 +151,11 @@ def kf_update(
 
     With H the position selector, (I - W H) P (I - W H)' + W R W' is formed
     through the position rows: L = P - W P[pos, :], then
-    L - L[:, pos] W' + (W R) W', all from n x 2 products.  L comes first:
+    L - (L[:, pos] - W R) W', all from n x 2 products.  L comes first:
     expanded to P - A - A' + W S W', the same step drifts about twice as far
-    from one update per measurement (``sfa``'s stated tolerance).  The batch
-    axes of ``est`` and ``z`` broadcast against each other.
+    from one update per measurement (``sfa``'s stated tolerance).  The
+    result is symmetrized, the one symmetrization of a predict-update step.
+    The batch axes of ``est`` and ``z`` broadcast against each other.
     """
     n = est.dim
     # Positions sit at indices 0 and n/2, so they are a strided slice.
@@ -146,11 +169,11 @@ def kf_update(
         raise_first([singular("innovation covariance", S, ~ok)], SingularMatrixError)
     S_inv = cofactor_inverse(S, det)
     W = PHt @ S_inv
-    mean = est.mean + mv(W, nu)
+    mean = est.mean + np.einsum("...ij,...j->...i", W, nu)
     # Contiguous, as F' in kf_predict.
     Wt = np.ascontiguousarray(mt(W))
     L = P - W @ P[..., pos, :]
-    cov = symmetrize(L - L[..., :, pos] @ Wt + (W @ z.R) @ Wt)
+    cov = symmetrize(L - (L[..., :, pos] - W @ z.R) @ Wt)
     rec = KfStepRecord(gain=W, innovation=nu, innovation_inv=S_inv, innovation_logdet=np.log(det))
     return _wrap(GaussianEstimate, mean=mean, cov=cov, frame=est.frame), rec
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._linalg import inv_spd2_masked, mt, mv, singular, symmetrize
 from .dynamics import MotionModel
-from .trackers import GaussianEstimate
+from .trackers import GaussianEstimate, kf_predict
 
 __all__ = [
     "Tracklet",
@@ -56,18 +56,6 @@ class Tracklet:
     A: np.ndarray | None = None
 
 
-def _predict(prev: GaussianEstimate, model: MotionModel):
-    F = model.F
-    if F.ndim > 2:
-        return mv(F, prev.mean), F @ prev.cov @ model.Ft + model.Q
-    # A shared F predicts the whole batch in two 2-D BLAS products: F times
-    # every covariance side by side, then every row of F P times F'.
-    n = model.dim
-    FP = F @ np.moveaxis(prev.cov, -2, 0).reshape(n, -1)
-    FPF = (FP.reshape(-1, n) @ F.T).reshape((n,) + prev.cov.shape[:-1])
-    return prev.mean @ F.T, np.moveaxis(FPF, 0, -2) + model.Q
-
-
 def tracklet_inverse_kf(
     prev: GaussianEstimate, curr: GaussianEstimate, model: MotionModel
 ) -> Tracklet:
@@ -79,8 +67,8 @@ def tracklet_inverse_kf(
     :func:`compute_tracklet` screens for; a single-step lag with
     position-only updates leaves D singular.
     """
-    x_pred, P_pred = _predict(prev, model)
-    return _inverse_kf(x_pred, P_pred, curr, symmetrize(P_pred - curr.cov))
+    pred = kf_predict(prev, model)
+    return _inverse_kf(pred.mean, pred.cov, curr, symmetrize(pred.cov - curr.cov))
 
 
 def _inverse_kf(
@@ -111,9 +99,9 @@ def tracklet_decorrelated(
     predicted position covariances, then their information difference, each
     not positive definite.  An element that fails one holds a stand-in.
     """
-    x_pred, P_pred = _predict(prev, model)
-    t, failed = _decorrelated(x_pred, P_pred, curr)
-    return t, _decorrelated_faults(curr.cov, P_pred, failed)
+    pred = kf_predict(prev, model)
+    t, failed = _decorrelated(pred.mean, pred.cov, curr)
+    return t, _decorrelated_faults(curr.cov, pred.cov, failed)
 
 
 def _decorrelated(x_pred, P_pred, curr: GaussianEstimate) -> tuple[Tracklet, tuple]:
@@ -137,33 +125,63 @@ def _decorrelated_faults(cov, P_pred, failed) -> list:
     ]
 
 
+def _inverse_form(D: np.ndarray) -> np.ndarray:
+    """Mask of the covariance differences ``D`` (..., n, n), symmetric, that
+    pass the condition screen of the inverse-filter form: finite, with
+    positive eigenvalues and a condition number at most ``COND_LIMIT``.
+
+    For SPD D, cond(D) <= trace(D)^n / det(D), and det(D) is the squared
+    product of the diagonal of its Cholesky factor.  An element whose bound
+    is at most ``COND_LIMIT / 16`` passes on that alone; ``eigvalsh`` decides
+    every other, and the whole batch when its Cholesky factorization fails
+    (a single-step pair leaves D singular).  The margin covers the rounding
+    of both the bound and the eigenvalues, so the mask equals that of the
+    eigenvalue test alone.
+    """
+    try:
+        diag = np.diagonal(np.linalg.cholesky(D), axis1=-2, axis2=-1)
+    except np.linalg.LinAlgError:
+        inverse = np.zeros(D.shape[:-2], dtype=bool)
+    else:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            bound = np.trace(D, axis1=-2, axis2=-1) ** D.shape[-1] / diag.prod(axis=-1) ** 2
+        inverse = np.asarray(bound <= COND_LIMIT / 16)
+    undecided = ~inverse
+    if undecided.any():
+        rest = D[undecided]
+        finite = np.isfinite(rest).all(axis=(-2, -1))
+        w = np.linalg.eigvalsh(np.where(finite[..., None, None], rest, 0.0))
+        lo, hi = w[..., 0], w[..., -1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inverse[undecided] = (lo > 0.0) & (hi / lo <= COND_LIMIT)
+    return inverse
+
+
 def compute_tracklet(
     prev: GaussianEstimate, curr: GaussianEstimate, model: MotionModel
 ) -> tuple[Tracklet, list]:
     """Position tracklet of every element, in the form that element admits,
     and the checks of :func:`tracklet_decorrelated` over the batch.
 
-    One prediction serves both forms.  An element whose covariance
-    difference is finite and passes the condition screen (eigenvalues
-    positive, condition number at most ``COND_LIMIT``) takes the position
-    block of :func:`tracklet_inverse_kf`; every other takes
+    One :func:`~sensorreg.trackers.kf_predict` call serves both forms.  An
+    element whose covariance difference passes :func:`_inverse_form` takes
+    the position block of :func:`tracklet_inverse_kf`; every other takes
     :func:`tracklet_decorrelated`, whose checks mark those elements alone.
     Each form runs once, on its own elements.
     """
-    x_pred, P_pred = _predict(prev, model)
+    pred = kf_predict(prev, model)
+    x_pred, P_pred = pred.mean, pred.cov
     D = symmetrize(P_pred - curr.cov)
-    finite = np.isfinite(D).all(axis=(-2, -1))
-    w = np.linalg.eigvalsh(np.where(finite[..., None, None], D, 0.0))
-    lo, hi = w[..., 0], w[..., -1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inverse = (lo > 0.0) & (hi / lo <= COND_LIMIT)
-    failed = np.zeros((3,) + lo.shape, dtype=bool)
+    inverse = _inverse_form(D)
+    failed = np.zeros((3,) + inverse.shape, dtype=bool)
     if inverse.all():
         # A batch of one form (every epoch of a lag-10 scenario) needs no gather.
         full = _inverse_kf(x_pred, P_pred, curr, D)
         t = Tracklet(u=full.u[..., ::2], U=full.U[..., ::2, ::2], pred_cov=P_pred)
         return t, _decorrelated_faults(curr.cov, P_pred, failed)
-    t = Tracklet(u=np.empty(lo.shape + (2,)), U=np.empty(lo.shape + (2, 2)), pred_cov=P_pred)
+    t = Tracklet(
+        u=np.empty(inverse.shape + (2,)), U=np.empty(inverse.shape + (2, 2)), pred_cov=P_pred
+    )
     if inverse.any():
         full = _inverse_kf(x_pred[inverse], P_pred[inverse], curr[inverse], D[inverse])
         t.u[inverse], t.U[inverse] = full.u[..., ::2], full.U[..., ::2, ::2]

@@ -114,6 +114,27 @@ def test_non_integer_count_is_a_scenario_error(tiny_scenario, tmp_path, capsys, 
     assert f"scenario error: {where} must be an integer, got 2.5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "path, key, where",
+    [(("sensors", 0), "position", "sensor 0 position"),
+     (("targets", 0), "initial_state", "target 0 initial_state")],
+)
+@pytest.mark.parametrize("value", [5.0, "01"])
+def test_non_list_vector_is_a_scenario_error(tiny_scenario, tmp_path, capsys, path, key, where,
+                                             value):
+    doc = json.loads(tiny_scenario.read_text())
+    node = doc
+    for k in path:
+        node = node[k]
+    node[key] = value
+    tiny_scenario.write_text(json.dumps(doc))
+    code = main(["simulate", "--scenario", str(tiny_scenario), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert f"scenario error: {where} must be a list of numbers, got {value!r}" in (
+        capsys.readouterr().err
+    )
+
+
 def test_simulate_methods_ex_exl(tiny_scenario, tmp_path):
     for method in ["ex", "exl", "baseline"]:
         out = tmp_path / method

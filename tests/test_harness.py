@@ -182,6 +182,26 @@ def test_scenario_rejects_non_numbers(path, key, where, value):
     assert load_scenario(doc) is not None
 
 
+@pytest.mark.parametrize(
+    "path, key, where",
+    [(("sensors", 1), "position", "sensor 1 position"),
+     (("targets", 0), "initial_state", "target 0 initial_state")],
+)
+@pytest.mark.parametrize("value", [5.0, "01"])
+def test_scenario_vector_fields_must_be_lists(path, key, where, value):
+    # A number failed with "'float' object is not iterable", naming no
+    # field; a string was read character by character.
+    doc = _tiny_scenario()
+    node = doc
+    for k in path:
+        node = node[k]
+    node[key] = value
+    with pytest.raises(
+        ScenarioError, match=f"^{where} must be a list of numbers, got {re.escape(repr(value))}$"
+    ):
+        load_scenario(doc)
+
+
 def test_scenario_rejects_a_name_that_is_not_a_string():
     with pytest.raises(ScenarioError, match="^name must be a string, got 5$"):
         load_scenario(_tiny_scenario(name=5))

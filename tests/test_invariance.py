@@ -116,7 +116,7 @@ def _failing_epoch_run(monkeypatch, sc, truth, sensors, frame):
             cov = curr.cov.copy()
             for row, s in enumerate(sensors):
                 if s in _FAILING_EPOCH_KINDS:
-                    P = ms.F[row] @ prev.cov[row] @ ms.F[row].swapaxes(-1, -2) + ms.Q[row]
+                    P = ms[row].F @ prev.cov[row] @ ms[row].F.swapaxes(-1, -2) + ms[row].Q
                     cov[row] = _FAILING_EPOCH_KINDS[s](P)
             curr = GaussianEstimate(curr.mean, cov, curr.frame)
         res = fusion.fbe_step(prev, curr, reported, bias, fused, lag_models, geo)

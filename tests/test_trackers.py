@@ -9,7 +9,7 @@ from scipy.stats import chi2
 from sensorreg import fusion, trackers
 from sensorreg._linalg import mt, mv, symmetrize
 from sensorreg.coords import CartesianMeasurement
-from sensorreg.dynamics import MotionModel, ncv_model
+from sensorreg.dynamics import LagModels, MotionModel, compose_steps, ncv_model
 from sensorreg.errors import SingularMatrixError
 from sensorreg.trackers import (
     ACCEL_PRIOR_VAR,
@@ -46,6 +46,49 @@ def test_predict_grows_trace_with_process_noise():
     out = kf_predict(est, ncv_model(1.0, 0.5))
     prior_pred = kf_predict(est, ncv_model(1.0, 0.0))
     assert np.trace(out.cov) > np.trace(prior_pred.cov)
+
+
+def _stacked_predict(est, F, Q):
+    # The stacked reference F P F' + Q, with F broadcast over the batch.
+    F = np.broadcast_to(F, est.cov.shape)
+    return mv(F, est.mean), F @ est.cov @ mt(F) + Q
+
+
+@pytest.mark.parametrize("batch", [(2, 12), (5, 16), (16,)])
+def test_shared_transition_predict_matches_the_stacked_product(batch):
+    # A 2-D F, composed directly or shared by a LagModels call with equal
+    # lags, predicts the batch in two 2-D BLAS products; it reassociates the
+    # stacked F P F' + Q, so it agrees within rounding only.
+    rng = np.random.default_rng(sum(batch))
+    a = rng.standard_normal(batch + (4, 4))
+    est = GaussianEstimate(
+        mean=rng.standard_normal(batch + (4,)) * 1e3, cov=a @ mt(a) + np.eye(4), frame=3
+    )
+    lags = np.full(batch, 10)
+    for model in (compose_steps(ncv_model(1.0, 0.7), 10), LagModels(ncv_model(1.0, 0.7))(lags)):
+        assert model.F.shape == (4, 4)
+        out = kf_predict(est, model)
+        mean, cov = _stacked_predict(est, model.F, model.Q)
+        np.testing.assert_allclose(out.mean, mean, rtol=1e-12, atol=1e-12 * np.abs(mean).max())
+        np.testing.assert_allclose(out.cov, cov, rtol=1e-12, atol=1e-12 * np.abs(cov).max())
+        np.testing.assert_array_equal(out.frame, 3 + lags)
+
+
+@pytest.mark.parametrize("lags", [[[10, 10, 10], [10, 10, 10]], [[10, 1, 5], [2, 10, 10]]])
+def test_an_element_predicts_alike_alone_and_in_a_batch(lags):
+    # Every predicted entry is a row of a matrix product, so an element of a
+    # batch with a shared transition (equal lags) or with per-element ones
+    # (mixed lags) predicts as its batch-free call does, bit for bit.
+    rng = np.random.default_rng(5)
+    lags = np.array(lags)
+    a = rng.standard_normal(lags.shape + (4, 4))
+    est = GaussianEstimate(rng.standard_normal(lags.shape + (4,)) * 1e3, symmetrize(a @ mt(a)))
+    lag_models = LagModels(ncv_model(1.0, 0.5))
+    out = kf_predict(est, lag_models(lags))
+    for index in np.ndindex(lags.shape):
+        one = kf_predict(est[index], lag_models(lags[index]))
+        np.testing.assert_array_equal(out.mean[index], one.mean)
+        np.testing.assert_array_equal(out.cov[index], one.cov)
 
 
 def test_update_with_huge_noise_keeps_prior():
@@ -539,9 +582,10 @@ def test_joseph_update_matches_the_former_dense_form(n, shapes, seed):
 
 
 # Largest difference between the local tracks and bias series and those of
-# the former Kalman kernels, relative to each array's largest magnitude
-# (measured on the A08 scenario up to 1.2e-14 for the tracks, in the IMM
-# covariances over 5 runs, and 1.6e-12 for b_series over 10 runs).
+# the former Kalman kernels (the dense Joseph step, and a stacked prediction
+# symmetrized on every call), relative to each array's largest magnitude
+# (measured on the A08 scenario up to 8.9e-15 for the tracks, in the IMM
+# covariances over 5 runs, and 1.2e-12 for b_series over 10 runs).
 TRACKS_RTOL = 1e-13
 BIAS_SERIES_RTOL = 1e-11
 

@@ -9,6 +9,7 @@ from conftest import checked
 from sensorreg.coords import CartesianMeasurement
 from sensorreg.dynamics import MotionModel, compose_steps, ncv_model
 from sensorreg.errors import NumericalError
+from sensorreg import tracklets
 from sensorreg.fusion import reconstruct_local_gain
 from sensorreg.trackers import GaussianEstimate, kf_predict, kf_update
 from sensorreg.tracklets import (
@@ -140,6 +141,79 @@ def test_inverse_kf_rejects_singular_difference():
     assert t.u.shape == (2,) and t.U.shape == (2, 2)
     np.testing.assert_array_equal(t.u, want.u)
     np.testing.assert_array_equal(t.U, want.U)
+
+
+def _eigvalsh_screen(D):
+    # The condition screen as an eigenvalue test alone.
+    finite = np.isfinite(D).all(axis=(-2, -1))
+    w = np.linalg.eigvalsh(np.where(finite[..., None, None], D, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (w[..., 0] > 0.0) & (w[..., -1] / w[..., 0] <= tracklets.COND_LIMIT)
+
+
+def _with_condition(rng, cond):
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    D = q @ np.diag(np.geomspace(1.0, cond, 4) * rng.uniform(1.0, 1e4)) @ q.T
+    return 0.5 * (D + D.T)
+
+
+def _screen_batch(rng, kinds):
+    """Covariance differences of each kind in ``kinds``, in order."""
+    out = []
+    for kind in kinds:
+        if kind == "spd":
+            out.append(_random_spd(rng, 4, 1e-2, 1e4))
+        elif kind == "near_singular":
+            v = rng.standard_normal((4, 3))
+            out.append(v @ v.T + 1e-13 * np.eye(4))
+        elif kind == "singular":
+            v = rng.standard_normal((4, 3))
+            out.append(v @ v.T)
+        elif kind == "indefinite":
+            out.append(_random_spd(rng, 4) - 60.0 * np.eye(4))
+        elif kind == "cond_1e12":
+            out.append(_with_condition(rng, rng.uniform(0.8e12, 1.25e12)))
+        elif kind == "cond_bound":
+            # About where the trace bound stops deciding.
+            out.append(_with_condition(rng, 10.0 ** rng.uniform(9.0, 11.5)))
+        else:
+            D = _random_spd(rng, 4)
+            D[rng.integers(4), rng.integers(4)] = {"nan": np.nan, "inf": np.inf}[kind]
+            out.append(D)
+    return np.array(out)
+
+
+_SCREEN_KINDS = [
+    "spd", "near_singular", "singular", "indefinite", "cond_1e12", "cond_bound", "nan", "inf"
+]
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("only", [None, "spd", "cond_1e12", "cond_bound"])
+def test_condition_screen_matches_the_eigenvalue_test(seed, only, monkeypatch):
+    # The trace bound decides most elements and eigvalsh the rest, so the
+    # choice of form equals the eigenvalue test element for element, on
+    # batches that factor (one kind) and batches that do not (all kinds).
+    rng = np.random.default_rng(seed)
+    kinds = [only] * 12 if only else list(rng.choice(_SCREEN_KINDS, 24))
+    D = _screen_batch(rng, kinds)
+    want = _eigvalsh_screen(D)
+    eigvalsh = np.linalg.eigvalsh
+    screened = []
+
+    def counted(a):
+        screened.append(len(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    got = tracklets._inverse_form(D.copy())
+    np.testing.assert_array_equal(got, want, err_msg=str(kinds))
+    if only == "spd":
+        # Well conditioned: the bound decides every element.
+        assert got.all() and screened == []
+    if only == "cond_1e12":
+        # Both sides of the limit, each decided by eigvalsh.
+        assert got.any() and not got.all() and screened == [12]
 
 
 # A static model without process noise: the prediction is the previous

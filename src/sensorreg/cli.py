@@ -1,6 +1,7 @@
 """Command-line entry points: simulate, crlb, report.
 
-Exit codes: 0 on success, 1 for scenario validation problems and missing
+Exit codes: 0 on success, 1 for scenario problems (validation, or a path
+that cannot be read), an ``--out`` that cannot be written to and missing
 report inputs, 2 for numerical failures (diagnostics go to stderr).
 """
 
@@ -69,13 +70,14 @@ def main(argv: list[str] | None = None) -> int:
             metrics = run_monte_carlo(
                 scenario, method=args.method, mc_runs=args.runs, workers=args.workers
             )
-            written = emit_report(metrics, args.out)
-            for path in written:
-                print(path)
+            write = functools.partial(emit_report, metrics, args.out)
         elif args.command == "crlb":
             scenario = load_scenario(args.scenario)
             series = crlb_series(scenario)
-            print(emit_crlb(series, scenario, args.out))
+
+            def write():
+                return [emit_crlb(series, scenario, args.out)]
+
         else:
             try:
                 text = summary_tables(
@@ -86,12 +88,20 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"report error: {exc}", file=sys.stderr)
                 return 1
             print(text)
+            return 0
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
+    try:
+        written = write()
+    except OSError as exc:
+        print(f"output error: cannot write to {args.out}: {exc.strerror}", file=sys.stderr)
+        return 1
+    for path in written:
+        print(path)
     return 0
 
 

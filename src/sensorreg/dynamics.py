@@ -49,17 +49,6 @@ class MotionModel:
         three times as much."""
         return np.ascontiguousarray(self.F.swapaxes(-1, -2))
 
-    def __getitem__(self, index) -> MotionModel:
-        """The models at ``index`` of the batch axes.  A shared model keeps
-        its ``F`` and ``Q`` and indexes ``steps`` when that is an array (a
-        shared model with scalar ``steps`` is returned as is)."""
-        if self.F.ndim == 2:
-            if np.ndim(self.steps) == 0:
-                return self
-            return MotionModel(F=self.F, Q=self.Q, steps=self.steps[index])
-        steps = np.broadcast_to(self.steps, self.F.shape[:-2])[index]
-        return MotionModel(F=self.F[index], Q=self.Q[index], steps=steps)
-
 
 def _ncv_blocks(T: float, q: float) -> tuple[np.ndarray, np.ndarray]:
     F = np.array([[1.0, T], [0.0, 1.0]])

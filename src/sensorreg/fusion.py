@@ -18,10 +18,10 @@ checks as ``(reason, failed)`` masks over its batch, in check order
 :func:`~sensorreg.bias.pseudo_measurement_faults`), and an element that
 fails one holds a stand-in.  :func:`fbe_step` skips each element with the
 first check it fails and records it; a caller that must stop raises the
-first fault through :func:`~sensorreg.errors.raise_first`.  The local stage
-(tracklet, gain, frame-start bias correction) runs on the reported pairs,
-and every later stage works on the (sensor, target) grid with a mask,
-giving an element off the mask a stand-in whose result is discarded.
+first fault through :func:`~sensorreg.errors.raise_first`.  Every stage
+works on the (sensor, target) grid with a mask, the local one (tracklet,
+gain, frame-start bias correction) with that of the reported pairs, and
+an element off the mask holds a stand-in whose result is discarded.
 :func:`sfa` logs its failures from the same masks.
 """
 
@@ -298,13 +298,14 @@ class FbeResult:
     ``bias_states`` holds every sensor's estimate (``b`` (S, d)) and
     ``fused`` every leave-one-out reference (mean (S, T, n), frames (S, T)).
     ``used`` (S, T, S) marks the sensors fused into each reference updated
-    this frame.  ``live`` (S, T) marks the pairs whose tracklet, gain and
-    bias correction succeeded, and ``tracklets`` holds their tracklets on
-    one leading axis, in row-major (sensor, target) order (None when fewer
-    than two sensors reported).  ``skipped`` lists a ``(sensor, target,
-    reason)`` tuple per pair, or per bias pseudo-measurement, that failed a
-    numerical check, and a ``(sensor, None, reason)`` tuple per sensor whose
-    stacked bias update failed (that sensor keeps its estimate).
+    this frame.  ``live`` (S, T) marks the reported pairs whose tracklet,
+    gain and bias correction succeeded, and ``tracklets`` holds the
+    tracklet of every pair on the (S, T) grid, valid where ``live`` (None
+    when fewer than two sensors reported).  ``skipped`` lists a ``(sensor,
+    target, reason)`` tuple per pair, or per bias pseudo-measurement, that
+    failed a numerical check, and a ``(sensor, None, reason)`` tuple per
+    sensor whose stacked bias update failed (that sensor keeps its
+    estimate).
     """
 
     bias_states: BiasEstimate
@@ -343,11 +344,12 @@ def fbe_step(
     fails, and every check is a mask, not an error to retry around.
 
     The local stage (tracklet, gain reconstruction, frame-start bias
-    correction) runs on the reported pairs gathered flat.  Its checks come
-    back as ``(reason, failed)`` masks in stage and check order, and a pair
-    that fails one is skipped with the first it fails, the records in
-    (check, pair) order.  Each pair's tracklet form and checks depend on
-    that pair alone, so the skipped pairs do not depend on their order.
+    correction) runs on every pair of the grid under the mask of the
+    reported pairs.  Its checks come back as ``(reason, failed)`` masks in
+    stage and check order, and a reported pair that fails one is skipped
+    with the first it fails, the records in (check, sensor, target) order.
+    Each pair's tracklet form and checks depend on that pair alone, so a
+    pair that is not reported changes no result.
 
     Every later stage runs on the (S, T) grid under the mask of the live
     pairs whose target has another live sensor: the leave-one-out
@@ -380,48 +382,39 @@ def fbe_step(
         return res
 
     # Local stage: tracklets, gain data, and frame-start corrections of
-    # every reported pair (a sensor's corrected measurement is the same in
-    # every leave-one-out set it belongs to).
+    # every pair, kept where reported (a sensor's corrected measurement is
+    # the same in every leave-one-out set it belongs to).
     lagged = lag_models(np.broadcast_to(curr.frame - prev.frame, (n_s, n_t)))
-    ps, pt = np.nonzero(reported)
-    tl, faults = compute_tracklet(prev[ps, pt], curr[ps, pt], lagged[ps, pt])
-    g_s, gain_faults = reconstruct_local_gain(tl.U, tl.pred_cov)
-    geo = sensors[ps]
+    res.tracklets, faults = compute_tracklet(prev, curr, lagged)
+    g_s, gain_faults = reconstruct_local_gain(res.tracklets.U, res.tracklets.pred_cov)
+    geo = sensors[:, None]
     corrected, bias_faults = bias_correct(
-        tl, bias_states[ps], (geo.sigma_r, geo.sigma_theta), origin=geo.position
+        res.tracklets, bias_states[:, None], (geo.sigma_r, geo.sigma_theta), origin=geo.position
     )
-    found, ok = first_faults(faults + gain_faults + bias_faults, np.ones(ps.size, dtype=bool))
-    res.skipped += [(int(ps[i]), int(pt[i]), reason) for (i,), reason in found]
-    res.tracklets = Tracklet(u=tl.u[ok], U=tl.U[ok], pred_cov=tl.pred_cov[ok])
-    ls, lt = ps[ok], pt[ok]
-    res.live[ls, lt] = True
+    # A copy of the mask: res.live is no view of the caller's array.
+    found, res.live = first_faults(faults + gain_faults + bias_faults, np.array(reported))
+    res.skipped += [(int(s), int(t), reason) for (s, t), reason in found]
     # The references: live pairs whose target has another live sensor.
     ref = res.live & (res.live.sum(axis=0) >= 2)
 
-    # Local outputs on the grid: corrected measurements target-major, so
-    # that each target's row holds one slot per sensor; gains, their noise
-    # and tracklet positions sensor-major, with stand-ins off the mask.
-    y = np.zeros((n_t, n_s, 2))
-    R = np.zeros((n_t, n_s, 2, 2))
-    y[lt, ls], R[lt, ls] = corrected.z[ok], corrected.R[ok]
-    W = np.zeros((n_s, n_t, 4, 2))
-    W[ls, lt] = g_s.W[ok]
-    W[~ref] = _SELECT_POSITIONS
-    R_g = np.zeros((n_s, n_t, 2, 2))
-    u = np.zeros((n_s, n_t, 2))
-    R_g[ls, lt], u[ls, lt] = g_s.R[ok], res.tracklets.u
+    # Gains, their noise and tracklet positions, with stand-ins off the mask.
+    W = np.where(ref[..., None, None], g_s.W, _SELECT_POSITIONS)
+    R_g = np.where(res.live[..., None, None], g_s.R, 0.0)
+    u = np.where(res.live[..., None], res.tracklets.u, 0.0)
 
     # Leave-one-out fused reference of every pair on the mask from the
     # other sensors' bias-corrected tracklets of its target.  The reference
     # side of each pseudo-measurement is the equivalent measurement of its
     # update (what deconvolving the update would recover), whose noise
     # combines the corrected measurement covariances, bias-uncertainty
-    # inflation included.
+    # inflation included.  The corrected measurements go in target-major,
+    # so that each target's row holds one slot per sensor, and sfa folds
+    # the slots on the mask alone.
     present = ref[:, :, None] & res.live.T[None] & ~np.eye(n_s, dtype=bool)[:, None]
     fused_new = sfa(
         fused,
         lag_models(np.where(ref, curr.frame - fused.frame, 1)),
-        CartesianMeasurement(y[None], R[None]),
+        CartesianMeasurement(corrected.z.swapaxes(0, 1)[None], corrected.R.swapaxes(0, 1)[None]),
         present,
     )
 
@@ -433,7 +426,6 @@ def fbe_step(
     # radar-model uncertainty on top of its tracklet covariance; the
     # corrected reference side already has it, and the sensor side gets the
     # same treatment here.
-    geo = sensors[:, None]
     r, theta = cart_to_polar(u, geo.position)
     jac = jacobians_at(r, theta)
     R_s = R_g + converted_covariance(r, theta, geo.sigma_r, geo.sigma_theta)

@@ -311,7 +311,8 @@ def _scenario_from_dict(doc: dict) -> Scenario:
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ScenarioError):
             raise
-        raise ScenarioError(f"malformed scenario document: {exc}") from exc
+        what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ScenarioError(f"malformed scenario document: {what}") from exc
     return scenario
 
 
@@ -325,9 +326,9 @@ def load_scenario(source: str | Path | dict) -> Scenario:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ScenarioError(f"scenario file not found: {source}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ScenarioError(f"cannot read scenario file {source}: {exc.strerror}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
     return _scenario_from_dict(doc)
 

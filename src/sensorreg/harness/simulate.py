@@ -390,9 +390,10 @@ def _fuse_all_sensors(
     each sensor last reported at (``last``, one per sensor) and the mask of
     the sensors reporting at k.  It returns position measurements with one
     slot per sensor, a :class:`CartesianMeasurement` of batch shape
-    (n_targets, n_sensors), and the mask of the slots that hold one; one
-    :func:`sfa` call combines each target's measurements, in ascending
-    sensor order, into one update.
+    (n_targets, n_sensors), and the mask of the slots that hold one, which
+    broadcasts against that shape; one :func:`sfa` call combines each
+    target's measurements on the mask, in ascending sensor order, into one
+    update, and reads no slot off it.
 
     Returns the fused squared position error (mean over targets) per frame,
     NaN between epochs.
@@ -419,6 +420,7 @@ def _run_fbe(scenario: Scenario, truth: TruthData, tracks: LocalTracks):
     d = scenario.bias_dim
     lag_models = LagModels(ncv_model(scenario.dt, scenario.fusion_q))
     sensors = scenario.sensor_models()
+    geo = sensors[:, None]
     bias = _initial_bias_states(scenario)
     # Each leave-one-out reference starts from the frame-0 estimate of the
     # lowest-numbered other sensor.
@@ -447,18 +449,13 @@ def _run_fbe(scenario: Scenario, truth: TruthData, tracks: LocalTracks):
         )
         bias, fused = res.bias_states, res.fused
         record(k)
-        y = np.zeros((n_t, n_s, 2))
-        R = np.zeros((n_t, n_s, 2, 2))
-        if res.tracklets is not None:
-            ls, lt = np.nonzero(res.live)
-            geo = sensors[ls]
-            c, faults = bias_correct(
-                res.tracklets, bias[ls], (geo.sigma_r, geo.sigma_theta), origin=geo.position
-            )
-            with located(lambda i: f"sensor {ls[i]}, target {lt[i]}, frame {k}"):
-                raise_first(faults)
-            y[lt, ls], R[lt, ls] = c.z, c.R
-        return CartesianMeasurement(y, R), res.live.T
+        # Every epoch has two reporting sensors, so fbe_step formed tracklets.
+        c, faults = bias_correct(
+            res.tracklets, bias[:, None], (geo.sigma_r, geo.sigma_theta), origin=geo.position
+        )
+        with located(lambda s, t: f"sensor {s}, target {t}, frame {k}"):
+            raise_first((reason, failed & res.live) for reason, failed in faults)
+        return CartesianMeasurement(c.z.swapaxes(0, 1), c.R.swapaxes(0, 1)), res.live.T
 
     record(0)
     fused_sqerr = _fuse_all_sensors(scenario, truth, tracks, lag_models, epoch)
@@ -526,18 +523,14 @@ def _run_baseline(scenario: Scenario, truth: TruthData, tracks: LocalTracks):
     n_t = len(scenario.targets)
 
     def epoch(k: int, last: np.ndarray, reporting: np.ndarray):
-        sel = np.flatnonzero(reporting)
-        lags = np.broadcast_to((k - last[sel])[:, None], (sel.size, n_t))
+        lags = np.broadcast_to((k - last)[:, None], (n_s, n_t))
         trk, faults = compute_tracklet(
-            tracks.reports(last)[sel], tracks.estimate(sel, slice(None), k), lag_models(lags)
+            tracks.reports(last), tracks.estimate(slice(None), slice(None), k), lag_models(lags)
         )
         g, gain_faults = reconstruct_local_gain(trk.U, trk.pred_cov)
-        with located(lambda i, t: f"sensor {sel[i]}, target {t}, frame {k}"):
-            raise_first(faults + gain_faults)
-        y = np.zeros((n_t, n_s, 2))
-        R = np.zeros((n_t, n_s, 2, 2))
-        y[:, sel], R[:, sel] = trk.u.swapaxes(0, 1), g.R.swapaxes(0, 1)
-        return CartesianMeasurement(y, R), np.broadcast_to(reporting, (n_t, n_s))
+        with located(lambda s, t: f"sensor {s}, target {t}, frame {k}"):
+            raise_first((why, failed & reporting[:, None]) for why, failed in faults + gain_faults)
+        return CartesianMeasurement(trk.u.swapaxes(0, 1), g.R.swapaxes(0, 1)), reporting
 
     return None, None, _fuse_all_sensors(scenario, truth, tracks, lag_models, epoch)
 

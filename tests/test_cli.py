@@ -356,3 +356,38 @@ def test_tracklet_failure_names_sensor_target_and_frame(tmp_path, capsys, method
     assert code == 2
     reason = "position information difference not positive definite"
     assert f"{message}: {reason}" in capsys.readouterr().err
+
+
+def test_a_scenario_path_that_is_a_directory_is_a_scenario_error(tmp_path, capsys):
+    code = main(["simulate", "--scenario", str(tmp_path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"scenario error: cannot read scenario file {tmp_path}: ")
+    assert err.count("\n") == 1
+
+
+def test_a_scenario_without_sensors_names_the_missing_key(tiny_scenario, tmp_path, capsys):
+    doc = json.loads(tiny_scenario.read_text())
+    del doc["sensors"]
+    tiny_scenario.write_text(json.dumps(doc))
+    code = main(["crlb", "--scenario", str(tiny_scenario), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "scenario error: malformed scenario document: missing key 'sensors'\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["simulate", "crlb"])
+@pytest.mark.parametrize("parent", [False, True])
+def test_an_unusable_out_path_is_one_error_line(tiny_scenario, tmp_path, capsys, command, parent):
+    # --out names an existing file, or a directory below one.
+    existing = tmp_path / "file"
+    existing.write_text("")
+    out = existing / "o" if parent else existing
+    code = main([command, "--scenario", str(tiny_scenario), "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"output error: cannot write to {out}: ")
+    assert captured.err.count("\n") == 1
+    assert existing.read_text() == ""

@@ -156,16 +156,6 @@ def test_lag_models_share_one_model_across_uniform_lags(lags, shared):
     np.testing.assert_array_equal(got.steps, lags)
 
 
-def test_shared_model_indexes_its_steps():
-    model = LagModels(ncv_model(1.0, 0.5))(np.full((3, 4), 10))
-    part = model[[0, 2], 1:3]
-    assert part.F is model.F and part.Q is model.Q
-    np.testing.assert_array_equal(part.steps, np.full((2, 2), 10))
-    assert model[1, 2].steps == 10
-    single = ncv_model(1.0, 0.5)
-    assert single[3] is single
-
-
 @pytest.mark.parametrize("lags", [0, -1, [2, 0], [[3, -2]]])
 def test_lag_models_reject_lags_below_one(lags):
     with pytest.raises(ValueError, match="steps must be >= 1"):

@@ -430,6 +430,22 @@ def test_fbe_step_nonreporting_sensor_carried_forward():
         assert np.flatnonzero(contributors).tolist() == [1]
 
 
+def test_fbe_step_never_reads_a_nonreporting_sensors_current_estimate():
+    # The local stage runs on the whole (sensor, target) grid, so the
+    # non-reporting sensor's rows pass through it: NaN in its current
+    # estimates leaves every result bit for bit.
+    (prev, curr, reported), *rest = _small_fbe_inputs(nonreporting=True)
+    clean = fbe_step(prev, curr, reported, *rest)
+    curr.mean[~reported], curr.cov[~reported] = np.nan, np.nan
+    res = fbe_step(prev, curr, reported, *rest)
+    assert res.skipped == clean.skipped
+    for name in ("live", "used", "bias_states.b", "bias_states.Sigma", "fused.mean", "fused.cov"):
+        obj, want = res, clean
+        for part in name.split("."):
+            obj, want = getattr(obj, part), getattr(want, part)
+        np.testing.assert_array_equal(obj, want, err_msg=name)
+
+
 def test_fbe_step_corrections_use_frame_start_estimates():
     # Presenting the sensors in reverse order must not change any sensor's
     # result, since corrections snapshot the bias estimates at the start of
@@ -478,8 +494,8 @@ def test_fbe_step_skips_only_the_degenerate_pair():
         (res.bias_states.Sigma, ref.bias_states.Sigma),
         (res.fused.mean, ref.fused.mean),
         (res.fused.cov, ref.fused.cov),
-        (res.tracklets.u, ref.tracklets.u),
-        (res.tracklets.U, ref.tracklets.U),
+        (res.tracklets.u[res.live], ref.tracklets.u[ref.live]),
+        (res.tracklets.U[res.live], ref.tracklets.U[ref.live]),
     ]:
         np.testing.assert_allclose(got, want, rtol=1e-12)
     # The leave-one-out references of target 0 lost sensor 1.
@@ -561,6 +577,7 @@ def test_fbe_step_skips_each_pair_at_its_own_first_fault(kinds, scale_fails):
     # bias below -1 fails the bias correction of each of its pairs, in
     # either form.
     (prev, curr, reported), _, fused_prev, lag_models, sensors = _small_fbe_inputs()
+    # Every pair spans the same lag, so one shared model serves each alone.
     ms = lag_models(curr.frame - prev.frame)
     for (s, t), kind in zip(np.ndindex(3, 2), kinds):
         if _PAIR_KINDS[kind] is not None:
@@ -570,7 +587,7 @@ def test_fbe_step_skips_each_pair_at_its_own_first_fault(kinds, scale_fails):
         b[scale_fails, 2] = -2.0
     bias_states = BiasEstimate(b=b, Sigma=np.tile(np.diag([400.0, 1e-6, 1e-6, 1e-6]), (3, 1, 1)))
     alone = {
-        (s, t): _first_fault_alone(prev[s, t], curr[s, t], ms[s, t], bias_states[s], sensors[s])
+        (s, t): _first_fault_alone(prev[s, t], curr[s, t], ms, bias_states[s], sensors[s])
         for s, t in np.ndindex(3, 2)
     }
     failing = sorted((fault[0], pair, fault[1]) for pair, fault in alone.items() if fault)
@@ -590,8 +607,8 @@ def test_fbe_step_skips_each_pair_at_its_own_first_fault(kinds, scale_fails):
             obj, want = getattr(obj, part), getattr(want, part)
         np.testing.assert_array_equal(obj, want, err_msg=name)
     if ref.tracklets is not None:
-        np.testing.assert_array_equal(res.tracklets.u, ref.tracklets.u)
-        np.testing.assert_array_equal(res.tracklets.U, ref.tracklets.U)
+        np.testing.assert_array_equal(res.tracklets.u[live], ref.tracklets.u[live])
+        np.testing.assert_array_equal(res.tracklets.U[live], ref.tracklets.U[live])
 
 
 def test_fbe_step_drops_only_the_bad_pseudo_measurement(monkeypatch):

@@ -12,7 +12,10 @@ copies.  The ``mixed_lag_fbe`` copies were written later, while
 pairs between the inverse-filter and a full-state decorrelated form.  Its
 single-step pairs now take the position-marginal tracklet, which equals the
 position block of the full-state one in exact arithmetic, so every cell
-moved by rounding alone (at most 2.9e-11 relative).  Regenerate the files
+moved by rounding alone (at most 2.9e-11 relative).  The
+``mixed_lag_baseline`` copies, whose epochs leave some sensors silent,
+were written while the baseline epoch still gathered the reporting
+sensors' rows.  Regenerate the files
 only for a change meant to alter the estimates, with
 ``write_case(name, tests/data/golden/<name>)``.
 """
@@ -54,6 +57,7 @@ CASES = {
     "five_sensor_offset_scale_fbe": (lambda: load_scenario("five_sensor_offset_scale"), "fbe"),
     "a08_imm_fbe": (_a08_imm, "fbe"),
     "mixed_lag_fbe": (_mixed_lag, "fbe"),
+    "mixed_lag_baseline": (_mixed_lag, "baseline"),
 }
 
 

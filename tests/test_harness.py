@@ -673,6 +673,29 @@ def test_run_monte_carlo_baseline_has_no_bias_metrics():
     assert m.track_rmse_fused is not None
 
 
+@pytest.mark.parametrize("method", ["fbe", "baseline"])
+def test_epochs_never_read_a_silent_sensors_track(method):
+    # Each epoch runs on the whole (sensor, target) grid, the silent
+    # sensors' rows included: NaN in their tracks at every frame they do
+    # not report leaves the run's series bit for bit.
+    from sensorreg.harness import simulate as sim
+
+    doc = _tiny_scenario()
+    for sensor, lag in zip(doc["sensors"], (1, 2, 3)):
+        sensor["lag"] = lag
+    sc = load_scenario(doc)
+    truth = simulate_truth(sc, 0, zero_bias=(method == "baseline"))
+    run = sim._run_fbe if method == "fbe" else sim._run_baseline
+    tracks = run_local_tracks(sc, truth)
+    clean = run(sc, truth, tracks)
+    silent = ~sc.reporting_schedule()
+    assert silent[sc.update_epochs()].any()
+    k, s = np.nonzero(silent)
+    tracks.mean[s, :, k], tracks.cov[s, :, k] = np.nan, np.nan
+    for got, want in zip(run(sc, truth, tracks), clean):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_parallel_matches_serial():
     sc = load_scenario(_tiny_scenario())
     a = run_monte_carlo(sc, "fbe", workers=1)

@@ -112,11 +112,12 @@ def _failing_epoch_run(monkeypatch, sc, truth, sensors, frame):
 
     def corrupted(prev, curr, reported, bias, fused, lag_models, geo):
         if int(curr.frame) == frame:
+            # Every sensor reports at the same lag, so the pairs share one model.
             ms = lag_models(np.broadcast_to(curr.frame - prev.frame, reported.shape))
             cov = curr.cov.copy()
             for row, s in enumerate(sensors):
                 if s in _FAILING_EPOCH_KINDS:
-                    P = ms[row].F @ prev.cov[row] @ ms[row].F.swapaxes(-1, -2) + ms[row].Q
+                    P = ms.F @ prev.cov[row] @ ms.F.T + ms.Q
                     cov[row] = _FAILING_EPOCH_KINDS[s](P)
             curr = GaussianEstimate(curr.mean, cov, curr.frame)
         res = fusion.fbe_step(prev, curr, reported, bias, fused, lag_models, geo)

@@ -35,11 +35,12 @@ pred = kf_predict(prev, model)
 curr, record = kf_update(pred, z)
 
 # A tracklet holds positions alone; at a single-step lag it takes the
-# position-marginal (decorrelated) form.
+# position-marginal (decorrelated) form.  Every form, and the gain, read the
+# report pair's one L-step prediction (here the filter's own, L = 1).
 # Each stage returns its result and its checks as (reason, mask) pairs;
 # raise_first stops at the first check that fails.
-t, faults = tracklet_decorrelated(prev, curr, model)
-gain, gain_faults = reconstruct_local_gain(t.U, t.pred_cov)
+t, faults = tracklet_decorrelated(pred, curr)
+gain, gain_faults = reconstruct_local_gain(t.U, pred.cov)
 raise_first(faults + gain_faults)
 print("measurement the tracker consumed:", z.z)
 print("equivalent measurement recovered:", np.round(t.u, 6))
@@ -60,7 +61,7 @@ for k in range(10):
     snapshots.append(est)
 
 ms10 = compose_steps(model, 10)
-t10, faults = compute_tracklet(snapshots[0], snapshots[10], ms10)
+t10, faults = compute_tracklet(kf_predict(snapshots[0], ms10), snapshots[10])
 raise_first(faults)
 print("\nequivalent measurement:", np.round(t10.u, 1), "truth:", np.round(truth[[0, 2]], 1))
 print("equivalent noise sigma:", np.round(np.sqrt(np.diag(t10.U)), 2), "m")

@@ -17,7 +17,6 @@ import numpy as np
 
 from ._linalg import cholesky, det_spd2, inv_spd2_masked, mt, mv, singular, solve_psd, symmetrize
 from .coords import BiasJacobians
-from .dynamics import MotionModel
 from .trackers import GaussianEstimate
 
 __all__ = [
@@ -75,28 +74,24 @@ class BiasEstimate:
 
 
 def sensor_pseudo_obs(
-    curr: GaussianEstimate,
-    prev: GaussianEstimate,
-    gain: np.ndarray,
-    model: MotionModel,
+    curr: GaussianEstimate, pred: GaussianEstimate, gain: np.ndarray
 ) -> tuple[np.ndarray, list]:
     """Deconvolve track updates into measurement space.
 
     Applies the left pseudo-inverse of the gain to the difference between the
     updated state and its measurement-free propagation, recovering the
     (position-level) equivalent measurement the update responded to:
-    ``W^+ [x(k|k) - (I - W H) F_L x(k'|k')]``.  The estimates, the gains
-    (..., n, 2) and the model's ``F`` may carry leading batch axes; the
-    result has shape (..., 2).
+    ``W^+ [x(k|k) - (I - W H) x(k|k')]``, with ``x(k|k')`` the mean of the
+    L-step prediction ``pred``.  The estimates and the gains (..., n, 2) may
+    carry leading batch axes; the result has shape (..., 2).
 
     Returns the observations and their one check: the gain Gram matrix
     ``W'W`` singular, whose element holds a stand-in.
     """
     W = np.asarray(gain, dtype=float)
     G = mt(W) @ W
-    x_pred = mv(model.F, prev.mean)
     # Positions sit at indices 0 and dim/2, so H x is a strided slice.
-    resid = curr.mean - x_pred + mv(W, x_pred[..., :: curr.dim // 2])
+    resid = curr.mean - pred.mean + mv(W, pred.mean[..., :: curr.dim // 2])
     G_inv, ok = inv_spd2_masked(G)
     return mv(G_inv, mv(mt(W), resid)), [singular("gain Gram matrix", G, ~ok)]
 

@@ -2,12 +2,13 @@
 fusion, and the per-frame fused bias estimation step.
 
 The fusion center receives only state estimates and covariances at
-(possibly sparse) reporting epochs.  From each report pair it forms a
-tracklet, reconstructs the equivalent measurement noise and filter gain,
-and deconvolves the update into a bias observation.  Each sensor's bias is
-estimated against a leave-one-out fused reference, one update with all
-other sensors' bias-corrected tracklets, which reduces the multisensor
-problem to a sequence of two-sensor problems with a single biased side.
+(possibly sparse) reporting epochs.  From each report pair and its one
+L-step prediction it forms a tracklet, reconstructs the equivalent
+measurement noise and filter gain, and deconvolves the update into a bias
+observation.  Each sensor's bias is estimated against a leave-one-out fused
+reference, one update with all other sensors' bias-corrected tracklets,
+which reduces the multisensor problem to a sequence of two-sensor problems
+with a single biased side.
 
 Each stage of an epoch is one batched call on position tracklets, made
 once whatever fails.  No check raises for a skip: each stage returns its
@@ -130,9 +131,9 @@ def reconstruct_local_gain(
 
     The equivalent measurement model is linear in position, so the noise is
     the position tracklet's covariance ``R`` (its ``U``), and the gain
-    follows from the predicted covariance ``pred_cov`` exactly as in a
-    position-updating filter.  Leading batch axes carry through to ``W``
-    (..., 4, 2) and ``R`` (..., 2, 2).
+    follows from the covariance ``pred_cov`` of the tracklet's L-step
+    prediction exactly as in a position-updating filter.  Leading batch axes
+    carry through to ``W`` (..., 4, 2) and ``R`` (..., 2, 2).
 
     Returns the gain and its checks, in order: ``R``, then the innovation
     covariance, not positive definite.
@@ -384,9 +385,9 @@ def fbe_step(
     # Local stage: tracklets, gain data, and frame-start corrections of
     # every pair, kept where reported (a sensor's corrected measurement is
     # the same in every leave-one-out set it belongs to).
-    lagged = lag_models(np.broadcast_to(curr.frame - prev.frame, (n_s, n_t)))
-    res.tracklets, faults = compute_tracklet(prev, curr, lagged)
-    g_s, gain_faults = reconstruct_local_gain(res.tracklets.U, res.tracklets.pred_cov)
+    pred = kf_predict(prev, lag_models(np.broadcast_to(curr.frame - prev.frame, (n_s, n_t))))
+    res.tracklets, faults = compute_tracklet(pred, curr)
+    g_s, gain_faults = reconstruct_local_gain(res.tracklets.U, pred.cov)
     geo = sensors[:, None]
     corrected, bias_faults = bias_correct(
         res.tracklets, bias_states[:, None], (geo.sigma_r, geo.sigma_theta), origin=geo.position
@@ -418,7 +419,7 @@ def fbe_step(
         present,
     )
 
-    zb_s, gram_faults = sensor_pseudo_obs(curr, prev, W, lagged)
+    zb_s, gram_faults = sensor_pseudo_obs(curr, pred, W)
 
     # Observation matrix of each sensor at its tracklet's own polar
     # coordinates (the fusion center has no raw measurements).  Every

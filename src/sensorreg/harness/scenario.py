@@ -207,8 +207,10 @@ class Scenario:
 
 
 def _known(doc: dict, spec: type, where: str) -> dict:
-    """Return ``doc`` after checking that every key names a field of the
-    dataclass ``spec``."""
+    """Return ``doc`` after checking that it is a JSON object and that every
+    key names a field of the dataclass ``spec``."""
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{where} must be a JSON object, got {doc!r}")
     unknown = sorted(set(doc) - {f.name for f in fields(spec)})
     if unknown:
         raise ScenarioError(f"{where}: unknown key {unknown[0]!r}")
@@ -233,11 +235,21 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
-def _numbers(value, where: str) -> list[float]:
-    """``value`` as a list of floats; a number, on which a loop fails, or a
-    string, which it reads character by character, is rejected."""
+def _items(value, where: str) -> list:
+    """``value`` if it is a JSON list, which a loop reads as such."""
+    if not isinstance(value, list):
+        raise ScenarioError(f"{where} must be a list, got {value!r}")
+    return value
+
+
+def _numbers(value, where: str, length: int) -> list[float]:
+    """``value`` as a list of ``length`` floats; a number, on which a loop
+    fails, a string, which it reads character by character, or a list of
+    another length is rejected."""
     if not isinstance(value, list):
         raise ScenarioError(f"{where} must be a list of numbers, got {value!r}")
+    if len(value) != length:
+        raise ScenarioError(f"{where} must hold {length} numbers, got {value!r}")
     return [_number(v, where) for v in value]
 
 
@@ -260,22 +272,22 @@ def _scenario_from_dict(doc: dict) -> Scenario:
     try:
         _known(doc, Scenario, "scenario")
         sensors = []
-        for i, s in enumerate(doc["sensors"]):
+        for i, s in enumerate(_items(doc["sensors"], "sensors")):
             _known(s, SensorSpec, f"sensor {i}")
             b = _known(s["bias"], BiasVector, f"sensor {i} bias")
             sensors.append(
                 SensorSpec(
-                    position=_numbers(s["position"], f"sensor {i} position"),
+                    position=_numbers(s["position"], f"sensor {i} position", 2),
                     **_given(s, {"sigma_r": _number, "sigma_theta": _number}, f"sensor {i} "),
                     bias=BiasVector(**_given(b, dict.fromkeys(b, _number), f"sensor {i} bias ")),
                     lag=_integer(s.get("lag", 1), f"sensor {i} lag"),
                 )
             )
         targets = []
-        for i, t in enumerate(doc["targets"]):
+        for i, t in enumerate(_items(doc["targets"], "targets")):
             _known(t, TargetSpec, f"target {i}")
             segments = []
-            for j, seg in enumerate(t["segments"]):
+            for j, seg in enumerate(_items(t["segments"], f"target {i} segments")):
                 _known(seg, SegmentSpec, f"target {i} segment {j}")
                 segments.append(
                     SegmentSpec(
@@ -284,7 +296,7 @@ def _scenario_from_dict(doc: dict) -> Scenario:
                         **_given(seg, {"omega": _number}, f"target {i} segment {j} "),
                     )
                 )
-            state = _numbers(t["initial_state"], f"target {i} initial_state")
+            state = _numbers(t["initial_state"], f"target {i} initial_state", 4)
             targets.append(TargetSpec(initial_state=state, segments=segments))
         lf = _known(doc.get("local_filter", {}), LocalFilterSpec, "local_filter")
         convert = {"type": lambda v, _: v} | dict.fromkeys(("q", "q1", "q2"), _number)

@@ -476,7 +476,6 @@ def _run_stacked(
         raise ScenarioError("true-gain path requires the plain Kalman local tracker")
 
     K = scenario.frames
-    ms1 = ncv_model(scenario.dt, scenario.fusion_q)
     positions = scenario.sensor_models().position[:, None, None]
 
     # No frame's pseudo-measurements depend on the bias estimate, so every
@@ -485,17 +484,18 @@ def _run_stacked(
     frames = np.arange(1, K + 1)
     prev = GaussianEstimate(tracks.mean[:, :, :-1], tracks.cov[:, :, :-1], frame=frames - 1)
     curr = GaussianEstimate(tracks.mean[:, :, 1:], tracks.cov[:, :, 1:], frame=frames)
+    pred = kf_predict(prev, ncv_model(scenario.dt, scenario.fusion_q))
     with located(lambda s, t, j: f"sensor {s}, target {t}, frame {j + 1}"):
         if reconstructed:
-            trk, faults = tracklet_decorrelated(prev, curr, ms1)
-            gain, gain_faults = reconstruct_local_gain(trk.U, trk.pred_cov)
+            trk, faults = tracklet_decorrelated(pred, curr)
+            gain, gain_faults = reconstruct_local_gain(trk.U, pred.cov)
             raise_first(faults + gain_faults)
             W, R = gain.W, gain.R
             r_m, t_m = cart_to_polar(trk.u, positions)
         else:
             W, R = tracks.gain[:, :, 1:], truth.cart_R[:, :, 1:]
             r_m, t_m = truth.polar_meas[:, :, 1:, 0], truth.polar_meas[:, :, 1:, 1]
-        zb, gram_faults = sensor_pseudo_obs(curr, prev, W, ms1)
+        zb, gram_faults = sensor_pseudo_obs(curr, pred, W)
         raise_first(gram_faults)
         B = jacobians_at(r_m, t_m).B
     # One stacked pseudo-measurement per (frame, target).
@@ -524,10 +524,9 @@ def _run_baseline(scenario: Scenario, truth: TruthData, tracks: LocalTracks):
 
     def epoch(k: int, last: np.ndarray, reporting: np.ndarray):
         lags = np.broadcast_to((k - last)[:, None], (n_s, n_t))
-        trk, faults = compute_tracklet(
-            tracks.reports(last), tracks.estimate(slice(None), slice(None), k), lag_models(lags)
-        )
-        g, gain_faults = reconstruct_local_gain(trk.U, trk.pred_cov)
+        pred = kf_predict(tracks.reports(last), lag_models(lags))
+        trk, faults = compute_tracklet(pred, tracks.estimate(slice(None), slice(None), k))
+        g, gain_faults = reconstruct_local_gain(trk.U, pred.cov)
         with located(lambda s, t: f"sensor {s}, target {t}, frame {k}"):
             raise_first((why, failed & reporting[:, None]) for why, failed in faults + gain_faults)
         return CartesianMeasurement(trk.u.swapaxes(0, 1), g.R.swapaxes(0, 1)), reporting

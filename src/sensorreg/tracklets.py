@@ -3,15 +3,18 @@
 A tracklet condenses the information a local track accumulated between two
 reported frames into a single synthetic measurement ``u`` with covariance
 ``U``, so a fusion center can treat intermittent track reports as ordinary
-measurements.  Everything downstream of a tracklet reads its positions
-alone, so :func:`compute_tracklet` returns position tracklets, choosing a
-form per element: the position block of the inverse-filter construction
-(:func:`tracklet_inverse_kf`) where the covariance difference between
-prediction and update is safely invertible, and the information difference
-of the position marginals (:func:`tracklet_decorrelated`), which also covers
-the single-step case, everywhere else.  Each element's tracklet, and the
-reason it fails, depend on that element alone: the checks return masks,
-``(reason, failed)`` pairs in check order, in place of an error.
+measurements.  Every form reads the later snapshot and the L-step
+prediction of the earlier one, which the caller makes once with
+:func:`~sensorreg.trackers.kf_predict`.  Everything downstream of a tracklet
+reads its positions alone, so :func:`compute_tracklet` returns position
+tracklets, choosing a form per element: the position block of the
+inverse-filter construction (:func:`tracklet_inverse_kf`) where the
+covariance difference between prediction and update is safely invertible,
+and the information difference of the position marginals
+(:func:`tracklet_decorrelated`), which also covers the single-step case,
+everywhere else.  Each element's tracklet, and the reason it fails, depend
+on that element alone: the checks return masks, ``(reason, failed)`` pairs
+in check order, in place of an error.
 """
 
 from __future__ import annotations
@@ -21,15 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import inv_spd2_masked, mt, mv, singular, symmetrize
-from .dynamics import MotionModel
-from .trackers import GaussianEstimate, kf_predict
+from .trackers import GaussianEstimate
 
-__all__ = [
-    "Tracklet",
-    "tracklet_inverse_kf",
-    "tracklet_decorrelated",
-    "compute_tracklet",
-]
+__all__ = ["Tracklet", "tracklet_inverse_kf", "tracklet_decorrelated", "compute_tracklet"]
 
 # Condition-number limit on the prediction/update covariance difference above
 # which the inverse-filter form is numerically untrustworthy.
@@ -44,50 +41,41 @@ class Tracklet:
     :func:`tracklet_decorrelated`, holds positions alone: ``u`` (..., 2) and
     ``U`` (..., 2, 2).  :func:`tracklet_inverse_kf` returns the full state,
     ``u`` (..., n) and ``U`` (..., n, n), and ``A``, the weighting matrix of
-    its construction (None otherwise).  ``pred_cov`` (..., n, n) is the
-    L-step predicted covariance used to build the tracklet; gain
-    reconstruction reuses it.  The leading batch axes are those of the
-    snapshots.
+    its construction (None otherwise).  The leading batch axes are those of
+    the snapshots.
     """
 
     u: np.ndarray
     U: np.ndarray
-    pred_cov: np.ndarray
     A: np.ndarray | None = None
 
 
-def tracklet_inverse_kf(
-    prev: GaussianEstimate, curr: GaussianEstimate, model: MotionModel
-) -> Tracklet:
-    """Invert the filter update between two snapshots of the same track.
+def tracklet_inverse_kf(pred: GaussianEstimate, curr: GaussianEstimate) -> tuple[Tracklet, list]:
+    """Invert the filter update between the L-step prediction ``pred`` of a
+    track's earlier snapshot and its later snapshot ``curr``, both with any
+    leading batch axes.
 
-    The snapshots and the model's ``F``/``Q`` may carry leading batch axes;
-    one call then builds a tracklet per element.  The form needs a
-    well-conditioned covariance difference D = P(k|k') - P(k|k), which
-    :func:`compute_tracklet` screens for; a single-step lag with
-    position-only updates leaves D singular.
+    The form needs a well-conditioned covariance difference
+    D = P(k|k') - P(k|k); a single-step lag with position-only updates
+    leaves D singular.  Returns the tracklet and its one check, D failing
+    :func:`_inverse_form`; such an element inverts an identity stand-in.
     """
-    pred = kf_predict(prev, model)
-    return _inverse_kf(pred.mean, pred.cov, curr, symmetrize(pred.cov - curr.cov))
+    D = symmetrize(pred.cov - curr.cov)
+    ok = _inverse_form(D)
+    if not ok.all():
+        D = np.where(ok[..., None, None], D, np.eye(D.shape[-1]))
+    A = mt(np.linalg.solve(mt(D), mt(pred.cov)))
+    u = pred.mean + mv(A, curr.mean - pred.mean)
+    return Tracklet(u=u, U=symmetrize(A @ curr.cov), A=A), [
+        ("covariance difference fails the inverse-filter condition screen", ~ok)
+    ]
 
 
-def _inverse_kf(
-    x_pred: np.ndarray, P_pred: np.ndarray, curr: GaussianEstimate, D: np.ndarray
-) -> Tracklet:
-    """:func:`tracklet_inverse_kf` from the prediction and the covariance
-    difference ``D``."""
-    A = mt(np.linalg.solve(mt(D), mt(P_pred)))
-    u = x_pred + mv(A, curr.mean - x_pred)
-    return Tracklet(u=u, U=symmetrize(A @ curr.cov), pred_cov=P_pred, A=A)
-
-
-def tracklet_decorrelated(
-    prev: GaussianEstimate, curr: GaussianEstimate, model: MotionModel
-) -> tuple[Tracklet, list]:
+def tracklet_decorrelated(pred: GaussianEstimate, curr: GaussianEstimate) -> tuple[Tracklet, list]:
     """The position tracklet from the information difference of the
-    snapshots' position marginals: the position measurement whose Kalman
-    update reproduces the position marginal of the track's update between
-    them.
+    position marginals of a track's L-step prediction ``pred`` and its
+    snapshot ``curr``: the position measurement whose Kalman update
+    reproduces the position marginal of the track's update between them.
 
     With position blocks p, U^-1 = P(k|k)pp^-1 - P(k|k')pp^-1 and
     u = U (P(k|k)pp^-1 x(k|k)p - P(k|k')pp^-1 x(k|k')p), computed as
@@ -99,29 +87,16 @@ def tracklet_decorrelated(
     predicted position covariances, then their information difference, each
     not positive definite.  An element that fails one holds a stand-in.
     """
-    pred = kf_predict(prev, model)
-    t, failed = _decorrelated(pred.mean, pred.cov, curr)
-    return t, _decorrelated_faults(curr.cov, pred.cov, failed)
-
-
-def _decorrelated(x_pred, P_pred, curr: GaussianEstimate) -> tuple[Tracklet, tuple]:
-    """:func:`tracklet_decorrelated` from the prediction, with the masks of
-    the elements that fail each of its checks."""
-    J_curr, ok_curr = inv_spd2_masked(curr.cov[..., ::2, ::2])
-    J_pred, ok_pred = inv_spd2_masked(P_pred[..., ::2, ::2])
+    P_curr, P_pred = curr.cov[..., ::2, ::2], pred.cov[..., ::2, ::2]
+    J_curr, ok_curr = inv_spd2_masked(P_curr)
+    J_pred, ok_pred = inv_spd2_masked(P_pred)
     U, ok = inv_spd2_masked(J_curr - J_pred)
     x = curr.mean[..., ::2]
-    u = x + mv(U, mv(J_pred, x - x_pred[..., ::2]))
-    return Tracklet(u=u, U=U, pred_cov=P_pred), (~ok_curr, ~ok_pred, ~ok)
-
-
-def _decorrelated_faults(cov, P_pred, failed) -> list:
-    """The checks of :func:`tracklet_decorrelated` from their masks."""
-    bad_curr, bad_pred, bad_difference = failed
-    return [
-        singular("track position covariance", cov[..., ::2, ::2], bad_curr),
-        singular("predicted track position covariance", P_pred[..., ::2, ::2], bad_pred),
-        ("position information difference not positive definite", bad_difference),
+    u = x + mv(U, mv(J_pred, x - pred.mean[..., ::2]))
+    return Tracklet(u=u, U=U), [
+        singular("track position covariance", P_curr, ~ok_curr),
+        singular("predicted track position covariance", P_pred, ~ok_pred),
+        ("position information difference not positive definite", ~ok),
     ]
 
 
@@ -157,35 +132,22 @@ def _inverse_form(D: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def compute_tracklet(
-    prev: GaussianEstimate, curr: GaussianEstimate, model: MotionModel
-) -> tuple[Tracklet, list]:
+def compute_tracklet(pred: GaussianEstimate, curr: GaussianEstimate) -> tuple[Tracklet, list]:
     """Position tracklet of every element, in the form that element admits,
     and the checks of :func:`tracklet_decorrelated` over the batch.
 
-    One :func:`~sensorreg.trackers.kf_predict` call serves both forms.  An
-    element whose covariance difference passes :func:`_inverse_form` takes
-    the position block of :func:`tracklet_inverse_kf`; every other takes
+    An element that passes the check of :func:`tracklet_inverse_kf` takes
+    the position block of that form; every other takes
     :func:`tracklet_decorrelated`, whose checks mark those elements alone.
-    Each form runs once, on its own elements.
+    Each form runs on the whole batch, the second only if an element needs
+    it.
     """
-    pred = kf_predict(prev, model)
-    x_pred, P_pred = pred.mean, pred.cov
-    D = symmetrize(P_pred - curr.cov)
-    inverse = _inverse_form(D)
-    failed = np.zeros((3,) + inverse.shape, dtype=bool)
-    if inverse.all():
-        # A batch of one form (every epoch of a lag-10 scenario) needs no gather.
-        full = _inverse_kf(x_pred, P_pred, curr, D)
-        t = Tracklet(u=full.u[..., ::2], U=full.U[..., ::2, ::2], pred_cov=P_pred)
-        return t, _decorrelated_faults(curr.cov, P_pred, failed)
-    t = Tracklet(
-        u=np.empty(inverse.shape + (2,)), U=np.empty(inverse.shape + (2, 2)), pred_cov=P_pred
-    )
-    if inverse.any():
-        full = _inverse_kf(x_pred[inverse], P_pred[inverse], curr[inverse], D[inverse])
-        t.u[inverse], t.U[inverse] = full.u[..., ::2], full.U[..., ::2, ::2]
-    marginal = ~inverse
-    part, failed[:, marginal] = _decorrelated(x_pred[marginal], P_pred[marginal], curr[marginal])
-    t.u[marginal], t.U[marginal] = part.u, part.U
-    return t, _decorrelated_faults(curr.cov, P_pred, failed)
+    full, [(_, marginal)] = tracklet_inverse_kf(pred, curr)
+    u, U = full.u[..., ::2], full.U[..., ::2, ::2]
+    if not marginal.any():
+        # A batch of one form (every epoch of a lag-10 scenario).
+        return Tracklet(u=u, U=U), []
+    part, faults = tracklet_decorrelated(pred, curr)
+    u = np.where(marginal[..., None], part.u, u)
+    U = np.where(marginal[..., None, None], part.U, U)
+    return Tracklet(u=u, U=U), [(reason, failed & marginal) for reason, failed in faults]

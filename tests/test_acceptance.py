@@ -27,7 +27,7 @@ from sensorreg.harness import (
     simulate_truth,
 )
 from sensorreg.harness.simulate import _run_stacked
-from sensorreg.trackers import GaussianEstimate
+from sensorreg.trackers import GaussianEstimate, kf_predict
 from sensorreg.tracklets import tracklet_decorrelated, tracklet_inverse_kf
 
 FULL = os.environ.get("SENSORREG_FULL_ACCEPTANCE", "") == "1"
@@ -112,8 +112,9 @@ def test_a01_tracklet_weighting_identity():
             cov=0.5 * (P_curr + P_curr.T),
             frame=steps,
         )
-        t = tracklet_inverse_kf(prev, curr, ms)
-        rel = np.linalg.norm(t.A @ curr.cov - (t.A - np.eye(4)) @ t.pred_cov)
+        pred = kf_predict(prev, ms)
+        t, _ = tracklet_inverse_kf(pred, curr)
+        rel = np.linalg.norm(t.A @ curr.cov - (t.A - np.eye(4)) @ pred.cov)
         rel /= np.linalg.norm(t.U)
         worst = max(worst, rel)
     elapsed = time.perf_counter() - start
@@ -134,10 +135,9 @@ def test_a02_gain_reconstruction_exactness(two_sensor_scenario):
     for k in range(1, sc.frames + 1):
         for s in range(2):
             for t in range(len(sc.targets)):
-                trk, faults = tracklet_decorrelated(
-                    tracks.estimate(s, t, k - 1), tracks.estimate(s, t, k), ms1
-                )
-                g, gain_faults = reconstruct_local_gain(trk.U, trk.pred_cov)
+                pred = kf_predict(tracks.estimate(s, t, k - 1), ms1)
+                trk, faults = tracklet_decorrelated(pred, tracks.estimate(s, t, k))
+                g, gain_faults = reconstruct_local_gain(trk.U, pred.cov)
                 raise_first(faults + gain_faults)
                 W_true = tracks.gain[s, t, k]
                 rel = np.abs(g.W - W_true).max() / np.abs(W_true).max()

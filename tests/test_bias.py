@@ -21,7 +21,7 @@ from sensorreg.coords import (
 )
 from sensorreg.dynamics import compose_steps, ncv_model
 from sensorreg.errors import NumericalError, raise_first
-from sensorreg.trackers import GaussianEstimate, init_track
+from sensorreg.trackers import GaussianEstimate, init_track, kf_predict
 
 # Position selector of the [x, xdot, y, ydot] state: rows 0 and 2 of I.
 H_POS = np.eye(4)[::2]
@@ -52,7 +52,7 @@ def test_pseudo_obs_recovers_consistent_measurement():
     curr_mean = x_pred + W @ (z - H @ x_pred)
     prev = GaussianEstimate(mean=prev_mean, cov=np.eye(4), frame=0)
     curr = GaussianEstimate(mean=curr_mean, cov=np.eye(4), frame=1)
-    out = checked(sensor_pseudo_obs(curr, prev, W, ms))
+    out = checked(sensor_pseudo_obs(curr, kf_predict(prev, ms), W))
     np.testing.assert_allclose(out, z, rtol=1e-9)
 
 
@@ -67,7 +67,7 @@ def test_pseudo_obs_zero_noise_zero_bias_track():
     prev = GaussianEstimate(mean=truth_prev, cov=np.eye(4), frame=0)
     curr_mean = ms.F @ truth_prev + W @ (H @ truth_curr - H @ ms.F @ truth_prev)
     curr = GaussianEstimate(mean=curr_mean, cov=np.eye(4), frame=1)
-    out = checked(sensor_pseudo_obs(curr, prev, W, ms))
+    out = checked(sensor_pseudo_obs(curr, kf_predict(prev, ms), W))
     np.testing.assert_allclose(out, H @ ms.F @ truth_prev, rtol=1e-9)
 
 
@@ -79,7 +79,7 @@ def test_pseudo_obs_rejects_rank_deficient_gain():
     W[:, 0] = [1.0, 0, 1.0, 0]
     W[:, 1] = [2.0, 0, 2.0, 0]
     # The check marks the gain, whose observation holds a stand-in.
-    out, faults = sensor_pseudo_obs(curr, prev, W, ms)
+    out, faults = sensor_pseudo_obs(curr, kf_predict(prev, ms), W)
     assert np.isfinite(out).all()
     with pytest.raises(NumericalError, match=r"^gain Gram matrix is singular \(cond ~ "):
         raise_first(faults)

@@ -98,8 +98,8 @@ _SNAPSHOT_KINDS = {
 
 def _tracklet_site(form):
     def call(prev_mean, prev_cov, curr_mean, curr_cov):
-        prev = GaussianEstimate(mean=prev_mean, cov=prev_cov)
-        return checked(form(prev, GaussianEstimate(mean=curr_mean, cov=curr_cov, frame=1), _MODEL))
+        pred = kf_predict(GaussianEstimate(mean=prev_mean, cov=prev_cov), _MODEL)
+        return checked(form(pred, GaussianEstimate(mean=curr_mean, cov=curr_cov, frame=1)))
 
     kinds = {
         kind: _snapshots(np.random.default_rng(i), make)
@@ -111,11 +111,11 @@ def _tracklet_site(form):
 def _track(rng, pos=(3000.0, 4000.0), b=(0.0, 0.0, 0.0, 0.0)):
     """Tracklet and bias arguments of :func:`_bias_correct`, sensor at the origin."""
     u = np.array(pos, dtype=float)
-    return u, _spd(rng, 2), 10.0 * _spd(rng, 4), np.asarray(b, dtype=float), 1e-4 * np.eye(4)
+    return u, _spd(rng, 2), np.asarray(b, dtype=float), 1e-4 * np.eye(4)
 
 
-def _bias_correct(u, U, P, b, Sigma):
-    t = Tracklet(u=u, U=U, pred_cov=P)
+def _bias_correct(u, U, b, Sigma):
+    t = Tracklet(u=u, U=U)
     return checked(
         bias_correct(t, BiasEstimate(b=b, Sigma=Sigma), (10.0, 1e-3), origin=(0.0, 0.0))
     )

@@ -46,28 +46,24 @@ from sensorreg.tracklets import (
 )
 
 
-def _tracklet_from(u, U, pred_cov=None):
+def _tracklet_from(u, U):
     """A position tracklet: ``u`` (2,), ``U`` (2, 2)."""
-    return Tracklet(
-        u=np.asarray(u, float),
-        U=np.asarray(U, float),
-        pred_cov=np.eye(4) if pred_cov is None else np.asarray(pred_cov, float),
-    )
+    return Tracklet(u=np.asarray(u, float), U=np.asarray(U, float))
 
 
 def test_local_gain_scalar_reduction():
     # Position variance 1 and equivalent noise 1 give gain one half.
     pred = np.diag([1.0, 1e-9, 1.0, 1e-9])
-    t = _tracklet_from([2.0, -3.0], np.eye(2), pred)
-    g = checked(reconstruct_local_gain(t.U, t.pred_cov))
+    t = _tracklet_from([2.0, -3.0], np.eye(2))
+    g = checked(reconstruct_local_gain(t.U, pred))
     assert g.W[0, 0] == pytest.approx(0.5, rel=1e-9)
     assert g.W[2, 1] == pytest.approx(0.5, rel=1e-9)
 
 
 def test_local_gain_vanishes_for_uninformative_tracklet():
     pred = np.diag([10.0, 1.0, 10.0, 1.0])
-    t = _tracklet_from(np.zeros(2), 1e12 * np.eye(2), pred)
-    g = checked(reconstruct_local_gain(t.U, t.pred_cov))
+    t = _tracklet_from(np.zeros(2), 1e12 * np.eye(2))
+    g = checked(reconstruct_local_gain(t.U, pred))
     assert np.abs(g.W).max() < 1e-9
 
 
@@ -85,8 +81,9 @@ def test_local_gain_matches_true_kalman_gain_single_step():
     z = CartesianMeasurement(z=rng.standard_normal(2) * 100, R=np.diag([100.0, 250.0]))
     pred = kf_predict(prev, model)
     curr, rec = kf_update(pred, z)
-    t = checked(tracklet_decorrelated(prev, curr, ms1))
-    g = checked(reconstruct_local_gain(t.U, t.pred_cov))
+    pred1 = kf_predict(prev, ms1)
+    t = checked(tracklet_decorrelated(pred1, curr))
+    g = checked(reconstruct_local_gain(t.U, pred1.cov))
     np.testing.assert_allclose(g.W, rec.gain, rtol=1e-6)
     np.testing.assert_allclose(g.R, z.R, rtol=1e-6)
     np.testing.assert_allclose(t.u, z.z, rtol=1e-6)
@@ -362,7 +359,7 @@ def test_fbe_step_fused_side_is_the_deconvolved_reference_update(monkeypatch):
     fbe_step(prev, curr, reported, bias_states, fused_prev, lag_models, sensors)
     [(z, R)] = seen
 
-    t = checked(compute_tracklet(prev, curr, lag_models(curr.frame - prev.frame)))
+    t = checked(compute_tracklet(kf_predict(prev, lag_models(curr.frame - prev.frame)), curr))
     geo = sensors[:, None]
     c = checked(
         bias_correct(t, bias_states[:, None], (geo.sigma_r, geo.sigma_theta), origin=geo.position)
@@ -380,9 +377,9 @@ def test_fbe_step_fused_side_is_the_deconvolved_reference_update(monkeypatch):
         for r in others:
             info_f = info_f + info[r, tgt]
         R_f, _ = inv_spd2_masked(info_f)
-        pred_cov = kf_predict(fp, msf).cov
-        S_inv, _ = inv_spd2_masked(pred_cov[::2, ::2] + R_f)
-        z_f = checked(sensor_pseudo_obs(fused, fp, pred_cov[:, ::2] @ S_inv, msf))
+        pred = kf_predict(fp, msf)
+        S_inv, _ = inv_spd2_masked(pred.cov[::2, ::2] + R_f)
+        z_f = checked(sensor_pseudo_obs(fused, pred, pred.cov[:, ::2] @ S_inv))
         np.testing.assert_allclose(
             z[s, tgt], z_f, rtol=0, atol=FUSED_PSEUDO_RTOL * np.abs(z_f).max()
         )
@@ -511,7 +508,7 @@ def test_fbe_step_skips_a_pair_whose_tracklet_position_covariance_fails():
     (prev, curr, reported), bias_states, fused_prev, lag_models, sensors = _small_fbe_inputs()
     ms = lag_models(curr.frame - prev.frame)
     curr.cov[2, 1] = -(ms.F @ prev.cov[2, 1] @ ms.F.T + ms.Q)
-    full = tracklet_inverse_kf(prev[2, 1], curr[2, 1], ms)
+    full, _ = tracklet_inverse_kf(kf_predict(prev[2, 1], ms), curr[2, 1])
     assert np.linalg.eigvalsh(full.U[::2, ::2]).max() < 0
     res = fbe_step(prev, curr, reported, bias_states, fused_prev, lag_models, sensors)
     assert res.skipped == [(2, 1, "tracklet position covariance not positive definite")]
@@ -526,14 +523,19 @@ def test_fbe_step_skips_a_pair_whose_tracklet_position_covariance_fails():
 def _first_fault_alone(prev, curr, model, bias, sensor):
     """``(check, reason)`` of the first check that one pair, run alone
     through the local stage (tracklet, gain, bias correction), fails, with
-    ``check`` its position among the stage's checks; None if it fails none."""
-    t, faults = compute_tracklet(prev, curr, model)
-    _, gain_faults = reconstruct_local_gain(t.U, t.pred_cov)
+    ``check`` its (step, position) among the stage's checks; None if it
+    fails none.  A pair in the inverse-filter form has no tracklet checks,
+    so the step, not the position in the stage, orders checks across
+    pairs."""
+    pred = kf_predict(prev, model)
+    t, faults = compute_tracklet(pred, curr)
+    _, gain_faults = reconstruct_local_gain(t.U, pred.cov)
     noise = (sensor.sigma_r, sensor.sigma_theta)
     _, bias_faults = bias_correct(t, bias, noise, origin=sensor.position)
-    for check, (reason, failed) in enumerate(faults + gain_faults + bias_faults):
-        if failed:
-            return check, np.asarray(reason, dtype=object)[()]
+    for step, checks in enumerate((faults, gain_faults, bias_faults)):
+        for position, (reason, failed) in enumerate(checks):
+            if failed:
+                return (step, position), np.asarray(reason, dtype=object)[()]
     return None
 
 
@@ -858,8 +860,9 @@ def test_batched_fusion_formulas_match_batch_free_calls():
     # batch-free calls, bit for bit.
     (prev, curr, _), _, _, lag_models, sensors = _small_fbe_inputs()
     ms = lag_models(curr.frame - prev.frame)
-    t = checked(compute_tracklet(prev, curr, ms))
-    g = checked(reconstruct_local_gain(t.U, t.pred_cov))
+    pred = kf_predict(prev, ms)
+    t = checked(compute_tracklet(pred, curr))
+    g = checked(reconstruct_local_gain(t.U, pred.cov))
     rng = np.random.default_rng(8)
     A = rng.standard_normal((3, 4, 4))
     bias = BiasEstimate(
@@ -869,7 +872,7 @@ def test_batched_fusion_formulas_match_batch_free_calls():
     c = checked(
         bias_correct(t, bias[:, None], (geo.sigma_r, geo.sigma_theta), origin=geo.position)
     )
-    zb = checked(sensor_pseudo_obs(curr, prev, g.W, ms))
+    zb = checked(sensor_pseudo_obs(curr, pred, g.W))
     r, th = cart_to_polar(t.u, geo.position)
     jac = jacobians_at(r, th)
     pm = difference_pseudo_measurement(zb, c.z, jac, c.R, g.R, offset_only=False)
@@ -877,13 +880,14 @@ def test_batched_fusion_formulas_match_batch_free_calls():
     est = checked(rlsb_update(bias[:, None], stacks))
     for s in range(3):
         for tgt in range(2):
-            ts = Tracklet(u=t.u[s, tgt], U=t.U[s, tgt], pred_cov=t.pred_cov[s, tgt])
+            ts = Tracklet(u=t.u[s, tgt], U=t.U[s, tgt])
             c1 = checked(
                 bias_correct(ts, bias[s], (10.0, 1e-3), origin=tuple(sensors.position[s]))
             )
             np.testing.assert_array_equal(c.z[s, tgt], c1.z)
             np.testing.assert_array_equal(c.R[s, tgt], c1.R)
-            z1 = checked(sensor_pseudo_obs(curr[s, tgt], prev[s, tgt], g.W[s, tgt], ms))
+            pred1 = kf_predict(prev[s, tgt], ms)
+            z1 = checked(sensor_pseudo_obs(curr[s, tgt], pred1, g.W[s, tgt]))
             np.testing.assert_array_equal(zb[s, tgt], z1)
             j1 = jacobians_at(*cart_to_polar(t.u[s, tgt], sensors.position[s]))
             np.testing.assert_array_equal(jac.K[s, tgt], j1.K)
@@ -904,9 +908,9 @@ def test_fbe_step_skips_the_pair_of_a_reference_failure(monkeypatch):
     reason = "gain Gram matrix is singular (cond ~ inf)"
     folded = []
 
-    def rank_deficient(curr, prev, W, model):
+    def rank_deficient(curr, pred, W):
         # Gains lie on the (sensor, target) grid: sensors 1 and 2, target 0.
-        out, _ = real_obs(curr, prev, W, model)
+        out, _ = real_obs(curr, pred, W)
         failed = np.zeros(W.shape[:-2], dtype=bool)
         failed[[1, 2], 0] = True
         return out, [(reason, failed)]

@@ -15,7 +15,11 @@ position block of the full-state one in exact arithmetic, so every cell
 moved by rounding alone (at most 2.9e-11 relative).  The
 ``mixed_lag_baseline`` copies, whose epochs leave some sensors silent,
 were written while the baseline epoch still gathered the reporting
-sensors' rows.  Regenerate the files
+sensors' rows.  The deconvolved updates of ``sensor_pseudo_obs`` later took
+their predicted means from the rows of ``kf_predict``, in place of a
+matrix-vector product of their own: with a multi-step transition that moved
+the ``fbe`` cases in their last bits (at most 1.9e-14 relative), held here
+to ``RTOL`` like every other change.  Regenerate the files
 only for a change meant to alter the estimates, with
 ``write_case(name, tests/data/golden/<name>)``.
 """

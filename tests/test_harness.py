@@ -202,6 +202,48 @@ def test_scenario_vector_fields_must_be_lists(path, key, where, value):
         load_scenario(doc)
 
 
+@pytest.mark.parametrize(
+    "path, key, value, message",
+    [
+        (
+            ("targets", 0, "segments"),
+            0,
+            "ncv",
+            "target 0 segment 0 must be a JSON object, got 'ncv'",
+        ),
+        (("targets", 0), "segments", "ncv", "target 0 segments must be a list, got 'ncv'"),
+        (("sensors", 0), "bias", [1, 2], "sensor 0 bias must be a JSON object, got [1, 2]"),
+        (("sensors",), 0, 5, "sensor 0 must be a JSON object, got 5"),
+        ((), "local_filter", 3, "local_filter must be a JSON object, got 3"),
+        ((), "sensors", {"a": 1}, "sensors must be a list, got {'a': 1}"),
+        ((), "targets", "t", "targets must be a list, got 't'"),
+        (
+            ("sensors", 1),
+            "position",
+            [1, 2, 3],
+            "sensor 1 position must hold 2 numbers, got [1, 2, 3]",
+        ),
+        (
+            ("targets", 0),
+            "initial_state",
+            [1, 2, 3],
+            "target 0 initial_state must hold 4 numbers, got [1, 2, 3]",
+        ),
+    ],
+)
+def test_scenario_fields_of_the_wrong_shape_are_named(path, key, value, message):
+    # Each failed with a message that misread the field ("unknown key 'n'"
+    # for a string of segments, "unknown key 1" for a bias list), named no
+    # field ("'int' object is not iterable") or named a reshape.
+    doc = _tiny_scenario()
+    node = doc
+    for k in path:
+        node = node[k]
+    node[key] = value
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        load_scenario(doc)
+
+
 def test_scenario_rejects_a_name_that_is_not_a_string():
     with pytest.raises(ScenarioError, match="^name must be a string, got 5$"):
         load_scenario(_tiny_scenario(name=5))

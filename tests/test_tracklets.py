@@ -8,7 +8,7 @@ from conftest import checked
 
 from sensorreg.coords import CartesianMeasurement
 from sensorreg.dynamics import MotionModel, compose_steps, ncv_model
-from sensorreg.errors import NumericalError
+from sensorreg.errors import NumericalError, raise_first
 from sensorreg import tracklets
 from sensorreg.fusion import reconstruct_local_gain
 from sensorreg.trackers import GaussianEstimate, kf_predict, kf_update
@@ -49,7 +49,7 @@ def test_no_innovation_returns_prediction():
     prev, curr, model = _random_pair(rng)
     x_pred = model.F @ prev.mean
     curr.mean = x_pred.copy()
-    t = tracklet_inverse_kf(prev, curr, model)
+    t = checked(tracklet_inverse_kf(kf_predict(prev, model), curr))
     np.testing.assert_allclose(t.u, x_pred, rtol=1e-9)
 
 
@@ -60,8 +60,8 @@ def test_weighting_identity_on_random_inputs():
     worst = 0.0
     for _ in range(1000):
         prev, curr, model = _random_pair(rng)
-        t = tracklet_inverse_kf(prev, curr, model)
-        P_pred = t.pred_cov
+        P_pred = kf_predict(prev, model).cov
+        t = checked(tracklet_inverse_kf(kf_predict(prev, model), curr))
         lhs = t.A @ curr.cov
         rhs = (t.A - np.eye(4)) @ P_pred
         rel = np.linalg.norm(lhs - rhs) / np.linalg.norm(t.U)
@@ -72,7 +72,7 @@ def test_weighting_identity_on_random_inputs():
 def test_transpose_identity():
     rng = np.random.default_rng(1)
     prev, curr, model = _random_pair(rng)
-    t = tracklet_inverse_kf(prev, curr, model)
+    t = checked(tracklet_inverse_kf(kf_predict(prev, model), curr))
     lhs = t.A @ curr.cov
     np.testing.assert_allclose(lhs, lhs.T, atol=1e-10 * np.abs(lhs).max())
 
@@ -80,7 +80,7 @@ def test_transpose_identity():
 def test_covariance_symmetrized():
     rng = np.random.default_rng(2)
     prev, curr, model = _random_pair(rng)
-    t = tracklet_inverse_kf(prev, curr, model)
+    t = checked(tracklet_inverse_kf(kf_predict(prev, model), curr))
     np.testing.assert_allclose(t.U, t.U.T)
 
 
@@ -117,8 +117,10 @@ def test_monte_carlo_error_covariance_matches_U():
     ms = compose_steps(model, steps)
     us = np.empty((n, 4))
     prev0 = GaussianEstimate(mean=prev_est[0], cov=prev_cov, frame=0)
-    t0 = tracklet_inverse_kf(
-        prev0, GaussianEstimate(mean=est[0], cov=P, frame=steps), ms
+    t0 = checked(
+        tracklet_inverse_kf(
+            kf_predict(prev0, ms), GaussianEstimate(mean=est[0], cov=P, frame=steps)
+        )
     )
     # A depends only on covariances, so apply it across all runs at once.
     x_pred = prev_est @ ms.F.T
@@ -130,14 +132,17 @@ def test_monte_carlo_error_covariance_matches_U():
 
 def test_inverse_kf_rejects_singular_difference():
     # A single-step position-only update leaves the covariance difference
-    # rank deficient, which fails the condition screen of compute_tracklet:
-    # it gives the pair the position-marginal form.
-    model = compose_steps(ncv_model(1.0, 0.1), 1)
+    # rank deficient, which fails the check of the inverse-filter form:
+    # compute_tracklet gives the pair the position-marginal form.
     prev = GaussianEstimate(mean=np.zeros(4), cov=np.diag([100.0, 4.0, 100.0, 4.0]), frame=0)
     pred = kf_predict(prev, ncv_model(1.0, 0.1))
     curr, _ = kf_update(pred, CartesianMeasurement(z=[1.0, 1.0], R=np.eye(2)))
-    t = checked(compute_tracklet(prev, curr, model))
-    want = checked(tracklet_decorrelated(prev, curr, model))
+    _, [(reason, failed)] = tracklet_inverse_kf(pred, curr)
+    assert failed and "condition screen" in reason
+    with pytest.raises(NumericalError, match="condition screen"):
+        checked(tracklet_inverse_kf(pred, curr))
+    t = checked(compute_tracklet(pred, curr))
+    want = checked(tracklet_decorrelated(pred, curr))
     assert t.u.shape == (2,) and t.U.shape == (2, 2)
     np.testing.assert_array_equal(t.u, want.u)
     np.testing.assert_array_equal(t.U, want.U)
@@ -225,7 +230,7 @@ def test_decorrelated_scalar_case():
     # Information 2 after and 1 before: U = 1 and u = 2 * 2 - 1 per axis.
     prev = GaussianEstimate(mean=np.full(4, 1.0), cov=np.eye(4), frame=0)
     curr = GaussianEstimate(mean=np.full(4, 2.0), cov=0.5 * np.eye(4), frame=1)
-    t = checked(tracklet_decorrelated(prev, curr, _STATIC))
+    t = checked(tracklet_decorrelated(kf_predict(prev, _STATIC), curr))
     np.testing.assert_allclose(t.U, np.eye(2), rtol=1e-12)
     np.testing.assert_allclose(t.u, [2 * 2.0 - 1.0] * 2, rtol=1e-12)
 
@@ -233,7 +238,7 @@ def test_decorrelated_scalar_case():
 def test_decorrelated_no_update_is_prediction_fixed_point():
     prev = GaussianEstimate(mean=np.full(4, 3.0), cov=np.eye(4), frame=0)
     curr = GaussianEstimate(mean=np.full(4, 3.0), cov=0.5 * np.eye(4), frame=1)
-    t = checked(tracklet_decorrelated(prev, curr, _STATIC))
+    t = checked(tracklet_decorrelated(kf_predict(prev, _STATIC), curr))
     np.testing.assert_allclose(t.u, [3.0, 3.0])
 
 
@@ -250,7 +255,7 @@ def test_decorrelated_single_step_recovers_measurement():
     z = CartesianMeasurement(z=rng.standard_normal(2) * 100, R=np.diag([100.0, 421.0]))
     pred = kf_predict(prev, model)
     curr, _ = kf_update(pred, z)
-    t = checked(tracklet_decorrelated(prev, curr, compose_steps(model, 1)))
+    t = checked(tracklet_decorrelated(kf_predict(prev, compose_steps(model, 1)), curr))
     np.testing.assert_allclose(t.u, z.z, rtol=1e-8)
     np.testing.assert_allclose(t.U, z.R, rtol=1e-8)
 
@@ -260,7 +265,7 @@ def test_decorrelated_rejects_information_loss():
     prev = GaussianEstimate(mean=np.zeros(4), cov=np.eye(4), frame=0)
     curr = GaussianEstimate(mean=np.zeros(4), cov=2.0 * np.eye(4), frame=1)
     with pytest.raises(NumericalError):
-        checked(tracklet_decorrelated(prev, curr, model))
+        checked(tracklet_decorrelated(kf_predict(prev, model), curr))
 
 
 def test_fused_decorrelated_tracklets_match_centralized_filter():
@@ -288,7 +293,7 @@ def test_fused_decorrelated_tracklets_match_centralized_filter():
         for i in range(2):
             pred = kf_predict(locals_[i], model)
             upd, _ = kf_update(pred, zs[i])
-            tl.append(checked(tracklet_decorrelated(locals_[i], upd, ms1)))
+            tl.append(checked(tracklet_decorrelated(kf_predict(locals_[i], ms1), upd)))
             new_locals.append(upd)
         locals_ = new_locals
 
@@ -353,17 +358,20 @@ def test_batched_tracklet_and_gain_match_per_pair_loop():
     ms1 = compose_steps(ncv_model(1.0, 0.3), 1)
     kinds = ["pos", "pos", "full", "pos"]
     pairs = [_snapshot_pair(rng, ms1, kind) for kind in kinds]
-    t = checked(tracklet_decorrelated(*_stacked(pairs, (2, 2)), ms1))
-    g = checked(reconstruct_local_gain(t.U, t.pred_cov))
+    prev, curr = _stacked(pairs, (2, 2))
+    pred = kf_predict(prev, ms1)
+    t = checked(tracklet_decorrelated(pred, curr))
+    g = checked(reconstruct_local_gain(t.U, pred.cov))
     assert t.u.shape == (2, 2, 2) and t.U.shape == (2, 2, 2, 2)
-    assert t.pred_cov.shape == (2, 2, 4, 4)
+    assert pred.cov.shape == (2, 2, 4, 4)
     assert g.W.shape == (2, 2, 4, 2) and g.R.shape == (2, 2, 2, 2)
     for i, (prev, curr) in enumerate(pairs):
         idx = divmod(i, 2)
-        t1 = checked(tracklet_decorrelated(prev, curr, ms1))
-        g1 = checked(reconstruct_local_gain(t1.U, t1.pred_cov))
+        pred1 = kf_predict(prev, ms1)
+        t1 = checked(tracklet_decorrelated(pred1, curr))
+        g1 = checked(reconstruct_local_gain(t1.U, pred1.cov))
         for batched, single in [
-            (t.u, t1.u), (t.U, t1.U), (t.pred_cov, t1.pred_cov),
+            (t.u, t1.u), (t.U, t1.U), (pred.cov, pred1.cov),
             (g.W, g1.W), (g.R, g1.R),
         ]:
             np.testing.assert_allclose(batched[idx], single, rtol=1e-12, atol=0.0)
@@ -374,7 +382,8 @@ def test_batched_tracklet_rejects_indefinite_element():
     ms1 = compose_steps(ncv_model(1.0, 0.3), 1)
     pairs = [_snapshot_pair(rng, ms1, kind) for kind in ["pos", "loss", "full"]]
     with pytest.raises(NumericalError, match=r"not positive definite at batch index \[1\]"):
-        checked(tracklet_decorrelated(*_stacked(pairs, (3,)), ms1))
+        prev, curr = _stacked(pairs, (3,))
+        checked(tracklet_decorrelated(kf_predict(prev, ms1), curr))
 
 
 @pytest.mark.parametrize("shape", [(2,), (1, 2)])
@@ -386,7 +395,8 @@ def test_mixed_batch_names_a_failure_at_the_first_element(shape):
     ms1 = compose_steps(ncv_model(1.0, 0.3), 1)
     pairs = [_snapshot_pair(rng, ms1, kind) for kind in ["loss", "full"]]
     with pytest.raises(NumericalError, match="not positive definite") as info:
-        checked(compute_tracklet(*_stacked(pairs, shape), ms1))
+        prev, curr = _stacked(pairs, shape)
+        checked(compute_tracklet(kf_predict(prev, ms1), curr))
     assert info.value.index == (0,) * len(shape)
     np.testing.assert_array_equal(info.value.failed, np.reshape([True, False], shape))
 
@@ -414,26 +424,63 @@ def _tracked_pair(rng, lag):
 BATCH_RTOL = 1e-12
 
 
-def test_mixed_batch_matches_per_element_tracklets():
-    # Lag-1 elements have a singular covariance difference and take the
-    # position-marginal form; every other element takes the position block
-    # of the inverse-filter form, whatever the rest of the batch holds.
-    rng = np.random.default_rng(25)
-    lags = np.array([1, 10, 5, 10, 2, 1, 3])
-    triples = [_tracked_pair(rng, int(L)) for L in lags]
-    prev, curr = _stacked([(p, c) for p, c, _ in triples], lags.shape)
+def _lag_batch(triples):
+    """Stacked ``(pred, curr)`` of ``(prev, curr, model)`` triples, each
+    predicted with its own model."""
+    prev, curr = _stacked([(p, c) for p, c, _ in triples], (len(triples),))
     model = MotionModel(
         F=np.stack([m.F for _, _, m in triples]),
         Q=np.stack([m.Q for _, _, m in triples]),
-        steps=lags,
+        steps=np.array([m.steps for _, _, m in triples]),
     )
-    t = checked(compute_tracklet(prev, curr, model))
-    assert t.u.shape == (7, 2) and t.U.shape == (7, 2, 2) and t.A is None
+    return kf_predict(prev, model), curr
+
+
+def test_mixed_batch_matches_per_element_tracklets():
+    # Lag-1 elements have a singular covariance difference and take the
+    # position-marginal form; every other element takes the position block
+    # of the inverse-filter form, whatever the rest of the batch holds.  The
+    # mixed and the all-lag-1 batches run both forms; the all-multi-step
+    # batch leaves compute_tracklet after the first, with no checks.
+    rng = np.random.default_rng(25)
+    for lags in [(1, 10, 5, 10, 2, 1, 3), (1, 1, 1), (10, 5, 2, 3)]:
+        triples = [_tracked_pair(rng, L) for L in lags]
+        t, faults = compute_tracklet(*_lag_batch(triples))
+        raise_first(faults)
+        n = len(lags)
+        assert t.u.shape == (n, 2) and t.U.shape == (n, 2, 2) and t.A is None
+        assert (faults == []) == (1 not in lags)
+        for i, (p, c, m) in enumerate(triples):
+            pred = kf_predict(p, m)
+            if lags[i] == 1:
+                want = checked(tracklet_decorrelated(pred, c))
+            else:
+                full = checked(tracklet_inverse_kf(pred, c))
+                want = Tracklet(u=full.u[::2], U=full.U[::2, ::2])
+            for got, ref in [(t.u[i], want.u), (t.U[i], want.U)]:
+                atol = BATCH_RTOL * np.abs(ref).max()
+                np.testing.assert_allclose(got, ref, rtol=0.0, atol=atol, err_msg=str(lags))
+
+
+@pytest.mark.parametrize("form", [tracklet_inverse_kf, compute_tracklet])
+def test_failing_pair_leaves_the_rest_of_its_batch_bit_identical(form):
+    # Element 1 fails: a lag-1 pair fails the inverse form's check, and a
+    # pair whose covariance grew fails every form.  It holds a finite
+    # stand-in, and every other element equals its batch-free call.
+    rng = np.random.default_rng(27)
+    triples = [_tracked_pair(rng, L) for L in (10, 1, 5, 2)]
+    if form is compute_tracklet:
+        p, c, m = triples[1]
+        P_pred = kf_predict(p, m).cov
+        triples[1] = (p, GaussianEstimate(c.mean, 2.0 * P_pred, c.frame), m)
+    t, faults = form(*_lag_batch(triples))
+    np.testing.assert_array_equal(
+        np.logical_or.reduce([failed for _, failed in faults]), [False, True, False, False]
+    )
+    for part in (t.u, t.U) if t.A is None else (t.u, t.U, t.A):
+        assert np.isfinite(part[1]).all()
     for i, (p, c, m) in enumerate(triples):
-        if lags[i] == 1:
-            want = checked(tracklet_decorrelated(p, c, m))
-        else:
-            full = tracklet_inverse_kf(p, c, m)
-            want = Tracklet(u=full.u[::2], U=full.U[::2, ::2], pred_cov=full.pred_cov)
-        for got, ref in [(t.u[i], want.u), (t.U[i], want.U), (t.pred_cov[i], want.pred_cov)]:
-            np.testing.assert_allclose(got, ref, rtol=0.0, atol=BATCH_RTOL * np.abs(ref).max())
+        if i != 1:
+            one = checked(form(kf_predict(p, m), c))
+            np.testing.assert_array_equal(t.u[i], one.u)
+            np.testing.assert_array_equal(t.U[i], one.U)

@@ -80,6 +80,12 @@ def raise_first(faults, error: type = NumericalError) -> None:
             raise error(_reason(reason, first_index(failed)), failed)
 
 
+def faults_at(faults, index) -> list:
+    """The ``(reason, failed)`` pairs of ``faults`` (as for
+    :func:`raise_first`) at ``index`` of their leading batch axes."""
+    return [(r if isinstance(r, str) else r[index], failed[index]) for r, failed in faults]
+
+
 def first_faults(faults, keep) -> tuple[list, np.ndarray]:
     """The first of ``faults`` (as for :func:`raise_first`) that each
     element ``keep`` marks fails: a list of ``(index, reason)`` in (check,

@@ -5,13 +5,16 @@ The fusion center receives only state estimates and covariances at
 (possibly sparse) reporting epochs.  From each report pair and its one
 L-step prediction it forms a tracklet, reconstructs the equivalent
 measurement noise and filter gain, and deconvolves the update into a bias
-observation.  Each sensor's bias is estimated against a leave-one-out fused
-reference, one update with all other sensors' bias-corrected tracklets,
-which reduces the multisensor problem to a sequence of two-sensor problems
-with a single biased side.
+observation: no bias estimate enters these, so :func:`local_stage` runs
+them once on report pairs with any leading axes (every epoch of a run).
+Each sensor's bias is estimated against a leave-one-out fused reference,
+one update with all other sensors' bias-corrected tracklets, which reduces
+the multisensor problem to a sequence of two-sensor problems with a single
+biased side: :func:`fbe_step`, once per epoch on its slice of the local
+stage.
 
-Each stage of an epoch is one batched call on position tracklets, made
-once whatever fails.  No check raises for a skip: each stage returns its
+Each stage is one batched call on position tracklets, made once whatever
+fails.  No check raises for a skip: each stage returns its
 checks as ``(reason, failed)`` masks over its batch, in check order
 (:func:`reconstruct_local_gain`, :func:`bias_correct`, like
 :func:`~sensorreg.tracklets.compute_tracklet`,
@@ -20,9 +23,9 @@ checks as ``(reason, failed)`` masks over its batch, in check order
 fails one holds a stand-in.  :func:`fbe_step` skips each element with the
 first check it fails and records it; a caller that must stop raises the
 first fault through :func:`~sensorreg.errors.raise_first`.  Every stage
-works on the (sensor, target) grid with a mask, the local one (tracklet,
-gain, frame-start bias correction) with that of the reported pairs, and
-an element off the mask holds a stand-in whose result is discarded.
+works on the (sensor, target) grid with a mask, the frame-start bias
+correction with that of the reported pairs, and an element off the mask
+holds a stand-in whose result is discarded.
 :func:`sfa` logs its failures from the same masks.
 """
 
@@ -43,6 +46,7 @@ from .bias import (
     sensor_pseudo_obs,
 )
 from .coords import (
+    BiasJacobians,
     CartesianMeasurement,
     cart_to_polar,
     converted_covariance,
@@ -51,7 +55,7 @@ from .coords import (
     wrap_angle,
 )
 from .dynamics import LagModels, MotionModel
-from .errors import at_index, first_faults, quoted
+from .errors import at_index, faults_at, first_faults, quoted
 from .trackers import GaussianEstimate, kf_predict, kf_update
 from .tracklets import Tracklet, compute_tracklet
 
@@ -59,11 +63,13 @@ __all__ = [
     "ReconstructedGain",
     "FusedTrack",
     "SensorModel",
+    "LocalStage",
     "FbeResult",
     "reconstruct_local_gain",
     "bias_correct",
     "slot_information",
     "sfa",
+    "local_stage",
     "fbe_step",
 ]
 
@@ -119,7 +125,7 @@ class SensorModel:
         )
 
 
-# Stand-in gain of a pair off the reference mask: W'W = I.
+# Stand-in gain of a pair that fails the local checks: W'W = I.
 _SELECT_POSITIONS = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 
 
@@ -292,6 +298,68 @@ def sfa(
 
 
 @dataclass
+class LocalStage:
+    """The part of fused bias estimation that no bias estimate enters, for
+    report pairs on a (..., S, T) grid: ``frame``, the frame of their later
+    reports (one per index of ``...``); their position ``tracklets``; the
+    checks of the tracklets and of their gains (``faults``, in that order);
+    each pair's deconvolved observation ``z`` (..., 2) and the check of its
+    gain (``gram_faults``); and the bias Jacobians ``jac`` and noise ``R``
+    (..., 2, 2) of its sensor side at the tracklet's own polar coordinates.
+    Indexing the leading axes gives their pairs' stage."""
+
+    frame: int | np.ndarray
+    tracklets: Tracklet
+    faults: list
+    z: np.ndarray
+    gram_faults: list
+    jac: BiasJacobians
+    R: np.ndarray
+
+    def __getitem__(self, index) -> LocalStage:
+        return LocalStage(
+            frame=self.frame[index] if np.ndim(self.frame) else self.frame,
+            tracklets=Tracklet(u=self.tracklets.u[index], U=self.tracklets.U[index]),
+            faults=faults_at(self.faults, index),
+            z=self.z[index],
+            gram_faults=faults_at(self.gram_faults, index),
+            jac=BiasJacobians(B=self.jac.B[index], K=self.jac.K[index]),
+            R=self.R[index],
+        )
+
+
+def local_stage(
+    pred: GaussianEstimate, curr: GaussianEstimate, sensors: SensorModel
+) -> LocalStage:
+    """The :class:`LocalStage` of report pairs from their later reports
+    ``curr`` and the L-step predictions ``pred`` of their earlier ones, on
+    a grid whose last two axes are (sensor, target); ``sensors`` holds the
+    S sensors.  Every pair runs, each to its own result: one that fails the
+    tracklet or gain checks holds stand-ins (a position-selecting gain, a
+    zero position) for the rest of the stage."""
+    tracklets, faults = compute_tracklet(pred, curr)
+    gain, gain_faults = reconstruct_local_gain(tracklets.U, pred.cov)
+    faults += gain_faults
+    ok = ~np.any([failed for _, failed in faults], axis=0)
+    z, gram_faults = sensor_pseudo_obs(
+        curr, pred, np.where(ok[..., None, None], gain.W, _SELECT_POSITIONS)
+    )
+    # Observation matrix of each sensor at its tracklet's own polar
+    # coordinates (the fusion center has no raw measurements).  Every
+    # equivalent measurement handled at the fusion center carries the
+    # radar-model uncertainty on top of its tracklet covariance; the
+    # corrected reference side of fbe_step has it, and the sensor side gets
+    # the same treatment here.
+    geo = sensors[:, None]
+    r, theta = cart_to_polar(np.where(ok[..., None], tracklets.u, 0.0), geo.position)
+    R = np.where(ok[..., None, None], gain.R, 0.0)
+    R += converted_covariance(r, theta, geo.sigma_r, geo.sigma_theta)
+    # The later reports of a grid index share their frame.
+    frame = np.asarray(curr.frame)[..., 0, 0] if np.ndim(curr.frame) else curr.frame
+    return LocalStage(frame, tracklets, faults, z, gram_faults, jacobians_at(r, theta), R)
+
+
+@dataclass
 class FbeResult:
     """Outputs of one fused-bias-estimation frame over S sensors and T
     targets.
@@ -300,9 +368,7 @@ class FbeResult:
     ``fused`` every leave-one-out reference (mean (S, T, n), frames (S, T)).
     ``used`` (S, T, S) marks the sensors fused into each reference updated
     this frame.  ``live`` (S, T) marks the reported pairs whose tracklet,
-    gain and bias correction succeeded, and ``tracklets`` holds the
-    tracklet of every pair on the (S, T) grid, valid where ``live`` (None
-    when fewer than two sensors reported).  ``skipped`` lists a ``(sensor,
+    gain and bias correction succeeded.  ``skipped`` lists a ``(sensor,
     target, reason)`` tuple per pair, or per bias pseudo-measurement, that
     failed a numerical check, and a ``(sensor, None, reason)`` tuple per
     sensor whose stacked bias update failed (that sensor keeps its
@@ -313,14 +379,12 @@ class FbeResult:
     fused: GaussianEstimate
     used: np.ndarray
     live: np.ndarray
-    tracklets: Tracklet | None = None
     skipped: list = field(default_factory=list)
 
 
 def fbe_step(
-    prev: GaussianEstimate,
-    curr: GaussianEstimate,
     reported: np.ndarray,
+    local: LocalStage,
     bias_states: BiasEstimate,
     fused_prev: GaussianEstimate,
     lag_models: LagModels,
@@ -329,10 +393,9 @@ def fbe_step(
     """One frame of fused bias estimation across all reporting sensors.
 
     Args:
-        prev, curr: report pairs of every (sensor, target) pair, means
-            (S, T, n) and covariances (S, T, n, n); frames broadcast to
-            (S, T), e.g. (S, 1) for one report frame per sensor.
         reported: (S, T) boolean mask of the pairs reported this frame.
+        local: the :class:`LocalStage` of every (sensor, target) pair at
+            this frame, reported or not (:func:`local_stage`).
         bias_states: latest estimates of every sensor (``b`` (S, d));
             sensors without a usable pair carry theirs forward.
         fused_prev: leave-one-out fused references, element (s, t) excluding
@@ -344,21 +407,19 @@ def fbe_step(
     Returns a :class:`FbeResult`.  Each stage is one batched call, whatever
     fails, and every check is a mask, not an error to retry around.
 
-    The local stage (tracklet, gain reconstruction, frame-start bias
-    correction) runs on every pair of the grid under the mask of the
-    reported pairs.  Its checks come back as ``(reason, failed)`` masks in
-    stage and check order, and a reported pair that fails one is skipped
-    with the first it fails, the records in (check, sensor, target) order.
-    Each pair's tracklet form and checks depend on that pair alone, so a
-    pair that is not reported changes no result.
+    The frame-start bias correction runs on every pair of the grid.  The
+    local stage's checks and its own come back as ``(reason, failed)``
+    masks in stage and check order, and a reported pair that fails one is
+    skipped with the first it fails, the records in (check, sensor, target)
+    order.  Each pair's checks depend on that pair alone, so a pair that is
+    not reported changes no result.
 
     Every later stage runs on the (S, T) grid under the mask of the live
     pairs whose target has another live sensor: the leave-one-out
-    :func:`sfa`, :func:`sensor_pseudo_obs`, the difference
-    pseudo-measurements, their screen and the fold.  Elements outside the
-    mask carry stand-ins (a position-selecting gain, zero positions) whose
-    results are discarded.  A pseudo-measurement whose gain fails the check
-    of :func:`sensor_pseudo_obs`, or that fails one of
+    :func:`sfa`, the difference pseudo-measurements, their screen and the
+    fold.  Elements outside the mask carry stand-ins whose results are
+    discarded.  A pseudo-measurement whose gain fails the check of
+    :func:`sensor_pseudo_obs`, or that fails one of
     :func:`pseudo_measurement_faults`, is dropped and recorded.  Each sensor
     folds its pseudo-measurements in one stacked :func:`rlsb_update` over
     every sensor; a sensor whose fold fails a check keeps its estimate and
@@ -382,26 +443,18 @@ def fbe_step(
     if np.count_nonzero(reported.any(axis=1)) < 2:
         return res
 
-    # Local stage: tracklets, gain data, and frame-start corrections of
-    # every pair, kept where reported (a sensor's corrected measurement is
-    # the same in every leave-one-out set it belongs to).
-    pred = kf_predict(prev, lag_models(np.broadcast_to(curr.frame - prev.frame, (n_s, n_t))))
-    res.tracklets, faults = compute_tracklet(pred, curr)
-    g_s, gain_faults = reconstruct_local_gain(res.tracklets.U, pred.cov)
+    # Frame-start corrections of every pair, kept where reported (a
+    # sensor's corrected measurement is the same in every leave-one-out set
+    # it belongs to).
     geo = sensors[:, None]
     corrected, bias_faults = bias_correct(
-        res.tracklets, bias_states[:, None], (geo.sigma_r, geo.sigma_theta), origin=geo.position
+        local.tracklets, bias_states[:, None], (geo.sigma_r, geo.sigma_theta), origin=geo.position
     )
     # A copy of the mask: res.live is no view of the caller's array.
-    found, res.live = first_faults(faults + gain_faults + bias_faults, np.array(reported))
+    found, res.live = first_faults(local.faults + bias_faults, np.array(reported))
     res.skipped += [(int(s), int(t), reason) for (s, t), reason in found]
     # The references: live pairs whose target has another live sensor.
     ref = res.live & (res.live.sum(axis=0) >= 2)
-
-    # Gains, their noise and tracklet positions, with stand-ins off the mask.
-    W = np.where(ref[..., None, None], g_s.W, _SELECT_POSITIONS)
-    R_g = np.where(res.live[..., None, None], g_s.R, 0.0)
-    u = np.where(res.live[..., None], res.tracklets.u, 0.0)
 
     # Leave-one-out fused reference of every pair on the mask from the
     # other sensors' bias-corrected tracklets of its target.  The reference
@@ -414,25 +467,13 @@ def fbe_step(
     present = ref[:, :, None] & res.live.T[None] & ~np.eye(n_s, dtype=bool)[:, None]
     fused_new = sfa(
         fused,
-        lag_models(np.where(ref, curr.frame - fused.frame, 1)),
+        lag_models(np.where(ref, local.frame - fused.frame, 1)),
         CartesianMeasurement(corrected.z.swapaxes(0, 1)[None], corrected.R.swapaxes(0, 1)[None]),
         present,
     )
-
-    zb_s, gram_faults = sensor_pseudo_obs(curr, pred, W)
-
-    # Observation matrix of each sensor at its tracklet's own polar
-    # coordinates (the fusion center has no raw measurements).  Every
-    # equivalent measurement handled at the fusion center carries the
-    # radar-model uncertainty on top of its tracklet covariance; the
-    # corrected reference side already has it, and the sensor side gets the
-    # same treatment here.
-    r, theta = cart_to_polar(u, geo.position)
-    jac = jacobians_at(r, theta)
-    R_s = R_g + converted_covariance(r, theta, geo.sigma_r, geo.sigma_theta)
     f = fused_new.measurement
     pm = difference_pseudo_measurement(
-        f.z, zb_s, jac, f.R, R_s, offset_only=(bias_states.dim == 2)
+        f.z, local.z, local.jac, f.R, local.R, offset_only=(bias_states.dim == 2)
     )
     new = fused_new.state
     res.fused = GaussianEstimate(
@@ -445,7 +486,7 @@ def fbe_step(
     # A pseudo-measurement that fails a check is dropped; it and every pair
     # without one are padded with H = 0, z = 0, R = I, which contribute
     # nothing to the stacked fold of each sensor over its targets.
-    found, usable = first_faults(gram_faults + pseudo_measurement_faults(pm), ref)
+    found, usable = first_faults(local.gram_faults + pseudo_measurement_faults(pm), ref)
     res.skipped += [(int(s), int(t), reason) for (s, t), reason in found]
     z = np.where(usable[..., None], pm.z, 0.0)
     H = np.where(usable[..., None, None], pm.H, 0.0)

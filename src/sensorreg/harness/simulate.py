@@ -3,7 +3,8 @@
 Four estimation methods are supported:
 
 * ``fbe``     -- per-sensor bias estimation against leave-one-out fused
-                 references built from reconstructed gains (any sensor count).
+                 references built from reconstructed gains (any sensor
+                 count), the bias-free local stage once over all epochs.
 * ``ex``      -- stacked two-sensor estimator, one cumulative information
                  sum over frames, fed with the local trackers' true gains
                  (oracle path).
@@ -52,10 +53,11 @@ from ..coords import (
     wrap_angle,
 )
 from ..dynamics import LagModels, ncv_model, nca_model, turn_model
-from ..errors import NumericalError, ScenarioError, located, raise_first
+from ..errors import NumericalError, ScenarioError, faults_at, located, raise_first
 from ..fusion import (
     bias_correct,
     fbe_step,
+    local_stage,
     reconstruct_local_gain,
     sfa,
 )
@@ -116,10 +118,11 @@ class LocalTracks:
 
     def reports(self, frames: np.ndarray) -> GaussianEstimate:
         """Estimates of every (sensor, target) pair, each sensor's at its own
-        frame ``frames[sensor]``; the batch axes are (sensor, target)."""
-        s = np.arange(len(frames))
+        frame ``frames[..., sensor]``; the batch axes are (..., sensor,
+        target)."""
+        s = np.arange(frames.shape[-1])
         return GaussianEstimate(
-            mean=self.mean[s, :, frames], cov=self.cov[s, :, frames], frame=frames[:, None]
+            mean=self.mean[s, :, frames], cov=self.cov[s, :, frames], frame=frames[..., None]
         )
 
 
@@ -375,45 +378,77 @@ def _position_sqerr(mean: np.ndarray, states: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(dx**2 + dy**2, 0, -1)).mean(axis=-1)
 
 
+def _epoch_pairs(scenario: Scenario, tracks: LocalTracks, lag_models: LagModels):
+    """Every update epoch's report pairs on one (epoch, sensor, target) grid:
+    the epochs, the (epoch, sensor) mask of the reporting sensors, the
+    L-step predictions of each sensor's report at the last epoch (or frame
+    0) it reported at before each epoch, and the estimates at each epoch,
+    reported or not."""
+    epochs = np.array(scenario.update_epochs(), dtype=int)
+    frames = np.concatenate([[0], epochs])
+    reporting = scenario.reporting_schedule()[frames]
+    # Row of ``frames`` at which each sensor last reported, up to each row.
+    last = np.maximum.accumulate(np.where(reporting, np.arange(len(frames))[:, None], 0))
+    prev = tracks.reports(frames[last[:-1]])
+    curr = tracks.reports(np.broadcast_to(epochs[:, None], last[1:].shape))
+    lags = np.broadcast_to(curr.frame - prev.frame, curr.mean.shape[:-1])
+    return epochs, reporting[1:], kf_predict(prev, lag_models(lags)), curr
+
+
+def _raise_first_epoch(faults, epochs: np.ndarray) -> None:
+    """Raise the first of ``faults``, masks over (epoch, sensor, target),
+    that the earliest failing epoch fails, named by sensor, target and
+    frame: what a loop raising each epoch's first fault would raise."""
+    failing = np.any([failed.any(axis=(1, 2)) for _, failed in faults], axis=0)
+    if failing.any():
+        e = failing.argmax()
+        with located(lambda s, t: f"sensor {s}, target {t}, frame {epochs[e]}"):
+            raise_first(faults_at(faults, e))
+
+
 def _fuse_all_sensors(
     scenario: Scenario,
     truth: TruthData,
     tracks: LocalTracks,
     lag_models: LagModels,
-    epoch_measurements,
+    z: CartesianMeasurement,
+    present: np.ndarray,
 ) -> np.ndarray:
     """Fuse every reporting sensor into one track per target.
 
     Each fused track starts from sensor 0's frame-0 estimate and is
-    predicted with the run's fusion-center ``lag_models``.  At each fusion
-    epoch k, ``epoch_measurements(k, last, reporting)`` receives the frame
-    each sensor last reported at (``last``, one per sensor) and the mask of
-    the sensors reporting at k.  It returns position measurements with one
-    slot per sensor, a :class:`CartesianMeasurement` of batch shape
-    (n_targets, n_sensors), and the mask of the slots that hold one, which
-    broadcasts against that shape; one :func:`sfa` call combines each
-    target's measurements on the mask, in ascending sensor order, into one
-    update, and reads no slot off it.
+    predicted with the run's fusion-center ``lag_models``.  ``z`` holds the
+    position measurements of every update epoch with one slot per sensor,
+    batch shape (epochs, n_targets, n_sensors), and ``present`` the mask of
+    the slots that hold one, which broadcasts against that shape; at each
+    epoch one :func:`sfa` call combines each target's measurements on the
+    mask, in ascending sensor order, into one update, and reads no slot off
+    it.
 
     Returns the fused squared position error (mean over targets) per frame,
     NaN between epochs.
     """
-    schedule = scenario.reporting_schedule()
     fused = tracks.estimate(0, slice(None), 0)
-    last = np.zeros(len(scenario.sensors), dtype=int)
     sqerr = np.full(scenario.frames + 1, np.nan)
-    for k in [0] + scenario.update_epochs():
-        if k > 0:
-            z, present = epoch_measurements(k, last, schedule[k])
-            fused = sfa(fused, lag_models(k - fused.frame), z, present).state
-            last[schedule[k]] = k
+    sqerr[0] = _position_sqerr(fused.mean, truth.states[:, 0])
+    for e, k in enumerate(scenario.update_epochs()):
+        epoch = CartesianMeasurement(z.z[e], z.R[e])
+        fused = sfa(fused, lag_models(k - fused.frame), epoch, present[e]).state
         sqerr[k] = _position_sqerr(fused.mean, truth.states[:, k])
     return sqerr
 
 
 def _run_fbe(scenario: Scenario, truth: TruthData, tracks: LocalTracks):
     """Fused bias estimation per sensor, then all-sensor fusion with the
-    freshly corrected tracklets; one fusion-center lag cache serves both."""
+    corrected tracklets; one fusion-center lag cache serves both.
+
+    No bias estimate enters the local stage, so it runs once over every
+    epoch's (sensor, target) pairs, in O(epochs x sensors x targets) memory,
+    and each epoch's bias step reads its slice.  The all-sensor fusion reads
+    the bias estimates but never feeds them: it runs after the last epoch,
+    on every epoch's tracklets corrected in one call with that epoch's
+    updated estimates.
+    """
     K = scenario.frames
     n_s = len(scenario.sensors)
     n_t = len(scenario.targets)
@@ -421,6 +456,10 @@ def _run_fbe(scenario: Scenario, truth: TruthData, tracks: LocalTracks):
     lag_models = LagModels(ncv_model(scenario.dt, scenario.fusion_q))
     sensors = scenario.sensor_models()
     geo = sensors[:, None]
+    epochs, reporting, *pairs = _epoch_pairs(scenario, tracks, lag_models)
+    # The predictions and reports are dropped once the stage is built.
+    local = local_stage(*pairs, sensors)
+    del pairs
     bias = _initial_bias_states(scenario)
     # Each leave-one-out reference starts from the frame-0 estimate of the
     # lowest-numbered other sensor.
@@ -429,36 +468,30 @@ def _run_fbe(scenario: Scenario, truth: TruthData, tracks: LocalTracks):
 
     b_series = np.empty((K + 1, n_s, d))
     sigma_series = np.empty((K + 1, n_s, d, d))
-
-    def record(k: int) -> None:
-        # Estimates hold until the next epoch overwrites the later frames.
-        b_series[k:] = bias.b
-        sigma_series[k:] = bias.Sigma
-
-    def epoch(k: int, last: np.ndarray, reporting: np.ndarray):
-        nonlocal bias, fused
-        all_pairs = slice(None)
+    b_series[:], sigma_series[:] = bias.b, bias.Sigma
+    live = np.zeros((len(epochs), n_s, n_t), dtype=bool)
+    for e, k in enumerate(epochs.tolist()):
         res = fbe_step(
-            tracks.reports(last),
-            tracks.estimate(all_pairs, all_pairs, k),
-            np.broadcast_to(reporting[:, None], (n_s, n_t)),
+            np.broadcast_to(reporting[e, :, None], (n_s, n_t)),
+            local[e],
             bias,
             fused,
             lag_models,
             sensors,
         )
-        bias, fused = res.bias_states, res.fused
-        record(k)
-        # Every epoch has two reporting sensors, so fbe_step formed tracklets.
-        c, faults = bias_correct(
-            res.tracklets, bias[:, None], (geo.sigma_r, geo.sigma_theta), origin=geo.position
-        )
-        with located(lambda s, t: f"sensor {s}, target {t}, frame {k}"):
-            raise_first((reason, failed & res.live) for reason, failed in faults)
-        return CartesianMeasurement(c.z.swapaxes(0, 1), c.R.swapaxes(0, 1)), res.live.T
+        bias, fused, live[e] = res.bias_states, res.fused, res.live
+        # Estimates hold until the next epoch overwrites the later frames.
+        b_series[k:], sigma_series[k:] = bias.b, bias.Sigma
 
-    record(0)
-    fused_sqerr = _fuse_all_sensors(scenario, truth, tracks, lag_models, epoch)
+    c, faults = bias_correct(
+        local.tracklets,
+        BiasEstimate(b_series[epochs], sigma_series[epochs])[:, :, None],
+        (geo.sigma_r, geo.sigma_theta),
+        origin=geo.position,
+    )
+    _raise_first_epoch([(reason, failed & live) for reason, failed in faults], epochs)
+    z = CartesianMeasurement(c.z.swapaxes(1, 2), c.R.swapaxes(1, 2))
+    fused_sqerr = _fuse_all_sensors(scenario, truth, tracks, lag_models, z, live.swapaxes(1, 2))
     return b_series, sigma_series, fused_sqerr
 
 
@@ -517,21 +550,17 @@ def _run_stacked(
 
 
 def _run_baseline(scenario: Scenario, truth: TruthData, tracks: LocalTracks):
-    """Plain tracklet fusion on an unbiased world; no bias estimation."""
+    """Plain tracklet fusion on an unbiased world; no bias estimation.  The
+    tracklets and gains of every epoch come from one batched pass."""
     lag_models = LagModels(ncv_model(scenario.dt, scenario.fusion_q))
-    n_s = len(scenario.sensors)
-    n_t = len(scenario.targets)
-
-    def epoch(k: int, last: np.ndarray, reporting: np.ndarray):
-        lags = np.broadcast_to((k - last)[:, None], (n_s, n_t))
-        pred = kf_predict(tracks.reports(last), lag_models(lags))
-        trk, faults = compute_tracklet(pred, tracks.estimate(slice(None), slice(None), k))
-        g, gain_faults = reconstruct_local_gain(trk.U, pred.cov)
-        with located(lambda s, t: f"sensor {s}, target {t}, frame {k}"):
-            raise_first((why, failed & reporting[:, None]) for why, failed in faults + gain_faults)
-        return CartesianMeasurement(trk.u.swapaxes(0, 1), g.R.swapaxes(0, 1)), reporting
-
-    return None, None, _fuse_all_sensors(scenario, truth, tracks, lag_models, epoch)
+    epochs, reporting, pred, curr = _epoch_pairs(scenario, tracks, lag_models)
+    trk, faults = compute_tracklet(pred, curr)
+    g, gain_faults = reconstruct_local_gain(trk.U, pred.cov)
+    reporting = reporting[..., None]
+    _raise_first_epoch([(why, failed & reporting) for why, failed in faults + gain_faults], epochs)
+    z = CartesianMeasurement(trk.u.swapaxes(1, 2), g.R.swapaxes(1, 2))
+    present = reporting.swapaxes(1, 2)
+    return None, None, _fuse_all_sensors(scenario, truth, tracks, lag_models, z, present)
 
 
 def run_single(scenario: Scenario, run_index: int, method: str) -> SingleRun:

@@ -62,13 +62,19 @@ def tracklet_inverse_kf(pred: GaussianEstimate, curr: GaussianEstimate) -> tuple
     """
     D = symmetrize(pred.cov - curr.cov)
     ok = _inverse_form(D)
+    return _inverse_kf(pred, curr, D, ok), [
+        ("covariance difference fails the inverse-filter condition screen", ~ok)
+    ]
+
+
+def _inverse_kf(pred: GaussianEstimate, curr: GaussianEstimate, D, ok) -> Tracklet:
+    """:func:`tracklet_inverse_kf` from the covariance differences ``D`` and
+    the mask ``ok`` of those that pass its screen."""
     if not ok.all():
         D = np.where(ok[..., None, None], D, np.eye(D.shape[-1]))
     A = mt(np.linalg.solve(mt(D), mt(pred.cov)))
     u = pred.mean + mv(A, curr.mean - pred.mean)
-    return Tracklet(u=u, U=symmetrize(A @ curr.cov), A=A), [
-        ("covariance difference fails the inverse-filter condition screen", ~ok)
-    ]
+    return Tracklet(u=u, U=symmetrize(A @ curr.cov), A=A)
 
 
 def tracklet_decorrelated(pred: GaussianEstimate, curr: GaussianEstimate) -> tuple[Tracklet, list]:
@@ -139,13 +145,17 @@ def compute_tracklet(pred: GaussianEstimate, curr: GaussianEstimate) -> tuple[Tr
     An element that passes the check of :func:`tracklet_inverse_kf` takes
     the position block of that form; every other takes
     :func:`tracklet_decorrelated`, whose checks mark those elements alone.
-    Each form runs on the whole batch, the second only if an element needs
-    it.
+    Each form runs on the whole batch, and only if an element needs it.
     """
-    full, [(_, marginal)] = tracklet_inverse_kf(pred, curr)
+    D = symmetrize(pred.cov - curr.cov)
+    marginal = ~_inverse_form(D)
+    if marginal.all():
+        # A batch of one form (every epoch of a lag-1 scenario).
+        return tracklet_decorrelated(pred, curr)
+    full = _inverse_kf(pred, curr, D, ~marginal)
     u, U = full.u[..., ::2], full.U[..., ::2, ::2]
     if not marginal.any():
-        # A batch of one form (every epoch of a lag-10 scenario).
+        # A batch of the other form (every epoch of a lag-10 scenario).
         return Tracklet(u=u, U=U), []
     part, faults = tracklet_decorrelated(pred, curr)
     u = np.where(marginal[..., None], part.u, u)

@@ -1137,15 +1137,24 @@ def _count_calls(monkeypatch, modules, names) -> dict:
 
 
 def test_fusion_center_runs_once_per_epoch(monkeypatch):
-    # The fusion-center formulas take (sensor, target) batch axes, so an fbe
-    # run calls each once per epoch (bias_correct and sfa twice: the
-    # leave-one-out references, then the all-sensor fusion), not once per
-    # (sensor, target) pair, and composes each lag once per run.
+    # The fusion-center formulas take batch axes.  No bias estimate enters
+    # the local stage, so an fbe run calls its formulas once over every
+    # epoch's (sensor, target) pairs; the bias stage calls each of its own
+    # once per epoch (sfa twice: the leave-one-out references, then the
+    # all-sensor fusion), and bias_correct corrects every epoch's fused-pass
+    # tracklets in one more call.  Each lag is composed once per run.
     import sensorreg.dynamics as dynamics
     import sensorreg.fusion as fusion
     import sensorreg.harness.simulate as sim
 
-    names = ("compute_tracklet", "bias_correct", "sfa", "sensor_pseudo_obs", "rlsb_update")
+    names = (
+        "compute_tracklet",
+        "reconstruct_local_gain",
+        "bias_correct",
+        "sfa",
+        "sensor_pseudo_obs",
+        "rlsb_update",
+    )
     counts = _count_calls(monkeypatch, (fusion, sim), names)
     lags = []
     compose = dynamics.compose_steps
@@ -1156,10 +1165,11 @@ def test_fusion_center_runs_once_per_epoch(monkeypatch):
     sim.run_single(sc, 0, "fbe")
     epochs = len(sc.update_epochs())
     assert counts == {
-        "compute_tracklet": epochs,
-        "bias_correct": 2 * epochs,
+        "compute_tracklet": 1,
+        "reconstruct_local_gain": 1,
+        "bias_correct": epochs + 1,
         "sfa": 2 * epochs,
-        "sensor_pseudo_obs": epochs,
+        "sensor_pseudo_obs": 1,
         "rlsb_update": epochs,
     }
     assert lags and sorted(lags) == sorted(set(lags))
@@ -1167,16 +1177,15 @@ def test_fusion_center_runs_once_per_epoch(monkeypatch):
 
 @pytest.mark.parametrize("local_filter", ["imm_ncv_ncv", "imm_nca_ncv"])
 def test_failing_pairs_cost_one_pass_per_reason(monkeypatch, local_filter):
-    # Each reported IMM track covariance is replaced by twice its lag-1
+    # Each IMM track covariance after frame 0 is replaced by twice its lag-1
     # prediction, so every pair lost information and its position-marginal
     # tracklet fails, except (imm_nca_ncv) sensor 1, target 4 at frame 6,
-    # which keeps its own covariance.  fbe skips all failing pairs of a
-    # frame from one pass: each stage runs once per frame, the survivor's
-    # frame and the frames where no pair survives included, with one skip
-    # record per pair in (sensor, target) order.
+    # which keeps its own covariance.  fbe skips all failing pairs from one
+    # pass: the local stage runs once per run and the bias stage once per
+    # frame, the survivor's frame and the frames where no pair survives
+    # included, with one skip record per pair in (sensor, target) order.
     import sensorreg.fusion as fusion
     import sensorreg.harness.simulate as sim
-    from sensorreg.trackers import GaussianEstimate
 
     stages = (
         "compute_tracklet",
@@ -1185,25 +1194,29 @@ def test_failing_pairs_cost_one_pass_per_reason(monkeypatch, local_filter):
         "sensor_pseudo_obs",
         "rlsb_update",
     )
-    counts = _count_calls(monkeypatch, (fusion,), stages)
+    counts = _count_calls(monkeypatch, (fusion, sim), stages)
     skipped = {}
     survivor = {"imm_ncv_ncv": [], "imm_nca_ncv": [(1, 4)]}[local_filter]
-
-    def fbe_step(prev, curr, reported, bias, fused, lag_models, sensors):
-        k = int(curr.frame)
-        ms = lag_models(k - prev.frame)
-        cov = 2.0 * (ms.F @ prev.cov @ ms.F.swapaxes(-1, -2) + ms.Q)
-        for s, t in survivor if k == 6 else []:
-            cov[s, t] = curr.cov[s, t]
-        lost = GaussianEstimate(curr.mean, cov, k)
-        res = step(prev, lost, reported, bias, fused, lag_models, sensors)
-        skipped[k] = res.skipped
-        return res
-
-    step = sim.fbe_step
-    monkeypatch.setattr(sim, "fbe_step", fbe_step)
     sc = load_scenario("two_sensor")
     sc.local_filter.type = local_filter
+    ms = ncv_model(sc.dt, sc.fusion_q)
+
+    def lost(tracks):
+        for k in range(1, sc.frames + 1):
+            kept = [tracks.cov[s, t, k].copy() for s, t in survivor if k == 6]
+            tracks.cov[:, :, k] = 2.0 * (ms.F @ tracks.cov[:, :, k - 1] @ ms.F.T + ms.Q)
+            for (s, t), cov in zip(survivor, kept):
+                tracks.cov[s, t, k] = cov
+
+    step = sim.fbe_step
+
+    def fbe_step(*args):
+        res = step(*args)
+        skipped[args[1].frame] = res.skipped
+        return res
+
+    monkeypatch.setattr(sim, "run_local_tracks", _edited_tracks(lost))
+    monkeypatch.setattr(sim, "fbe_step", fbe_step)
     sim.run_single(sc, 0, "fbe")
     epochs = sc.update_epochs()
     assert sorted(skipped) == epochs
@@ -1212,7 +1225,13 @@ def test_failing_pairs_cost_one_pass_per_reason(monkeypatch, local_filter):
     for k in epochs:
         expected = [p for p in pairs if k != 6 or p[:2] not in survivor]
         assert skipped[k] == expected
-    assert counts == dict.fromkeys(stages, len(epochs))
+    assert counts == {
+        "compute_tracklet": 1,
+        "reconstruct_local_gain": 1,
+        "bias_correct": len(epochs) + 1,
+        "sensor_pseudo_obs": 1,
+        "rlsb_update": len(epochs),
+    }
     assert sum(map(len, skipped.values())) == 480 - len(survivor)
 
 
@@ -1264,6 +1283,151 @@ def test_fused_pass_bias_correction_names_the_pair(monkeypatch):
     reason = "run 0: sensor 2, target 0, frame 20: corrected range non-positive"
     with pytest.raises(NumericalError, match=rf"^{reason} \(-[\d.]+ m\)$"):
         sim.run_single(load_scenario("five_sensor_offset"), 0, "fbe")
+
+
+def test_baseline_names_the_earliest_failing_frame(monkeypatch):
+    # Sensor 1's covariance of target 2 at frame 5 is twice its lag-1
+    # prediction, so that pair fails the third check of its tracklet, and
+    # sensor 0's covariance of target 3 at frame 8 is NaN, which fails the
+    # first.  baseline names frame 5, as a loop over its epochs would, not
+    # the first check over all of them.
+    import sensorreg.harness.simulate as sim
+
+    sc = load_scenario("two_sensor")
+    model = ncv_model(sc.dt, sc.fusion_q)
+
+    def edit(tracks):
+        tracks.cov[1, 2, 5] = 2.0 * (model.F @ tracks.cov[1, 2, 4] @ model.F.T + model.Q)
+        tracks.cov[0, 3, 8] = np.nan
+
+    monkeypatch.setattr(sim, "run_local_tracks", _edited_tracks(edit))
+    where = "run 0: sensor 1, target 2, frame 5"
+    reason = "position information difference not positive definite"
+    with pytest.raises(NumericalError, match=rf"^{where}: {reason}$") as info:
+        sim.run_single(sc, 0, "baseline")
+    assert np.argwhere(info.value.failed).tolist() == [[1, 2]]
+
+
+def test_a_run_without_update_epochs_keeps_the_prior_and_the_frame_0_track():
+    # With lags 7 and 11 the two sensors of two_sensor never report at the
+    # same frame within its 20: fbe keeps the prior bias estimates, and
+    # both methods' fused error is that of the frame-0 track alone.
+    import sensorreg.harness.simulate as sim
+
+    sc = load_scenario("two_sensor")
+    sc.sensors = [dataclasses.replace(s, lag=lag) for s, lag in zip(sc.sensors, (7, 11))]
+    assert sc.update_epochs() == []
+    prior = sim._initial_bias_states(sc)
+    for method in ("fbe", "baseline"):
+        run = sim.run_single(sc, 0, method)
+        truth = simulate_truth(sc, 0, zero_bias=(method == "baseline"))
+        want = np.full(sc.frames + 1, np.nan)
+        want[0] = sim._position_sqerr(run_local_tracks(sc, truth).mean[0, :, 0], truth.states[:, 0])
+        np.testing.assert_array_equal(run.fused_sqerr, want)
+        if method == "fbe":
+            np.testing.assert_array_equal(run.b_series, np.broadcast_to(prior.b, run.b_series.shape))
+            np.testing.assert_array_equal(
+                run.sigma_series, np.broadcast_to(prior.Sigma, run.sigma_series.shape)
+            )
+        else:
+            assert run.b_series is None and run.sigma_series is None
+
+
+def _per_epoch_fusion(sc, truth, tracks, method):
+    """``(b_series, sigma_series, fused_sqerr)`` of ``fbe`` or ``baseline``
+    from one fusion-center pass per update epoch: the epoch's report pairs
+    predicted and, for fbe, their local stage built and its bias step run,
+    then its all-sensor fusion with the epoch's updated estimates."""
+    import sensorreg.harness.simulate as sim
+    from sensorreg.coords import CartesianMeasurement
+    from sensorreg.dynamics import LagModels
+    from sensorreg.errors import raise_first
+    from sensorreg.fusion import bias_correct, fbe_step, local_stage, sfa
+    from sensorreg.fusion import reconstruct_local_gain
+    from sensorreg.trackers import GaussianEstimate, kf_predict
+    from sensorreg.tracklets import compute_tracklet
+
+    n_s, n_t = len(sc.sensors), len(sc.targets)
+    lag_models = LagModels(ncv_model(sc.dt, sc.fusion_q))
+    sensors = sc.sensor_models()
+    geo = sensors[:, None]
+    schedule = sc.reporting_schedule()
+    bias = sim._initial_bias_states(sc)
+    ref = [min(i for i in range(n_s) if i != s) for s in range(n_s)]
+    fused = GaussianEstimate(mean=tracks.mean[ref, :, 0], cov=tracks.cov[ref, :, 0], frame=0)
+    b_series = np.empty((sc.frames + 1,) + bias.b.shape)
+    sigma_series = np.empty((sc.frames + 1,) + bias.Sigma.shape)
+    b_series[:], sigma_series[:] = bias.b, bias.Sigma
+    track = tracks.estimate(0, slice(None), 0)
+    sqerr = np.full(sc.frames + 1, np.nan)
+    sqerr[0] = sim._position_sqerr(track.mean, truth.states[:, 0])
+    last = np.zeros(n_s, dtype=int)
+    for k in sc.update_epochs():
+        prev, curr = tracks.reports(last), tracks.estimate(slice(None), slice(None), k)
+        pred = kf_predict(prev, lag_models(np.broadcast_to(k - prev.frame, (n_s, n_t))))
+        reported = np.broadcast_to(schedule[k][:, None], (n_s, n_t))
+        if method == "fbe":
+            local = local_stage(pred, curr, sensors)
+            res = fbe_step(reported, local, bias, fused, lag_models, sensors)
+            bias, fused, present = res.bias_states, res.fused, res.live
+            b_series[k:], sigma_series[k:] = bias.b, bias.Sigma
+            z, faults = bias_correct(
+                local.tracklets, bias[:, None], (geo.sigma_r, geo.sigma_theta), origin=geo.position
+            )
+        else:
+            t, faults = compute_tracklet(pred, curr)
+            g, gain_faults = reconstruct_local_gain(t.U, pred.cov)
+            z, faults, present = CartesianMeasurement(t.u, g.R), faults + gain_faults, reported
+        raise_first((reason, failed & present) for reason, failed in faults)
+        z = CartesianMeasurement(z.z.swapaxes(0, 1), z.R.swapaxes(0, 1))
+        track = sfa(track, lag_models(k - track.frame), z, present.T).state
+        last[schedule[k]] = k
+        sqerr[k] = sim._position_sqerr(track.mean, truth.states[:, k])
+    if method == "fbe":
+        return b_series, sigma_series, sqerr
+    return None, None, sqerr
+
+
+def _a08_imm():
+    sc = load_scenario("five_sensor_offset")
+    sc.local_filter.type = "imm_nca_ncv"
+    sc.local_filter.q1, sc.local_filter.q2 = 10.0, 2.0
+    sc.fusion_q = 200.0
+    return sc
+
+
+def _mixed_lags():
+    sc = load_scenario("five_sensor_offset")
+    sc.sensors = [dataclasses.replace(s, lag=lag) for s, lag in zip(sc.sensors, (1, 10, 5, 10, 2))]
+    return sc
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: load_scenario("five_sensor_offset"),
+        lambda: load_scenario("five_sensor_offset_scale"),
+        _a08_imm,
+        _mixed_lags,
+        lambda: load_scenario("two_sensor"),
+    ],
+    ids=["five_sensor_offset", "five_sensor_offset_scale", "a08_imm", "lags_1_10_5_10_2", "two"],
+)
+@pytest.mark.parametrize("method", ["fbe", "baseline"])
+def test_run_level_fusion_center_equals_the_per_epoch_passes(make, method):
+    # The run-level local stage and the deferred all-sensor fusion give
+    # every output of one pass per epoch bit for bit.
+    import sensorreg.harness.simulate as sim
+
+    sc = make()
+    run = sim._run_fbe if method == "fbe" else sim._run_baseline
+    for index in range(2):
+        truth = simulate_truth(sc, index, zero_bias=(method == "baseline"))
+        tracks = run_local_tracks(sc, truth)
+        for got, want in zip(run(sc, truth, tracks), _per_epoch_fusion(sc, truth, tracks, method)):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert np.array_equal(got, want, equal_nan=True)
 
 
 _TWO_SENSOR = load_scenario("two_sensor")

@@ -19,8 +19,8 @@ import pytest
 
 import sensorreg.fusion as fusion
 import sensorreg.harness.simulate as sim
-from sensorreg.harness import load_scenario
-from sensorreg.trackers import GaussianEstimate
+from sensorreg.dynamics import compose_steps, ncv_model
+from sensorreg.harness import load_scenario, run_local_tracks
 
 # Largest change of b_series under a target permutation, relative to its
 # largest entry: 2.3e-13 over runs 0-2 of the cases below.
@@ -105,27 +105,31 @@ _FAILING_EPOCH_KINDS = {
 
 
 def _failing_epoch_run(monkeypatch, sc, truth, sensors, frame):
-    """b_series of an fbe run whose reports at ``frame`` are corrupted per
-    ``_FAILING_EPOCH_KINDS`` (``sensors`` gives the original number of each
-    sensor of ``sc``), and that frame's skip records by original number."""
+    """b_series of an fbe run whose local tracks at ``frame`` are corrupted
+    per ``_FAILING_EPOCH_KINDS`` (``sensors`` gives the original number of
+    each sensor of ``sc``), and that frame's skip records by original
+    number."""
     skipped = []
+    # Every sensor reports at the same lag, so the pairs share one model.
+    lag = sc.sensors[0].lag
+    ms = compose_steps(ncv_model(sc.dt, sc.fusion_q), lag)
 
-    def corrupted(prev, curr, reported, bias, fused, lag_models, geo):
-        if int(curr.frame) == frame:
-            # Every sensor reports at the same lag, so the pairs share one model.
-            ms = lag_models(np.broadcast_to(curr.frame - prev.frame, reported.shape))
-            cov = curr.cov.copy()
-            for row, s in enumerate(sensors):
-                if s in _FAILING_EPOCH_KINDS:
-                    P = ms.F @ prev.cov[row] @ ms.F.T + ms.Q
-                    cov[row] = _FAILING_EPOCH_KINDS[s](P)
-            curr = GaussianEstimate(curr.mean, cov, curr.frame)
-        res = fusion.fbe_step(prev, curr, reported, bias, fused, lag_models, geo)
-        if int(curr.frame) == frame:
+    def corrupted(scenario, truth):
+        tracks = run_local_tracks(scenario, truth)
+        for row, s in enumerate(sensors):
+            if s in _FAILING_EPOCH_KINDS:
+                P = ms.F @ tracks.cov[row, :, frame - lag] @ ms.F.T + ms.Q
+                tracks.cov[row, :, frame] = _FAILING_EPOCH_KINDS[s](P)
+        return tracks
+
+    def recorded(*args):
+        res = fusion.fbe_step(*args)
+        if args[1].frame == frame:
             skipped.extend(sorted((int(sensors[s]), t, why) for s, t, why in res.skipped))
         return res
 
-    monkeypatch.setattr(sim, "fbe_step", corrupted)
+    monkeypatch.setattr(sim, "run_local_tracks", corrupted)
+    monkeypatch.setattr(sim, "fbe_step", recorded)
     return _b_series(sc, truth, "fbe"), skipped
 
 

@@ -462,6 +462,24 @@ def test_mixed_batch_matches_per_element_tracklets():
                 np.testing.assert_allclose(got, ref, rtol=0.0, atol=atol, err_msg=str(lags))
 
 
+def test_single_step_batch_runs_no_inverse_form_solve(monkeypatch):
+    # No lag-1 pair passes the inverse form's screen, so compute_tracklet
+    # returns the position-marginal form and its checks, bit for bit,
+    # without solving for the inverse form on identity stand-ins.
+    rng = np.random.default_rng(29)
+    pred, curr = _lag_batch([_tracked_pair(rng, 1) for _ in range(4)])
+    want, want_faults = tracklet_decorrelated(pred, curr)
+    solve, solved = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: solved.append(1) or solve(*args))
+    got, faults = compute_tracklet(pred, curr)
+    assert solved == []
+    np.testing.assert_array_equal(got.u, want.u)
+    np.testing.assert_array_equal(got.U, want.U)
+    assert [reason for reason, _ in faults] == [reason for reason, _ in want_faults]
+    for (_, failed), (_, want_failed) in zip(faults, want_faults):
+        np.testing.assert_array_equal(failed, want_failed)
+
+
 @pytest.mark.parametrize("form", [tracklet_inverse_kf, compute_tracklet])
 def test_failing_pair_leaves_the_rest_of_its_batch_bit_identical(form):
     # Element 1 fails: a lag-1 pair fails the inverse form's check, and a

@@ -26,7 +26,9 @@ first fault through :func:`~sensorreg.errors.raise_first`.  Every stage
 works on the (sensor, target) grid with a mask, the frame-start bias
 correction with that of the reported pairs, and an element off the mask
 holds a stand-in whose result is discarded.
-:func:`sfa` logs its failures from the same masks.
+:func:`sfa` logs its failures from the same masks.  It is the composition
+of :func:`combine_slots`, which reads no fused state and so may combine
+every epoch's measurements at once, and :func:`fused_update`.
 """
 
 from __future__ import annotations
@@ -68,6 +70,9 @@ __all__ = [
     "reconstruct_local_gain",
     "bias_correct",
     "slot_information",
+    "SlotCombination",
+    "combine_slots",
+    "fused_update",
     "sfa",
     "local_stage",
     "fbe_step",
@@ -220,41 +225,44 @@ def slot_information(R: np.ndarray, present=True) -> tuple[np.ndarray, np.ndarra
     return info, info.sum(axis=-3), used
 
 
-def sfa(
-    state: GaussianEstimate,
-    model: MotionModel,
-    z: CartesianMeasurement,
-    present: np.ndarray | None = None,
-) -> FusedTrack:
-    """Predict the fused tracks, then fold in position measurements with
-    one Kalman update per element.
+@dataclass
+class SlotCombination:
+    """Measurement slots combined into one equivalent measurement per
+    element (:func:`combine_slots`): ``measurement`` holds
+    ``(y_eq, R_eq)``, ``used`` (..., m) marks the slots that went in,
+    ``live`` the elements with one, and ``faults`` holds the check of the
+    combined informations.  Indexing the batch axes gives their elements'
+    combination."""
 
-    ``z`` holds m measurement slots on its last batch axis, ``z.z``
-    (..., m, 2) and ``z.R`` (..., m, 2, 2); the state, the model and the
-    measurements may carry the same leading batch axes, or axes that
-    broadcast against the state's.  The slots j with
-    ``present[..., j]`` (all when it is None) combine, in slot order
-    (:func:`slot_information`), into
-    ``R_eq = (sum R_j^-1)^-1``, ``y_eq = R_eq sum R_j^-1 y_j``, whose update
-    equals the sequential updates in exact arithmetic.
+    measurement: CartesianMeasurement
+    used: np.ndarray
+    live: np.ndarray
+    faults: list
 
-    Each step runs once on the whole batch, and failures are masks, not
-    retries.  A measurement whose ``R`` is not positive definite is dropped
-    for its element alone.  An element with no measurement left, or whose
-    combined information or innovation covariance fails the 2x2 test,
-    updates a stand-in (y = 0, R = I; x = 0, P = I for a failed innovation)
-    and keeps its prediction.  Each dropped measurement, then each failed
-    combined information, then each failed innovation covariance logs one
-    warning, in index order.  The result's ``sensors`` marks the slots
-    folded into each element and ``measurement`` holds their
-    ``(y_eq, R_eq)`` (NaN where there were none).
+    def __getitem__(self, index) -> SlotCombination:
+        m = self.measurement
+        return SlotCombination(
+            CartesianMeasurement(m.z[index], m.R[index]),
+            self.used[index],
+            self.live[index],
+            faults_at(self.faults, index),
+        )
+
+
+def combine_slots(z: CartesianMeasurement, present=True) -> SlotCombination:
+    """Combine the m measurement slots of each element, ``z.z`` (..., m, 2)
+    and ``z.R`` (..., m, 2, 2), on the batch axes of ``z`` and ``present``
+    (..., m) broadcast together: the slots j that ``present`` marks
+    combine, in slot order (:func:`slot_information`), into
+    ``R_eq = (sum R_j^-1)^-1``, ``y_eq = R_eq sum R_j^-1 y_j``.  No state
+    enters, so one call may serve every epoch of a run.
+
+    A present slot whose ``R`` fails the 2x2 test is dropped for its
+    element alone, and each logs one warning, in index order.  An element
+    with no slot used, or whose combined information fails that test,
+    holds the stand-in y = 0, R = I.
     """
-    pred = kf_predict(state, model)
-    shape = pred.mean.shape[:-1]
-    m = z.z.shape[-2]
-    present = np.broadcast_to(True if present is None else present, shape + (m,))
-    # Slot informations inverted on the measurements' own batch axes; an
-    # unused slot folds zero information and y = 0.
+    # An unused slot folds zero information and y = 0.
     info, info_sum, used = slot_information(z.R, present)
     dropped = present & ~used
     if dropped.any():
@@ -264,20 +272,38 @@ def sfa(
             )
     y = np.where(used[..., None], z.z, 0.0)
     info_y = mv(info, y).sum(axis=-2)
-
     live = used.any(axis=-1)
     R_eq, combined = inv_spd2_masked(info_sum, live)
-    info_y[live & ~combined] = 0.0
-    eq = CartesianMeasurement(mv(R_eq, info_y), symmetrize(R_eq))
+    failed = live & ~combined
+    info_y[failed] = 0.0
+    return SlotCombination(
+        CartesianMeasurement(mv(R_eq, info_y), symmetrize(R_eq)),
+        used,
+        live,
+        [singular("combined measurement information", info_sum, failed)],
+    )
+
+
+def fused_update(
+    state: GaussianEstimate, model: MotionModel, slots: SlotCombination
+) -> FusedTrack:
+    """Predict the fused tracks, then fold in each element's combined
+    measurement (:func:`combine_slots`, on the batch axes of the
+    prediction) with one Kalman update on the whole batch.
+
+    An element off ``slots.live``, or whose combined information or
+    innovation covariance fails the 2x2 test, updates a stand-in (x = 0,
+    P = I for a failed innovation) and keeps its prediction.  Each failed
+    combined information, then each failed innovation covariance, logs one
+    warning, in index order.
+    """
+    pred = kf_predict(state, model)
+    eq = slots.measurement
     # The innovation covariance that kf_update inverts.
     S = pred.cov[..., ::2, ::2] + eq.R
     _, ok = det_spd2(S)
     found, live = first_faults(
-        [
-            singular("combined measurement information", info_sum, live & ~combined),
-            singular("innovation covariance", S, live & ~ok),
-        ],
-        live,
+        slots.faults + [singular("innovation covariance", S, slots.live & ~ok)], slots.live
     )
     for index, reason in found:
         log.warning("skipping the fused update%s: %s", at_index(index), reason)
@@ -292,16 +318,45 @@ def sfa(
     off = ~live
     if off.any():
         est.mean[off], est.cov[off] = pred.mean[off], pred.cov[off]
-        eq.z[off], eq.R[off] = np.nan, np.nan
+        eq = CartesianMeasurement(
+            np.where(off[..., None], np.nan, eq.z), np.where(off[..., None, None], np.nan, eq.R)
+        )
     est.frame = pred.frame
-    return FusedTrack(state=est, sensors=used & live[..., None], measurement=eq)
+    return FusedTrack(state=est, sensors=slots.used & live[..., None], measurement=eq)
+
+
+def sfa(
+    state: GaussianEstimate,
+    model: MotionModel,
+    z: CartesianMeasurement,
+    present: np.ndarray | None = None,
+) -> FusedTrack:
+    """Predict the fused tracks, then fold in position measurements with
+    one Kalman update per element: :func:`combine_slots` on the batch axes
+    of the state, then :func:`fused_update`.
+
+    ``z`` holds m measurement slots on its last batch axis, ``z.z``
+    (..., m, 2) and ``z.R`` (..., m, 2, 2); the state, the model and the
+    measurements may carry the same leading batch axes, or axes that
+    broadcast against the state's.  The slots j with ``present[..., j]``
+    (all when it is None) combine into one measurement whose update equals
+    the sequential updates in exact arithmetic.  Each dropped measurement,
+    then each failed combined information, then each failed innovation
+    covariance logs one warning, in index order.  The result's ``sensors``
+    marks the slots folded into each element and ``measurement`` holds
+    their ``(y_eq, R_eq)`` (NaN where there were none).
+    """
+    shape = state.mean.shape[:-1] + z.z.shape[-2:-1]
+    present = np.broadcast_to(True if present is None else present, shape)
+    return fused_update(state, model, combine_slots(z, present))
 
 
 @dataclass
 class LocalStage:
     """The part of fused bias estimation that no bias estimate enters, for
-    report pairs on a (..., S, T) grid: ``frame``, the frame of their later
-    reports (one per index of ``...``); their position ``tracklets``; the
+    report pairs on a (..., S, T) grid: ``frame``, the frames of their
+    later reports (one per index of ``...``, or broadcasting against the
+    grid); their position ``tracklets``; the
     checks of the tracklets and of their gains (``faults``, in that order);
     each pair's deconvolved observation ``z`` (..., 2) and the check of its
     gain (``gram_faults``); and the bias Jacobians ``jac`` and noise ``R``
@@ -354,9 +409,7 @@ def local_stage(
     r, theta = cart_to_polar(np.where(ok[..., None], tracklets.u, 0.0), geo.position)
     R = np.where(ok[..., None, None], gain.R, 0.0)
     R += converted_covariance(r, theta, geo.sigma_r, geo.sigma_theta)
-    # The later reports of a grid index share their frame.
-    frame = np.asarray(curr.frame)[..., 0, 0] if np.ndim(curr.frame) else curr.frame
-    return LocalStage(frame, tracklets, faults, z, gram_faults, jacobians_at(r, theta), R)
+    return LocalStage(curr.frame, tracklets, faults, z, gram_faults, jacobians_at(r, theta), R)
 
 
 @dataclass

@@ -29,7 +29,7 @@ a table of them; every sensor is measured in one batched pass over
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,14 +56,16 @@ from ..dynamics import LagModels, ncv_model, nca_model, turn_model
 from ..errors import NumericalError, ScenarioError, faults_at, located, raise_first
 from ..fusion import (
     bias_correct,
+    combine_slots,
     fbe_step,
+    fused_update,
     local_stage,
     reconstruct_local_gain,
-    sfa,
 )
 from ..trackers import (
     GaussianEstimate,
     ImmState,
+    _wrap,
     imm_step,
     init_track,
     kf_predict,
@@ -104,26 +106,18 @@ class TruthData:
 
 @dataclass
 class LocalTracks:
-    """Per-(sensor, target, frame) local estimates; gains only for the
-    plain Kalman tracker."""
+    """Per-(sensor, target, frame) local estimates, views of frame-major
+    buffers; gains only for the plain Kalman tracker."""
 
     mean: np.ndarray            # (n_sensors, n_targets, K+1, 4)
     cov: np.ndarray             # (n_sensors, n_targets, K+1, 4, 4)
     gain: np.ndarray | None     # (n_sensors, n_targets, K+1, 4, 2)
 
-    def estimate(self, s, t, k: int) -> GaussianEstimate:
+    def estimate(self, s, t, k) -> GaussianEstimate:
         """Estimate of sensor ``s``, target ``t`` at frame ``k``; ``s`` and
-        ``t`` may be slices or index arrays, which give a batched estimate."""
+        ``t`` may be slices or index arrays, and ``k`` an index array, which
+        give a batched estimate (``frame`` ``k``)."""
         return GaussianEstimate(mean=self.mean[s, t, k], cov=self.cov[s, t, k], frame=k)
-
-    def reports(self, frames: np.ndarray) -> GaussianEstimate:
-        """Estimates of every (sensor, target) pair, each sensor's at its own
-        frame ``frames[..., sensor]``; the batch axes are (..., sensor,
-        target)."""
-        s = np.arange(frames.shape[-1])
-        return GaussianEstimate(
-            mean=self.mean[s, :, frames], cov=self.cov[s, :, frames], frame=frames[..., None]
-        )
 
 
 @dataclass
@@ -325,38 +319,43 @@ def run_local_tracks(scenario: Scenario, truth: TruthData) -> LocalTracks:
     """Run the configured local tracker on every (sensor, target) stream.
 
     All streams advance in lockstep: each frame is one batched tracker call
-    over the (sensor, target) axes.  A singular matrix is reported with the
+    over the (sensor, target) axes, which reads that frame's measurements
+    as views and writes its estimates as one contiguous block of
+    frame-major buffers; the returned tracks are views of those buffers in
+    (sensor, target, frame) order.  A singular matrix is reported with the
     sensor, target and frame of the stream it occurred in.  An IMM mode left
     unreachable is reported at the frame whose update left it so (frame 0
     for the initial mode probabilities), one frame before the mixing it
     would stop.
     """
     K = scenario.frames
-    n_s = len(scenario.sensors)
-    n_t = len(scenario.targets)
-    mean = np.empty((n_s, n_t, K + 1, 4))
-    cov = np.empty((n_s, n_t, K + 1, 4, 4))
+    shape = (K + 1, len(scenario.sensors), len(scenario.targets))
+    mean = np.empty(shape + (4,))
+    cov = np.empty(shape + (4, 4))
     is_kf = scenario.local_filter.type == "kf"
-    gain = np.full((n_s, n_t, K + 1, 4, 2), np.nan) if is_kf else None
+    gain = np.full(shape + (4, 2), np.nan) if is_kf else None
     models = _local_model(scenario)
+    z, R = np.moveaxis(truth.cart_z, 2, 0), np.moveaxis(truth.cart_R, 2, 0)
 
-    est = init_track(CartesianMeasurement(z=truth.cart_z[:, :, 0], R=truth.cart_R[:, :, 0]))
-    mean[:, :, 0] = est.mean
-    cov[:, :, 0] = est.cov
+    est = init_track(CartesianMeasurement(z=z[0], R=R[0]))
+    mean[0], cov[0] = est.mean, est.cov
     k = 0
     with located(lambda s, t: f"sensor {s}, target {t}, frame {k}"):
         if not is_kf:
             state = ImmState.from_track(est, models, IMM_INITIAL_PROBS, IMM_TRANSITION)
         for k in range(1, K + 1):
-            meas = CartesianMeasurement(z=truth.cart_z[:, :, k], R=truth.cart_R[:, :, k])
+            meas = _wrap(CartesianMeasurement, z=z[k], R=R[k])
             if is_kf:
                 est, rec = kf_update(kf_predict(est, models), meas)
-                gain[:, :, k] = rec.gain
+                gain[k] = rec.gain
             else:
                 state, est = imm_step(state, meas)
-            mean[:, :, k] = est.mean
-            cov[:, :, k] = est.cov
-    return LocalTracks(mean=mean, cov=cov, gain=gain)
+            mean[k], cov[k] = est.mean, est.cov
+    return LocalTracks(
+        mean=np.moveaxis(mean, 0, 2),
+        cov=np.moveaxis(cov, 0, 2),
+        gain=None if gain is None else np.moveaxis(gain, 0, 2),
+    )
 
 
 def _initial_bias_states(scenario: Scenario) -> BiasEstimate:
@@ -379,20 +378,27 @@ def _position_sqerr(mean: np.ndarray, states: np.ndarray) -> np.ndarray:
 
 
 def _epoch_pairs(scenario: Scenario, tracks: LocalTracks, lag_models: LagModels):
-    """Every update epoch's report pairs on one (epoch, sensor, target) grid:
-    the epochs, the (epoch, sensor) mask of the reporting sensors, the
-    L-step predictions of each sensor's report at the last epoch (or frame
-    0) it reported at before each epoch, and the estimates at each epoch,
-    reported or not."""
+    """Every update epoch's report pairs, a row of targets per reporting
+    (epoch, sensor): the epochs, the (epoch, sensor) mask of the reporting
+    sensors, each row's sensor, the row of each (epoch, sensor) (a silent
+    sensor's is its epoch's last reporting row, a stand-in), then the
+    L-step predictions of each row's earlier reports (at the last epoch,
+    or frame 0, its sensor reported at) and its reports, batch (row,
+    target)."""
     epochs = np.array(scenario.update_epochs(), dtype=int)
     frames = np.concatenate([[0], epochs])
     reporting = scenario.reporting_schedule()[frames]
     # Row of ``frames`` at which each sensor last reported, up to each row.
     last = np.maximum.accumulate(np.where(reporting, np.arange(len(frames))[:, None], 0))
-    prev = tracks.reports(frames[last[:-1]])
-    curr = tracks.reports(np.broadcast_to(epochs[:, None], last[1:].shape))
+    reporting = reporting[1:]
+    e, sensor = np.nonzero(reporting)
+    row = np.cumsum(reporting).reshape(reporting.shape) - 1
+    rows = np.where(reporting, row, row[:, -1:])
+    at = sensor[:, None], np.arange(len(scenario.targets))
+    prev = tracks.estimate(*at, frames[last[:-1]][e, sensor, None])
+    curr = tracks.estimate(*at, epochs[e, None])
     lags = np.broadcast_to(curr.frame - prev.frame, curr.mean.shape[:-1])
-    return epochs, reporting[1:], kf_predict(prev, lag_models(lags)), curr
+    return epochs, reporting, sensor, rows, kf_predict(prev, lag_models(lags)), curr
 
 
 def _raise_first_epoch(faults, epochs: np.ndarray) -> None:
@@ -420,21 +426,25 @@ def _fuse_all_sensors(
     predicted with the run's fusion-center ``lag_models``.  ``z`` holds the
     position measurements of every update epoch with one slot per sensor,
     batch shape (epochs, n_targets, n_sensors), and ``present`` the mask of
-    the slots that hold one, which broadcasts against that shape; at each
-    epoch one :func:`sfa` call combines each target's measurements on the
-    mask, in ascending sensor order, into one update, and reads no slot off
-    it.
+    the slots that hold one, which broadcasts against that shape.  No
+    fused state enters the slots' combination, so one :func:`combine_slots`
+    call combines each (epoch, target)'s measurements on the mask, in
+    ascending sensor order, reading no slot off it; each epoch then makes
+    one :func:`fused_update`.
 
     Returns the fused squared position error (mean over targets) per frame,
     NaN between epochs.
     """
+    epochs = scenario.update_epochs()
     fused = tracks.estimate(0, slice(None), 0)
+    means = np.empty((len(scenario.targets), len(epochs) + 1, 4))
+    means[:, 0] = fused.mean
+    slots = combine_slots(z, present)
+    for e, k in enumerate(epochs):
+        fused = fused_update(fused, lag_models(k - fused.frame), slots[e]).state
+        means[:, e + 1] = fused.mean
     sqerr = np.full(scenario.frames + 1, np.nan)
-    sqerr[0] = _position_sqerr(fused.mean, truth.states[:, 0])
-    for e, k in enumerate(scenario.update_epochs()):
-        epoch = CartesianMeasurement(z.z[e], z.R[e])
-        fused = sfa(fused, lag_models(k - fused.frame), epoch, present[e]).state
-        sqerr[k] = _position_sqerr(fused.mean, truth.states[:, k])
+    sqerr[[0] + epochs] = _position_sqerr(means, truth.states[:, [0] + epochs])
     return sqerr
 
 
@@ -443,11 +453,11 @@ def _run_fbe(scenario: Scenario, truth: TruthData, tracks: LocalTracks):
     corrected tracklets; one fusion-center lag cache serves both.
 
     No bias estimate enters the local stage, so it runs once over every
-    epoch's (sensor, target) pairs, in O(epochs x sensors x targets) memory,
-    and each epoch's bias step reads its slice.  The all-sensor fusion reads
-    the bias estimates but never feeds them: it runs after the last epoch,
-    on every epoch's tracklets corrected in one call with that epoch's
-    updated estimates.
+    epoch's reporting (sensor, target) pairs, in O(epochs x sensors x
+    targets) memory, and each epoch's bias step reads its slice.  The
+    all-sensor fusion reads the bias estimates but never feeds them: it
+    runs after the last epoch, on every epoch's tracklets corrected in one
+    call with that epoch's updated estimates.
     """
     K = scenario.frames
     n_s = len(scenario.sensors)
@@ -456,9 +466,10 @@ def _run_fbe(scenario: Scenario, truth: TruthData, tracks: LocalTracks):
     lag_models = LagModels(ncv_model(scenario.dt, scenario.fusion_q))
     sensors = scenario.sensor_models()
     geo = sensors[:, None]
-    epochs, reporting, *pairs = _epoch_pairs(scenario, tracks, lag_models)
-    # The predictions and reports are dropped once the stage is built.
-    local = local_stage(*pairs, sensors)
+    epochs, reporting, sensor, rows, *pairs = _epoch_pairs(scenario, tracks, lag_models)
+    # The stage of the reporting rows on the (epoch, sensor, target) grid;
+    # the predictions and reports are dropped once it is built.
+    local = replace(local_stage(*pairs, sensors[sensor])[rows], frame=epochs)
     del pairs
     bias = _initial_bias_states(scenario)
     # Each leave-one-out reference starts from the frame-0 estimate of the
@@ -551,14 +562,16 @@ def _run_stacked(
 
 def _run_baseline(scenario: Scenario, truth: TruthData, tracks: LocalTracks):
     """Plain tracklet fusion on an unbiased world; no bias estimation.  The
-    tracklets and gains of every epoch come from one batched pass."""
+    tracklets and gains of every epoch's reporting pairs come from one
+    batched pass."""
     lag_models = LagModels(ncv_model(scenario.dt, scenario.fusion_q))
-    epochs, reporting, pred, curr = _epoch_pairs(scenario, tracks, lag_models)
+    epochs, reporting, _, rows, pred, curr = _epoch_pairs(scenario, tracks, lag_models)
     trk, faults = compute_tracklet(pred, curr)
     g, gain_faults = reconstruct_local_gain(trk.U, pred.cov)
     reporting = reporting[..., None]
-    _raise_first_epoch([(why, failed & reporting) for why, failed in faults + gain_faults], epochs)
-    z = CartesianMeasurement(trk.u.swapaxes(1, 2), g.R.swapaxes(1, 2))
+    faults = faults_at(faults + gain_faults, rows)
+    _raise_first_epoch([(why, failed & reporting) for why, failed in faults], epochs)
+    z = CartesianMeasurement(trk.u[rows].swapaxes(1, 2), g.R[rows].swapaxes(1, 2))
     present = reporting.swapaxes(1, 2)
     return None, None, _fuse_all_sensors(scenario, truth, tracks, lag_models, z, present)
 

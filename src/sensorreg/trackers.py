@@ -9,7 +9,9 @@ An IMM cycle (:func:`imm_step`) predicts and updates every mode from the
 mixed priors that the bank carries, reweights the modes, then runs one
 moment-matching pass over the updated modes: its rows are the next cycle's
 mixed priors and the combined output.  Mixing and output combination are
-the same operation under different weights, so one pass serves both.
+the same operation under different weights, so one pass serves both, and
+its spread terms come from the pairwise differences of the mode means,
+which no weight enters.
 
 Every tracker function accepts leading batch axes on its estimates and
 measurements, so one call advances a whole batch of independent tracks; a
@@ -278,13 +280,29 @@ def _gauss_loglik(rec: KfStepRecord) -> np.ndarray:
 def _moments(weights: np.ndarray, est: GaussianEstimate) -> tuple[np.ndarray, np.ndarray]:
     """Moment-matched means and covariances of (batched) Gaussian mixtures
     of the components on the last batch axis of ``est``;
-    ``weights[..., k, i]`` weighs component i in mixture k."""
-    x = weights @ est.mean
-    n = est.dim
-    spread = est.mean[..., None, :, :] - x[..., :, None, :]
-    P = (weights @ est.cov.reshape(est.cov.shape[:-2] + (n * n,))).reshape(x.shape + (n,))
-    P += mt(weights[..., None] * spread) @ spread
-    return x, symmetrize(P)
+    ``weights[..., k, i]`` weighs component i in mixture k, each row
+    summing to one.
+
+    For such weights the spread term sum_i w_i s_i s_i' about the mixture
+    mean equals sum_{i<j} w_i w_j d_ij d_ij' over the differences d_ij of
+    the component means, which no weight enters: one outer product per
+    component pair serves every mixture.  Each covariance is then one
+    weighted sum, a row of one matrix product, of the component
+    covariances and the pair products, all symmetric, and is symmetric as
+    formed.
+    """
+    mean, n = est.mean, est.dim
+    m = mean.shape[-2]
+    # Pairs (i, j > i) in row-major order, a slice of j per i.
+    d = [mean[..., i : i + 1, :] - mean[..., i + 1 :, :] for i in range(m - 1)]
+    pair_w = [weights[..., i : i + 1] * weights[..., i + 1 :] for i in range(m - 1)]
+    flat = est.cov.shape[:-3] + (-1, n * n)
+    outer = [(v[..., :, None] * v[..., None, :]).reshape(flat) for v in d]
+    x = weights @ mean
+    P = np.concatenate([weights] + pair_w, axis=-1) @ np.concatenate(
+        [est.cov.reshape(flat)] + outer, axis=-2
+    )
+    return x, P.reshape(x.shape + (n,))
 
 
 def _mix(

@@ -608,6 +608,102 @@ def test_local_tracks_follow_targets():
     assert np.all(np.isfinite(tracks.gain[:, :, 1:]))
 
 
+def _former_moments(weights, est):
+    """The moment pass as the IMM ran it before the closed form: each
+    mixture's spread about its own mean, then one symmetrization."""
+    from sensorreg._linalg import mt, symmetrize
+
+    x = weights @ est.mean
+    n = est.dim
+    spread = est.mean[..., None, :, :] - x[..., :, None, :]
+    P = (weights @ est.cov.reshape(est.cov.shape[:-2] + (n * n,))).reshape(x.shape + (n,))
+    P += mt(weights[..., None] * spread) @ spread
+    return x, symmetrize(P)
+
+
+def _former_local_tracks(sc, truth):
+    """The local tracks as the lockstep loop formed them before: (sensor,
+    target, frame) buffers written one frame at a time, and each frame's
+    measurements validated as one ``CartesianMeasurement``."""
+    import sensorreg.harness.simulate as sim
+    from sensorreg.coords import CartesianMeasurement
+    from sensorreg.trackers import ImmState, imm_step, init_track, kf_predict, kf_update
+
+    K, n_s, n_t = sc.frames, len(sc.sensors), len(sc.targets)
+    mean = np.empty((n_s, n_t, K + 1, 4))
+    cov = np.empty((n_s, n_t, K + 1, 4, 4))
+    is_kf = sc.local_filter.type == "kf"
+    gain = np.full((n_s, n_t, K + 1, 4, 2), np.nan) if is_kf else None
+    models = sim._local_model(sc)
+    est = init_track(CartesianMeasurement(z=truth.cart_z[:, :, 0], R=truth.cart_R[:, :, 0]))
+    mean[:, :, 0], cov[:, :, 0] = est.mean, est.cov
+    if not is_kf:
+        state = ImmState.from_track(est, models, sim.IMM_INITIAL_PROBS, sim.IMM_TRANSITION)
+    for k in range(1, K + 1):
+        meas = CartesianMeasurement(z=truth.cart_z[:, :, k], R=truth.cart_R[:, :, k])
+        if is_kf:
+            est, rec = kf_update(kf_predict(est, models), meas)
+            gain[:, :, k] = rec.gain
+        else:
+            state, est = imm_step(state, meas)
+        mean[:, :, k], cov[:, :, k] = est.mean, est.cov
+    return sim.LocalTracks(mean=mean, cov=cov, gain=gain)
+
+
+# Largest difference between the IMM local tracks and those of the former
+# loop with the former moment pass, relative to each array's largest
+# magnitude (measured up to 1.1e-14, in the A08 covariances over runs 0-3).
+IMM_TRACKS_RTOL = 1e-13
+
+
+def _imm_scenario(filter_type):
+    sc = load_scenario("five_sensor_offset")
+    sc.local_filter.type = filter_type
+    sc.local_filter.q1, sc.local_filter.q2 = 10.0, 2.0
+    sc.fusion_q = 200.0
+    return sc
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: load_scenario("five_sensor_offset_scale"),
+        lambda: load_scenario("two_sensor"),
+        lambda: _imm_scenario("imm_nca_ncv"),
+        lambda: _imm_scenario("imm_ncv_ncv"),
+    ],
+    ids=["five_sensor_offset_scale", "two_sensor", "a08_imm", "imm_ncv_ncv"],
+)
+def test_frame_major_local_tracks_equal_the_former_loop(monkeypatch, make):
+    # The frame-major buffers change no KF track, gain or exl/ex output; the
+    # IMM tracks, also formed with the closed-form moment pass, stay within
+    # IMM_TRACKS_RTOL of the former loop run with the former pass.
+    import sensorreg.harness.simulate as sim
+    import sensorreg.trackers as trackers
+
+    sc = make()
+    for index in range(2):
+        truth = simulate_truth(sc, index)
+        got = run_local_tracks(sc, truth)
+        with monkeypatch.context() as mp:
+            mp.setattr(trackers, "_moments", _former_moments)
+            want = _former_local_tracks(sc, truth)
+        assert got.mean.shape == want.mean.shape and got.cov.shape == want.cov.shape
+        if sc.local_filter.type == "kf":
+            for name in ("mean", "cov", "gain"):
+                assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True)
+        else:
+            assert got.gain is None
+            for g, w in ((got.mean, want.mean), (got.cov, want.cov)):
+                np.testing.assert_allclose(g, w, rtol=0, atol=IMM_TRACKS_RTOL * np.abs(w).max())
+        if len(sc.sensors) == 2:
+            for reconstructed in (True, False):
+                outs = (sim._run_stacked(sc, truth, t, reconstructed) for t in (got, want))
+                for g, w in zip(*outs):
+                    assert (g is None) == (w is None)
+                    assert g is None or np.array_equal(g, w)
+
+
 def test_nees_series_zero_errors():
     errors = np.zeros((4, 3, 2))
     covs = np.broadcast_to(np.eye(2), (4, 3, 2, 2)).copy()
@@ -1140,9 +1236,10 @@ def test_fusion_center_runs_once_per_epoch(monkeypatch):
     # The fusion-center formulas take batch axes.  No bias estimate enters
     # the local stage, so an fbe run calls its formulas once over every
     # epoch's (sensor, target) pairs; the bias stage calls each of its own
-    # once per epoch (sfa twice: the leave-one-out references, then the
-    # all-sensor fusion), and bias_correct corrects every epoch's fused-pass
-    # tracklets in one more call.  Each lag is composed once per run.
+    # once per epoch (sfa for the leave-one-out references), bias_correct
+    # corrects every epoch's fused-pass tracklets in one more call, and
+    # the all-sensor fusion combines every epoch's slots in one call, then
+    # makes one fused update per epoch.  Each lag is composed once per run.
     import sensorreg.dynamics as dynamics
     import sensorreg.fusion as fusion
     import sensorreg.harness.simulate as sim
@@ -1156,6 +1253,7 @@ def test_fusion_center_runs_once_per_epoch(monkeypatch):
         "rlsb_update",
     )
     counts = _count_calls(monkeypatch, (fusion, sim), names)
+    fused_pass = _count_calls(monkeypatch, (sim,), ("combine_slots", "fused_update"))
     lags = []
     compose = dynamics.compose_steps
     monkeypatch.setattr(
@@ -1168,10 +1266,11 @@ def test_fusion_center_runs_once_per_epoch(monkeypatch):
         "compute_tracklet": 1,
         "reconstruct_local_gain": 1,
         "bias_correct": epochs + 1,
-        "sfa": 2 * epochs,
+        "sfa": epochs,
         "sensor_pseudo_obs": 1,
         "rlsb_update": epochs,
     }
+    assert fused_pass == {"combine_slots": 1, "fused_update": epochs}
     assert lags and sorted(lags) == sorted(set(lags))
 
 
@@ -1363,7 +1462,8 @@ def _per_epoch_fusion(sc, truth, tracks, method):
     sqerr[0] = sim._position_sqerr(track.mean, truth.states[:, 0])
     last = np.zeros(n_s, dtype=int)
     for k in sc.update_epochs():
-        prev, curr = tracks.reports(last), tracks.estimate(slice(None), slice(None), k)
+        prev = tracks.estimate(np.arange(n_s)[:, None], np.arange(n_t), last[:, None])
+        curr = tracks.estimate(slice(None), slice(None), k)
         pred = kf_predict(prev, lag_models(np.broadcast_to(k - prev.frame, (n_s, n_t))))
         reported = np.broadcast_to(schedule[k][:, None], (n_s, n_t))
         if method == "fbe":
@@ -1428,6 +1528,77 @@ def test_run_level_fusion_center_equals_the_per_epoch_passes(make, method):
             assert (got is None) == (want is None)
             if want is not None:
                 assert np.array_equal(got, want, equal_nan=True)
+
+
+def _per_epoch_fused_pass(sc, truth, tracks, lag_models, z, present):
+    """``_fuse_all_sensors`` as one ``sfa`` call per epoch: each epoch's
+    slots combined inside the loop."""
+    import sensorreg.harness.simulate as sim
+    from sensorreg.coords import CartesianMeasurement
+    from sensorreg.fusion import sfa
+
+    fused = tracks.estimate(0, slice(None), 0)
+    sqerr = np.full(sc.frames + 1, np.nan)
+    sqerr[0] = sim._position_sqerr(fused.mean, truth.states[:, 0])
+    for e, k in enumerate(sc.update_epochs()):
+        epoch = CartesianMeasurement(z.z[e], z.R[e])
+        fused = sfa(fused, lag_models(k - fused.frame), epoch, present[e]).state
+        sqerr[k] = sim._position_sqerr(fused.mean, truth.states[:, k])
+    return sqerr
+
+
+def _fused_pass_arguments(monkeypatch, sc, runs, method):
+    """The arguments of every ``_fuse_all_sensors`` call of ``runs`` runs."""
+    import sensorreg.harness.simulate as sim
+
+    calls = []
+    fuse = sim._fuse_all_sensors
+    monkeypatch.setattr(sim, "_fuse_all_sensors", lambda *args: calls.append(args) or fuse(*args))
+    for index in range(runs):
+        sim.run_single(sc, index, method)
+    monkeypatch.setattr(sim, "_fuse_all_sensors", fuse)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: load_scenario("five_sensor_offset_scale"), _a08_imm, _mixed_lags],
+    ids=["five_sensor_offset_scale", "a08_imm", "lags_1_10_5_10_2"],
+)
+@pytest.mark.parametrize("method", ["fbe", "baseline"])
+def test_all_epoch_slot_combination_equals_one_sfa_per_epoch(monkeypatch, make, method):
+    # One combine_slots call over every epoch's slots, then one
+    # fused_update per epoch, gives the fused errors of one sfa per epoch
+    # bit for bit.
+    import sensorreg.harness.simulate as sim
+
+    for args in _fused_pass_arguments(monkeypatch, make(), 2, method):
+        got = sim._fuse_all_sensors(*args)
+        assert np.array_equal(got, _per_epoch_fused_pass(*args), equal_nan=True)
+
+
+def test_the_fused_pass_drops_a_measurement_as_one_sfa_per_epoch_does(monkeypatch, caplog):
+    # Sensor 3's corrected measurement of target 1 at the third epoch has an
+    # indefinite covariance: both passes drop it alone, with one warning
+    # that names the slot, the all-epoch combination at its (epoch,
+    # target) index.
+    import sensorreg.harness.simulate as sim
+
+    (args,) = _fused_pass_arguments(monkeypatch, load_scenario("five_sensor_offset"), 1, "fbe")
+    z = args[4]
+    assert args[5][2, 1, 3]
+    z.R[2, 1, 3] = -np.eye(2)
+    with caplog.at_level("WARNING", logger="sensorreg.fusion"):
+        got = sim._fuse_all_sensors(*args)
+        assert [r.getMessage() for r in caplog.records] == [
+            "skipping measurement 3 at batch index [2, 1]: covariance not positive definite"
+        ]
+        caplog.clear()
+        want = _per_epoch_fused_pass(*args)
+        assert [r.getMessage() for r in caplog.records] == [
+            "skipping measurement 3 at batch index [1]: covariance not positive definite"
+        ]
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 _TWO_SENSOR = load_scenario("two_sensor")

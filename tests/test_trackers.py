@@ -484,6 +484,53 @@ def _ref_moments(weights, means, covs):
     return x, symmetrize(P)
 
 
+# Largest difference between the closed-form moment pass and the
+# definitional mixture sum_i w_i (C_i + s_i s_i'), relative to each
+# covariance's largest magnitude (measured up to 5.6e-16 over the test's
+# draws).
+MOMENTS_RTOL = 1e-14
+
+
+def _mixtures(seed, m, batch=(4, 3), n=6):
+    """Component estimates (batch, m) and the weights of m + 1 mixtures of
+    them per bank, rows of a Dirichlet draw; the first row of each bank
+    weighs one component with 1e-12."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=batch + (m, n, n))
+    cov = symmetrize(A @ mt(A) + np.eye(n))
+    mean = rng.normal(scale=100.0, size=batch + (m, n))
+    weights = rng.dirichlet(np.ones(m), size=batch + (m + 1,))
+    tiny = np.full(m, (1.0 - 1e-12) / (m - 1))
+    tiny[0] = 1e-12
+    weights[..., 0, :] = tiny
+    return weights, GaussianEstimate(mean, cov)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_moments_closed_form_is_symmetric_and_matches_the_definition(m, seed):
+    weights, est = _mixtures(seed, m)
+    x, P = trackers._moments(weights, est)
+    assert np.array_equal(P, mt(P))
+    want_x = np.einsum("...ki,...in->...kn", weights, est.mean)
+    np.testing.assert_allclose(x, want_x, rtol=1e-13, atol=0)
+    spread = est.mean[..., None, :, :] - want_x[..., :, None, :]
+    want = np.einsum(
+        "...ki,...kiab->...kab",
+        weights,
+        est.cov[..., None, :, :, :] + spread[..., :, None] * spread[..., None, :],
+    )
+    scale = np.abs(want).max(axis=(-2, -1), keepdims=True)
+    assert np.all(np.abs(P - want) <= MOMENTS_RTOL * scale)
+    # One bank alone forms what it forms inside the batch, and weights
+    # shared by the batch what they form per bank.
+    one_x, one_P = trackers._moments(weights[2, 1], est[2, 1])
+    assert np.array_equal(one_x, x[2, 1]) and np.array_equal(one_P, P[2, 1])
+    shared_x, shared_P = trackers._moments(weights[2, 1], est)
+    each_x, each_P = trackers._moments(np.broadcast_to(weights[2, 1], weights.shape), est)
+    assert np.array_equal(shared_x, each_x) and np.array_equal(shared_P, each_P)
+
+
 def _per_mode_imm_tracks(sc, truth):
     """Reference: the IMM recursion with one filter call per mode, every mode
     in its own model's state space, and every source mode embedded into the

@@ -2,8 +2,8 @@
 
 Every sensor is biased by 20 m in range and 1 mrad in azimuth, local tracks
 arrive only every tenth frame, and no filter gains are exchanged.  Each
-sensor's bias is estimated against a leave-one-out fused reference built
-from the other sensors' corrected tracklets.
+sensor's bias is estimated against a leave-one-out reference: the combined
+equivalent measurement of the other sensors' corrected tracklets.
 """
 
 import numpy as np

@@ -43,7 +43,6 @@ from .errors import (
 )
 from .fusion import (
     FbeResult,
-    FusedTrack,
     ReconstructedGain,
     SensorModel,
     bias_correct,
@@ -75,7 +74,6 @@ __all__ = [
     "BiasVector",
     "CartesianMeasurement",
     "FbeResult",
-    "FusedTrack",
     "GaussianEstimate",
     "ImmState",
     "KfStepRecord",

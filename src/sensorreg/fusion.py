@@ -7,11 +7,12 @@ L-step prediction it forms a tracklet, reconstructs the equivalent
 measurement noise and filter gain, and deconvolves the update into a bias
 observation: no bias estimate enters these, so :func:`local_stage` runs
 them once on report pairs with any leading axes (every epoch of a run).
-Each sensor's bias is estimated against a leave-one-out fused reference,
-one update with all other sensors' bias-corrected tracklets, which reduces
-the multisensor problem to a sequence of two-sensor problems with a single
-biased side: :func:`fbe_step`, once per epoch on its slice of the local
-stage.
+Each sensor's bias is estimated against a leave-one-out reference, the
+combined equivalent measurement of all other sensors' bias-corrected
+tracklets of the target (what a fused update with them would fold; no
+fused track enters), which reduces the multisensor problem to a sequence
+of two-sensor problems with a single biased side: :func:`fbe_step`, once
+per epoch on its slice of the local stage.
 
 Each stage is one batched call on position tracklets, made once whatever
 fails.  No check raises for a skip: each stage returns its
@@ -28,7 +29,8 @@ correction with that of the reported pairs, and an element off the mask
 holds a stand-in whose result is discarded.
 :func:`sfa` logs its failures from the same masks.  It is the composition
 of :func:`combine_slots`, which reads no fused state and so may combine
-every epoch's measurements at once, and :func:`fused_update`.
+every epoch's measurements at once, or each pair's leave-one-out slots,
+and :func:`fused_update`.
 """
 
 from __future__ import annotations
@@ -56,14 +58,13 @@ from .coords import (
     jacobians_at,
     wrap_angle,
 )
-from .dynamics import LagModels, MotionModel
+from .dynamics import MotionModel
 from .errors import at_index, faults_at, first_faults, quoted
 from .trackers import GaussianEstimate, kf_predict, kf_update
 from .tracklets import Tracklet, compute_tracklet
 
 __all__ = [
     "ReconstructedGain",
-    "FusedTrack",
     "SensorModel",
     "LocalStage",
     "FbeResult",
@@ -88,22 +89,6 @@ class ReconstructedGain:
 
     W: np.ndarray
     R: np.ndarray
-
-
-@dataclass
-class FusedTrack:
-    """Fused state estimates of :func:`sfa` plus the measurements that
-    contributed to them.
-
-    ``sensors`` is a boolean mask (..., m) over the m measurement slots of
-    the call; callers that give one slot per sensor read it as a sensor
-    mask.  ``measurement`` holds the equivalent measurement ``(y_eq, R_eq)``
-    that each element folded in (NaN for none).
-    """
-
-    state: GaussianEstimate
-    sensors: np.ndarray
-    measurement: CartesianMeasurement
 
 
 @dataclass
@@ -215,14 +200,14 @@ def bias_correct(
 
 def slot_information(R: np.ndarray, present=True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Informations ``R_j^-1`` of m measurement slots, ``R`` (..., m, 2, 2),
-    zero for a slot that ``present`` (..., m) does not mark or whose
-    covariance fails the 2x2 test; their sum over the slots, added in slot
-    order; and the mask of the used slots, on the batch axes of ``R`` and
+    on the batch axes of ``R`` alone (the identity for a slot whose
+    covariance fails the 2x2 test); the sum over the used slots, added in
+    slot order; and the mask of the used slots, those that ``present``
+    (..., m) marks and that pass the test, on the batch axes of ``R`` and
     ``present`` broadcast together."""
     info, ok = inv_spd2_masked(R)
     used = ok & present
-    info = info * used[..., None, None]
-    return info, info.sum(axis=-3), used
+    return info, (info * used[..., None, None]).sum(axis=-3), used
 
 
 @dataclass
@@ -270,8 +255,9 @@ def combine_slots(z: CartesianMeasurement, present=True) -> SlotCombination:
             log.warning(
                 "skipping measurement %d%s: covariance not positive definite", j, at_index(index)
             )
-    y = np.where(used[..., None], z.z, 0.0)
-    info_y = mv(info, y).sum(axis=-2)
+    # Each slot's R^-1 y once, on the batch axes of z; a stand-in slot may
+    # hold NaN, so the mask selects rather than multiplies.
+    info_y = np.where(used[..., None], mv(info, z.z), 0.0).sum(axis=-2)
     live = used.any(axis=-1)
     R_eq, combined = inv_spd2_masked(info_sum, live)
     failed = live & ~combined
@@ -286,7 +272,7 @@ def combine_slots(z: CartesianMeasurement, present=True) -> SlotCombination:
 
 def fused_update(
     state: GaussianEstimate, model: MotionModel, slots: SlotCombination
-) -> FusedTrack:
+) -> GaussianEstimate:
     """Predict the fused tracks, then fold in each element's combined
     measurement (:func:`combine_slots`, on the batch axes of the
     prediction) with one Kalman update on the whole batch.
@@ -314,15 +300,12 @@ def fused_update(
             np.where(ok[..., None, None], pred.cov, np.eye(pred.dim)),
         )
     est, _ = kf_update(prior, eq)
-    # Elements off the mask keep the prediction and fold no measurement.
+    # Elements off the mask keep the prediction.
     off = ~live
     if off.any():
         est.mean[off], est.cov[off] = pred.mean[off], pred.cov[off]
-        eq = CartesianMeasurement(
-            np.where(off[..., None], np.nan, eq.z), np.where(off[..., None, None], np.nan, eq.R)
-        )
     est.frame = pred.frame
-    return FusedTrack(state=est, sensors=slots.used & live[..., None], measurement=eq)
+    return est
 
 
 def sfa(
@@ -330,7 +313,7 @@ def sfa(
     model: MotionModel,
     z: CartesianMeasurement,
     present: np.ndarray | None = None,
-) -> FusedTrack:
+) -> GaussianEstimate:
     """Predict the fused tracks, then fold in position measurements with
     one Kalman update per element: :func:`combine_slots` on the batch axes
     of the state, then :func:`fused_update`.
@@ -342,9 +325,9 @@ def sfa(
     (all when it is None) combine into one measurement whose update equals
     the sequential updates in exact arithmetic.  Each dropped measurement,
     then each failed combined information, then each failed innovation
-    covariance logs one warning, in index order.  The result's ``sensors``
-    marks the slots folded into each element and ``measurement`` holds
-    their ``(y_eq, R_eq)`` (NaN where there were none).
+    covariance logs one warning, in index order.  :func:`combine_slots`
+    alone gives the slots folded into each element and their
+    ``(y_eq, R_eq)``.
     """
     shape = state.mean.shape[:-1] + z.z.shape[-2:-1]
     present = np.broadcast_to(True if present is None else present, shape)
@@ -354,16 +337,13 @@ def sfa(
 @dataclass
 class LocalStage:
     """The part of fused bias estimation that no bias estimate enters, for
-    report pairs on a (..., S, T) grid: ``frame``, the frames of their
-    later reports (one per index of ``...``, or broadcasting against the
-    grid); their position ``tracklets``; the
+    report pairs on a (..., S, T) grid: their position ``tracklets``; the
     checks of the tracklets and of their gains (``faults``, in that order);
     each pair's deconvolved observation ``z`` (..., 2) and the check of its
     gain (``gram_faults``); and the bias Jacobians ``jac`` and noise ``R``
     (..., 2, 2) of its sensor side at the tracklet's own polar coordinates.
     Indexing the leading axes gives their pairs' stage."""
 
-    frame: int | np.ndarray
     tracklets: Tracklet
     faults: list
     z: np.ndarray
@@ -373,7 +353,6 @@ class LocalStage:
 
     def __getitem__(self, index) -> LocalStage:
         return LocalStage(
-            frame=self.frame[index] if np.ndim(self.frame) else self.frame,
             tracklets=Tracklet(u=self.tracklets.u[index], U=self.tracklets.U[index]),
             faults=faults_at(self.faults, index),
             z=self.z[index],
@@ -409,7 +388,7 @@ def local_stage(
     r, theta = cart_to_polar(np.where(ok[..., None], tracklets.u, 0.0), geo.position)
     R = np.where(ok[..., None, None], gain.R, 0.0)
     R += converted_covariance(r, theta, geo.sigma_r, geo.sigma_theta)
-    return LocalStage(curr.frame, tracklets, faults, z, gram_faults, jacobians_at(r, theta), R)
+    return LocalStage(tracklets, faults, z, gram_faults, jacobians_at(r, theta), R)
 
 
 @dataclass
@@ -417,19 +396,17 @@ class FbeResult:
     """Outputs of one fused-bias-estimation frame over S sensors and T
     targets.
 
-    ``bias_states`` holds every sensor's estimate (``b`` (S, d)) and
-    ``fused`` every leave-one-out reference (mean (S, T, n), frames (S, T)).
-    ``used`` (S, T, S) marks the sensors fused into each reference updated
-    this frame.  ``live`` (S, T) marks the reported pairs whose tracklet,
-    gain and bias correction succeeded.  ``skipped`` lists a ``(sensor,
-    target, reason)`` tuple per pair, or per bias pseudo-measurement, that
-    failed a numerical check, and a ``(sensor, None, reason)`` tuple per
-    sensor whose stacked bias update failed (that sensor keeps its
-    estimate).
+    ``bias_states`` holds every sensor's estimate (``b`` (S, d)).  ``used``
+    (S, T, S) marks the sensors whose corrected measurements went into each
+    pair's reference this frame.  ``live`` (S, T) marks the reported pairs
+    whose tracklet, gain and bias correction succeeded.  ``skipped`` lists a
+    ``(sensor, target, reason)`` tuple per pair, or per bias
+    pseudo-measurement, that failed a numerical check, and a ``(sensor,
+    None, reason)`` tuple per sensor whose stacked bias update failed (that
+    sensor keeps its estimate).
     """
 
     bias_states: BiasEstimate
-    fused: GaussianEstimate
     used: np.ndarray
     live: np.ndarray
     skipped: list = field(default_factory=list)
@@ -439,8 +416,6 @@ def fbe_step(
     reported: np.ndarray,
     local: LocalStage,
     bias_states: BiasEstimate,
-    fused_prev: GaussianEstimate,
-    lag_models: LagModels,
     sensors: SensorModel,
 ) -> FbeResult:
     """One frame of fused bias estimation across all reporting sensors.
@@ -451,10 +426,6 @@ def fbe_step(
             this frame, reported or not (:func:`local_stage`).
         bias_states: latest estimates of every sensor (``b`` (S, d));
             sensors without a usable pair carry theirs forward.
-        fused_prev: leave-one-out fused references, element (s, t) excluding
-            sensor s: means (S, T, n), frames broadcast to (S, T).
-        lag_models: the fusion-center motion model of each report lag; one
-            instance per run composes each lag once.
         sensors: geometry and noise levels of every sensor (S elements).
 
     Returns a :class:`FbeResult`.  Each stage is one batched call, whatever
@@ -469,10 +440,11 @@ def fbe_step(
 
     Every later stage runs on the (S, T) grid under the mask of the live
     pairs whose target has another live sensor: the leave-one-out
-    :func:`sfa`, the difference pseudo-measurements, their screen and the
-    fold.  Elements outside the mask carry stand-ins whose results are
-    discarded.  A pseudo-measurement whose gain fails the check of
-    :func:`sensor_pseudo_obs`, or that fails one of
+    :func:`combine_slots`, the difference pseudo-measurements, their screen
+    and the fold.  Elements outside the mask carry stand-ins whose results
+    are discarded.  A pair whose reference combines no slot or fails the
+    combination's check, whose gain fails the check of
+    :func:`sensor_pseudo_obs`, or whose pseudo-measurement fails one of
     :func:`pseudo_measurement_faults`, is dropped and recorded.  Each sensor
     folds its pseudo-measurements in one stacked :func:`rlsb_update` over
     every sensor; a sensor whose fold fails a check keeps its estimate and
@@ -482,14 +454,8 @@ def fbe_step(
     frame, so per-sensor updates are order-independent within the frame.
     """
     n_s, n_t = reported.shape
-    fused = GaussianEstimate(
-        mean=fused_prev.mean.copy(),
-        cov=fused_prev.cov.copy(),
-        frame=np.array(np.broadcast_to(fused_prev.frame, (n_s, n_t))),
-    )
     res = FbeResult(
         bias_states=BiasEstimate(b=bias_states.b.copy(), Sigma=bias_states.Sigma.copy()),
-        fused=fused,
         used=np.zeros((n_s, n_t, n_s), dtype=bool),
         live=np.zeros((n_s, n_t), dtype=bool),
     )
@@ -509,37 +475,34 @@ def fbe_step(
     # The references: live pairs whose target has another live sensor.
     ref = res.live & (res.live.sum(axis=0) >= 2)
 
-    # Leave-one-out fused reference of every pair on the mask from the
-    # other sensors' bias-corrected tracklets of its target.  The reference
-    # side of each pseudo-measurement is the equivalent measurement of its
-    # update (what deconvolving the update would recover), whose noise
-    # combines the corrected measurement covariances, bias-uncertainty
-    # inflation included.  The corrected measurements go in target-major,
-    # so that each target's row holds one slot per sensor, and sfa folds
-    # the slots on the mask alone.
+    # The reference side of each pair's pseudo-measurement on the mask is
+    # the equivalent measurement of the other sensors' bias-corrected
+    # tracklets of its target, whose noise combines their corrected
+    # covariances, bias-uncertainty inflation included.  The corrected
+    # measurements go in target-major, so that each target's row holds one
+    # slot per sensor, and only the slots on the mask combine.
     present = ref[:, :, None] & res.live.T[None] & ~np.eye(n_s, dtype=bool)[:, None]
-    fused_new = sfa(
-        fused,
-        lag_models(np.where(ref, local.frame - fused.frame, 1)),
+    slots = combine_slots(
         CartesianMeasurement(corrected.z.swapaxes(0, 1)[None], corrected.R.swapaxes(0, 1)[None]),
         present,
     )
-    f = fused_new.measurement
+    res.used = slots.used
+    f = slots.measurement
     pm = difference_pseudo_measurement(
         f.z, local.z, local.jac, f.R, local.R, offset_only=(bias_states.dim == 2)
     )
-    new = fused_new.state
-    res.fused = GaussianEstimate(
-        np.where(ref[..., None], new.mean, fused.mean),
-        np.where(ref[..., None, None], new.cov, fused.cov),
-        frame=np.where(ref, new.frame, fused.frame),
-    )
-    res.used = fused_new.sensors
 
-    # A pseudo-measurement that fails a check is dropped; it and every pair
-    # without one are padded with H = 0, z = 0, R = I, which contribute
-    # nothing to the stacked fold of each sensor over its targets.
-    found, usable = first_faults(local.gram_faults + pseudo_measurement_faults(pm), ref)
+    # A pseudo-measurement that fails a check, or whose reference holds a
+    # stand-in, is dropped; it and every pair without one are padded with
+    # H = 0, z = 0, R = I, which contribute nothing to the stacked fold of
+    # each sensor over its targets.
+    found, usable = first_faults(
+        slots.faults
+        + [("no usable reference slot", ref & ~slots.live)]
+        + local.gram_faults
+        + pseudo_measurement_faults(pm),
+        ref,
+    )
     res.skipped += [(int(s), int(t), reason) for (s, t), reason in found]
     z = np.where(usable[..., None], pm.z, 0.0)
     H = np.where(usable[..., None, None], pm.H, 0.0)

@@ -2,10 +2,11 @@
 
 Bounds use the noise-free trajectories and true measurement covariances.
 For each sensor the other reporters are collapsed into one equivalent
-sensor (the slot information sum of ``sfa``), reducing the problem to a
-two-sensor difference whose observation blocks sum into the Fisher
-information (``bias_information``, as for the estimators); two-sensor
-scenarios also get the joint (stacked) bound over both sensors' parameters.
+sensor (the slot information sum of ``combine_slots``, as in ``fbe``'s
+leave-one-out references), reducing the problem to a two-sensor
+difference whose observation blocks sum into the Fisher information
+(``bias_information``, as for the estimators); two-sensor scenarios
+also get the joint (stacked) bound over both sensors' parameters.
 Every (epoch, target, sensor) block is built at once, so memory is
 O(epochs * targets * sensors * d^2) for bias dimension d.  Who reports at
 each epoch is a row of the scenario's reporting schedule.

@@ -2,9 +2,11 @@
 
 Four estimation methods are supported:
 
-* ``fbe``     -- per-sensor bias estimation against leave-one-out fused
-                 references built from reconstructed gains (any sensor
-                 count), the bias-free local stage once over all epochs.
+* ``fbe``     -- per-sensor bias estimation against a leave-one-out
+                 reference, the other sensors' combined equivalent
+                 measurement, with gains reconstructed from tracklets (any
+                 sensor count), the bias-free local stage once over all
+                 epochs.
 * ``ex``      -- stacked two-sensor estimator, one cumulative information
                  sum over frames, fed with the local trackers' true gains
                  (oracle path).
@@ -29,7 +31,7 @@ a table of them; every sensor is measured in one batched pass over
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -441,7 +443,7 @@ def _fuse_all_sensors(
     means[:, 0] = fused.mean
     slots = combine_slots(z, present)
     for e, k in enumerate(epochs):
-        fused = fused_update(fused, lag_models(k - fused.frame), slots[e]).state
+        fused = fused_update(fused, lag_models(k - fused.frame), slots[e])
         means[:, e + 1] = fused.mean
     sqerr = np.full(scenario.frames + 1, np.nan)
     sqerr[[0] + epochs] = _position_sqerr(means, truth.states[:, [0] + epochs])
@@ -450,14 +452,18 @@ def _fuse_all_sensors(
 
 def _run_fbe(scenario: Scenario, truth: TruthData, tracks: LocalTracks):
     """Fused bias estimation per sensor, then all-sensor fusion with the
-    corrected tracklets; one fusion-center lag cache serves both.
+    corrected tracklets; one fusion-center lag cache serves the local
+    stage's predictions and the fusion.
 
     No bias estimate enters the local stage, so it runs once over every
     epoch's reporting (sensor, target) pairs, in O(epochs x sensors x
-    targets) memory, and each epoch's bias step reads its slice.  The
-    all-sensor fusion reads the bias estimates but never feeds them: it
-    runs after the last epoch, on every epoch's tracklets corrected in one
-    call with that epoch's updated estimates.
+    targets) memory, and each epoch's bias step reads its slice.  That
+    step carries only the bias estimates from epoch to epoch: each
+    sensor's reference is the other sensors' combined measurement of the
+    epoch, and no track enters it.  The all-sensor fusion reads the bias
+    estimates but never feeds them: it runs after the last epoch, on
+    every epoch's tracklets corrected in one call with that epoch's
+    updated estimates.
     """
     K = scenario.frames
     n_s = len(scenario.sensors)
@@ -469,28 +475,17 @@ def _run_fbe(scenario: Scenario, truth: TruthData, tracks: LocalTracks):
     epochs, reporting, sensor, rows, *pairs = _epoch_pairs(scenario, tracks, lag_models)
     # The stage of the reporting rows on the (epoch, sensor, target) grid;
     # the predictions and reports are dropped once it is built.
-    local = replace(local_stage(*pairs, sensors[sensor])[rows], frame=epochs)
+    local = local_stage(*pairs, sensors[sensor])[rows]
     del pairs
     bias = _initial_bias_states(scenario)
-    # Each leave-one-out reference starts from the frame-0 estimate of the
-    # lowest-numbered other sensor.
-    ref = [min(i for i in range(n_s) if i != s) for s in range(n_s)]
-    fused = GaussianEstimate(mean=tracks.mean[ref, :, 0], cov=tracks.cov[ref, :, 0], frame=0)
 
     b_series = np.empty((K + 1, n_s, d))
     sigma_series = np.empty((K + 1, n_s, d, d))
     b_series[:], sigma_series[:] = bias.b, bias.Sigma
     live = np.zeros((len(epochs), n_s, n_t), dtype=bool)
     for e, k in enumerate(epochs.tolist()):
-        res = fbe_step(
-            np.broadcast_to(reporting[e, :, None], (n_s, n_t)),
-            local[e],
-            bias,
-            fused,
-            lag_models,
-            sensors,
-        )
-        bias, fused, live[e] = res.bias_states, res.fused, res.live
+        res = fbe_step(np.broadcast_to(reporting[e, :, None], (n_s, n_t)), local[e], bias, sensors)
+        bias, live[e] = res.bias_states, res.live
         # Estimates hold until the next epoch overwrites the later frames.
         b_series[k:], sigma_series[k:] = bias.b, bias.Sigma
 

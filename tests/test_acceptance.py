@@ -278,9 +278,9 @@ def test_a06_sequential_equals_batch():
         P_batch = np.linalg.inv(J)
         worst = max(
             worst,
-            np.abs(out.state.mean - x_batch).max()
+            np.abs(out.mean - x_batch).max()
             / max(np.abs(x_batch).max(), 1e-12),
-            np.abs(out.state.cov - P_batch).max() / np.abs(P_batch).max(),
+            np.abs(out.cov - P_batch).max() / np.abs(P_batch).max(),
         )
     ok = worst <= 1e-10
     _report("A06", ok, f"sequential vs batch worst rel err {worst:.2e} over 1e4 trials")

@@ -2,7 +2,7 @@
 
 The bound path shares its kernels with the estimators: each block's
 information comes from ``bias_information``, and the other sensors combine
-through ``slot_information``, the information sum of ``sfa``.
+through ``slot_information``, the information sum of ``combine_slots``.
 """
 
 import numpy as np

@@ -71,3 +71,34 @@ def test_readme_study_block_imports_its_names():
 
 def test_readme_batched_api_block_runs():
     assert _run(_readme_blocks()[2])["rec"].gain.shape == (5, 16, 4, 2)
+
+
+def _api_table_names() -> set:
+    """The functions and classes that the first column of the README's
+    ``| object | shape |`` table names: each code span's leading
+    identifier, save spans that open on a tuple or an attribute."""
+    text = (ROOT / "README.md").read_text()
+    table = text.split("| object | shape |\n", 1)[1].split("\n\n", 1)[0]
+    names = set()
+    for row in table.splitlines()[1:]:
+        first = row.split(" | ", 1)[0]
+        names.update(re.findall(r"`([A-Za-z_]\w*)", first))
+    return names
+
+
+def test_readme_api_table_names_resolve():
+    # Every function or class in the table is an attribute of a sensorreg
+    # module, so the table names nothing that was deleted or renamed.
+    import importlib
+    import pkgutil
+
+    import sensorreg
+
+    modules = [sensorreg] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(sensorreg.__path__, "sensorreg.")
+    ]
+    names = _api_table_names()
+    assert {"sfa", "fbe_step", "FbeResult", "GaussianEstimate"} <= names
+    missing = sorted(n for n in names if not any(hasattr(m, n) for m in modules))
+    assert missing == []

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import sensorreg.fusion as fusion
 from conftest import checked
-from sensorreg._linalg import inv_spd2_masked, mt, symmetrize
+from sensorreg._linalg import inv_spd2_masked, mt, mv, symmetrize
 from sensorreg.bias import (
     BiasEstimate,
     PseudoMeasurement,
@@ -33,6 +33,7 @@ from sensorreg.errors import NumericalError
 from sensorreg.fusion import (
     SensorModel,
     bias_correct,
+    combine_slots,
     fbe_step,
     local_stage,
     reconstruct_local_gain,
@@ -167,19 +168,20 @@ def test_sfa_single_measurement_equals_kalman_update():
     out = sfa(prev, ms, CartesianMeasurement(z=y[None], R=R[None]))
     ref = kf_predict(prev, model)
     ref, _ = kf_update(ref, CartesianMeasurement(z=y, R=R))
-    np.testing.assert_allclose(out.state.mean, ref.mean, rtol=1e-10)
-    np.testing.assert_allclose(out.state.cov, ref.cov, rtol=1e-10)
+    np.testing.assert_allclose(out.mean, ref.mean, rtol=1e-10)
+    np.testing.assert_allclose(out.cov, ref.cov, rtol=1e-10)
 
 
 def test_sfa_empty_measurements_is_pure_prediction():
     model = ncv_model(1.0, 0.2)
     ms = compose_steps(model, 3)
     prev = GaussianEstimate(mean=[1.0, 1.0, 1.0, 1.0], cov=np.eye(4), frame=0)
-    out = sfa(prev, ms, CartesianMeasurement(z=np.empty((0, 2)), R=np.empty((0, 2, 2))))
-    np.testing.assert_allclose(out.state.mean, ms.F @ prev.mean)
-    np.testing.assert_allclose(out.state.cov, ms.F @ np.eye(4) @ ms.F.T + ms.Q, rtol=1e-12)
-    assert out.state.frame == 3
-    assert out.sensors.shape == (0,)
+    none = CartesianMeasurement(z=np.empty((0, 2)), R=np.empty((0, 2, 2)))
+    out = sfa(prev, ms, none)
+    np.testing.assert_allclose(out.mean, ms.F @ prev.mean)
+    np.testing.assert_allclose(out.cov, ms.F @ np.eye(4) @ ms.F.T + ms.Q, rtol=1e-12)
+    assert out.frame == 3
+    assert combine_slots(none).used.shape == (0,)
 
 
 def test_sfa_equals_batch_update_any_order():
@@ -213,8 +215,8 @@ def test_sfa_equals_batch_update_any_order():
             rhs += H.T @ Ri @ y
         x_batch = np.linalg.solve(J, rhs)
         P_batch = np.linalg.inv(J)
-        np.testing.assert_allclose(out.state.mean, x_batch, rtol=1e-10, atol=1e-10)
-        np.testing.assert_allclose(out.state.cov, P_batch, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(out.mean, x_batch, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(out.cov, P_batch, rtol=1e-10, atol=1e-12)
 
 
 # Largest difference between sfa's single update and one update per
@@ -269,22 +271,62 @@ def test_sfa_matches_per_slot_updates():
         meas = _slots(list(zip(y, R)))
         out = sfa(prev, ms, meas, present)
         ref = _per_slot_sfa(prev, ms, meas, present)
-        assert out.sensors.tolist() == present.tolist()
-        assert out.state.frame == ref.frame
-        for got, want in ((out.state.mean, ref.mean), (out.state.cov, ref.cov)):
+        slots = combine_slots(meas, present)
+        assert slots.used.tolist() == present.tolist()
+        assert out.frame == ref.frame
+        for got, want in ((out.mean, ref.mean), (out.cov, ref.cov)):
             worst = max(worst, np.abs(got - want).max() / np.abs(want).max())
-        # An element without measurements keeps its prediction exactly.
+        # An element without measurements keeps its prediction exactly, and
+        # its combination holds the stand-in y = 0, R = I.
         none = ~present.any(axis=1)
-        np.testing.assert_array_equal(out.state.mean[none], ref.mean[none])
-        assert np.isnan(out.measurement.z[none]).all()
-        assert np.isnan(out.measurement.R[none]).all()
+        np.testing.assert_array_equal(out.mean[none], ref.mean[none])
+        np.testing.assert_array_equal(slots.live, ~none)
+        assert not slots.measurement.z[none].any()
+        np.testing.assert_array_equal(slots.measurement.R[none] - np.eye(2), 0.0)
     assert worst <= SFA_RTOL, worst
+
+
+def _former_combination(z, present):
+    """``(y_eq, R_eq, used, live)`` of combine_slots as first written: each
+    slot's R^-1 y formed on the broadcast grid of ``z`` and ``present``,
+    with the unused slots' informations zeroed by a multiply."""
+    info, ok = inv_spd2_masked(z.R)
+    used = ok & present
+    info = info * used[..., None, None]
+    info_y = mv(info, np.where(used[..., None], z.z, 0.0)).sum(axis=-2)
+    live = used.any(axis=-1)
+    R_eq, combined = inv_spd2_masked(info.sum(axis=-3), live)
+    info_y[live & ~combined] = 0.0
+    return mv(R_eq, info_y), symmetrize(R_eq), used, live
+
+
+def test_slot_combination_forms_each_product_once_bit_for_bit():
+    # combine_slots forms each slot's R^-1 y once, on the batch axes of z,
+    # and masks it: on fbe's leave-one-out grid (z (1, T, S) as a strided
+    # view, present (S, T, S)), with slots whose covariance fails or whose
+    # unused measurement is NaN, it equals the broadcast-grid formula bit
+    # for bit.
+    rng = np.random.default_rng(33)
+    for _ in range(200):
+        n_s, n_t = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+        B = rng.standard_normal((n_s, n_t, 2, 2)) * 10.0 ** rng.uniform(0.5, 3.0, (n_s, n_t, 1, 1))
+        R = B @ mt(B) + np.eye(2)
+        y = rng.standard_normal((n_s, n_t, 2)) * 1e4
+        live = rng.random((n_s, n_t)) < 0.8
+        R[rng.random((n_s, n_t)) < 0.1] = np.diag([1.0, -1.0])
+        y[~live & (rng.random((n_s, n_t)) < 0.5)] = np.nan
+        ref = live & (rng.random((n_s, n_t)) < 0.9)
+        present = ref[:, :, None] & live.T[None] & ~np.eye(n_s, dtype=bool)[:, None]
+        z = CartesianMeasurement(y.swapaxes(0, 1)[None], R.swapaxes(0, 1)[None])
+        slots = combine_slots(z, present)
+        got = slots.measurement.z, slots.measurement.R, slots.used, slots.live
+        for a, b in zip(got, _former_combination(z, present)):
+            assert np.array_equal(a, b)
 
 
 def _small_fbe_inputs(bias0=(25.0, 2e-3), nonreporting=False):
     """Two targets, three sensors; sensor 0 biased, others clean.  Report
-    pairs, bias states and leave-one-out references are arrays over
-    (sensor, target)."""
+    pairs and bias states are arrays over (sensor, target)."""
     rng = np.random.default_rng(11)
     model = ncv_model(1.0, 0.5)
     positions = [(0.0, 0.0), (15000.0, 0.0), (0.0, 15000.0)]
@@ -336,25 +378,24 @@ def _small_fbe_inputs(bias0=(25.0, 2e-3), nonreporting=False):
     bias_states = BiasEstimate(
         b=np.zeros((3, 2)), Sigma=np.tile(np.diag([400.0, 1e-6]), (3, 1, 1))
     )
-    # Each reference starts from the lowest-numbered other sensor's snapshot.
-    ref = [min(r for r in range(3) if r != s) for s in range(3)]
-    fused_prev = stack(prev[ref])
-    return (stack(prev), stack(curr), reported), bias_states, fused_prev, LagModels(model), sensors
+    return (stack(prev), stack(curr), reported), bias_states, LagModels(model), sensors
 
 
-def _fbe_step(prev, curr, reported, bias_states, fused_prev, lag_models, sensors):
+def _fbe_step(prev, curr, reported, bias_states, lag_models, sensors):
     """:func:`fbe_step` on the local stage of the report pairs ``(prev,
     curr)``, each predicted over its own lag."""
     lags = np.broadcast_to(curr.frame - prev.frame, reported.shape)
     local = local_stage(kf_predict(prev, lag_models(lags)), curr, sensors)
-    return fbe_step(reported, local, bias_states, fused_prev, lag_models, sensors)
+    return fbe_step(reported, local, bias_states, sensors)
 
 
 def test_fbe_step_fused_side_is_the_deconvolved_reference_update(monkeypatch):
-    # The reference side of each bias pseudo-measurement is sfa's equivalent
-    # measurement.  It must agree with deconvolving a per-slot fused update
-    # by the gain of the combined information of the corrected
-    # measurements, which equals it in exact arithmetic.
+    # The reference side of each bias pseudo-measurement is the other
+    # sensors' combined measurement.  It must agree with deconvolving a
+    # per-slot update of a leave-one-out fused track (here each started from
+    # the lowest-numbered other sensor's snapshot) by the gain of the
+    # combined information of the corrected measurements, which equals it
+    # in exact arithmetic whatever the track.
     import sensorreg.fusion as fusion
 
     seen = []
@@ -364,9 +405,10 @@ def test_fbe_step_fused_side_is_the_deconvolved_reference_update(monkeypatch):
         return difference_pseudo_measurement(z1, z2, jac, R1, R2, offset_only)
 
     monkeypatch.setattr(fusion, "difference_pseudo_measurement", difference)
-    (prev, curr, reported), bias_states, fused_prev, lag_models, sensors = _small_fbe_inputs()
-    _fbe_step(prev, curr, reported, bias_states, fused_prev, lag_models, sensors)
+    (prev, curr, reported), bias_states, lag_models, sensors = _small_fbe_inputs()
+    _fbe_step(prev, curr, reported, bias_states, lag_models, sensors)
     [(z, R)] = seen
+    fused_prev = prev[[min(r for r in range(3) if r != s) for s in range(3)]]
 
     t = checked(compute_tracklet(kf_predict(prev, lag_models(curr.frame - prev.frame)), curr))
     geo = sensors[:, None]
@@ -398,8 +440,8 @@ def test_fbe_step_fused_side_is_the_deconvolved_reference_update(monkeypatch):
 
 
 def test_fbe_step_moves_biased_sensor_estimate():
-    tracks, bias_states, fused_prev, lag_models, sensors = _small_fbe_inputs()
-    res = _fbe_step(*tracks, bias_states, fused_prev, lag_models, sensors)
+    tracks, bias_states, lag_models, sensors = _small_fbe_inputs()
+    res = _fbe_step(*tracks, bias_states, lag_models, sensors)
     # The biased sensor's range estimate moves decisively toward the truth.
     assert res.bias_states.b[0, 0] > 5.0
     # Clean sensors stay within a few sigma of zero.
@@ -408,8 +450,8 @@ def test_fbe_step_moves_biased_sensor_estimate():
 
 
 def test_fbe_step_leave_one_out_structure():
-    tracks, bias_states, fused_prev, lag_models, sensors = _small_fbe_inputs()
-    res = _fbe_step(*tracks, bias_states, fused_prev, lag_models, sensors)
+    tracks, bias_states, lag_models, sensors = _small_fbe_inputs()
+    res = _fbe_step(*tracks, bias_states, lag_models, sensors)
     n_s, n_t = tracks[2].shape
     for s in range(n_s):
         for tgt in range(n_t):
@@ -418,17 +460,17 @@ def test_fbe_step_leave_one_out_structure():
 
 
 def test_fbe_step_skips_frame_with_single_reporter():
-    (prev, curr, reported), bias_states, fused_prev, lag_models, sensors = _small_fbe_inputs()
+    (prev, curr, reported), bias_states, lag_models, sensors = _small_fbe_inputs()
     only = np.zeros_like(reported)
     only[0] = True
-    res = _fbe_step(prev, curr, only, bias_states, fused_prev, lag_models, sensors)
+    res = _fbe_step(prev, curr, only, bias_states, lag_models, sensors)
     for s in range(3):
         np.testing.assert_allclose(res.bias_states.b[s], bias_states.b[s])
 
 
 def test_fbe_step_nonreporting_sensor_carried_forward():
-    tracks, bias_states, fused_prev, lag_models, sensors = _small_fbe_inputs(nonreporting=True)
-    res = _fbe_step(*tracks, bias_states, fused_prev, lag_models, sensors)
+    tracks, bias_states, lag_models, sensors = _small_fbe_inputs(nonreporting=True)
+    res = _fbe_step(*tracks, bias_states, lag_models, sensors)
     np.testing.assert_allclose(res.bias_states.b[2], bias_states.b[2])
     np.testing.assert_allclose(res.bias_states.Sigma[2], bias_states.Sigma[2])
     assert res.bias_states.b[0, 0] > 5.0
@@ -445,7 +487,7 @@ def test_fbe_step_never_reads_a_nonreporting_sensors_current_estimate():
     curr.mean[~reported], curr.cov[~reported] = np.nan, np.nan
     res = _fbe_step(prev, curr, reported, *rest)
     assert res.skipped == clean.skipped
-    for name in ("live", "used", "bias_states.b", "bias_states.Sigma", "fused.mean", "fused.cov"):
+    for name in ("live", "used", "bias_states.b", "bias_states.Sigma"):
         obj, want = res, clean
         for part in name.split("."):
             obj, want = getattr(obj, part), getattr(want, part)
@@ -456,15 +498,14 @@ def test_fbe_step_corrections_use_frame_start_estimates():
     # Presenting the sensors in reverse order must not change any sensor's
     # result, since corrections snapshot the bias estimates at the start of
     # the frame.
-    (prev, curr, reported), bias_states, fused_prev, lag_models, sensors = _small_fbe_inputs()
-    res1 = _fbe_step(prev, curr, reported, bias_states, fused_prev, lag_models, sensors)
+    (prev, curr, reported), bias_states, lag_models, sensors = _small_fbe_inputs()
+    res1 = _fbe_step(prev, curr, reported, bias_states, lag_models, sensors)
     rev = slice(None, None, -1)
     res2 = _fbe_step(
         prev[rev],
         curr[rev],
         reported[rev],
         bias_states[rev],
-        fused_prev[rev],
         lag_models,
         sensors[rev],
     )
@@ -480,26 +521,23 @@ def test_fbe_step_skips_only_the_degenerate_pair():
     # position-marginal tracklet fails, while the other pairs take the
     # inverse-filter form; the result must be that of the same frame
     # without that pair.
-    (prev, curr, reported), bias_states, fused_prev, lag_models, sensors = _small_fbe_inputs()
+    (prev, curr, reported), bias_states, lag_models, sensors = _small_fbe_inputs()
     ms = lag_models(curr.frame - prev.frame)
     curr.mean[1, 0] = ms.F @ prev.mean[1, 0]
     curr.cov[1, 0] = ms.F @ prev.cov[1, 0] @ ms.F.T + ms.Q
-    res = _fbe_step(prev, curr, reported, bias_states, fused_prev, lag_models, sensors)
+    res = _fbe_step(prev, curr, reported, bias_states, lag_models, sensors)
     assert res.skipped == [(1, 0, "position information difference not positive definite")]
 
     without = reported.copy()
     without[1, 0] = False
-    ref = _fbe_step(prev, curr, without, bias_states, fused_prev, lag_models, sensors)
+    ref = _fbe_step(prev, curr, without, bias_states, lag_models, sensors)
     assert ref.skipped == []
     np.testing.assert_array_equal(res.live, without)
     np.testing.assert_array_equal(res.live, ref.live)
     np.testing.assert_array_equal(res.used, ref.used)
-    np.testing.assert_array_equal(res.fused.frame, ref.fused.frame)
     for got, want in [
         (res.bias_states.b, ref.bias_states.b),
         (res.bias_states.Sigma, ref.bias_states.Sigma),
-        (res.fused.mean, ref.fused.mean),
-        (res.fused.cov, ref.fused.cov),
     ]:
         np.testing.assert_allclose(got, want, rtol=1e-12)
     # The leave-one-out references of target 0 lost sensor 1.
@@ -512,19 +550,18 @@ def test_fbe_step_skips_a_pair_whose_tracklet_position_covariance_fails():
     # inverse-filter form, whose position covariance is negative definite:
     # the gain check must skip it, since that form no longer inverts the
     # tracklet covariance itself.
-    (prev, curr, reported), bias_states, fused_prev, lag_models, sensors = _small_fbe_inputs()
+    (prev, curr, reported), bias_states, lag_models, sensors = _small_fbe_inputs()
     ms = lag_models(curr.frame - prev.frame)
     curr.cov[2, 1] = -(ms.F @ prev.cov[2, 1] @ ms.F.T + ms.Q)
     full, _ = tracklet_inverse_kf(kf_predict(prev[2, 1], ms), curr[2, 1])
     assert np.linalg.eigvalsh(full.U[::2, ::2]).max() < 0
-    res = _fbe_step(prev, curr, reported, bias_states, fused_prev, lag_models, sensors)
+    res = _fbe_step(prev, curr, reported, bias_states, lag_models, sensors)
     assert res.skipped == [(2, 1, "tracklet position covariance not positive definite")]
     without = reported.copy()
     without[2, 1] = False
-    ref = _fbe_step(prev, curr, without, bias_states, fused_prev, lag_models, sensors)
+    ref = _fbe_step(prev, curr, without, bias_states, lag_models, sensors)
     np.testing.assert_array_equal(res.live, without)
     np.testing.assert_array_equal(res.bias_states.b, ref.bias_states.b)
-    np.testing.assert_array_equal(res.fused.mean, ref.fused.mean)
 
 
 def _first_fault_alone(prev, curr, model, bias, sensor):
@@ -585,7 +622,7 @@ def test_fbe_step_skips_each_pair_at_its_own_first_fault(kinds, scale_fails):
     # pairs alone.  Pairs are numbered sensor-major; a sensor with a scale
     # bias below -1 fails the bias correction of each of its pairs, in
     # either form.
-    (prev, curr, reported), _, fused_prev, lag_models, sensors = _small_fbe_inputs()
+    (prev, curr, reported), _, lag_models, sensors = _small_fbe_inputs()
     # Every pair spans the same lag, so one shared model serves each alone.
     ms = lag_models(curr.frame - prev.frame)
     for (s, t), kind in zip(np.ndindex(3, 2), kinds):
@@ -603,14 +640,14 @@ def test_fbe_step_skips_each_pair_at_its_own_first_fault(kinds, scale_fails):
     live = reported.copy()
     for _, pair, _ in failing:
         live[pair] = False
-    res = _fbe_outcome(prev, curr, reported, bias_states, fused_prev, lag_models, sensors)
-    ref = _fbe_outcome(prev, curr, live, bias_states, fused_prev, lag_models, sensors)
+    res = _fbe_outcome(prev, curr, reported, bias_states, lag_models, sensors)
+    ref = _fbe_outcome(prev, curr, live, bias_states, lag_models, sensors)
     if isinstance(ref, tuple) or isinstance(res, tuple):
         assert res == ref
         return
     assert res.skipped == [(int(s), int(t), reason) for _, (s, t), reason in failing]
     np.testing.assert_array_equal(res.live, live)
-    for name in ("used", "bias_states.b", "bias_states.Sigma", "fused.mean", "fused.cov"):
+    for name in ("used", "bias_states.b", "bias_states.Sigma"):
         obj, want = res, ref
         for part in name.split("."):
             obj, want = getattr(obj, part), getattr(want, part)
@@ -649,7 +686,6 @@ def test_fbe_step_drops_only_the_bad_pseudo_measurement(monkeypatch):
     assert not np.allclose(res.bias_states.b[0], clean.bias_states.b[0])
     np.testing.assert_array_equal(res.bias_states.b[1:], clean.bias_states.b[1:])
     np.testing.assert_array_equal(res.bias_states.Sigma[1:], clean.bias_states.Sigma[1:])
-    np.testing.assert_array_equal(res.fused.mean, clean.fused.mean)
     np.testing.assert_array_equal(res.used, clean.used)
 
 
@@ -726,25 +762,27 @@ def test_batched_sfa_skips_only_the_singular_element(caplog):
     # covariance exactly: its covariance is not positive definite.
     P1 = ms.F @ prev.cov[1] @ ms.F.T + ms.Q
     R[0, 1] = -0.5 * (P1 + P1.T)[::2, ::2]
+    z = _slots([(y[0], R[0]), (y[1], R[1])])
     with caplog.at_level(logging.WARNING, logger="sensorreg.fusion"):
-        out = sfa(prev, ms, _slots([(y[0], R[0]), (y[1], R[1])]))
+        out = sfa(prev, ms, z)
     records = [r.getMessage() for r in caplog.records if r.name == "sensorreg.fusion"]
     assert records == [
         "skipping measurement 0 at batch index [1]: covariance not positive definite"
     ]
-    assert out.sensors.tolist() == [[True, True], [False, True], [True, True]]
+    assert combine_slots(z).used.tolist() == [[True, True], [False, True], [True, True]]
     for i in range(n):
         one = GaussianEstimate(prev.mean[i], prev.cov[i], frame=0)
         meas = [(y[1, i], R[1, i])] if i == 1 else [(y[0, i], R[0, i]), (y[1, i], R[1, i])]
         ref = sfa(one, ms, _slots(meas))
-        np.testing.assert_allclose(out.state.mean[i], ref.state.mean, rtol=1e-12)
-        np.testing.assert_allclose(out.state.cov[i], ref.state.cov, rtol=1e-12)
-        assert out.state.frame == ref.state.frame == 2
+        np.testing.assert_allclose(out.mean[i], ref.mean, rtol=1e-12)
+        np.testing.assert_allclose(out.cov[i], ref.cov, rtol=1e-12)
+        assert out.frame == ref.frame == 2
 
 
 def test_batched_sfa_keeps_the_prediction_of_a_failed_update(caplog):
     # Element 1's prior covariance is NaN, so its one update fails: it keeps
-    # its prediction and folds nothing, and the other elements are unchanged.
+    # its prediction, though its slots combine as every element's do, and
+    # the other elements are unchanged.
     ms = compose_steps(ncv_model(1.0, 0.2), 1)
     cov = np.tile(np.diag([50.0, 5.0, 50.0, 5.0]), (3, 1, 1))
     cov[1, 0, 0] = np.nan
@@ -757,13 +795,13 @@ def test_batched_sfa_keeps_the_prediction_of_a_failed_update(caplog):
         "skipping the fused update at batch index [1]: "
         "innovation covariance is singular (cond ~ inf)"
     ]
-    assert out.sensors.tolist() == [[True, True], [False, False], [True, True]]
+    slots = combine_slots(meas)
+    assert slots.used.all() and slots.live.all()
     pred = kf_predict(prev, ms)
-    np.testing.assert_array_equal(out.state.mean[1], pred.mean[1])
-    np.testing.assert_array_equal(out.state.cov[1], pred.cov[1])
-    assert np.isnan(out.measurement.z[1]).all()
+    np.testing.assert_array_equal(out.mean[1], pred.mean[1])
+    np.testing.assert_array_equal(out.cov[1], pred.cov[1])
     ref = _per_slot_sfa(prev, ms, meas, [[True, True], [False, False], [True, True]])
-    for got, want in ((out.state.mean, ref.mean), (out.state.cov, ref.cov)):
+    for got, want in ((out.mean, ref.mean), (out.cov, ref.cov)):
         atol = SFA_RTOL * np.abs(want[[0, 2]]).max()
         np.testing.assert_allclose(got[[0, 2]], want[[0, 2]], rtol=0, atol=atol)
 
@@ -809,11 +847,12 @@ _SLOT_KINDS = ("ok", "absent", "indefinite")
 )
 @settings(max_examples=60, deadline=None)
 def test_batched_sfa_equals_batch_free_calls(slots, nan_prior, grid, seed):
-    # One batched sfa call equals a loop of batch-free calls bit for bit:
-    # an element with no usable slot, or whose update fails on a NaN prior,
-    # keeps its prediction through a mask.  The batched call logs every
-    # dropped measurement first, then every failed update, each in element
-    # order, with the element's batch index.
+    # One batched sfa call equals a loop of batch-free calls bit for bit,
+    # and so does its combine_slots: an element with no usable slot, or
+    # whose update fails on a NaN prior, keeps its prediction through a
+    # mask.  The batched call logs every dropped measurement first, then
+    # every failed update, each in element order, with the element's batch
+    # index.
     rng = np.random.default_rng(seed)
     kinds = np.array(slots, dtype=object).reshape(len(slots), -1)
     n, m = kinds.shape
@@ -833,6 +872,7 @@ def test_batched_sfa_equals_batch_free_calls(slots, nan_prior, grid, seed):
     present = kinds != "absent"
     with _Warnings() as got:
         out = sfa(state, lag_models(lags), CartesianMeasurement(y, R), present)
+    slots = combine_slots(CartesianMeasurement(y, R), present)
 
     dropped, failed = [], []
     for index in np.ndindex(shape):
@@ -847,22 +887,23 @@ def test_batched_sfa_equals_batch_free_calls(slots, nan_prior, grid, seed):
             where = f" at batch index {list(index)}:"
             to = dropped if message.startswith("skipping measurement") else failed
             to.append(message.replace(":", where, 1))
+        one_slots = combine_slots(CartesianMeasurement(y[index], R[index]), present[index])
         for got_part, want in (
-            (out.state.mean, one.state.mean),
-            (out.state.cov, one.state.cov),
-            (out.sensors, one.sensors),
-            (out.measurement.z, one.measurement.z),
-            (out.measurement.R, one.measurement.R),
+            (out.mean, one.mean),
+            (out.cov, one.cov),
+            (slots.used, one_slots.used),
+            (slots.measurement.z, one_slots.measurement.z),
+            (slots.measurement.R, one_slots.measurement.R),
         ):
             np.testing.assert_array_equal(got_part[index], want)
-        assert np.broadcast_to(out.state.frame, shape)[index] == one.state.frame
+        assert np.broadcast_to(out.frame, shape)[index] == one.frame
     assert got == dropped + failed
 
 
 def test_batched_fusion_formulas_match_batch_free_calls():
     # One batched call of each fusion-center formula equals a loop of
     # batch-free calls, bit for bit.
-    (prev, curr, _), _, _, lag_models, sensors = _small_fbe_inputs()
+    (prev, curr, _), _, lag_models, sensors = _small_fbe_inputs()
     ms = lag_models(curr.frame - prev.frame)
     pred = kf_predict(prev, ms)
     t = checked(compute_tracklet(pred, curr))
@@ -924,10 +965,10 @@ def test_fbe_step_skips_the_pair_of_a_reference_failure(monkeypatch):
         return real_fold(est, pm)
 
     monkeypatch.setattr(fusion, "rlsb_update", recording)
-    tracks, bias_states, fused_prev, lag_models, sensors = _small_fbe_inputs()
-    full = _fbe_step(*tracks, bias_states, fused_prev, lag_models, sensors)
+    tracks, bias_states, lag_models, sensors = _small_fbe_inputs()
+    full = _fbe_step(*tracks, bias_states, lag_models, sensors)
     monkeypatch.setattr(fusion, "sensor_pseudo_obs", rank_deficient)
-    res = _fbe_step(*tracks, bias_states, fused_prev, lag_models, sensors)
+    res = _fbe_step(*tracks, bias_states, lag_models, sensors)
     assert full.skipped == []
     assert res.skipped == [(1, 0, reason), (2, 0, reason)]
     before, after = folded
@@ -939,4 +980,53 @@ def test_fbe_step_skips_the_pair_of_a_reference_failure(monkeypatch):
     assert not after.z[~keep].any() and not after.H[~keep].any()
     np.testing.assert_array_equal(after.R[~keep], np.broadcast_to(np.eye(2), (2, 2, 2)))
     np.testing.assert_array_equal(res.bias_states.b[0], full.bias_states.b[0])
-    np.testing.assert_array_equal(res.fused.mean, full.fused.mean)
+
+
+@pytest.mark.parametrize(
+    "R, reason",
+    [
+        # Sensor 0's slot is dropped, so sensor 1's reference has none.
+        (np.full((2, 2), np.nan), "no usable reference slot"),
+        # The slot passes, but its information's determinant overflows.
+        (1e-155 * np.eye(2), "combined measurement information is singular (cond ~ 1.000e+00)"),
+    ],
+    ids=["nan", "overflowing_information"],
+)
+def test_fbe_step_records_a_reference_failure_under_its_own_reason(monkeypatch, R, reason):
+    # Target 0 has two reporters, sensors 0 and 1, and sensor 0's corrected
+    # covariance of it is R: sensor 1's pair is skipped under the reason of
+    # its reference, ahead of the pseudo-measurement checks, and folds the
+    # padding, never the stand-in reference y = 0, R = I.  Sensor 0's pair,
+    # whose reference is sensor 1's measurement, folds as before.
+    import sensorreg.fusion as fusion
+
+    real_correct, real_fold = fusion.bias_correct, fusion.rlsb_update
+    folded = []
+
+    def corrupted(*args, **kwargs):
+        c, faults = real_correct(*args, **kwargs)
+        c.R[0, 0] = R
+        return c, faults
+
+    def recording(est, pm):
+        folded.append(pm)
+        return real_fold(est, pm)
+
+    tracks, bias_states, lag_models, sensors = _small_fbe_inputs()
+    tracks[2][2, 0] = False
+    monkeypatch.setattr(fusion, "rlsb_update", recording)
+    clean = _fbe_step(*tracks, bias_states, lag_models, sensors)
+    monkeypatch.setattr(fusion, "bias_correct", corrupted)
+    with np.errstate(over="ignore"):
+        res = _fbe_step(*tracks, bias_states, lag_models, sensors)
+    assert clean.skipped == []
+    assert res.skipped == [(1, 0, reason)]
+    before, after = folded
+    assert not after.z[1, 0].any() and not after.H[1, 0].any()
+    np.testing.assert_array_equal(after.R[1, 0], np.eye(2))
+    keep = np.ones((3, 2), dtype=bool)
+    keep[1, 0] = False
+    for a, b in ((before.z, after.z), (before.H, after.H), (before.R, after.R)):
+        np.testing.assert_array_equal(b[keep], a[keep])
+    np.testing.assert_array_equal(res.bias_states.b[0], clean.bias_states.b[0])
+    np.testing.assert_array_equal(res.live, clean.live)

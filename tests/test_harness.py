@@ -1236,10 +1236,11 @@ def test_fusion_center_runs_once_per_epoch(monkeypatch):
     # The fusion-center formulas take batch axes.  No bias estimate enters
     # the local stage, so an fbe run calls its formulas once over every
     # epoch's (sensor, target) pairs; the bias stage calls each of its own
-    # once per epoch (sfa for the leave-one-out references), bias_correct
-    # corrects every epoch's fused-pass tracklets in one more call, and
-    # the all-sensor fusion combines every epoch's slots in one call, then
-    # makes one fused update per epoch.  Each lag is composed once per run.
+    # once per epoch (combine_slots for the leave-one-out references, and
+    # no sfa), bias_correct corrects every epoch's fused-pass tracklets in
+    # one more call, and the all-sensor fusion combines every epoch's slots
+    # in one call, then makes one fused update per epoch.  Each lag is
+    # composed once per run.
     import sensorreg.dynamics as dynamics
     import sensorreg.fusion as fusion
     import sensorreg.harness.simulate as sim
@@ -1249,6 +1250,7 @@ def test_fusion_center_runs_once_per_epoch(monkeypatch):
         "reconstruct_local_gain",
         "bias_correct",
         "sfa",
+        "combine_slots",
         "sensor_pseudo_obs",
         "rlsb_update",
     )
@@ -1266,10 +1268,11 @@ def test_fusion_center_runs_once_per_epoch(monkeypatch):
         "compute_tracklet": 1,
         "reconstruct_local_gain": 1,
         "bias_correct": epochs + 1,
-        "sfa": epochs,
+        "combine_slots": epochs + 1,
         "sensor_pseudo_obs": 1,
         "rlsb_update": epochs,
     }
+    assert "sfa" not in counts
     assert fused_pass == {"combine_slots": 1, "fused_update": epochs}
     assert lags and sorted(lags) == sorted(set(lags))
 
@@ -1307,15 +1310,8 @@ def test_failing_pairs_cost_one_pass_per_reason(monkeypatch, local_filter):
             for (s, t), cov in zip(survivor, kept):
                 tracks.cov[s, t, k] = cov
 
-    step = sim.fbe_step
-
-    def fbe_step(*args):
-        res = step(*args)
-        skipped[args[1].frame] = res.skipped
-        return res
-
     monkeypatch.setattr(sim, "run_local_tracks", _edited_tracks(lost))
-    monkeypatch.setattr(sim, "fbe_step", fbe_step)
+    _record_fbe_steps(monkeypatch, sc, lambda k, res: skipped.__setitem__(k, res.skipped))
     sim.run_single(sc, 0, "fbe")
     epochs = sc.update_epochs()
     assert sorted(skipped) == epochs
@@ -1332,6 +1328,21 @@ def test_failing_pairs_cost_one_pass_per_reason(monkeypatch, local_filter):
         "rlsb_update": len(epochs),
     }
     assert sum(map(len, skipped.values())) == 480 - len(survivor)
+
+
+def _record_fbe_steps(monkeypatch, sc, record):
+    """Patch ``fbe_step`` to call ``record(k, res)`` on each result ``res``,
+    with ``k`` its update epoch: one call per epoch of ``sc``, in order."""
+    import sensorreg.harness.simulate as sim
+
+    step, epochs = sim.fbe_step, iter(sc.update_epochs())
+
+    def fbe_step(*args):
+        res = step(*args)
+        record(next(epochs), res)
+        return res
+
+    monkeypatch.setattr(sim, "fbe_step", fbe_step)
 
 
 def _edited_tracks(edit):
@@ -1370,18 +1381,15 @@ def test_fused_pass_bias_correction_names_the_pair(monkeypatch):
     # names the first failing pair by sensor, target and frame.
     import sensorreg.harness.simulate as sim
 
-    step = sim.fbe_step
-
-    def fbe_step(*args):
-        res = step(*args)
-        if args[1].frame == 20:
+    def record(k, res):
+        if k == 20:
             res.bias_states.b[2, 0] = 1e9
-        return res
 
-    monkeypatch.setattr(sim, "fbe_step", fbe_step)
+    sc = load_scenario("five_sensor_offset")
+    _record_fbe_steps(monkeypatch, sc, record)
     reason = "run 0: sensor 2, target 0, frame 20: corrected range non-positive"
     with pytest.raises(NumericalError, match=rf"^{reason} \(-[\d.]+ m\)$"):
-        sim.run_single(load_scenario("five_sensor_offset"), 0, "fbe")
+        sim.run_single(sc, 0, "fbe")
 
 
 def test_baseline_names_the_earliest_failing_frame(monkeypatch):
@@ -1443,7 +1451,7 @@ def _per_epoch_fusion(sc, truth, tracks, method):
     from sensorreg.errors import raise_first
     from sensorreg.fusion import bias_correct, fbe_step, local_stage, sfa
     from sensorreg.fusion import reconstruct_local_gain
-    from sensorreg.trackers import GaussianEstimate, kf_predict
+    from sensorreg.trackers import kf_predict
     from sensorreg.tracklets import compute_tracklet
 
     n_s, n_t = len(sc.sensors), len(sc.targets)
@@ -1452,8 +1460,6 @@ def _per_epoch_fusion(sc, truth, tracks, method):
     geo = sensors[:, None]
     schedule = sc.reporting_schedule()
     bias = sim._initial_bias_states(sc)
-    ref = [min(i for i in range(n_s) if i != s) for s in range(n_s)]
-    fused = GaussianEstimate(mean=tracks.mean[ref, :, 0], cov=tracks.cov[ref, :, 0], frame=0)
     b_series = np.empty((sc.frames + 1,) + bias.b.shape)
     sigma_series = np.empty((sc.frames + 1,) + bias.Sigma.shape)
     b_series[:], sigma_series[:] = bias.b, bias.Sigma
@@ -1468,8 +1474,8 @@ def _per_epoch_fusion(sc, truth, tracks, method):
         reported = np.broadcast_to(schedule[k][:, None], (n_s, n_t))
         if method == "fbe":
             local = local_stage(pred, curr, sensors)
-            res = fbe_step(reported, local, bias, fused, lag_models, sensors)
-            bias, fused, present = res.bias_states, res.fused, res.live
+            res = fbe_step(reported, local, bias, sensors)
+            bias, present = res.bias_states, res.live
             b_series[k:], sigma_series[k:] = bias.b, bias.Sigma
             z, faults = bias_correct(
                 local.tracklets, bias[:, None], (geo.sigma_r, geo.sigma_theta), origin=geo.position
@@ -1480,7 +1486,7 @@ def _per_epoch_fusion(sc, truth, tracks, method):
             z, faults, present = CartesianMeasurement(t.u, g.R), faults + gain_faults, reported
         raise_first((reason, failed & present) for reason, failed in faults)
         z = CartesianMeasurement(z.z.swapaxes(0, 1), z.R.swapaxes(0, 1))
-        track = sfa(track, lag_models(k - track.frame), z, present.T).state
+        track = sfa(track, lag_models(k - track.frame), z, present.T)
         last[schedule[k]] = k
         sqerr[k] = sim._position_sqerr(track.mean, truth.states[:, k])
     if method == "fbe":
@@ -1530,6 +1536,127 @@ def test_run_level_fusion_center_equals_the_per_epoch_passes(make, method):
                 assert np.array_equal(got, want, equal_nan=True)
 
 
+def _former_fbe_step(reported, local, frame, bias_states, fused_prev, lag_models, sensors):
+    """One epoch of fbe as it was when it kept leave-one-out fused tracks:
+    each reference pair's track ``fused_prev`` (S, T) is predicted to
+    ``frame`` and updated with the other sensors' corrected measurements,
+    and the equivalent measurement of that update, NaN where the update
+    was skipped, is the reference side of its pseudo-measurement.  Returns
+    the updated bias estimates and tracks, the live pairs and the skip
+    records."""
+    from sensorreg._linalg import det_spd2, singular
+    from sensorreg.bias import (
+        BiasEstimate,
+        PseudoMeasurement,
+        difference_pseudo_measurement,
+        pseudo_measurement_faults,
+        rlsb_update,
+    )
+    from sensorreg.coords import CartesianMeasurement
+    from sensorreg.errors import first_faults
+    from sensorreg.fusion import bias_correct, combine_slots, fused_update
+    from sensorreg.trackers import GaussianEstimate, kf_predict
+
+    n_s, n_t = reported.shape
+    bias = BiasEstimate(b=bias_states.b.copy(), Sigma=bias_states.Sigma.copy())
+    fused = GaussianEstimate(
+        fused_prev.mean, fused_prev.cov, np.array(np.broadcast_to(fused_prev.frame, (n_s, n_t)))
+    )
+    if np.count_nonzero(reported.any(axis=1)) < 2:
+        return bias, fused, np.zeros((n_s, n_t), dtype=bool), []
+    geo = sensors[:, None]
+    corrected, bias_faults = bias_correct(
+        local.tracklets, bias_states[:, None], (geo.sigma_r, geo.sigma_theta), origin=geo.position
+    )
+    found, live = first_faults(local.faults + bias_faults, np.array(reported))
+    skipped = [(int(s), int(t), reason) for (s, t), reason in found]
+    ref = live & (live.sum(axis=0) >= 2)
+    present = ref[:, :, None] & live.T[None] & ~np.eye(n_s, dtype=bool)[:, None]
+    model = lag_models(np.where(ref, frame - fused.frame, 1))
+    slots = combine_slots(
+        CartesianMeasurement(corrected.z.swapaxes(0, 1)[None], corrected.R.swapaxes(0, 1)[None]),
+        present,
+    )
+    new = fused_update(fused, model, slots)
+    # The updates that the former fused_update skipped, and their NaN
+    # equivalent measurements.
+    pred = kf_predict(fused, model)
+    S = pred.cov[..., ::2, ::2] + slots.measurement.R
+    _, ok = det_spd2(S)
+    _, updated = first_faults(
+        slots.faults + [singular("innovation covariance", S, slots.live & ~ok)], slots.live
+    )
+    z_ref = np.where(updated[..., None], slots.measurement.z, np.nan)
+    R_ref = np.where(updated[..., None, None], slots.measurement.R, np.nan)
+    pm = difference_pseudo_measurement(
+        z_ref, local.z, local.jac, R_ref, local.R, offset_only=(bias_states.dim == 2)
+    )
+    fused = GaussianEstimate(
+        np.where(ref[..., None], new.mean, fused.mean),
+        np.where(ref[..., None, None], new.cov, fused.cov),
+        frame=np.where(ref, new.frame, fused.frame),
+    )
+    found, usable = first_faults(local.gram_faults + pseudo_measurement_faults(pm), ref)
+    skipped += [(int(s), int(t), reason) for (s, t), reason in found]
+    z = np.where(usable[..., None], pm.z, 0.0)
+    H = np.where(usable[..., None, None], pm.H, 0.0)
+    R = np.where(usable[..., None, None], pm.R, np.eye(2))
+    est, fold_faults = rlsb_update(bias, PseudoMeasurement(z, H, R))
+    found, folded = first_faults(fold_faults, usable.any(axis=1))
+    skipped += [(int(s), None, reason) for (s,), reason in found]
+    bias.b[folded], bias.Sigma[folded] = est.b[folded], est.Sigma[folded]
+    return bias, fused, live, skipped
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: load_scenario("five_sensor_offset_scale"), _a08_imm, _mixed_lags],
+    ids=["five_sensor_offset_scale", "a08_imm", "lags_1_10_5_10_2"],
+)
+def test_bias_chain_equals_the_former_leave_one_out_tracks(monkeypatch, make):
+    # Each sensor's reference is the other sensors' combined measurement: it
+    # gives the bias series, live pairs and skip records of the former
+    # fbe_step, which carried a leave-one-out fused track per pair (each
+    # started from the lowest-numbered other sensor's frame-0 estimate) and
+    # took the equivalent measurement of its update, bit for bit.
+    import sensorreg.harness.simulate as sim
+    from sensorreg.dynamics import LagModels
+    from sensorreg.fusion import local_stage
+    from sensorreg.trackers import GaussianEstimate
+
+    sc = make()
+    n_s, n_t = len(sc.sensors), len(sc.targets)
+    lag_models = LagModels(ncv_model(sc.dt, sc.fusion_q))
+    sensors = sc.sensor_models()
+    first = [min(i for i in range(n_s) if i != s) for s in range(n_s)]
+    for index in range(2):
+        truth = simulate_truth(sc, index)
+        tracks = run_local_tracks(sc, truth)
+        epochs, reporting, sensor, rows, *pairs = sim._epoch_pairs(sc, tracks, lag_models)
+        local = local_stage(*pairs, sensors[sensor])[rows]
+        bias = sim._initial_bias_states(sc)
+        fused = GaussianEstimate(tracks.mean[first, :, 0], tracks.cov[first, :, 0], frame=0)
+        b_series = np.empty((sc.frames + 1,) + bias.b.shape)
+        sigma_series = np.empty((sc.frames + 1,) + bias.Sigma.shape)
+        b_series[:], sigma_series[:] = bias.b, bias.Sigma
+        former = {}
+        for e, k in enumerate(epochs.tolist()):
+            reported = np.broadcast_to(reporting[e, :, None], (n_s, n_t))
+            bias, fused, live, skipped = _former_fbe_step(
+                reported, local[e], k, bias, fused, lag_models, sensors
+            )
+            b_series[k:], sigma_series[k:] = bias.b, bias.Sigma
+            former[k] = live, skipped
+        got = {}
+        with monkeypatch.context() as mp:
+            _record_fbe_steps(mp, sc, lambda k, res: got.__setitem__(k, (res.live, res.skipped)))
+            b_got, sigma_got, _ = sim._run_fbe(sc, truth, tracks)
+        assert np.array_equal(b_got, b_series) and np.array_equal(sigma_got, sigma_series)
+        assert sorted(got) == sorted(former)
+        for k, (live, skipped) in former.items():
+            assert np.array_equal(got[k][0], live) and got[k][1] == skipped
+
+
 def _per_epoch_fused_pass(sc, truth, tracks, lag_models, z, present):
     """``_fuse_all_sensors`` as one ``sfa`` call per epoch: each epoch's
     slots combined inside the loop."""
@@ -1542,7 +1669,7 @@ def _per_epoch_fused_pass(sc, truth, tracks, lag_models, z, present):
     sqerr[0] = sim._position_sqerr(fused.mean, truth.states[:, 0])
     for e, k in enumerate(sc.update_epochs()):
         epoch = CartesianMeasurement(z.z[e], z.R[e])
-        fused = sfa(fused, lag_models(k - fused.frame), epoch, present[e]).state
+        fused = sfa(fused, lag_models(k - fused.frame), epoch, present[e])
         sqerr[k] = sim._position_sqerr(fused.mean, truth.states[:, k])
     return sqerr
 
@@ -1640,20 +1767,13 @@ def test_a_degenerate_report_is_named_by_baseline_and_skipped_by_fbe(
     import sensorreg.harness.simulate as sim
 
     skipped = {}
-    step = sim.fbe_step
-
-    def fbe_step(*args):
-        res = step(*args)
-        skipped[args[1].frame] = res.skipped
-        return res
-
     out = tmp_path_factory.mktemp("degenerate")
     err = io.StringIO()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
         mp.setattr(sim, "run_local_tracks", _edited_tracks(degenerate))
         args = ["--scenario", "two_sensor", "--method", "baseline", "--runs", "1"]
         assert main(["simulate", *args, "--out", str(out)]) == 2
-        mp.setattr(sim, "fbe_step", fbe_step)
+        _record_fbe_steps(mp, sc, lambda k, res: skipped.__setitem__(k, res.skipped))
         sim.run_single(sc, 0, "fbe")
     assert f"run 0: sensor {s}, target {t}, frame {k}: " in err.getvalue()
     assert [record[:2] for record in skipped[k]] == [(s, t)]
@@ -1700,16 +1820,16 @@ def test_fbe_and_baseline_run_on_lag1_tracks_of_a_mismatched_filter(
 
 
 def test_each_fused_reference_is_one_kf_update(monkeypatch):
-    # Local tracking makes one Kalman update per frame, and each epoch's two
-    # sfa calls (leave-one-out references, all-sensor fusion) one each, not
-    # one per measurement slot.
+    # Local tracking makes one Kalman update per frame, and each epoch's
+    # all-sensor fusion one, not one per measurement slot; the leave-one-out
+    # references make none.
     import sensorreg.fusion as fusion
     import sensorreg.harness.simulate as sim
 
     counts = _count_calls(monkeypatch, (fusion, sim), ("kf_update",))
     sc = load_scenario("five_sensor_offset_scale")
     sim.run_single(sc, 0, "fbe")
-    assert counts["kf_update"] == sc.frames + 2 * len(sc.update_epochs())
+    assert counts["kf_update"] == sc.frames + len(sc.update_epochs())
 
 
 def test_exl_builds_all_frames_in_one_pass(monkeypatch):

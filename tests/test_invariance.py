@@ -122,9 +122,11 @@ def _failing_epoch_run(monkeypatch, sc, truth, sensors, frame):
                 tracks.cov[row, :, frame] = _FAILING_EPOCH_KINDS[s](P)
         return tracks
 
+    epochs = iter(sc.update_epochs())
+
     def recorded(*args):
         res = fusion.fbe_step(*args)
-        if args[1].frame == frame:
+        if next(epochs) == frame:
             skipped.extend(sorted((int(sensors[s]), t, why) for s, t, why in res.skipped))
         return res
 

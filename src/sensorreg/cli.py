@@ -22,6 +22,7 @@ from .harness import (
     run_monte_carlo,
     summary_tables,
 )
+from .harness.simulate import METHODS
 
 __all__ = ["main"]
 
@@ -39,8 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument(
         "--method",
         default="fbe",
-        choices=["fbe", "ex", "exl", "baseline"],
-        help="estimation method (oracle paths require a two-sensor scenario)",
+        choices=METHODS,
+        help="ex and exl: two sensors, offsets only, every-frame reporting; ex: Kalman tracker",
     )
     sim.add_argument("--runs", type=int, default=None, help="override scenario mc_runs")
     sim.add_argument("--seed", type=int, default=None, help="override scenario rng_seed")

@@ -128,8 +128,10 @@ def reconstruct_local_gain(
     The equivalent measurement model is linear in position, so the noise is
     the position tracklet's covariance ``R`` (its ``U``), and the gain
     follows from the covariance ``pred_cov`` of the tracklet's L-step
-    prediction exactly as in a position-updating filter.  Leading batch axes
-    carry through to ``W`` (..., 4, 2) and ``R`` (..., 2, 2).
+    prediction exactly as in a position-updating filter; the ``ex`` oracle
+    passes the true noise and the local filter's own prediction, which give
+    that filter's gain.  Leading batch axes carry through to ``W``
+    (..., 4, 2) and ``R`` (..., 2, 2).
 
     Returns the gain and its checks, in order: ``R``, then the innovation
     covariance, not positive definite.
@@ -140,7 +142,7 @@ def reconstruct_local_gain(
     S = pred_cov[..., ::2, ::2] + R
     S_inv, invertible = inv_spd2_masked(S)
     return ReconstructedGain(W=pred_cov[..., :, ::2] @ S_inv, R=R), [
-        ("tracklet position covariance not positive definite", ~ok),
+        ("measurement noise covariance not positive definite", ~ok),
         singular("gain innovation covariance", S, ~invertible),
     ]
 

@@ -8,10 +8,10 @@ Four estimation methods are supported:
                  sensor count), the bias-free local stage once over all
                  epochs.
 * ``ex``      -- stacked two-sensor estimator, one cumulative information
-                 sum over frames, fed with the local trackers' true gains
-                 (oracle path).
-* ``exl``     -- the same stacked estimator with gains reconstructed from
-                 single-step position-marginal tracklets.
+                 sum over frames, fed with track updates deconvolved through
+                 the local trackers' true gains (oracle path).
+* ``exl``     -- the same stacked estimator fed with the single-step
+                 position-marginal tracklets, which need no gain.
 * ``baseline``-- no biases injected and no estimation; plain tracklet fusion
                  (best-case reference for track accuracy).
 
@@ -109,11 +109,10 @@ class TruthData:
 @dataclass
 class LocalTracks:
     """Per-(sensor, target, frame) local estimates, views of frame-major
-    buffers; gains only for the plain Kalman tracker."""
+    buffers: what a sensor reports, so no filter gain."""
 
-    mean: np.ndarray            # (n_sensors, n_targets, K+1, 4)
-    cov: np.ndarray             # (n_sensors, n_targets, K+1, 4, 4)
-    gain: np.ndarray | None     # (n_sensors, n_targets, K+1, 4, 2)
+    mean: np.ndarray    # (n_sensors, n_targets, K+1, 4)
+    cov: np.ndarray     # (n_sensors, n_targets, K+1, 4, 4)
 
     def estimate(self, s, t, k) -> GaussianEstimate:
         """Estimate of sensor ``s``, target ``t`` at frame ``k``; ``s`` and
@@ -335,7 +334,6 @@ def run_local_tracks(scenario: Scenario, truth: TruthData) -> LocalTracks:
     mean = np.empty(shape + (4,))
     cov = np.empty(shape + (4, 4))
     is_kf = scenario.local_filter.type == "kf"
-    gain = np.full(shape + (4, 2), np.nan) if is_kf else None
     models = _local_model(scenario)
     z, R = np.moveaxis(truth.cart_z, 2, 0), np.moveaxis(truth.cart_R, 2, 0)
 
@@ -348,16 +346,11 @@ def run_local_tracks(scenario: Scenario, truth: TruthData) -> LocalTracks:
         for k in range(1, K + 1):
             meas = _wrap(CartesianMeasurement, z=z[k], R=R[k])
             if is_kf:
-                est, rec = kf_update(kf_predict(est, models), meas)
-                gain[k] = rec.gain
+                est, _ = kf_update(kf_predict(est, models), meas)
             else:
                 state, est = imm_step(state, meas)
             mean[k], cov[k] = est.mean, est.cov
-    return LocalTracks(
-        mean=np.moveaxis(mean, 0, 2),
-        cov=np.moveaxis(cov, 0, 2),
-        gain=None if gain is None else np.moveaxis(gain, 0, 2),
-    )
+    return LocalTracks(mean=np.moveaxis(mean, 0, 2), cov=np.moveaxis(cov, 0, 2))
 
 
 def _initial_bias_states(scenario: Scenario) -> BiasEstimate:
@@ -504,14 +497,17 @@ def _run_fbe(scenario: Scenario, truth: TruthData, tracks: LocalTracks):
 def _run_stacked(
     scenario: Scenario, truth: TruthData, tracks: LocalTracks, reconstructed: bool
 ):
-    """Two-sensor stacked-bias estimator with true or reconstructed gains."""
+    """Two-sensor stacked-bias estimator.  ``ex`` deconvolves each track
+    update through the local filter's true gain, formed from its own
+    prediction and the true noise; ``exl`` (``reconstructed``) folds the
+    single-step tracklet, which that deconvolution returns at lag 1."""
     if len(scenario.sensors) != 2:
         raise ScenarioError("the stacked estimator is defined for two sensors")
     if scenario.estimate_scale_bias:
         raise ScenarioError("the stacked estimator estimates offsets only")
     if any(s.lag != 1 for s in scenario.sensors):
         raise ScenarioError("the stacked estimator expects per-frame reporting")
-    if not reconstructed and tracks.gain is None:
+    if not reconstructed and scenario.local_filter.type != "kf":
         raise ScenarioError("true-gain path requires the plain Kalman local tracker")
 
     K = scenario.frames
@@ -527,15 +523,15 @@ def _run_stacked(
     with located(lambda s, t, j: f"sensor {s}, target {t}, frame {j + 1}"):
         if reconstructed:
             trk, faults = tracklet_decorrelated(pred, curr)
-            gain, gain_faults = reconstruct_local_gain(trk.U, pred.cov)
-            raise_first(faults + gain_faults)
-            W, R = gain.W, gain.R
+            zb, R = trk.u, symmetrize(trk.U)
             r_m, t_m = cart_to_polar(trk.u, positions)
         else:
-            W, R = tracks.gain[:, :, 1:], truth.cart_R[:, :, 1:]
+            R = truth.cart_R[:, :, 1:]
+            gain, faults = reconstruct_local_gain(R, kf_predict(prev, _local_model(scenario)).cov)
+            zb, gram_faults = sensor_pseudo_obs(curr, pred, gain.W)
+            faults += gram_faults
             r_m, t_m = truth.polar_meas[:, :, 1:, 0], truth.polar_meas[:, :, 1:, 1]
-        zb, gram_faults = sensor_pseudo_obs(curr, pred, W)
-        raise_first(gram_faults)
+        raise_first(faults)
         B = jacobians_at(r_m, t_m).B
     # One stacked pseudo-measurement per (frame, target).
     pm = PseudoMeasurement(
@@ -557,16 +553,14 @@ def _run_stacked(
 
 def _run_baseline(scenario: Scenario, truth: TruthData, tracks: LocalTracks):
     """Plain tracklet fusion on an unbiased world; no bias estimation.  The
-    tracklets and gains of every epoch's reporting pairs come from one
-    batched pass."""
+    tracklets of every epoch's reporting pairs come from one batched pass."""
     lag_models = LagModels(ncv_model(scenario.dt, scenario.fusion_q))
     epochs, reporting, _, rows, pred, curr = _epoch_pairs(scenario, tracks, lag_models)
     trk, faults = compute_tracklet(pred, curr)
-    g, gain_faults = reconstruct_local_gain(trk.U, pred.cov)
     reporting = reporting[..., None]
-    faults = faults_at(faults + gain_faults, rows)
+    faults = faults_at(faults, rows)
     _raise_first_epoch([(why, failed & reporting) for why, failed in faults], epochs)
-    z = CartesianMeasurement(trk.u[rows].swapaxes(1, 2), g.R[rows].swapaxes(1, 2))
+    z = CartesianMeasurement(trk.u[rows].swapaxes(1, 2), symmetrize(trk.U)[rows].swapaxes(1, 2))
     present = reporting.swapaxes(1, 2)
     return None, None, _fuse_all_sensors(scenario, truth, tracks, lag_models, z, present)
 

@@ -27,7 +27,7 @@ from sensorreg.harness import (
     simulate_truth,
 )
 from sensorreg.harness.simulate import _run_stacked
-from sensorreg.trackers import GaussianEstimate, kf_predict
+from sensorreg.trackers import GaussianEstimate, kf_predict, kf_update
 from sensorreg.tracklets import tracklet_decorrelated, tracklet_inverse_kf
 
 FULL = os.environ.get("SENSORREG_FULL_ACCEPTANCE", "") == "1"
@@ -131,15 +131,20 @@ def test_a02_gain_reconstruction_exactness(two_sensor_scenario):
     truth = simulate_truth(sc, 0)
     tracks = run_local_tracks(sc, truth)
     ms1 = compose_steps(ncv_model(sc.dt, sc.fusion_q), 1)
+    local = ncv_model(sc.dt, sc.local_filter.q)
     worst = 0.0
     for k in range(1, sc.frames + 1):
+        # The local filters' gains: the records of their step into frame k,
+        # re-run from the tracks at frame k - 1.
+        z = CartesianMeasurement(truth.cart_z[:, :, k], truth.cart_R[:, :, k])
+        _, rec = kf_update(kf_predict(tracks.estimate(slice(None), slice(None), k - 1), local), z)
         for s in range(2):
             for t in range(len(sc.targets)):
                 pred = kf_predict(tracks.estimate(s, t, k - 1), ms1)
                 trk, faults = tracklet_decorrelated(pred, tracks.estimate(s, t, k))
                 g, gain_faults = reconstruct_local_gain(trk.U, pred.cov)
                 raise_first(faults + gain_faults)
-                W_true = tracks.gain[s, t, k]
+                W_true = rec.gain[s, t]
                 rel = np.abs(g.W - W_true).max() / np.abs(W_true).max()
                 worst = max(worst, rel)
     ok = worst <= 1e-6
@@ -434,9 +439,13 @@ def test_a10_offset_and_scale_correction(scale_metrics):
 
 
 def test_a11_gain_reconstruction_cost(two_sensor_scenario):
-    """Reconstructing gains costs at most twice the given-gain path: the
+    """The practical stacked path costs at most twice the oracle: the
     stacked estimator that ``simulate`` runs, timed on identical truth and
-    local tracks (median of interleaved trials).  Each trial sums each
+    local tracks (median of interleaved trials).  ``ex`` forms the local
+    filters' true gains and deconvolves each update through them; ``exl``
+    folds the single-step tracklets, which at lag 1 are what deconvolving
+    through the gains reconstructed from them returns (A02 keeps that
+    reconstruction exact), so it forms no gain.  Each trial sums each
     path's time over a fixed batch of alternating calls: one sub-millisecond
     call per trial followed the host's jitter."""
     sc = two_sensor_scenario
@@ -462,7 +471,7 @@ def test_a11_gain_reconstruction_cost(two_sensor_scenario):
     _report(
         "A11",
         ok,
-        f"given-gain {t_ex * 1e3 / (calls * sc.frames):.3f} ms/frame, reconstructed "
+        f"ex (true gains) {t_ex * 1e3 / (calls * sc.frames):.3f} ms/frame, exl (tracklets) "
         f"{t_exl * 1e3 / (calls * sc.frames):.3f} ms/frame, ratio {ratio:.2f}",
     )
     assert ratio <= 2.0

@@ -58,6 +58,19 @@ def test_main_builds_one_parser_per_process(tmp_path, capsys, monkeypatch):
     assert len(built) == 4
 
 
+def test_simulate_method_choices_are_the_harness_methods():
+    import argparse
+
+    import sensorreg.cli as cli
+    from sensorreg.harness.simulate import METHODS
+
+    commands = next(
+        a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    [method] = [a for a in commands.choices["simulate"]._actions if a.dest == "method"]
+    assert tuple(method.choices) == METHODS
+
+
 def test_simulate_writes_metrics(tiny_scenario, tmp_path, capsys):
     out = tmp_path / "out"
     code = main([
@@ -295,6 +308,16 @@ def test_stacked_method_with_scale_bias_is_rejected(tiny_scenario, tmp_path, cap
     assert main(["simulate", "--scenario", str(tiny_scenario), "--method", method,
                  "--out", str(tmp_path / "o")]) == 1
     assert "scenario error: the stacked estimator estimates offsets only" in capsys.readouterr().err
+
+
+def test_ex_with_imm_local_trackers_is_rejected(tiny_scenario, tmp_path, capsys):
+    # ex forms the local filters' Kalman gains, which an IMM does not have.
+    doc = json.loads(tiny_scenario.read_text())
+    doc["local_filter"] = {"type": "imm_ncv_ncv", "q1": 0.5, "q2": 5.0}
+    tiny_scenario.write_text(json.dumps(doc))
+    assert main(["simulate", "--scenario", str(tiny_scenario), "--method", "ex",
+                 "--out", str(tmp_path / "o")]) == 1
+    assert "true-gain path requires the plain Kalman local tracker" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

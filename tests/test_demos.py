@@ -1,5 +1,5 @@
 """Demo scripts run to completion (demo 02 drives the batch-free tracker
-API, demo 03 the batched tracklet and gain step of the ``exl`` method, demo
+API, demo 03 the batched stacked estimator of ``ex`` and ``exl``, demo
 04 the five-sensor ``fbe`` study and demo 05 the bound, report and summary
 path), and so do the README's quick start and batched-API blocks; its
 full-study block only imports its names."""

@@ -556,7 +556,7 @@ def test_fbe_step_skips_a_pair_whose_tracklet_position_covariance_fails():
     full, _ = tracklet_inverse_kf(kf_predict(prev[2, 1], ms), curr[2, 1])
     assert np.linalg.eigvalsh(full.U[::2, ::2]).max() < 0
     res = _fbe_step(prev, curr, reported, bias_states, lag_models, sensors)
-    assert res.skipped == [(2, 1, "tracklet position covariance not positive definite")]
+    assert res.skipped == [(2, 1, "measurement noise covariance not positive definite")]
     without = reported.copy()
     without[2, 1] = False
     ref = _fbe_step(prev, curr, without, bias_states, lag_models, sensors)

@@ -433,9 +433,9 @@ def _per_stream_tracks(sc, truth):
 
 @pytest.mark.parametrize("filter_type", ["kf", "imm_ncv_ncv", "imm_nca_ncv"])
 def test_lockstep_tracks_match_per_stream_loop(filter_type):
-    # Tolerance stated in CHANGES.md: KF gains and covariances equal, KF means
-    # within 1e-11 relative; IMM means and covariances within 1e-12 of each
-    # array's largest magnitude.
+    # Tolerance stated in CHANGES.md: KF covariances equal, KF means within
+    # 1e-11 relative; IMM means and covariances within 1e-12 of each array's
+    # largest magnitude.
     from sensorreg.harness import load_scenario, run_local_tracks, simulate_truth
 
     sc = load_scenario("two_sensor")
@@ -443,15 +443,40 @@ def test_lockstep_tracks_match_per_stream_loop(filter_type):
     sc.local_filter.type = filter_type
     truth = simulate_truth(sc, 0)
     tracks = run_local_tracks(sc, truth)
-    mean, cov, gain = _per_stream_tracks(sc, truth)
+    mean, cov, _ = _per_stream_tracks(sc, truth)
     if filter_type == "kf":
-        np.testing.assert_array_equal(tracks.gain, gain)
         np.testing.assert_array_equal(tracks.cov, cov)
         np.testing.assert_allclose(tracks.mean, mean, rtol=1e-11, atol=0)
     else:
-        assert tracks.gain is None
         for got, want in ((tracks.mean, mean), (tracks.cov, cov)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("name", ["two_sensor", "five_sensor_offset"])
+def test_ex_forms_the_local_filters_own_gains(monkeypatch, name):
+    # The local tracks store no gain: ex forms each local filter's gain from
+    # the filter's own prediction and the true measurement noise, bit for
+    # bit the gain that kf_update records running each stream alone.  The
+    # five-sensor case keeps its first two sensors, reporting every frame;
+    # the fusion model differs from the local one, so only the local
+    # filter's own prediction gives its gain.
+    import dataclasses
+
+    import sensorreg.harness.simulate as sim
+    from sensorreg.harness import load_scenario, run_local_tracks, simulate_truth
+
+    sc = load_scenario(name)
+    sc.sensors = [dataclasses.replace(s, lag=1) for s in sc.sensors[:2]]
+    sc.fusion_q = 10.0 * sc.local_filter.q
+    truth = simulate_truth(sc, 0)
+    formed, form = [], sim.reconstruct_local_gain
+    monkeypatch.setattr(
+        sim, "reconstruct_local_gain", lambda *args: formed.append(form(*args)) or formed[0]
+    )
+    sim._run_stacked(sc, truth, run_local_tracks(sc, truth), reconstructed=False)
+    [(gain, faults)] = formed
+    assert not np.any([failed for _, failed in faults])
+    assert np.array_equal(gain.W, _per_stream_tracks(sc, truth)[2][:, :, 1:])
 
 
 _REF_POS_VEL = np.array([0, 1, 3, 4])
@@ -691,12 +716,11 @@ def test_local_tracks_match_the_former_kernels(filter_type):
     with pytest.MonkeyPatch.context() as mp:
         _use_former_kernels(mp)
         want = run_local_tracks(sc, truth)
-    for name in ("mean", "cov", "gain"):
+    for name in ("mean", "cov"):
         g, w = getattr(got, name), getattr(want, name)
-        if w is not None:
-            np.testing.assert_allclose(
-                g, w, rtol=0, atol=TRACKS_RTOL * np.nanmax(np.abs(w)), err_msg=name
-            )
+        np.testing.assert_allclose(
+            g, w, rtol=0, atol=TRACKS_RTOL * np.nanmax(np.abs(w)), err_msg=name
+        )
 
 
 def test_a08_bias_series_match_the_former_kernels():

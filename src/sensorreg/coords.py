@@ -4,9 +4,9 @@ A radar reports range and azimuth relative to its own position.  Systematic
 errors are modeled as a per-sensor bias vector (range offset, azimuth offset,
 range scale, azimuth scale) applied to the true polar coordinates before the
 additive measurement noise.  This module generates biased measurements,
-converts them to Cartesian coordinates with the compensated (multiplicative)
-conversion factor, and provides the Jacobians that map bias parameters into
-Cartesian measurement space.  Every function takes arrays whose leading axes
+converts them to Cartesian coordinates with the range scaled by
+:func:`conversion_gain`, and provides the Jacobians that map bias
+parameters into Cartesian measurement space.  Every function takes arrays whose leading axes
 index a batch of measurements; scalars are the batch-free case.
 """
 
@@ -148,15 +148,19 @@ def _jacobians(r, theta, c, s, d: int) -> BiasJacobians:
 
 
 def conversion_gain(sigma_theta):
-    """Multiplicative compensation factor exp(-sigma_theta^2 / 2) applied to
-    the range during polar-to-Cartesian conversion (elementwise for arrays)."""
+    """The factor lam = exp(-sigma_theta^2 / 2) by which polar-to-Cartesian
+    conversion multiplies the range (elementwise for arrays).  Azimuth noise
+    already shrinks the plain conversion's mean by lam, so this doubles its
+    error, to about -sigma_theta^2 * r in range, where dividing by lam
+    would remove it."""
     return np.exp(-0.5 * sigma_theta * sigma_theta)
 
 
 def polar_to_cart(r, theta, sigma_theta, origin=(0.0, 0.0)) -> np.ndarray:
-    """Compensated Cartesian positions (..., 2) of ranges and azimuths
-    measured from ``origin`` (..., 2): ``origin + lam * r * (cos, sin)``
-    with ``lam = conversion_gain(sigma_theta)``.  Arguments broadcast.
+    """Cartesian positions (..., 2) of ranges and azimuths measured from
+    ``origin`` (..., 2): ``origin + lam * r * (cos, sin)`` with ``lam =
+    conversion_gain(sigma_theta)`` (not a compensation; see there).
+    Arguments broadcast.
 
     The conversion is trustworthy while ``r * sigma_theta**2 / sigma_r``
     stays below ``CONVERSION_VALIDITY_LIMIT``; callers check their geometry.
@@ -194,7 +198,7 @@ def _covariance(r, c, s, sigma_r, sigma_theta) -> np.ndarray:
 
 
 def converted_measurement(r, theta, sigma_r, sigma_theta, origin, d: int):
-    """The compensated positions (:func:`polar_to_cart`), their covariances
+    """The converted positions (:func:`polar_to_cart`), their covariances
     (:func:`converted_covariance`) and the first ``d`` (2 or 4) columns of
     the bias Jacobian ``K`` (:func:`jacobians_at`) of ranges and azimuths
     measured from ``origin``, from one cos/sin evaluation: ``(z (..., 2),

@@ -158,7 +158,8 @@ def bias_correct(
 
     Each tracklet position is mapped to range/azimuth relative to the
     reporting sensor, the estimated offsets and scale factors are inverted,
-    and the point is mapped back with the conversion compensation factor.
+    and the point is mapped back with the range scaled by the conversion
+    factor (:func:`~sensorreg.coords.conversion_gain`).
     The returned measurement's covariance adds the sensor noise mapped
     through the conversion Jacobian and the bias-estimate uncertainty mapped
     through the bias Jacobian on top of the tracklet's own position

@@ -5,6 +5,10 @@ seconds, m^2/s^3).  Frame 0 is track initialization; ``frames`` counts the
 measurement frames after it, so epochs run k = 0..frames.  Each sensor
 reports to the fusion center at multiples of its lag
 (``Scenario.reporting_schedule``).
+
+A document is read through one table, :data:`FIELDS`, which gives each key
+of each spec its reader; the defaults of absent keys live in the dataclasses
+alone.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -53,7 +57,7 @@ class SensorSpec:
     sigma_r: float
     sigma_theta: float
     bias: BiasVector
-    lag: int
+    lag: int = 1
 
     def __post_init__(self) -> None:
         self.position = np.asarray(self.position, dtype=float).reshape(2)
@@ -93,13 +97,13 @@ class LocalFilterSpec:
     q2: float = 2.0
 
 
-@dataclass
+@dataclass(kw_only=True)
 class Scenario:
-    name: str
+    name: str = "scenario"
     sensors: list[SensorSpec]
     targets: list[TargetSpec]
     frames: int
-    mc_runs: int
+    mc_runs: int = 1
     dt: float = 1.0
     process_noise_q: float = 0.1
     local_filter: LocalFilterSpec = field(default_factory=LocalFilterSpec)
@@ -111,21 +115,20 @@ class Scenario:
         self.validate()
 
     def validate(self) -> None:
+        """Check counts, signs and enums.  Each test is written so that a NaN
+        fails it (``not x > 0``); the loader rejects every non-finite number
+        as it reads it."""
         if len(self.sensors) < 2:
             raise ScenarioError("scenario needs at least two sensors")
         if not self.targets:
             raise ScenarioError("scenario needs at least one target")
-        if self.frames < 2:
+        if not self.frames >= 2:
             raise ScenarioError("scenario needs at least two frames")
-        if self.mc_runs < 1:
+        if not self.mc_runs >= 1:
             raise ScenarioError("mc_runs must be at least 1")
-        if self.rng_seed < 0:
+        if not self.rng_seed >= 0:
             raise ScenarioError(f"rng_seed must be non-negative, got {self.rng_seed}")
-        # A NaN passes every sign test below, so finiteness comes first.
-        for where, value in self._real_values():
-            if not math.isfinite(value):
-                raise ScenarioError(f"{' '.join(map(str, where))} must be finite, got {value}")
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ScenarioError("dt must be positive")
         lf = self.local_filter
         for where, q in (
@@ -135,49 +138,25 @@ class Scenario:
             ("local_filter q1", lf.q1),
             ("local_filter q2", lf.q2),
         ):
-            if q < 0:
+            if not q >= 0:
                 raise ScenarioError(f"{where} must be non-negative, got {q}")
         if lf.type not in LOCAL_FILTER_TYPES:
             raise ScenarioError(
-                f"unknown local filter type {lf.type!r}; "
-                f"expected one of {LOCAL_FILTER_TYPES}"
+                f"unknown local filter type {lf.type!r}; expected one of {LOCAL_FILTER_TYPES}"
             )
         for i, s in enumerate(self.sensors):
-            if s.sigma_r <= 0 or s.sigma_theta <= 0:
+            if not (s.sigma_r > 0 and s.sigma_theta > 0):
                 raise ScenarioError(f"sensor {i}: noise sigmas must be positive")
-            if s.lag < 1:
+            if not s.lag >= 1:
                 raise ScenarioError(f"sensor {i}: reporting lag must be >= 1")
         for i, t in enumerate(self.targets):
             if not t.segments:
                 raise ScenarioError(f"target {i}: needs at least one motion segment")
             for seg in t.segments:
                 if seg.model not in ("ncv", "turn"):
-                    raise ScenarioError(
-                        f"target {i}: unknown segment model {seg.model!r}"
-                    )
-                if seg.frames < 1:
+                    raise ScenarioError(f"target {i}: unknown segment model {seg.model!r}")
+                if not seg.frames >= 1:
                     raise ScenarioError(f"target {i}: segment frames must be >= 1")
-
-    def _real_values(self):
-        """(field name as a tuple of words, value) of every real number the
-        scenario holds, one pair per array entry."""
-        yield ("dt",), self.dt
-        yield ("process_noise_q",), self.process_noise_q
-        yield ("fusion_q",), self.fusion_q
-        for key in ("q", "q1", "q2"):
-            yield ("local_filter", key), getattr(self.local_filter, key)
-        for i, s in enumerate(self.sensors):
-            for v in s.position.tolist():
-                yield ("sensor", i, "position"), v
-            yield ("sensor", i, "sigma_r"), s.sigma_r
-            yield ("sensor", i, "sigma_theta"), s.sigma_theta
-            for key in ("b_r", "b_theta", "eps_r", "eps_theta"):
-                yield ("sensor", i, "bias", key), getattr(s.bias, key)
-        for i, t in enumerate(self.targets):
-            for v in t.initial_state.tolist():
-                yield ("target", i, "initial_state"), v
-            for j, seg in enumerate(t.segments):
-                yield ("target", i, "segment", j, "omega"), seg.omega
 
     @property
     def bias_dim(self) -> int:
@@ -206,15 +185,9 @@ class Scenario:
         return (np.flatnonzero(fused) + 1).tolist()
 
 
-def _known(doc: dict, spec: type, where: str) -> dict:
-    """Return ``doc`` after checking that it is a JSON object and that every
-    key names a field of the dataclass ``spec``."""
-    if not isinstance(doc, dict):
-        raise ScenarioError(f"{where} must be a JSON object, got {doc!r}")
-    unknown = sorted(set(doc) - {f.name for f in fields(spec)})
-    if unknown:
-        raise ScenarioError(f"{where}: unknown key {unknown[0]!r}")
-    return doc
+# Readers of the values of scenario keys: each takes the value and the key's
+# name (its object's name followed by the key) and returns the value as its
+# field holds it, or raises a ScenarioError naming the key.
 
 
 def _integer(value, where: str) -> int:
@@ -228,29 +201,21 @@ def _integer(value, where: str) -> int:
 
 
 def _number(value, where: str) -> float:
-    """``value`` as a float; a bool or a non-number is rejected, which float()
-    would read as 1.0 or parse from a string."""
+    """``value`` as a finite float; a bool or a non-number, which float()
+    would read as 1.0 or parse from a string, is rejected, and so is a NaN,
+    which passes every sign test, or an infinity."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ScenarioError(f"{where} must be a number, got {value!r}")
-    return float(value)
-
-
-def _items(value, where: str) -> list:
-    """``value`` if it is a JSON list, which a loop reads as such."""
-    if not isinstance(value, list):
-        raise ScenarioError(f"{where} must be a list, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ScenarioError(f"{where} must be finite, got {value}")
     return value
 
 
-def _numbers(value, where: str, length: int) -> list[float]:
-    """``value`` as a list of ``length`` floats; a number, on which a loop
-    fails, a string, which it reads character by character, or a list of
-    another length is rejected."""
-    if not isinstance(value, list):
-        raise ScenarioError(f"{where} must be a list of numbers, got {value!r}")
-    if len(value) != length:
-        raise ScenarioError(f"{where} must hold {length} numbers, got {value!r}")
-    return [_number(v, where) for v in value]
+def _string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ScenarioError(f"{where} must be a string, got {value!r}")
+    return value
 
 
 def _boolean(value, where: str) -> bool:
@@ -261,77 +226,94 @@ def _boolean(value, where: str) -> bool:
     return value
 
 
-def _given(doc: dict, convert: dict, where: str = "") -> dict:
-    """The keys of ``convert`` that ``doc`` holds, each value passed through
-    its converter with the field's name, ``where`` followed by the key; an
-    absent key is left out, so the dataclass default of its field applies."""
-    return {key: conv(doc[key], where + key) for key, conv in convert.items() if key in doc}
+def _vector(length: int):
+    """Reader of a list of ``length`` numbers; a number, on which a loop
+    fails, a string, which it reads character by character, or a list of
+    another length is rejected."""
+
+    def read(value, where: str) -> list[float]:
+        if not isinstance(value, list):
+            raise ScenarioError(f"{where} must be a list of numbers, got {value!r}")
+        if len(value) != length:
+            raise ScenarioError(f"{where} must hold {length} numbers, got {value!r}")
+        return [_number(v, where) for v in value]
+
+    return read
 
 
-def _scenario_from_dict(doc: dict) -> Scenario:
+def _spec(spec: type):
+    """Reader of a JSON object as the dataclass ``spec``."""
+    return lambda value, where: _read(spec, value, where)
+
+
+def _specs(spec: type):
+    """Reader of a JSON list of objects, each read as the dataclass ``spec``
+    and named by the list's name in the singular and its index: ``sensors``
+    holds ``sensor 0``, ``sensor 1``, ..."""
+
+    def read(value, where: str) -> list:
+        if not isinstance(value, list):
+            raise ScenarioError(f"{where} must be a list, got {value!r}")
+        return [_read(spec, item, f"{where.removesuffix('s')} {i}") for i, item in enumerate(value)]
+
+    return read
+
+
+# The keys of each spec's JSON object and their readers, in reading order.
+FIELDS = {
+    Scenario: dict(
+        name=_string, sensors=_specs(SensorSpec), targets=_specs(TargetSpec), frames=_integer,
+        mc_runs=_integer, dt=_number, process_noise_q=_number, local_filter=_spec(LocalFilterSpec),
+        fusion_q=_number, estimate_scale_bias=_boolean, rng_seed=_integer,
+    ),
+    SensorSpec: dict(
+        position=_vector(2), sigma_r=_number, sigma_theta=_number, bias=_spec(BiasVector),
+        lag=_integer,
+    ),
+    BiasVector: dict(b_r=_number, b_theta=_number, eps_r=_number, eps_theta=_number),
+    TargetSpec: dict(initial_state=_vector(4), segments=_specs(SegmentSpec)),
+    SegmentSpec: dict(model=_string, frames=_integer, omega=_number),
+    LocalFilterSpec: dict(type=_string, q=_number, q1=_number, q2=_number),
+}
+
+# The keys of each spec whose field has no default.
+_REQUIRED = {
+    spec: [f.name for f in fields(spec) if f.default is MISSING and f.default_factory is MISSING]
+    for spec in FIELDS
+}
+
+
+def _read(spec: type, doc, where: str = ""):
+    """The JSON object ``doc`` as the dataclass ``spec``, each present key
+    read by its :data:`FIELDS` reader and every absent one left to its
+    field's default.  ``where`` names the object in errors, and before each
+    of its keys (empty for the document itself); a ``ValueError`` of the
+    spec itself is raised as a ScenarioError naming the object."""
+    name = where or "scenario"
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{name} must be a JSON object, got {doc!r}")
+    readers = FIELDS[spec]
+    unknown = sorted(doc.keys() - readers.keys())
+    if unknown:
+        raise ScenarioError(f"{name}: unknown key {unknown[0]!r}")
+    for key in _REQUIRED[spec]:
+        if key not in doc:
+            at = f"{where}: " if where else ""
+            raise ScenarioError(f"malformed scenario document: {at}missing key {key!r}")
+    prefix = f"{where} " if where else ""
+    values = {key: read(doc[key], prefix + key) for key, read in readers.items() if key in doc}
     try:
-        _known(doc, Scenario, "scenario")
-        sensors = []
-        for i, s in enumerate(_items(doc["sensors"], "sensors")):
-            _known(s, SensorSpec, f"sensor {i}")
-            b = _known(s["bias"], BiasVector, f"sensor {i} bias")
-            sensors.append(
-                SensorSpec(
-                    position=_numbers(s["position"], f"sensor {i} position", 2),
-                    **_given(s, {"sigma_r": _number, "sigma_theta": _number}, f"sensor {i} "),
-                    bias=BiasVector(**_given(b, dict.fromkeys(b, _number), f"sensor {i} bias ")),
-                    lag=_integer(s.get("lag", 1), f"sensor {i} lag"),
-                )
-            )
-        targets = []
-        for i, t in enumerate(_items(doc["targets"], "targets")):
-            _known(t, TargetSpec, f"target {i}")
-            segments = []
-            for j, seg in enumerate(_items(t["segments"], f"target {i} segments")):
-                _known(seg, SegmentSpec, f"target {i} segment {j}")
-                segments.append(
-                    SegmentSpec(
-                        model=seg["model"],
-                        frames=_integer(seg["frames"], f"target {i} segment {j} frames"),
-                        **_given(seg, {"omega": _number}, f"target {i} segment {j} "),
-                    )
-                )
-            state = _numbers(t["initial_state"], f"target {i} initial_state", 4)
-            targets.append(TargetSpec(initial_state=state, segments=segments))
-        lf = _known(doc.get("local_filter", {}), LocalFilterSpec, "local_filter")
-        convert = {"type": lambda v, _: v} | dict.fromkeys(("q", "q1", "q2"), _number)
-        if not isinstance(doc.get("name", ""), str):
-            raise ScenarioError(f"name must be a string, got {doc['name']!r}")
-        scenario = Scenario(
-            name=doc.get("name", "scenario"),
-            sensors=sensors,
-            targets=targets,
-            frames=_integer(doc["frames"], "frames"),
-            mc_runs=_integer(doc.get("mc_runs", 1), "mc_runs"),
-            local_filter=LocalFilterSpec(**_given(lf, convert, "local_filter ")),
-            **_given(
-                doc,
-                {
-                    "dt": _number,
-                    "process_noise_q": _number,
-                    "fusion_q": _number,
-                    "estimate_scale_bias": _boolean,
-                    "rng_seed": _integer,
-                },
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        raise ScenarioError(f"malformed scenario document: {what}") from exc
-    return scenario
+        return spec(**values)
+    except ScenarioError:
+        raise
+    except ValueError as exc:
+        raise ScenarioError(f"{name}: {exc}") from exc
 
 
 def load_scenario(source: str | Path | dict) -> Scenario:
     """Load a scenario from a JSON path, a builtin name, or a parsed dict."""
     if isinstance(source, dict):
-        return _scenario_from_dict(source)
+        return _read(Scenario, source)
     path = Path(source)
     if not path.exists() and str(source) in BUILTIN_SCENARIOS:
         path = builtin_scenario_path(str(source))
@@ -342,7 +324,7 @@ def load_scenario(source: str | Path | dict) -> Scenario:
         raise ScenarioError(f"cannot read scenario file {source}: {exc.strerror}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
-    return _scenario_from_dict(doc)
+    return _read(Scenario, doc)
 
 
 def builtin_scenario_path(name: str) -> Path:

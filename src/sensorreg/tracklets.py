@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import inv_spd2_masked, mt, mv, singular, symmetrize
+from ._linalg import det_spd2, inv_spd2_masked, mt, mv, singular, symmetrize
 from .trackers import GaussianEstimate
 
 __all__ = ["Tracklet", "tracklet_inverse_kf", "tracklet_decorrelated", "compute_tracklet"]
@@ -140,24 +140,28 @@ def _inverse_form(D: np.ndarray) -> np.ndarray:
 
 def compute_tracklet(pred: GaussianEstimate, curr: GaussianEstimate) -> tuple[Tracklet, list]:
     """Position tracklet of every element, in the form that element admits,
-    and the checks of :func:`tracklet_decorrelated` over the batch.
+    and its checks over the batch: the inverse-filter form's position
+    covariance not positive definite, then those of :func:`tracklet_decorrelated`.
 
     An element that passes the check of :func:`tracklet_inverse_kf` takes
-    the position block of that form; every other takes
-    :func:`tracklet_decorrelated`, whose checks mark those elements alone.
-    Each form runs on the whole batch, and only if an element needs it.
+    the position block of that form; every other takes the other form.
+    Each check marks the elements of its own form alone; each form runs on
+    the whole batch, and only if an element needs it.
     """
     D = symmetrize(pred.cov - curr.cov)
     marginal = ~_inverse_form(D)
+    reason = "tracklet position covariance not positive definite"
     if marginal.all():
         # A batch of one form (every epoch of a lag-1 scenario).
-        return tracklet_decorrelated(pred, curr)
+        part, faults = tracklet_decorrelated(pred, curr)
+        return part, [(reason, ~marginal), *faults]
     full = _inverse_kf(pred, curr, D, ~marginal)
     u, U = full.u[..., ::2], full.U[..., ::2, ::2]
+    checks = [(reason, ~(marginal | det_spd2(U)[1]))]
     if not marginal.any():
         # A batch of the other form (every epoch of a lag-10 scenario).
-        return Tracklet(u=u, U=U), []
+        return Tracklet(u=u, U=U), checks
     part, faults = tracklet_decorrelated(pred, curr)
     u = np.where(marginal[..., None], part.u, u)
     U = np.where(marginal[..., None, None], part.U, U)
-    return Tracklet(u=u, U=U), [(reason, failed & marginal) for reason, failed in faults]
+    return Tracklet(u=u, U=U), checks + [(why, failed & marginal) for why, failed in faults]

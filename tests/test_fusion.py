@@ -548,15 +548,14 @@ def test_fbe_step_skips_a_pair_whose_tracklet_position_covariance_fails():
     # Sensor 2's track covariance of target 1 is the negated prediction, so
     # its covariance difference is well conditioned and the pair takes the
     # inverse-filter form, whose position covariance is negative definite:
-    # the gain check must skip it, since that form no longer inverts the
-    # tracklet covariance itself.
+    # the tracklet's own check skips it, before the gain reconstruction.
     (prev, curr, reported), bias_states, lag_models, sensors = _small_fbe_inputs()
     ms = lag_models(curr.frame - prev.frame)
     curr.cov[2, 1] = -(ms.F @ prev.cov[2, 1] @ ms.F.T + ms.Q)
     full, _ = tracklet_inverse_kf(kf_predict(prev[2, 1], ms), curr[2, 1])
     assert np.linalg.eigvalsh(full.U[::2, ::2]).max() < 0
     res = _fbe_step(prev, curr, reported, bias_states, lag_models, sensors)
-    assert res.skipped == [(2, 1, "measurement noise covariance not positive definite")]
+    assert res.skipped == [(2, 1, "tracklet position covariance not positive definite")]
     without = reported.copy()
     without[2, 1] = False
     ref = _fbe_step(prev, curr, without, bias_states, lag_models, sensors)
@@ -568,9 +567,9 @@ def _first_fault_alone(prev, curr, model, bias, sensor):
     """``(check, reason)`` of the first check that one pair, run alone
     through the local stage (tracklet, gain, bias correction), fails, with
     ``check`` its (step, position) among the stage's checks; None if it
-    fails none.  A pair in the inverse-filter form has no tracklet checks,
-    so the step, not the position in the stage, orders checks across
-    pairs."""
+    fails none.  compute_tracklet returns its checks in one order whatever
+    forms the batch takes, so a pair alone has the (step, position) it has
+    in the batch, and that orders checks across pairs."""
     pred = kf_predict(prev, model)
     t, faults = compute_tracklet(pred, curr)
     _, gain_faults = reconstruct_local_gain(t.U, pred.cov)
@@ -594,7 +593,8 @@ def _fbe_outcome(*args):
 # no_info, indef, pos_only and neg_rank1 have a singular or indefinite
 # covariance difference P - C and take the position-marginal form, where
 # all but pos_only fail; neg_vel and neg take the inverse-filter form, where
-# neg's position block is not positive definite and fails the gain check.
+# neg's position block is not positive definite and fails the tracklet's
+# first check.
 _VEL = np.diag([0.0, 1.0, 0.0, 1.0])
 _PAIR_KINDS = {
     "ok": None,

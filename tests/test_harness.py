@@ -282,6 +282,121 @@ def test_scenario_scale_flag_must_be_a_json_boolean(value):
     assert load_scenario(_tiny_scenario(estimate_scale_bias=False)).bias_dim == 2
 
 
+def _objects(doc, obj, path=(), where=""):
+    """``(path, name, spec)`` of every JSON object of a scenario document,
+    walked beside the Scenario ``obj`` loaded from it: the object's key
+    path, its name in loader errors (a list's items take the list's name in
+    the singular and their index) and the dataclass it fills."""
+    yield path, where, type(obj)
+    for key, value in doc.items():
+        name = f"{where} {key}".lstrip()
+        if isinstance(value, dict):
+            yield from _objects(value, getattr(obj, key), path + (key,), name)
+        elif isinstance(value, list) and all(isinstance(v, dict) for v in value):
+            for i, item in enumerate(value):
+                item_name = f"{name.removesuffix('s')} {i}"
+                yield from _objects(item, getattr(obj, key)[i], path + (key, i), item_name)
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key] if isinstance(node, (dict, list)) else getattr(node, key)
+    return node
+
+
+def _packaged(name):
+    doc = json.loads(builtin_scenario_path(name).read_text())
+    return doc, list(_objects(doc, load_scenario(doc)))
+
+
+@pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
+def test_removing_a_packaged_key_names_its_object_or_takes_the_default(name):
+    # Every key of every object: a required one is named with its object's
+    # path, and an optional one takes its dataclass default.
+    base, objects = _packaged(name)
+    for path, where, spec in objects:
+        for f in dataclasses.fields(spec):
+            if f.name not in _at(base, path):
+                continue
+            doc = json.loads(json.dumps(base))
+            del _at(doc, path)[f.name]
+            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+                at = f"{where}: " if where else ""
+                message = f"malformed scenario document: {at}missing key '{f.name}'"
+                with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+                    load_scenario(doc)
+            else:
+                default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+                assert getattr(_at(load_scenario(doc), path), f.name) == default, (where, f.name)
+
+
+@pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
+@pytest.mark.parametrize("value", [float("nan"), "1"])
+def test_a_packaged_number_set_to_nan_or_text_names_its_key(name, value):
+    # Every number, and each entry of every vector, of every object.
+    base, objects = _packaged(name)
+    seen = 0
+    for path, where, _ in objects:
+        for key, old in _at(base, path).items():
+            entries = range(len(old)) if isinstance(old, list) else [None]
+            for i in entries:
+                number = old if i is None else old[i]
+                if isinstance(number, bool) or not isinstance(number, (int, float)):
+                    continue
+                doc = json.loads(json.dumps(base))
+                if i is None:
+                    _at(doc, path)[key] = value
+                else:
+                    _at(doc, path)[key][i] = value
+                field_name = f"{where} {key}".lstrip()
+                with pytest.raises(ScenarioError, match=f"^{re.escape(field_name)} must be "):
+                    load_scenario(doc)
+                seen += 1
+    assert seen > 50
+
+
+@pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
+def test_an_unknown_key_in_any_packaged_object_is_named(name):
+    base, objects = _packaged(name)
+    for path, where, _ in objects:
+        doc = json.loads(json.dumps(base))
+        _at(doc, path)["colour"] = "red"
+        message = f"{where or 'scenario'}: unknown key 'colour'"
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            load_scenario(doc)
+
+
+def test_a_scale_bias_error_names_its_sensor():
+    doc = _tiny_scenario()
+    doc["sensors"][1]["bias"]["eps_theta"] = -1.0
+    message = "sensor 1 bias: scale biases must keep 1 + eps positive"
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        load_scenario(doc)
+
+
+@pytest.mark.parametrize("key", ["dt", "process_noise_q", "fusion_q", "frames", "rng_seed"])
+def test_validate_rejects_a_nan_in_a_sign_test(key):
+    # A scenario built in Python skips the loader's finiteness check, so
+    # each sign test is written to fail on NaN.
+    with pytest.raises(ScenarioError):
+        dataclasses.replace(load_scenario("two_sensor"), **{key: float("nan")})
+
+
+def test_readme_lists_every_scenario_key():
+    from sensorreg.harness.scenario import FIELDS
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| [^|]*\(`(\w+)`\) \| `(\w+)` \| [^|]+ \| ([^|]+) \|$", readme, re.M)
+    assert sorted((spec, key) for spec, key, _ in rows) == sorted(
+        (spec.__name__, key) for spec, readers in FIELDS.items() for key in readers
+    )
+    for spec, readers in FIELDS.items():
+        for f in dataclasses.fields(spec):
+            required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+            cell = next(c for s, k, c in rows if (s, k) == (spec.__name__, f.name))
+            assert (cell == "required") == required, (spec.__name__, f.name)
+
+
 def test_scenario_file_not_found():
     with pytest.raises(ScenarioError):
         load_scenario("/nonexistent/path.json")
@@ -1369,6 +1484,32 @@ def test_nan_track_covariance_is_named(monkeypatch):
         sim.run_single(sc, 0, "baseline")
     with pytest.raises(NumericalError, match=r"sensor 1, target 2"):
         sim.run_single(sc, 0, "fbe")
+
+
+def test_indefinite_inverse_form_tracklet_is_named(monkeypatch):
+    # Sensor 2's covariance of target 1 at frame 100 is minus its lag-10
+    # prediction: the covariance difference passes the inverse form's
+    # screen, and the position block of that form is negative definite.
+    # baseline names the pair and frame, and fbe skips the pair with that
+    # reason.
+    import sensorreg.harness.simulate as sim
+    from sensorreg.dynamics import LagModels
+
+    sc = load_scenario("five_sensor_offset")
+    ms = LagModels(ncv_model(sc.dt, sc.fusion_q))(np.array(10))
+
+    def negate(tracks):
+        tracks.cov[2, 1, 100] = -(ms.F @ tracks.cov[2, 1, 90] @ ms.F.T + ms.Q)
+
+    monkeypatch.setattr(sim, "run_local_tracks", _edited_tracks(negate))
+    where = "run 0: sensor 2, target 1, frame 100"
+    reason = "tracklet position covariance not positive definite"
+    with pytest.raises(NumericalError, match=rf"^{where}: {reason}$"):
+        sim.run_single(sc, 0, "baseline")
+    skipped = {}
+    _record_fbe_steps(monkeypatch, sc, lambda k, res: skipped.update({k: res.skipped}))
+    sim.run_single(sc, 0, "fbe")
+    assert {k: v for k, v in skipped.items() if v} == {100: [(2, 1, reason)]}
 
 
 def test_fused_pass_bias_correction_names_the_pair(monkeypatch):

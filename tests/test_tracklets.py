@@ -441,7 +441,7 @@ def test_mixed_batch_matches_per_element_tracklets():
     # position-marginal form; every other element takes the position block
     # of the inverse-filter form, whatever the rest of the batch holds.  The
     # mixed and the all-lag-1 batches run both forms; the all-multi-step
-    # batch leaves compute_tracklet after the first, with no checks.
+    # batch leaves compute_tracklet after the first, with its one check.
     rng = np.random.default_rng(25)
     for lags in [(1, 10, 5, 10, 2, 1, 3), (1, 1, 1), (10, 5, 2, 3)]:
         triples = [_tracked_pair(rng, L) for L in lags]
@@ -449,7 +449,7 @@ def test_mixed_batch_matches_per_element_tracklets():
         raise_first(faults)
         n = len(lags)
         assert t.u.shape == (n, 2) and t.U.shape == (n, 2, 2) and t.A is None
-        assert (faults == []) == (1 not in lags)
+        assert len(faults) == (4 if 1 in lags else 1)
         for i, (p, c, m) in enumerate(triples):
             pred = kf_predict(p, m)
             if lags[i] == 1:
@@ -464,8 +464,9 @@ def test_mixed_batch_matches_per_element_tracklets():
 
 def test_single_step_batch_runs_no_inverse_form_solve(monkeypatch):
     # No lag-1 pair passes the inverse form's screen, so compute_tracklet
-    # returns the position-marginal form and its checks, bit for bit,
-    # without solving for the inverse form on identity stand-ins.
+    # returns the position-marginal form and its checks, bit for bit, after
+    # the inverse form's check, which no element fails, without solving for
+    # the inverse form on identity stand-ins.
     rng = np.random.default_rng(29)
     pred, curr = _lag_batch([_tracked_pair(rng, 1) for _ in range(4)])
     want, want_faults = tracklet_decorrelated(pred, curr)
@@ -475,8 +476,10 @@ def test_single_step_batch_runs_no_inverse_form_solve(monkeypatch):
     assert solved == []
     np.testing.assert_array_equal(got.u, want.u)
     np.testing.assert_array_equal(got.U, want.U)
-    assert [reason for reason, _ in faults] == [reason for reason, _ in want_faults]
-    for (_, failed), (_, want_failed) in zip(faults, want_faults):
+    assert faults[0][0] == "tracklet position covariance not positive definite"
+    assert not faults[0][1].any()
+    assert [reason for reason, _ in faults[1:]] == [reason for reason, _ in want_faults]
+    for (_, failed), (_, want_failed) in zip(faults[1:], want_faults):
         np.testing.assert_array_equal(failed, want_failed)
 
 

@@ -143,41 +143,34 @@ class LagModels:
 
     Called with an integer array of lags, it returns the model of each
     element, with ``steps`` the lags in every case.  When every lag is
-    equal, that is one shared model, ``F`` and ``Q`` of shape (n, n), which
-    :func:`~sensorreg.trackers.kf_predict` applies in 2-D BLAS products;
-    otherwise ``F`` and ``Q`` have shape ``lags.shape + (n, n)``.
-    :func:`compose_steps` runs on the first use of each lag, and every use
-    reads a table of the composed transitions indexed by lag, so an owner
-    that keeps one instance (a Monte Carlo run) composes each of its lags
-    once.
+    equal, that is the one composed model of that lag, ``F`` and ``Q`` of
+    shape (n, n), which :func:`~sensorreg.trackers.kf_predict` applies in
+    2-D BLAS products; otherwise ``F`` and ``Q`` have shape
+    ``lags.shape + (n, n)``, gathered from the models of the distinct lags.
+    :func:`compose_steps` runs on the first use of each lag and its model is
+    kept by lag, so an owner that keeps one instance (a Monte Carlo run)
+    composes each of its lags once.
     """
 
     def __init__(self, model: MotionModel) -> None:
         self.model = model
-        # Row L holds lag L once _known[L] is set.  Row 0 (no lag) and the
-        # last row never are, so a lag clipped into the table reads False
-        # until it has been composed.
-        self._F = np.zeros((2,) + model.F.shape)
-        self._Q = np.zeros((2,) + model.Q.shape)
-        self._known = np.zeros(2, dtype=bool)
+        self._composed: dict[int, MotionModel] = {}
 
     def __call__(self, lags) -> MotionModel:
         lags = np.asarray(lags)
-        if not self._known.take(lags, mode="clip").all():
-            self._compose(np.unique(lags).tolist())
         if lags.size and (lags == lags.flat[0]).all():
-            L = lags.flat[0]
-            return MotionModel(F=self._F[L], Q=self._Q[L], steps=lags)
-        return MotionModel(F=self._F[lags], Q=self._Q[lags], steps=lags)
+            shared = self._lag(int(lags.flat[0]))
+            return MotionModel(F=shared.F, Q=shared.Q, steps=lags)
+        distinct, index = np.unique(lags, return_inverse=True)
+        models = [self._lag(L) for L in distinct.tolist()]
+        shape = (-1,) + self.model.F.shape
+        index = index.reshape(lags.shape)
+        F = np.reshape([m.F for m in models], shape)[index]
+        Q = np.reshape([m.Q for m in models], shape)[index]
+        return MotionModel(F=F, Q=Q, steps=lags)
 
-    def _compose(self, lags: list[int]) -> None:
-        grow = max(lags) + 2 - self._known.size
-        if grow > 0:
-            self._F = np.concatenate([self._F, np.zeros((grow,) + self._F.shape[1:])])
-            self._Q = np.concatenate([self._Q, np.zeros((grow,) + self._Q.shape[1:])])
-            self._known = np.concatenate([self._known, np.zeros(grow, dtype=bool)])
-        for L in lags:
-            # compose_steps rejects a lag below 1 before it can index the table.
-            if L < 1 or not self._known[L]:
-                composed = compose_steps(self.model, L)
-                self._F[L], self._Q[L], self._known[L] = composed.F, composed.Q, True
+    def _lag(self, L: int) -> MotionModel:
+        # compose_steps rejects a lag below 1.
+        if L not in self._composed:
+            self._composed[L] = compose_steps(self.model, L)
+        return self._composed[L]

@@ -41,6 +41,8 @@ _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188)
 # of its cube, far below the quantile's 1e-12 tolerance.
 _STEP_TOL = 1e-8
 _MAX_STEPS = 100
+# Every band is a 95% one.
+_ALPHA = 0.05
 
 
 def _log_gamma_kernel(a: float, x: float) -> float:
@@ -145,26 +147,24 @@ def _chi2_quantile(q: float, df: int) -> float:
     raise NumericalError(f"chi-square quantile did not converge for q={q}, df={df}")
 
 
-def chi2_band(dim: int, runs: int, alpha: float = 0.05) -> tuple[float, float]:
-    """Two-sided (1 - alpha) acceptance band for run-averaged NEES."""
-    lo = _chi2_quantile(alpha / 2.0, dim * runs) / runs
-    hi = _chi2_quantile(1.0 - alpha / 2.0, dim * runs) / runs
+def chi2_band(dim: int, runs: int) -> tuple[float, float]:
+    """Two-sided 95% acceptance band for run-averaged NEES."""
+    lo = _chi2_quantile(_ALPHA / 2.0, dim * runs) / runs
+    hi = _chi2_quantile(1.0 - _ALPHA / 2.0, dim * runs) / runs
     return float(lo), float(hi)
 
 
-def chi2_upper(dim: int, runs: int, alpha: float = 0.05) -> float:
-    """One-sided (1 - alpha) upper bound for run-averaged NEES."""
-    return float(_chi2_quantile(1.0 - alpha, dim * runs) / runs)
+def chi2_upper(dim: int, runs: int) -> float:
+    """One-sided 95% upper bound for run-averaged NEES."""
+    return float(_chi2_quantile(1.0 - _ALPHA, dim * runs) / runs)
 
 
-def rmse_band(
-    rmse: np.ndarray | float, runs: int, alpha: float = 0.05
-) -> tuple[np.ndarray, np.ndarray]:
-    """Chi-square confidence band, elementwise, for RMSEs estimated from
+def rmse_band(rmse: np.ndarray | float, runs: int) -> tuple[np.ndarray, np.ndarray]:
+    """95% chi-square confidence band, elementwise, for RMSEs estimated from
     ``runs`` samples; each bound is the RMSE times one factor."""
     rmse = np.asarray(rmse, dtype=float)
-    lo = rmse * np.sqrt(_chi2_quantile(alpha / 2.0, runs) / runs)
-    hi = rmse * np.sqrt(_chi2_quantile(1.0 - alpha / 2.0, runs) / runs)
+    lo = rmse * np.sqrt(_chi2_quantile(_ALPHA / 2.0, runs) / runs)
+    hi = rmse * np.sqrt(_chi2_quantile(1.0 - _ALPHA / 2.0, runs) / runs)
     return lo, hi
 
 

@@ -106,14 +106,14 @@ class KfStepRecord:
     innovation_logdet: np.ndarray
 
 
-def init_track(z: CartesianMeasurement, frame: int = 0) -> GaussianEstimate:
-    """Start a track from a converted measurement with zero velocity (one
-    track per measurement of a batch)."""
+def init_track(z: CartesianMeasurement) -> GaussianEstimate:
+    """Start a track at frame 0 from a converted measurement with zero
+    velocity (one track per measurement of a batch)."""
     mean = np.zeros(z.z.shape[:-1] + (4,))
     mean[..., ::2] = z.z
     cov = np.zeros(mean.shape + (4,))
     cov[...] = np.diag([INIT_POS_SIGMA**2, INIT_VEL_SIGMA**2] * 2)
-    return GaussianEstimate(mean=mean, cov=cov, frame=frame)
+    return GaussianEstimate(mean=mean, cov=cov, frame=0)
 
 
 def kf_predict(est: GaussianEstimate, model: MotionModel) -> GaussianEstimate:

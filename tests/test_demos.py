@@ -2,7 +2,8 @@
 API, demo 03 the batched stacked estimator of ``ex`` and ``exl``, demo
 04 the five-sensor ``fbe`` study and demo 05 the bound, report and summary
 path), and so do the README's quick start and batched-API blocks; its
-full-study block only imports its names."""
+full-study block only imports its names.  Each package exports only names
+that these callers import from it."""
 
 import ast
 import os
@@ -102,3 +103,37 @@ def test_readme_api_table_names_resolve():
     assert {"sfa", "fbe_step", "FbeResult", "GaussianEstimate"} <= names
     missing = sorted(n for n in names if not any(hasattr(m, n) for m in modules))
     assert missing == []
+
+
+def _imported_names(package: str) -> set:
+    """The names that the README's Python blocks, the demos, the tests, the
+    CLI and the perfbench files import from ``package`` itself."""
+    paths = [p for d in ("demos", "tests", "perfbench") for p in sorted((ROOT / d).glob("*.py"))]
+    sources = _readme_blocks() + [p.read_text() for p in paths]
+    sources.append((ROOT / "src" / "sensorreg" / "cli.py").read_text())
+    names = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom):
+                # Only cli.py imports relatively, from inside sensorreg.
+                module = ".".join(filter(None, ["sensorreg" if node.level else None, node.module]))
+                if module == package:
+                    names.update(alias.name for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("package", ["sensorreg", "sensorreg.harness"])
+def test_package_exports_only_what_callers_import(package):
+    # A package re-exports a name only when a caller imports it from the
+    # package; every other name is imported from its module.
+    import importlib
+    import inspect
+
+    pkg = importlib.import_module(package)
+    public = {
+        name
+        for name, value in vars(pkg).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert public == set(pkg.__all__)
+    assert sorted(set(pkg.__all__) - _imported_names(package)) == []

@@ -356,7 +356,7 @@ def _small_fbe_inputs(bias0=(25.0, 2e-3), nonreporting=False):
                     z=polar_to_cart(r, theta, 1e-3, pos), R=np.diag([100.0, (r * 1e-3) ** 2])
                 )
                 if est is None:
-                    est = init_track(z, frame=0)
+                    est = init_track(z)
                     prev[s, tgt] = est
                 else:
                     est = kf_predict(est, model)

@@ -152,14 +152,14 @@ def test_update_rejects_singular_innovation():
 
 def test_init_track_layout():
     z = CartesianMeasurement(z=[100.0, -50.0], R=np.eye(2))
-    est = init_track(z, frame=0)
+    est = init_track(z)
     np.testing.assert_allclose(est.mean, [100.0, 0.0, -50.0, 0.0])
     np.testing.assert_allclose(np.diag(est.cov), [200.0**2, 20.0**2, 200.0**2, 20.0**2])
 
 
 def _imm(models, mu=(0.5, 0.5), pi=((0.95, 0.05), (0.05, 0.95))):
     z0 = CartesianMeasurement(z=[0.0, 0.0], R=100 * np.eye(2))
-    est = init_track(z0, frame=0)
+    est = init_track(z0)
     modes = GaussianEstimate(
         mean=np.stack([est.mean] * len(models)), cov=np.stack([est.cov] * len(models)), frame=0
     )

@@ -21,12 +21,10 @@ from .scenario import Scenario
 
 __all__ = [
     "RunMetrics",
-    "NeesResult",
     "nees_series",
     "chi2_band",
     "chi2_upper",
     "rmse_band",
-    "forward_fill",
     "aggregate_runs",
 ]
 
@@ -168,20 +166,10 @@ def rmse_band(rmse: np.ndarray | float, runs: int) -> tuple[np.ndarray, np.ndarr
     return lo, hi
 
 
-@dataclass
-class NeesResult:
-    """Run-averaged NEES per frame with its chi-square bounds."""
-
-    nees: np.ndarray
-    lower: float
-    upper: float
-    upper_one_sided: float
-    dim: int
-    runs: int
-
-
-def nees_series(errors: np.ndarray, covariances: np.ndarray) -> NeesResult:
-    """Average e' Sigma^-1 e over runs, for each frame (and group).
+def nees_series(errors: np.ndarray, covariances: np.ndarray) -> np.ndarray:
+    """Average e' Sigma^-1 e over runs, for each frame (and group); its
+    bands are :func:`chi2_band` and :func:`chi2_upper` of the dimension d
+    and the run count.
 
     Args:
         errors: (runs, frames, d) estimation errors, or (runs, frames, g, d)
@@ -195,7 +183,6 @@ def nees_series(errors: np.ndarray, covariances: np.ndarray) -> NeesResult:
     """
     errors = np.asarray(errors, dtype=float)
     covariances = np.asarray(covariances, dtype=float)
-    runs, d = errors.shape[0], errors.shape[-1]
 
     def where(run, frame, *group):
         return f"NEES at run {run}, frame {frame}" + "".join(f", group {g}" for g in group)
@@ -205,27 +192,7 @@ def nees_series(errors: np.ndarray, covariances: np.ndarray) -> NeesResult:
         screen = ("covariance is not positive definite", ~cholesky(covariances)[1])
         raise_first([screen], SingularMatrixError)
         sol = solve_psd(covariances, errors[..., None], context="covariance")
-    vals = (errors[..., None, :] @ sol)[..., 0, 0]
-    lo, hi = chi2_band(d, runs)
-    return NeesResult(
-        nees=vals.mean(axis=0),
-        lower=lo,
-        upper=hi,
-        upper_one_sided=chi2_upper(d, runs),
-        dim=d,
-        runs=runs,
-    )
-
-
-def forward_fill(arr: np.ndarray) -> np.ndarray:
-    """Replace each non-finite entry with the most recent finite value
-    before it on the last axis; entries before the first finite one are NaN."""
-    arr = np.asarray(arr, dtype=float)
-    n = arr.shape[-1]
-    # Index into a NaN-led copy: 0 is the NaN, i + 1 the entry i.
-    src = np.maximum.accumulate(np.where(np.isfinite(arr), np.arange(1, n + 1), 0), axis=-1)
-    led = np.concatenate([np.full(arr.shape[:-1] + (1,), np.nan), arr], axis=-1)
-    return np.take_along_axis(led, src, axis=-1)
+    return (errors[..., None, :] @ sol)[..., 0, 0].mean(axis=0)
 
 
 @dataclass
@@ -255,10 +222,6 @@ class RunMetrics:
     final_fused_sqerr: np.ndarray | None = None   # (runs,)
 
     @property
-    def n_groups(self) -> int:
-        return 0 if self.bias_rmse is None else self.bias_rmse.shape[1]
-
-    @property
     def group_dim(self) -> int:
         """Bias dimension of each group."""
         return 0 if self.bias_rmse is None else self.bias_rmse.shape[2]
@@ -273,7 +236,7 @@ def aggregate_runs(scenario: Scenario, method: str, outs: list) -> RunMetrics:
     local_sq = np.stack([o.local_sqerr for o in outs])
     fused_sq = None
     if outs[0].fused_sqerr is not None:
-        fused_sq = forward_fill(np.stack([o.fused_sqerr for o in outs]))
+        fused_sq = np.stack([o.fused_sqerr for o in outs])
         bad = ~np.isfinite(fused_sq)
         if bad.any():
             with located(lambda r, k: f"non-finite fused track error at run {r}, frame {k}"):
@@ -289,16 +252,17 @@ def aggregate_runs(scenario: Scenario, method: str, outs: list) -> RunMetrics:
         group_sensors = np.arange(len(scenario.sensors)).reshape(n_groups, -1).tolist()
         true = [s.bias.as_array(scenario.estimate_scale_bias) for s in scenario.sensors]
         err = b - np.reshape(true, (n_groups, -1))
-        res = nees_series(err, sig)
+        dim, runs = err.shape[-1], len(outs)
+        lo, hi = chi2_band(dim, runs)
         sqrt_diag = np.sqrt(np.maximum(np.diagonal(sig, axis1=3, axis2=4), 0.0))
         bias = dict(
             group_sensors=group_sensors,
             bias_rmse=np.sqrt((err**2).mean(axis=0)),
             bias_sqrt_sigma=sqrt_diag.mean(axis=0),
-            bias_nees=res.nees,
-            nees_lower=res.lower,
-            nees_upper=res.upper,
-            nees_upper_one_sided=res.upper_one_sided,
+            bias_nees=nees_series(err, sig),
+            nees_lower=lo,
+            nees_upper=hi,
+            nees_upper_one_sided=chi2_upper(dim, runs),
         )
 
     return RunMetrics(

@@ -79,7 +79,6 @@ from .scenario import Scenario
 
 __all__ = [
     "TruthData",
-    "LocalTracks",
     "SingleRun",
     "simulate_truth",
     "nominal_geometry",
@@ -107,28 +106,13 @@ class TruthData:
 
 
 @dataclass
-class LocalTracks:
-    """Per-(sensor, target, frame) local estimates, views of frame-major
-    buffers: what a sensor reports, so no filter gain."""
-
-    mean: np.ndarray    # (n_sensors, n_targets, K+1, 4)
-    cov: np.ndarray     # (n_sensors, n_targets, K+1, 4, 4)
-
-    def estimate(self, s, t, k) -> GaussianEstimate:
-        """Estimate of sensor ``s``, target ``t`` at frame ``k``; ``s`` and
-        ``t`` may be slices or index arrays, and ``k`` an index array, which
-        give a batched estimate (``frame`` ``k``)."""
-        return GaussianEstimate(mean=self.mean[s, t, k], cov=self.cov[s, t, k], frame=k)
-
-
-@dataclass
 class SingleRun:
     """Per-run estimation outputs prior to Monte Carlo aggregation."""
 
     b_series: np.ndarray | None        # (K+1, n_groups, d)
     sigma_series: np.ndarray | None    # (K+1, n_groups, d, d)
     local_sqerr: np.ndarray            # (K+1,) mean over targets, first sensor
-    fused_sqerr: np.ndarray | None     # (K+1,) NaN between fusion epochs
+    fused_sqerr: np.ndarray | None     # (K+1,) held between fusion epochs
 
 
 def _motion_tables(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -316,18 +300,19 @@ def _local_model(scenario: Scenario):
     return [nca_model(scenario.dt, lf.q1), ncv_model(scenario.dt, lf.q2)]
 
 
-def run_local_tracks(scenario: Scenario, truth: TruthData) -> LocalTracks:
+def run_local_tracks(scenario: Scenario, truth: TruthData) -> GaussianEstimate:
     """Run the configured local tracker on every (sensor, target) stream.
 
     All streams advance in lockstep: each frame is one batched tracker call
     over the (sensor, target) axes, which reads that frame's measurements
     as views and writes its estimates as one contiguous block of
-    frame-major buffers; the returned tracks are views of those buffers in
-    (sensor, target, frame) order.  A singular matrix is reported with the
-    sensor, target and frame of the stream it occurred in.  An IMM mode left
-    unreachable is reported at the frame whose update left it so (frame 0
-    for the initial mode probabilities), one frame before the mixing it
-    would stop.
+    frame-major buffers.  The returned estimate views those buffers, batch
+    (sensor, target, frame) and ``frame`` the frame axis: what a sensor
+    reports, so no filter gain.  A singular matrix is reported with the
+    sensor, target and frame of the stream it occurred in.  An IMM mode
+    left unreachable is reported at the frame whose update left it so
+    (frame 0 for the initial mode probabilities), one frame before the
+    mixing it would stop.
     """
     K = scenario.frames
     shape = (K + 1, len(scenario.sensors), len(scenario.targets))
@@ -350,7 +335,7 @@ def run_local_tracks(scenario: Scenario, truth: TruthData) -> LocalTracks:
             else:
                 state, est = imm_step(state, meas)
             mean[k], cov[k] = est.mean, est.cov
-    return LocalTracks(mean=np.moveaxis(mean, 0, 2), cov=np.moveaxis(cov, 0, 2))
+    return GaussianEstimate(np.moveaxis(mean, 0, 2), np.moveaxis(cov, 0, 2), np.arange(K + 1))
 
 
 def _initial_bias_states(scenario: Scenario) -> BiasEstimate:
@@ -372,7 +357,7 @@ def _position_sqerr(mean: np.ndarray, states: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(dx**2 + dy**2, 0, -1)).mean(axis=-1)
 
 
-def _epoch_pairs(scenario: Scenario, tracks: LocalTracks, lag_models: LagModels):
+def _epoch_pairs(scenario: Scenario, tracks: GaussianEstimate, lag_models: LagModels):
     """Every update epoch's report pairs, a row of targets per reporting
     (epoch, sensor): the epochs, the (epoch, sensor) mask of the reporting
     sensors, each row's sensor, the row of each (epoch, sensor) (a silent
@@ -389,11 +374,11 @@ def _epoch_pairs(scenario: Scenario, tracks: LocalTracks, lag_models: LagModels)
     e, sensor = np.nonzero(reporting)
     row = np.cumsum(reporting).reshape(reporting.shape) - 1
     rows = np.where(reporting, row, row[:, -1:])
-    at = sensor[:, None], np.arange(len(scenario.targets))
-    prev = tracks.estimate(*at, frames[last[:-1]][e, sensor, None])
-    curr = tracks.estimate(*at, epochs[e, None])
-    lags = np.broadcast_to(curr.frame - prev.frame, curr.mean.shape[:-1])
-    return epochs, reporting, sensor, rows, kf_predict(prev, lag_models(lags)), curr
+    s, t = sensor[:, None], np.arange(len(scenario.targets))
+    prev = tracks[s, t, frames[last[:-1]][e, sensor, None]]
+    curr = tracks[s, t, epochs[e, None]]
+    pred = kf_predict(prev, lag_models(curr.frame - prev.frame))
+    return epochs, reporting, sensor, rows, pred, curr
 
 
 def _raise_first_epoch(faults, epochs: np.ndarray) -> None:
@@ -410,7 +395,7 @@ def _raise_first_epoch(faults, epochs: np.ndarray) -> None:
 def _fuse_all_sensors(
     scenario: Scenario,
     truth: TruthData,
-    tracks: LocalTracks,
+    tracks: GaussianEstimate,
     lag_models: LagModels,
     z: CartesianMeasurement,
     present: np.ndarray,
@@ -427,23 +412,24 @@ def _fuse_all_sensors(
     ascending sensor order, reading no slot off it; each epoch then makes
     one :func:`fused_update`.
 
-    Returns the fused squared position error (mean over targets) per frame,
-    NaN between epochs.
+    Returns the fused squared position error (mean over targets) per frame:
+    each frame holds that of the last update at or before it, frame 0's
+    before the first epoch.
     """
     epochs = scenario.update_epochs()
-    fused = tracks.estimate(0, slice(None), 0)
+    fused = tracks[0, :, 0]
     means = np.empty((len(scenario.targets), len(epochs) + 1, 4))
     means[:, 0] = fused.mean
     slots = combine_slots(z, present)
     for e, k in enumerate(epochs):
         fused = fused_update(fused, lag_models(k - fused.frame), slots[e])
         means[:, e + 1] = fused.mean
-    sqerr = np.full(scenario.frames + 1, np.nan)
-    sqerr[[0] + epochs] = _position_sqerr(means, truth.states[:, [0] + epochs])
-    return sqerr
+    frames = [0] + epochs
+    sqerr = _position_sqerr(means, truth.states[:, frames])
+    return np.repeat(sqerr, np.diff(frames + [scenario.frames + 1]))
 
 
-def _run_fbe(scenario: Scenario, truth: TruthData, tracks: LocalTracks):
+def _run_fbe(scenario: Scenario, truth: TruthData, tracks: GaussianEstimate):
     """Fused bias estimation per sensor, then all-sensor fusion with the
     corrected tracklets; one fusion-center lag cache serves the local
     stage's predictions and the fusion.
@@ -495,7 +481,7 @@ def _run_fbe(scenario: Scenario, truth: TruthData, tracks: LocalTracks):
 
 
 def _run_stacked(
-    scenario: Scenario, truth: TruthData, tracks: LocalTracks, reconstructed: bool
+    scenario: Scenario, truth: TruthData, tracks: GaussianEstimate, reconstructed: bool
 ):
     """Two-sensor stacked-bias estimator.  ``ex`` deconvolves each track
     update through the local filter's true gain, formed from its own
@@ -516,9 +502,7 @@ def _run_stacked(
     # No frame's pseudo-measurements depend on the bias estimate, so every
     # (sensor, target, frame) of frames 1..K is built in one batched pass,
     # and the recursive least-squares estimate is a cumulative sum below.
-    frames = np.arange(1, K + 1)
-    prev = GaussianEstimate(tracks.mean[:, :, :-1], tracks.cov[:, :, :-1], frame=frames - 1)
-    curr = GaussianEstimate(tracks.mean[:, :, 1:], tracks.cov[:, :, 1:], frame=frames)
+    prev, curr = tracks[:, :, :-1], tracks[:, :, 1:]
     pred = kf_predict(prev, ncv_model(scenario.dt, scenario.fusion_q))
     with located(lambda s, t, j: f"sensor {s}, target {t}, frame {j + 1}"):
         if reconstructed:
@@ -551,7 +535,7 @@ def _run_stacked(
     return mv(sigma, np.cumsum(info_z, axis=0))[:, None], sigma[:, None], None
 
 
-def _run_baseline(scenario: Scenario, truth: TruthData, tracks: LocalTracks):
+def _run_baseline(scenario: Scenario, truth: TruthData, tracks: GaussianEstimate):
     """Plain tracklet fusion on an unbiased world; no bias estimation.  The
     tracklets of every epoch's reporting pairs come from one batched pass."""
     lag_models = LagModels(ncv_model(scenario.dt, scenario.fusion_q))
@@ -588,17 +572,14 @@ def run_single(scenario: Scenario, run_index: int, method: str) -> SingleRun:
         local_sqerr=_position_sqerr(tracks.mean[0], truth.states),
         fused_sqerr=fused_sqerr,
     )
-    _check_finite(scenario, out, tracks, run_index)
+    _check_finite(out, tracks, run_index)
     return out
 
 
-def _check_finite(
-    scenario: Scenario, run: SingleRun, tracks: LocalTracks, run_index: int
-) -> None:
+def _check_finite(run: SingleRun, tracks: GaussianEstimate, run_index: int) -> None:
     """Raise :class:`NumericalError` naming the first non-finite entry of any
     run output or local track and quoting its value, with ``failed`` over
-    the named axes.  ``fused_sqerr`` is NaN between fusion epochs by design
-    and is checked only at frame 0 and the epochs."""
+    the named axes."""
     # fbe estimates one bias group per sensor, ex/exl one for the pair.
     group = "sensor pair" if run.b_series is not None and run.b_series.shape[1] == 1 else "sensor"
     checks = [
@@ -607,12 +588,8 @@ def _check_finite(
         ("local track error", run.local_sqerr, ("frame",)),
         ("local track mean", tracks.mean, ("sensor", "target", "frame")),
         ("local track covariance", tracks.cov, ("sensor", "target", "frame")),
+        ("fused track error", run.fused_sqerr, ("frame",)),
     ]
-    if run.fused_sqerr is not None:
-        fused = np.zeros_like(run.fused_sqerr)
-        epochs = [0] + scenario.update_epochs()
-        fused[epochs] = run.fused_sqerr[epochs]
-        checks.append(("fused track error", fused, ("frame",)))
     for what, arr, axes in checks:
         if arr is None:
             continue

@@ -137,11 +137,11 @@ def test_a02_gain_reconstruction_exactness(two_sensor_scenario):
         # The local filters' gains: the records of their step into frame k,
         # re-run from the tracks at frame k - 1.
         z = CartesianMeasurement(truth.cart_z[:, :, k], truth.cart_R[:, :, k])
-        _, rec = kf_update(kf_predict(tracks.estimate(slice(None), slice(None), k - 1), local), z)
+        _, rec = kf_update(kf_predict(tracks[:, :, k - 1], local), z)
         for s in range(2):
             for t in range(len(sc.targets)):
-                pred = kf_predict(tracks.estimate(s, t, k - 1), ms1)
-                trk, faults = tracklet_decorrelated(pred, tracks.estimate(s, t, k))
+                pred = kf_predict(tracks[s, t, k - 1], ms1)
+                trk, faults = tracklet_decorrelated(pred, tracks[s, t, k])
                 g, gain_faults = reconstruct_local_gain(trk.U, pred.cov)
                 raise_first(faults + gain_faults)
                 W_true = rec.gain[s, t]

@@ -3,7 +3,8 @@ API, demo 03 the batched stacked estimator of ``ex`` and ``exl``, demo
 04 the five-sensor ``fbe`` study and demo 05 the bound, report and summary
 path), and so do the README's quick start and batched-API blocks; its
 full-study block only imports its names.  Each package exports only names
-that these callers import from it."""
+that these callers import from it, and every ``sensorreg`` name that the
+README's prose names still exists."""
 
 import ast
 import os
@@ -87,21 +88,64 @@ def _api_table_names() -> set:
     return names
 
 
-def test_readme_api_table_names_resolve():
-    # Every function or class in the table is an attribute of a sensorreg
-    # module, so the table names nothing that was deleted or renamed.
+def _sensorreg_modules() -> list:
     import importlib
     import pkgutil
 
     import sensorreg
 
-    modules = [sensorreg] + [
+    return [sensorreg] + [
         importlib.import_module(info.name)
         for info in pkgutil.walk_packages(sensorreg.__path__, "sensorreg.")
     ]
+
+
+def _resolves(name: str, modules: list) -> bool:
+    """Whether the dotted ``name`` is an attribute (chain) of one of
+    ``modules``."""
+    head, *rest = name.split(".")
+    for obj in (getattr(m, head) for m in modules if hasattr(m, head)):
+        for part in rest:
+            obj = getattr(obj, part, None)
+        if obj is not None:
+            return True
+    return False
+
+
+def test_readme_api_table_names_resolve():
+    # Every function or class in the table is an attribute of a sensorreg
+    # module, so the table names nothing that was deleted or renamed.
     names = _api_table_names()
     assert {"sfa", "fbe_step", "FbeResult", "GaussianEstimate"} <= names
-    missing = sorted(n for n in names if not any(hasattr(m, n) for m in modules))
+    modules = _sensorreg_modules()
+    assert sorted(n for n in names if not _resolves(n, modules)) == []
+
+
+# The names of the README's code spans that are numpy's, not sensorreg's.
+README_FOREIGN_NAMES = {"SeedSequence", "spawn"}
+
+
+def _readme_code_names() -> set:
+    """The names of the README's prose code spans (fenced blocks left out):
+    a span's leading CamelCase identifier, and every name it calls, with
+    its owner when the call is ``Owner.name(``."""
+    text = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
+    names = set()
+    for span in re.findall(r"`([^`\n]+)`", text):
+        names.update(re.findall(r"^[A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)*\b", span))
+        names.update(re.findall(r"((?:[A-Za-z_]\w*\.)*[A-Za-z_]\w*)\(", span))
+    return names
+
+
+def test_readme_code_names_resolve():
+    # Every class or call that the README names in its prose is an
+    # attribute of a sensorreg module, save numpy's few, so no passage
+    # describes a name that was deleted or renamed.
+    names = _readme_code_names()
+    assert {"GaussianEstimate", "compose_steps", "Scenario.reporting_schedule"} <= names
+    assert README_FOREIGN_NAMES <= names
+    modules = _sensorreg_modules()
+    missing = sorted(n for n in names - README_FOREIGN_NAMES if not _resolves(n, modules))
     assert missing == []
 
 

@@ -43,7 +43,7 @@ from sensorreg.harness import (
     summary_tables,
 )
 from sensorreg.harness import metrics as metrics_module
-from sensorreg.harness.metrics import RunMetrics, forward_fill
+from sensorreg.harness.metrics import RunMetrics, chi2_upper
 from sensorreg.harness.report import COMPONENT_NAMES
 
 
@@ -741,7 +741,14 @@ def _former_local_tracks(sc, truth):
     measurements validated as one ``CartesianMeasurement``."""
     import sensorreg.harness.simulate as sim
     from sensorreg.coords import CartesianMeasurement
-    from sensorreg.trackers import ImmState, imm_step, init_track, kf_predict, kf_update
+    from sensorreg.trackers import (
+        GaussianEstimate,
+        ImmState,
+        imm_step,
+        init_track,
+        kf_predict,
+        kf_update,
+    )
 
     K, n_s, n_t = sc.frames, len(sc.sensors), len(sc.targets)
     mean = np.empty((n_s, n_t, K + 1, 4))
@@ -759,7 +766,7 @@ def _former_local_tracks(sc, truth):
         else:
             state, est = imm_step(state, meas)
         mean[:, :, k], cov[:, :, k] = est.mean, est.cov
-    return sim.LocalTracks(mean=mean, cov=cov)
+    return GaussianEstimate(mean, cov, np.arange(K + 1))
 
 
 # Largest difference between the IMM local tracks and those of the former
@@ -818,18 +825,21 @@ def test_frame_major_local_tracks_equal_the_former_loop(monkeypatch, make):
 def test_nees_series_zero_errors():
     errors = np.zeros((4, 3, 2))
     covs = np.broadcast_to(np.eye(2), (4, 3, 2, 2)).copy()
-    res = nees_series(errors, covs)
-    np.testing.assert_allclose(res.nees, 0.0)
+    nees = nees_series(errors, covs)
+    assert nees.shape == (3,)
+    np.testing.assert_allclose(nees, 0.0)
 
 
 def test_nees_series_chi_square_bounds():
-    res = nees_series(np.zeros((100, 1, 2)), np.broadcast_to(np.eye(2), (100, 1, 2, 2)).copy())
-    assert res.lower == pytest.approx(chi2.ppf(0.025, 200) / 100)
-    assert res.upper == pytest.approx(chi2.ppf(0.975, 200) / 100)
-    assert res.lower == pytest.approx(1.63, abs=0.01)
-    assert res.upper == pytest.approx(2.41, abs=0.01)
+    # The bands of a 2-D NEES averaged over 100 runs.
+    nees = nees_series(np.zeros((100, 1, 2)), np.broadcast_to(np.eye(2), (100, 1, 2, 2)).copy())
     lo, hi = chi2_band(2, 100)
-    assert (lo, hi) == (res.lower, res.upper)
+    assert lo == pytest.approx(chi2.ppf(0.025, 200) / 100)
+    assert hi == pytest.approx(chi2.ppf(0.975, 200) / 100)
+    assert lo == pytest.approx(1.63, abs=0.01)
+    assert hi == pytest.approx(2.41, abs=0.01)
+    assert chi2_upper(2, 100) == pytest.approx(chi2.ppf(0.95, 200) / 100)
+    assert np.all(nees < lo)
 
 
 def test_nees_series_consistent_estimator_in_band():
@@ -843,8 +853,9 @@ def test_nees_series_consistent_estimator_in_band():
             C = A @ A.T + np.eye(d)
             covs[i, k] = C
             errors[i, k] = np.linalg.cholesky(C) @ rng.standard_normal(d)
-    res = nees_series(errors, covs)
-    inside = np.sum((res.nees >= res.lower) & (res.nees <= res.upper))
+    nees = nees_series(errors, covs)
+    lo, hi = chi2_band(d, runs)
+    inside = np.sum((nees >= lo) & (nees <= hi))
     assert inside >= 8
 
 
@@ -856,12 +867,12 @@ def test_nees_series_groups_match_element_loop():
     A = rng.standard_normal((runs, frames, groups, d, d))
     covs = A @ A.swapaxes(-1, -2) + np.eye(d)
     errors = rng.standard_normal((runs, frames, groups, d))
-    res = nees_series(errors, covs)
-    assert res.nees.shape == (frames, groups)
+    nees = nees_series(errors, covs)
+    assert nees.shape == (frames, groups)
     ref = np.empty((runs, frames, groups))
     for idx in np.ndindex(ref.shape):
         ref[idx] = errors[idx] @ np.linalg.solve(covs[idx], errors[idx])
-    np.testing.assert_allclose(res.nees, ref.mean(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(nees, ref.mean(axis=0), rtol=1e-12)
 
 
 def test_nees_series_names_run_and_frame_of_singular_covariance():
@@ -890,17 +901,6 @@ def test_nees_series_names_nan_and_indefinite_covariances():
     covs[1, 2] = np.nan
     with pytest.raises(NumericalError, match="^NEES at run 1, frame 2: "):
         nees_series(np.ones((3, 4, 2)), covs)
-
-
-def test_forward_fill():
-    arr = np.array([1.0, np.nan, np.nan, 4.0, np.nan])
-    np.testing.assert_allclose(forward_fill(arr), [1.0, 1.0, 1.0, 4.0, 4.0])
-    # Each row fills on its own; entries before a row's first finite value
-    # stay NaN, infinities included.
-    arr = np.array([[np.nan, 2.0, np.nan, np.inf], [np.inf, np.nan, 3.0, np.nan]])
-    np.testing.assert_array_equal(
-        forward_fill(arr), [[np.nan, 2.0, 2.0, 2.0], [np.nan, np.nan, 3.0, 3.0]]
-    )
 
 
 def test_run_monte_carlo_metrics_shape_and_finiteness():
@@ -969,7 +969,7 @@ def test_emit_report_files_and_determinism(tmp_path):
 
 def test_emit_report_empty_metrics_header_only(tmp_path):
     m = RunMetrics(scenario_name="empty", method="baseline", mc_runs=1, frames=0, update_epochs=[])
-    assert (m.n_groups, m.group_dim) == (0, 0)
+    assert m.group_dim == 0
     written = emit_report(m, tmp_path)
     rmse = (tmp_path / "bias_rmse.csv").read_text()
     assert rmse.strip() == "frame,sensor,metric,value,ci_low,ci_high"
@@ -1215,13 +1215,11 @@ def _finite_run():
     sc = load_scenario(_tiny_scenario())
     tracks = run_local_tracks(sc, simulate_truth(sc, 0))
     K1 = sc.frames + 1
-    fused = np.full(K1, np.nan)
-    fused[[0] + sc.update_epochs()] = 1.0
     run = SingleRun(
         b_series=np.zeros((K1, 3, 2)),
         sigma_series=np.ones((K1, 3, 2, 2)),
         local_sqerr=np.ones(K1),
-        fused_sqerr=fused,
+        fused_sqerr=np.ones(K1),
     )
     return sc, run, tracks
 
@@ -1241,12 +1239,12 @@ def test_check_finite_names_location(owner, field, index, message):
     from sensorreg.errors import NumericalError
     from sensorreg.harness.simulate import _check_finite
 
-    sc, run, tracks = _finite_run()
-    _check_finite(sc, run, tracks, 7)  # NaN off the fusion epochs is by design
+    _, run, tracks = _finite_run()
+    _check_finite(run, tracks, 7)
     arr = getattr(run if owner == "run" else tracks, field)
     arr[index] = np.inf
     with pytest.raises(NumericalError, match=f"run 7: non-finite {message}: inf$") as info:
-        _check_finite(sc, run, tracks, 7)
+        _check_finite(run, tracks, 7)
     # The mask covers the named axes: one element per named index.
     named = len(info.value.index)
     assert info.value.failed.shape == arr.shape[:named]
@@ -1254,21 +1252,20 @@ def test_check_finite_names_location(owner, field, index, message):
 
 
 def test_aggregate_runs_names_a_non_finite_fused_error():
-    # Forward filling leaves only a non-finite start: frames 0 to the first
-    # epoch of runs 1 and 2.
+    # The check reads the stacked records as the runs hand them on: the
+    # mask is the NaN frame of runs 1 and 2 alone.
     from sensorreg.harness.metrics import aggregate_runs
 
     sc, run, _ = _finite_run()
     run = dataclasses.replace(run, b_series=None, sigma_series=None)
     bad = dataclasses.replace(run, fused_sqerr=run.fused_sqerr.copy())
-    bad.fused_sqerr[0] = np.nan
+    bad.fused_sqerr[3] = np.nan
     with pytest.raises(
-        NumericalError, match=r"^non-finite fused track error at run 1, frame 0: nan$"
+        NumericalError, match=r"^non-finite fused track error at run 1, frame 3: nan$"
     ) as info:
         aggregate_runs(sc, "fbe", [run, bad, bad])
-    first = sc.update_epochs()[0]
     want = np.zeros((3, sc.frames + 1), dtype=bool)
-    want[1:, :first] = True
+    want[1:, 3] = True
     np.testing.assert_array_equal(info.value.failed, want)
 
 
@@ -1281,7 +1278,7 @@ def _singular_truth(sc, s, t, k):
 
     truth = simulate_truth(sc, 0)
     tracks = run_local_tracks(sc, truth)
-    pred = kf_predict(tracks.estimate(s, t, k - 1), ncv_model(sc.dt, sc.local_filter.q))
+    pred = kf_predict(tracks[s, t, k - 1], ncv_model(sc.dt, sc.local_filter.q))
     truth.cart_R[s, t, k] = -pred.cov[np.ix_([0, 2], [0, 2])]
     return truth
 
@@ -1555,7 +1552,7 @@ def test_baseline_names_the_earliest_failing_frame(monkeypatch):
 def test_a_run_without_update_epochs_keeps_the_prior_and_the_frame_0_track():
     # With lags 7 and 11 the two sensors of two_sensor never report at the
     # same frame within its 20: fbe keeps the prior bias estimates, and
-    # both methods' fused error is that of the frame-0 track alone.
+    # both methods' fused error is that of the frame-0 track at every frame.
     import sensorreg.harness.simulate as sim
 
     sc = load_scenario("two_sensor")
@@ -1565,9 +1562,8 @@ def test_a_run_without_update_epochs_keeps_the_prior_and_the_frame_0_track():
     for method in ("fbe", "baseline"):
         run = sim.run_single(sc, 0, method)
         truth = simulate_truth(sc, 0, zero_bias=(method == "baseline"))
-        want = np.full(sc.frames + 1, np.nan)
-        want[0] = sim._position_sqerr(run_local_tracks(sc, truth).mean[0, :, 0], truth.states[:, 0])
-        np.testing.assert_array_equal(run.fused_sqerr, want)
+        first = sim._position_sqerr(run_local_tracks(sc, truth).mean[0, :, 0], truth.states[:, 0])
+        np.testing.assert_array_equal(run.fused_sqerr, np.full(sc.frames + 1, first))
         if method == "fbe":
             np.testing.assert_array_equal(run.b_series, np.broadcast_to(prior.b, run.b_series.shape))
             np.testing.assert_array_equal(
@@ -1600,13 +1596,13 @@ def _per_epoch_fusion(sc, truth, tracks, method):
     b_series = np.empty((sc.frames + 1,) + bias.b.shape)
     sigma_series = np.empty((sc.frames + 1,) + bias.Sigma.shape)
     b_series[:], sigma_series[:] = bias.b, bias.Sigma
-    track = tracks.estimate(0, slice(None), 0)
-    sqerr = np.full(sc.frames + 1, np.nan)
-    sqerr[0] = sim._position_sqerr(track.mean, truth.states[:, 0])
+    track = tracks[0, :, 0]
+    sqerr = np.empty(sc.frames + 1)
+    sqerr[:] = sim._position_sqerr(track.mean, truth.states[:, 0])
     last = np.zeros(n_s, dtype=int)
     for k in sc.update_epochs():
-        prev = tracks.estimate(np.arange(n_s)[:, None], np.arange(n_t), last[:, None])
-        curr = tracks.estimate(slice(None), slice(None), k)
+        prev = tracks[np.arange(n_s)[:, None], np.arange(n_t), last[:, None]]
+        curr = tracks[:, :, k]
         pred = kf_predict(prev, lag_models(np.broadcast_to(k - prev.frame, (n_s, n_t))))
         reported = np.broadcast_to(schedule[k][:, None], (n_s, n_t))
         if method == "fbe":
@@ -1625,7 +1621,8 @@ def _per_epoch_fusion(sc, truth, tracks, method):
         z = CartesianMeasurement(z.z.swapaxes(0, 1), z.R.swapaxes(0, 1))
         track = sfa(track, lag_models(k - track.frame), z, present.T)
         last[schedule[k]] = k
-        sqerr[k] = sim._position_sqerr(track.mean, truth.states[:, k])
+        # The error holds until the next epoch overwrites the later frames.
+        sqerr[k:] = sim._position_sqerr(track.mean, truth.states[:, k])
     if method == "fbe":
         return b_series, sigma_series, sqerr
     return None, None, sqerr
@@ -1643,6 +1640,62 @@ def _mixed_lags():
     sc = load_scenario("five_sensor_offset")
     sc.sensors = [dataclasses.replace(s, lag=lag) for s, lag in zip(sc.sensors, (1, 10, 5, 10, 2))]
     return sc
+
+
+def test_indexing_the_local_tracks_gives_the_buffers_at_their_frames(monkeypatch):
+    # The local tracks are one estimate of batch (sensor, target, frame):
+    # tracks[s, t, k] holds frame k and the buffers' entries at (s, t, k)
+    # bit for bit, for an int index, the slices of the stacked estimators
+    # and the index arrays of the epoch pairs.
+    import sensorreg.harness.simulate as sim
+    from sensorreg.dynamics import LagModels
+
+    sc = _mixed_lags()
+    tracks = run_local_tracks(sc, simulate_truth(sc, 0))
+    n_s, n_t, K = len(sc.sensors), len(sc.targets), sc.frames
+    assert tracks.mean.shape == (n_s, n_t, K + 1, 4)
+    assert np.array_equal(tracks.frame, np.arange(K + 1))
+    one = tracks[3, 1, 7]
+    assert one.frame == 7
+    assert np.array_equal(one.mean, tracks.mean[3, 1, 7])
+    assert np.array_equal(one.cov, tracks.cov[3, 1, 7])
+    assert np.array_equal(tracks[:, :, :-1].frame, np.broadcast_to(np.arange(K), (n_s, n_t, K)))
+    assert np.array_equal(tracks[:, :, 1:].mean, tracks.mean[:, :, 1:])
+
+    earlier = []
+    predict = sim.kf_predict
+    monkeypatch.setattr(sim, "kf_predict", lambda est, m: earlier.append(est) or predict(est, m))
+    lag_models = LagModels(ncv_model(sc.dt, sc.fusion_q))
+    epochs, reporting, sensor, _, _, curr = sim._epoch_pairs(sc, tracks, lag_models)
+    (prev,) = earlier
+    e, _ = np.nonzero(reporting)
+    assert np.array_equal(curr.frame, np.broadcast_to(epochs[e, None], (len(e), n_t)))
+    # Each earlier report is its sensor's last before the epoch.
+    schedule = sc.reporting_schedule()
+    assert np.all(prev.frame < curr.frame) and np.all(schedule[prev.frame, sensor[:, None]])
+    for est in (prev, curr):
+        index = sensor[:, None], np.arange(n_t), est.frame
+        assert np.array_equal(est.mean, tracks.mean[index])
+        assert np.array_equal(est.cov, tracks.cov[index])
+
+
+@pytest.mark.parametrize("method", ["fbe", "baseline"])
+def test_the_fused_error_holds_between_epochs(method):
+    # five_sensor_offset fuses every 10th frame: each other frame carries
+    # the error of the last epoch before it, and frames 1-9 frame 0's.
+    import sensorreg.harness.simulate as sim
+
+    sc = load_scenario("five_sensor_offset")
+    epochs = sc.update_epochs()
+    assert epochs[:2] == [10, 20]
+    for index in range(2):
+        sqerr = sim.run_single(sc, index, method).fused_sqerr
+        held = sqerr[0]
+        for k in range(sc.frames + 1):
+            if k in epochs:
+                assert sqerr[k] != held
+                held = sqerr[k]
+            assert sqerr[k] == held, k
 
 
 @pytest.mark.parametrize(
@@ -1801,13 +1854,13 @@ def _per_epoch_fused_pass(sc, truth, tracks, lag_models, z, present):
     from sensorreg.coords import CartesianMeasurement
     from sensorreg.fusion import sfa
 
-    fused = tracks.estimate(0, slice(None), 0)
-    sqerr = np.full(sc.frames + 1, np.nan)
-    sqerr[0] = sim._position_sqerr(fused.mean, truth.states[:, 0])
+    fused = tracks[0, :, 0]
+    sqerr = np.empty(sc.frames + 1)
+    sqerr[:] = sim._position_sqerr(fused.mean, truth.states[:, 0])
     for e, k in enumerate(sc.update_epochs()):
         epoch = CartesianMeasurement(z.z[e], z.R[e])
         fused = sfa(fused, lag_models(k - fused.frame), epoch, present[e])
-        sqerr[k] = sim._position_sqerr(fused.mean, truth.states[:, k])
+        sqerr[k:] = sim._position_sqerr(fused.mean, truth.states[:, k])
     return sqerr
 
 

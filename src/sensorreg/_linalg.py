@@ -75,13 +75,31 @@ def singular(context: str, mat: np.ndarray, bad: np.ndarray) -> tuple:
     return quoted(f"{context} is singular (cond ~ %.3e)", bad, lambda: sym_cond(mat[bad])), bad
 
 
+def _det2(mat: np.ndarray) -> np.ndarray:
+    return mat[..., 0, 0] * mat[..., 1, 1] - mat[..., 0, 1] * mat[..., 1, 0]
+
+
 def det_spd2(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Determinants of the 2x2 matrices on the last two axes, and the mask
     of those that pass the positive definiteness test of
     :func:`inv_spd2_masked`: determinant finite and positive, leading entry
     positive (False for any NaN entry)."""
-    det = mat[..., 0, 0] * mat[..., 1, 1] - mat[..., 0, 1] * mat[..., 1, 0]
+    det = _det2(mat)
     return det, (det > 0.0) & (mat[..., 0, 0] > 0.0) & (det < np.inf)
+
+
+def screen_spd2(mat: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Determinants of the 2x2 matrices on the last two axes, and whether
+    every one passes :func:`det_spd2`'s test.
+
+    Three reductions decide it in place of the mask: the least determinant
+    and leading entry are positive and the largest determinant finite, each
+    false under NaN.  A caller that must name a failure forms the mask then.
+    """
+    det = _det2(mat)
+    if not det.size:
+        return det, True
+    return det, bool(det.min() > 0.0 and mat[..., 0, 0].min() > 0.0 and det.max() < np.inf)
 
 
 def inv_spd2_masked(mat: np.ndarray, keep=True) -> tuple[np.ndarray, np.ndarray]:
@@ -103,7 +121,8 @@ def cofactor_inverse(mat: np.ndarray, det: np.ndarray) -> np.ndarray:
     # The adjugate [[d, -b], [-c, a]] is the transpose with both axes
     # reversed and the off-diagonal entries negated.
     adj = mt(mat)[..., ::-1, ::-1] * _ADJUGATE_SIGNS
-    return adj / det[..., None, None]
+    adj /= det[..., None, None]
+    return adj
 
 
 def solve_psd(mat: np.ndarray, rhs: np.ndarray, context: str = "matrix") -> np.ndarray:

@@ -450,12 +450,14 @@ def _run_fbe(scenario: Scenario, truth: TruthData, tracks: GaussianEstimate):
     d = scenario.bias_dim
     lag_models = LagModels(ncv_model(scenario.dt, scenario.fusion_q))
     sensors = scenario.sensor_models()
-    geo = sensors[:, None]
     epochs, reporting, sensor, rows, *pairs = _epoch_pairs(scenario, tracks, lag_models)
     # The stage of the reporting rows on the (epoch, sensor, target) grid;
-    # the predictions and reports are dropped once it is built.
-    local = local_stage(*pairs, sensors[sensor])[rows]
-    del pairs
+    # the predictions and reports are dropped once it is built.  The rows'
+    # own tracklets are kept for the bias correction.
+    row_sensors = sensors[sensor]
+    stage = local_stage(*pairs, row_sensors)
+    tracklets, local = stage.tracklets, stage[rows]
+    del pairs, stage
     bias = _initial_bias_states(scenario)
 
     b_series = np.empty((K + 1, n_s, d))
@@ -468,14 +470,19 @@ def _run_fbe(scenario: Scenario, truth: TruthData, tracks: GaussianEstimate):
         # Estimates hold until the next epoch overwrites the later frames.
         b_series[k:], sigma_series[k:] = bias.b, bias.Sigma
 
+    # Each reporting row is corrected with its epoch's updated estimate of
+    # its sensor, then gathered onto the grid as the stage was.
+    del local
+    geo = row_sensors[:, None]
     c, faults = bias_correct(
-        local.tracklets,
-        BiasEstimate(b_series[epochs], sigma_series[epochs])[:, :, None],
+        tracklets,
+        BiasEstimate(b_series[epochs][reporting], sigma_series[epochs][reporting])[:, None],
         (geo.sigma_r, geo.sigma_theta),
         origin=geo.position,
     )
+    faults = faults_at(faults, rows)
     _raise_first_epoch([(reason, failed & live) for reason, failed in faults], epochs)
-    z = CartesianMeasurement(c.z.swapaxes(1, 2), c.R.swapaxes(1, 2))
+    z = CartesianMeasurement(c.z[rows].swapaxes(1, 2), c.R[rows].swapaxes(1, 2))
     fused_sqerr = _fuse_all_sensors(scenario, truth, tracks, lag_models, z, live.swapaxes(1, 2))
     return b_series, sigma_series, fused_sqerr
 

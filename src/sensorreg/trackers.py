@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import cofactor_inverse, det_spd2, mt, singular, symmetrize
+from ._linalg import cofactor_inverse, det_spd2, mt, screen_spd2, singular, symmetrize
 from .coords import CartesianMeasurement
 from .dynamics import MotionModel
 from .errors import SingularMatrixError, raise_first
@@ -96,14 +96,11 @@ class GaussianEstimate:
 
 @dataclass
 class KfStepRecord:
-    """Gain, innovation, and the inverse and log-determinant of the
-    innovation covariance of one Kalman update, with the batch axes of the
+    """Gain and innovation of one Kalman update, with the batch axes of the
     updated estimate."""
 
     gain: np.ndarray
     innovation: np.ndarray
-    innovation_inv: np.ndarray
-    innovation_logdet: np.ndarray
 
 
 def init_track(z: CartesianMeasurement) -> GaussianEstimate:
@@ -138,12 +135,21 @@ def kf_predict(est: GaussianEstimate, model: MotionModel) -> GaussianEstimate:
         PFt = np.concatenate([est.cov.reshape(-1, n), est.mean.reshape(-1, n)]) @ Ft
         mean = PFt[rows:].reshape(est.mean.shape)
         FP = mt(PFt[:rows].reshape(est.cov.shape))
-        FPFt = (FP.reshape(-1, n) @ Ft).reshape(FP.shape)
+        cov = (FP.reshape(-1, n) @ Ft).reshape(FP.shape)
+        cov += model.Q
     else:
-        PFt = np.concatenate([est.cov, est.mean[..., None, :]], axis=-2) @ Ft
-        mean = PFt[..., n, :]
-        FPFt = mt(PFt[..., :n, :]) @ Ft
-    return _wrap(GaussianEstimate, mean=mean, cov=FPFt + model.Q, frame=est.frame + model.steps)
+        mean, cov = _predict_rows(np.concatenate([est.cov, est.mean[..., None, :]], axis=-2), model)
+    return _wrap(GaussianEstimate, mean=mean, cov=cov, frame=est.frame + model.steps)
+
+
+def _predict_rows(rows: np.ndarray, model: MotionModel) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`kf_predict`'s stacked product on the rows [P; x'] (..., n + 1,
+    n) of each estimate: the predicted means and covariances."""
+    n, Ft = model.dim, model.Ft
+    PFt = rows @ Ft
+    cov = mt(PFt[..., :n, :]) @ Ft
+    cov += model.Q
+    return PFt[..., n, :], cov
 
 
 def kf_update(
@@ -159,25 +165,32 @@ def kf_update(
     result is symmetrized, the one symmetrization of a predict-update step.
     The batch axes of ``est`` and ``z`` broadcast against each other.
     """
-    n = est.dim
+    mean, cov, W, nu, _, _ = _update(est.mean, est.cov, z.z, z.R)
+    return _wrap(GaussianEstimate, mean=mean, cov=cov, frame=est.frame), KfStepRecord(W, nu)
+
+
+def _update(x: np.ndarray, P: np.ndarray, z: np.ndarray, R: np.ndarray) -> tuple:
+    """:func:`kf_update` on arrays: the updated mean and covariance, then
+    the gain, the innovation, and the inverse and determinant of the
+    innovation covariance.  The 2x2 test of the innovation covariances
+    forms its mask only when a batch fails it."""
+    n = P.shape[-1]
     # Positions sit at indices 0 and n/2, so they are a strided slice.
     pos = slice(None, None, n // 2)
-    P = est.cov
-    nu = z.z - est.mean[..., pos]
+    nu = z - x[..., pos]
     PHt = P[..., :, pos]
-    S = PHt[..., pos, :] + z.R
-    det, ok = det_spd2(S)
-    if not ok.all():
-        raise_first([singular("innovation covariance", S, ~ok)], SingularMatrixError)
+    S = PHt[..., pos, :] + R
+    det, ok = screen_spd2(S)
+    if not ok:
+        raise_first([singular("innovation covariance", S, ~det_spd2(S)[1])], SingularMatrixError)
     S_inv = cofactor_inverse(S, det)
     W = PHt @ S_inv
-    mean = est.mean + np.einsum("...ij,...j->...i", W, nu)
+    x = x + np.einsum("...ij,...j->...i", W, nu)
     # Contiguous, as F' in kf_predict.
     Wt = np.ascontiguousarray(mt(W))
     L = P - W @ P[..., pos, :]
-    cov = symmetrize(L - (L[..., :, pos] - W @ z.R) @ Wt)
-    rec = KfStepRecord(gain=W, innovation=nu, innovation_inv=S_inv, innovation_logdet=np.log(det))
-    return _wrap(GaussianEstimate, mean=mean, cov=cov, frame=est.frame), rec
+    L -= (L[..., :, pos] - W @ R) @ Wt
+    return x, symmetrize(L), W, nu, S_inv, det
 
 
 @dataclass
@@ -192,18 +205,20 @@ class ImmState:
     (..., n_modes), one simplex vector per bank; ``model`` and
     ``transition`` are shared.
 
-    The bank also carries the next cycle's start: ``mixed``, each mode's
-    mixed prior, and ``mixed_probs``, the predicted mode probabilities
-    c = mode_probs @ transition.  Construction forms them; :func:`imm_step`
-    forms the next ones in the pass that gives its combined output.  A mode
-    with c = 0 raises :class:`SingularMatrixError` marking its bank.
+    The bank also carries the next cycle's start: ``mixed_rows``, each
+    mode's mixed prior as the rows [P; x'] (..., n_modes, n + 1, n) that
+    the prediction multiplies, and ``mixed_probs``, the predicted mode
+    probabilities c = mode_probs @ transition.  Construction forms them;
+    :func:`imm_step` forms the next ones in the pass that gives its
+    combined output.  A mode with c = 0 raises :class:`SingularMatrixError`
+    marking its bank.
     """
 
     modes: GaussianEstimate
     model: MotionModel
     mode_probs: np.ndarray
     transition: np.ndarray
-    mixed: GaussianEstimate = field(init=False)
+    mixed_rows: np.ndarray = field(init=False)
     mixed_probs: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
@@ -221,7 +236,8 @@ class ImmState:
             raise ValueError("mode probabilities must form a simplex vector")
         if not np.all(np.abs(self.transition.sum(axis=1) - 1.0) <= 1e-9):
             raise ValueError("transition matrix rows must sum to 1")
-        self.mixed_probs, self.mixed, _, _ = _mix(self.modes, self.mode_probs, self.transition)
+        self.mixed_probs, rows = _mix(self.modes, self.mode_probs, self.transition)
+        self.mixed_rows = rows[..., :n, :, :]
 
     @classmethod
     def from_track(
@@ -264,54 +280,45 @@ class ImmState:
         return cls(modes=modes, model=model, mode_probs=mode_probs, transition=transition)
 
 
-def _gauss_loglik(rec: KfStepRecord) -> np.ndarray:
-    """Gaussian log-likelihood of each innovation of a Kalman update, from
-    the inverse and log-determinant the update already formed."""
-    nu, S_inv = rec.innovation, rec.innovation_inv
-    # nu' S^-1 as an elementwise sum over the rows of S^-1, then a matmul
-    # dot product.  A matmul over the whole product takes a different
-    # (fused multiply-add) BLAS path on contiguous operands than on strided
-    # ones; this form rounds the same for either layout.
-    row = nu[..., :1] * S_inv[..., 0, :] + nu[..., 1:] * S_inv[..., 1, :]
-    maha = (row[..., None, :] @ nu[..., None])[..., 0, 0]
-    return -0.5 * (maha + rec.innovation_logdet + nu.shape[-1] * math.log(2.0 * math.pi))
-
-
-def _moments(weights: np.ndarray, est: GaussianEstimate) -> tuple[np.ndarray, np.ndarray]:
+def _moments(weights: np.ndarray, est: GaussianEstimate) -> np.ndarray:
     """Moment-matched means and covariances of (batched) Gaussian mixtures
-    of the components on the last batch axis of ``est``;
-    ``weights[..., k, i]`` weighs component i in mixture k, each row
-    summing to one.
+    of the components on the last batch axis of ``est``, as the rows
+    [P; x'] (..., mixtures, n + 1, n) of each; ``weights[..., k, i]``
+    weighs component i in mixture k, each row summing to one.
 
     For such weights the spread term sum_i w_i s_i s_i' about the mixture
     mean equals sum_{i<j} w_i w_j d_ij d_ij' over the differences d_ij of
     the component means, which no weight enters: one outer product per
-    component pair serves every mixture.  Each covariance is then one
-    weighted sum, a row of one matrix product, of the component
-    covariances and the pair products, all symmetric, and is symmetric as
-    formed.
+    component pair serves every mixture.  Each mixture is then one weighted
+    sum, a row of one matrix product, of the component rows [C_i; m_i'] and
+    the pair rows [d_ij d_ij'; 0], and its covariance, a sum of symmetric
+    terms, is symmetric as formed.
     """
     mean, n = est.mean, est.dim
     m = mean.shape[-2]
+    rows = np.empty(est.cov.shape[:-3] + (m * (m + 1) // 2, n + 1, n))
+    rows[..., :m, :n, :] = est.cov
+    rows[..., :m, n, :] = mean
+    rows[..., m:, n, :] = 0.0
     # Pairs (i, j > i) in row-major order, a slice of j per i.
-    d = [mean[..., i : i + 1, :] - mean[..., i + 1 :, :] for i in range(m - 1)]
-    pair_w = [weights[..., i : i + 1] * weights[..., i + 1 :] for i in range(m - 1)]
-    flat = est.cov.shape[:-3] + (-1, n * n)
-    outer = [(v[..., :, None] * v[..., None, :]).reshape(flat) for v in d]
-    x = weights @ mean
-    P = np.concatenate([weights] + pair_w, axis=-1) @ np.concatenate(
-        [est.cov.reshape(flat)] + outer, axis=-2
-    )
-    return x, P.reshape(x.shape + (n,))
+    pair_w, first = [weights], m
+    for i in range(m - 1):
+        d = mean[..., i : i + 1, :] - mean[..., i + 1 :, :]
+        last = first + m - 1 - i
+        np.einsum("...i,...j->...ij", d, d, out=rows[..., first:last, :n, :])
+        pair_w.append(weights[..., i : i + 1] * weights[..., i + 1 :])
+        first = last
+    mixed = np.concatenate(pair_w, axis=-1) @ rows.reshape(rows.shape[:-2] + (-1,))
+    return mixed.reshape(mixed.shape[:-1] + (n + 1, n))
 
 
 def _mix(
     modes: GaussianEstimate, mu: np.ndarray, transition: np.ndarray
-) -> tuple[np.ndarray, GaussianEstimate, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """One moment-matching pass over ``modes``: the predicted mode
-    probabilities c = mu @ transition of the next cycle, the mixed prior of
-    each destination mode, and the mean and covariance of the mixture under
-    ``mu`` itself (the combined estimate), its last row.
+    probabilities c = mu @ transition of the next cycle, and the rows
+    [P; x'] of each destination mode's mixed prior followed by those of the
+    mixture under ``mu`` itself (the combined estimate).
 
     Raises :class:`SingularMatrixError` marking every bank with a mode that
     c leaves unreachable (every bank of ``modes`` when ``mu`` is shared).
@@ -322,10 +329,7 @@ def _mix(
         raise SingularMatrixError("unreachable mode in IMM transition matrix", unreachable)
     # w[..., j, i] weighs source mode i in destination mode j.
     w = transition.T * mu[..., None, :] / c_bar[..., :, None]
-    x, P = _moments(np.concatenate([w, mu[..., None, :]], axis=-2), modes)
-    m = c_bar.shape[-1]
-    mixed = _wrap(GaussianEstimate, mean=x[..., :m, :], cov=P[..., :m, :, :], frame=modes.frame)
-    return c_bar, mixed, x[..., m, :], P[..., m, :, :]
+    return c_bar, _moments(np.concatenate([w, mu[..., None, :]], axis=-2), modes)
 
 
 def imm_step(
@@ -336,37 +340,60 @@ def imm_step(
     updated modes that gives the next cycle's mixed priors and the combined
     output.
 
+    The prediction multiplies the rows that the last pass formed, and each
+    mode's likelihood reads the inverse and determinant that its update
+    formed.
+
     Returns the new bank state and the combined estimate on the 4-dim
     position/velocity interface.  Every bank of a batch and every mode
     advances in the same call; a singular matrix, or a mode that the new
     mode probabilities leave unreachable in the next cycle, is reported at
     the bank's batch index.
     """
+    model = state.model
     # Mode-matched predict and update, the measurement on a unit mode axis.
-    z = _wrap(CartesianMeasurement, z=z.z[..., None, :], R=z.R[..., None, :, :])
     try:
-        modes, rec = kf_update(kf_predict(state.mixed, state.model), z)
+        mean, cov, _, nu, S_inv, det = _update(
+            *_predict_rows(state.mixed_rows, model), z.z[..., None, :], z.R[..., None, :, :]
+        )
     except SingularMatrixError as exc:
         raise SingularMatrixError(exc.reason, exc.failed.any(axis=-1)) from exc
+    modes = _wrap(GaussianEstimate, mean=mean, cov=cov, frame=state.modes.frame + model.steps)
 
-    # Mode probability update (log-domain for underflow safety).
-    log_mu = np.log(state.mixed_probs) + _gauss_loglik(rec)
-    log_mu -= log_mu.max(axis=-1, keepdims=True)
-    mu = np.exp(log_mu)
+    # Mode probability update (log-domain for underflow safety), with each
+    # mode's Gaussian log-likelihood of its innovation.  The quadratic form
+    # is nu' S^-1 as a sum over the rows of S^-1, then a matmul dot
+    # product: a matmul over the whole product takes a different (fused
+    # multiply-add) BLAS path on contiguous operands than on strided ones,
+    # and any other rounding of the form moves the mode probabilities by
+    # about |nu' S^-1 nu| units in the last place.
+    row = np.einsum("...i,...ij->...j", nu, S_inv)
+    maha = (row[..., None, :] @ nu[..., None])[..., 0, 0]
+    loglik = -0.5 * (maha + np.log(det) + nu.shape[-1] * math.log(2.0 * math.pi))
+    log_mu = np.log(state.mixed_probs) + loglik
+    # The mode axis is short: an elementwise maximum per mode finds each
+    # bank's largest term faster than a reduction along it.
+    m = log_mu.shape[-1]
+    top = log_mu[..., 0]
+    for i in range(1, m):
+        top = np.maximum(top, log_mu[..., i])
+    mu = np.exp(log_mu - top[..., None])
     mu /= mu.sum(axis=-1, keepdims=True)
 
-    c_bar, mixed, x, P = _mix(modes, mu, state.transition)
+    c_bar, rows = _mix(modes, mu, state.transition)
+    n = modes.dim
     new_state = _wrap(
         ImmState,
         modes=modes,
-        model=state.model,
+        model=model,
         mode_probs=mu,
         transition=state.transition,
-        mixed=mixed,
+        mixed_rows=rows[..., :m, :, :],
         mixed_probs=c_bar,
     )
     # The combined output on the full mode state, then its position/velocity
     # rows: the 4-dim interface.
-    if modes.dim == 6:
+    x, P = rows[..., m, n, :], rows[..., m, :n, :]
+    if n == 6:
         x, P = x[..., _POS_VEL], P[..., _POS_VEL[:, None], _POS_VEL]
     return new_state, _wrap(GaussianEstimate, mean=x, cov=P, frame=modes.frame)

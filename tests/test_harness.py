@@ -724,7 +724,8 @@ def test_local_tracks_follow_targets():
 
 def _former_moments(weights, est):
     """The moment pass as the IMM ran it before the closed form: each
-    mixture's spread about its own mean, then one symmetrization."""
+    mixture's spread about its own mean, then one symmetrization; returned
+    as the rows [P; x'] of each mixture, as the closed form returns them."""
     from sensorreg._linalg import mt, symmetrize
 
     x = weights @ est.mean
@@ -732,7 +733,7 @@ def _former_moments(weights, est):
     spread = est.mean[..., None, :, :] - x[..., :, None, :]
     P = (weights @ est.cov.reshape(est.cov.shape[:-2] + (n * n,))).reshape(x.shape + (n,))
     P += mt(weights[..., None] * spread) @ spread
-    return x, symmetrize(P)
+    return np.concatenate([symmetrize(P), x[..., None, :]], axis=-2)
 
 
 def _former_local_tracks(sc, truth):

@@ -5,11 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sensorreg._linalg import cholesky, det_spd2, inv_spd2_masked, singular
+from sensorreg._linalg import cholesky, det_spd2, inv_spd2_masked, screen_spd2, singular
 from sensorreg.coords import CartesianMeasurement
 from sensorreg.dynamics import nca_model, ncv_model
 from sensorreg.errors import SingularMatrixError, raise_first
-from sensorreg.trackers import ImmState, imm_step, init_track, kf_predict, kf_update
+from sensorreg.trackers import (
+    GaussianEstimate,
+    ImmState,
+    imm_step,
+    init_track,
+    kf_predict,
+    kf_update,
+)
 
 EPS = np.finfo(float).eps
 
@@ -58,6 +65,60 @@ def test_inv_spd2_matches_lapack(params):
     assert (np.abs(logdet - ref_logdet) <= rtol * (1.0 + np.abs(ref_logdet))).all()
 
 
+# Entries that break the 2x2 test one way each: NaN, +-inf, a zero or
+# negative determinant, a negative leading entry with a positive
+# determinant, and a determinant that overflows to inf.
+_BREAKS = [
+    [[np.nan, 0.0], [0.0, 1.0]],
+    [[1.0, 0.0], [0.0, np.nan]],
+    [[1.0, np.nan], [0.0, 1.0]],
+    [[np.inf, 0.0], [0.0, 1.0]],
+    [[-np.inf, 0.0], [0.0, 1.0]],
+    [[1.0, 1.0], [1.0, 1.0]],
+    [[1.0, 2.0], [2.0, 1.0]],
+    [[0.0, 0.0], [0.0, 1.0]],
+    [[-1.0, 0.0], [0.0, -1.0]],
+    [[1e200, 0.0], [0.0, 1e200]],
+]
+
+
+@given(
+    shape=st.sampled_from([(), (0,), (1,), (5,), (2, 3), (0, 3)]),
+    breaks=st.lists(st.tuples(st.integers(0, 5), st.sampled_from(range(len(_BREAKS)))), max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_screen_decides_as_the_mask_and_the_update_raises_as_before(shape, breaks, seed):
+    # The three reductions of screen_spd2 pass a batch exactly when every
+    # element passes det_spd2's test, and kf_update raises for a failing
+    # batch what forming that mask and raising it through singular raises.
+    rng = np.random.default_rng(seed)
+    S = _spd(10.0 ** rng.uniform(-3.0, 6.0, shape), 10.0 ** rng.uniform(0.0, 8.0, shape), 0.7)
+    flat = S.reshape(-1, 2, 2)
+    for i, b in breaks:
+        if flat.shape[0]:
+            flat[i % flat.shape[0]] = _BREAKS[b]
+    # The broken entries overflow and meet inf on both paths alike.
+    with np.errstate(all="ignore"):
+        det, ok = screen_spd2(S)
+        want_det, mask = det_spd2(S)
+    assert ok == mask.all()
+    np.testing.assert_array_equal(det, want_det)
+    # Zero prior covariance: the innovation covariance is the measurement's.
+    est = GaussianEstimate(np.zeros(shape + (4,)), np.zeros(shape + (4, 4)))
+    z = CartesianMeasurement(np.zeros(shape + (2,)), S)
+    if ok:
+        kf_update(est, z)
+        return
+    with np.errstate(all="ignore"), pytest.raises(SingularMatrixError) as got:
+        kf_update(est, z)
+    with np.errstate(all="ignore"), pytest.raises(SingularMatrixError) as want:
+        raise_first([singular("innovation covariance", S, ~mask)], SingularMatrixError)
+    assert str(got.value) == str(want.value)
+    assert got.value.index == want.value.index
+    np.testing.assert_array_equal(got.value.failed, want.value.failed)
+
+
 def _raise_singular(mat):
     inv, ok = inv_spd2_masked(mat)
     # Every element that fails holds the identity.
@@ -101,7 +162,7 @@ def test_spd_factorizations_name_first_bad_element(factor):
 
 def test_trackers_make_no_lapack_call(monkeypatch):
     # The innovation covariances are 2x2 and go through the closed-form
-    # kernel; the IMM reuses the inverse and log-determinant of the update.
+    # kernel; the IMM reuses the inverse and determinant of the update.
     shape = (5, 16)
     rng = np.random.default_rng(3)
     z = CartesianMeasurement(

@@ -1,5 +1,7 @@
 """Local trackers: Kalman filter updates, IMM mixing, consistency."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -531,11 +533,18 @@ def _mixtures(seed, m, batch=(4, 3), n=6):
     return weights, GaussianEstimate(mean, cov)
 
 
+def _moments(weights, est):
+    """Means and covariances of trackers._moments, which forms each mixture
+    as the rows [P; x']."""
+    rows = trackers._moments(weights, est)
+    return rows[..., -1, :], rows[..., :-1, :]
+
+
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("seed", range(4))
 def test_moments_closed_form_is_symmetric_and_matches_the_definition(m, seed):
     weights, est = _mixtures(seed, m)
-    x, P = trackers._moments(weights, est)
+    x, P = _moments(weights, est)
     assert np.array_equal(P, mt(P))
     want_x = np.einsum("...ki,...in->...kn", weights, est.mean)
     np.testing.assert_allclose(x, want_x, rtol=1e-13, atol=0)
@@ -549,11 +558,22 @@ def test_moments_closed_form_is_symmetric_and_matches_the_definition(m, seed):
     assert np.all(np.abs(P - want) <= MOMENTS_RTOL * scale)
     # One bank alone forms what it forms inside the batch, and weights
     # shared by the batch what they form per bank.
-    one_x, one_P = trackers._moments(weights[2, 1], est[2, 1])
+    one_x, one_P = _moments(weights[2, 1], est[2, 1])
     assert np.array_equal(one_x, x[2, 1]) and np.array_equal(one_P, P[2, 1])
-    shared_x, shared_P = trackers._moments(weights[2, 1], est)
-    each_x, each_P = trackers._moments(np.broadcast_to(weights[2, 1], weights.shape), est)
+    shared_x, shared_P = _moments(weights[2, 1], est)
+    each_x, each_P = _moments(np.broadcast_to(weights[2, 1], weights.shape), est)
     assert np.array_equal(shared_x, each_x) and np.array_equal(shared_P, each_P)
+
+
+def _innovation(pred, z):
+    """The cofactor inverse and the determinant of the innovation covariance
+    of a Kalman update of ``pred`` with ``z``, formed as kf_update forms
+    them."""
+    n = pred.dim
+    S = pred.cov[..., :: n // 2, :: n // 2] + z.R
+    det = S[..., 0, 0] * S[..., 1, 1] - S[..., 0, 1] * S[..., 1, 0]
+    adj = mt(S)[..., ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    return adj / det[..., None, None], det
 
 
 def _per_mode_imm_tracks(sc, truth):
@@ -579,10 +599,12 @@ def _per_mode_imm_tracks(sc, truth):
         for j, model in enumerate(models):
             means, covs = zip(*(_ref_embed(m, P, model.dim) for m, P in modes))
             x0, P0 = _ref_moments(w[..., j], means, covs)
-            upd, rec = kf_update(kf_predict(GaussianEstimate(mean=x0, cov=P0), model), z)
+            pred = kf_predict(GaussianEstimate(mean=x0, cov=P0), model)
+            upd, rec = kf_update(pred, z)
             nu = rec.innovation
-            maha = (nu[..., None, :] @ rec.innovation_inv @ nu[..., None])[..., 0, 0]
-            logliks.append(-0.5 * (maha + rec.innovation_logdet + 2 * np.log(2.0 * np.pi)))
+            S_inv, det = _innovation(pred, z)
+            maha = (nu[..., None, :] @ S_inv @ nu[..., None])[..., 0, 0]
+            logliks.append(-0.5 * (maha + np.log(det) + 2 * np.log(2.0 * np.pi)))
             new_modes.append((upd.mean, upd.cov))
         log_mu = np.log(c_bar) + np.stack(logliks, axis=-1)
         log_mu -= log_mu.max(axis=-1, keepdims=True)
@@ -676,14 +698,20 @@ def _former_kf_update(est, z):
 
 
 def _former_imm_step(state, z):
-    """imm_step with the combined output moment-matched on each mode's
-    position/velocity marginal."""
-    new_state, _ = imm_step(state, z)
-    modes = new_state.modes
+    """The IMM cycle run with the former Kalman kernels, with the combined
+    output moment-matched on each mode's position/velocity marginal.
+    Returns a bank state that carries what this step reads."""
+    modes, mu, _ = _two_pass_imm_step(
+        state.modes, state.mode_probs, state.model, state.transition, z,
+        _former_kf_predict, _former_kf_update,
+    )
+    new_state = SimpleNamespace(
+        modes=modes, mode_probs=mu, model=state.model, transition=state.transition
+    )
     if modes.dim == 6:
         idx = np.array([0, 1, 3, 4])
         modes = GaussianEstimate(modes.mean[..., idx], modes.cov[..., idx[:, None], idx])
-    x, P = trackers._moments(new_state.mode_probs[..., None, :], modes)
+    x, P = _head_moments(mu[..., None, :], modes)
     return new_state, GaussianEstimate(x[..., 0, :], P[..., 0, :, :], new_state.modes.frame)
 
 
@@ -743,32 +771,60 @@ def test_a08_bias_series_match_the_former_kernels():
 ONE_PASS_RTOL = 1e-12
 
 
-def _two_pass_imm_step(modes, mu, model, Pi, z):
+def _head_moments(weights, est):
+    """The closed-form moment pass as trackers._moments formed it before it
+    returned the rows [P; x']: the means, then the covariances from the
+    component covariances and the pair products of the mean differences."""
+    mean, n = est.mean, est.dim
+    m = mean.shape[-2]
+    d = [mean[..., i : i + 1, :] - mean[..., i + 1 :, :] for i in range(m - 1)]
+    pair_w = [weights[..., i : i + 1] * weights[..., i + 1 :] for i in range(m - 1)]
+    flat = est.cov.shape[:-3] + (-1, n * n)
+    outer = [(v[..., :, None] * v[..., None, :]).reshape(flat) for v in d]
+    x = weights @ mean
+    P = np.concatenate([weights] + pair_w, axis=-1) @ np.concatenate(
+        [est.cov.reshape(flat)] + outer, axis=-2
+    )
+    return x, P.reshape(x.shape + (n,))
+
+
+def _head_loglik(nu, S_inv, det):
+    """The Gaussian log-likelihood of each innovation ``nu`` as the IMM
+    formed it from the update's record, given the inverse and determinant
+    of its covariance."""
+    row = nu[..., :1] * S_inv[..., 0, :] + nu[..., 1:] * S_inv[..., 1, :]
+    maha = (row[..., None, :] @ nu[..., None])[..., 0, 0]
+    return -0.5 * (maha + np.log(det) + nu.shape[-1] * np.log(2.0 * np.pi))
+
+
+def _two_pass_imm_step(modes, mu, model, Pi, z, predict=kf_predict, update=kf_update):
     """The IMM cycle as imm_step ran it before: mix the updated modes at the
     start of the cycle, predict and update, reweight, then moment-match the
     combined output in a second pass.  Returns the updated modes, their
     probabilities and the combined estimate."""
     c_bar = mu @ Pi
     w = Pi.T * mu[..., None, :] / c_bar[..., :, None]
-    x0, P0 = trackers._moments(w, modes)
+    x0, P0 = _head_moments(w, modes)
     z = CartesianMeasurement(z=z.z[..., None, :], R=z.R[..., None, :, :])
-    modes, rec = kf_update(kf_predict(GaussianEstimate(x0, P0, modes.frame), model), z)
-    log_mu = np.log(c_bar) + trackers._gauss_loglik(rec)
+    pred = predict(GaussianEstimate(x0, P0, modes.frame), model)
+    modes, rec = update(pred, z)
+    log_mu = np.log(c_bar) + _head_loglik(rec.innovation, *_innovation(pred, z))
     log_mu -= log_mu.max(axis=-1, keepdims=True)
     mu = np.exp(log_mu)
     mu /= mu.sum(axis=-1, keepdims=True)
-    x, P = trackers._moments(mu[..., None, :], modes)
+    x, P = _head_moments(mu[..., None, :], modes)
     x, P = x[..., 0, :], P[..., 0, :, :]
     if modes.dim == 6:
         x, P = x[..., _REF_POS_VEL], P[..., _REF_POS_VEL[:, None], _REF_POS_VEL]
     return modes, mu, GaussianEstimate(x, P, modes.frame)
 
 
-def test_one_pass_imm_cycle_matches_the_two_pass_cycle():
+@pytest.mark.parametrize("filter_type", ["imm_ncv_ncv", "imm_nca_ncv"])
+def test_one_pass_imm_cycle_matches_the_two_pass_cycle(filter_type):
     from sensorreg.harness import simulate_truth
     from sensorreg.harness.simulate import IMM_INITIAL_PROBS, IMM_TRANSITION, _local_model
 
-    sc = _a08()
+    sc = _a08(filter_type)
     truth = simulate_truth(sc, 0)
     est = init_track(CartesianMeasurement(z=truth.cart_z[:, :, 0], R=truth.cart_R[:, :, 0]))
     state = ImmState.from_track(est, _local_model(sc), IMM_INITIAL_PROBS, IMM_TRANSITION)
